@@ -1,15 +1,6 @@
 """Command-line front end: one subcommand per scenario kind.
 
-Exit codes (also listed in --help):
-  0  success
-  1  usage error (bad arguments, unreadable config file)
-  2  invalid configuration values
-  3  I/O failure while writing artifacts
-  4  blow-up detected (solution left the resolvable range)
-  5  CFL violation at the configured fixed step
-  6  Gevrey weight overflow guard tripped
-  7  verification or convergence failure
-  8  checkpoint format error
+The exit codes, listed in --help, come from gsqglab.harness.EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -20,6 +11,7 @@ import sys
 
 from .errors import ConfigError
 from .harness import (
+    EXIT_CODES,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_USAGE,
@@ -28,21 +20,12 @@ from .harness import (
     run_scenario,
 )
 
-_EXIT_CODE_DOC = """\
-exit codes:
-  0  success
-  1  usage error (bad arguments, unreadable config file)
-  2  invalid configuration values
-  3  I/O failure while writing artifacts
-  4  blow-up detected (solution left the resolvable range)
-  5  CFL violation at the configured fixed step
-  6  Gevrey weight overflow guard tripped
-  7  verification or convergence failure
-  8  checkpoint format error
-
-environment:
-  GSQG_THREADS  caps the worker threads used by the verification batteries
-"""
+_EXIT_CODE_DOC = (
+    "exit codes:\n"
+    + "".join(f"  {code}  {meaning}\n" for code, meaning, _ in EXIT_CODES)
+    + "\nenvironment:\n"
+    "  GSQG_THREADS  caps the worker threads used by the verification batteries\n"
+)
 
 _KIND_HELP = {
     "simulate": "integrate the full equation and write diagnostics",

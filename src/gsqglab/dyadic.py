@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, _kabs, _nyquist_mask, _wrap
+from .spectral import GridSpec, SpectralField, _homog_weight, _kabs, _nyquist_mask, _wrap
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -173,10 +173,7 @@ def bernstein_check(field: SpectralField, j: int, sigma: float) -> BernsteinRepo
     if sigma == 0:
         ratio = 1.0
     else:
-        kabs = _kabs(field.grid)
-        with np.errstate(divide="ignore"):
-            w = np.where(kabs > 0, kabs**sigma, 0.0)
-        num = _l2(w * block.coeffs, period)
+        num = _l2(_homog_weight(field.grid, sigma) * block.coeffs, period)
         ratio = num / (2.0 ** (sigma * j) * base)
     b = 2.0 ** abs(sigma)
     return BernsteinReport(j=j, sigma=sigma, ratio=ratio, lower=1.0 / b, upper=b)

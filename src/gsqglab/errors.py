@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Scientific failures carry enough state to be reported by the CLI with
-distinct exit codes; see gsqglab.cli for the mapping.
+distinct exit codes; see gsqglab.harness.EXIT_CODES for the mapping.
 """
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -1213,6 +1214,23 @@ EXIT_OVERFLOW = 6
 EXIT_VERIFY = 7
 EXIT_CHECKPOINT = 8
 
+# Exit codes: code, meaning (printed by --help and in the README), and the
+# exceptions run_scenario reports under that code. An exception takes the
+# code of the first class in its MRO listed here.
+EXIT_CODES = (
+    (EXIT_OK, "success", ()),
+    (EXIT_USAGE, "usage error (bad arguments, unreadable config file)", ()),
+    (EXIT_CONFIG, "invalid configuration values", (ConfigError, ValueError)),
+    (EXIT_IO, "I/O failure while writing artifacts", (OSError,)),
+    (EXIT_BLOWUP, "blow-up detected (solution left the resolvable range)", (BlowUpError,)),
+    (EXIT_CFL, "CFL violation at the configured fixed step", (CourantError,)),
+    (EXIT_OVERFLOW, "Gevrey weight overflow guard tripped", (OverflowGuardError,)),
+    (EXIT_VERIFY, "verification or convergence failure", (GsqgError,)),
+    (EXIT_CHECKPOINT, "checkpoint format error", (CheckpointError,)),
+)
+_EXIT_BY_EXCEPTION = {exc: code for code, _, excs in EXIT_CODES for exc in excs}
+_MESSAGE_PREFIX = {ValueError: "invalid scenario parameters: ", OSError: "I/O failure: "}
+
 
 def _summary(path: str, lines: list[str]) -> None:
     with open(path, "w", newline="") as fh:
@@ -1246,12 +1264,13 @@ def run_scenario(config: ScenarioConfig) -> int:
     """Execute one scenario, writing CSV, summary, and optional checkpoints.
 
     Returns the process exit code; every scientific failure mode keeps its
-    own code so batch drivers can triage without parsing logs.
+    own code (see EXIT_CODES) so batch scripts can triage without parsing
+    logs. Failure messages go to stderr.
     """
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:
-        print(f"cannot create output directory: {exc}")
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO
 
     out = lambda name: os.path.join(config.out_dir, name)
@@ -1459,33 +1478,10 @@ def run_scenario(config: ScenarioConfig) -> int:
             )
             return EXIT_OK
 
-        print(f"unknown scenario kind {config.kind!r}")
+        print(f"unknown scenario kind {config.kind!r}", file=sys.stderr)
         return EXIT_USAGE
 
-    except ConfigError as exc:
-        print(exc)
-        return EXIT_CONFIG
-    except CheckpointError as exc:
-        print(exc)
-        return EXIT_CHECKPOINT
-    except BlowUpError as exc:
-        print(exc)
-        return EXIT_BLOWUP
-    except CourantError as exc:
-        print(exc)
-        return EXIT_CFL
-    except OverflowGuardError as exc:
-        print(exc)
-        return EXIT_OVERFLOW
-    except (PicardConvergenceError,) as exc:
-        print(exc)
-        return EXIT_VERIFY
-    except GsqgError as exc:
-        print(exc)
-        return EXIT_VERIFY
-    except ValueError as exc:
-        print(f"invalid scenario parameters: {exc}")
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"I/O failure: {exc}")
-        return EXIT_IO
+    except (GsqgError, ValueError, OSError) as exc:
+        cls = next(c for c in type(exc).__mro__ if c in _EXIT_BY_EXCEPTION)
+        print(_MESSAGE_PREFIX.get(cls, "") + str(exc), file=sys.stderr)
+        return _EXIT_BY_EXCEPTION[cls]

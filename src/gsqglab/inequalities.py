@@ -21,6 +21,7 @@ from .norms import InequalityReport, sobolev_norm
 from .spectral import (
     GridSpec,
     SpectralField,
+    _homog_weight,
     _kabs,
     _wrap,
     gevrey_avg_operator,
@@ -132,9 +133,7 @@ def random_test_field(spec: EnsembleSpec, index: int) -> SpectralField:
     cm2 = np.where(canon, m2, -m2)
     u_mod = _hash_uniform(spec.seed, index, cm1, cm2, 1)
     u_arg = _hash_uniform(spec.seed, index, cm1, cm2, 2)
-    kabs = _kabs(grid)
-    with np.errstate(divide="ignore"):
-        amp = np.where(kabs > 0, kabs ** (-spec.decay), 0.0) * (0.5 + 0.5 * u_mod)
+    amp = _homog_weight(grid, -spec.decay) * (0.5 + 0.5 * u_mod)
     sign = np.where(canon, 1.0, -1.0)
     coeffs = amp * np.exp(2j * np.pi * u_arg * sign)
     coeffs[0, 0] = 0.0
@@ -178,11 +177,11 @@ def _check_cap(grid: GridSpec):
         )
 
 
-def _power_weight(kabs: np.ndarray, sigma: float) -> np.ndarray:
+def _power_weight(grid: GridSpec, sigma: float) -> np.ndarray:
+    """|k|^sigma, except that sigma = 0 gives the mean mode weight 1 too."""
     if sigma == 0.0:
-        return np.ones_like(kabs)
-    with np.errstate(divide="ignore"):
-        return np.where(kabs > 0, kabs**sigma, 0.0)
+        return np.ones((grid.n, grid.n))
+    return _homog_weight(grid, sigma)
 
 
 def _convolution_on_lattice(f: SpectralField, g: SpectralField) -> np.ndarray:
@@ -202,7 +201,7 @@ def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: 
     if sigma < 0 and not h.mean_zero:
         raise ValueError("negative output weight needs a mean-zero third slot")
     conv = _convolution_on_lattice(f, g)
-    w = _power_weight(np.fft.fftshift(_kabs(grid)), sigma)
+    w = np.fft.fftshift(_power_weight(grid, sigma))
     hsh = np.fft.fftshift(h.coeffs)
     return complex(grid.period**2 * np.sum(w * conv * np.conj(hsh)))
 
@@ -210,7 +209,7 @@ def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: 
 def trilinear_form_sym(f: SpectralField, g: SpectralField, h: SpectralField, sigma: float) -> complex:
     """Variant weighted by |k - l|^sigma + |l|^sigma split across both inputs."""
     grid = _shared_grid(f, g, h)
-    w = _power_weight(_kabs(grid), sigma)
+    w = _power_weight(grid, sigma)
     wf = _wrap(grid, w * f.coeffs)
     wg = _wrap(grid, w * g.coeffs)
     return trilinear_form(wf, g, h, 0.0) + trilinear_form(f, wg, h, 0.0)
@@ -281,9 +280,7 @@ def commutator_singular(f: SpectralField, g: SpectralField, ell: int, beta: floa
     if ell not in (1, 2):
         raise ValueError("direction index must be 1 or 2")
     grid = _shared_grid(f, g)
-    kabs = _kabs(grid)
-    with np.errstate(divide="ignore"):
-        mult = 1j * _directional_multiplier(grid, ell) * np.where(kabs > 0, kabs ** (beta - 2.0), 0.0)
+    mult = 1j * _directional_multiplier(grid, ell) * _homog_weight(grid, beta - 2.0)
     gf = multiply_fields(g, f)
     applied_product = _wrap(grid, mult * gf.coeffs)
     product_applied = multiply_fields(g, _wrap(grid, mult * f.coeffs))
@@ -335,8 +332,7 @@ def commutator_gevrey(
         d = kabs.astype(complex)
     else:
         d = 1j * _directional_multiplier(grid, 1 if deriv == "d1" else 2)
-    with np.errstate(divide="ignore"):
-        base = part.phi(j, kabs) * np.where(kabs > 0, kabs ** (sigma + rho), 0.0) * d
+    base = part.phi(j, kabs) * _homog_weight(grid, sigma + rho) * d
 
     def op(x: SpectralField) -> SpectralField:
         return gevrey_operator(_wrap(grid, base * x.coeffs), alpha, lam)

@@ -17,6 +17,7 @@ from .dyadic import Partition, build_partition, decompose
 from .spectral import (
     GridSpec,
     SpectralField,
+    _homog_weight,
     _kabs,
     gevrey_operator,
 )
@@ -63,12 +64,10 @@ class InequalityReport:
 
 @lru_cache(maxsize=None)
 def _sobolev_weight(grid: GridSpec, s: float, homogeneous: bool) -> np.ndarray:
-    kabs = _kabs(grid)
     if homogeneous:
-        with np.errstate(divide="ignore"):
-            w = np.where(kabs > 0, kabs ** (2.0 * s), 0.0)
-    else:
-        w = (1.0 + kabs * kabs) ** s
+        return _homog_weight(grid, 2.0 * s)
+    kabs = _kabs(grid)
+    w = (1.0 + kabs * kabs) ** s
     w.flags.writeable = False
     return w
 
@@ -162,9 +161,7 @@ def check_interpolation(field: SpectralField, s: float, s1: float, s2: float) ->
 
 def weighted_l1_norm(field: SpectralField, s: float) -> float:
     """Lattice L1 spectral sum L^2 sum |k|^s |f_hat|, area-weighted."""
-    kabs = _kabs(field.grid)
-    with np.errstate(divide="ignore"):
-        w = np.where(kabs > 0, kabs**s, 0.0)
+    w = _homog_weight(field.grid, s)
     return field.grid.period ** 2 * float(np.sum(w * np.abs(field.coeffs)))
 
 
@@ -242,13 +239,11 @@ def derivative_bound_check(
     if lam <= 0:
         raise ValueError("derivative bound needs a positive Gevrey radius")
     grid = field.grid
-    kabs = _kabs(grid)
     m = np.fft.fftfreq(grid.n, 1.0 / grid.n)
     s = grid.k_fundamental
     k1, k2 = np.abs(s * m)[:, None], np.abs(s * m)[None, :]
     deriv = (k1**b1) * (k2**b2) * np.abs(field.coeffs)
-    with np.errstate(divide="ignore"):
-        w = np.where(kabs > 0, kabs ** (2.0 * sigma), 0.0)
+    w = _homog_weight(grid, 2.0 * sigma)
     lhs = grid.period * math.sqrt(float(np.sum(w * deriv**2)))
     order = b1 + b2
     factor = (math.factorial(b1) * math.factorial(b2) / (lam * alpha) ** order) ** (1.0 / alpha)

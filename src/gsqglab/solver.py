@@ -24,6 +24,7 @@ from .spectral import (
     SpectralField,
     VectorField,
     _dealias_mask,
+    _homog_weight,
     _kabs,
     _wrap,
     advect,
@@ -195,14 +196,6 @@ def _decay_multiplier(grid, gamma, kappa, eps_visc, tau):
     return np.exp(-tau * (gamma * kabs**kappa + eps_visc * kabs * kabs))
 
 
-def _homog_weight(grid: GridSpec, exponent: float) -> np.ndarray:
-    """|k|^exponent with the origin forced to zero (mean carries no weight)."""
-    kabs = _kabs(grid)
-    with np.errstate(divide="ignore"):
-        w = np.where(kabs > 0, kabs**exponent, 0.0)
-    return w
-
-
 def linear_heat_propagator(
     field: SpectralField, t: float, gamma: float, kappa: float, eps_visc: float = 0.0
 ) -> SpectralField:
@@ -223,20 +216,52 @@ def linear_heat_propagator(
 
 
 # ---------------------------------------------------------------------------
-# right-hand side and one RK4 step
+# right-hand side and the stepping core
+
+
+def _tendency(theta: SpectralField, params: ModelParams, u: VectorField | None = None):
+    """-u . grad(theta) with u induced by theta, unless the caller has it already."""
+    if u is None:
+        u = velocity_from_scalar(theta, params)
+    return -advect(u, theta)
 
 
 def rhs(state: SimState) -> SpectralField:
     """Nonlinear tendency -u . grad(theta); the stiff part lives in the
     integrating factor, not here."""
-    u = velocity_from_scalar(state.field, state.params)
-    return -advect(u, state.field)
+    return _tendency(state.field, state.params)
 
 
-def _max_speed(u: VectorField) -> float:
+def _zero_tendency(c, _stage):
+    return np.zeros_like(c)
+
+
+def _advective_stages(grid: GridSpec, params: ModelParams, nonlinear: bool):
+    """Stage-tendency factory of the full equation, in the shape _run takes.
+
+    The velocity of the step's start state is computed once: it gives the
+    CFL measurement and advects the first stage.
+    """
+
+    def nonlin(c, _stage):
+        return _tendency(_wrap(grid, c), params).coeffs
+
+    def factory(_i, coeffs):
+        theta = _wrap(grid, coeffs)
+        u = velocity_from_scalar(theta, params)
+        if not nonlinear:
+            return _zero_tendency, u, np.zeros_like(coeffs)
+        return nonlin, u, _tendency(theta, params, u).coeffs
+
+    return factory
+
+
+def _courant(u: VectorField, dt: float) -> tuple:
+    """Peak speed of u and the advective Courant number it gives at step dt."""
     p1 = to_physical(u.u1)
     p2 = to_physical(u.u2)
-    return float(np.sqrt(p1 * p1 + p2 * p2).max())
+    max_u = float(np.sqrt(p1 * p1 + p2 * p2).max())
+    return max_u, dt * max_u / (u.grid.period / u.grid.n)
 
 
 def _l2(coeffs: np.ndarray, period: float) -> float:
@@ -253,15 +278,61 @@ def _pairing(a: np.ndarray, b: np.ndarray, period: float) -> float:
     return period * period * float(np.real(np.sum(a * np.conj(b))))
 
 
-def _rk4_stage_update(coeffs, nonlin, eh, eh2, h, k1):
-    """One integrating-factor RK4 update from a precomputed first slope."""
+def _diagnostics_row(t, coeffs, l2, params, u, speed, k1=None) -> DiagnosticsRow:
+    """Snapshot diagnostics; without a transport tendency k1 the residual is 0."""
+    grid = u.grid
+    period = grid.period
+    residual = 0.0
+    if k1 is not None:
+        raw = abs(_pairing(k1, coeffs, period))
+        scale = (
+            math.hypot(_l2(u.u1.coeffs, period), _l2(u.u2.coeffs, period))
+            * _weighted_l2(coeffs, _homog_weight(grid, 2.0), period)
+            * l2
+        )
+        residual = raw / scale if scale > 0 else 0.0
+    max_u, courant = speed
+    return DiagnosticsRow(
+        t=t,
+        l2=l2,
+        hs_crit=_weighted_l2(coeffs, _homog_weight(grid, 2.0 * params.sigma_c), period),
+        energy_residual=residual,
+        max_u=max_u,
+        courant=courant,
+    )
+
+
+def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float) -> tuple:
+    """Exact linear flow over a full step and over half a step."""
+    p = params
+    return (
+        _decay_multiplier(grid, p.gamma, p.kappa, p.eps_visc, dt),
+        _decay_multiplier(grid, p.gamma, p.kappa, p.eps_visc, 0.5 * dt),
+    )
+
+
+def _advance(coeffs, i, t, h, factors, nonlin, k1, speed, l2, c_cfl):
+    """Step i of the integrating-factor RK4 from its first slope k1.
+
+    Refuses to start when the Courant number passes c_cfl (None: no guard)
+    and signals a blow-up when the result loses finiteness.
+    """
+    max_u, courant = speed
+    if c_cfl is not None and courant > c_cfl:
+        raise CourantError(courant, c_cfl, t, i)
+    eh, eh2 = factors
     s2 = eh2 * (coeffs + (0.5 * h) * k1)
     k2 = nonlin(s2, 1)
     s3 = eh2 * coeffs + (0.5 * h) * k2
     k3 = nonlin(s3, 2)
     s4 = eh * coeffs + h * (eh2 * k3)
     k4 = nonlin(s4, 3)
-    return eh * coeffs + (h / 6.0) * (eh * k1 + 2.0 * eh2 * (k2 + k3) + k4)
+    out = eh * coeffs + (h / 6.0) * (eh * k1 + 2.0 * eh2 * (k2 + k3) + k4)
+    if not np.all(np.isfinite(out)):
+        raise BlowUpError(
+            (i + 1) * h, i + 1, {"l2": l2, "max_u": max_u, "courant": courant}
+        )
+    return out
 
 
 def step(
@@ -280,44 +351,26 @@ def step(
         raise ValueError("step size is fixed by the state; rebuild at t=0 to change dt")
     h = state.dt
     grid = state.field.grid
-    p = state.params
-    u = velocity_from_scalar(state.field, p)
-    max_u = _max_speed(u)
-    courant = h * max_u / (grid.period / grid.n)
-    if nonlinear and courant > c_cfl:
-        raise CourantError(courant, c_cfl, state.t, state.step_index)
-    eh = _decay_multiplier(grid, p.gamma, p.kappa, p.eps_visc, h)
-    eh2 = _decay_multiplier(grid, p.gamma, p.kappa, p.eps_visc, 0.5 * h)
-
-    if nonlinear:
-
-        def nonlin(c, _stage):
-            f = _wrap(grid, c)
-            return -advect(velocity_from_scalar(f, p), f).coeffs
-
-    else:
-
-        def nonlin(c, _stage):
-            return np.zeros_like(c)
-
-    out = _rk4_stage_update(
-        state.field.coeffs, nonlin, eh, eh2, h, nonlin(state.field.coeffs, 0)
+    i = state.step_index
+    coeffs = state.field.coeffs
+    nonlin, u, k1 = _advective_stages(grid, state.params, nonlinear)(i, coeffs)
+    out = _advance(
+        coeffs,
+        i,
+        state.t,
+        h,
+        _integrating_factors(grid, state.params, h),
+        nonlin,
+        k1,
+        _courant(u, h),
+        _l2(coeffs, grid.period),
+        c_cfl if nonlinear else None,
     )
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(
-            state.t + h,
-            state.step_index + 1,
-            {
-                "l2": _l2(state.field.coeffs, grid.period),
-                "max_u": max_u,
-                "courant": courant,
-            },
-        )
     return SimState(
         field=_wrap(grid, out),
-        t=(state.step_index + 1) * h,
-        step_index=state.step_index + 1,
-        params=p,
+        t=(i + 1) * h,
+        step_index=i + 1,
+        params=state.params,
         dt=h,
     )
 
@@ -343,68 +396,42 @@ def _step_count(T: float, dt: float) -> int:
 
 
 def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factory):
-    """Advance the integrating-factor RK4 with a per-step tendency factory.
+    """Drive the IF-RK4 core with a per-step tendency factory.
 
-    nonlin_factory(step_index, coeffs) returns the stage tendency function
-    (called with stage indices 0..3, in order) and the advecting velocity
-    used for the CFL measurement and the diagnostics.
+    nonlin_factory(i, coeffs) is called at every step index i = 0..n_steps
+    with the state at t = i dt. It returns the stage tendency function
+    (called with stage indices 1..3, in order), the advecting velocity used
+    for the CFL measurement and the diagnostics, and the first slope k1 at
+    coeffs. The call at i = n_steps only feeds the final diagnostics row.
     """
     grid = theta0.grid
-    period = grid.period
-    h = period / grid.n
-    w1 = _homog_weight(grid, 2.0)
-    wc = _homog_weight(grid, 2.0 * params.sigma_c)
     n_steps = _step_count(T, dt)
     if snapshot_stride < 1:
         raise ValueError("snapshot stride must be a positive integer")
-
-    eh = _decay_multiplier(grid, params.gamma, params.kappa, params.eps_visc, dt)
-    eh2 = _decay_multiplier(grid, params.gamma, params.kappa, params.eps_visc, 0.5 * dt)
+    factors = _integrating_factors(grid, params, dt)
+    guard = c_cfl if nonlinear else None
 
     coeffs = _admissible_initial(theta0).coeffs
     times, fields, rows = [], [], []
     max_increase = 0.0
-    l2_now = _l2(coeffs, period)
+    l2_now = _l2(coeffs, grid.period)
 
     for i in range(n_steps + 1):
         t = i * dt
-        nonlin, u = nonlin_factory(min(i, n_steps - 1), coeffs)
-        max_u = _max_speed(u)
-        courant = dt * max_u / h
-        if i < n_steps and nonlinear and courant > c_cfl:
-            raise CourantError(courant, c_cfl, t, i)
-        k1 = nonlin(coeffs, 0)
+        nonlin, u, k1 = nonlin_factory(i, coeffs)
+        speed = _courant(u, dt)
         if i % snapshot_stride == 0 or i == n_steps:
-            if nonlinear:
-                raw = abs(_pairing(k1, coeffs, period))
-                scale = (
-                    math.hypot(_l2(u.u1.coeffs, period), _l2(u.u2.coeffs, period))
-                    * _weighted_l2(coeffs, w1, period)
-                    * l2_now
-                )
-                residual = raw / scale if scale > 0 else 0.0
-            else:
-                residual = 0.0
             times.append(t)
             fields.append(_wrap(grid, coeffs))
             rows.append(
-                DiagnosticsRow(
-                    t=t,
-                    l2=l2_now,
-                    hs_crit=_weighted_l2(coeffs, wc, period),
-                    energy_residual=residual,
-                    max_u=max_u,
-                    courant=courant,
+                _diagnostics_row(
+                    t, coeffs, l2_now, params, u, speed, k1 if nonlinear else None
                 )
             )
         if i == n_steps:
             break
-        coeffs = _rk4_stage_update(coeffs, nonlin, eh, eh2, dt, k1)
-        if not np.all(np.isfinite(coeffs)):
-            raise BlowUpError(
-                (i + 1) * dt, i + 1, {"l2": l2_now, "max_u": max_u, "courant": courant}
-            )
-        l2_new = _l2(coeffs, period)
+        coeffs = _advance(coeffs, i, t, dt, factors, nonlin, k1, speed, l2_now, guard)
+        l2_new = _l2(coeffs, grid.period)
         if l2_new > l2_now > 0:
             max_increase = max(max_increase, (l2_new - l2_now) / l2_now)
         l2_now = l2_new
@@ -436,19 +463,7 @@ def simulate(
     terminates with a blow-up signal if coefficients lose finiteness and
     with a CFL signal if the advective Courant number passes c_cfl.
     """
-    grid = theta0.grid
-
-    def zero_tendency(c, _stage):
-        return np.zeros_like(c)
-
-    def nonlin(c, _stage):
-        g = _wrap(grid, c)
-        return -advect(velocity_from_scalar(g, params), g).coeffs
-
-    def factory(_i, coeffs):
-        u = velocity_from_scalar(_wrap(grid, coeffs), params)
-        return (nonlin if nonlinear else zero_tendency), u
-
+    factory = _advective_stages(theta0.grid, params, nonlinear)
     return _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, factory)
 
 
@@ -519,9 +534,10 @@ def linear_flux_solve(
     provider = _as_stage_provider(q, grid, n_steps, dt)
 
     def factory(i, coeffs):
-        u = velocity_from_scalar(provider(i, 0), params)
+        # the final row, at t = T, reads q at the last step's end stage
+        q0 = provider(i, 0) if i < n_steps else provider(n_steps - 1, 3)
         record = None
-        if stage_sink is not None and len(stage_sink) <= i:
+        if stage_sink is not None and i < n_steps and len(stage_sink) <= i:
             record = []
             stage_sink.append(record)
 
@@ -529,12 +545,12 @@ def linear_flux_solve(
             f = _wrap(grid, c)
             if record is not None and len(record) < 4:
                 record.append(f)
-            return -flux_divergence(provider(i, stage), f, params).coeffs
+            q = q0 if stage == 0 else provider(i, stage)
+            return -flux_divergence(q, f, params).coeffs
 
-        return nonlin, u
+        return nonlin, velocity_from_scalar(q0, params), nonlin(coeffs, 0)
 
-    traj = _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory)
-    return traj
+    return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory)
 
 
 def _heat_flow_stages(theta0, params, n_steps, dt):
@@ -556,9 +572,6 @@ def _heat_flow_stages(theta0, params, n_steps, dt):
 def _heat_flow_trajectory(theta0, params, T, dt, snapshot_stride):
     """Exact closed-form heat flow sampled on the snapshot schedule."""
     n_steps = _step_count(T, dt)
-    grid = theta0.grid
-    period = grid.period
-    wc = _homog_weight(grid, 2.0 * params.sigma_c)
     times, fields, rows = [], [], []
     for i in range(n_steps + 1):
         if i % snapshot_stride and i != n_steps:
@@ -566,17 +579,11 @@ def _heat_flow_trajectory(theta0, params, T, dt, snapshot_stride):
         t = i * dt
         f = linear_heat_propagator(theta0, t, params.gamma, params.kappa, params.eps_visc)
         u = velocity_from_scalar(f, params)
-        max_u = _max_speed(u)
         times.append(t)
         fields.append(f)
         rows.append(
-            DiagnosticsRow(
-                t=t,
-                l2=_l2(f.coeffs, period),
-                hs_crit=_weighted_l2(f.coeffs, wc, period),
-                energy_residual=0.0,
-                max_u=max_u,
-                courant=dt * max_u / (period / grid.n),
+            _diagnostics_row(
+                t, f.coeffs, _l2(f.coeffs, f.grid.period), params, u, _courant(u, dt)
             )
         )
     return Trajectory(

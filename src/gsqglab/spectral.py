@@ -76,6 +76,16 @@ def _kabs(grid: GridSpec) -> np.ndarray:
     return grid.k_fundamental * np.sqrt((m1 * m1 + m2 * m2).astype(np.float64))
 
 
+@lru_cache(maxsize=128)
+def _homog_weight(grid: GridSpec, s: float) -> np.ndarray:
+    """Read-only |k|^s per mode with the mean mode weighted zero."""
+    kabs = _kabs(grid)
+    with np.errstate(divide="ignore"):
+        w = np.where(kabs > 0, kabs**s, 0.0)
+    w.flags.writeable = False
+    return w
+
+
 @lru_cache(maxsize=None)
 def _wavevectors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     m1, m2 = _modes(grid)
@@ -319,11 +329,7 @@ def fractional_laplacian(field: SpectralField, s: float) -> SpectralField:
             "fractional_laplacian with s < 0 requires a mean-zero field "
             "(the symbol |k|^s is singular at k = 0)"
         )
-    kabs = _kabs(field.grid)
-    with np.errstate(divide="ignore"):
-        mult = kabs**s
-    mult[0, 0] = 0.0
-    return _apply_multiplier(field, mult)
+    return _apply_multiplier(field, _homog_weight(field.grid, s))
 
 
 def _guard_exponent(grid: GridSpec, alpha: float, lam: float) -> None:
@@ -423,10 +429,7 @@ def _structure_multiplier(grid: GridSpec, params: ModelParams) -> np.ndarray:
         return np.log1p(kabs * kabs) ** params.mu
     if params.beta == 2:
         return np.ones_like(kabs)
-    with np.errstate(divide="ignore"):
-        mult = kabs ** (params.beta - 2.0)
-    mult[0, 0] = 0.0
-    return mult
+    return _homog_weight(grid, params.beta - 2.0)
 
 
 def velocity_from_scalar(theta: SpectralField, params: ModelParams) -> VectorField:

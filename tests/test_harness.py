@@ -4,7 +4,9 @@ operator / inequality verification batteries."""
 
 import dataclasses
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from gsqglab.harness import (
     EXIT_BLOWUP,
     EXIT_CFL,
     EXIT_CHECKPOINT,
+    EXIT_CODES,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
@@ -540,10 +543,13 @@ amplitude2 = 1e180
         assert run_scenario(cfg) == EXIT_BLOWUP
 
 
-def test_scenario_cfl_exit_code(tmp_path):
+def test_scenario_cfl_exit_code(tmp_path, capsys):
     body = SIM_BODY.replace("amplitude = 0.05", "amplitude = 1e3")
     cfg = dataclasses.replace(parse_config(body), out_dir=str(tmp_path))
     assert run_scenario(cfg) == EXIT_CFL
+    captured = capsys.readouterr()
+    assert "CFL violation" in captured.err
+    assert captured.out == ""
 
 
 def test_scenario_overflow_exit_code(tmp_path):
@@ -703,17 +709,14 @@ def test_cli_help_documents_exit_codes(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    for code, phrase in [
-        ("0", "success"),
-        ("2", "invalid configuration"),
-        ("4", "blow-up"),
-        ("5", "CFL"),
-        ("6", "overflow"),
-        ("7", "verification"),
-        ("8", "checkpoint"),
-    ]:
-        assert phrase in out, (code, phrase)
+    assert [code for code, _, _ in EXIT_CODES] == list(range(9))
+    for code, meaning, _ in EXIT_CODES:
+        assert f"  {code}  {meaning}\n" in out, (code, meaning)
     assert "GSQG_THREADS" in out
+    # the README table lists the same codes with the same meanings, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (\d+) \| (.+?) \|$", readme, flags=re.M)
+    assert rows == [(str(code), meaning) for code, meaning, _ in EXIT_CODES]
 
 
 # ---------------------------------------------------------------------------

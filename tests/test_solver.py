@@ -31,6 +31,8 @@ from gsqglab import (
     simulate,
     sobolev_norm,
     step,
+    to_physical,
+    velocity_from_scalar,
 )
 from gsqglab.solver import DiagnosticsRow
 from util import hs_norm, l2_norm, lattice_k, random_field
@@ -237,6 +239,17 @@ def test_step_time_is_exact_multiple():
     assert s.step_index == 10
 
 
+def test_step_reproduces_simulate_bit_for_bit():
+    grid = GridSpec(32)
+    f = scaled(random_field(grid, seed=16, band=10), 2.0)
+    traj = simulate(f, P, T=5e-3, dt=1e-3)
+    s = state_of(traj.fields[0])
+    for k in range(1, 6):
+        s = step(s)
+        assert s.t == traj.times[k]
+        assert np.array_equal(s.field.coeffs, traj.fields[k].coeffs), k
+
+
 # --- full runs -----------------------------------------------------------------
 
 
@@ -394,6 +407,25 @@ def test_flux_solve_stage_sink_shape():
     # stage zero of step i is the solution at t = i dt
     for i in range(10):
         assert np.array_equal(sink[i][0].coeffs, traj.fields[i].coeffs)
+
+
+def test_flux_solve_final_row_reads_q_at_horizon():
+    # the row at t = T measures the transport field at T, not at T - dt
+    grid = GridSpec(32)
+    params = ModelParams(beta=1.3, kappa=0.5, gamma=0.0)
+    f = scaled(random_field(grid, seed=3, decay=2.5), 1.0)
+    qb = scaled(random_field(grid, seed=9, decay=2.5), 4.0)
+
+    def q(t):
+        return SpectralField(grid, qb.coeffs * (1.0 + 50.0 * t))
+
+    traj = linear_flux_solve(f, q, params, T=0.01, dt=1e-3)
+    u = velocity_from_scalar(q(0.01), params)
+    speed = float(np.sqrt(to_physical(u.u1) ** 2 + to_physical(u.u2) ** 2).max())
+    last = traj.rows[-1]
+    assert last.max_u == pytest.approx(speed, rel=1e-12)
+    assert last.max_u == pytest.approx(1.7437, abs=1e-4)
+    assert last.courant == pytest.approx(1e-3 * speed / (grid.period / grid.n), rel=1e-12)
 
 
 def test_flux_solve_one_term_branch_conserves_l2():
