@@ -9,10 +9,10 @@ Under this normalization Parseval reads ||f||_{L2}^2 = period^2 sum |f_hat|^2.
 The unpaired Nyquist row and column (m_i = -n/2) are kept identically zero so
 that every derivative multiplier is exactly odd under k -> -k.
 
-Nonlinear products are formed by zero-padding both factors onto a 2n grid,
-multiplying in physical space, and transforming back. The padded grid is wide
-enough that every retained mode receives its exact convolution sum, not an
-alias-contaminated one.
+Products are formed by real FFTs on an M x M grid, M = n if n > K_a + K_b +
+K_out else 3n/2, with K_a, K_b the factors' largest nonzero |m_i| and K_out the
+largest |m_i| kept: every kept mode gets its exact, alias-free convolution sum
+(Orszag's 2/3 rule, J. Atmos. Sci. 1971). Solver state at fraction 2/3 has M = n.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .errors import OverflowGuardError
 
@@ -112,13 +113,6 @@ def _dealias_mask(grid: GridSpec) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _flip_index(n: int) -> np.ndarray:
     return (-np.arange(n)) % n
-
-
-@lru_cache(maxsize=None)
-def _pad_index(n: int) -> np.ndarray:
-    # position of lattice mode m (in n-grid fft order) inside the 2n-grid layout
-    m = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-    return (m % (2 * n)).astype(np.intp)
 
 
 def _hermitian_defect(coeffs: np.ndarray) -> float:
@@ -250,8 +244,7 @@ class ModelParams:
 
 def to_physical(field: SpectralField) -> np.ndarray:
     """Evaluate the field at the n x n physical sample points."""
-    n = field.grid.n
-    return np.real(np.fft.ifft2(field.coeffs)) * (n * n)
+    return _samples(field.coeffs, field.grid.n)
 
 
 def _full_from_half(half: np.ndarray, n: int) -> np.ndarray:
@@ -280,8 +273,7 @@ def from_physical(samples: np.ndarray, grid: GridSpec) -> SpectralField:
         )
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite physical samples")
-    half = np.fft.rfft2(samples) / (grid.n * grid.n)
-    return _wrap(grid, _full_from_half(half, grid.n))
+    return _wrap(grid, _full_from_half(_lattice_half(samples, grid.n), grid.n))
 
 
 def field_from_modes(grid: GridSpec, modes: dict) -> SpectralField:
@@ -439,15 +431,9 @@ def velocity_from_scalar(theta: SpectralField, params: ModelParams) -> VectorFie
     the streamfunction solving Delta psi = Lambda^beta theta. Log law:
     u = -perp_grad((ln(I - Delta))^mu theta).
     """
-    if params.velocity_law == "log":
-        src = log_multiplier(theta, params.mu)
-    else:
-        if params.beta < 2 and not theta.mean_zero:
-            raise ValueError(
-                "velocity_from_scalar with beta < 2 requires a mean-zero scalar"
-            )
-        src = fractional_laplacian(theta, params.beta - 2.0)
-    g = perp_gradient(src)
+    if params.velocity_law == "power" and params.beta < 2 and not theta.mean_zero:
+        raise ValueError("velocity_from_scalar with beta < 2 requires a mean-zero scalar")
+    g = perp_gradient(_apply_multiplier(theta, _structure_multiplier(theta.grid, params)))
     return VectorField(-g.u1, -g.u2)
 
 
@@ -455,65 +441,87 @@ def velocity_from_scalar(theta: SpectralField, params: ModelParams) -> VectorFie
 # exact nonlinear products
 
 
-def _pad_physical(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Physical samples of the field on the doubled 2n grid."""
-    idx = _pad_index(n)
-    padded = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    padded[np.ix_(idx, idx)] = coeffs
-    return np.real(np.fft.ifft2(padded)) * (2 * n) ** 2
+def _half(a: np.ndarray) -> np.ndarray:
+    """The m2 >= 0 columns of a lattice array; an (n, 1) column stays whole."""
+    return a[..., : a.shape[-1] // 2 + 1]
 
 
-def _lattice_spectrum(phys: np.ndarray, n: int) -> np.ndarray:
-    """Spectrum of doubled-grid physical samples, restricted to the n-lattice."""
-    n2 = 2 * n
-    half = np.fft.rfft2(phys) / (n2 * n2)
-    full = _full_from_half(half, n2)
-    idx = _pad_index(n)
-    out = full[np.ix_(idx, idx)]
-    out[n // 2, :] = 0.0
-    out[:, n // 2] = 0.0
-    return out
+def _support(*halves: np.ndarray) -> int:
+    """Largest |m_i| of a nonzero coefficient in the half spectra; 0 if none."""
+    nz = np.logical_or.reduce([h != 0 for h in halves])
+    rows = np.flatnonzero(nz.any(axis=1))
+    m1 = np.minimum(rows, len(nz) - rows)           # |m1| of an fft-order row
+    m2 = np.flatnonzero(nz.any(axis=0))             # a half's columns are m2 >= 0
+    return int(max(m1.max(initial=0), m2.max(initial=0)))
 
 
-def _products_to_lattice(pairs, n: int) -> np.ndarray:
-    """Sum of physical-space products, transformed back to the n-lattice.
+def _product_size(n: int, k_a: int, k_b: int, k_out: int) -> int:
+    """The module docstring's product grid size M."""
+    return n if n > k_a + k_b + k_out else 3 * n // 2
 
-    pairs is an iterable of (a_coeffs, b_coeffs). The doubled grid makes the
-    convolution exact for every retained mode; the result is restricted to
-    the n-lattice with Nyquist modes dropped.
-    """
-    acc = np.zeros((2 * n, 2 * n), dtype=np.float64)
-    for a, b in pairs:
-        acc += _pad_physical(a, n) * _pad_physical(b, n)
-    return _lattice_spectrum(acc, n)
+
+def _samples(coeffs: np.ndarray, size: int) -> np.ndarray:
+    """Samples on the size x size grid of a Hermitian full or half spectrum."""
+    n = coeffs.shape[0]
+    h = n // 2
+    half = coeffs[:, : h + 1]
+    if size != n:   # rows m1 < 0 go to the end of the size-grid layout
+        half = np.zeros((size, size // 2 + 1), dtype=np.complex128)
+        half[np.r_[:h, size - h : size], : h + 1] = coeffs[:, : h + 1]
+    return scipy.fft.irfft2(half, s=(size, size), norm="forward")
+
+
+def _lattice_half(phys: np.ndarray, n: int) -> np.ndarray:
+    """Half spectrum, on the n-lattice, of samples on any product grid."""
+    half = scipy.fft.rfft2(phys, norm="forward")[:, : n // 2 + 1]
+    return half if len(half) == n else np.concatenate((half[: n // 2], half[-(n // 2) :]))
+
+
+def _dealiased(grid: GridSpec, half: np.ndarray) -> SpectralField:
+    """Field from a half spectrum restricted to the dealias disc, mean zeroed."""
+    half *= _half(_dealias_mask(grid))
+    half[0, 0] = 0.0
+    return _wrap(grid, _full_from_half(half, grid.n))
 
 
 def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product fg, exact on the full retained lattice."""
     if f.grid != g.grid:
         raise ValueError("product requires a shared grid")
-    return _wrap(f.grid, _products_to_lattice([(f.coeffs, g.coeffs)], f.grid.n))
+    n = f.grid.n
+    fh, gh = _half(f.coeffs), _half(g.coeffs)
+    size = _product_size(n, _support(fh), _support(gh), n // 2 - 1)
+    prod = _lattice_half(_samples(fh, size) * _samples(gh, size), n)
+    return _wrap(f.grid, _full_from_half(prod, n))
 
 
 def advect(u: VectorField, theta: SpectralField, grid: GridSpec | None = None) -> SpectralField:
     """Dealiased advection term u . grad(theta).
 
-    Products are exact for all retained modes (doubled-grid padding); the
-    result is then restricted to the dealias disc. The output mean mode is
-    zeroed: the advection of a scalar by a divergence-free field integrates
-    to zero exactly.
+    Products are exact on the dealias disc, to which the result is then
+    restricted. The output mean mode is zeroed: the advection of a scalar by
+    a divergence-free field integrates to zero exactly.
     """
     if grid is None:
         grid = theta.grid
     if u.grid != grid or theta.grid != grid:
         raise ValueError("advect requires u, theta, and grid to agree")
-    k1, k2 = _wavevectors(grid)
-    d1 = 1j * k1 * theta.coeffs
-    d2 = 1j * k2 * theta.coeffs
-    out = _products_to_lattice([(u.u1.coeffs, d1), (u.u2.coeffs, d2)], grid.n)
-    out[~_dealias_mask(grid)] = 0.0
-    out[0, 0] = 0.0
-    return _wrap(grid, out)
+    k1, k2 = map(_half, _wavevectors(grid))
+    u1, u2, th = _half(u.u1.coeffs), _half(u.u2.coeffs), _half(theta.coeffs)
+    # grad theta lies inside theta's support
+    size = _product_size(grid.n, _support(u1, u2), _support(th), int(grid.dealias_radius))
+    acc = _samples(u1, size) * _samples(1j * k1 * th, size)
+    acc += _samples(u2, size) * _samples(1j * k2 * th, size)
+    return _dealiased(grid, _lattice_half(acc, grid.n))
+
+
+def _perp_flux_divergence(x: np.ndarray, b: np.ndarray, grid: GridSpec, size: int):
+    """Half spectrum of Div((perp_grad x) b); one back transform per component."""
+    k1, k2 = map(_half, _wavevectors(grid))
+    pb = _samples(b, size)
+    g1 = _lattice_half(_samples(-1j * k2 * x, size) * pb, grid.n)
+    g2 = _lattice_half(_samples(1j * k1 * x, size) * pb, grid.n)
+    return 1j * k1 * g1 + 1j * k2 * g2
 
 
 def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams) -> SpectralField:
@@ -529,21 +537,11 @@ def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams)
         raise ValueError("flux_divergence requires a shared grid")
     if not (q.mean_zero and theta.mean_zero):
         raise ValueError("flux_divergence requires mean-zero q and theta")
-    n = grid.n
-    k1, k2 = _wavevectors(grid)
-    mult = _structure_multiplier(grid, params)
-    vq = mult * q.coeffs
-    # each flux component needs its own spectrum before the divergence is
-    # taken, so pad factors once and transform per component
-    pth = _pad_physical(theta.coeffs, n)
-    g1 = _lattice_spectrum(_pad_physical(-1j * k2 * vq, n) * pth, n)
-    g2 = _lattice_spectrum(_pad_physical(1j * k1 * vq, n) * pth, n)
-    out = 1j * k1 * g1 + 1j * k2 * g2
+    mult = _half(_structure_multiplier(grid, params))
+    qh, th = _half(q.coeffs), _half(theta.coeffs)
+    # every factor lies inside q's or theta's support
+    size = _product_size(grid.n, _support(qh), _support(th), int(grid.dealias_radius))
+    out = _perp_flux_divergence(mult * qh, th, grid, size)
     if params.two_term:
-        pq = _pad_physical(q.coeffs, n)
-        h1 = _lattice_spectrum(_pad_physical(-1j * k2 * theta.coeffs, n) * pq, n)
-        h2 = _lattice_spectrum(_pad_physical(1j * k1 * theta.coeffs, n) * pq, n)
-        out += mult * (1j * k1 * h1 + 1j * k2 * h2)
-    out[~_dealias_mask(grid)] = 0.0
-    out[0, 0] = 0.0
-    return _wrap(grid, out)
+        out += mult * _perp_flux_divergence(th, qh, grid, size)
+    return _dealiased(grid, out)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +118,15 @@ def test_round_trip_identity():
     f = random_field(g, seed=7, decay=1.5)
     back = from_physical(to_physical(f), g)
     assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
+
+
+def test_to_physical_matches_complex_inverse_transform():
+    # to_physical reads only the m2 >= 0 half spectrum, which is enough
+    # because SpectralField enforces exact Hermitian symmetry
+    g = GridSpec(32)
+    f = random_field(g, seed=8, decay=0.5, mean_zero=False)
+    ref = np.real(np.fft.ifft2(f.coeffs)) * 32**2
+    assert np.max(np.abs(to_physical(f) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_from_physical_rejects_nonfinite():
@@ -483,3 +493,146 @@ def test_nonlinear_outputs_stay_admissible():
     assert np.array_equal(out.coeffs, np.conj(out.coeffs[np.ix_(idx, idx)]))
     assert np.all(out.coeffs[16, :] == 0.0)
     assert out.mean_zero
+
+
+# --- product engine: direct-convolution oracles and the grid-size rule ------
+
+FRACTIONS = [2.0 / 3.0, 0.9, 1.0]
+
+
+def _disc(grid):
+    m = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(int)
+    return (m[:, None] ** 2 + m[None, :] ** 2) <= grid.dealias_radius**2
+
+
+def _disc_field(grid, seed):
+    """Random field restricted to the grid's dealias disc, like solver state."""
+    return SpectralField(grid, random_field(grid, seed=seed, decay=1.0).coeffs * _disc(grid))
+
+
+def _disc_restrict(grid, coeffs):
+    out = np.where(_disc(grid), coeffs, 0.0)
+    out[0, 0] = 0.0
+    return out
+
+
+def _direct_advect(u, theta):
+    k1, k2 = lattice_k(theta.grid)
+    ref = direct_convolution(u.u1.coeffs, 1j * k1 * theta.coeffs)
+    ref += direct_convolution(u.u2.coeffs, 1j * k2 * theta.coeffs)
+    return _disc_restrict(theta.grid, ref)
+
+
+def _assert_close(got, ref, rel=1e-12):
+    scale = max(np.max(np.abs(ref)), 1e-30)
+    assert np.max(np.abs(got - ref)) <= rel * scale
+
+
+@pytest.fixture
+def product_sizes(monkeypatch):
+    """Record the grid size of every forward product transform."""
+    sizes = []
+    rfft2 = scipy.fft.rfft2
+
+    def spy(x, *args, **kwargs):
+        sizes.append(np.shape(x)[0])
+        return rfft2(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfft2", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_advect_oracle_across_dealias_fractions(fraction):
+    g = GridSpec(16, dealias_fraction=fraction)
+    theta = _disc_field(g, seed=41)
+    u = velocity_from_scalar(_disc_field(g, seed=42), ModelParams(beta=1.5, kappa=0.5))
+    _assert_close(advect(u, theta).coeffs, _direct_advect(u, theta))
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_multiply_fields_full_support_oracle(fraction, product_sizes):
+    g = GridSpec(16, dealias_fraction=fraction)
+    f = random_field(g, seed=43, band=7, decay=1.0)
+    h = random_field(g, seed=44, band=7, decay=1.0)
+    _assert_close(multiply_fields(f, h).coeffs, direct_convolution(f.coeffs, h.coeffs))
+    assert product_sizes == [24]
+
+
+def _direct_flux(q, theta, params):
+    """Direct-convolution modified flux divergence, spelled out per term."""
+    g = theta.grid
+    k1, k2 = lattice_k(g)
+    kk = k1 * k1 + k2 * k2
+    if params.velocity_law == "log":
+        sym = np.log1p(kk) ** params.mu
+    else:
+        with np.errstate(divide="ignore"):
+            sym = np.where(kk > 0, kk ** ((params.beta - 2.0) / 2.0), 0.0)
+    vq = sym * q.coeffs
+    out = 1j * k1 * direct_convolution(-1j * k2 * vq, theta.coeffs)
+    out += 1j * k2 * direct_convolution(1j * k1 * vq, theta.coeffs)
+    if params.two_term:
+        second = 1j * k1 * direct_convolution(-1j * k2 * theta.coeffs, q.coeffs)
+        second += 1j * k2 * direct_convolution(1j * k1 * theta.coeffs, q.coeffs)
+        out += sym * second
+    return _disc_restrict(g, out)
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(beta=1.2, kappa=0.5),
+        ModelParams(beta=1.7, kappa=0.5),
+        ModelParams(beta=2.0, kappa=0.5, velocity_law="log", mu=0.7),
+    ],
+    ids=["one_term", "two_term", "log_law"],
+)
+def test_flux_divergence_oracle_across_dealias_fractions(params, fraction):
+    g = GridSpec(16, dealias_fraction=fraction)
+    theta = _disc_field(g, seed=45)
+    q = _disc_field(g, seed=46)
+    assert params.two_term == (params.beta >= 1.5)
+    _assert_close(flux_divergence(q, theta, params).coeffs, _direct_flux(q, theta, params))
+
+
+def _edge_field(grid, k, seed):
+    """Field with a few modes, at least one of them with |m_i| = k."""
+    rng = np.random.default_rng(seed)
+    modes = [(k, k), (k, -k), (-k, 1), (2, k), (1, 0)]
+    return field_from_modes(
+        grid, {m: complex(rng.standard_normal(), rng.standard_normal()) for m in modes}
+    )
+
+
+@pytest.mark.parametrize(
+    "op, k_out",
+    [("advect", 5), ("multiply", 7)],
+)
+def test_product_grid_rule_at_its_edge(op, k_out, product_sizes):
+    # n = 16: supports with k_a + k_b + k_out = n - 1 are the largest the
+    # n-grid holds exactly; one more must move the product to 3n/2
+    g = GridSpec(16)
+    assert op != "advect" or int(g.dealias_radius) == k_out
+    k = (g.n - 1 - k_out) // 2
+    for k_a, k_b, size in ((k, k, 16), (k, k + 1, 24), (k + 1, k + 1, 24)):
+        product_sizes.clear()
+        a = _edge_field(g, k_a, seed=k_a)
+        b = _edge_field(g, k_b, seed=k_b + 100)
+        if op == "advect":
+            u = perp_gradient(a)
+            got, ref = advect(u, b).coeffs, _direct_advect(u, b)
+        else:
+            got, ref = multiply_fields(a, b).coeffs, direct_convolution(a.coeffs, b.coeffs)
+        _assert_close(got, ref)
+        assert product_sizes == [size]
+
+
+def test_product_grid_rule_zero_support(product_sizes):
+    g = GridSpec(16)
+    zero = field_from_modes(g, {})
+    f = random_field(g, seed=47, band=7)
+    assert np.all(advect(perp_gradient(zero), f).coeffs == 0.0)
+    assert np.all(multiply_fields(f, zero).coeffs == 0.0)
+    assert product_sizes == [16, 16]
