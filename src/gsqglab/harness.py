@@ -15,6 +15,7 @@ import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -885,15 +886,24 @@ def _direct_advect(u: VectorField, theta: SpectralField) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _oracle_gl_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """64 Gauss-Legendre nodes and weights on [0, 1].
+
+    The oracle's own copy, not spectral._gl_nodes, so that it stays
+    independent of the operator it checks.
+    """
+    x, w = np.polynomial.legendre.leggauss(64)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def _avg_symbol_scalar(c: float, alpha: float) -> float:
     """Scalar 64-node Gauss-Legendre value of integral_0^1 exp(c t^alpha) dt.
 
     Uses the same node set and the same endpoint-power branch choice as the
     vectorized operator, evaluated one mode at a time.
     """
-    x, w = np.polynomial.legendre.leggauss(64)
-    tau = 0.5 * (x + 1.0)
-    wt = 0.5 * w
+    tau, wt = _oracle_gl_nodes()
     if 1.0 / alpha - 1.0 >= alpha:
         vals = (1.0 / alpha) * tau ** (1.0 / alpha - 1.0) * np.exp(c * tau)
     else:

@@ -1,10 +1,10 @@
-"""Brute-force trilinear forms, commutator brackets, and constant surveys.
+"""Exact trilinear forms, commutator brackets, and constant surveys.
 
 Everything here evaluates frequency sums exactly on the lattice: trilinear
-forms by direct O(N^4) convolution, commutators by operator composition with
-zero-padded products. Bounds are never assumed; each check reports the
-realized ratio so ensembles can probe whether constants stay resolution
-independent.
+forms as alias-free sums of physical samples on the spectral product grid,
+commutators by operator composition with exact products. Bounds are never
+assumed; each check reports the realized ratio so ensembles can probe
+whether constants stay resolution independent.
 """
 
 from __future__ import annotations
@@ -12,17 +12,21 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import convolve2d
 
-from .dyadic import build_partition
+from .dyadic import _chi_lattice, _phi_lattice, build_partition
 from .norms import InequalityReport, sobolev_norm
 from .spectral import (
     GridSpec,
     SpectralField,
+    _half,
     _homog_weight,
     _kabs,
+    _product_size,
+    _samples,
+    _support,
     _wrap,
     gevrey_avg_operator,
     gevrey_operator,
@@ -30,9 +34,6 @@ from .spectral import (
     log_multiplier,
     multiply_fields,
 )
-
-# direct double sums are O(N^4); larger grids error rather than degrade
-BRUTE_FORCE_CAP = 32
 
 FORM_IDS = (
     "trilinear",
@@ -170,13 +171,6 @@ def _ghs(f: SpectralField, alpha: float, lam: float, s: float) -> float:
     return _hs(gevrey_operator(f, alpha, lam), s)
 
 
-def _check_cap(grid: GridSpec):
-    if grid.n > BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"direct O(N^4) sum capped at N = {BRUTE_FORCE_CAP}, got N = {grid.n}"
-        )
-
-
 def _power_weight(grid: GridSpec, sigma: float) -> np.ndarray:
     """|k|^sigma, except that sigma = 0 gives the mean mode weight 1 too."""
     if sigma == 0.0:
@@ -184,26 +178,22 @@ def _power_weight(grid: GridSpec, sigma: float) -> np.ndarray:
     return _homog_weight(grid, sigma)
 
 
-def _convolution_on_lattice(f: SpectralField, g: SpectralField) -> np.ndarray:
-    """Exact mode-sum convolution, centered layout, restricted to the lattice."""
-    n = f.grid.n
-    half = n // 2
-    fsh = np.fft.fftshift(f.coeffs)
-    gsh = np.fft.fftshift(g.coeffs)
-    full = convolve2d(fsh, gsh)
-    return full[half : half + n, half : half + n]
-
-
 def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: float) -> complex:
-    """Exact double sum of |k|^sigma (f*g)(k) conj(h_hat(k)) over the lattice."""
+    """Exact double sum of |k|^sigma (f*g)(k) conj(h_hat(k)) over the lattice.
+
+    f, g and H = |k|^sigma h are sampled on the spectral product grid M, with
+    H's support as the kept band: the aliases of fg then miss every mode of H,
+    so by Parseval the form is period^2 / M^2 times the sum of f g H over the
+    M x M samples, exactly and without a forward transform.
+    """
     grid = _shared_grid(f, g, h)
-    _check_cap(grid)
     if sigma < 0 and not h.mean_zero:
         raise ValueError("negative output weight needs a mean-zero third slot")
-    conv = _convolution_on_lattice(f, g)
-    w = np.fft.fftshift(_power_weight(grid, sigma))
-    hsh = np.fft.fftshift(h.coeffs)
-    return complex(grid.period**2 * np.sum(w * conv * np.conj(hsh)))
+    fh, gh = _half(f.coeffs), _half(g.coeffs)
+    hh = _half(_power_weight(grid, sigma)) * _half(h.coeffs)
+    size = _product_size(grid.n, _support(fh), _support(gh), _support(hh))
+    total = np.sum(_samples(fh, size) * _samples(gh, size) * _samples(hh, size))
+    return complex(grid.period**2 / size**2 * total)
 
 
 def trilinear_form_sym(f: SpectralField, g: SpectralField, h: SpectralField, sigma: float) -> complex:
@@ -213,6 +203,14 @@ def trilinear_form_sym(f: SpectralField, g: SpectralField, h: SpectralField, sig
     wf = _wrap(grid, w * f.coeffs)
     wg = _wrap(grid, w * g.coeffs)
     return trilinear_form(wf, g, h, 0.0) + trilinear_form(f, wg, h, 0.0)
+
+
+@lru_cache(maxsize=None)
+def _fat_diagonal(grid: GridSpec, k: int) -> np.ndarray:
+    """Read-only sum of the lattice blocks k-3..k+3: the fattened diagonal."""
+    fat = sum(_phi_lattice(grid, i) for i in range(k - 3, k + 4))
+    fat.flags.writeable = False
+    return fat
 
 
 def bony_split(
@@ -233,14 +231,13 @@ def bony_split(
     part = partition if partition is not None else build_partition(grid)
     if part.grid != grid:
         raise ValueError("partition was built for a different grid")
-    kabs = _kabs(grid)
     low = 0j
     high = 0j
     diag = 0j
     for k in part.block_range:
-        chi = part.chi(k - 3, kabs)
-        phi = part.phi(k, kabs)
-        fat = sum(part.phi(i, kabs) for i in range(k - 3, k + 4))
+        chi = _chi_lattice(grid, k - 3)
+        phi = _phi_lattice(grid, k)
+        fat = _fat_diagonal(grid, k)
         chi_f = _wrap(grid, chi * f.coeffs)
         phi_f = _wrap(grid, phi * f.coeffs)
         phi_g = _wrap(grid, phi * g.coeffs)

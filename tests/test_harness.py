@@ -4,8 +4,11 @@ operator / inequality verification batteries."""
 
 import dataclasses
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -717,6 +720,21 @@ def test_cli_help_documents_exit_codes(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| (\d+) \| (.+?) \|$", readme, flags=re.M)
     assert rows == [(str(code), meaning) for code, meaning, _ in EXIT_CODES]
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal alone is most of a fresh process's import time
+    import gsqglab
+
+    src = str(Path(gsqglab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, gsqglab.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

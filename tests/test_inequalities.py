@@ -3,6 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.fft
+from scipy.signal import convolve2d
 
 from gsqglab import (
     EnsembleSpec,
@@ -25,7 +27,7 @@ from gsqglab import (
     trilinear_form_sym,
 )
 from gsqglab.spectral import _kabs, _wrap
-from util import random_field
+from util import direct_convolution, lattice_k, random_field
 
 
 def block_of(field, j):
@@ -137,11 +139,81 @@ def test_trilinear_single_triad_closed_form():
     assert trilinear_form(f, q, h, sigma) == pytest.approx(expected, rel=1e-13)
 
 
-def test_trilinear_brute_force_cap():
-    spec = EnsembleSpec(GridSpec(64), 2.2, 3, seed=3)
+def _output_weight(grid, sigma):
+    """|k|^sigma per mode; sigma = 0 weights the mean mode 1, otherwise 0."""
+    k1, k2 = lattice_k(grid)
+    kk = k1 * k1 + k2 * k2
+    with np.errstate(divide="ignore"):
+        return np.where(kk > 0, kk ** (sigma / 2.0), 1.0 if sigma == 0 else 0.0)
+
+
+def _form_from_convolution(conv, h, sigma):
+    return h.grid.period**2 * np.sum(_output_weight(h.grid, sigma) * conv * np.conj(h.coeffs))
+
+
+def direct_form(f, g, h, sigma):
+    """O(N^4) loop reference for the trilinear form."""
+    return _form_from_convolution(direct_convolution(f.coeffs, g.coeffs), h, sigma)
+
+
+def convolve2d_form(f, g, h, sigma):
+    """Reference form through scipy's direct 2-D convolution, cut to the lattice."""
+    n = f.grid.n
+    full = convolve2d(np.fft.fftshift(f.coeffs), np.fft.fftshift(g.coeffs))
+    conv = np.fft.ifftshift(full[n // 2 : n // 2 + n, n // 2 : n // 2 + n])
+    return _form_from_convolution(conv, h, sigma)
+
+
+def assert_form_close(got, ref, rel=1e-13):
+    assert abs(got - ref) <= rel * abs(ref)
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9, 1.0])
+def test_trilinear_matches_direct_oracle_across_dealias_fractions(fraction):
+    spec = EnsembleSpec(GridSpec(16, dealias_fraction=fraction), 2.2, 3, seed=21)
     f, q, h = (random_test_field(spec, i) for i in range(3))
-    with pytest.raises(ValueError):
-        trilinear_form(f, q, h, 0.0)
+    conv = direct_convolution(f.coeffs, q.coeffs)
+    for sigma in (-0.5, 0.0, 0.3, 0.9):
+        assert_form_close(trilinear_form(f, q, h, sigma), _form_from_convolution(conv, h, sigma))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_trilinear_matches_convolve2d_oracle(n):
+    # no grid-size cap: n = 64 is as exact as n = 32
+    spec = EnsembleSpec(GridSpec(n), 2.2, 3, seed=3)
+    f, q, h = (random_test_field(spec, i) for i in range(3))
+    for sigma in (-0.5, 0.0, 0.3, 0.9):
+        assert_form_close(trilinear_form(f, q, h, sigma), convolve2d_form(f, q, h, sigma))
+
+
+@pytest.fixture
+def sample_sizes(monkeypatch):
+    """Record the grid size of every inverse transform to physical samples."""
+    sizes = []
+    irfft2 = scipy.fft.irfft2
+
+    def spy(x, *args, **kwargs):
+        sizes.append(kwargs["s"][0])
+        return irfft2(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "irfft2", spy)
+    return sizes
+
+
+def test_trilinear_product_grid_rule_at_its_edge(sample_sizes):
+    # n = 16: supports with k_f + k_g + k_h = n - 1 are the largest the n-grid
+    # sums exactly; one more must move the samples to 3n/2
+    # (band b puts a mode at (b, 0), so the support is exactly b)
+    g = GridSpec(16)
+    k_h = 5
+    h = random_field(g, seed=7, band=k_h, decay=1.0)
+    k = (g.n - 1 - k_h) // 2
+    for k_f, k_g, size in ((k, k, 16), (k, k + 1, 24)):
+        sample_sizes.clear()
+        f = random_field(g, seed=k_f, band=k_f, decay=1.0)
+        q = random_field(g, seed=k_g + 100, band=k_g, decay=1.0)
+        assert_form_close(trilinear_form(f, q, h, 0.3), direct_form(f, q, h, 0.3))
+        assert sample_sizes == [size] * 3
 
 
 def test_trilinear_negative_weight_needs_mean_zero_pairing_slot():
@@ -209,6 +281,12 @@ def test_bony_split_low_high_bookkeeping():
     assert high == 0 and diag == 0
     ref = trilinear_form(f, q, h, 0.0)
     assert abs(low - ref) <= 1e-12 * abs(ref)
+
+
+def test_bony_split_sums_to_direct_form_at_n64():
+    spec = EnsembleSpec(GridSpec(64), 2.2, 3, seed=4)
+    f, q, h = (random_test_field(spec, i) for i in range(3))
+    assert_form_close(sum(bony_split(f, q, h, 0.3)), convolve2d_form(f, q, h, 0.3))
 
 
 def test_bony_split_partition_mismatch():
@@ -506,11 +584,12 @@ def test_survey_unknown_form_and_bad_params():
 
 
 def test_survey_trilinear_refinement_stability():
-    spec = EnsembleSpec(GridSpec(16), 1.8, 4, seed=5)
-    surv = estimate_best_constant("trilinear", {"sigma": 0.3, "eps": 0.5}, spec, refine=True)
-    coarse, fine = surv.refinement
-    assert coarse == surv.max_ratio
-    assert fine <= 2.0 * coarse
+    for n in (16, 32):   # 16 -> 32 and 32 -> 64
+        spec = EnsembleSpec(GridSpec(n), 1.8, 4, seed=5)
+        surv = estimate_best_constant("trilinear", {"sigma": 0.3, "eps": 0.5}, spec, refine=True)
+        coarse, fine = surv.refinement
+        assert coarse == surv.max_ratio
+        assert fine <= 2.0 * coarse
 
 
 def test_survey_block_commutator():
