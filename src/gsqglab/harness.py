@@ -58,7 +58,7 @@ from .spectral import (
     perp_gradient,
     velocity_from_scalar,
 )
-from .spectral import _dealias_mask, _wrap
+from .spectral import _dealias_mask, _full_from_half, _wrap
 
 SCENARIO_KINDS = (
     "simulate",
@@ -536,14 +536,7 @@ def build_initial_data(
     if spec.profile == "checkpoint":
         if spec.path is None:
             raise ValueError("checkpoint profile needs a path")
-        ckpt = read_checkpoint(spec.path)
-        if ckpt.grid.n != grid.n or ckpt.grid.period != grid.period:
-            raise CheckpointError(
-                f"checkpoint grid {ckpt.grid.n} x period {ckpt.grid.period:g} does "
-                f"not match configured grid {grid.n} x period {grid.period:g}; "
-                "no silent resampling"
-            )
-        return ckpt.field
+        return _checkpoint_field(read_checkpoint(spec.path), grid)
     raise ValueError(f"unknown initial profile {spec.profile!r}")
 
 
@@ -562,12 +555,35 @@ class Checkpoint:
     field: SpectralField
 
 
+def _checkpoint_field(ckpt: Checkpoint, grid: GridSpec) -> SpectralField:
+    """The checkpoint's state placed on the configured grid.
+
+    The header stores n and period but not the dealias fraction, so the
+    state takes the fraction of grid. A state with modes outside grid's
+    dealias disc would lose them to the solver's initial restriction;
+    it is refused instead, like an n or period mismatch.
+    """
+    if ckpt.grid.n != grid.n or ckpt.grid.period != grid.period:
+        raise CheckpointError(
+            f"checkpoint grid {ckpt.grid.n} x period {ckpt.grid.period:g} does "
+            f"not match configured grid {grid.n} x period {grid.period:g}; "
+            "no silent resampling"
+        )
+    coeffs = ckpt.field.coeffs
+    if np.any(coeffs[~_dealias_mask(grid)]):
+        raise CheckpointError(
+            "checkpoint state has modes outside the dealias disc of the configured "
+            f"grid (dealias_fraction {grid.dealias_fraction:g}); no silent resampling"
+        )
+    return _wrap(grid, coeffs)
+
+
 def write_checkpoint(state: SimState, path: str) -> None:
     """Serialize a state: fixed little-endian header, half-spectrum payload."""
     grid = state.field.grid
     p = state.params
     n = grid.n
-    half = np.ascontiguousarray(state.field.coeffs[:, : n // 2 + 1]).astype("<c16")
+    half = np.ascontiguousarray(state.field.half).astype("<c16")
     header = CHECKPOINT_MAGIC + struct.pack(
         "<IId5dBd",
         CHECKPOINT_VERSION,
@@ -626,14 +642,11 @@ def read_checkpoint(path: str) -> Checkpoint:
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid header values: {exc}") from exc
     half = np.frombuffer(payload, dtype="<c16").reshape(n, n // 2 + 1)
-    full = np.zeros((n, n), dtype=complex)
-    full[:, : n // 2 + 1] = half
-    rows = (-np.arange(n)) % n
-    cols = np.arange(n // 2 + 1, n)
-    full[:, cols] = np.conj(full[np.ix_(rows, (n - cols) % n)])
+    # a plain mirror: the checks below, not the mirror, reject bad content
+    full = _full_from_half(half, n)
     # the stored redundancy must already be consistent
     col0 = half[:, 0]
-    if not np.array_equal(col0, np.conj(col0[rows])):
+    if not np.array_equal(col0, np.conj(col0[(-np.arange(n)) % n])):
         raise CheckpointError(f"{path}: stored coefficients break Hermitian symmetry")
     try:
         field = SpectralField(grid, full)
@@ -1290,15 +1303,8 @@ def run_scenario(config: ScenarioConfig) -> int:
             t0 = 0.0
             if config.resume_path is not None:
                 ckpt = read_checkpoint(config.resume_path)
-                if config.grid is not None and (
-                    ckpt.grid.n != config.grid.n
-                    or ckpt.grid.period != config.grid.period
-                ):
-                    raise CheckpointError(
-                        "resume checkpoint grid does not match the configured grid; "
-                        "no silent resampling"
-                    )
-                theta0, params, t0 = ckpt.field, ckpt.params, ckpt.t
+                theta0 = _checkpoint_field(ckpt, config.grid or ckpt.grid)
+                params, t0 = ckpt.params, ckpt.t
                 remaining = config.T - t0
                 if remaining <= 0:
                     raise ConfigError(

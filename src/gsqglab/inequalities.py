@@ -189,8 +189,8 @@ def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: 
     grid = _shared_grid(f, g, h)
     if sigma < 0 and not h.mean_zero:
         raise ValueError("negative output weight needs a mean-zero third slot")
-    fh, gh = _half(f.coeffs), _half(g.coeffs)
-    hh = _half(_power_weight(grid, sigma)) * _half(h.coeffs)
+    fh, gh = f.half, g.half
+    hh = _half(_power_weight(grid, sigma)) * h.half
     size = _product_size(grid.n, _support(fh), _support(gh), _support(hh))
     total = np.sum(_samples(fh, size) * _samples(gh, size) * _samples(hh, size))
     return complex(grid.period**2 / size**2 * total)

@@ -3,7 +3,11 @@
 The stepper is an integrating-factor RK4: the stiff diagonal part (fractional
 dissipation plus optional artificial viscosity) is applied exactly per mode
 between stages, so with the transport term disabled every output coincides
-with the closed-form propagator. On top of the direct solver sit the
+with the closed-form propagator. The stepping core carries the m2 >= 0 half
+spectra of the state, the stage values and the slopes, and wraps them with
+spectral._wrap_half; the full coefficient arrays are built only where the
+per-step L2 norm and the snapshot diagnostics read them, so every printed
+number keeps the full-array summation order. On top of the direct solver sit the
 fixed-point machinery (a linear solve with frozen transport coefficients,
 iterated to convergence), exact self-similar rescaling, and the decay and
 analyticity-radius diagnostics.
@@ -24,9 +28,11 @@ from .spectral import (
     SpectralField,
     VectorField,
     _dealias_mask,
+    _half,
     _homog_weight,
     _kabs,
     _wrap,
+    _wrap_half,
     advect,
     flux_divergence,
     to_physical,
@@ -192,8 +198,9 @@ class GevreyTrackReport:
 
 
 def _decay_multiplier(grid, gamma, kappa, eps_visc, tau):
+    """exp(-tau (gamma |k|^kappa + eps |k|^2)) on the m2 >= 0 half lattice."""
     kabs = _kabs(grid)
-    return np.exp(-tau * (gamma * kabs**kappa + eps_visc * kabs * kabs))
+    return _half(np.exp(-tau * (gamma * kabs**kappa + eps_visc * kabs * kabs)))
 
 
 def linear_heat_propagator(
@@ -212,7 +219,7 @@ def linear_heat_propagator(
     if not (0 < kappa <= 2):
         raise ValueError(f"kappa must lie in (0, 2], got {kappa}")
     mult = _decay_multiplier(field.grid, gamma, kappa, eps_visc, t)
-    return _wrap(field.grid, mult * field.coeffs)
+    return _wrap_half(field.grid, mult * field.half)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +251,13 @@ def _advective_stages(grid: GridSpec, params: ModelParams, nonlinear: bool):
     """
 
     def nonlin(c, _stage):
-        return _tendency(_wrap(grid, c), params).coeffs
+        return _tendency(_wrap_half(grid, c), params).half
 
-    def factory(_i, coeffs):
-        theta = _wrap(grid, coeffs)
+    def factory(_i, theta):
         u = velocity_from_scalar(theta, params)
         if not nonlinear:
-            return _zero_tendency, u, np.zeros_like(coeffs)
-        return nonlin, u, _tendency(theta, params, u).coeffs
+            return _zero_tendency, u, _wrap_half(grid, np.zeros_like(theta.half))
+        return nonlin, u, _tendency(theta, params, u)
 
     return factory
 
@@ -303,7 +309,7 @@ def _diagnostics_row(t, coeffs, l2, params, u, speed, k1=None) -> DiagnosticsRow
 
 
 def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float) -> tuple:
-    """Exact linear flow over a full step and over half a step."""
+    """Exact linear flow over a full step and over half a step, as half spectra."""
     p = params
     return (
         _decay_multiplier(grid, p.gamma, p.kappa, p.eps_visc, dt),
@@ -314,6 +320,7 @@ def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float) -> tupl
 def _advance(coeffs, i, t, h, factors, nonlin, k1, speed, l2, c_cfl):
     """Step i of the integrating-factor RK4 from its first slope k1.
 
+    coeffs, k1 and the stage tendencies are half spectra; so is the result.
     Refuses to start when the Courant number passes c_cfl (None: no guard)
     and signals a blow-up when the result loses finiteness.
     """
@@ -350,24 +357,24 @@ def step(
     if dt is not None and dt != state.dt:
         raise ValueError("step size is fixed by the state; rebuild at t=0 to change dt")
     h = state.dt
-    grid = state.field.grid
+    theta = state.field
+    grid = theta.grid
     i = state.step_index
-    coeffs = state.field.coeffs
-    nonlin, u, k1 = _advective_stages(grid, state.params, nonlinear)(i, coeffs)
+    nonlin, u, k1 = _advective_stages(grid, state.params, nonlinear)(i, theta)
     out = _advance(
-        coeffs,
+        theta.half,
         i,
         state.t,
         h,
         _integrating_factors(grid, state.params, h),
         nonlin,
-        k1,
+        k1.half,
         _courant(u, h),
-        _l2(coeffs, grid.period),
+        _l2(theta.coeffs, grid.period),
         c_cfl if nonlinear else None,
     )
     return SimState(
-        field=_wrap(grid, out),
+        field=_wrap_half(grid, out),
         t=(i + 1) * h,
         step_index=i + 1,
         params=state.params,
@@ -398,11 +405,12 @@ def _step_count(T: float, dt: float) -> int:
 def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factory):
     """Drive the IF-RK4 core with a per-step tendency factory.
 
-    nonlin_factory(i, coeffs) is called at every step index i = 0..n_steps
-    with the state at t = i dt. It returns the stage tendency function
-    (called with stage indices 1..3, in order), the advecting velocity used
-    for the CFL measurement and the diagnostics, and the first slope k1 at
-    coeffs. The call at i = n_steps only feeds the final diagnostics row.
+    nonlin_factory(i, theta) is called at every step index i = 0..n_steps
+    with the state field at t = i dt. It returns the stage tendency function
+    (mapping a stage's half spectrum to its tendency's half spectrum, called
+    with stage indices 1..3, in order), the advecting velocity used for the
+    CFL measurement and the diagnostics, and the first slope k1 at theta, as
+    a field. The call at i = n_steps only feeds the final diagnostics row.
     """
     grid = theta0.grid
     n_steps = _step_count(T, dt)
@@ -411,27 +419,29 @@ def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factor
     factors = _integrating_factors(grid, params, dt)
     guard = c_cfl if nonlinear else None
 
-    coeffs = _admissible_initial(theta0).coeffs
+    theta = _admissible_initial(theta0)
     times, fields, rows = [], [], []
     max_increase = 0.0
-    l2_now = _l2(coeffs, grid.period)
+    l2_now = _l2(theta.coeffs, grid.period)
 
     for i in range(n_steps + 1):
         t = i * dt
-        nonlin, u, k1 = nonlin_factory(i, coeffs)
+        nonlin, u, k1 = nonlin_factory(i, theta)
         speed = _courant(u, dt)
         if i % snapshot_stride == 0 or i == n_steps:
             times.append(t)
-            fields.append(_wrap(grid, coeffs))
+            fields.append(theta)
             rows.append(
                 _diagnostics_row(
-                    t, coeffs, l2_now, params, u, speed, k1 if nonlinear else None
+                    t, theta.coeffs, l2_now, params, u, speed,
+                    k1.coeffs if nonlinear else None,
                 )
             )
         if i == n_steps:
             break
-        coeffs = _advance(coeffs, i, t, dt, factors, nonlin, k1, speed, l2_now, guard)
-        l2_new = _l2(coeffs, grid.period)
+        out = _advance(theta.half, i, t, dt, factors, nonlin, k1.half, speed, l2_now, guard)
+        theta = _wrap_half(grid, out)
+        l2_new = _l2(theta.coeffs, grid.period)
         if l2_new > l2_now > 0:
             max_increase = max(max_increase, (l2_new - l2_now) / l2_now)
         l2_now = l2_new
@@ -533,7 +543,7 @@ def linear_flux_solve(
     n_steps = _step_count(T, dt)
     provider = _as_stage_provider(q, grid, n_steps, dt)
 
-    def factory(i, coeffs):
+    def factory(i, theta):
         # the final row, at t = T, reads q at the last step's end stage
         q0 = provider(i, 0) if i < n_steps else provider(n_steps - 1, 3)
         record = None
@@ -541,14 +551,16 @@ def linear_flux_solve(
             record = []
             stage_sink.append(record)
 
-        def nonlin(c, stage):
-            f = _wrap(grid, c)
+        def tendency(f, stage):
             if record is not None and len(record) < 4:
                 record.append(f)
             q = q0 if stage == 0 else provider(i, stage)
-            return -flux_divergence(q, f, params).coeffs
+            return -flux_divergence(q, f, params)
 
-        return nonlin, velocity_from_scalar(q0, params), nonlin(coeffs, 0)
+        def nonlin(c, stage):
+            return tendency(_wrap_half(grid, c), stage).half
+
+        return nonlin, velocity_from_scalar(q0, params), tendency(theta, 0)
 
     return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory)
 
@@ -649,13 +661,16 @@ def picard_solve(
 
     for n in range(1, max_iter + 1):
         q = [[-f for f in rec] for rec in prev_stages]
+        # q is all the solve reads: release the stages it was negated from
+        prev_stages = None
         sink: list = []
         traj = linear_flux_solve(
             theta0, q, params, T, dt, snapshot_stride, c_cfl=c_cfl, stage_sink=sink
         )
+        del q
         values = _step_values(sink, traj.final)
         diffs = [
-            _wrap(theta0.grid, a.coeffs - b.coeffs)
+            _wrap_half(theta0.grid, a.half - b.half)
             for a, b in zip(values, prev_values)
         ]
         sup_l2 = max(_l2(f.coeffs, period) for f in diffs)

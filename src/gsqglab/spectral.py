@@ -9,6 +9,15 @@ Under this normalization Parseval reads ||f||_{L2}^2 = period^2 sum |f_hat|^2.
 The unpaired Nyquist row and column (m_i = -n/2) are kept identically zero so
 that every derivative multiplier is exactly odd under k -> -k.
 
+Storage: a SpectralField stores the m2 >= 0 half spectrum (`half`, n x
+(n/2 + 1)), which is all a real field needs. The full Hermitian array
+(`coeffs`) is mirrored from it on first read and cached, and `half` then
+becomes a view of it, so a field holds one buffer either way. The product
+engine, the velocity and the solver's stepping core read and write halves;
+norms, inequalities and diagnostics read `coeffs`. The private constructors
+`_wrap` (full array) and `_wrap_half` (half spectrum) take ownership of the
+array they are given and freeze it in place instead of copying it.
+
 Products are formed by real FFTs on an M x M grid, M = n if n > K_a + K_b +
 K_out else 3n/2, with K_a, K_b the factors' largest nonzero |m_i| and K_out the
 largest |m_i| kept: every kept mode gets its exact, alias-free convolution sum
@@ -125,10 +134,12 @@ class SpectralField:
 
     The constructor validates the lattice invariants (Hermitian symmetry,
     zero Nyquist modes) up to roundoff and then enforces them exactly, so
-    downstream operators never have to re-check.
+    downstream operators never have to re-check. The stored form is the
+    read-only half spectrum `half`; `coeffs` is the full array, built from
+    it on first read (see the module docstring).
     """
 
-    __slots__ = ("grid", "coeffs")
+    __slots__ = ("grid", "half", "_full")
 
     def __init__(self, grid: GridSpec, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -149,29 +160,64 @@ class SpectralField:
         idx = _flip_index(grid.n)
         coeffs = 0.5 * (coeffs + np.conj(coeffs[np.ix_(idx, idx)]))
         coeffs.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "coeffs", coeffs)
+        _store(self, grid, _half(coeffs), coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralField is immutable")
 
     @property
+    def coeffs(self) -> np.ndarray:
+        """The full Hermitian coefficient array, read-only."""
+        full = self._full
+        if full is None:
+            # Two threads may race here (the verification batteries run on a
+            # thread pool); both build identical arrays and either may stay.
+            full = _full_from_half(self.half, self.grid.n)
+            full.flags.writeable = False
+            object.__setattr__(self, "_full", full)
+            object.__setattr__(self, "half", _half(full))
+        return full
+
+    @property
     def mean_zero(self) -> bool:
-        return self.coeffs[0, 0] == 0
+        return self.half[0, 0] == 0
 
     def __neg__(self) -> "SpectralField":
-        return _wrap(self.grid, -self.coeffs)
+        return _wrap_half(self.grid, -self.half)
+
+
+def _store(f: SpectralField, grid: GridSpec, half: np.ndarray, full) -> SpectralField:
+    object.__setattr__(f, "grid", grid)
+    object.__setattr__(f, "half", half)
+    object.__setattr__(f, "_full", full)
+    return f
 
 
 def _wrap(grid: GridSpec, coeffs: np.ndarray) -> SpectralField:
-    """Fast constructor for arrays that already satisfy the invariants."""
-    f = object.__new__(SpectralField)
-    if coeffs.flags.writeable:
+    """Fast constructor for a full array that already satisfies the invariants.
+
+    Takes ownership: an array that owns its memory is frozen in place, so
+    the caller must not write to it afterwards; a view is copied, because
+    its base may still be written.
+    """
+    if coeffs.base is not None:
         coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
-    object.__setattr__(f, "grid", grid)
-    object.__setattr__(f, "coeffs", coeffs)
-    return f
+    coeffs.flags.writeable = False
+    return _store(object.__new__(SpectralField), grid, _half(coeffs), coeffs)
+
+
+def _wrap_half(grid: GridSpec, half: np.ndarray) -> SpectralField:
+    """Fast constructor from an m2 >= 0 half spectrum (n x (n/2 + 1)).
+
+    The caller guarantees three invariants, none of which is checked:
+    - the array is owned: nothing else holds or writes it, because it is
+      frozen in place and kept, not copied;
+    - the Nyquist row m1 = -n/2 and column m2 = n/2 are zero;
+    - column m2 = 0 is exactly Hermitian, half[-m1, 0] == conj(half[m1, 0]).
+    Under them `coeffs` mirrors to the same array the full-array code built.
+    """
+    half.flags.writeable = False
+    return _store(object.__new__(SpectralField), grid, half, None)
 
 
 @dataclass(frozen=True)
@@ -190,8 +236,8 @@ class VectorField:
         return self.u1.grid
 
     def divergence(self) -> SpectralField:
-        k1, k2 = _wavevectors(self.grid)
-        return _wrap(self.grid, 1j * k1 * self.u1.coeffs + 1j * k2 * self.u2.coeffs)
+        k1, k2 = map(_half, _wavevectors(self.grid))
+        return _wrap_half(self.grid, 1j * k1 * self.u1.half + 1j * k2 * self.u2.half)
 
 
 @dataclass(frozen=True)
@@ -244,19 +290,25 @@ class ModelParams:
 
 def to_physical(field: SpectralField) -> np.ndarray:
     """Evaluate the field at the n x n physical sample points."""
-    return _samples(field.coeffs, field.grid.n)
+    return _samples(field.half, field.grid.n)
+
+
+def _canonical_half(half: np.ndarray) -> np.ndarray:
+    """Enforce, in place, the invariants _wrap_half relies on."""
+    n = len(half)
+    col = half[:, 0]
+    # column m2 = 0 pairs with itself; average out fft roundoff asymmetry
+    half[:, 0] = 0.5 * (col + np.conj(col[_flip_index(n)]))
+    half[n // 2, :] = 0.0
+    half[:, n // 2] = 0.0
+    return half
 
 
 def _full_from_half(half: np.ndarray, n: int) -> np.ndarray:
-    """Mirror an rfft2 half-spectrum to a bit-exactly Hermitian full spectrum."""
-    full = np.zeros((n, n), dtype=np.complex128)
+    """Mirror a canonical half spectrum to its full Hermitian array."""
+    full = np.empty((n, n), dtype=np.complex128)
     full[:, : n // 2 + 1] = half
-    idx = _flip_index(n)
-    full[:, n // 2 + 1 :] = np.conj(half[idx][:, 1 : n // 2][:, ::-1])
-    # column m2 = 0 pairs with itself; average out fft roundoff asymmetry
-    full[:, 0] = 0.5 * (full[:, 0] + np.conj(full[idx, 0]))
-    full[n // 2, :] = 0.0
-    full[:, n // 2] = 0.0
+    full[:, n // 2 + 1 :] = np.conj(half[_flip_index(n), 1 : n // 2][:, ::-1])
     return full
 
 
@@ -273,7 +325,7 @@ def from_physical(samples: np.ndarray, grid: GridSpec) -> SpectralField:
         )
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite physical samples")
-    return _wrap(grid, _full_from_half(_lattice_half(samples, grid.n), grid.n))
+    return _wrap_half(grid, _canonical_half(_lattice_half(samples, grid.n)))
 
 
 def field_from_modes(grid: GridSpec, modes: dict) -> SpectralField:
@@ -408,20 +460,21 @@ def log_multiplier(field: SpectralField, mu: float) -> SpectralField:
 
 def perp_gradient(field: SpectralField) -> VectorField:
     """Rotated gradient (-d2 f, d1 f); divergence-free per mode exactly."""
-    k1, k2 = _wavevectors(field.grid)
-    u1 = _wrap(field.grid, -1j * k2 * field.coeffs)
-    u2 = _wrap(field.grid, 1j * k1 * field.coeffs)
+    k1, k2 = map(_half, _wavevectors(field.grid))
+    u1 = _wrap_half(field.grid, -1j * k2 * field.half)
+    u2 = _wrap_half(field.grid, 1j * k1 * field.half)
     return VectorField(u1, u2)
 
 
 def _structure_multiplier(grid: GridSpec, params: ModelParams) -> np.ndarray:
-    """Scalar symbol linking the advected scalar to its streamfunction source."""
+    """Scalar symbol linking the advected scalar to its streamfunction source,
+    on the m2 >= 0 half lattice."""
     kabs = _kabs(grid)
     if params.velocity_law == "log":
-        return np.log1p(kabs * kabs) ** params.mu
+        return _half(np.log1p(kabs * kabs) ** params.mu)
     if params.beta == 2:
-        return np.ones_like(kabs)
-    return _homog_weight(grid, params.beta - 2.0)
+        return _half(np.ones_like(kabs))
+    return _half(_homog_weight(grid, params.beta - 2.0))
 
 
 def velocity_from_scalar(theta: SpectralField, params: ModelParams) -> VectorField:
@@ -433,8 +486,10 @@ def velocity_from_scalar(theta: SpectralField, params: ModelParams) -> VectorFie
     """
     if params.velocity_law == "power" and params.beta < 2 and not theta.mean_zero:
         raise ValueError("velocity_from_scalar with beta < 2 requires a mean-zero scalar")
-    g = perp_gradient(_apply_multiplier(theta, _structure_multiplier(theta.grid, params)))
-    return VectorField(-g.u1, -g.u2)
+    grid = theta.grid
+    k1, k2 = map(_half, _wavevectors(grid))
+    source = _structure_multiplier(grid, params) * theta.half
+    return VectorField(_wrap_half(grid, 1j * k2 * source), _wrap_half(grid, -1j * k1 * source))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +536,7 @@ def _dealiased(grid: GridSpec, half: np.ndarray) -> SpectralField:
     """Field from a half spectrum restricted to the dealias disc, mean zeroed."""
     half *= _half(_dealias_mask(grid))
     half[0, 0] = 0.0
-    return _wrap(grid, _full_from_half(half, grid.n))
+    return _wrap_half(grid, _canonical_half(half))
 
 
 def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -489,10 +544,10 @@ def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
     if f.grid != g.grid:
         raise ValueError("product requires a shared grid")
     n = f.grid.n
-    fh, gh = _half(f.coeffs), _half(g.coeffs)
+    fh, gh = f.half, g.half
     size = _product_size(n, _support(fh), _support(gh), n // 2 - 1)
     prod = _lattice_half(_samples(fh, size) * _samples(gh, size), n)
-    return _wrap(f.grid, _full_from_half(prod, n))
+    return _wrap_half(f.grid, _canonical_half(prod))
 
 
 def advect(u: VectorField, theta: SpectralField, grid: GridSpec | None = None) -> SpectralField:
@@ -507,7 +562,7 @@ def advect(u: VectorField, theta: SpectralField, grid: GridSpec | None = None) -
     if u.grid != grid or theta.grid != grid:
         raise ValueError("advect requires u, theta, and grid to agree")
     k1, k2 = map(_half, _wavevectors(grid))
-    u1, u2, th = _half(u.u1.coeffs), _half(u.u2.coeffs), _half(theta.coeffs)
+    u1, u2, th = u.u1.half, u.u2.half, theta.half
     # grad theta lies inside theta's support
     size = _product_size(grid.n, _support(u1, u2), _support(th), int(grid.dealias_radius))
     acc = _samples(u1, size) * _samples(1j * k1 * th, size)
@@ -537,8 +592,8 @@ def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams)
         raise ValueError("flux_divergence requires a shared grid")
     if not (q.mean_zero and theta.mean_zero):
         raise ValueError("flux_divergence requires mean-zero q and theta")
-    mult = _half(_structure_multiplier(grid, params))
-    qh, th = _half(q.coeffs), _half(theta.coeffs)
+    mult = _structure_multiplier(grid, params)
+    qh, th = q.half, theta.half
     # every factor lies inside q's or theta's support
     size = _product_size(grid.n, _support(qh), _support(th), int(grid.dealias_radius))
     out = _perp_flux_divergence(mult * qh, th, grid, size)

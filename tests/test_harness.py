@@ -295,6 +295,16 @@ def test_initial_checkpoint_grid_mismatch_is_loud(tmp_path):
     spec = InitialSpec(profile="checkpoint", path=str(path))
     with pytest.raises(CheckpointError, match="no silent resampling"):
         build_initial_data(spec, GridSpec(32), PARAMS)
+    # the loaded state takes the configured dealias fraction, and modes
+    # outside that fraction's disc are refused, not dropped
+    grid09 = GridSpec(16, dealias_fraction=0.9)
+    assert build_initial_data(spec, grid09, PARAMS).grid == grid09
+    wide = SimState(field=random_field(GRID, seed=1, band=7), t=0.0, step_index=0,
+                    params=PARAMS, dt=1e-3)
+    write_checkpoint(wide, str(path))
+    assert build_initial_data(spec, grid09, PARAMS).grid == grid09
+    with pytest.raises(CheckpointError, match="outside the dealias disc"):
+        build_initial_data(spec, GRID, PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -630,29 +640,37 @@ k_list = 0
 
 
 def test_scenario_resume_reproduces_uninterrupted_run(tmp_path):
-    ck = str(tmp_path / "mid.ck")
-    cfg = parse_config(SIM_BODY)
-    first = dataclasses.replace(cfg, out_dir=str(tmp_path / "a"), checkpoint_path=ck)
-    assert run_scenario(first) == EXIT_OK
-    resumed = dataclasses.replace(
-        parse_config(SIM_BODY.replace("T = 0.02", "T = 0.04")),
-        out_dir=str(tmp_path / "b"),
-        resume_path=ck,
-    )
-    assert run_scenario(resumed) == EXIT_OK
-    full = dataclasses.replace(
-        parse_config(SIM_BODY.replace("T = 0.02", "T = 0.04")),
-        out_dir=str(tmp_path / "c"),
-    )
-    assert run_scenario(full) == EXIT_OK
-    rb = read_csv_columns(str(tmp_path / "b" / "simulate.csv"))
-    rc = read_csv_columns(str(tmp_path / "c" / "simulate.csv"))
-    tail = len(rb["t"])
-    # per-step 1-ulp agreement; column max spacing bounds the drift
-    for col in ("t", "l2", "hs_crit", "max_u"):
-        got = np.array(rb[col])
-        want = np.array(rc[col][-tail:])
-        assert np.max(np.abs(got - want)) <= np.max(np.spacing(np.abs(want) + 1e-300))
+    # the header does not store the dealias fraction: the resumed run must
+    # take it from the config, not fall back to 2/3 and drop modes
+    for label, body in (
+        ("default", SIM_BODY),
+        ("frac09", SIM_BODY.replace("n = 16", "n = 16\ndealias_fraction = 0.9")),
+    ):
+        ck = str(tmp_path / f"{label}-mid.ck")
+        cfg = parse_config(body)
+        first = dataclasses.replace(
+            cfg, out_dir=str(tmp_path / label / "a"), checkpoint_path=ck
+        )
+        assert run_scenario(first) == EXIT_OK
+        resumed = dataclasses.replace(
+            parse_config(body.replace("T = 0.02", "T = 0.04")),
+            out_dir=str(tmp_path / label / "b"),
+            resume_path=ck,
+        )
+        assert run_scenario(resumed) == EXIT_OK
+        full = dataclasses.replace(
+            parse_config(body.replace("T = 0.02", "T = 0.04")),
+            out_dir=str(tmp_path / label / "c"),
+        )
+        assert run_scenario(full) == EXIT_OK
+        rb = read_csv_columns(str(tmp_path / label / "b" / "simulate.csv"))
+        rc = read_csv_columns(str(tmp_path / label / "c" / "simulate.csv"))
+        tail = len(rb["t"])
+        # per-step 1-ulp agreement; column max spacing bounds the drift
+        for col in ("t", "l2", "hs_crit", "max_u"):
+            got = np.array(rb[col])
+            want = np.array(rc[col][-tail:])
+            assert np.max(np.abs(got - want)) <= np.max(np.spacing(np.abs(want) + 1e-300))
 
 
 def test_scenario_resume_grid_mismatch_exit_code(tmp_path):
@@ -668,6 +686,23 @@ def test_scenario_resume_grid_mismatch_exit_code(tmp_path):
         resume_path=ck,
     )
     assert run_scenario(clash) == EXIT_CHECKPOINT
+    # a fraction-0.9 state resumed on a 2/3 grid has modes outside its disc
+    ck09 = str(tmp_path / "mid09.ck")
+    body09 = SIM_BODY.replace("n = 16", "n = 16\ndealias_fraction = 0.9")
+    assert run_scenario(
+        dataclasses.replace(
+            parse_config(body09), out_dir=str(tmp_path / "c"), checkpoint_path=ck09
+        )
+    ) == EXIT_OK
+    # with no [grid] section the resumed grid takes the default fraction, 2/3
+    no_grid = SIM_BODY.replace("[grid]\nn = 16\n", "")
+    for body in (SIM_BODY, no_grid.replace("seed = 3", f"seed = 3\nresume = {ck09}")):
+        clash = dataclasses.replace(
+            parse_config(body.replace("T = 0.02", "T = 0.04")),
+            out_dir=str(tmp_path / "d"),
+            resume_path=ck09,
+        )
+        assert run_scenario(clash) == EXIT_CHECKPOINT
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Time stepper, frozen-coefficient solves, fixed-point iteration, rescaling,
 and the long-time decay/analyticity diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ from gsqglab import (
     SimState,
     SpectralField,
     Trajectory,
+    advect,
     decay_study,
     default_delta,
+    flux_divergence,
     gevrey_norm,
     gevrey_tracking,
     linear_flux_solve,
@@ -34,7 +37,8 @@ from gsqglab import (
     to_physical,
     velocity_from_scalar,
 )
-from gsqglab.solver import DiagnosticsRow
+from gsqglab.solver import DiagnosticsRow, _courant, _diagnostics_row, _l2
+from gsqglab.spectral import _hermitian_defect
 from util import hs_norm, l2_norm, lattice_k, random_field
 
 P = ModelParams(beta=1.5, kappa=0.5, gamma=0.3)
@@ -461,6 +465,130 @@ def test_flux_solve_two_term_energy_envelope():
         ts = np.linspace(0.0, t, 101)
         integral = np.trapezoid([l2_norm(q(s)) ** 2 for s in ts], ts) if t > 0 else 0.0
         assert abs(math.log(row.l2 / traj.rows[0].l2)) <= c_env * integral + 1e-12
+
+
+# --- half-spectrum stepping core against a full-array reference ---------------
+
+FRACTIONS = [2.0 / 3.0, 0.9, 1.0]
+
+
+def _full_array_reference(theta0, params, T, dt, stride, slope, velocity_at):
+    """IF-RK4 on full coefficient arrays, built from the public operators.
+
+    slope(i, stage, coeffs) is the stage tendency as a full array and
+    velocity_at(i, field) the velocity behind the CFL measurement and the
+    diagnostics. Returns the snapshot arrays, the diagnostics rows and the
+    largest per-step relative L2 increase, as simulate computes them.
+    """
+    grid = theta0.grid
+    n_steps = int(round(T / dt))
+    m = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64)
+    m1, m2 = m[:, None], m[None, :]
+    kabs = grid.k_fundamental * np.sqrt((m1 * m1 + m2 * m2).astype(np.float64))
+
+    def decay(tau):
+        return np.exp(-tau * (params.gamma * kabs**params.kappa + params.eps_visc * kabs * kabs))
+
+    eh, eh2 = decay(dt), decay(0.5 * dt)
+    disc = (m1 * m1 + m2 * m2) <= grid.dealias_radius**2
+    c = np.where(disc, theta0.coeffs, 0.0)
+    c[0, 0] = 0.0
+    l2 = _l2(c, grid.period)
+    fields, rows, max_increase = [], [], 0.0
+    for i in range(n_steps + 1):
+        u = velocity_at(i, SpectralField(grid, c))
+        speed = _courant(u, dt)
+        k1 = slope(i, 0, c)
+        if i % stride == 0 or i == n_steps:
+            fields.append(c)
+            rows.append(_diagnostics_row(i * dt, c, l2, params, u, speed, k1))
+        if i == n_steps:
+            break
+        h = dt
+        s2 = eh2 * (c + (0.5 * h) * k1)
+        k2 = slope(i, 1, s2)
+        s3 = eh2 * c + (0.5 * h) * k2
+        k3 = slope(i, 2, s3)
+        s4 = eh * c + h * (eh2 * k3)
+        k4 = slope(i, 3, s4)
+        c = eh * c + (h / 6.0) * (eh * k1 + 2.0 * eh2 * (k2 + k3) + k4)
+        l2_new = _l2(c, grid.period)
+        if l2_new > l2 > 0:
+            max_increase = max(max_increase, (l2_new - l2) / l2)
+        l2 = l2_new
+    return fields, rows, max_increase
+
+
+def _assert_matches_reference(traj, ref):
+    fields, rows, max_increase = ref
+    assert len(traj.fields) == len(fields)
+    for got, want in zip(traj.fields, fields):
+        assert np.array_equal(got.coeffs, want)
+    for got, want in zip(traj.rows, rows):
+        assert np.array_equal(dataclasses.astuple(got), dataclasses.astuple(want))
+    assert traj.max_l2_step_increase == max_increase
+
+
+def _assert_canonical(f):
+    n = f.grid.n
+    assert _hermitian_defect(f.coeffs) == 0.0
+    assert np.all(f.coeffs[n // 2, :] == 0.0)
+    assert np.all(f.coeffs[:, n // 2] == 0.0)
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_simulate_matches_full_array_reference(fraction):
+    grid = GridSpec(32, dealias_fraction=fraction)
+    params = ModelParams(beta=1.5, kappa=0.5, gamma=0.3, eps_visc=0.01)
+    f = scaled(random_field(grid, seed=21, decay=2.0), 2.0)
+
+    def slope(_i, _stage, c):
+        theta = SpectralField(grid, c)
+        return -advect(velocity_from_scalar(theta, params), theta).coeffs
+
+    traj = simulate(f, params, T=0.01, dt=1e-3, snapshot_stride=3)
+    ref = _full_array_reference(
+        f, params, 0.01, 1e-3, 3, slope, lambda _i, theta: velocity_from_scalar(theta, params)
+    )
+    _assert_matches_reference(traj, ref)
+    assert traj.rows[-1].energy_residual > 0   # the nonlinear term is live
+    theta = traj.final
+    u = velocity_from_scalar(theta, params)
+    q = scaled(random_field(grid, seed=22, decay=2.0), 1.0)
+    for out in (u.u1, u.u2, advect(u, theta), flux_divergence(q, theta, ModelParams(1.7, 0.5))):
+        _assert_canonical(out)
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_flux_solve_matches_full_array_reference(fraction):
+    grid = GridSpec(32, dealias_fraction=fraction)
+    params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
+    f = scaled(random_field(grid, seed=23, decay=2.0), 1.0)
+    qb = scaled(random_field(grid, seed=24, decay=2.0), 2.0)
+    dt, n_steps = 1e-3, 10
+    offsets = (0.0, 0.5 * dt, 0.5 * dt, dt)
+
+    def q(t):
+        return linear_heat_propagator(qb, t, 1.0, 0.5)
+
+    def q_at(i, stage):
+        # the final row reads q at the last step's end stage
+        if i == n_steps:
+            i, stage = n_steps - 1, 3
+        return q(i * dt + offsets[stage])
+
+    def slope(i, stage, c):
+        return -flux_divergence(q_at(i, stage), SpectralField(grid, c), params).coeffs
+
+    sink = []
+    traj = linear_flux_solve(f, q, params, T=0.01, dt=dt, snapshot_stride=3, stage_sink=sink)
+    ref = _full_array_reference(
+        f, params, 0.01, dt, 3, slope, lambda i, _theta: velocity_from_scalar(q_at(i, 0), params)
+    )
+    _assert_matches_reference(traj, ref)
+    for rec in sink:
+        for stage in rec:
+            _assert_canonical(stage)
 
 
 # --- fixed-point iteration ------------------------------------------------------

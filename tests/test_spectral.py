@@ -25,6 +25,7 @@ from gsqglab import (
     to_physical,
     velocity_from_scalar,
 )
+from gsqglab.spectral import _wrap
 from util import direct_convolution, hs_norm, l2_norm, lattice_k, random_field
 
 
@@ -636,3 +637,74 @@ def test_product_grid_rule_zero_support(product_sizes):
     assert np.all(advect(perp_gradient(zero), f).coeffs == 0.0)
     assert np.all(multiply_fields(f, zero).coeffs == 0.0)
     assert product_sizes == [16, 16]
+
+
+# --- storage contract: half spectra are the stored form ------------------------
+
+
+def _spectral_operator_outputs(grid):
+    """(name, inputs, thunk) for every public operator that returns fields."""
+    theta = _disc_field(grid, 31)
+    q = _disc_field(grid, 32)
+    params = ModelParams(beta=1.7, kappa=0.5)
+    u = perp_gradient(random_field(grid, seed=33))
+    samples = to_physical(random_field(grid, seed=34))
+    return [
+        ("constructor", (theta,), lambda: SpectralField(grid, theta.coeffs)),
+        ("field_from_modes", (), lambda: field_from_modes(grid, {(1, 2): 0.5 + 0.25j})),
+        ("from_physical", (), lambda: from_physical(samples, grid)),
+        ("negation", (theta,), lambda: -theta),
+        ("fractional_laplacian", (theta,), lambda: fractional_laplacian(theta, 0.7)),
+        ("gevrey_operator", (theta,), lambda: gevrey_operator(theta, 0.5, 0.1)),
+        ("gevrey_avg_operator", (theta,), lambda: gevrey_avg_operator(theta, 0.5, 0.1)),
+        ("log_multiplier", (theta,), lambda: log_multiplier(theta, 1.2)),
+        ("perp_gradient.u1", (theta,), lambda: perp_gradient(theta).u1),
+        ("perp_gradient.u2", (theta,), lambda: perp_gradient(theta).u2),
+        ("velocity.u1", (theta,), lambda: velocity_from_scalar(theta, params).u1),
+        ("velocity.u2", (theta,), lambda: velocity_from_scalar(theta, params).u2),
+        ("divergence", (u.u1, u.u2), lambda: u.divergence()),
+        ("multiply_fields", (theta, q), lambda: multiply_fields(theta, q)),
+        ("advect", (u.u1, u.u2, theta), lambda: advect(u, theta)),
+        ("flux_divergence", (q, theta), lambda: flux_divergence(q, theta, params)),
+    ]
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_operator_outputs_keep_the_storage_contract(fraction):
+    grid = GridSpec(32, dealias_fraction=fraction)
+    h = grid.n // 2 + 1
+    for name, inputs, make in _spectral_operator_outputs(grid):
+        before = [f.half.tobytes() for f in inputs]
+        out = make()
+        assert not out.half.flags.writeable, name
+        assert out.half.shape == (grid.n, h), name
+        half = out.half.copy()
+        coeffs = out.coeffs
+        assert not coeffs.flags.writeable, name
+        assert not out.half.flags.writeable, name
+        # bit for bit, signed zeros included
+        assert np.ascontiguousarray(coeffs[:, :h]).tobytes() == half.tobytes(), name
+        assert np.shares_memory(out.half, out.coeffs), name
+        assert out.coeffs is coeffs, name
+        assert [f.half.tobytes() for f in inputs] == before, name
+
+
+def test_negating_a_half_spectrum_field_leaves_it_unexpanded():
+    grid = GridSpec(32)
+    f = advect(perp_gradient(random_field(grid, seed=35)), random_field(grid, seed=36))
+    g = -f
+    assert f._full is None and g._full is None
+    assert g.mean_zero == f.mean_zero
+    assert np.array_equal(g.coeffs, -f.coeffs)
+
+
+def test_wrap_takes_ownership_and_copies_views():
+    grid = GridSpec(16)
+    base = random_field(grid, seed=37).coeffs.copy()
+    from_view = _wrap(grid, base[:, :])
+    kept = from_view.coeffs.copy()
+    base[1, 2] = 99.0
+    assert np.array_equal(from_view.coeffs, kept)
+    owned = base.copy()
+    f = _wrap(grid, owned)
+    assert f.coeffs is owned and not owned.flags.writeable
