@@ -1,6 +1,7 @@
 """Command-line front end: one subcommand per scenario kind.
 
-The exit codes, listed in --help, come from gsqglab.harness.EXIT_CODES.
+The subcommands and their help come from gsqglab.harness.SCENARIOS, the
+exit codes listed in --help from gsqglab.harness.EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from .errors import ConfigError
 from .harness import (
     EXIT_CODES,
     EXIT_CONFIG,
-    EXIT_IO,
     EXIT_USAGE,
-    SCENARIO_KINDS,
+    SCENARIOS,
     parse_config,
     run_scenario,
 )
@@ -27,16 +27,6 @@ _EXIT_CODE_DOC = (
     "  GSQG_THREADS  caps the worker threads used by the verification batteries\n"
 )
 
-_KIND_HELP = {
-    "simulate": "integrate the full equation and write diagnostics",
-    "picard": "run the fixed-point iteration and report contraction",
-    "verify-operators": "check all spectral operators against direct per-mode loops",
-    "verify-inequalities": "run the random-ensemble inequality batteries",
-    "scaling-check": "compare rescale-then-solve against solve-then-rescale",
-    "decay-study": "fit long-time decay slopes of derivative norms",
-    "gevrey-track": "track the weighted analyticity-radius norm",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,10 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="kind", metavar="COMMAND")
-    for kind in SCENARIO_KINDS:
+    for kind, scenario in SCENARIOS.items():
         p = sub.add_parser(
             kind,
-            help=_KIND_HELP[kind],
+            help=scenario.help,
             epilog=_EXIT_CODE_DOC,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
@@ -58,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", help="artifact directory")
         p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
         p.add_argument("--checkpoint", metavar="PATH",
-                       help="write a final-state checkpoint here")
+                       help="write a simulate run's final state here")
         p.add_argument("--resume", metavar="PATH",
                        help="continue a simulate run from this checkpoint")
     return parser
@@ -89,20 +79,17 @@ def main(argv=None) -> int:
             print("--seed must be nonnegative", file=sys.stderr)
             return EXIT_USAGE
         overrides["seed"] = args.seed
-    if args.checkpoint is not None:
-        overrides["checkpoint_path"] = args.checkpoint
-    if args.resume is not None:
+    for option, key in (("checkpoint", "checkpoint_path"), ("resume", "resume_path")):
+        path = getattr(args, option)
+        if path is None:
+            continue
         if config.kind != "simulate":
-            print("--resume only applies to simulate", file=sys.stderr)
+            print(f"--{option} only applies to simulate", file=sys.stderr)
             return EXIT_USAGE
-        overrides["resume_path"] = args.resume
+        overrides[key] = path
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    try:
-        return run_scenario(config)
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    return run_scenario(config)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,10 @@ from .inequalities import EnsembleSpec, bony_split, random_test_field, trilinear
 from .norms import check_gevrey_interpolation, sobolev_norm
 from .solver import (
     DEFAULT_CFL,
+    DecayReport,
+    GevreyTrackReport,
+    PicardIterate,
+    ScalingReport,
     SimState,
     Trajectory,
     decay_study,
@@ -59,16 +64,6 @@ from .spectral import (
     velocity_from_scalar,
 )
 from .spectral import _dealias_mask, _full_from_half, _wrap
-
-SCENARIO_KINDS = (
-    "simulate",
-    "picard",
-    "verify-operators",
-    "verify-inequalities",
-    "scaling-check",
-    "decay-study",
-    "gevrey-track",
-)
 
 INITIAL_PROFILES = ("single_mode", "two_mode", "ensemble", "vortex_pair", "checkpoint")
 
@@ -166,9 +161,6 @@ _SECTION_KEYS = {
     "picard": {"tol", "max_iter"},
     "verify": {"triples", "fields", "draws"},
 }
-
-# scenario kinds that integrate in time and therefore need grid + model + data
-_COMPUTE_KINDS = {"simulate", "picard", "scaling-check", "decay-study", "gevrey-track"}
 
 
 def _parse_sections(text: str, violations: list[str]) -> dict[str, dict[str, str]]:
@@ -436,7 +428,12 @@ def parse_config(text: str, default_kind: str | None = None) -> ScenarioConfig:
     if min(v_triples, v_fields, v_draws) < 1:
         violations.append("verify.triples/fields/draws: must be positive integers")
 
-    if kind in _COMPUTE_KINDS:
+    if kind != "simulate":
+        for key in ("checkpoint", "resume"):
+            if key in sc:
+                violations.append(f"scenario.{key}: applies to the simulate kind only")
+
+    if kind in SCENARIOS and SCENARIOS[kind].needs_inputs:
         if grid is None and "grid" not in sections and resume_path is None and not (
             initial is not None and initial.profile == "checkpoint"
         ):
@@ -663,7 +660,17 @@ def read_checkpoint(path: str) -> Checkpoint:
 # CSV and plot-data emission
 
 
-def _csv_rows_for_trajectory(traj: Trajectory, gevrey: GevreyTrackSpec, t0: float = 0.0):
+@dataclass(frozen=True)
+class CheckRow:
+    """One verification measurement against its tolerance."""
+
+    name: str
+    measured: float
+    limit: float
+    passed: bool
+
+
+def _csv_rows_for_trajectory(traj: Trajectory, gevrey: GevreyTrackSpec, t0: float):
     header = (
         "t,l2,hs_crit,hs_crit_delta,gevrey_tracked,energy_residual,max_u,courant"
     )
@@ -689,7 +696,7 @@ def _csv_rows_for_trajectory(traj: Trajectory, gevrey: GevreyTrackSpec, t0: floa
     return rows
 
 
-def _csv_rows_for_picard(iterates):
+def _csv_rows_for_picard(iterates, *_):
     rows = ["iterate,diff_sup_l2,diff_contraction,contraction_ratio,converged"]
     for it in iterates:
         cells = (
@@ -703,7 +710,7 @@ def _csv_rows_for_picard(iterates):
     return rows
 
 
-def _csv_rows_for_decay(report):
+def _csv_rows_for_decay(report, *_):
     ks = sorted(report.series)
     rows = ["t," + ",".join(f"d{k}" for k in ks)]
     for i, t in enumerate(report.times):
@@ -711,14 +718,14 @@ def _csv_rows_for_decay(report):
     return rows
 
 
-def _csv_rows_for_gevrey(report):
+def _csv_rows_for_gevrey(report, *_):
     rows = ["t,gevrey_tracked"]
     for t, v in zip(report.times, report.series):
         rows.append(f"{_fmt(t)},{_fmt(v)}")
     return rows
 
 
-def _csv_rows_for_scaling(report):
+def _csv_rows_for_scaling(report, *_):
     rows = ["lam,gap,horizon,rescaled_horizon,norm_final_coarse,norm_final_fine"]
     rows.append(
         ",".join(
@@ -736,35 +743,40 @@ def _csv_rows_for_scaling(report):
     return rows
 
 
-def _csv_rows_for_checks(checks):
+def _csv_rows_for_checks(checks, *_):
     rows = ["name,measured,limit,passed"]
     for c in checks:
         rows.append(f"{c.name},{_fmt(c.measured)},{_fmt(c.limit)},{_fmt(c.passed)}")
     return rows
 
 
+# CSV layout per report type; a list or tuple is keyed by its element type.
+# Every layout takes (report, gevrey, t0); only the trajectory reads the two.
+_CSV_LAYOUTS = {
+    Trajectory: _csv_rows_for_trajectory,
+    DecayReport: _csv_rows_for_decay,
+    GevreyTrackReport: _csv_rows_for_gevrey,
+    ScalingReport: _csv_rows_for_scaling,
+    PicardIterate: _csv_rows_for_picard,
+    CheckRow: _csv_rows_for_checks,
+}
+
+
 def write_csv(obj, path: str, *, gevrey: GevreyTrackSpec | None = None, t0: float = 0.0):
     """Write a diagnostics table for any report the scenarios produce.
 
     Numbers are printed with 17 significant digits, so re-parsing recovers
-    the in-memory doubles exactly. Row order is deterministic.
+    the in-memory doubles exactly. Row order is deterministic. An empty
+    sequence gives the header of the check table; any other type raises
+    TypeError.
     """
-    if isinstance(obj, Trajectory):
-        rows = _csv_rows_for_trajectory(obj, gevrey or GevreyTrackSpec(), t0)
-    elif isinstance(obj, (list, tuple)) and obj and hasattr(obj[0], "diff_sup_l2"):
-        rows = _csv_rows_for_picard(obj)
-    elif isinstance(obj, (list, tuple)) and (
-        not obj or hasattr(obj[0], "passed")
-    ):
-        rows = _csv_rows_for_checks(obj)
-    elif hasattr(obj, "slopes"):
-        rows = _csv_rows_for_decay(obj)
-    elif hasattr(obj, "eps_rate"):
-        rows = _csv_rows_for_gevrey(obj)
-    elif hasattr(obj, "rescaled_horizon"):
-        rows = _csv_rows_for_scaling(obj)
+    if isinstance(obj, (list, tuple)):
+        key = type(obj[0]) if obj else CheckRow
     else:
+        key = type(obj)
+    if key not in _CSV_LAYOUTS:
         raise TypeError(f"no CSV layout for {type(obj).__name__}")
+    rows = _CSV_LAYOUTS[key](obj, gevrey or GevreyTrackSpec(), t0)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -841,16 +853,6 @@ def emit_plot_data(
 
 # ---------------------------------------------------------------------------
 # verification batteries
-
-
-@dataclass(frozen=True)
-class CheckRow:
-    """One verification measurement against its tolerance."""
-
-    name: str
-    measured: float
-    limit: float
-    passed: bool
 
 
 def _direct_multiplier(field: SpectralField, symbol) -> np.ndarray:
@@ -1052,10 +1054,14 @@ def verify_operators(seed: int = 0, grid: GridSpec | None = None) -> list[CheckR
 
 
 def _workers_from_env() -> int:
+    text = os.environ.get("GSQG_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("GSQG_THREADS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError([f"GSQG_THREADS: {text!r} is not a positive integer"])
+    return workers
 
 
 def verify_inequalities(
@@ -1070,7 +1076,8 @@ def verify_inequalities(
     Trilinear three-way splits must reassemble to the full form; every
     dyadic block must obey the two-sided shell bound; the Gevrey
     interpolation bound must hold on every draw. Work is mapped over a
-    thread pool in deterministic order (GSQG_THREADS caps the width).
+    thread pool in deterministic order (GSQG_THREADS caps the width; a
+    value that is not a positive integer raises ConfigError).
     """
     workers = workers if workers is not None else _workers_from_env()
     grid = GridSpec(32)
@@ -1255,12 +1262,24 @@ _EXIT_BY_EXCEPTION = {exc: code for code, _, excs in EXIT_CODES for exc in excs}
 _MESSAGE_PREFIX = {ValueError: "invalid scenario parameters: ", OSError: "I/O failure: "}
 
 
-def _summary(path: str, lines: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+class _Start(NamedTuple):
+    """Initial state, model and time of a scenario that integrates in time."""
+
+    theta0: SpectralField
+    params: ModelParams
+    t0: float
 
 
-def _initial_for(config: ScenarioConfig) -> SpectralField:
+def _initial_for(config: ScenarioConfig) -> _Start:
+    """The configured initial data, or the state config.resume_path holds."""
+    if config.resume_path is not None:
+        ckpt = read_checkpoint(config.resume_path)
+        theta0 = _checkpoint_field(ckpt, config.grid or ckpt.grid)
+        if config.T - ckpt.t <= 0:
+            raise ConfigError(
+                [f"scenario.T: horizon {config.T:g} not past checkpoint t={ckpt.t:g}"]
+            )
+        return _Start(theta0, ckpt.params, ckpt.t)
     if config.initial is None:
         raise ConfigError(["initial: section required for this scenario"])
     grid = config.grid
@@ -1269,22 +1288,195 @@ def _initial_for(config: ScenarioConfig) -> SpectralField:
         grid = ckpt.grid
     if grid is None:
         raise ConfigError(["grid: section required for this scenario"])
-    return build_initial_data(config.initial, grid, config.params, config.seed)
+    theta0 = build_initial_data(config.initial, grid, config.params, config.seed)
+    return _Start(theta0, config.params, 0.0)
 
 
-def _final_state(traj: Trajectory, params: ModelParams, t0: float, dt: float) -> SimState:
-    n_final = int(round((t0 + traj.times[-1]) / dt))
-    return SimState(
-        field=traj.final,
-        t=n_final * dt,
-        step_index=n_final,
-        params=params,
-        dt=dt,
+# Scenario handlers: each writes its kind's table to csv and returns the
+# summary lines after "scenario: <kind>" and whether the run passed.
+
+
+def _trajectory(config: ScenarioConfig, start: _Start) -> Trajectory:
+    """The run from start to the absolute horizon config.T."""
+    return simulate(
+        start.theta0,
+        start.params,
+        config.T - start.t0,
+        config.dt,
+        config.snapshot_stride,
+        c_cfl=config.c_cfl,
     )
 
 
+def _run_simulate(config: ScenarioConfig, start: _Start, csv: str):
+    traj = _trajectory(config, start)
+    write_csv(traj, csv, gevrey=config.gevrey, t0=start.t0)
+    t_final = start.t0 + traj.times[-1]
+    if config.checkpoint_path is not None:
+        n_final = int(round(t_final / config.dt))
+        state = SimState(traj.final, n_final * config.dt, n_final, start.params, config.dt)
+        write_checkpoint(state, config.checkpoint_path)
+    last = traj.rows[-1]
+    return [
+        f"steps: {int(round((config.T - start.t0) / config.dt))}  dt: {_fmt(config.dt)}",
+        f"final t: {_fmt(t_final)}",
+        f"final l2: {_fmt(last.l2)}",
+        f"final critical norm: {_fmt(last.hs_crit)}",
+        f"max l2 step increase: {_fmt(traj.max_l2_step_increase)}",
+        f"max energy residual: {_fmt(max(r.energy_residual for r in traj.rows))}",
+        f"max courant: {_fmt(max(r.courant for r in traj.rows))}",
+    ], True
+
+
+def _run_picard(config: ScenarioConfig, start: _Start, csv: str):
+    failed = None
+    try:
+        iterates = picard_solve(
+            start.theta0,
+            start.params,
+            config.T,
+            config.dt,
+            tol=config.picard_tol,
+            max_iter=config.picard_max_iter,
+            snapshot_stride=config.snapshot_stride,
+            c_cfl=config.c_cfl,
+        )
+    except PicardConvergenceError as exc:
+        iterates, failed = exc.iterates, exc
+    write_csv(iterates, csv)
+    ratios = [it.contraction_ratio for it in iterates if it.contraction_ratio is not None]
+    lines = [
+        f"iterates: {len(iterates) - 1}",
+        f"converged: {_fmt(failed is None)}",
+        f"final residual: {_fmt(iterates[-1].diff_sup_l2 or 0.0)}",
+    ]
+    if ratios:
+        lines.append(f"worst contraction ratio: {_fmt(max(ratios))}")
+    if failed is not None:
+        lines.append(f"failure: {failed}")
+    return lines, failed is None
+
+
+def _checks_summary(checks: list[CheckRow], csv: str, fail_line):
+    """Write a battery's check table; the summary lists up to 50 failures."""
+    write_csv(checks, csv)
+    bad = [c for c in checks if not c.passed]
+    lines = [f"checks: {len(checks)}", f"failures: {len(bad)}"]
+    return lines + [fail_line(c) for c in bad[:50]], not bad
+
+
+def _run_verify_operators(config: ScenarioConfig, start: None, csv: str):
+    return _checks_summary(
+        verify_operators(config.seed, config.grid),
+        csv,
+        lambda c: f"FAIL {c.name}: {_fmt(c.measured)} > {_fmt(c.limit)}",
+    )
+
+
+def _run_verify_inequalities(config: ScenarioConfig, start: None, csv: str):
+    checks = verify_inequalities(
+        config.verify_triples, config.verify_fields, config.verify_draws, seed=config.seed
+    )
+    return _checks_summary(checks, csv, lambda c: f"FAIL {c.name}")
+
+
+def _run_scaling_check(config: ScenarioConfig, start: _Start, csv: str):
+    report = scaling_equivariance_check(
+        start.theta0, start.params, config.scaling_lam, config.T, config.dt, c_cfl=config.c_cfl
+    )
+    write_csv(report, csv)
+    ok = report.gap <= config.scaling_tol
+    return [
+        f"lam: {report.lam}",
+        f"gap: {_fmt(report.gap)}",
+        f"tolerance: {_fmt(config.scaling_tol)}",
+        f"passed: {_fmt(ok)}",
+    ], ok
+
+
+def _run_decay_study(config: ScenarioConfig, start: _Start, csv: str):
+    delta = config.decay_delta
+    if delta is None:
+        delta = default_delta(start.params)
+    report = decay_study(
+        start.theta0,
+        start.params,
+        delta,
+        config.decay_k_list,
+        config.T,
+        config.dt,
+        snapshot_stride=config.snapshot_stride,
+        c_cfl=config.c_cfl,
+    )
+    write_csv(report, csv)
+    lines = [f"delta: {_fmt(delta)}"]
+    for k in sorted(report.slopes):
+        # the plot data reads back the table just written
+        dat = os.path.join(config.out_dir, f"decay-k{k}.dat")
+        slope = emit_plot_data(csv, dat, "t", f"d{k}", transform="loglog", x_min=report.window[0])
+        lines.append(
+            f"k={k}: fitted slope {_fmt(slope)} expected {_fmt(report.expected[k])}"
+        )
+    return lines, True
+
+
+def _run_gevrey_track(config: ScenarioConfig, start: _Start, csv: str):
+    traj = _trajectory(config, start)
+    report = gevrey_tracking(traj, *config.gevrey.resolved(start.params))
+    write_csv(report, csv)
+    return [
+        f"alpha: {_fmt(report.alpha)}  eps_rate: {_fmt(report.eps_rate)}  "
+        f"delta: {_fmt(report.delta)}",
+        f"sup: {_fmt(report.sup)}",
+    ], True
+
+
+class Scenario(NamedTuple):
+    """One scenario kind.
+
+    help is its command-line help. needs_inputs marks a kind that integrates
+    from initial data: its config needs [grid], [model] and [initial], and
+    its handler gets a _Start instead of None. run is the handler.
+    """
+
+    help: str
+    needs_inputs: bool
+    run: Callable[[ScenarioConfig, _Start | None, str], tuple[list[str], bool]]
+
+
+# The only definition of the scenario kinds: parse_config, run_scenario and
+# the command line take the kinds, their needs and their help from here.
+SCENARIOS = {
+    "simulate": Scenario(
+        "integrate the full equation and write diagnostics", True, _run_simulate
+    ),
+    "picard": Scenario(
+        "run the fixed-point iteration and report contraction", True, _run_picard
+    ),
+    "verify-operators": Scenario(
+        "check all spectral operators against direct per-mode loops",
+        False,
+        _run_verify_operators,
+    ),
+    "verify-inequalities": Scenario(
+        "run the random-ensemble inequality batteries", False, _run_verify_inequalities
+    ),
+    "scaling-check": Scenario(
+        "compare rescale-then-solve against solve-then-rescale", True, _run_scaling_check
+    ),
+    "decay-study": Scenario(
+        "fit long-time decay slopes of derivative norms", True, _run_decay_study
+    ),
+    "gevrey-track": Scenario(
+        "track the weighted analyticity-radius norm", True, _run_gevrey_track
+    ),
+}
+SCENARIO_KINDS = tuple(SCENARIOS)
+
+
 def run_scenario(config: ScenarioConfig) -> int:
-    """Execute one scenario, writing CSV, summary, and optional checkpoints.
+    """Execute one scenario, writing <kind>.csv and summary.txt into
+    config.out_dir, plus a checkpoint if a simulate config asks for one.
 
     Returns the process exit code; every scientific failure mode keeps its
     own code (see EXIT_CODES) so batch scripts can triage without parsing
@@ -1295,209 +1487,18 @@ def run_scenario(config: ScenarioConfig) -> int:
     except OSError as exc:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    out = lambda name: os.path.join(config.out_dir, name)
-    try:
-        if config.kind == "simulate":
-            params = config.params
-            t0 = 0.0
-            if config.resume_path is not None:
-                ckpt = read_checkpoint(config.resume_path)
-                theta0 = _checkpoint_field(ckpt, config.grid or ckpt.grid)
-                params, t0 = ckpt.params, ckpt.t
-                remaining = config.T - t0
-                if remaining <= 0:
-                    raise ConfigError(
-                        [f"scenario.T: horizon {config.T:g} not past checkpoint t={t0:g}"]
-                    )
-            else:
-                theta0 = _initial_for(config)
-                remaining = config.T
-            traj = simulate(
-                theta0,
-                params,
-                remaining,
-                config.dt,
-                config.snapshot_stride,
-                c_cfl=config.c_cfl,
-            )
-            write_csv(traj, out("simulate.csv"), gevrey=config.gevrey, t0=t0)
-            if config.checkpoint_path is not None:
-                write_checkpoint(
-                    _final_state(traj, params, t0, config.dt), config.checkpoint_path
-                )
-            last = traj.rows[-1]
-            _summary(
-                out("summary.txt"),
-                [
-                    "scenario: simulate",
-                    f"steps: {int(round(remaining / config.dt))}  dt: {_fmt(config.dt)}",
-                    f"final t: {_fmt(t0 + traj.times[-1])}",
-                    f"final l2: {_fmt(last.l2)}",
-                    f"final critical norm: {_fmt(last.hs_crit)}",
-                    f"max l2 step increase: {_fmt(traj.max_l2_step_increase)}",
-                    f"max energy residual: {_fmt(max(r.energy_residual for r in traj.rows))}",
-                    f"max courant: {_fmt(max(r.courant for r in traj.rows))}",
-                ],
-            )
-            return EXIT_OK
-
-        if config.kind == "picard":
-            theta0 = _initial_for(config)
-            failed = None
-            try:
-                iterates = picard_solve(
-                    theta0,
-                    config.params,
-                    config.T,
-                    config.dt,
-                    tol=config.picard_tol,
-                    max_iter=config.picard_max_iter,
-                    snapshot_stride=config.snapshot_stride,
-                    c_cfl=config.c_cfl,
-                )
-            except PicardConvergenceError as exc:
-                iterates = exc.iterates
-                failed = exc
-            write_csv(iterates, out("picard.csv"))
-            ratios = [
-                it.contraction_ratio
-                for it in iterates
-                if it.contraction_ratio is not None
-            ]
-            lines = [
-                "scenario: picard",
-                f"iterates: {len(iterates) - 1}",
-                f"converged: {_fmt(failed is None)}",
-                f"final residual: {_fmt(iterates[-1].diff_sup_l2 or 0.0)}",
-            ]
-            if ratios:
-                lines.append(f"worst contraction ratio: {_fmt(max(ratios))}")
-            if failed is not None:
-                lines.append(f"failure: {failed}")
-            _summary(out("summary.txt"), lines)
-            return EXIT_OK if failed is None else EXIT_VERIFY
-
-        if config.kind == "verify-operators":
-            checks = verify_operators(config.seed, config.grid)
-            write_csv(checks, out("verify-operators.csv"))
-            bad = [c for c in checks if not c.passed]
-            _summary(
-                out("summary.txt"),
-                [
-                    "scenario: verify-operators",
-                    f"checks: {len(checks)}",
-                    f"failures: {len(bad)}",
-                ]
-                + [f"FAIL {c.name}: {_fmt(c.measured)} > {_fmt(c.limit)}" for c in bad],
-            )
-            return EXIT_OK if not bad else EXIT_VERIFY
-
-        if config.kind == "verify-inequalities":
-            checks = verify_inequalities(
-                config.verify_triples,
-                config.verify_fields,
-                config.verify_draws,
-                seed=config.seed,
-            )
-            write_csv(checks, out("verify-inequalities.csv"))
-            bad = [c for c in checks if not c.passed]
-            _summary(
-                out("summary.txt"),
-                [
-                    "scenario: verify-inequalities",
-                    f"checks: {len(checks)}",
-                    f"failures: {len(bad)}",
-                ]
-                + [f"FAIL {c.name}" for c in bad[:50]],
-            )
-            return EXIT_OK if not bad else EXIT_VERIFY
-
-        if config.kind == "scaling-check":
-            theta0 = _initial_for(config)
-            report = scaling_equivariance_check(
-                theta0,
-                config.params,
-                config.scaling_lam,
-                config.T,
-                config.dt,
-                c_cfl=config.c_cfl,
-            )
-            write_csv(report, out("scaling-check.csv"))
-            ok = report.gap <= config.scaling_tol
-            _summary(
-                out("summary.txt"),
-                [
-                    "scenario: scaling-check",
-                    f"lam: {report.lam}",
-                    f"gap: {_fmt(report.gap)}",
-                    f"tolerance: {_fmt(config.scaling_tol)}",
-                    f"passed: {_fmt(ok)}",
-                ],
-            )
-            return EXIT_OK if ok else EXIT_VERIFY
-
-        if config.kind == "decay-study":
-            theta0 = _initial_for(config)
-            delta = (
-                config.decay_delta
-                if config.decay_delta is not None
-                else default_delta(config.params)
-            )
-            report = decay_study(
-                theta0,
-                config.params,
-                delta,
-                config.decay_k_list,
-                config.T,
-                config.dt,
-                snapshot_stride=config.snapshot_stride,
-                c_cfl=config.c_cfl,
-            )
-            write_csv(report, out("decay-study.csv"))
-            lines = ["scenario: decay-study", f"delta: {_fmt(delta)}"]
-            for k in sorted(report.slopes):
-                slope = emit_plot_data(
-                    out("decay-study.csv"),
-                    out(f"decay-k{k}.dat"),
-                    "t",
-                    f"d{k}",
-                    transform="loglog",
-                    x_min=report.window[0],
-                )
-                lines.append(
-                    f"k={k}: fitted slope {_fmt(slope)} expected {_fmt(report.expected[k])}"
-                )
-            _summary(out("summary.txt"), lines)
-            return EXIT_OK
-
-        if config.kind == "gevrey-track":
-            theta0 = _initial_for(config)
-            traj = simulate(
-                theta0,
-                config.params,
-                config.T,
-                config.dt,
-                config.snapshot_stride,
-                c_cfl=config.c_cfl,
-            )
-            alpha, eps_rate, delta = config.gevrey.resolved(config.params)
-            report = gevrey_tracking(traj, alpha, eps_rate, delta)
-            write_csv(report, out("gevrey-track.csv"))
-            _summary(
-                out("summary.txt"),
-                [
-                    "scenario: gevrey-track",
-                    f"alpha: {_fmt(alpha)}  eps_rate: {_fmt(eps_rate)}  delta: {_fmt(delta)}",
-                    f"sup: {_fmt(report.sup)}",
-                ],
-            )
-            return EXIT_OK
-
+    scenario = SCENARIOS.get(config.kind)
+    if scenario is None:
         print(f"unknown scenario kind {config.kind!r}", file=sys.stderr)
         return EXIT_USAGE
-
+    try:
+        start = _initial_for(config) if scenario.needs_inputs else None
+        csv = os.path.join(config.out_dir, f"{config.kind}.csv")
+        lines, passed = scenario.run(config, start, csv)
+        with open(os.path.join(config.out_dir, "summary.txt"), "w", newline="") as fh:
+            fh.write("\n".join([f"scenario: {config.kind}", *lines]) + "\n")
     except (GsqgError, ValueError, OSError) as exc:
         cls = next(c for c in type(exc).__mro__ if c in _EXIT_BY_EXCEPTION)
         print(_MESSAGE_PREFIX.get(cls, "") + str(exc), file=sys.stderr)
         return _EXIT_BY_EXCEPTION[cls]
+    return EXIT_OK if passed else EXIT_VERIFY

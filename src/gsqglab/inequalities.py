@@ -24,6 +24,7 @@ from .spectral import (
     _half,
     _homog_weight,
     _kabs,
+    _log_weight,
     _product_size,
     _samples,
     _support,
@@ -389,8 +390,7 @@ def commutator_log(
     if ell not in (1, 2):
         raise ValueError("direction index must be 1 or 2")
 
-    kabs = _kabs(grid)
-    mult = np.log1p(kabs * kabs) ** mu * 1j * _directional_multiplier(grid, ell)
+    mult = _log_weight(grid, mu) * 1j * _directional_multiplier(grid, ell)
     gf = multiply_fields(g, f)
     applied_product = _wrap(grid, mult * gf.coeffs)
     product_applied = multiply_fields(g, _wrap(grid, mult * f.coeffs))

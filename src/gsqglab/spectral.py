@@ -96,6 +96,15 @@ def _homog_weight(grid: GridSpec, s: float) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=128)
+def _log_weight(grid: GridSpec, mu: float) -> np.ndarray:
+    """Read-only (ln(1 + |k|^2))^mu per mode; the mean mode weighs zero."""
+    kabs = _kabs(grid)
+    w = np.log1p(kabs * kabs) ** mu
+    w.flags.writeable = False
+    return w
+
+
 @lru_cache(maxsize=None)
 def _wavevectors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     m1, m2 = _modes(grid)
@@ -450,8 +459,7 @@ def log_multiplier(field: SpectralField, mu: float) -> SpectralField:
     """Multiply each mode by (ln(1 + |k|^2))^mu; the mean mode is annihilated."""
     if not (mu > 0):
         raise ValueError(f"mu must be positive, got {mu}")
-    kabs = _kabs(field.grid)
-    return _apply_multiplier(field, np.log1p(kabs * kabs) ** mu)
+    return _apply_multiplier(field, _log_weight(field.grid, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +477,10 @@ def perp_gradient(field: SpectralField) -> VectorField:
 def _structure_multiplier(grid: GridSpec, params: ModelParams) -> np.ndarray:
     """Scalar symbol linking the advected scalar to its streamfunction source,
     on the m2 >= 0 half lattice."""
-    kabs = _kabs(grid)
     if params.velocity_law == "log":
-        return _half(np.log1p(kabs * kabs) ** params.mu)
+        return _half(_log_weight(grid, params.mu))
     if params.beta == 2:
-        return _half(np.ones_like(kabs))
+        return _half(np.ones_like(_kabs(grid)))
     return _half(_homog_weight(grid, params.beta - 2.0))
 
 

@@ -52,6 +52,8 @@ from gsqglab.harness import (
     EXIT_OVERFLOW,
     EXIT_USAGE,
     EXIT_VERIFY,
+    SCENARIO_KINDS,
+    SCENARIOS,
 )
 from util import l2_norm, random_field
 
@@ -216,6 +218,20 @@ def test_parse_scaling_factor_floor():
     with pytest.raises(ConfigError) as err:
         parse_config(body + "\n[scaling]\nlam = 1\n")
     assert any("integer >= 2" in v for v in err.value.violations)
+
+
+def test_parse_checkpoint_and_resume_only_for_simulate():
+    keys = "checkpoint = a.ck\nresume = b.ck\n"
+    only = [f"scenario.{key}: applies to the simulate kind only" for key in ("checkpoint", "resume")]
+    for body in (
+        "[scenario]\nkind = verify-operators\n" + keys,
+        SIM_BODY.replace("kind = simulate\n", "kind = picard\n" + keys),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_config(body)
+        assert err.value.violations == only
+    cfg = parse_config(SIM_BODY.replace("kind = simulate\n", "kind = simulate\n" + keys))
+    assert (cfg.checkpoint_path, cfg.resume_path) == ("a.ck", "b.ck")
 
 
 def test_parse_verify_kinds_need_no_grid_or_model():
@@ -446,6 +462,16 @@ def test_csv_empty_trajectory_is_header_only(tmp_path):
     ]
 
 
+def test_csv_layout_follows_the_report_type(tmp_path):
+    path = tmp_path / "x.csv"
+    for obj in (GevreyTrackSpec(), [1, 2], object()):
+        with pytest.raises(TypeError, match="no CSV layout"):
+            write_csv(obj, str(path))
+    # an empty sequence is an empty check table
+    write_csv([], str(path))
+    assert path.read_text() == "name,measured,limit,passed\n"
+
+
 def test_plot_data_constant_series_has_zero_slope(tmp_path):
     csv = tmp_path / "c.csv"
     csv.write_text("t,v\n1,5\n2,5\n3,5\n")
@@ -510,15 +536,60 @@ def test_scenario_out_dir_collision_is_io_error(tmp_path):
     assert run_scenario(cfg) == EXIT_IO
 
 
+DECAY_BODY = """
+[scenario]
+kind = decay-study
+T = 0.5
+dt = 1e-2
+snapshot_stride = 2
+[grid]
+n = 16
+[model]
+beta = 1.5
+kappa = 0.5
+gamma = 0.4
+[initial]
+profile = ensemble
+amplitude = 0.01
+decay = 3.5
+[decay]
+delta = 0.1
+k_list = 0
+"""
+
+# one small passing config per scenario kind
+KIND_BODIES = {
+    "simulate": SIM_BODY,
+    "picard": SIM_BODY.replace("kind = simulate", "kind = picard"),
+    "verify-operators": "[scenario]\nkind = verify-operators\n",
+    "verify-inequalities": (
+        "[scenario]\nkind = verify-inequalities\n[verify]\ntriples = 1\nfields = 1\ndraws = 2\n"
+    ),
+    "scaling-check": SIM_BODY.replace("kind = simulate", "kind = scaling-check").replace(
+        "T = 0.02", "T = 0.04"
+    ),
+    "decay-study": DECAY_BODY.replace("k_list = 0", "k_list = 0,2"),
+    "gevrey-track": SIM_BODY.replace("kind = simulate", "kind = gevrey-track")
+    + "[gevrey]\nalpha = 0.4\neps_rate = 0.2\ndelta = 0.1\n",
+}
+
+
 def test_scenario_determinism_identical_bytes(tmp_path):
-    cfg = parse_config(SIM_BODY)
-    a = dataclasses.replace(cfg, out_dir=str(tmp_path / "a"))
-    b = dataclasses.replace(cfg, out_dir=str(tmp_path / "b"))
-    assert run_scenario(a) == EXIT_OK
-    assert run_scenario(b) == EXIT_OK
-    assert (tmp_path / "a" / "simulate.csv").read_bytes() == (
-        tmp_path / "b" / "simulate.csv"
-    ).read_bytes()
+    assert tuple(KIND_BODIES) == SCENARIO_KINDS
+    for kind, body in KIND_BODIES.items():
+        cfg = parse_config(body)
+        a, b = tmp_path / kind / "a", tmp_path / kind / "b"
+        assert run_scenario(dataclasses.replace(cfg, out_dir=str(a))) == EXIT_OK, kind
+        assert run_scenario(dataclasses.replace(cfg, out_dir=str(b))) == EXIT_OK, kind
+        names = sorted(p.name for p in a.iterdir())
+        expected = {f"{kind}.csv", "summary.txt"}
+        if kind == "decay-study":
+            expected |= {"decay-k0.dat", "decay-k2.dat"}
+        assert set(names) == expected, kind
+        assert sorted(p.name for p in b.iterdir()) == names, kind
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (kind, name)
+        assert (a / "summary.txt").read_text().startswith(f"scenario: {kind}\n"), kind
 
 
 def test_scenario_seed_changes_ensemble_output(tmp_path):
@@ -611,27 +682,7 @@ def test_scenario_scaling_check_passes(tmp_path):
 
 
 def test_scenario_decay_study_emits_slope_files(tmp_path):
-    body = """
-[scenario]
-kind = decay-study
-T = 0.5
-dt = 1e-2
-snapshot_stride = 2
-[grid]
-n = 16
-[model]
-beta = 1.5
-kappa = 0.5
-gamma = 0.4
-[initial]
-profile = ensemble
-amplitude = 0.01
-decay = 3.5
-[decay]
-delta = 0.1
-k_list = 0
-"""
-    cfg = dataclasses.replace(parse_config(body), out_dir=str(tmp_path))
+    cfg = dataclasses.replace(parse_config(DECAY_BODY), out_dir=str(tmp_path))
     assert run_scenario(cfg) == EXIT_OK
     assert (tmp_path / "decay-k0.dat").exists()
     assert "# slope=" in (tmp_path / "decay-k0.dat").read_text()
@@ -738,9 +789,12 @@ def test_cli_seed_override_changes_output(tmp_path):
 def test_cli_resume_only_for_simulate(tmp_path, capsys):
     body = SIM_BODY.replace("kind = simulate", "kind = picard")
     cfg = run_cfg(tmp_path, body)
-    code = main(["picard", "--config", str(cfg), "--resume", str(tmp_path / "x.ck")])
-    assert code == EXIT_USAGE
-    assert "resume" in capsys.readouterr().err
+    out = tmp_path / "o"
+    for option in ("--resume", "--checkpoint"):
+        code = main(["picard", "--config", str(cfg), "--out", str(out), option, str(tmp_path / "x.ck")])
+        assert code == EXIT_USAGE
+        assert f"{option} only applies to simulate" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "x.ck").exists()
 
 
 def test_cli_help_documents_exit_codes(capsys):
@@ -751,10 +805,14 @@ def test_cli_help_documents_exit_codes(capsys):
     for code, meaning, _ in EXIT_CODES:
         assert f"  {code}  {meaning}\n" in out, (code, meaning)
     assert "GSQG_THREADS" in out
+    assert all(kind in out for kind in SCENARIOS)
     # the README table lists the same codes with the same meanings, in order
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| (\d+) \| (.+?) \|$", readme, flags=re.M)
     assert rows == [(str(code), meaning) for code, meaning, _ in EXIT_CODES]
+    # and its command list gives every kind with its help, in table order
+    commands = re.findall(r"^gsqglab (\S+) +(.+)$", readme, flags=re.M)
+    assert commands == [(kind, s.help) for kind, s in SCENARIOS.items()]
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
@@ -796,11 +854,19 @@ def test_verify_inequalities_small_battery_clean():
     assert kinds == {"bony", "shell", "gevrey-interp"}
 
 
-def test_verify_inequalities_worker_count_invariant(monkeypatch):
+def test_verify_inequalities_worker_count_invariant(monkeypatch, tmp_path, capsys):
     serial = verify_inequalities(n_triples=3, n_fields=2, n_draws=5, seed=9, workers=1)
     monkeypatch.setenv("GSQG_THREADS", "3")
     threaded = verify_inequalities(n_triples=3, n_fields=2, n_draws=5, seed=9)
     assert serial == threaded
+    # a thread count that is not a positive integer is refused, not run serially
+    cfg = dataclasses.replace(parse_config(KIND_BODIES["verify-inequalities"]), out_dir=str(tmp_path))
+    for bad in ("abc", "0", "-2", "1.5", ""):
+        monkeypatch.setenv("GSQG_THREADS", bad)
+        with pytest.raises(ConfigError, match="GSQG_THREADS"):
+            verify_inequalities(n_triples=1, n_fields=1, n_draws=1)
+        assert run_scenario(cfg) == EXIT_CONFIG
+        assert f"GSQG_THREADS: {bad!r} is not a positive integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from gsqglab import (
     to_physical,
     velocity_from_scalar,
 )
-from gsqglab.spectral import _wrap
+from gsqglab.spectral import _kabs, _log_weight, _structure_multiplier, _wrap
 from util import direct_convolution, hs_norm, l2_norm, lattice_k, random_field
 
 
@@ -259,6 +259,24 @@ def test_log_multiplier_values():
     out3 = log_multiplier(f3, 2.0)
     assert abs(out3.coeffs[1, 0] - math.log(4.0) ** 2) <= 1e-12
     assert abs(out3.coeffs[1, 0] - 1.921812) <= 1e-6
+
+
+def test_log_weight_is_cached_read_only_and_bit_identical():
+    # the cached weight is the elementwise formula its call sites used to build
+    g = GridSpec(32)
+    kabs = _kabs(g)
+    f = random_field(g, seed=11)
+    for mu in (0.7, 1.0, 1.3):
+        formula = np.log1p(kabs * kabs) ** mu
+        w = _log_weight(g, mu)
+        assert np.array_equal(w, formula)
+        assert _log_weight(g, mu) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[1, 0] = 0.0
+        assert np.array_equal(log_multiplier(f, mu).coeffs, f.coeffs * formula)
+        law = ModelParams(beta=2.0, kappa=0.5, mu=mu, velocity_law="log")
+        assert np.array_equal(_structure_multiplier(g, law), formula[:, : 32 // 2 + 1])
 
 
 def test_multipliers_preserve_symmetry_and_nyquist():
