@@ -20,11 +20,8 @@ from .harness import (
     run_scenario,
 )
 
-_EXIT_CODE_DOC = (
-    "exit codes:\n"
-    + "".join(f"  {code}  {meaning}\n" for code, meaning, _ in EXIT_CODES)
-    + "\nenvironment:\n"
-    "  GSQG_THREADS  caps the worker threads used by the verification batteries\n"
+_EXIT_CODE_DOC = "exit codes:\n" + "".join(
+    f"  {code}  {meaning}\n" for code, meaning, _ in EXIT_CODES
 )
 
 

@@ -13,14 +13,13 @@ import math
 import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dyadic import bernstein_check, build_partition, decompose
+from .dyadic import bernstein_check, decompose
 from .errors import (
     BlowUpError,
     CheckpointError,
@@ -40,6 +39,7 @@ from .solver import (
     ScalingReport,
     SimState,
     Trajectory,
+    _admissible_initial,
     decay_study,
     default_delta,
     gevrey_tracking,
@@ -515,21 +515,16 @@ def build_initial_data(
         member = random_test_field(
             EnsembleSpec(grid, spec.decay, spec.member + 1, seed=seed), spec.member
         )
-        coeffs = member.coeffs * _dealias_mask(grid)
-        coeffs[0, 0] = 0.0
-        f = _wrap(grid, coeffs)
+        f = _admissible_initial(member)
         norm = sobolev_norm(f, params.sigma_c)
         if norm == 0.0:
             raise ValueError("ensemble member vanished after masking")
-        return _wrap(grid, coeffs * (spec.amplitude / norm))
+        return _wrap(grid, f.coeffs * (spec.amplitude / norm))
     if spec.profile == "vortex_pair":
         width = spec.width if spec.width is not None else grid.period / 12.0
         sep = spec.separation if spec.separation is not None else grid.period / 4.0
         samples = _gaussian_pair(grid, spec.amplitude, width, sep)
-        f = from_physical(samples, grid)
-        coeffs = f.coeffs * _dealias_mask(grid)
-        coeffs[0, 0] = 0.0
-        return _wrap(grid, coeffs)
+        return _admissible_initial(from_physical(samples, grid))
     if spec.profile == "checkpoint":
         if spec.path is None:
             raise ValueError("checkpoint profile needs a path")
@@ -1053,63 +1048,45 @@ def verify_operators(seed: int = 0, grid: GridSpec | None = None) -> list[CheckR
     return rows
 
 
-def _workers_from_env() -> int:
-    text = os.environ.get("GSQG_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError([f"GSQG_THREADS: {text!r} is not a positive integer"])
-    return workers
-
-
 def verify_inequalities(
     n_triples: int = 100,
     n_fields: int = 100,
     n_draws: int = 500,
     seed: int = 2026,
-    workers: int | None = None,
 ) -> list[CheckRow]:
     """Run the three random-ensemble inequality batteries.
 
     Trilinear three-way splits must reassemble to the full form; every
     dyadic block must obey the two-sided shell bound; the Gevrey
-    interpolation bound must hold on every draw. Work is mapped over a
-    thread pool in deterministic order (GSQG_THREADS caps the width; a
-    value that is not a positive integer raises ConfigError).
+    interpolation bound must hold on every draw.
     """
-    workers = workers if workers is not None else _workers_from_env()
     grid = GridSpec(32)
-    part = build_partition(grid)
     sigmas_split = (-0.5, 0.0, 0.3, 0.9)
     sigmas_shell = (-1.5, 0.0, 1.0, 1.5)
     ens = EnsembleSpec(grid, 2.5, 3 * n_triples + n_fields, seed=seed)
 
-    def split_task(t: int) -> list[CheckRow]:
+    rows: list[CheckRow] = []
+    for t in range(n_triples):
         f = random_test_field(ens, 3 * t)
         g = random_test_field(ens, 3 * t + 1)
         h = random_test_field(ens, 3 * t + 2)
-        out = []
         for sigma in sigmas_split:
             full = trilinear_form(f, g, h, sigma)
-            low, high, diag = bony_split(f, g, h, sigma, part)
+            low, high, diag = bony_split(f, g, h, sigma)
             gap = abs(full - (low + high + diag)) / abs(full)
-            out.append(
+            rows.append(
                 CheckRow(f"bony triple={t} sigma={sigma:g}", gap, 1e-10, gap <= 1e-10)
             )
-        return out
 
-    def shell_task(i: int) -> list[CheckRow]:
+    for i in range(n_fields):
         f = random_test_field(ens, 3 * n_triples + i)
-        out = []
         for j, block in decompose(f).items():
             if float(np.max(np.abs(block.coeffs))) == 0.0:
                 continue
             for sigma in sigmas_shell:
                 rep = bernstein_check(f, j, sigma)
                 margin = max(rep.lower - rep.ratio, rep.ratio - rep.upper)
-                out.append(
+                rows.append(
                     CheckRow(
                         f"shell field={i} j={j} sigma={sigma:g}",
                         margin,
@@ -1117,20 +1094,6 @@ def verify_inequalities(
                         rep.within,
                     )
                 )
-        return out
-
-    rows: list[CheckRow] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(split_task, range(n_triples)):
-                rows.extend(chunk)
-            for chunk in pool.map(shell_task, range(n_fields)):
-                rows.extend(chunk)
-    else:
-        for t in range(n_triples):
-            rows.extend(split_task(t))
-        for i in range(n_fields):
-            rows.extend(shell_task(i))
 
     rng = np.random.default_rng(seed + 1)
     gev_ens = EnsembleSpec(grid, 2.5, n_draws, seed=seed + 2)
@@ -1282,13 +1245,14 @@ def _initial_for(config: ScenarioConfig) -> _Start:
         return _Start(theta0, ckpt.params, ckpt.t)
     if config.initial is None:
         raise ConfigError(["initial: section required for this scenario"])
-    grid = config.grid
-    if grid is None and config.initial.profile == "checkpoint":
+    if config.initial.profile == "checkpoint" and config.initial.path is not None:
+        # read once: the file gives the grid when the config has none
         ckpt = read_checkpoint(config.initial.path)
-        grid = ckpt.grid
-    if grid is None:
+        theta0 = _checkpoint_field(ckpt, config.grid or ckpt.grid)
+        return _Start(theta0, config.params, 0.0)
+    if config.grid is None:
         raise ConfigError(["grid: section required for this scenario"])
-    theta0 = build_initial_data(config.initial, grid, config.params, config.seed)
+    theta0 = build_initial_data(config.initial, config.grid, config.params, config.seed)
     return _Start(theta0, config.params, 0.0)
 
 
@@ -1482,17 +1446,18 @@ def run_scenario(config: ScenarioConfig) -> int:
     own code (see EXIT_CODES) so batch scripts can triage without parsing
     logs. Failure messages go to stderr.
     """
-    try:
-        os.makedirs(config.out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_IO
     scenario = SCENARIOS.get(config.kind)
     if scenario is None:
         print(f"unknown scenario kind {config.kind!r}", file=sys.stderr)
         return EXIT_USAGE
     try:
         start = _initial_for(config) if scenario.needs_inputs else None
+        # created only now, so a refused run leaves no empty directory
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot create output directory: {exc}", file=sys.stderr)
+            return EXIT_IO
         csv = os.path.join(config.out_dir, f"{config.kind}.csv")
         lines, passed = scenario.run(config, start, csv)
         with open(os.path.join(config.out_dir, "summary.txt"), "w", newline="") as fh:

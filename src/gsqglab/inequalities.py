@@ -25,9 +25,11 @@ from .spectral import (
     _homog_weight,
     _kabs,
     _log_weight,
+    _modes,
     _product_size,
     _samples,
     _support,
+    _wavevectors,
     _wrap,
     gevrey_avg_operator,
     gevrey_operator,
@@ -128,8 +130,7 @@ def random_test_field(spec: EnsembleSpec, index: int) -> SpectralField:
     """
     grid = spec.grid
     n = grid.n
-    m = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-    m1, m2 = np.broadcast_arrays(m[:, None], m[None, :])
+    m1, m2 = np.broadcast_arrays(*_modes(grid))
     canon = (m1 > 0) | ((m1 == 0) & (m2 > 0))
     cm1 = np.where(canon, m1, -m1)
     cm2 = np.where(canon, m2, -m2)
@@ -219,7 +220,6 @@ def bony_split(
     g: SpectralField,
     h: SpectralField,
     sigma: float,
-    partition=None,
 ) -> tuple:
     """Paraproduct split of trilinear_form into low-high, high-low, diagonal.
 
@@ -229,13 +229,10 @@ def bony_split(
     is mean-zero (only the all-mean pair falls outside the split).
     """
     grid = _shared_grid(f, g, h)
-    part = partition if partition is not None else build_partition(grid)
-    if part.grid != grid:
-        raise ValueError("partition was built for a different grid")
     low = 0j
     high = 0j
     diag = 0j
-    for k in part.block_range:
+    for k in build_partition(grid).block_range:
         chi = _chi_lattice(grid, k - 3)
         phi = _phi_lattice(grid, k)
         fat = _fat_diagonal(grid, k)
@@ -253,22 +250,18 @@ def bony_split(
 # ------------------------------------------------------------- commutators
 
 
+def _bracket(op, f: SpectralField, g: SpectralField) -> SpectralField:
+    """[op, g] f = op(g f) - g op(f), with exact products."""
+    applied_product = op(multiply_fields(g, f))
+    product_applied = multiply_fields(g, op(f))
+    return _wrap(f.grid, applied_product.coeffs - product_applied.coeffs)
+
+
 def commutator_block(f: SpectralField, g: SpectralField, j: int) -> SpectralField:
     """Bracket of the j-th dyadic projection with multiplication by g."""
     grid = _shared_grid(f, g)
-    part = build_partition(grid)
-    phi = part.phi(j, _kabs(grid))
-    gf = multiply_fields(g, f)
-    blocked_product = _wrap(grid, phi * gf.coeffs)
-    product_blocked = multiply_fields(g, _wrap(grid, phi * f.coeffs))
-    return _wrap(grid, blocked_product.coeffs - product_blocked.coeffs)
-
-
-def _directional_multiplier(grid: GridSpec, ell: int) -> np.ndarray:
-    m = np.fft.fftfreq(grid.n, 1.0 / grid.n)
-    s = grid.k_fundamental
-    k = s * m[:, None] if ell == 1 else s * m[None, :]
-    return np.broadcast_to(k, (grid.n, grid.n))
+    phi = build_partition(grid).phi(j, _kabs(grid))
+    return _bracket(lambda x: _wrap(grid, phi * x.coeffs), f, g)
 
 
 def commutator_singular(f: SpectralField, g: SpectralField, ell: int, beta: float) -> SpectralField:
@@ -278,11 +271,8 @@ def commutator_singular(f: SpectralField, g: SpectralField, ell: int, beta: floa
     if ell not in (1, 2):
         raise ValueError("direction index must be 1 or 2")
     grid = _shared_grid(f, g)
-    mult = 1j * _directional_multiplier(grid, ell) * _homog_weight(grid, beta - 2.0)
-    gf = multiply_fields(g, f)
-    applied_product = _wrap(grid, mult * gf.coeffs)
-    product_applied = multiply_fields(g, _wrap(grid, mult * f.coeffs))
-    return _wrap(grid, applied_product.coeffs - product_applied.coeffs)
+    mult = 1j * _wavevectors(grid)[ell - 1] * _homog_weight(grid, beta - 2.0)
+    return _bracket(lambda x: _wrap(grid, mult * x.coeffs), f, g)
 
 
 def _require_annulus_support(h: SpectralField, j: int):
@@ -329,15 +319,13 @@ def commutator_gevrey(
     if deriv == "lambda":
         d = kabs.astype(complex)
     else:
-        d = 1j * _directional_multiplier(grid, 1 if deriv == "d1" else 2)
+        d = 1j * _wavevectors(grid)[0 if deriv == "d1" else 1]
     base = part.phi(j, kabs) * _homog_weight(grid, sigma + rho) * d
 
     def op(x: SpectralField) -> SpectralField:
         return gevrey_operator(_wrap(grid, base * x.coeffs), alpha, lam)
 
-    gf = multiply_fields(g, f)
-    bracket = _wrap(grid, op(gf).coeffs - multiply_fields(g, op(f)).coeffs)
-    value = inner_product(bracket, h)
+    value = inner_product(_bracket(op, f, g), h)
 
     h_rho = _hs(h, rho)
     pair = min(
@@ -390,12 +378,8 @@ def commutator_log(
     if ell not in (1, 2):
         raise ValueError("direction index must be 1 or 2")
 
-    mult = _log_weight(grid, mu) * 1j * _directional_multiplier(grid, ell)
-    gf = multiply_fields(g, f)
-    applied_product = _wrap(grid, mult * gf.coeffs)
-    product_applied = multiply_fields(g, _wrap(grid, mult * f.coeffs))
-    bracket = _wrap(grid, applied_product.coeffs - product_applied.coeffs)
-    value = inner_product(bracket, h)
+    mult = _log_weight(grid, mu) * 1j * _wavevectors(grid)[ell - 1]
+    value = inner_product(_bracket(lambda x: _wrap(grid, mult * x.coeffs), f, g), h)
 
     g_factor = _hs(g, 2.0 - eps + rho) ** (1.0 / (1.0 + rho)) * _hs(g, 1.0 - eps) ** (
         rho / (1.0 + rho)
@@ -521,19 +505,17 @@ def estimate_best_constant(
     params: dict,
     ensemble: EnsembleSpec,
     refine: bool = False,
-    mapper=map,
 ) -> ConstantSurvey:
     """Survey the realized constant of one inequality over an ensemble.
 
-    Members are independent, so `mapper` may be a thread pool's map; results
-    are reduced in index order either way. With refine=True the same draws
-    are re-evaluated on the doubled grid and both maxima reported.
+    Results are reduced in member index order. With refine=True the same
+    draws are re-evaluated on the doubled grid and both maxima reported.
     """
     if form not in FORM_IDS:
         raise ValueError(f"unknown form id {form!r}; expected one of {FORM_IDS}")
 
     def run(spec: EnsembleSpec):
-        results = list(mapper(lambda i: _member_ratios(form, params, spec, i), range(spec.count)))
+        results = [_member_ratios(form, params, spec, i) for i in range(spec.count)]
         ratios = [r for r, _ in results if r > 0.0]
         if not ratios:
             raise ValueError("every ensemble member degenerated to zero ratio")

@@ -13,12 +13,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import Partition, build_partition, decompose
+from .dyadic import decompose
 from .spectral import (
     GridSpec,
     SpectralField,
     _homog_weight,
     _kabs,
+    _wavevectors,
     gevrey_operator,
 )
 
@@ -81,14 +82,10 @@ def sobolev_norm(field: SpectralField, s: float, homogeneous: bool = True) -> fl
     return field.grid.period * math.sqrt(total)
 
 
-def besov_norm(field: SpectralField, s: float, partition: Partition | None = None) -> float:
+def besov_norm(field: SpectralField, s: float) -> float:
     """l2-summed dyadic block norms, (sum_j (2^(js) ||block_j||)^2)^(1/2)."""
     if not field.mean_zero:
         raise ValueError("Besov norm requires a mean-zero field")
-    if partition is None:
-        partition = build_partition(field.grid)
-    elif partition.grid != field.grid:
-        raise ValueError("partition was built for a different grid")
     blocks = decompose(field)
     total = 0.0
     for j, b in blocks.items():
@@ -239,9 +236,7 @@ def derivative_bound_check(
     if lam <= 0:
         raise ValueError("derivative bound needs a positive Gevrey radius")
     grid = field.grid
-    m = np.fft.fftfreq(grid.n, 1.0 / grid.n)
-    s = grid.k_fundamental
-    k1, k2 = np.abs(s * m)[:, None], np.abs(s * m)[None, :]
+    k1, k2 = map(np.abs, _wavevectors(grid))
     deriv = (k1**b1) * (k2**b2) * np.abs(field.coeffs)
     w = _homog_weight(grid, 2.0 * sigma)
     lhs = grid.period * math.sqrt(float(np.sum(w * deriv**2)))

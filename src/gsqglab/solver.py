@@ -565,31 +565,28 @@ def linear_flux_solve(
     return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory)
 
 
-def _heat_flow_stages(theta0, params, n_steps, dt):
-    """Stage samples of the exact heat flow, the seed of the iteration."""
+def _heat_flow_seed(theta0, params, T, dt, snapshot_stride):
+    """Exact closed-form heat flow, the seed of the iteration: its trajectory
+    on the snapshot schedule and its stage samples, each time evaluated once.
+    """
 
     def prop(t):
         return linear_heat_propagator(
             theta0, t, params.gamma, params.kappa, params.eps_visc
         )
 
+    n_steps = _step_count(T, dt)
     stages = []
     for i in range(n_steps):
         t = i * dt
         mid = prop(t + 0.5 * dt)
         stages.append([prop(t), mid, mid, prop(t + dt)])
-    return stages
-
-
-def _heat_flow_trajectory(theta0, params, T, dt, snapshot_stride):
-    """Exact closed-form heat flow sampled on the snapshot schedule."""
-    n_steps = _step_count(T, dt)
     times, fields, rows = [], [], []
     for i in range(n_steps + 1):
         if i % snapshot_stride and i != n_steps:
             continue
         t = i * dt
-        f = linear_heat_propagator(theta0, t, params.gamma, params.kappa, params.eps_visc)
+        f = stages[i][0] if i < n_steps else prop(t)
         u = velocity_from_scalar(f, params)
         times.append(t)
         fields.append(f)
@@ -598,7 +595,7 @@ def _heat_flow_trajectory(theta0, params, T, dt, snapshot_stride):
                 t, f.coeffs, _l2(f.coeffs, f.grid.period), params, u, _courant(u, dt)
             )
         )
-    return Trajectory(
+    traj = Trajectory(
         times=tuple(times),
         fields=tuple(fields),
         rows=tuple(rows),
@@ -606,6 +603,7 @@ def _heat_flow_trajectory(theta0, params, T, dt, snapshot_stride):
         dt=dt,
         max_l2_step_increase=0.0,
     )
+    return traj, stages
 
 
 def _step_values(stages, final_field):
@@ -641,8 +639,7 @@ def picard_solve(
     raises, with the distance history attached.
     """
     theta0 = _admissible_initial(theta0)
-    n_steps = _step_count(T, dt)
-    seed_traj = _heat_flow_trajectory(theta0, params, T, dt, snapshot_stride)
+    seed_traj, prev_stages = _heat_flow_seed(theta0, params, T, dt, snapshot_stride)
     iterates = [
         PicardIterate(
             index=0,
@@ -653,7 +650,6 @@ def picard_solve(
             converged=False,
         )
     ]
-    prev_stages = _heat_flow_stages(theta0, params, n_steps, dt)
     prev_values = _step_values(prev_stages, seed_traj.final)
     prev_contraction = None
     history = []

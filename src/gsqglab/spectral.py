@@ -179,8 +179,6 @@ class SpectralField:
         """The full Hermitian coefficient array, read-only."""
         full = self._full
         if full is None:
-            # Two threads may race here (the verification batteries run on a
-            # thread pool); both build identical arrays and either may stay.
             full = _full_from_half(self.half, self.grid.n)
             full.flags.writeable = False
             object.__setattr__(self, "_full", full)
@@ -557,17 +555,16 @@ def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
     return _wrap_half(f.grid, _canonical_half(prod))
 
 
-def advect(u: VectorField, theta: SpectralField, grid: GridSpec | None = None) -> SpectralField:
+def advect(u: VectorField, theta: SpectralField) -> SpectralField:
     """Dealiased advection term u . grad(theta).
 
     Products are exact on the dealias disc, to which the result is then
     restricted. The output mean mode is zeroed: the advection of a scalar by
     a divergence-free field integrates to zero exactly.
     """
-    if grid is None:
-        grid = theta.grid
-    if u.grid != grid or theta.grid != grid:
-        raise ValueError("advect requires u, theta, and grid to agree")
+    grid = theta.grid
+    if u.grid != grid:
+        raise ValueError("advect requires u and theta on one grid")
     k1, k2 = map(_half, _wavevectors(grid))
     u1, u2, th = u.u1.half, u.u2.half, theta.half
     # grad theta lies inside theta's support

@@ -303,6 +303,30 @@ def test_initial_vortex_pair_is_mean_zero_and_banded():
     assert np.all(f.coeffs[outside] == 0)
 
 
+def test_scenario_reads_checkpoint_profile_once(tmp_path, monkeypatch):
+    import gsqglab.harness as harness
+
+    ck = tmp_path / "a.ck"
+    grid = GridSpec(32)
+    state = SimState(field=random_field(grid, seed=1, band=5), t=0.0, step_index=0,
+                     params=PARAMS, dt=1e-3)
+    write_checkpoint(state, str(ck))
+    body = SIM_BODY.replace("[grid]\nn = 16\n", "").replace(
+        "profile = ensemble", f"profile = checkpoint\npath = {ck}"
+    )
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_checkpoint(path)
+
+    monkeypatch.setattr(harness, "read_checkpoint", counting)
+    cfg = dataclasses.replace(parse_config(body), out_dir=str(tmp_path / "o"))
+    assert cfg.grid is None
+    assert run_scenario(cfg) == EXIT_OK
+    assert calls == [str(ck)]
+
+
 def test_initial_checkpoint_grid_mismatch_is_loud(tmp_path):
     f = random_field(GRID, seed=1, band=5)
     state = SimState(field=f, t=0.0, step_index=0, params=PARAMS, dt=1e-3)
@@ -786,6 +810,23 @@ def test_cli_seed_override_changes_output(tmp_path):
     ).read_bytes()
 
 
+def test_cli_refused_resume_leaves_no_directory(tmp_path, capsys):
+    cfg = run_cfg(tmp_path, SIM_BODY)
+    ck = tmp_path / "mid.ck"
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                 "--checkpoint", str(ck)]) == EXIT_OK
+    # a missing resume file, then a horizon that is not past the checkpoint
+    for resume, code, message in (
+        (tmp_path / "missing.ck", EXIT_IO, "I/O failure: "),
+        (ck, EXIT_CONFIG, "not past checkpoint"),
+    ):
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--resume", str(resume)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_resume_only_for_simulate(tmp_path, capsys):
     body = SIM_BODY.replace("kind = simulate", "kind = picard")
     cfg = run_cfg(tmp_path, body)
@@ -804,7 +845,6 @@ def test_cli_help_documents_exit_codes(capsys):
     assert [code for code, _, _ in EXIT_CODES] == list(range(9))
     for code, meaning, _ in EXIT_CODES:
         assert f"  {code}  {meaning}\n" in out, (code, meaning)
-    assert "GSQG_THREADS" in out
     assert all(kind in out for kind in SCENARIOS)
     # the README table lists the same codes with the same meanings, in order
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -852,21 +892,6 @@ def test_verify_inequalities_small_battery_clean():
     assert all(r.passed for r in rows)
     kinds = {r.name.split()[0] for r in rows}
     assert kinds == {"bony", "shell", "gevrey-interp"}
-
-
-def test_verify_inequalities_worker_count_invariant(monkeypatch, tmp_path, capsys):
-    serial = verify_inequalities(n_triples=3, n_fields=2, n_draws=5, seed=9, workers=1)
-    monkeypatch.setenv("GSQG_THREADS", "3")
-    threaded = verify_inequalities(n_triples=3, n_fields=2, n_draws=5, seed=9)
-    assert serial == threaded
-    # a thread count that is not a positive integer is refused, not run serially
-    cfg = dataclasses.replace(parse_config(KIND_BODIES["verify-inequalities"]), out_dir=str(tmp_path))
-    for bad in ("abc", "0", "-2", "1.5", ""):
-        monkeypatch.setenv("GSQG_THREADS", bad)
-        with pytest.raises(ConfigError, match="GSQG_THREADS"):
-            verify_inequalities(n_triples=1, n_fields=1, n_draws=1)
-        assert run_scenario(cfg) == EXIT_CONFIG
-        assert f"GSQG_THREADS: {bad!r} is not a positive integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -287,13 +286,6 @@ def test_bony_split_sums_to_direct_form_at_n64():
     spec = EnsembleSpec(GridSpec(64), 2.2, 3, seed=4)
     f, q, h = (random_test_field(spec, i) for i in range(3))
     assert_form_close(sum(bony_split(f, q, h, 0.3)), convolve2d_form(f, q, h, 0.3))
-
-
-def test_bony_split_partition_mismatch():
-    g = GridSpec(16)
-    f = random_field(g, seed=0)
-    with pytest.raises(ValueError):
-        bony_split(f, f, f, 0.0, partition=build_partition(GridSpec(32)))
 
 
 # ---------------------------------------------------------------- block commutator
@@ -624,13 +616,3 @@ def test_survey_log_commutator_refinement():
     surv = estimate_best_constant("log_commutator", params, spec, refine=True)
     coarse, fine = surv.refinement
     assert fine <= 2.0 * coarse
-
-
-def test_survey_thread_pool_matches_serial():
-    spec = EnsembleSpec(GridSpec(16), 1.8, 4, seed=10)
-    serial = estimate_best_constant("trilinear", {"sigma": 0.3, "eps": 0.5}, spec)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        parallel = estimate_best_constant(
-            "trilinear", {"sigma": 0.3, "eps": 0.5}, spec, mapper=pool.map
-        )
-    assert serial == parallel

@@ -10,7 +10,6 @@ from gsqglab import (
     OverflowGuardError,
     SpectralField,
     besov_norm,
-    build_partition,
     check_gevrey_interpolation,
     check_interpolation,
     check_l1_interpolation,
@@ -122,13 +121,10 @@ def test_besov_of_zero_field_is_zero():
     assert besov_norm(field_from_modes(g, {}), 1.3) == 0.0
 
 
-def test_besov_requires_mean_zero_and_matching_partition():
+def test_besov_requires_mean_zero():
     g = GridSpec(16)
     with pytest.raises(ValueError):
         besov_norm(field_from_modes(g, {(0, 0): 1.0}), 0.0)
-    other = build_partition(GridSpec(32))
-    with pytest.raises(ValueError):
-        besov_norm(field_from_modes(g, {(1, 0): 1j}), 0.0, partition=other)
 
 
 @pytest.mark.parametrize("s", [-1.5, -0.5, 0.0, 0.7, 1.5])

@@ -602,10 +602,22 @@ def test_picard_zero_data_converges_immediately():
     assert its[1].converged and its[1].diff_sup_l2 == 0.0
 
 
-def test_picard_seed_is_exact_heat_flow():
+def test_picard_seed_is_exact_heat_flow(monkeypatch):
+    import gsqglab.solver as solver
+
+    times = []
+
+    def counting(f, t, *args):
+        times.append(t)
+        return linear_heat_propagator(f, t, *args)
+
+    monkeypatch.setattr(solver, "linear_heat_propagator", counting)
     grid = GridSpec(32)
     f = scaled(random_field(grid, seed=16, band=10), 0.5)
     its = picard_solve(f, P, T=0.02, dt=1e-3, snapshot_stride=4)
+    # each time is evaluated once: start, midpoint and end of the 20 steps,
+    # plus the horizon
+    assert len(times) == 3 * 20 + 1
     seed = its[0].trajectory
     assert its[0].contraction_ratio is None
     for t, g in seed.snapshots():
