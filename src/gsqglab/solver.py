@@ -7,10 +7,16 @@ with the closed-form propagator. The stepping core carries the m2 >= 0 half
 spectra of the state, the stage values and the slopes, and wraps them with
 spectral._wrap_half; the full coefficient arrays are built only where the
 per-step L2 norm and the snapshot diagnostics read them, so every printed
-number keeps the full-array summation order. On top of the direct solver sit the
-fixed-point machinery (a linear solve with frozen transport coefficients,
-iterated to convergence), exact self-similar rescaling, and the decay and
-analyticity-radius diagnostics.
+number keeps the full-array summation order. The state and stage fields of a
+run carry the dealias disc's support bound, so the product engine sizes their
+products without scanning them. The Courant number is read from the step
+velocity's cached n-grid samples (`VectorField.samples`). In `simulate`, when
+the first stage's products fit the n-grid, these are the samples `advect`
+formed them from, so the check costs no transform of its own; the
+frozen-coefficient solve transforms its velocity for the check alone. On top
+of the direct solver sit the fixed-point machinery (a linear solve with
+frozen transport coefficients, iterated to convergence), exact self-similar
+rescaling, and the decay and analyticity-radius diagnostics.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .spectral import (
     _wrap_half,
     advect,
     flux_divergence,
-    to_physical,
     velocity_from_scalar,
 )
 
@@ -219,7 +224,7 @@ def linear_heat_propagator(
     if not (0 < kappa <= 2):
         raise ValueError(f"kappa must lie in (0, 2], got {kappa}")
     mult = _decay_multiplier(field.grid, gamma, kappa, eps_visc, t)
-    return _wrap_half(field.grid, mult * field.half)
+    return _wrap_half(field.grid, mult * field.half, field._kmax)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +244,6 @@ def rhs(state: SimState) -> SpectralField:
     return _tendency(state.field, state.params)
 
 
-def _zero_tendency(c, _stage):
-    return np.zeros_like(c)
-
-
 def _advective_stages(grid: GridSpec, params: ModelParams, nonlinear: bool):
     """Stage-tendency factory of the full equation, in the shape _run takes.
 
@@ -250,22 +251,26 @@ def _advective_stages(grid: GridSpec, params: ModelParams, nonlinear: bool):
     CFL measurement and advects the first stage.
     """
 
-    def nonlin(c, _stage):
-        return _tendency(_wrap_half(grid, c), params).half
+    def nonlin(f, _stage):
+        return _tendency(f, params)
 
     def factory(_i, theta):
         u = velocity_from_scalar(theta, params)
         if not nonlinear:
-            return _zero_tendency, u, _wrap_half(grid, np.zeros_like(theta.half))
+            zero = _wrap_half(grid, np.zeros_like(theta.half))
+            return (lambda _f, _stage: zero), u, zero
         return nonlin, u, _tendency(theta, params, u)
 
     return factory
 
 
 def _courant(u: VectorField, dt: float) -> tuple:
-    """Peak speed of u and the advective Courant number it gives at step dt."""
-    p1 = to_physical(u.u1)
-    p2 = to_physical(u.u2)
+    """Peak speed of u and the advective Courant number it gives at step dt.
+
+    The speed is read from u's cached n-grid samples, the arrays `advect`
+    reads when it forms its products on the n-grid.
+    """
+    p1, p2 = u.samples
     max_u = float(np.sqrt(p1 * p1 + p2 * p2).max())
     return max_u, dt * max_u / (u.grid.period / u.grid.n)
 
@@ -317,29 +322,37 @@ def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float) -> tupl
     )
 
 
-def _advance(coeffs, i, t, h, factors, nonlin, k1, speed, l2, c_cfl):
-    """Step i of the integrating-factor RK4 from its first slope k1.
+def _advance(theta, i, t, h, factors, nonlin, k1, speed, l2, c_cfl, kmax=None):
+    """Step i of the integrating-factor RK4 from the field theta and its
+    first slope k1 (a field); returns the new state field.
 
-    coeffs, k1 and the stage tendencies are half spectra; so is the result.
-    Refuses to start when the Courant number passes c_cfl (None: no guard)
-    and signals a blow-up when the result loses finiteness.
+    The stages and the result are wrapped as fields with support bound kmax,
+    and nonlin(stage_field, stage) gives each stage's tendency field. Refuses
+    to start when the Courant number passes c_cfl (None: no guard) and
+    signals a blow-up when the result loses finiteness.
     """
     max_u, courant = speed
     if c_cfl is not None and courant > c_cfl:
         raise CourantError(courant, c_cfl, t, i)
+    grid = theta.grid
+
+    def slope(c, stage):
+        return nonlin(_wrap_half(grid, c, kmax), stage).half
+
+    coeffs, k1 = theta.half, k1.half
     eh, eh2 = factors
     s2 = eh2 * (coeffs + (0.5 * h) * k1)
-    k2 = nonlin(s2, 1)
+    k2 = slope(s2, 1)
     s3 = eh2 * coeffs + (0.5 * h) * k2
-    k3 = nonlin(s3, 2)
+    k3 = slope(s3, 2)
     s4 = eh * coeffs + h * (eh2 * k3)
-    k4 = nonlin(s4, 3)
+    k4 = slope(s4, 3)
     out = eh * coeffs + (h / 6.0) * (eh * k1 + 2.0 * eh2 * (k2 + k3) + k4)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(
             (i + 1) * h, i + 1, {"l2": l2, "max_u": max_u, "courant": courant}
         )
-    return out
+    return _wrap_half(grid, out, kmax)
 
 
 def step(
@@ -362,19 +375,19 @@ def step(
     i = state.step_index
     nonlin, u, k1 = _advective_stages(grid, state.params, nonlinear)(i, theta)
     out = _advance(
-        theta.half,
+        theta,
         i,
         state.t,
         h,
         _integrating_factors(grid, state.params, h),
         nonlin,
-        k1.half,
+        k1,
         _courant(u, h),
         _l2(theta.coeffs, grid.period),
         c_cfl if nonlinear else None,
     )
     return SimState(
-        field=_wrap_half(grid, out),
+        field=out,
         t=(i + 1) * h,
         step_index=i + 1,
         params=state.params,
@@ -386,11 +399,16 @@ def step(
 # shared run driver
 
 
+def _disc_bound(grid: GridSpec) -> int:
+    """Support bound of every field inside the dealias disc."""
+    return int(grid.dealias_radius)
+
+
 def _admissible_initial(theta0: SpectralField) -> SpectralField:
     """Restrict initial data to the dealias disc and remove its mean."""
     coeffs = theta0.coeffs * _dealias_mask(theta0.grid)
     coeffs[0, 0] = 0.0
-    return _wrap(theta0.grid, coeffs)
+    return _wrap(theta0.grid, coeffs, _disc_bound(theta0.grid))
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -407,10 +425,12 @@ def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factor
 
     nonlin_factory(i, theta) is called at every step index i = 0..n_steps
     with the state field at t = i dt. It returns the stage tendency function
-    (mapping a stage's half spectrum to its tendency's half spectrum, called
-    with stage indices 1..3, in order), the advecting velocity used for the
-    CFL measurement and the diagnostics, and the first slope k1 at theta, as
-    a field. The call at i = n_steps only feeds the final diagnostics row.
+    (mapping a stage field to its tendency field, called with stage indices
+    1..3, in order), the advecting velocity used for the CFL measurement and
+    the diagnostics, and the first slope k1 at theta, as a field. The call
+    at i = n_steps only feeds the final diagnostics row. The state and every
+    stage field lie in the dealias disc and carry its support bound, so the
+    product engine need not scan them.
     """
     grid = theta0.grid
     n_steps = _step_count(T, dt)
@@ -418,6 +438,7 @@ def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factor
         raise ValueError("snapshot stride must be a positive integer")
     factors = _integrating_factors(grid, params, dt)
     guard = c_cfl if nonlinear else None
+    kmax = _disc_bound(grid)
 
     theta = _admissible_initial(theta0)
     times, fields, rows = [], [], []
@@ -439,8 +460,7 @@ def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factor
             )
         if i == n_steps:
             break
-        out = _advance(theta.half, i, t, dt, factors, nonlin, k1.half, speed, l2_now, guard)
-        theta = _wrap_half(grid, out)
+        theta = _advance(theta, i, t, dt, factors, nonlin, k1, speed, l2_now, guard, kmax)
         l2_new = _l2(theta.coeffs, grid.period)
         if l2_new > l2_now > 0:
             max_increase = max(max_increase, (l2_new - l2_now) / l2_now)
@@ -557,10 +577,7 @@ def linear_flux_solve(
             q = q0 if stage == 0 else provider(i, stage)
             return -flux_divergence(q, f, params)
 
-        def nonlin(c, stage):
-            return tendency(_wrap_half(grid, c), stage).half
-
-        return nonlin, velocity_from_scalar(q0, params), tendency(theta, 0)
+        return tendency, velocity_from_scalar(q0, params), tendency(theta, 0)
 
     return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory)
 
@@ -611,11 +628,9 @@ def _step_values(stages, final_field):
     return [rec[0] for rec in stages] + [final_field]
 
 
-def _contraction_norm(diff_values, params, dt):
-    """Distance in the branch-dependent contraction norm."""
+def _cubic_contraction_norm(diff_values, params, dt):
+    """The one-term branch's contraction norm, cubed-time-integrated Sobolev."""
     period = diff_values[0].grid.period
-    if params.two_term:
-        return max(_l2(f.coeffs, period) for f in diff_values)
     w = _homog_weight(diff_values[0].grid, 4.0 * params.kappa / 3.0)
     g = np.array([_weighted_l2(f.coeffs, w, period) ** 3 for f in diff_values])
     return float(np.trapezoid(g, dx=dt)) ** (1.0 / 3.0)
@@ -670,7 +685,8 @@ def picard_solve(
             for a, b in zip(values, prev_values)
         ]
         sup_l2 = max(_l2(f.coeffs, period) for f in diffs)
-        contraction = _contraction_norm(diffs, params, dt)
+        # the two-term branch contracts in the sup-in-time L2 norm itself
+        contraction = sup_l2 if params.two_term else _cubic_contraction_norm(diffs, params, dt)
         ratio = contraction / prev_contraction if prev_contraction else None
         history.append(sup_l2)
         converged = sup_l2 < tol

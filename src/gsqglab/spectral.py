@@ -22,13 +22,28 @@ Products are formed by real FFTs on an M x M grid, M = n if n > K_a + K_b +
 K_out else 3n/2, with K_a, K_b the factors' largest nonzero |m_i| and K_out the
 largest |m_i| kept: every kept mode gets its exact, alias-free convolution sum
 (Orszag's 2/3 rule, J. Atmos. Sci. 1971). Solver state at fraction 2/3 has M = n.
+K_a and K_b come from a field's support bound: one it was built with (the
+solver's stepping core builds its state and stage fields with the dealias
+disc's floor(dealias_radius); the velocity and negation keep their source's),
+else its nonzero scan, made once per field and cached. A bound is used only
+when it already gives M = n; otherwise the exact scan of the factors decides,
+so M is always the one their exact supports give.
+
+A velocity's n-grid samples, `VectorField.samples`, are transformed once and
+cached: `advect` reads them when M = n, and the solver's Courant number reads
+the same arrays. The modified flux is evaluated in advective form,
+Div((perp_grad a) b) = perp_grad a . grad b, which holds exactly for
+alias-free products because perp_grad a is divergence free, so both of its
+terms share the samples of grad theta. Transforms per call: `advect` 4
+inverse and 1 forward (2 and 1 when it reads cached samples),
+`flux_divergence` 4 and 1, or 6 and 2 with the second term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -113,6 +128,16 @@ def _wavevectors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _ik(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only derivative symbols (i k1, i k2) on the m2 >= 0 half lattice."""
+    k1, k2 = map(_half, _wavevectors(grid))
+    pair = (1j * k1, 1j * k2)
+    for a in pair:
+        a.flags.writeable = False
+    return pair
+
+
+@lru_cache(maxsize=None)
 def _nyquist_mask(grid: GridSpec) -> np.ndarray:
     mask = np.zeros((grid.n, grid.n), dtype=bool)
     mask[grid.n // 2, :] = True
@@ -145,10 +170,11 @@ class SpectralField:
     zero Nyquist modes) up to roundoff and then enforces them exactly, so
     downstream operators never have to re-check. The stored form is the
     read-only half spectrum `half`; `coeffs` is the full array, built from
-    it on first read (see the module docstring).
+    it on first read (see the module docstring). `_kmax` is the support
+    bound the product engine reads (None until it is given or scanned).
     """
 
-    __slots__ = ("grid", "half", "_full")
+    __slots__ = ("grid", "half", "_full", "_kmax")
 
     def __init__(self, grid: GridSpec, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -190,41 +216,44 @@ class SpectralField:
         return self.half[0, 0] == 0
 
     def __neg__(self) -> "SpectralField":
-        return _wrap_half(self.grid, -self.half)
+        return _wrap_half(self.grid, -self.half, self._kmax)
 
 
-def _store(f: SpectralField, grid: GridSpec, half: np.ndarray, full) -> SpectralField:
+def _store(f: SpectralField, grid: GridSpec, half: np.ndarray, full, kmax=None) -> SpectralField:
     object.__setattr__(f, "grid", grid)
     object.__setattr__(f, "half", half)
     object.__setattr__(f, "_full", full)
+    object.__setattr__(f, "_kmax", kmax)
     return f
 
 
-def _wrap(grid: GridSpec, coeffs: np.ndarray) -> SpectralField:
+def _wrap(grid: GridSpec, coeffs: np.ndarray, kmax: int | None = None) -> SpectralField:
     """Fast constructor for a full array that already satisfies the invariants.
 
     Takes ownership: an array that owns its memory is frozen in place, so
     the caller must not write to it afterwards; a view is copied, because
-    its base may still be written.
+    its base may still be written. kmax, if given, must bound the largest
+    |m_i| of a nonzero coefficient.
     """
     if coeffs.base is not None:
         coeffs = coeffs.copy()
     coeffs.flags.writeable = False
-    return _store(object.__new__(SpectralField), grid, _half(coeffs), coeffs)
+    return _store(object.__new__(SpectralField), grid, _half(coeffs), coeffs, kmax)
 
 
-def _wrap_half(grid: GridSpec, half: np.ndarray) -> SpectralField:
+def _wrap_half(grid: GridSpec, half: np.ndarray, kmax: int | None = None) -> SpectralField:
     """Fast constructor from an m2 >= 0 half spectrum (n x (n/2 + 1)).
 
     The caller guarantees three invariants, none of which is checked:
     - the array is owned: nothing else holds or writes it, because it is
       frozen in place and kept, not copied;
     - the Nyquist row m1 = -n/2 and column m2 = n/2 are zero;
-    - column m2 = 0 is exactly Hermitian, half[-m1, 0] == conj(half[m1, 0]).
+    - column m2 = 0 is exactly Hermitian, half[-m1, 0] == conj(half[m1, 0]);
+    - kmax, if given, bounds the largest |m_i| of a nonzero coefficient.
     Under them `coeffs` mirrors to the same array the full-array code built.
     """
     half.flags.writeable = False
-    return _store(object.__new__(SpectralField), grid, half, None)
+    return _store(object.__new__(SpectralField), grid, half, None, kmax)
 
 
 @dataclass(frozen=True)
@@ -242,9 +271,18 @@ class VectorField:
     def grid(self) -> GridSpec:
         return self.u1.grid
 
+    @cached_property
+    def samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (u1, u2) at the n x n sample points, transformed once."""
+        n = self.grid.n
+        pair = (_samples(self.u1.half, n), _samples(self.u2.half, n))
+        for a in pair:
+            a.flags.writeable = False
+        return pair
+
     def divergence(self) -> SpectralField:
-        k1, k2 = map(_half, _wavevectors(self.grid))
-        return _wrap_half(self.grid, 1j * k1 * self.u1.half + 1j * k2 * self.u2.half)
+        ik1, ik2 = _ik(self.grid)
+        return _wrap_half(self.grid, ik1 * self.u1.half + ik2 * self.u2.half)
 
 
 @dataclass(frozen=True)
@@ -466,9 +504,9 @@ def log_multiplier(field: SpectralField, mu: float) -> SpectralField:
 
 def perp_gradient(field: SpectralField) -> VectorField:
     """Rotated gradient (-d2 f, d1 f); divergence-free per mode exactly."""
-    k1, k2 = map(_half, _wavevectors(field.grid))
-    u1 = _wrap_half(field.grid, -1j * k2 * field.half)
-    u2 = _wrap_half(field.grid, 1j * k1 * field.half)
+    ik1, ik2 = _ik(field.grid)
+    u1 = _wrap_half(field.grid, -(ik2 * field.half))
+    u2 = _wrap_half(field.grid, ik1 * field.half)
     return VectorField(u1, u2)
 
 
@@ -492,9 +530,12 @@ def velocity_from_scalar(theta: SpectralField, params: ModelParams) -> VectorFie
     if params.velocity_law == "power" and params.beta < 2 and not theta.mean_zero:
         raise ValueError("velocity_from_scalar with beta < 2 requires a mean-zero scalar")
     grid = theta.grid
-    k1, k2 = map(_half, _wavevectors(grid))
+    ik1, ik2 = _ik(grid)
     source = _structure_multiplier(grid, params) * theta.half
-    return VectorField(_wrap_half(grid, 1j * k2 * source), _wrap_half(grid, -1j * k1 * source))
+    kmax = theta._kmax
+    return VectorField(
+        _wrap_half(grid, ik2 * source, kmax), _wrap_half(grid, -(ik1 * source), kmax)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +559,24 @@ def _support(*halves: np.ndarray) -> int:
 def _product_size(n: int, k_a: int, k_b: int, k_out: int) -> int:
     """The module docstring's product grid size M."""
     return n if n > k_a + k_b + k_out else 3 * n // 2
+
+
+def _support_bound(f: SpectralField) -> int:
+    """f's support bound: the one it was built with, else its scan, cached."""
+    if f._kmax is None:
+        object.__setattr__(f, "_kmax", _support(f.half))
+    return f._kmax
+
+
+def _grid_size(n: int, a: tuple, b: tuple, k_out: int) -> int:
+    """M for a product of factors supported within the fields a and b."""
+    size = _product_size(n, max(map(_support_bound, a)), max(map(_support_bound, b)), k_out)
+    if size == n:
+        return n
+    # a bound above the true support may overstate M: the exact scan decides
+    return _product_size(
+        n, _support(*(f.half for f in a)), _support(*(f.half for f in b)), k_out
+    )
 
 
 def _samples(coeffs: np.ndarray, size: int) -> np.ndarray:
@@ -549,9 +608,8 @@ def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
     if f.grid != g.grid:
         raise ValueError("product requires a shared grid")
     n = f.grid.n
-    fh, gh = f.half, g.half
-    size = _product_size(n, _support(fh), _support(gh), n // 2 - 1)
-    prod = _lattice_half(_samples(fh, size) * _samples(gh, size), n)
+    size = _grid_size(n, (f,), (g,), n // 2 - 1)
+    prod = _lattice_half(_samples(f.half, size) * _samples(g.half, size), n)
     return _wrap_half(f.grid, _canonical_half(prod))
 
 
@@ -560,27 +618,23 @@ def advect(u: VectorField, theta: SpectralField) -> SpectralField:
 
     Products are exact on the dealias disc, to which the result is then
     restricted. The output mean mode is zeroed: the advection of a scalar by
-    a divergence-free field integrates to zero exactly.
+    a divergence-free field integrates to zero exactly. On the n-grid the
+    velocity's cached `samples` are used.
     """
     grid = theta.grid
     if u.grid != grid:
         raise ValueError("advect requires u and theta on one grid")
-    k1, k2 = map(_half, _wavevectors(grid))
-    u1, u2, th = u.u1.half, u.u2.half, theta.half
+    ik1, ik2 = _ik(grid)
+    th = theta.half
     # grad theta lies inside theta's support
-    size = _product_size(grid.n, _support(u1, u2), _support(th), int(grid.dealias_radius))
-    acc = _samples(u1, size) * _samples(1j * k1 * th, size)
-    acc += _samples(u2, size) * _samples(1j * k2 * th, size)
+    size = _grid_size(grid.n, (u.u1, u.u2), (theta,), int(grid.dealias_radius))
+    if size == grid.n:
+        p1, p2 = u.samples
+    else:
+        p1, p2 = _samples(u.u1.half, size), _samples(u.u2.half, size)
+    acc = p1 * _samples(ik1 * th, size)
+    acc += p2 * _samples(ik2 * th, size)
     return _dealiased(grid, _lattice_half(acc, grid.n))
-
-
-def _perp_flux_divergence(x: np.ndarray, b: np.ndarray, grid: GridSpec, size: int):
-    """Half spectrum of Div((perp_grad x) b); one back transform per component."""
-    k1, k2 = map(_half, _wavevectors(grid))
-    pb = _samples(b, size)
-    g1 = _lattice_half(_samples(-1j * k2 * x, size) * pb, grid.n)
-    g2 = _lattice_half(_samples(1j * k1 * x, size) * pb, grid.n)
-    return 1j * k1 * g1 + 1j * k2 * g2
 
 
 def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams) -> SpectralField:
@@ -590,6 +644,11 @@ def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams)
     symbol (|k|^(beta-2) or its log analog). Two-term branch (active when
     params.two_term) adds M Div((perp_grad theta) q). For q = -theta both
     branches collapse to u . grad(theta).
+
+    Both terms are evaluated in advective form, Div((perp_grad a) b) =
+    perp_grad a . grad b, exact for alias-free products since perp_grad a is
+    divergence free; they share the samples of grad theta. Transforms: 4
+    inverse and 1 forward for one term, 6 and 2 for two.
     """
     grid = theta.grid
     if q.grid != grid:
@@ -597,10 +656,18 @@ def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams)
     if not (q.mean_zero and theta.mean_zero):
         raise ValueError("flux_divergence requires mean-zero q and theta")
     mult = _structure_multiplier(grid, params)
+    ik1, ik2 = _ik(grid)
     qh, th = q.half, theta.half
     # every factor lies inside q's or theta's support
-    size = _product_size(grid.n, _support(qh), _support(th), int(grid.dealias_radius))
-    out = _perp_flux_divergence(mult * qh, th, grid, size)
+    size = _grid_size(grid.n, (q,), (theta,), int(grid.dealias_radius))
+    d1t, d2t = _samples(ik1 * th, size), _samples(ik2 * th, size)
+    mq = mult * qh
+    # perp_grad(M q) . grad(theta) = d1(M q) d2(theta) - d2(M q) d1(theta)
+    out = _lattice_half(
+        _samples(ik1 * mq, size) * d2t - _samples(ik2 * mq, size) * d1t, grid.n
+    )
     if params.two_term:
-        out += mult * _perp_flux_divergence(th, qh, grid, size)
+        # perp_grad(theta) . grad(q)
+        second = d1t * _samples(ik2 * qh, size) - d2t * _samples(ik1 * qh, size)
+        out += mult * _lattice_half(second, grid.n)
     return _dealiased(grid, out)

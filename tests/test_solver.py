@@ -37,8 +37,9 @@ from gsqglab import (
     to_physical,
     velocity_from_scalar,
 )
+from gsqglab import spectral
 from gsqglab.solver import DiagnosticsRow, _courant, _diagnostics_row, _l2
-from gsqglab.spectral import _hermitian_defect
+from gsqglab.spectral import _dealias_mask, _hermitian_defect
 from util import hs_norm, l2_norm, lattice_k, random_field
 
 P = ModelParams(beta=1.5, kappa=0.5, gamma=0.3)
@@ -591,6 +592,106 @@ def test_flux_solve_matches_full_array_reference(fraction):
             _assert_canonical(stage)
 
 
+# --- transforms, shared Courant samples and support bounds ----------------------
+
+
+def _one_step_transforms(run, transforms):
+    """Real transforms made by one more step: run(2) minus run(1)."""
+    transforms.clear()
+    run(1)
+    before = sum(transforms.values())
+    transforms.clear()
+    run(2)
+    return sum(transforms.values()) - before
+
+
+def test_transforms_per_step(transforms):
+    # simulate: 4 advect calls of 5 transforms, the Courant check reads the
+    # samples of the first; the flux solve: 4 two-term fluxes of 8 plus the
+    # 2 of the Courant check on q's velocity
+    grid = GridSpec(32)
+    f = scaled(random_field(grid, seed=25, decay=2.0), 0.5)
+    dt = 1e-3
+    params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
+    assert params.two_term
+
+    def sim(k):
+        simulate(f, P, T=k * dt, dt=dt)
+
+    def flux_solve(k):
+        linear_flux_solve(f, lambda _t: -f, params, T=k * dt, dt=dt)
+
+    assert _one_step_transforms(sim, transforms) == 20
+    assert _one_step_transforms(flux_solve, transforms) == 34
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_courant_reads_the_velocity_samples_once(fraction, monkeypatch):
+    grid = GridSpec(32, dealias_fraction=fraction)
+    theta = scaled(random_field(grid, seed=26), 0.5)
+    theta = spectral._wrap(grid, theta.coeffs * _dealias_mask(grid))
+    u = velocity_from_scalar(theta, P)
+    halves = (u.u1.half, u.u2.half)
+    n_grid = []
+    samples = spectral._samples
+
+    def spy(coeffs, size):
+        if size == grid.n and any(coeffs is h for h in halves):
+            n_grid.append(size)
+        return samples(coeffs, size)
+
+    monkeypatch.setattr(spectral, "_samples", spy)
+    dt = 1e-3
+    advect(u, theta)
+    speed = _courant(u, dt)
+    assert _courant(u, dt) == speed
+    assert u.samples is u.samples
+    assert len(n_grid) == 2
+    monkeypatch.undo()
+    ref = float(np.sqrt(to_physical(u.u1) ** 2 + to_physical(u.u2) ** 2).max())
+    assert speed == (ref, dt * ref / (grid.period / grid.n))
+
+
+def test_run_fields_need_no_support_scan(monkeypatch):
+    calls = []
+    scan = spectral._support
+
+    def spy(*halves):
+        calls.append(len(halves))
+        return scan(*halves)
+
+    monkeypatch.setattr(spectral, "_support", spy)
+    grid = GridSpec(32)
+    f = scaled(random_field(grid, seed=27, decay=2.0), 0.5)
+    per_run = []
+    for k in (1, 3):
+        calls.clear()
+        simulate(f, P, T=k * 1e-3, dt=1e-3)
+        per_run.append(len(calls))
+    assert per_run == [0, 0]
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
+def test_run_product_grids_match_exact_scans(fraction, product_sizes, monkeypatch):
+    grid = GridSpec(16, dealias_fraction=fraction)
+    params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
+    fields = (scaled(random_field(grid, seed=28, decay=2.0), 0.5), single_mode(grid, (2, 1), 0.3))
+
+    def runs():
+        for f in fields:
+            simulate(f, P, T=3e-3, dt=1e-3)
+            picard_solve(f, params, T=3e-3, dt=1e-3)
+        return list(product_sizes)
+
+    bounded = runs()
+    product_sizes.clear()
+    monkeypatch.setattr(spectral, "_support_bound", lambda f: spectral._support(f.half))
+    assert runs() == bounded
+    # at 0.9 the bound alone would give 3n/2; the single mode's first
+    # products still land on the n-grid
+    assert set(bounded) == ({16} if fraction < 0.7 else {16, 24})
+
+
 # --- fixed-point iteration ------------------------------------------------------
 
 
@@ -636,6 +737,8 @@ def test_picard_contracts_and_matches_direct_solver():
     assert ratios and all(r < 0.1 for r in ratios)
     sups = [it.diff_sup_l2 for it in its[1:]]
     assert all(b < a for a, b in zip(sups, sups[1:-1]))
+    # the two-term branch contracts in the sup-in-time L2 distance itself
+    assert [it.diff_contraction for it in its[1:]] == sups
 
     direct = simulate(f, params, T=0.05, dt=1e-3)
     limit = its[-1].trajectory

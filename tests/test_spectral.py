@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsqglab import spectral
 from gsqglab import (
     GridSpec,
     ModelParams,
@@ -25,7 +25,14 @@ from gsqglab import (
     to_physical,
     velocity_from_scalar,
 )
-from gsqglab.spectral import _kabs, _log_weight, _structure_multiplier, _wrap
+from gsqglab.spectral import (
+    _kabs,
+    _log_weight,
+    _structure_multiplier,
+    _support,
+    _wrap,
+    _wrap_half,
+)
 from util import direct_convolution, hs_norm, l2_norm, lattice_k, random_field
 
 
@@ -547,20 +554,6 @@ def _assert_close(got, ref, rel=1e-12):
     assert np.max(np.abs(got - ref)) <= rel * scale
 
 
-@pytest.fixture
-def product_sizes(monkeypatch):
-    """Record the grid size of every forward product transform."""
-    sizes = []
-    rfft2 = scipy.fft.rfft2
-
-    def spy(x, *args, **kwargs):
-        sizes.append(np.shape(x)[0])
-        return rfft2(x, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.fft, "rfft2", spy)
-    return sizes
-
-
 @pytest.mark.parametrize("fraction", FRACTIONS)
 def test_advect_oracle_across_dealias_fractions(fraction):
     g = GridSpec(16, dealias_fraction=fraction)
@@ -655,6 +648,68 @@ def test_product_grid_rule_zero_support(product_sizes):
     assert np.all(advect(perp_gradient(zero), f).coeffs == 0.0)
     assert np.all(multiply_fields(f, zero).coeffs == 0.0)
     assert product_sizes == [16, 16]
+
+
+@pytest.mark.parametrize(
+    "op, inverse, forward",
+    [("advect", 4, 1), ("one_term", 4, 1), ("two_term", 6, 2)],
+)
+def test_transforms_per_product_call(op, inverse, forward, transforms):
+    # the flux shares the samples of grad theta between its two terms
+    g = GridSpec(32)
+    theta = _disc_field(g, seed=48)
+    q = _disc_field(g, seed=49)
+    beta = {"advect": 1.5, "one_term": 1.2, "two_term": 1.7}[op]
+    params = ModelParams(beta=beta, kappa=0.5)
+    if op == "advect":
+        u = velocity_from_scalar(q, params)
+        transforms.clear()
+        advect(u, theta)
+    else:
+        assert params.two_term == (op == "two_term")
+        flux_divergence(q, theta, params)
+    assert dict(transforms) == {"irfft2": inverse, "rfft2": forward}
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_support_bound_never_changes_the_product_grid(fraction, product_sizes):
+    # a bound is read only when it puts the product on the n-grid; a loose
+    # one that would not is overruled by the exact scan
+    g = GridSpec(16, dealias_fraction=fraction)
+    low = field_from_modes(g, {(2, 1): 0.5, (-1, 2): 0.25j})
+    wide = _disc_field(g, seed=50)
+    params = ModelParams(beta=1.7, kappa=0.5)
+    k_out = int(g.dealias_radius)
+    for a, b in ((low, low), (low, wide), (wide, wide)):
+        product_sizes.clear()
+        loose_a = _wrap_half(g, a.half.copy(), k_out)
+        loose_b = _wrap_half(g, b.half.copy(), k_out)
+        flux_divergence(loose_a, loose_b, params)
+        advect(velocity_from_scalar(loose_a, params), loose_b)
+        ka, kb = _support(a.half), _support(b.half)
+        size = 16 if 16 > ka + kb + k_out else 24
+        assert product_sizes == [size] * 3
+        assert loose_a._kmax == k_out and loose_b._kmax == k_out
+
+
+def test_support_scan_is_made_once_per_field(monkeypatch):
+    calls = []
+    scan = _support
+
+    def spy(*halves):
+        calls.append(len(halves))
+        return scan(*halves)
+
+    monkeypatch.setattr(spectral, "_support", spy)
+    g = GridSpec(32)
+    theta = _disc_field(g, seed=51)
+    q = _disc_field(g, seed=52)
+    params = ModelParams(beta=1.7, kappa=0.5)
+    for _ in range(3):
+        flux_divergence(q, theta, params)
+        flux_divergence(-q, theta, params)
+    assert calls == [1, 1]
+    assert theta._kmax == scan(theta.half) and (-q)._kmax == q._kmax
 
 
 # --- storage contract: half spectra are the stored form ------------------------
