@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, _homog_weight, _kabs, _nyquist_mask, _wrap
+from .spectral import GridSpec, SpectralField, _apply_multiplier, _homog_weight, _kabs, _nyquist_mask
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -94,7 +94,7 @@ def dyadic_block(field: SpectralField, j: int) -> SpectralField:
         raise ValueError(
             f"block index {j} outside partition range [{part.j_min}, {part.j_max}]"
         )
-    return _wrap(field.grid, field.coeffs * _phi_lattice(field.grid, j))
+    return _apply_multiplier(field, _phi_lattice(field.grid, j))
 
 
 def low_pass(field: SpectralField, j: int) -> SpectralField:
@@ -104,7 +104,7 @@ def low_pass(field: SpectralField, j: int) -> SpectralField:
         raise ValueError(
             f"low-pass index {j} outside range [{part.j_min}, {part.j_max + 1}]"
         )
-    return _wrap(field.grid, field.coeffs * _chi_lattice(field.grid, j))
+    return _apply_multiplier(field, _chi_lattice(field.grid, j))
 
 
 def _l2(coeffs: np.ndarray, period: float) -> float:

@@ -63,7 +63,7 @@ from .spectral import (
     perp_gradient,
     velocity_from_scalar,
 )
-from .spectral import _dealias_mask, _full_from_half, _wrap
+from .spectral import _dealias_mask, _flip_index, _full_from_half, _wrap_half
 
 INITIAL_PROFILES = ("single_mode", "two_mode", "ensemble", "vortex_pair", "checkpoint")
 
@@ -519,7 +519,7 @@ def build_initial_data(
         norm = sobolev_norm(f, params.sigma_c)
         if norm == 0.0:
             raise ValueError("ensemble member vanished after masking")
-        return _wrap(grid, f.coeffs * (spec.amplitude / norm))
+        return _wrap_half(grid, f.half * (spec.amplitude / norm))
     if spec.profile == "vortex_pair":
         width = spec.width if spec.width is not None else grid.period / 12.0
         sep = spec.separation if spec.separation is not None else grid.period / 4.0
@@ -561,13 +561,12 @@ def _checkpoint_field(ckpt: Checkpoint, grid: GridSpec) -> SpectralField:
             f"not match configured grid {grid.n} x period {grid.period:g}; "
             "no silent resampling"
         )
-    coeffs = ckpt.field.coeffs
-    if np.any(coeffs[~_dealias_mask(grid)]):
+    if np.any(ckpt.field.coeffs[~_dealias_mask(grid)]):
         raise CheckpointError(
             "checkpoint state has modes outside the dealias disc of the configured "
             f"grid (dealias_fraction {grid.dealias_fraction:g}); no silent resampling"
         )
-    return _wrap(grid, coeffs)
+    return _wrap_half(grid, ckpt.field.half.copy())
 
 
 def write_checkpoint(state: SimState, path: str) -> None:
@@ -638,7 +637,7 @@ def read_checkpoint(path: str) -> Checkpoint:
     full = _full_from_half(half, n)
     # the stored redundancy must already be consistent
     col0 = half[:, 0]
-    if not np.array_equal(col0, np.conj(col0[(-np.arange(n)) % n])):
+    if not np.array_equal(col0, np.conj(col0[_flip_index(n)])):
         raise CheckpointError(f"{path}: stored coefficients break Hermitian symmetry")
     try:
         field = SpectralField(grid, full)
@@ -1156,7 +1155,7 @@ def amplitude_threshold_sweep(
     rows = []
 
     def attempt(amp: float) -> bool:
-        theta0 = _wrap(base.grid, base.coeffs * (amp / norm))
+        theta0 = _wrap_half(base.grid, base.half * (amp / norm))
         try:
             its = picard_solve(
                 theta0, params, T, dt, tol=1e-12, max_iter=max_iter, c_cfl=c_cfl

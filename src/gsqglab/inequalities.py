@@ -21,6 +21,7 @@ from .norms import InequalityReport, sobolev_norm
 from .spectral import (
     GridSpec,
     SpectralField,
+    _apply_multiplier,
     _half,
     _homog_weight,
     _kabs,
@@ -30,7 +31,7 @@ from .spectral import (
     _samples,
     _support,
     _wavevectors,
-    _wrap,
+    _wrap_half,
     gevrey_avg_operator,
     gevrey_operator,
     inner_product,
@@ -159,9 +160,9 @@ def _shared_grid(*fields: SpectralField) -> GridSpec:
 def _strip_mean(f: SpectralField) -> SpectralField:
     if f.mean_zero:
         return f
-    c = f.coeffs.copy()
-    c[0, 0] = 0.0
-    return _wrap(f.grid, c)
+    half = f.half.copy()
+    half[0, 0] = 0.0
+    return _wrap_half(f.grid, half)
 
 
 def _hs(f: SpectralField, s: float) -> float:
@@ -173,10 +174,13 @@ def _ghs(f: SpectralField, alpha: float, lam: float, s: float) -> float:
     return _hs(gevrey_operator(f, alpha, lam), s)
 
 
+@lru_cache(maxsize=128)
 def _power_weight(grid: GridSpec, sigma: float) -> np.ndarray:
-    """|k|^sigma, except that sigma = 0 gives the mean mode weight 1 too."""
+    """Read-only |k|^sigma, except that sigma = 0 gives the mean mode weight 1 too."""
     if sigma == 0.0:
-        return np.ones((grid.n, grid.n))
+        ones = np.ones((grid.n, grid.n))
+        ones.flags.writeable = False
+        return ones
     return _homog_weight(grid, sigma)
 
 
@@ -202,8 +206,8 @@ def trilinear_form_sym(f: SpectralField, g: SpectralField, h: SpectralField, sig
     """Variant weighted by |k - l|^sigma + |l|^sigma split across both inputs."""
     grid = _shared_grid(f, g, h)
     w = _power_weight(grid, sigma)
-    wf = _wrap(grid, w * f.coeffs)
-    wg = _wrap(grid, w * g.coeffs)
+    wf = _apply_multiplier(f, w)
+    wg = _apply_multiplier(g, w)
     return trilinear_form(wf, g, h, 0.0) + trilinear_form(f, wg, h, 0.0)
 
 
@@ -236,11 +240,11 @@ def bony_split(
         chi = _chi_lattice(grid, k - 3)
         phi = _phi_lattice(grid, k)
         fat = _fat_diagonal(grid, k)
-        chi_f = _wrap(grid, chi * f.coeffs)
-        phi_f = _wrap(grid, phi * f.coeffs)
-        phi_g = _wrap(grid, phi * g.coeffs)
-        chi_g = _wrap(grid, chi * g.coeffs)
-        fat_g = _wrap(grid, fat * g.coeffs)
+        chi_f = _apply_multiplier(f, chi)
+        phi_f = _apply_multiplier(f, phi)
+        phi_g = _apply_multiplier(g, phi)
+        chi_g = _apply_multiplier(g, chi)
+        fat_g = _apply_multiplier(g, fat)
         low += trilinear_form(chi_f, phi_g, h, sigma)
         high += trilinear_form(phi_f, chi_g, h, sigma)
         diag += trilinear_form(phi_f, fat_g, h, sigma)
@@ -254,14 +258,14 @@ def _bracket(op, f: SpectralField, g: SpectralField) -> SpectralField:
     """[op, g] f = op(g f) - g op(f), with exact products."""
     applied_product = op(multiply_fields(g, f))
     product_applied = multiply_fields(g, op(f))
-    return _wrap(f.grid, applied_product.coeffs - product_applied.coeffs)
+    return _wrap_half(f.grid, applied_product.half - product_applied.half)
 
 
 def commutator_block(f: SpectralField, g: SpectralField, j: int) -> SpectralField:
     """Bracket of the j-th dyadic projection with multiplication by g."""
     grid = _shared_grid(f, g)
     phi = build_partition(grid).phi(j, _kabs(grid))
-    return _bracket(lambda x: _wrap(grid, phi * x.coeffs), f, g)
+    return _bracket(lambda x: _apply_multiplier(x, phi), f, g)
 
 
 def commutator_singular(f: SpectralField, g: SpectralField, ell: int, beta: float) -> SpectralField:
@@ -272,7 +276,7 @@ def commutator_singular(f: SpectralField, g: SpectralField, ell: int, beta: floa
         raise ValueError("direction index must be 1 or 2")
     grid = _shared_grid(f, g)
     mult = 1j * _wavevectors(grid)[ell - 1] * _homog_weight(grid, beta - 2.0)
-    return _bracket(lambda x: _wrap(grid, mult * x.coeffs), f, g)
+    return _bracket(lambda x: _apply_multiplier(x, mult), f, g)
 
 
 def _require_annulus_support(h: SpectralField, j: int):
@@ -323,7 +327,7 @@ def commutator_gevrey(
     base = part.phi(j, kabs) * _homog_weight(grid, sigma + rho) * d
 
     def op(x: SpectralField) -> SpectralField:
-        return gevrey_operator(_wrap(grid, base * x.coeffs), alpha, lam)
+        return gevrey_operator(_apply_multiplier(x, base), alpha, lam)
 
     value = inner_product(_bracket(op, f, g), h)
 
@@ -334,9 +338,9 @@ def commutator_gevrey(
     )
     term1 = 2.0 ** (nu * j) * pair * h_rho
 
-    low_g = _wrap(grid, part.chi(j - 3, kabs) * g.coeffs)
+    low_g = _apply_multiplier(g, part.chi(j - 3, kabs))
     smoothed = gevrey_avg_operator(low_g, alpha, lam)
-    block_f = gevrey_operator(_wrap(grid, part.phi(j, kabs) * f.coeffs), alpha, lam)
+    block_f = gevrey_operator(_apply_multiplier(f, part.phi(j, kabs)), alpha, lam)
     term2 = (
         lam
         * 2.0 ** ((sigma + 1.0 + alpha - zeta) * j)
@@ -379,7 +383,7 @@ def commutator_log(
         raise ValueError("direction index must be 1 or 2")
 
     mult = _log_weight(grid, mu) * 1j * _wavevectors(grid)[ell - 1]
-    value = inner_product(_bracket(lambda x: _wrap(grid, mult * x.coeffs), f, g), h)
+    value = inner_product(_bracket(lambda x: _apply_multiplier(x, mult), f, g), h)
 
     g_factor = _hs(g, 2.0 - eps + rho) ** (1.0 / (1.0 + rho)) * _hs(g, 1.0 - eps) ** (
         rho / (1.0 + rho)
@@ -433,7 +437,7 @@ def _member_ratios(form: str, params: dict, spec: EnsembleSpec, index: int):
         )
         best, weights = 0.0, {}
         for j in part.block_range:
-            h = _wrap(grid, part.phi(j, kabs) * h_src.coeffs)
+            h = _apply_multiplier(h_src, part.phi(j, kabs))
             h_l2 = _hs(h, 0.0)
             denom = 2.0 ** (eps * j) * pair * h_l2
             if denom == 0.0:
@@ -453,7 +457,7 @@ def _member_ratios(form: str, params: dict, spec: EnsembleSpec, index: int):
         )
         best, weights = 0.0, {}
         for j in part.block_range:
-            h = _wrap(grid, part.phi(j, kabs) * h_src.coeffs)
+            h = _apply_multiplier(h_src, part.phi(j, kabs))
             h_l2 = _hs(h, 0.0)
             denom = 2.0 ** ((rho1 - rho2 - 1.0) * j) * pair * h_l2
             if denom == 0.0:
@@ -476,7 +480,7 @@ def _member_ratios(form: str, params: dict, spec: EnsembleSpec, index: int):
     if form == "gevrey_commutator":
         best, weights = 0.0, {}
         for j in part.block_range:
-            h = _wrap(grid, part.phi(j, kabs) * h_src.coeffs)
+            h = _apply_multiplier(h_src, part.phi(j, kabs))
             if not np.any(h.coeffs):
                 continue
             rep = commutator_gevrey(

@@ -37,7 +37,6 @@ from .spectral import (
     _half,
     _homog_weight,
     _kabs,
-    _wrap,
     _wrap_half,
     advect,
     flux_divergence,
@@ -406,9 +405,9 @@ def _disc_bound(grid: GridSpec) -> int:
 
 def _admissible_initial(theta0: SpectralField) -> SpectralField:
     """Restrict initial data to the dealias disc and remove its mean."""
-    coeffs = theta0.coeffs * _dealias_mask(theta0.grid)
-    coeffs[0, 0] = 0.0
-    return _wrap(theta0.grid, coeffs, _disc_bound(theta0.grid))
+    half = theta0.half * _half(_dealias_mask(theta0.grid))
+    half[0, 0] = 0.0
+    return _wrap_half(theta0.grid, half, _disc_bound(theta0.grid))
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -727,7 +726,7 @@ def rescale_solution(field: SpectralField, lam: int, params: ModelParams) -> Spe
         raise ValueError(f"scaling factor must be >= 1, got {lam}")
     grid = field.grid
     target = GridSpec(grid.n, grid.period / lam, grid.dealias_fraction)
-    return _wrap(target, float(lam) ** (params.kappa - params.beta) * field.coeffs)
+    return _wrap_half(target, float(lam) ** (params.kappa - params.beta) * field.half)
 
 
 def scaling_equivariance_check(

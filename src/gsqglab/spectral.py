@@ -11,12 +11,12 @@ that every derivative multiplier is exactly odd under k -> -k.
 
 Storage: a SpectralField stores the m2 >= 0 half spectrum (`half`, n x
 (n/2 + 1)), which is all a real field needs. The full Hermitian array
-(`coeffs`) is mirrored from it on first read and cached, and `half` then
-becomes a view of it, so a field holds one buffer either way. The product
-engine, the velocity and the solver's stepping core read and write halves;
-norms, inequalities and diagnostics read `coeffs`. The private constructors
-`_wrap` (full array) and `_wrap_half` (half spectrum) take ownership of the
-array they are given and freeze it in place instead of copying it.
+(`coeffs`) is only a mirror of it, built on first read and cached, and `half`
+then becomes a view of it, so a field holds one buffer either way. Every
+operator, diagonal multipliers included (`_apply_multiplier`), writes a half
+spectrum; norms, inequalities and diagnostics read `coeffs`. The private
+constructor `_wrap_half` takes ownership of the half it is given and freezes
+it in place instead of copying it.
 
 Products are formed by real FFTs on an M x M grid, M = n if n > K_a + K_b +
 K_out else 3n/2, with K_a, K_b the factors' largest nonzero |m_i| and K_out the
@@ -169,9 +169,10 @@ class SpectralField:
     The constructor validates the lattice invariants (Hermitian symmetry,
     zero Nyquist modes) up to roundoff and then enforces them exactly, so
     downstream operators never have to re-check. The stored form is the
-    read-only half spectrum `half`; `coeffs` is the full array, built from
-    it on first read (see the module docstring). `_kmax` is the support
-    bound the product engine reads (None until it is given or scanned).
+    read-only half spectrum `half`, a copy of the symmetrized array's m2 >= 0
+    columns; `coeffs` is the full array, mirrored from it on first read (see
+    the module docstring). `_kmax` is the support bound the product engine
+    reads (None until it is given or scanned).
     """
 
     __slots__ = ("grid", "half", "_full", "_kmax")
@@ -194,8 +195,7 @@ class SpectralField:
         coeffs[nyq] = 0.0
         idx = _flip_index(grid.n)
         coeffs = 0.5 * (coeffs + np.conj(coeffs[np.ix_(idx, idx)]))
-        coeffs.flags.writeable = False
-        _store(self, grid, _half(coeffs), coeffs)
+        _store(self, grid, _half(coeffs).copy())
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralField is immutable")
@@ -219,41 +219,27 @@ class SpectralField:
         return _wrap_half(self.grid, -self.half, self._kmax)
 
 
-def _store(f: SpectralField, grid: GridSpec, half: np.ndarray, full, kmax=None) -> SpectralField:
+def _store(f: SpectralField, grid: GridSpec, half: np.ndarray, kmax=None) -> SpectralField:
+    half.flags.writeable = False
     object.__setattr__(f, "grid", grid)
     object.__setattr__(f, "half", half)
-    object.__setattr__(f, "_full", full)
+    object.__setattr__(f, "_full", None)
     object.__setattr__(f, "_kmax", kmax)
     return f
-
-
-def _wrap(grid: GridSpec, coeffs: np.ndarray, kmax: int | None = None) -> SpectralField:
-    """Fast constructor for a full array that already satisfies the invariants.
-
-    Takes ownership: an array that owns its memory is frozen in place, so
-    the caller must not write to it afterwards; a view is copied, because
-    its base may still be written. kmax, if given, must bound the largest
-    |m_i| of a nonzero coefficient.
-    """
-    if coeffs.base is not None:
-        coeffs = coeffs.copy()
-    coeffs.flags.writeable = False
-    return _store(object.__new__(SpectralField), grid, _half(coeffs), coeffs, kmax)
 
 
 def _wrap_half(grid: GridSpec, half: np.ndarray, kmax: int | None = None) -> SpectralField:
     """Fast constructor from an m2 >= 0 half spectrum (n x (n/2 + 1)).
 
-    The caller guarantees three invariants, none of which is checked:
+    The caller guarantees four invariants, none of which is checked:
     - the array is owned: nothing else holds or writes it, because it is
       frozen in place and kept, not copied;
     - the Nyquist row m1 = -n/2 and column m2 = n/2 are zero;
     - column m2 = 0 is exactly Hermitian, half[-m1, 0] == conj(half[m1, 0]);
     - kmax, if given, bounds the largest |m_i| of a nonzero coefficient.
-    Under them `coeffs` mirrors to the same array the full-array code built.
+    Under them `coeffs` mirrors to the field's exact Hermitian array.
     """
-    half.flags.writeable = False
-    return _store(object.__new__(SpectralField), grid, half, None, kmax)
+    return _store(object.__new__(SpectralField), grid, half, kmax)
 
 
 @dataclass(frozen=True)
@@ -353,7 +339,7 @@ def _full_from_half(half: np.ndarray, n: int) -> np.ndarray:
     """Mirror a canonical half spectrum to its full Hermitian array."""
     full = np.empty((n, n), dtype=np.complex128)
     full[:, : n // 2 + 1] = half
-    full[:, n // 2 + 1 :] = np.conj(half[_flip_index(n), 1 : n // 2][:, ::-1])
+    np.conjugate(half[_flip_index(n), n // 2 - 1 : 0 : -1], out=full[:, n // 2 + 1 :])
     return full
 
 
@@ -391,7 +377,7 @@ def field_from_modes(grid: GridSpec, modes: dict) -> SpectralField:
             continue
         c[m1 % grid.n, m2 % grid.n] = a
         c[-m1 % grid.n, -m2 % grid.n] = np.conj(a)
-    return _wrap(grid, c)
+    return _wrap_half(grid, _half(c).copy())
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
@@ -405,8 +391,14 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
 # diagonal (Fourier multiplier) operators
 
 
-def _apply_multiplier(field: SpectralField, mult: np.ndarray) -> SpectralField:
-    return _wrap(field.grid, field.coeffs * mult)
+def _apply_multiplier(field: SpectralField, symbol: np.ndarray) -> SpectralField:
+    """Multiply each mode by a full-lattice symbol, on the half spectrum.
+
+    The symbol must satisfy symbol(-m) = conj(symbol(m)), as real even and
+    imaginary odd ones do, and be finite on the Nyquist modes. A diagonal
+    multiplier cannot widen the support, so the field's bound carries over.
+    """
+    return _wrap_half(field.grid, _half(symbol) * field.half, field._kmax)
 
 
 def fractional_laplacian(field: SpectralField, s: float) -> SpectralField:

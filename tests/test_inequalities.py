@@ -9,6 +9,7 @@ from gsqglab import (
     EnsembleSpec,
     GridSpec,
     OverflowGuardError,
+    SpectralField,
     TrilinearReport,
     bony_split,
     build_partition,
@@ -25,13 +26,13 @@ from gsqglab import (
     trilinear_form,
     trilinear_form_sym,
 )
-from gsqglab.spectral import _kabs, _wrap
+from gsqglab.spectral import _kabs
 from util import direct_convolution, lattice_k, random_field
 
 
 def block_of(field, j):
     part = build_partition(field.grid)
-    return _wrap(field.grid, part.phi(j, _kabs(field.grid)) * field.coeffs)
+    return SpectralField(field.grid, part.phi(j, _kabs(field.grid)) * field.coeffs)
 
 
 def symbol_pairing(f, g, h, sym):

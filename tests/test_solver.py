@@ -629,7 +629,7 @@ def test_transforms_per_step(transforms):
 def test_courant_reads_the_velocity_samples_once(fraction, monkeypatch):
     grid = GridSpec(32, dealias_fraction=fraction)
     theta = scaled(random_field(grid, seed=26), 0.5)
-    theta = spectral._wrap(grid, theta.coeffs * _dealias_mask(grid))
+    theta = SpectralField(grid, theta.coeffs * _dealias_mask(grid))
     u = velocity_from_scalar(theta, P)
     halves = (u.u1.half, u.u2.half)
     n_grid = []

@@ -12,6 +12,9 @@ from gsqglab import (
     OverflowGuardError,
     SpectralField,
     advect,
+    build_partition,
+    commutator_block,
+    dyadic_block,
     field_from_modes,
     flux_divergence,
     fractional_laplacian,
@@ -20,17 +23,23 @@ from gsqglab import (
     gevrey_operator,
     inner_product,
     log_multiplier,
+    low_pass,
     multiply_fields,
     perp_gradient,
     to_physical,
     velocity_from_scalar,
 )
+from gsqglab.dyadic import _chi_lattice, _phi_lattice
 from gsqglab.spectral import (
+    _apply_multiplier,
+    _dealias_mask,
+    _homog_weight,
     _kabs,
     _log_weight,
+    _nyquist_mask,
     _structure_multiplier,
     _support,
-    _wrap,
+    _wavevectors,
     _wrap_half,
 )
 from util import direct_convolution, hs_norm, l2_norm, lattice_k, random_field
@@ -739,6 +748,9 @@ def _spectral_operator_outputs(grid):
         ("multiply_fields", (theta, q), lambda: multiply_fields(theta, q)),
         ("advect", (u.u1, u.u2, theta), lambda: advect(u, theta)),
         ("flux_divergence", (q, theta), lambda: flux_divergence(q, theta, params)),
+        ("dyadic_block", (theta,), lambda: dyadic_block(theta, 2)),
+        ("low_pass", (theta,), lambda: low_pass(theta, 2)),
+        ("commutator_block", (theta, q), lambda: commutator_block(theta, q, 2)),
     ]
 
 
@@ -771,13 +783,34 @@ def test_negating_a_half_spectrum_field_leaves_it_unexpanded():
     assert np.array_equal(g.coeffs, -f.coeffs)
 
 
-def test_wrap_takes_ownership_and_copies_views():
-    grid = GridSpec(16)
-    base = random_field(grid, seed=37).coeffs.copy()
-    from_view = _wrap(grid, base[:, :])
-    kept = from_view.coeffs.copy()
-    base[1, 2] = 99.0
-    assert np.array_equal(from_view.coeffs, kept)
-    owned = base.copy()
-    f = _wrap(grid, owned)
-    assert f.coeffs is owned and not owned.flags.writeable
+def _multiplier_symbols(grid):
+    """(name, full-lattice symbol) for each family of diagonal multiplier in use."""
+    k1, k2 = _wavevectors(grid)
+    kabs = _kabs(grid)
+    gevrey = np.exp(np.where(_nyquist_mask(grid), -np.inf, 0.1 * kabs**0.5))
+    return [
+        ("homog", _homog_weight(grid, 0.7)),
+        ("homog_negative", _homog_weight(grid, -0.5)),
+        ("log", _log_weight(grid, 1.2)),
+        ("phi", _phi_lattice(grid, 2)),
+        ("phi_unmasked", build_partition(grid).phi(2, kabs)),
+        ("chi", _chi_lattice(grid, 2)),
+        ("dealias_mask", _dealias_mask(grid)),
+        ("ik_homog", 1j * k1 * _homog_weight(grid, 0.3)),
+        ("log_ik", _log_weight(grid, 1.0) * 1j * k2),
+        ("gevrey", gevrey),
+    ]
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_apply_multiplier_on_the_half_matches_the_full_product(fraction):
+    grid = GridSpec(32, dealias_fraction=fraction)
+    base = random_field(grid, seed=38)
+    bounded = _wrap_half(grid, base.half.copy(), grid.n // 2 - 1)
+    for f in (base, bounded):
+        kmax = f._kmax
+        for name, symbol in _multiplier_symbols(grid):
+            out = _apply_multiplier(f, symbol)
+            assert out._full is None, name
+            assert out._kmax == kmax, name
+            assert np.array_equal(out.coeffs, f.coeffs * symbol), name
