@@ -198,14 +198,21 @@ def _parse_sections(text: str, violations: list[str]) -> dict[str, dict[str, str
     return sections
 
 
-def _get(section: dict, key: str, conv, default, violations: list[str], label: str):
+def _get(section: dict, key: str, conv, default, violations: list[str], label: str,
+         finite: bool = True):
+    """The converted value of key, or default when it is absent or refused;
+    a float must be finite unless finite=False."""
     if key not in section:
         return default
     try:
-        return conv(section[key])
+        value = conv(section[key])
     except (TypeError, ValueError):
         violations.append(f"{label}.{key}: cannot parse {section[key]!r}")
         return default
+    if finite and isinstance(value, float) and not math.isfinite(value):
+        violations.append(f"{label}.{key}: must be finite")
+        return default
+    return value
 
 
 def _int(text: str) -> int:
@@ -240,7 +247,8 @@ def parse_config(text: str, default_kind: str | None = None) -> ScenarioConfig:
     dt = _get(sc, "dt", float, 1e-3, violations, "scenario")
     stride = _get(sc, "snapshot_stride", _int, 1, violations, "scenario")
     seed = _get(sc, "seed", _int, 0, violations, "scenario")
-    c_cfl = _get(sc, "cfl", float, DEFAULT_CFL, violations, "scenario")
+    # cfl = inf switches the Courant guard off
+    c_cfl = _get(sc, "cfl", float, DEFAULT_CFL, violations, "scenario", finite=False)
     out_dir = sc.get("out", "gsqg-out")
     checkpoint_path = sc.get("checkpoint")
     resume_path = sc.get("resume")
@@ -261,6 +269,7 @@ def parse_config(text: str, default_kind: str | None = None) -> ScenarioConfig:
     grid = None
     if "grid" in sections:
         gs = sections["grid"]
+        before = len(violations)
         n = _get(gs, "n", _int, None, violations, "grid")
         period = _get(gs, "period", float, 2.0 * math.pi, violations, "grid")
         frac = _get(gs, "dealias_fraction", float, 2.0 / 3.0, violations, "grid")
@@ -268,11 +277,11 @@ def parse_config(text: str, default_kind: str | None = None) -> ScenarioConfig:
             violations.append("grid.n: required when a [grid] section is present")
         elif n < 16 or (n & (n - 1)) != 0:
             violations.append("grid.n: must be a power of two >= 16")
-        elif not period > 0:
+        if not period > 0:
             violations.append("grid.period: must be positive")
-        elif not (0 < frac <= 1):
+        if not (0 < frac <= 1):
             violations.append("grid.dealias_fraction: must lie in (0, 1]")
-        else:
+        if len(violations) == before:
             grid = GridSpec(n, period, frac)
 
     params = None
@@ -365,8 +374,6 @@ def parse_config(text: str, default_kind: str | None = None) -> ScenarioConfig:
             violations.append("initial.m1/m2: the mode must not be the mean")
         if member < 0:
             violations.append("initial.member: must be nonnegative")
-        if not math.isfinite(amplitude):
-            violations.append("initial.amplitude: must be finite")
         if profile in INITIAL_PROFILES:
             initial = InitialSpec(
                 profile=profile,
@@ -858,10 +865,11 @@ def _direct_multiplier(field: SpectralField, symbol) -> np.ndarray:
     grid = field.grid
     n = grid.n
     m = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    coeffs = field.coeffs
     out = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            out[i, j] = symbol(int(m[i]), int(m[j])) * field.coeffs[i, j]
+            out[i, j] = symbol(int(m[i]), int(m[j])) * coeffs[i, j]
     return out
 
 

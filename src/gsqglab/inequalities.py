@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import _chi_lattice, _phi_lattice, build_partition
-from .norms import InequalityReport, sobolev_norm
+from .norms import InequalityReport, _l2
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -157,17 +157,9 @@ def _shared_grid(*fields: SpectralField) -> GridSpec:
     return grid
 
 
-def _strip_mean(f: SpectralField) -> SpectralField:
-    if f.mean_zero:
-        return f
-    half = f.half.copy()
-    half[0, 0] = 0.0
-    return _wrap_half(f.grid, half)
-
-
 def _hs(f: SpectralField, s: float) -> float:
     """Homogeneous Sobolev seminorm: the mean carries weight zero."""
-    return sobolev_norm(_strip_mean(f), s)
+    return _l2(f.coeffs, f.grid.period, _homog_weight(f.grid, 2.0 * s))
 
 
 def _ghs(f: SpectralField, alpha: float, lam: float, s: float) -> float:

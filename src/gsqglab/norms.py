@@ -3,6 +3,13 @@
 All norms follow the box Parseval convention ||f||_{L2}^2 = L^2 sum |f_hat|^2,
 so every value here is an exact finite lattice sum, and the interpolation
 checks report realized constants rather than asymptotic ones.
+
+`_l2` is the one weighted Parseval sum of the package: `sobolev_norm` and
+every L2 or Sobolev number the solver prints (diagnostics rows, Picard
+distances, scaling and decay reports) go through it, so each printed value
+is `sobolev_norm`'s bit for bit. The Besov norm and the Bernstein check keep
+BLAS sums (`np.linalg.norm`), and `inner_product` its `np.vdot`: both round
+differently, and switching them would change printed digits.
 """
 
 from __future__ import annotations
@@ -73,13 +80,17 @@ def _sobolev_weight(grid: GridSpec, s: float, homogeneous: bool) -> np.ndarray:
     return w
 
 
+def _l2(coeffs: np.ndarray, period: float, weight: np.ndarray | None = None) -> float:
+    """period * sqrt(sum weight |c|^2), the Parseval sum; no weight means 1."""
+    sq = coeffs.real**2 + coeffs.imag**2
+    return period * math.sqrt(float(np.sum(sq if weight is None else weight * sq)))
+
+
 def sobolev_norm(field: SpectralField, s: float, homogeneous: bool = True) -> float:
     """Sobolev norm of order s; weight |k|^s (homogeneous) or (1+|k|^2)^(s/2)."""
     if homogeneous and not field.mean_zero:
         raise ValueError("homogeneous Sobolev norm requires a mean-zero field")
-    w = _sobolev_weight(field.grid, s, homogeneous)
-    total = float(np.sum(w * (field.coeffs.real**2 + field.coeffs.imag**2)))
-    return field.grid.period * math.sqrt(total)
+    return _l2(field.coeffs, field.grid.period, _sobolev_weight(field.grid, s, homogeneous))
 
 
 def besov_norm(field: SpectralField, s: float) -> float:
@@ -99,6 +110,12 @@ def gevrey_norm(field: SpectralField, alpha: float, lam: float, s: float) -> flo
     return sobolev_norm(gevrey_operator(field, alpha, lam), s, homogeneous=True)
 
 
+def _weighted_gevrey(field, t, alpha, eps, sigma_c, delta, gamma, kappa) -> float:
+    """The term snapshot (t, field) contributes to xt_norm."""
+    lam = eps * gamma ** (alpha / kappa) * t ** (alpha / kappa)
+    return (gamma * t) ** (delta / kappa) * gevrey_norm(field, alpha, lam, sigma_c + delta)
+
+
 def xt_norm(
     snapshots,
     alpha: float,
@@ -110,7 +127,7 @@ def xt_norm(
 ) -> float:
     """Supremum over positive-time snapshots of the weighted Gevrey norm.
 
-    Each snapshot (t, field) with t > 0 contributes
+    Each snapshot (t, field) with t > 0 contributes `_weighted_gevrey`:
     (gamma t)^(delta/kappa) * ||field|| in the Gevrey class of order alpha,
     radius eps * gamma^(alpha/kappa) * t^(alpha/kappa), and regularity
     sigma_c + delta. t = 0 snapshots carry a zero prefactor by convention
@@ -120,9 +137,7 @@ def xt_norm(
     for t, field in snapshots:
         if t <= 0.0:
             continue
-        lam = eps * gamma ** (alpha / kappa) * t ** (alpha / kappa)
-        weight = (gamma * t) ** (delta / kappa)
-        val = weight * gevrey_norm(field, alpha, lam, sigma_c + delta)
+        val = _weighted_gevrey(field, t, alpha, eps, sigma_c, delta, gamma, kappa)
         best = val if best is None else max(best, val)
     if best is None:
         raise ValueError("trajectory has no positive-time snapshots")

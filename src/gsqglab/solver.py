@@ -5,18 +5,20 @@ dissipation plus optional artificial viscosity) is applied exactly per mode
 between stages, so with the transport term disabled every output coincides
 with the closed-form propagator. The stepping core carries the m2 >= 0 half
 spectra of the state, the stage values and the slopes, and wraps them with
-spectral._wrap_half; the full coefficient arrays are built only where the
-per-step L2 norm and the snapshot diagnostics read them, so every printed
-number keeps the full-array summation order. The state and stage fields of a
-run carry the dealias disc's support bound, so the product engine sizes their
-products without scanning them. The Courant number is read from the step
-velocity's cached n-grid samples (`VectorField.samples`). In `simulate`, when
-the first stage's products fit the n-grid, these are the samples `advect`
-formed them from, so the check costs no transform of its own; the
-frozen-coefficient solve transforms its velocity for the check alone. On top
-of the direct solver sit the fixed-point machinery (a linear solve with
-frozen transport coefficients, iterated to convergence), exact self-similar
-rescaling, and the decay and analyticity-radius diagnostics.
+spectral._wrap_half; the full coefficient array is mirrored once per step,
+for the per-step L2 norm and the snapshot diagnostics, so every printed
+number keeps the full-array summation order. Every L2 and Sobolev number
+here is norms._l2, the Parseval sum behind norms.sobolev_norm. The state
+and stage fields of a run carry the dealias disc's support bound, so the
+product engine sizes their products without scanning them. The Courant
+number is read from the step velocity's cached n-grid samples
+(`VectorField.samples`). In `simulate`, when the first stage's products fit
+the n-grid, these are the samples `advect` formed them from, so the check
+costs no transform of its own; the frozen-coefficient solve transforms its
+velocity for the check alone. On top of the direct solver sit the
+fixed-point machinery (a linear solve with frozen transport coefficients,
+iterated to convergence), exact self-similar rescaling, and the decay and
+analyticity-radius diagnostics.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowUpError, CourantError, PicardConvergenceError
-from .norms import gevrey_norm, xt_norm
+from .norms import _l2, _weighted_gevrey, gevrey_norm
 from .spectral import (
     GridSpec,
     ModelParams,
@@ -274,16 +276,6 @@ def _courant(u: VectorField, dt: float) -> tuple:
     return max_u, dt * max_u / (u.grid.period / u.grid.n)
 
 
-def _l2(coeffs: np.ndarray, period: float) -> float:
-    return period * math.sqrt(float(np.sum(coeffs.real**2 + coeffs.imag**2)))
-
-
-def _weighted_l2(coeffs: np.ndarray, weight: np.ndarray, period: float) -> float:
-    return period * math.sqrt(
-        float(np.sum(weight * (coeffs.real**2 + coeffs.imag**2)))
-    )
-
-
 def _pairing(a: np.ndarray, b: np.ndarray, period: float) -> float:
     return period * period * float(np.real(np.sum(a * np.conj(b))))
 
@@ -297,7 +289,7 @@ def _diagnostics_row(t, coeffs, l2, params, u, speed, k1=None) -> DiagnosticsRow
         raw = abs(_pairing(k1, coeffs, period))
         scale = (
             math.hypot(_l2(u.u1.coeffs, period), _l2(u.u2.coeffs, period))
-            * _weighted_l2(coeffs, _homog_weight(grid, 2.0), period)
+            * _l2(coeffs, period, _homog_weight(grid, 2.0))
             * l2
         )
         residual = raw / scale if scale > 0 else 0.0
@@ -305,7 +297,7 @@ def _diagnostics_row(t, coeffs, l2, params, u, speed, k1=None) -> DiagnosticsRow
     return DiagnosticsRow(
         t=t,
         l2=l2,
-        hs_crit=_weighted_l2(coeffs, _homog_weight(grid, 2.0 * params.sigma_c), period),
+        hs_crit=_l2(coeffs, period, _homog_weight(grid, 2.0 * params.sigma_c)),
         energy_residual=residual,
         max_u=max_u,
         courant=courant,
@@ -442,7 +434,9 @@ def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factor
     theta = _admissible_initial(theta0)
     times, fields, rows = [], [], []
     max_increase = 0.0
-    l2_now = _l2(theta.coeffs, grid.period)
+    # the state's one mirror per step, shared by its L2 norm and its row
+    coeffs = theta.coeffs
+    l2_now = _l2(coeffs, grid.period)
 
     for i in range(n_steps + 1):
         t = i * dt
@@ -453,14 +447,15 @@ def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factor
             fields.append(theta)
             rows.append(
                 _diagnostics_row(
-                    t, theta.coeffs, l2_now, params, u, speed,
+                    t, coeffs, l2_now, params, u, speed,
                     k1.coeffs if nonlinear else None,
                 )
             )
         if i == n_steps:
             break
         theta = _advance(theta, i, t, dt, factors, nonlin, k1, speed, l2_now, guard, kmax)
-        l2_new = _l2(theta.coeffs, grid.period)
+        coeffs = theta.coeffs
+        l2_new = _l2(coeffs, grid.period)
         if l2_new > l2_now > 0:
             max_increase = max(max_increase, (l2_new - l2_now) / l2_now)
         l2_now = l2_new
@@ -604,11 +599,12 @@ def _heat_flow_seed(theta0, params, T, dt, snapshot_stride):
         t = i * dt
         f = stages[i][0] if i < n_steps else prop(t)
         u = velocity_from_scalar(f, params)
+        coeffs = f.coeffs
         times.append(t)
         fields.append(f)
         rows.append(
             _diagnostics_row(
-                t, f.coeffs, _l2(f.coeffs, f.grid.period), params, u, _courant(u, dt)
+                t, coeffs, _l2(coeffs, f.grid.period), params, u, _courant(u, dt)
             )
         )
     traj = Trajectory(
@@ -631,7 +627,7 @@ def _cubic_contraction_norm(diff_values, params, dt):
     """The one-term branch's contraction norm, cubed-time-integrated Sobolev."""
     period = diff_values[0].grid.period
     w = _homog_weight(diff_values[0].grid, 4.0 * params.kappa / 3.0)
-    g = np.array([_weighted_l2(f.coeffs, w, period) ** 3 for f in diff_values])
+    g = np.array([_l2(f.coeffs, period, w) ** 3 for f in diff_values])
     return float(np.trapezoid(g, dx=dt)) ** (1.0 / 3.0)
 
 
@@ -775,16 +771,17 @@ def scaling_equivariance_check(
     fine = run_b.final
 
     period = fine.grid.period
-    denom = _l2(fine.coeffs, period)
-    gap = _l2(coarse.coeffs - fine.coeffs, period) / denom if denom > 0 else 0.0
+    coarse_c, fine_c = coarse.coeffs, fine.coeffs
+    denom = _l2(fine_c, period)
+    gap = _l2(coarse_c - fine_c, period) / denom if denom > 0 else 0.0
     wc = _homog_weight(fine.grid, 2.0 * params.sigma_c)
     return ScalingReport(
         lam=lam,
         gap=gap,
         horizon=T,
         rescaled_horizon=T / factor,
-        norm_final_coarse=_weighted_l2(coarse.coeffs, wc, period),
-        norm_final_fine=_weighted_l2(fine.coeffs, wc, period),
+        norm_final_coarse=_l2(coarse_c, period, wc),
+        norm_final_fine=_l2(fine_c, period, wc),
     )
 
 
@@ -829,7 +826,7 @@ def decay_study(
     n_points = None
     for k in k_list:
         w = _homog_weight(grid, 2.0 * (params.sigma_c + delta + k))
-        vals = np.array([_weighted_l2(f.coeffs, w, grid.period) for f in traj.fields])
+        vals = np.array([_l2(f.coeffs, grid.period, w) for f in traj.fields])
         series[k] = tuple(vals)
         usable = keep & (vals > 0)
         count = int(np.sum(usable))
@@ -860,11 +857,10 @@ def gevrey_tracking(
 ) -> GevreyTrackReport:
     """Time-weighted analyticity-radius norm along a trajectory.
 
-    Power law: the series is (gamma t)^(delta/kappa) times the Gevrey norm
-    of index sigma_c + delta with radius eps_rate * gamma^(alpha/kappa) *
-    t^(alpha/kappa), and the sup is the space-time norm of the run. Log
-    law: the unweighted Gevrey norm with the linearly growing radius
-    eps_rate * t. An overflow of the Gevrey weight is a meaningful
+    Power law: the series holds each snapshot's term of norms.xt_norm (one
+    Gevrey norm per snapshot), and the sup, the largest positive-time term,
+    is xt_norm of the run, the space-time norm. Log law: the unweighted
+    Gevrey norm with the linearly growing radius eps_rate * t. An overflow of the Gevrey weight is a meaningful
     diagnostic (the radius outgrew the resolvable range) and propagates
     as OverflowGuardError.
     """
@@ -884,31 +880,16 @@ def gevrey_tracking(
         elif t <= 0:
             series.append(0.0 if delta > 0 else gevrey_norm(f, alpha, 0.0, sigma))
         else:
-            lam = (
-                eps_rate
-                * params.gamma ** (alpha / params.kappa)
-                * t ** (alpha / params.kappa)
-            )
             series.append(
-                (params.gamma * t) ** (delta / params.kappa)
-                * gevrey_norm(f, alpha, lam, sigma)
+                _weighted_gevrey(
+                    f, t, alpha, eps_rate, params.sigma_c, delta, params.gamma, params.kappa
+                )
             )
     if params.velocity_law == "log":
         sup = max(series)
     else:
-        positive = [(t, f) for t, f in trajectory.snapshots() if t > 0]
-        if positive:
-            sup = xt_norm(
-                positive,
-                alpha,
-                eps_rate,
-                params.sigma_c,
-                delta,
-                params.gamma,
-                params.kappa,
-            )
-        else:
-            sup = series[0] if series else 0.0
+        positive = [v for t, v in zip(trajectory.times, series) if t > 0]
+        sup = max(positive) if positive else (series[0] if series else 0.0)
     return GevreyTrackReport(
         times=trajectory.times,
         series=tuple(series),

@@ -9,10 +9,10 @@ Under this normalization Parseval reads ||f||_{L2}^2 = period^2 sum |f_hat|^2.
 The unpaired Nyquist row and column (m_i = -n/2) are kept identically zero so
 that every derivative multiplier is exactly odd under k -> -k.
 
-Storage: a SpectralField stores the m2 >= 0 half spectrum (`half`, n x
-(n/2 + 1)), which is all a real field needs. The full Hermitian array
-(`coeffs`) is only a mirror of it, built on first read and cached, and `half`
-then becomes a view of it, so a field holds one buffer either way. Every
+Storage: a SpectralField is its m2 >= 0 half spectrum (`half`, n x (n/2 + 1)),
+which is all a real field needs, and holds no other coefficient buffer. The
+full Hermitian array (`coeffs`) is a fresh read-only mirror of it, built on
+every read, so a caller that needs it more than once keeps a local. Every
 operator, diagonal multipliers included (`_apply_multiplier`), writes a half
 spectrum; norms, inequalities and diagnostics read `coeffs`. The private
 constructor `_wrap_half` takes ownership of the half it is given and freezes
@@ -66,7 +66,7 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        if not (self.period > 0):
+        if not (0 < self.period < math.inf):
             raise ValueError(f"period must be positive, got {self.period}")
         if not (0 < self.dealias_fraction <= 1):
             raise ValueError(
@@ -170,12 +170,12 @@ class SpectralField:
     zero Nyquist modes) up to roundoff and then enforces them exactly, so
     downstream operators never have to re-check. The stored form is the
     read-only half spectrum `half`, a copy of the symmetrized array's m2 >= 0
-    columns; `coeffs` is the full array, mirrored from it on first read (see
-    the module docstring). `_kmax` is the support bound the product engine
-    reads (None until it is given or scanned).
+    columns, and nothing else; `coeffs` is the full array, mirrored from it
+    afresh on every read (see the module docstring). `_kmax` is the support
+    bound the product engine reads (None until it is given or scanned).
     """
 
-    __slots__ = ("grid", "half", "_full", "_kmax")
+    __slots__ = ("grid", "half", "_kmax")
 
     def __init__(self, grid: GridSpec, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -202,13 +202,9 @@ class SpectralField:
 
     @property
     def coeffs(self) -> np.ndarray:
-        """The full Hermitian coefficient array, read-only."""
-        full = self._full
-        if full is None:
-            full = _full_from_half(self.half, self.grid.n)
-            full.flags.writeable = False
-            object.__setattr__(self, "_full", full)
-            object.__setattr__(self, "half", _half(full))
+        """The full Hermitian coefficient array: a new read-only mirror per read."""
+        full = _full_from_half(self.half, self.grid.n)
+        full.flags.writeable = False
         return full
 
     @property
@@ -223,7 +219,6 @@ def _store(f: SpectralField, grid: GridSpec, half: np.ndarray, kmax=None) -> Spe
     half.flags.writeable = False
     object.__setattr__(f, "grid", grid)
     object.__setattr__(f, "half", half)
-    object.__setattr__(f, "_full", None)
     object.__setattr__(f, "_kmax", kmax)
     return f
 
@@ -293,11 +288,11 @@ class ModelParams:
             raise ValueError(f"beta must lie in (0, 2], got {self.beta}")
         if not (0 < self.kappa <= 2):
             raise ValueError(f"kappa must lie in (0, 2], got {self.kappa}")
-        if self.gamma < 0:
+        if not (0 <= self.gamma < math.inf):
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if not (self.mu > 0):
+        if not (0 < self.mu < math.inf):
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.eps_visc < 0:
+        if not (0 <= self.eps_visc < math.inf):
             raise ValueError(f"eps_visc must be nonnegative, got {self.eps_visc}")
         if self.velocity_law not in ("power", "log"):
             raise ValueError(f"velocity_law must be 'power' or 'log', got {self.velocity_law!r}")

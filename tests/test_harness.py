@@ -249,6 +249,58 @@ def test_parse_gevrey_alpha_must_stay_below_kappa():
     assert cfg.gevrey == GevreyTrackSpec(alpha=0.4, eps_rate=0.2, delta=0.1)
 
 
+FLOAT_KEYS = [
+    ("scenario", "T"), ("scenario", "dt"),
+    ("grid", "period"), ("grid", "dealias_fraction"),
+    ("model", "beta"), ("model", "kappa"), ("model", "gamma"), ("model", "mu"),
+    ("model", "eps_visc"),
+    ("initial", "amplitude"), ("initial", "amplitude2"), ("initial", "decay"),
+    ("initial", "width"), ("initial", "separation"),
+    ("gevrey", "alpha"), ("gevrey", "eps_rate"), ("gevrey", "delta"),
+    ("scaling", "tol"), ("decay", "delta"), ("picard", "tol"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_parse_refuses_non_finite_floats(section, key, value):
+    line = re.compile(rf"^{key} = .*$", re.M)
+    if line.search(SIM_BODY):   # every SIM_BODY key sits in its own section
+        body = line.sub(f"{key} = {value}", SIM_BODY)
+    else:
+        body = SIM_BODY + f"\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(body)
+    assert f"{section}.{key}: must be finite" in err.value.violations
+
+
+def test_parse_cfl_takes_inf_but_not_nan():
+    assert parse_config(SIM_BODY + "[scenario]\ncfl = inf\n").c_cfl == math.inf
+    with pytest.raises(ConfigError) as err:
+        parse_config(SIM_BODY + "[scenario]\ncfl = nan\n")
+    assert any(v.startswith("scenario.cfl:") for v in err.value.violations)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_model_and_grid_refuse_non_finite_values(value):
+    for key in ("gamma", "eps_visc", "mu"):
+        with pytest.raises(ValueError, match=key):
+            ModelParams(beta=1.5, kappa=0.5, **{key: value})
+    with pytest.raises(ValueError, match="period"):
+        GridSpec(16, period=value)
+
+
+def test_parse_reports_every_grid_violation():
+    body = SIM_BODY.replace("n = 16", "n = 24\nperiod = -1\ndealias_fraction = 2")
+    with pytest.raises(ConfigError) as err:
+        parse_config(body)
+    assert [v for v in err.value.violations if v.startswith("grid.")] == [
+        "grid.n: must be a power of two >= 16",
+        "grid.period: must be positive",
+        "grid.dealias_fraction: must lie in (0, 1]",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # initial-data library
 
@@ -789,6 +841,14 @@ def test_cli_simulate_round_trip(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
     assert (tmp_path / "o" / "simulate.csv").exists()
     assert (tmp_path / "o" / "summary.txt").exists()
+
+
+def test_cli_infinite_horizon_is_a_config_error(tmp_path, capsys):
+    cfg = run_cfg(tmp_path, SIM_BODY.replace("T = 0.02", "T = inf"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "scenario.T: must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_config_is_usage_error(tmp_path):

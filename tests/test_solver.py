@@ -3,6 +3,7 @@ and the long-time decay/analyticity diagnostics."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,9 @@ from gsqglab import (
     to_physical,
     velocity_from_scalar,
 )
-from gsqglab import spectral
+from gsqglab import norms, solver, spectral
+from gsqglab.inequalities import _hs
+from gsqglab.norms import xt_norm
 from gsqglab.solver import DiagnosticsRow, _courant, _diagnostics_row, _l2
 from gsqglab.spectral import _dealias_mask, _hermitian_defect
 from util import hs_norm, l2_norm, lattice_k, random_field
@@ -933,6 +936,64 @@ def test_gevrey_tracking_overflow_is_loud():
     traj = simulate(f, P, T=0.01, dt=1e-3)
     with pytest.raises(OverflowGuardError):
         gevrey_tracking(traj, alpha=0.3, eps_rate=1e5, delta=0.0)
+
+
+def test_gevrey_tracking_evaluates_one_gevrey_norm_per_snapshot(monkeypatch):
+    grid = GridSpec(32)
+    f = scaled(random_field(grid, seed=33), 0.5)
+    traj = simulate(f, P, T=0.04, dt=1e-3, snapshot_stride=5)
+    positive = [(t, g) for t, g in traj.snapshots() if t > 0]
+    alpha, eps_rate = 0.3, 0.2
+    for delta, evaluated in ((0.1, len(positive)), (0.0, len(traj.times))):
+        calls = []
+
+        def counted(*args, _orig=norms.gevrey_norm):
+            calls.append(args)
+            return _orig(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(norms, "gevrey_norm", counted)
+            m.setattr(solver, "gevrey_norm", counted)
+            rep = gevrey_tracking(traj, alpha, eps_rate, delta)
+        assert len(calls) == evaluated
+        # the sup is the space-time norm itself, bit for bit
+        assert rep.sup == xt_norm(positive, alpha, eps_rate, P.sigma_c, delta, P.gamma, P.kappa)
+
+
+def test_printed_norms_are_sobolev_norms_bit_for_bit():
+    grid = GridSpec(32)
+    f = scaled(random_field(grid, seed=34, decay=3.0), 0.5)
+    traj = simulate(f, P, T=0.05, dt=1e-3, snapshot_stride=5)
+    for g, row in zip(traj.fields, traj.rows):
+        assert row.l2 == sobolev_norm(g, 0.0)
+        assert row.hs_crit == sobolev_norm(g, P.sigma_c)
+    delta = 0.1
+    rep = decay_study(f, P, delta, [0, 2], T=0.05, dt=1e-3, snapshot_stride=5)
+    for k, series in rep.series.items():
+        assert series == tuple(sobolev_norm(g, P.sigma_c + delta + k) for g in traj.fields)
+    # the inequality battery's seminorm gives the mean weight zero
+    stripped = random_field(grid, seed=35)
+    c = stripped.coeffs.copy()
+    c[0, 0] = 0.7
+    with_mean = SpectralField(grid, c)
+    for s in (-0.5, 0.0, 1.3):
+        assert _hs(with_mean, s) == sobolev_norm(stripped, s)
+
+
+def test_retained_snapshots_hold_only_their_half_spectra():
+    grid = GridSpec(64)
+    f = scaled(random_field(grid, seed=36, decay=3.0), 0.5)
+    simulate(f, P, T=2e-3, dt=1e-3)   # fill the per-grid caches first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = simulate(f, P, T=0.05, dt=1e-3, snapshot_stride=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.fields) == 51
+    # one full mirror per snapshot would be about 1.96x
+    assert retained / len(traj.fields) <= 1.25 * traj.fields[0].half.nbytes
 
 
 def test_default_delta_branches():
