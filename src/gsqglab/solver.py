@@ -623,14 +623,6 @@ def _step_values(stages, final_field):
     return [rec[0] for rec in stages] + [final_field]
 
 
-def _cubic_contraction_norm(diff_values, params, dt):
-    """The one-term branch's contraction norm, cubed-time-integrated Sobolev."""
-    period = diff_values[0].grid.period
-    w = _homog_weight(diff_values[0].grid, 4.0 * params.kappa / 3.0)
-    g = np.array([_l2(f.coeffs, period, w) ** 3 for f in diff_values])
-    return float(np.trapezoid(g, dx=dt)) ** (1.0 / 3.0)
-
-
 def picard_solve(
     theta0: SpectralField,
     params: ModelParams,
@@ -664,6 +656,9 @@ def picard_solve(
     prev_contraction = None
     history = []
     period = theta0.grid.period
+    # the two-term branch contracts in the sup-in-time L2 norm itself, the
+    # one-term branch in the time-integrated cube of the 2 kappa / 3 Sobolev norm
+    w = None if params.two_term else _homog_weight(theta0.grid, 4.0 * params.kappa / 3.0)
 
     for n in range(1, max_iter + 1):
         q = [[-f for f in rec] for rec in prev_stages]
@@ -679,9 +674,15 @@ def picard_solve(
             _wrap_half(theta0.grid, a.half - b.half)
             for a, b in zip(values, prev_values)
         ]
-        sup_l2 = max(_l2(f.coeffs, period) for f in diffs)
-        # the two-term branch contracts in the sup-in-time L2 norm itself
-        contraction = sup_l2 if params.two_term else _cubic_contraction_norm(diffs, params, dt)
+        l2s, cubes = [], []
+        for f in diffs:
+            coeffs = f.coeffs
+            l2s.append(_l2(coeffs, period))
+            if w is not None:
+                cubes.append(_l2(coeffs, period, w) ** 3)
+        sup_l2 = contraction = max(l2s)
+        if w is not None:
+            contraction = float(np.trapezoid(cubes, dx=dt)) ** (1.0 / 3.0)
         ratio = contraction / prev_contraction if prev_contraction else None
         history.append(sup_l2)
         converged = sup_l2 < tol
@@ -824,9 +825,11 @@ def decay_study(
     times_all = np.array(traj.times)
     keep = times_all >= t0 * (1.0 - 1e-12)
     n_points = None
-    for k in k_list:
-        w = _homog_weight(grid, 2.0 * (params.sigma_c + delta + k))
-        vals = np.array([_l2(f.coeffs, grid.period, w) for f in traj.fields])
+    weights = [_homog_weight(grid, 2.0 * (params.sigma_c + delta + k)) for k in k_list]
+    # one mirror per snapshot, measured in every weight: a column per k
+    mirrors = (f.coeffs for f in traj.fields)
+    table = np.array([[_l2(c, grid.period, w) for w in weights] for c in mirrors])
+    for k, vals in zip(k_list, table.T):
         series[k] = tuple(vals)
         usable = keep & (vals > 0)
         count = int(np.sum(usable))
@@ -860,9 +863,9 @@ def gevrey_tracking(
     Power law: the series holds each snapshot's term of norms.xt_norm (one
     Gevrey norm per snapshot), and the sup, the largest positive-time term,
     is xt_norm of the run, the space-time norm. Log law: the unweighted
-    Gevrey norm with the linearly growing radius eps_rate * t. An overflow of the Gevrey weight is a meaningful
-    diagnostic (the radius outgrew the resolvable range) and propagates
-    as OverflowGuardError.
+    Gevrey norm with the linearly growing radius eps_rate * t. An overflow
+    of the Gevrey weight is a meaningful diagnostic (the radius outgrew the
+    resolvable range) and propagates as OverflowGuardError.
     """
     params = trajectory.params
     if not (0 < alpha < params.kappa):

@@ -775,6 +775,7 @@ def test_operator_outputs_keep_the_storage_contract(fraction):
         assert not again.flags.writeable, name
         assert again.tobytes() == coeffs.tobytes(), name
         assert out.half is stored and not np.shares_memory(stored, coeffs), name
+        assert not out.half.flags.writeable, name
         assert [f.half.tobytes() for f in inputs] == before, name
 
 
