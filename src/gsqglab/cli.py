@@ -16,6 +16,7 @@ from .harness import (
     EXIT_CONFIG,
     EXIT_USAGE,
     SCENARIOS,
+    _refusal,
     parse_config,
     run_scenario,
 )
@@ -72,8 +73,9 @@ def main(argv=None) -> int:
     if args.out is not None:
         overrides["out_dir"] = args.out
     if args.seed is not None:
-        if args.seed < 0:
-            print("--seed must be nonnegative", file=sys.stderr)
+        refusal = _refusal("scenario.seed", args.seed)
+        if refusal is not None:
+            print(f"--seed {refusal}", file=sys.stderr)
             return EXIT_USAGE
         overrides["seed"] = args.seed
     for option, key in (("checkpoint", "checkpoint_path"), ("resume", "resume_path")):

@@ -120,14 +120,6 @@ class DyadicBlocks:
     blocks: tuple
     residual: float
 
-    def block(self, j: int) -> SpectralField:
-        part = self.partition
-        if not (part.j_min <= j <= part.j_max):
-            raise ValueError(
-                f"block index {j} outside partition range [{part.j_min}, {part.j_max}]"
-            )
-        return self.blocks[j - part.j_min]
-
     def items(self):
         return zip(self.partition.block_range, self.blocks)
 

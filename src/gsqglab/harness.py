@@ -10,11 +10,12 @@ operator / inequality verification batteries.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 import sys
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -144,342 +145,251 @@ class ScenarioConfig:
     verify_draws: int = 500
 
 
-_SECTION_KEYS = {
-    "scenario": {
-        "kind", "T", "dt", "snapshot_stride", "seed", "out", "checkpoint",
-        "resume", "cfl",
-    },
-    "grid": {"n", "period", "dealias_fraction"},
-    "model": {"beta", "kappa", "gamma", "mu", "eps_visc", "velocity_law"},
-    "initial": {
-        "profile", "amplitude", "m1", "m2", "m1_2", "m2_2", "amplitude2",
-        "decay", "member", "width", "separation", "path",
-    },
-    "gevrey": {"alpha", "eps_rate", "delta"},
-    "scaling": {"lam", "tol"},
-    "decay": {"delta", "k_list"},
-    "picard": {"tol", "max_iter"},
-    "verify": {"triples", "fields", "draws"},
-}
-
-
-def _parse_sections(text: str, violations: list[str]) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
-                violations.append(f"line {lineno}: unknown section [{name}]")
-                current = None
-            else:
-                current = sections.setdefault(name, {})
-            continue
-        if "=" not in line:
-            violations.append(f"line {lineno}: expected key=value, got {line!r}")
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if current is None:
-            violations.append(f"line {lineno}: key {key!r} outside any known section")
-            continue
-        section_name = next(s for s, d in sections.items() if d is current)
-        if key not in _SECTION_KEYS[section_name]:
-            violations.append(
-                f"line {lineno}: unknown key {key!r} in section [{section_name}]"
-            )
-            continue
-        if key in current:
-            violations.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        current[key] = value
-    return sections
-
-
-def _get(section: dict, key: str, conv, default, violations: list[str], label: str,
-         finite: bool = True):
-    """The converted value of key, or default when it is absent or refused;
-    a float must be finite unless finite=False."""
-    if key not in section:
-        return default
-    try:
-        value = conv(section[key])
-    except (TypeError, ValueError):
-        violations.append(f"{label}.{key}: cannot parse {section[key]!r}")
-        return default
-    if finite and isinstance(value, float) and not math.isfinite(value):
-        violations.append(f"{label}.{key}: must be finite")
-        return default
-    return value
-
-
 def _int(text: str) -> int:
     if text.strip().lower().startswith("0x"):
         return int(text, 16)
     return int(text)
 
 
+def _k_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; () when a part is not one, which the row refuses."""
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+    except ValueError:
+        return ()
+
+
+_positive = partial(operator.lt, 0)      # 0 < value
+_nonnegative = partial(operator.le, 0)   # 0 <= value
+
+
+class _Required(NamedTuple):
+    """The default of a key that a present section must set: its refusal."""
+
+    message: str
+
+
+class _Key(NamedTuple):
+    """One config key: its converter, default and check. A value that fails
+    check is refused with message (a str, or a function of the value); a float
+    must also be finite unless finite is False. The value fills the
+    ScenarioConfig or spec field named field, or else the one named key."""
+
+    section: str
+    key: str
+    conv: Callable = float
+    default: object = None
+    check: Callable | None = None
+    message: str | Callable = ""
+    field: str | None = None
+    finite: bool = True
+
+
+_KEYS = {f"{row.section}.{row.key}": row for row in (
+    _Key("scenario", "kind", str, _Required("required (or select a subcommand)"),
+         lambda v: v in SCENARIOS,
+         lambda v: f"{v!r} is not one of {', '.join(SCENARIO_KINDS)}"),
+    _Key("scenario", "T", float, 1.0, _positive, "horizon must be positive"),
+    _Key("scenario", "dt", float, 1e-3, _positive, "step must be positive"),
+    _Key("scenario", "snapshot_stride", _int, 1, _positive, "must be a positive integer"),
+    _Key("scenario", "seed", _int, 0, lambda v: 0 <= v < 2**64,
+         lambda v: "must be nonnegative" if v < 0 else "must be below 2**64"),
+    _Key("scenario", "out", str, "gsqg-out", field="out_dir"),
+    _Key("scenario", "checkpoint", str, field="checkpoint_path"),
+    _Key("scenario", "resume", str, field="resume_path"),
+    # cfl = inf switches the Courant guard off
+    _Key("scenario", "cfl", float, DEFAULT_CFL, _positive, "Courant bound must be positive",
+         "c_cfl", finite=False),
+    _Key("grid", "n", _int, _Required("required when a [grid] section is present"),
+         lambda v: v >= 16 and v & (v - 1) == 0, "must be a power of two >= 16"),
+    _Key("grid", "period", float, 2.0 * math.pi, _positive, "must be positive"),
+    _Key("grid", "dealias_fraction", float, 2.0 / 3.0, lambda v: 0 < v <= 1,
+         "must lie in (0, 1]"),
+    _Key("model", "beta", float, _Required("required"), lambda v: 0 < v <= 2,
+         "constitutive exponent must lie in (0, 2]"),
+    # the paper's supercritical range; ModelParams itself accepts kappa up to 2
+    _Key("model", "kappa", float, _Required("required"), lambda v: 0 < v < 1,
+         "dissipation order must lie in (0, 1)"),
+    _Key("model", "gamma", float, 0.0, _nonnegative, "dissipation strength must be nonnegative"),
+    _Key("model", "mu", float, 1.0, _positive, "must be positive"),
+    _Key("model", "eps_visc", float, 0.0, _nonnegative, "viscosity must be nonnegative"),
+    _Key("model", "velocity_law", str, None, lambda v: v in ("power", "log"),
+         "must be 'power' or 'log'"),
+    _Key("initial", "profile", str, _Required("required when [initial] is present"),
+         lambda v: v in INITIAL_PROFILES,
+         lambda v: f"{v!r} is not one of {', '.join(INITIAL_PROFILES)}"),
+    _Key("initial", "amplitude", float, 1.0),
+    _Key("initial", "m1", _int, 1),
+    _Key("initial", "m2", _int, 0),
+    _Key("initial", "m1_2", _int, 1),
+    _Key("initial", "m2_2", _int, 1),
+    _Key("initial", "amplitude2", float, 0.5),
+    _Key("initial", "decay", float, 3.0),
+    _Key("initial", "member", _int, 0, _nonnegative, "must be nonnegative"),
+    _Key("initial", "width"),
+    _Key("initial", "separation"),
+    _Key("initial", "path", str),
+    _Key("gevrey", "alpha"),
+    _Key("gevrey", "eps_rate", float, 0.0, _nonnegative, "must be nonnegative"),
+    _Key("gevrey", "delta", float, None, _nonnegative, "must be nonnegative"),
+    _Key("scaling", "lam", _int, 2, lambda v: v >= 2,
+         "scaling factor must be an integer >= 2", "scaling_lam"),
+    _Key("scaling", "tol", float, 1e-8, _positive, "must be positive", "scaling_tol"),
+    _Key("decay", "delta", float, None, _nonnegative, "must be nonnegative", "decay_delta"),
+    _Key("decay", "k_list", _k_list, (0,), lambda v: v != () and min(v) >= 0,
+         "comma-separated nonnegative integers", "decay_k_list"),
+    _Key("picard", "tol", float, 1e-10, _positive, "must be positive", "picard_tol"),
+    _Key("picard", "max_iter", _int, 20, _positive, "must be a positive integer",
+         "picard_max_iter"),
+    # checked together after the loop, with one message for the three counts
+    _Key("verify", "triples", _int, 100, field="verify_triples"),
+    _Key("verify", "fields", _int, 100, field="verify_fields"),
+    _Key("verify", "draws", _int, 500, field="verify_draws"),
+)}
+_SECTIONS = {row.section for row in _KEYS.values()}
+
+
+def _refusal(label: str, value) -> str | None:
+    """Why the converted value of the key label ('section.key') is refused, or None."""
+    row = _KEYS[label]
+    if row.finite and isinstance(value, float) and not math.isfinite(value):
+        return "must be finite"
+    if row.check is None or row.check(value):
+        return None
+    return row.message(value) if callable(row.message) else row.message
+
+
+def _parse_sections(text: str, violations: list[str]) -> dict[str, dict[str, str]]:
+    sections: dict[str, dict[str, str]] = {}
+    name = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name in _SECTIONS:
+                sections.setdefault(name, {})
+            else:
+                violations.append(f"line {lineno}: unknown section [{name}]")
+                name = None
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            violations.append(f"line {lineno}: expected key=value, got {line!r}")
+        elif name is None:
+            violations.append(f"line {lineno}: key {key!r} outside any known section")
+        elif f"{name}.{key}" not in _KEYS:
+            violations.append(f"line {lineno}: unknown key {key!r} in section [{name}]")
+        elif key in sections[name]:
+            violations.append(f"line {lineno}: duplicate key {key!r}")
+        else:
+            sections[name][key] = value
+    return sections
+
+
 def parse_config(text: str, default_kind: str | None = None) -> ScenarioConfig:
     """Parse and validate the plain-text key=value scenario description.
 
-    Every violation found is collected and reported at once; nothing is
-    computed from a config that failed validation.
+    Every violation found is collected and reported at once, each refused
+    value once: a check across keys is skipped when it reads a refused key.
+    Nothing is computed from a config that failed validation.
     """
     violations: list[str] = []
     sections = _parse_sections(text, violations)
+    scenario = sections.setdefault("scenario", {})
+    if default_kind is not None:
+        scenario.setdefault("kind", default_kind)
 
-    sc = sections.get("scenario", {})
-    kind = sc.get("kind", default_kind)
-    if kind is None:
-        violations.append("scenario.kind: required (or select a subcommand)")
-    elif kind not in SCENARIO_KINDS:
-        violations.append(
-            f"scenario.kind: {kind!r} is not one of {', '.join(SCENARIO_KINDS)}"
-        )
-    if default_kind is not None and kind is not None and kind != default_kind:
-        violations.append(
-            f"scenario.kind: config says {kind!r} but the subcommand is {default_kind!r}"
-        )
+    # values[section][field]: the converted value, or the default when absent or unparsable
+    values: dict[str, dict] = {section: {} for section in _SECTIONS}
+    refused: set[str] = set()
+    for label, row in _KEYS.items():
+        section = sections.get(row.section)
+        required = isinstance(row.default, _Required)
+        value, problem = (None if required else row.default), None
+        if section is not None and row.key in section:
+            try:
+                value = row.conv(section[row.key])
+            except (TypeError, ValueError):
+                problem = f"cannot parse {section[row.key]!r}"
+            else:
+                problem = _refusal(label, value)
+        elif section is not None and required:
+            problem = row.default.message
+        if problem is not None:
+            violations.append(f"{label}: {problem}")
+            refused.add(label)
+        values[row.section][row.field or row.key] = value
 
-    T = _get(sc, "T", float, 1.0, violations, "scenario")
-    dt = _get(sc, "dt", float, 1e-3, violations, "scenario")
-    stride = _get(sc, "snapshot_stride", _int, 1, violations, "scenario")
-    seed = _get(sc, "seed", _int, 0, violations, "scenario")
-    # cfl = inf switches the Courant guard off
-    c_cfl = _get(sc, "cfl", float, DEFAULT_CFL, violations, "scenario", finite=False)
-    out_dir = sc.get("out", "gsqg-out")
-    checkpoint_path = sc.get("checkpoint")
-    resume_path = sc.get("resume")
+    def usable(*labels: str) -> bool:
+        return refused.isdisjoint(labels)
 
-    if not T > 0:
-        violations.append("scenario.T: horizon must be positive")
-    if not dt > 0:
-        violations.append("scenario.dt: step must be positive")
-    elif T > 0 and abs(round(T / dt) * dt - T) > 1e-8 * T:
+    run, model, initial = values["scenario"], values["model"], values["initial"]
+    T, dt = run["T"], run["dt"]
+    if usable("scenario.T", "scenario.dt") and abs(round(T / dt) * dt - T) > 1e-8 * T:
         violations.append("scenario.dt: dt must divide the horizon T")
-    if stride < 1:
-        violations.append("scenario.snapshot_stride: must be a positive integer")
-    if seed < 0:
-        violations.append("scenario.seed: must be nonnegative")
-    if not c_cfl > 0:
-        violations.append("scenario.cfl: Courant bound must be positive")
 
-    grid = None
-    if "grid" in sections:
-        gs = sections["grid"]
-        before = len(violations)
-        n = _get(gs, "n", _int, None, violations, "grid")
-        period = _get(gs, "period", float, 2.0 * math.pi, violations, "grid")
-        frac = _get(gs, "dealias_fraction", float, 2.0 / 3.0, violations, "grid")
-        if n is None:
-            violations.append("grid.n: required when a [grid] section is present")
-        elif n < 16 or (n & (n - 1)) != 0:
-            violations.append("grid.n: must be a power of two >= 16")
-        if not period > 0:
-            violations.append("grid.period: must be positive")
-        if not (0 < frac <= 1):
-            violations.append("grid.dealias_fraction: must lie in (0, 1]")
-        if len(violations) == before:
-            grid = GridSpec(n, period, frac)
+    if "model" in sections and usable("model.beta", "model.velocity_law"):
+        beta = model["beta"]
+        if model["velocity_law"] is None:
+            model["velocity_law"] = "log" if beta == 2.0 else "power"
+        if model["velocity_law"] == "log":
+            if "mu" not in sections["model"]:
+                violations.append(
+                    "model.mu: the beta=2 endpoint uses the logarithmic "
+                    "velocity law, which requires an explicit mu > 0"
+                )
+            if beta != 2.0:
+                violations.append("model.velocity_law: 'log' requires beta = 2")
 
-    params = None
-    if "model" in sections:
-        ms = sections["model"]
-        beta = _get(ms, "beta", float, None, violations, "model")
-        kappa = _get(ms, "kappa", float, None, violations, "model")
-        gamma = _get(ms, "gamma", float, 0.0, violations, "model")
-        eps_visc = _get(ms, "eps_visc", float, 0.0, violations, "model")
-        law = ms.get("velocity_law")
-        mu_text = ms.get("mu")
-        mu = _get(ms, "mu", float, None, violations, "model")
-
-        ok = True
-        if beta is None:
-            violations.append("model.beta: required")
-            ok = False
-        elif not (0 < beta <= 2):
-            violations.append("model.beta: constitutive exponent must lie in (0, 2]")
-            ok = False
-        if kappa is None:
-            violations.append("model.kappa: required")
-            ok = False
-        elif not (0 < kappa < 1):
-            violations.append("model.kappa: dissipation order must lie in (0, 1)")
-            ok = False
-        if gamma < 0:
-            violations.append("model.gamma: dissipation strength must be nonnegative")
-            ok = False
-        if eps_visc < 0:
-            violations.append("model.eps_visc: viscosity must be nonnegative")
-            ok = False
-        if law is not None and law not in ("power", "log"):
-            violations.append("model.velocity_law: must be 'power' or 'log'")
-            ok = False
-        if ok:
-            resolved_law = law if law is not None else ("log" if beta == 2.0 else "power")
-            if resolved_law == "log":
-                if mu_text is None:
-                    violations.append(
-                        "model.mu: the beta=2 endpoint uses the logarithmic "
-                        "velocity law, which requires an explicit mu > 0"
-                    )
-                    ok = False
-                elif not (mu is not None and mu > 0):
-                    violations.append("model.mu: must be positive")
-                    ok = False
-                if beta != 2.0:
-                    violations.append("model.velocity_law: 'log' requires beta = 2")
-                    ok = False
-            elif mu is not None and not mu > 0:
-                violations.append("model.mu: must be positive")
-                ok = False
-        if ok:
-            params = ModelParams(
-                beta=beta,
-                kappa=kappa,
-                gamma=gamma,
-                mu=mu if mu is not None else 1.0,
-                eps_visc=eps_visc,
-                velocity_law=resolved_law,
-            )
-
-    initial = None
-    if "initial" in sections:
-        isec = sections["initial"]
-        profile = isec.get("profile")
-        if profile is None:
-            violations.append("initial.profile: required when [initial] is present")
-        elif profile not in INITIAL_PROFILES:
-            violations.append(
-                f"initial.profile: {profile!r} is not one of {', '.join(INITIAL_PROFILES)}"
-            )
-        amplitude = _get(isec, "amplitude", float, 1.0, violations, "initial")
-        m1 = _get(isec, "m1", _int, 1, violations, "initial")
-        m2 = _get(isec, "m2", _int, 0, violations, "initial")
-        m1_2 = _get(isec, "m1_2", _int, 1, violations, "initial")
-        m2_2 = _get(isec, "m2_2", _int, 1, violations, "initial")
-        amplitude2 = _get(isec, "amplitude2", float, 0.5, violations, "initial")
-        decay = _get(isec, "decay", float, 3.0, violations, "initial")
-        member = _get(isec, "member", _int, 0, violations, "initial")
-        width = _get(isec, "width", float, None, violations, "initial")
-        separation = _get(isec, "separation", float, None, violations, "initial")
-        path = isec.get("path")
-        if profile == "checkpoint" and path is None:
+    profile = initial["profile"]
+    mode = (initial.pop("m1"), initial.pop("m2"))
+    mode2 = (initial.pop("m1_2"), initial.pop("m2_2"))
+    if usable("initial.profile"):
+        if profile == "checkpoint" and initial["path"] is None:
             violations.append("initial.path: required for the checkpoint profile")
-        if profile == "ensemble" and decay <= 1.0:
+        if profile == "ensemble" and usable("initial.decay") and initial["decay"] <= 1.0:
             violations.append("initial.decay: ensemble spectra need decay > 1")
-        if profile in ("single_mode", "two_mode") and (m1, m2) == (0, 0):
+        if (profile in ("single_mode", "two_mode") and usable("initial.m1", "initial.m2")
+                and mode == (0, 0)):
             violations.append("initial.m1/m2: the mode must not be the mean")
-        if member < 0:
-            violations.append("initial.member: must be nonnegative")
-        if profile in INITIAL_PROFILES:
-            initial = InitialSpec(
-                profile=profile,
-                amplitude=amplitude,
-                mode=(m1, m2),
-                mode2=(m1_2, m2_2),
-                amplitude2=amplitude2,
-                decay=decay,
-                member=member,
-                width=width,
-                separation=separation,
-                path=path,
-            )
 
-    gv = sections.get("gevrey", {})
-    g_alpha = _get(gv, "alpha", float, None, violations, "gevrey")
-    g_rate = _get(gv, "eps_rate", float, 0.0, violations, "gevrey")
-    g_delta = _get(gv, "delta", float, None, violations, "gevrey")
-    if g_alpha is not None and params is not None and not (0 < g_alpha < params.kappa):
+    alpha, kappa = values["gevrey"]["alpha"], model["kappa"]
+    if (alpha is not None and kappa is not None and usable("gevrey.alpha", "model.kappa")
+            and not 0 < alpha < kappa):
         violations.append("gevrey.alpha: must lie in (0, kappa)")
-    if g_rate < 0:
-        violations.append("gevrey.eps_rate: must be nonnegative")
-    if g_delta is not None and g_delta < 0:
-        violations.append("gevrey.delta: must be nonnegative")
 
-    ss = sections.get("scaling", {})
-    lam = _get(ss, "lam", _int, 2, violations, "scaling")
-    scaling_tol = _get(ss, "tol", float, 1e-8, violations, "scaling")
-    if lam < 2:
-        violations.append("scaling.lam: scaling factor must be an integer >= 2")
-    if not scaling_tol > 0:
-        violations.append("scaling.tol: must be positive")
-
-    ds = sections.get("decay", {})
-    d_delta = _get(ds, "delta", float, None, violations, "decay")
-    k_text = ds.get("k_list", "0")
-    try:
-        k_list = tuple(int(part) for part in k_text.split(",") if part.strip() != "")
-        if not k_list or any(k < 0 for k in k_list):
-            raise ValueError
-    except ValueError:
-        violations.append("decay.k_list: comma-separated nonnegative integers")
-        k_list = (0,)
-    if d_delta is not None and d_delta < 0:
-        violations.append("decay.delta: must be nonnegative")
-
-    ps = sections.get("picard", {})
-    p_tol = _get(ps, "tol", float, 1e-10, violations, "picard")
-    p_max = _get(ps, "max_iter", _int, 20, violations, "picard")
-    if not p_tol > 0:
-        violations.append("picard.tol: must be positive")
-    if p_max < 1:
-        violations.append("picard.max_iter: must be a positive integer")
-
-    vs = sections.get("verify", {})
-    v_triples = _get(vs, "triples", _int, 100, violations, "verify")
-    v_fields = _get(vs, "fields", _int, 100, violations, "verify")
-    v_draws = _get(vs, "draws", _int, 500, violations, "verify")
-    if min(v_triples, v_fields, v_draws) < 1:
+    if min(values["verify"].values()) < 1:
         violations.append("verify.triples/fields/draws: must be positive integers")
 
-    if kind != "simulate":
+    kind, resume = run["kind"], run["resume_path"]
+    if usable("scenario.kind"):
+        if default_kind is not None and kind != default_kind:
+            violations.append(
+                f"scenario.kind: config says {kind!r} but the subcommand is {default_kind!r}"
+            )
         for key in ("checkpoint", "resume"):
-            if key in sc:
+            if kind != "simulate" and key in scenario:
                 violations.append(f"scenario.{key}: applies to the simulate kind only")
-
-    if kind in SCENARIOS and SCENARIOS[kind].needs_inputs:
-        if grid is None and "grid" not in sections and resume_path is None and not (
-            initial is not None and initial.profile == "checkpoint"
-        ):
-            violations.append(f"grid: section required for scenario kind {kind!r}")
-        if params is None and "model" not in sections:
-            violations.append(f"model: section required for scenario kind {kind!r}")
-        if (
-            initial is None
-            and "initial" not in sections
-            and resume_path is None
-        ):
-            violations.append(f"initial: section required for scenario kind {kind!r}")
+        if SCENARIOS[kind].needs_inputs:
+            if ("grid" not in sections and resume is None and usable("initial.profile")
+                    and profile != "checkpoint"):
+                violations.append(f"grid: section required for scenario kind {kind!r}")
+            if "model" not in sections:
+                violations.append(f"model: section required for scenario kind {kind!r}")
+            if "initial" not in sections and resume is None:
+                violations.append(f"initial: section required for scenario kind {kind!r}")
 
     if violations:
         raise ConfigError(violations)
 
     return ScenarioConfig(
-        kind=kind,
-        grid=grid,
-        params=params,
-        initial=initial,
-        T=T,
-        dt=dt,
-        snapshot_stride=stride,
-        seed=seed,
-        out_dir=out_dir,
-        checkpoint_path=checkpoint_path,
-        resume_path=resume_path,
-        c_cfl=c_cfl,
-        gevrey=GevreyTrackSpec(alpha=g_alpha, eps_rate=g_rate, delta=g_delta),
-        scaling_lam=lam,
-        scaling_tol=scaling_tol,
-        decay_delta=d_delta,
-        decay_k_list=k_list,
-        picard_tol=p_tol,
-        picard_max_iter=p_max,
-        verify_triples=v_triples,
-        verify_fields=v_fields,
-        verify_draws=v_draws,
+        grid=GridSpec(**values["grid"]) if "grid" in sections else None,
+        params=ModelParams(**model) if "model" in sections else None,
+        initial=InitialSpec(mode=mode, mode2=mode2, **initial) if "initial" in sections else None,
+        gevrey=GevreyTrackSpec(**values["gevrey"]),
+        **run, **values["scaling"], **values["decay"], **values["picard"], **values["verify"],
     )
 
 

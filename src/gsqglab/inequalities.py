@@ -113,9 +113,12 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _hash_uniform(seed: int, index: int, m1: np.ndarray, m2: np.ndarray, salt: int) -> np.ndarray:
-    """Per-mode uniform in [0, 1), keyed only on integers (grid-size free)."""
+    """Per-mode uniform in [0, 1), keyed only on integers (grid-size free).
+
+    The seed enters as its residue mod 2^64, which is the bit pattern the
+    int64 view gave every seed in [-2^63, 2^63)."""
     with np.errstate(over="ignore"):
-        h = _mix64(np.asarray(seed, dtype=np.int64).view(_U64))
+        h = _mix64(np.asarray(int(seed) % 2**64, dtype=_U64))
         h = _mix64(h ^ _U64(index))
         h = _mix64(h ^ _U64(salt))
         h = _mix64(h ^ m1.astype(np.int64).view(_U64))

@@ -227,10 +227,11 @@ def test_08_time_stepper_fourth_order_self_convergence():
 
 
 def test_09_fixed_point_contraction_below_threshold():
-    """At 1% of the amplitude where the iteration stops converging at this
-    resolution and step (threshold 227 in the critical norm, located with
-    amplitude_threshold_sweep), every contraction ratio sits under 1/2 and
-    the limit agrees with the direct solver in sup-in-time L2."""
+    """At 1% of amplitude 227 in the critical norm, the limit that
+    amplitude_threshold_sweep locates at this resolution and step, every
+    contraction ratio sits under 1/2 and the limit agrees with the direct
+    solver in sup-in-time L2. That limit is the Courant guard at dt = 1e-3,
+    not a loss of contraction: 215 contracts, while 235 raises CourantError."""
     params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
     base = masked_member(64, params.sigma_c + 1.5)
     theta0 = SpectralField(

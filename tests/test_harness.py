@@ -54,6 +54,7 @@ from gsqglab.harness import (
     EXIT_VERIFY,
     SCENARIO_KINDS,
     SCENARIOS,
+    _KEYS,
 )
 from util import l2_norm, random_field
 
@@ -299,6 +300,139 @@ def test_parse_reports_every_grid_violation():
         "grid.period: must be positive",
         "grid.dealias_fraction: must lie in (0, 1]",
     ]
+
+
+def with_key(body, section, key, value):
+    """body with section.key set to value: its line replaced, or the section appended."""
+    line = re.compile(rf"^{key} = .*$", re.M)
+    if line.search(body):   # every SIM_BODY key sits in its own section
+        return line.sub(f"{key} = {value}", body)
+    return body + f"\n[{section}]\n{key} = {value}\n"
+
+
+# per config key: a value SIM_BODY must refuse with the one violation given,
+# or, for a key no value of which is refused, one it must accept (None)
+BAD_VALUES = {
+    "scenario.kind": ("frobnicate", "scenario.kind: 'frobnicate' is not one of simulate, "
+                      "picard, verify-operators, verify-inequalities, scaling-check, "
+                      "decay-study, gevrey-track"),
+    "scenario.T": ("0", "scenario.T: horizon must be positive"),
+    "scenario.dt": ("-1e-3", "scenario.dt: step must be positive"),
+    "scenario.snapshot_stride": ("0", "scenario.snapshot_stride: must be a positive integer"),
+    "scenario.seed": ("-1", "scenario.seed: must be nonnegative"),
+    "scenario.out": ("elsewhere", None),
+    "scenario.checkpoint": ("a.ck", None),
+    "scenario.resume": ("b.ck", None),
+    "scenario.cfl": ("0", "scenario.cfl: Courant bound must be positive"),
+    "grid.n": ("24", "grid.n: must be a power of two >= 16"),
+    "grid.period": ("-1", "grid.period: must be positive"),
+    "grid.dealias_fraction": ("2", "grid.dealias_fraction: must lie in (0, 1]"),
+    "model.beta": ("3", "model.beta: constitutive exponent must lie in (0, 2]"),
+    "model.kappa": ("1", "model.kappa: dissipation order must lie in (0, 1)"),
+    "model.gamma": ("-1", "model.gamma: dissipation strength must be nonnegative"),
+    "model.mu": ("0", "model.mu: must be positive"),
+    "model.eps_visc": ("-1", "model.eps_visc: viscosity must be nonnegative"),
+    "model.velocity_law": ("cubic", "model.velocity_law: must be 'power' or 'log'"),
+    "initial.profile": ("nosuch", "initial.profile: 'nosuch' is not one of single_mode, "
+                        "two_mode, ensemble, vortex_pair, checkpoint"),
+    "initial.amplitude": ("x", "initial.amplitude: cannot parse 'x'"),
+    "initial.m1": ("1.5", "initial.m1: cannot parse '1.5'"),
+    "initial.m2": ("x", "initial.m2: cannot parse 'x'"),
+    "initial.m1_2": ("x", "initial.m1_2: cannot parse 'x'"),
+    "initial.m2_2": ("x", "initial.m2_2: cannot parse 'x'"),
+    "initial.amplitude2": ("x", "initial.amplitude2: cannot parse 'x'"),
+    "initial.decay": ("x", "initial.decay: cannot parse 'x'"),
+    "initial.member": ("-1", "initial.member: must be nonnegative"),
+    "initial.width": ("x", "initial.width: cannot parse 'x'"),
+    "initial.separation": ("x", "initial.separation: cannot parse 'x'"),
+    "initial.path": ("p.ck", None),
+    "gevrey.alpha": ("x", "gevrey.alpha: cannot parse 'x'"),
+    "gevrey.eps_rate": ("-1", "gevrey.eps_rate: must be nonnegative"),
+    "gevrey.delta": ("-1", "gevrey.delta: must be nonnegative"),
+    "scaling.lam": ("1", "scaling.lam: scaling factor must be an integer >= 2"),
+    "scaling.tol": ("0", "scaling.tol: must be positive"),
+    "decay.delta": ("-1", "decay.delta: must be nonnegative"),
+    "decay.k_list": ("0, -1", "decay.k_list: comma-separated nonnegative integers"),
+    "picard.tol": ("0", "picard.tol: must be positive"),
+    "picard.max_iter": ("0", "picard.max_iter: must be a positive integer"),
+    "verify.triples": ("0", "verify.triples/fields/draws: must be positive integers"),
+    "verify.fields": ("0", "verify.triples/fields/draws: must be positive integers"),
+    "verify.draws": ("0", "verify.triples/fields/draws: must be positive integers"),
+}
+
+
+@pytest.mark.parametrize("label", list(_KEYS))
+def test_parse_refuses_a_bad_value_of_every_key_once(label):
+    value, expected = BAD_VALUES[label]
+    body = with_key(SIM_BODY, *label.split("."), value)
+    if expected is None:
+        assert repr(value) in repr(parse_config(body))
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(body)
+    assert err.value.violations == [expected]
+
+
+def without(body, *lines):
+    return "".join(line for line in body.splitlines(keepends=True) if line.strip() not in lines)
+
+
+# bodies with one refused value, or one missing key or section, and their one violation
+REFUSED_ONCE = {
+    "T-inf": (SIM_BODY.replace("T = 0.02\ndt = 1e-3", "T = inf\ndt = 0.3"),
+              "scenario.T: must be finite"),
+    "beta-nan": (SIM_BODY.replace("beta = 1.5", "beta = nan"), "model.beta: must be finite"),
+    "beta-x": (SIM_BODY.replace("beta = 1.5", "beta = x"), "model.beta: cannot parse 'x'"),
+    "log-mu": (SIM_BODY.replace("beta = 1.5", "beta = 2\nmu = -1"), "model.mu: must be positive"),
+    "log-beta": (SIM_BODY.replace("beta = 1.5", "beta = 1.5\nvelocity_law = log\nmu = 1"),
+                 "model.velocity_law: 'log' requires beta = 2"),
+    "no-path": (SIM_BODY.replace("profile = ensemble", "profile = checkpoint"),
+                "initial.path: required for the checkpoint profile"),
+    "decay-1": (SIM_BODY.replace("decay = 3.0", "decay = 1.0"),
+                "initial.decay: ensemble spectra need decay > 1"),
+    "mean-mode": (SIM_BODY.replace("profile = ensemble", "profile = single_mode\nm1 = 0"),
+                  "initial.m1/m2: the mode must not be the mean"),
+    "n-x": (SIM_BODY.replace("n = 16", "n = x"), "grid.n: cannot parse 'x'"),
+    "seed-2^64": (SIM_BODY.replace("seed = 3", f"seed = {2**64}"),
+                  "scenario.seed: must be below 2**64"),
+    "k_list-x": (SIM_BODY + "[decay]\nk_list = 1, x\n",
+                 "decay.k_list: comma-separated nonnegative integers"),
+    "no-kind": (without(SIM_BODY, "kind = simulate"),
+                "scenario.kind: required (or select a subcommand)"),
+    "no-n": (without(SIM_BODY, "n = 16"), "grid.n: required when a [grid] section is present"),
+    "no-beta": (without(SIM_BODY, "beta = 1.5"), "model.beta: required"),
+    "no-kappa": (without(SIM_BODY, "kappa = 0.5"), "model.kappa: required"),
+    "no-profile": (without(SIM_BODY, "profile = ensemble"),
+                   "initial.profile: required when [initial] is present"),
+    "no-grid": (without(SIM_BODY, "[grid]", "n = 16"),
+                "grid: section required for scenario kind 'simulate'"),
+    "no-model": (without(SIM_BODY, "[model]", "beta = 1.5", "kappa = 0.5", "gamma = 0.3"),
+                 "model: section required for scenario kind 'simulate'"),
+    "no-initial": (without(SIM_BODY, "[initial]", "profile = ensemble", "amplitude = 0.05",
+                           "decay = 3.0"),
+                   "initial: section required for scenario kind 'simulate'"),
+}
+
+
+@pytest.mark.parametrize("body, expected", REFUSED_ONCE.values(), ids=list(REFUSED_ONCE))
+def test_parse_reports_a_refused_value_once(body, expected):
+    # a check across keys that reads a refused key is skipped, not run on a default
+    with pytest.raises(ConfigError) as err:
+        parse_config(body)
+    assert err.value.violations == [expected]
+
+
+def test_parse_takes_hex_integers_and_the_largest_seed():
+    cfg = parse_config(SIM_BODY.replace("n = 16", "n = 0x20").replace(
+        "seed = 3", f"seed = {2**64 - 1}"))
+    assert (cfg.grid.n, cfg.seed) == (32, 2**64 - 1)
+
+
+def test_readme_ini_example_parses_as_simulate():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+    cfg = parse_config(example, default_kind="simulate")
+    assert (cfg.kind, cfg.grid.n) == ("simulate", 64)
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +1002,26 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert (tmp_path / "a" / "simulate.csv").read_bytes() != (
         tmp_path / "b" / "simulate.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
+def test_cli_runs_seeds_up_to_the_u64_maximum(tmp_path, seed):
+    for kind in ("simulate", "verify-inequalities"):
+        cfg = run_cfg(tmp_path, KIND_BODIES[kind], kind)
+        out = tmp_path / kind
+        code = main([kind, "--config", str(cfg), "--out", str(out), "--seed", str(seed)])
+        assert code == EXIT_OK
+        assert (out / f"{kind}.csv").exists()
+
+
+def test_cli_seed_override_is_checked_by_the_config_row(tmp_path, capsys):
+    cfg = run_cfg(tmp_path, SIM_BODY)
+    out = tmp_path / "o"
+    for seed, message in ((2**64, "must be below 2**64"), (-1, "must be nonnegative")):
+        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", str(seed)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"--seed {message}\n"
+    assert not out.exists()
 
 
 def test_cli_refused_resume_leaves_no_directory(tmp_path, capsys):
