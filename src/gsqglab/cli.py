@@ -1,7 +1,9 @@
 """Command-line front end: one subcommand per scenario kind.
 
 The subcommands and their help come from gsqglab.harness.SCENARIOS, the
-exit codes listed in --help from gsqglab.harness.EXIT_CODES.
+exit codes listed in --help from gsqglab.harness.EXIT_CODES. A command line
+argparse refuses exits with the usage code, not argparse's own 2, which the
+table gives to invalid configuration values.
 """
 
 from __future__ import annotations
@@ -26,8 +28,16 @@ _EXIT_CODE_DOC = "exit codes:\n" + "".join(
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with its usage errors under EXIT_USAGE; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsqglab",
         description="pseudo-spectral laboratory for dissipative active scalars",
         epilog=_EXIT_CODE_DOC,

@@ -12,10 +12,11 @@ here is norms._l2, the Parseval sum behind norms.sobolev_norm. The state
 and stage fields of a run carry the dealias disc's support bound, so the
 product engine sizes their products without scanning them. The Courant
 number is read from the step velocity's cached n-grid samples
-(`VectorField.samples`). In `simulate`, when the first stage's products fit
-the n-grid, these are the samples `advect` formed them from, so the check
-costs no transform of its own; the frozen-coefficient solve transforms its
-velocity for the check alone. On top of the direct solver sit the
+(`VectorField.samples`). When the first stage's products fit the n-grid,
+these are samples that stage's products were formed from: in `simulate` the
+ones `advect` reads, in the frozen-coefficient solve those of d1(M q) and
+d2(M q) that `flux_divergence` makes, so the check costs no transform of its
+own. On top of the direct solver sit the
 fixed-point machinery (a linear solve with frozen transport coefficients,
 iterated to convergence), exact self-similar rescaling, and the decay and
 analyticity-radius diagnostics.
@@ -553,6 +554,19 @@ def linear_flux_solve(
     the end-of-step stage) are appended per step as 4-element lists, the
     exact shape the next fixed-point iterate consumes as q.
     """
+    return _frozen_solve(
+        theta0, q, params, T, dt, snapshot_stride, c_cfl, stage_sink, negate=True
+    )
+
+
+def _frozen_solve(theta0, q, params, T, dt, snapshot_stride, c_cfl, stage_sink, negate):
+    """linear_flux_solve with the tendency -flux_divergence(q, theta) when
+    negate is true and +flux_divergence(q, theta) otherwise.
+
+    The Courant velocity is q's at the start of the step; when the first
+    stage's products fit the n-grid, its samples are the ones that stage's
+    flux transforms make.
+    """
     grid = theta0.grid
     n_steps = _step_count(T, dt)
     provider = _as_stage_provider(q, grid, n_steps, dt)
@@ -560,6 +574,7 @@ def linear_flux_solve(
     def factory(i, theta):
         # the final row, at t = T, reads q at the last step's end stage
         q0 = provider(i, 0) if i < n_steps else provider(n_steps - 1, 3)
+        u = velocity_from_scalar(q0, params)
         record = None
         if stage_sink is not None and i < n_steps and len(stage_sink) <= i:
             record = []
@@ -568,10 +583,13 @@ def linear_flux_solve(
         def tendency(f, stage):
             if record is not None and len(record) < 4:
                 record.append(f)
-            q = q0 if stage == 0 else provider(i, stage)
-            return -flux_divergence(q, f, params)
+            if stage == 0:
+                div = flux_divergence(q0, f, params, velocity=u)
+            else:
+                div = flux_divergence(provider(i, stage), f, params)
+            return -div if negate else div
 
-        return tendency, velocity_from_scalar(q0, params), tendency(theta, 0)
+        return tendency, u, tendency(theta, 0)
 
     return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory)
 
@@ -639,6 +657,10 @@ def picard_solve(
     previous iterate (negated). Stops once the sup-in-time L2 distance
     between consecutive iterates drops below tol; exhausting max_iter
     raises, with the distance history attached.
+
+    The previous iterate's stages go to the solve as they are, with the
+    tendency +flux_divergence(f, theta): flux_divergence is linear in q and
+    negation is exact, so that equals -flux_divergence(-f, theta) bit for bit.
     """
     theta0 = _admissible_initial(theta0)
     seed_traj, prev_stages = _heat_flow_seed(theta0, params, T, dt, snapshot_stride)
@@ -661,22 +683,14 @@ def picard_solve(
     w = None if params.two_term else _homog_weight(theta0.grid, 4.0 * params.kappa / 3.0)
 
     for n in range(1, max_iter + 1):
-        q = [[-f for f in rec] for rec in prev_stages]
-        # q is all the solve reads: release the stages it was negated from
-        prev_stages = None
         sink: list = []
-        traj = linear_flux_solve(
-            theta0, q, params, T, dt, snapshot_stride, c_cfl=c_cfl, stage_sink=sink
+        traj = _frozen_solve(
+            theta0, prev_stages, params, T, dt, snapshot_stride, c_cfl, sink, negate=False
         )
-        del q
         values = _step_values(sink, traj.final)
-        diffs = [
-            _wrap_half(theta0.grid, a.half - b.half)
-            for a, b in zip(values, prev_values)
-        ]
         l2s, cubes = [], []
-        for f in diffs:
-            coeffs = f.coeffs
+        for a, b in zip(values, prev_values):
+            coeffs = _wrap_half(theta0.grid, a.half - b.half).coeffs
             l2s.append(_l2(coeffs, period))
             if w is not None:
                 cubes.append(_l2(coeffs, period, w) ** 3)

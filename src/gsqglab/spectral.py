@@ -31,12 +31,18 @@ so M is always the one their exact supports give.
 
 A velocity's n-grid samples, `VectorField.samples`, are transformed once and
 cached: `advect` reads them when M = n, and the solver's Courant number reads
-the same arrays. The modified flux is evaluated in advective form,
-Div((perp_grad a) b) = perp_grad a . grad b, which holds exactly for
-alias-free products because perp_grad a is divergence free, so both of its
-terms share the samples of grad theta. Transforms per call: `advect` 4
-inverse and 1 forward (2 and 1 when it reads cached samples),
-`flux_divergence` 4 and 1, or 6 and 2 with the second term.
+the same arrays; `flux_divergence`, given q's velocity, fills them from its
+own samples of d1(M q) and d2(M q) instead. The modified flux is evaluated
+in advective form, Div((perp_grad a) b) = perp_grad a . grad b, which holds
+exactly for alias-free products because perp_grad a is divergence free, so
+both of its terms share the samples of grad theta. Transforms per call:
+`advect` 4 inverse and 1 forward (2 and 1 when it reads cached samples),
+`flux_divergence` 4 and 1, or 6 and 2 with the second term,
+`multiply_fields` 2 and 1, `VectorField.samples` 2 inverse. On a product
+grid of M <= _STACK_MAX = 64 a call site makes them as one stacked inverse
+scipy.fft call and one forward call, which saves the per-call dispatch;
+above it, where a stack runs slower per transform, one call per transform.
+The stacked and single calls agree bit for bit (`_term_samples`).
 """
 
 from __future__ import annotations
@@ -256,10 +262,7 @@ class VectorField:
     def samples(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (u1, u2) at the n x n sample points, transformed once."""
         n = self.grid.n
-        pair = (_samples(self.u1.half, n), _samples(self.u2.half, n))
-        for a in pair:
-            a.flags.writeable = False
-        return pair
+        return _read_only(*_term_samples((self.u1.half, self.u2.half), n, n))
 
     def divergence(self) -> SpectralField:
         ik1, ik2 = _ik(self.grid)
@@ -529,6 +532,13 @@ def velocity_from_scalar(theta: SpectralField, params: ModelParams) -> VectorFie
 # exact nonlinear products
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, frozen in place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _half(a: np.ndarray) -> np.ndarray:
     """The m2 >= 0 columns of a lattice array; an (n, 1) column stays whole."""
     return a[..., : a.shape[-1] // 2 + 1]
@@ -567,20 +577,58 @@ def _grid_size(n: int, a: tuple, b: tuple, k_out: int) -> int:
 
 
 def _samples(coeffs: np.ndarray, size: int) -> np.ndarray:
-    """Samples on the size x size grid of a Hermitian full or half spectrum."""
-    n = coeffs.shape[0]
+    """Samples on the size x size grid of a Hermitian full or half spectrum,
+    or of each spectrum in a stack of them, in one transform call."""
+    n = coeffs.shape[-2]
     h = n // 2
-    half = coeffs[:, : h + 1]
+    half = coeffs[..., : h + 1]
     if size != n:   # rows m1 < 0 go to the end of the size-grid layout
-        half = np.zeros((size, size // 2 + 1), dtype=np.complex128)
-        half[np.r_[:h, size - h : size], : h + 1] = coeffs[:, : h + 1]
+        half = np.zeros(coeffs.shape[:-2] + (size, size // 2 + 1), dtype=np.complex128)
+        half[..., np.r_[:h, size - h : size], : h + 1] = coeffs[..., : h + 1]
     return scipy.fft.irfft2(half, s=(size, size), norm="forward")
 
 
 def _lattice_half(phys: np.ndarray, n: int) -> np.ndarray:
-    """Half spectrum, on the n-lattice, of samples on any product grid."""
-    half = scipy.fft.rfft2(phys, norm="forward")[:, : n // 2 + 1]
-    return half if len(half) == n else np.concatenate((half[: n // 2], half[-(n // 2) :]))
+    """Half spectrum, on the n-lattice, of samples on any product grid, or of
+    each array in a stack of them, in one transform call."""
+    half = scipy.fft.rfft2(phys, norm="forward")[..., : n // 2 + 1]
+    if half.shape[-2] == n:
+        return half
+    return np.concatenate((half[..., : n // 2, :], half[..., -(n // 2) :, :]), axis=-2)
+
+
+# Largest product grid M whose transforms go to scipy.fft as one stacked call
+# per product site. A call costs a fixed dispatch, about a third of one
+# transform at M = 64, but pocketfft runs a stack slower per transform on
+# larger grids. Per inverse transform, 6 stacked against 6 single calls
+# (median of 9 timeit runs, 2-CPU host, scipy 1.17.1): 39 against 59 us at
+# M = 64, 166 against 125 us at M = 96, 283 against 183 us at M = 128 and
+# 1200 against 774 us at M = 256. Stacked and single results agree bit for bit.
+_STACK_MAX = 64
+
+
+def _stacked(size: int) -> bool:
+    return size <= _STACK_MAX
+
+
+def _term_samples(terms, n: int, size: int):
+    """Samples on the size grid of each term: an n-lattice half spectrum, or
+    a pair (symbol, half) standing for their product.
+
+    On a small grid the terms are written into one stack, the products
+    straight into their slots, and transformed in one call. Otherwise each is
+    transformed on its own as the caller takes it, so a caller that consumes
+    the samples in turn holds no more of them at once than it needs.
+    """
+    if not _stacked(size):
+        return (_samples(np.multiply(*t) if isinstance(t, tuple) else t, size) for t in terms)
+    stack = np.empty((len(terms), n, n // 2 + 1), dtype=np.complex128)
+    for dst, t in zip(stack, terms):
+        if isinstance(t, tuple):
+            np.multiply(*t, out=dst)
+        else:
+            dst[...] = t
+    return _samples(stack, size)
 
 
 def _dealiased(grid: GridSpec, half: np.ndarray) -> SpectralField:
@@ -596,7 +644,8 @@ def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
         raise ValueError("product requires a shared grid")
     n = f.grid.n
     size = _grid_size(n, (f,), (g,), n // 2 - 1)
-    prod = _lattice_half(_samples(f.half, size) * _samples(g.half, size), n)
+    a, b = _term_samples((f.half, g.half), n, size)
+    prod = _lattice_half(a * b, n)
     return _wrap_half(f.grid, _canonical_half(prod))
 
 
@@ -615,16 +664,21 @@ def advect(u: VectorField, theta: SpectralField) -> SpectralField:
     th = theta.half
     # grad theta lies inside theta's support
     size = _grid_size(grid.n, (u.u1, u.u2), (theta,), int(grid.dealias_radius))
-    if size == grid.n:
-        p1, p2 = u.samples
-    else:
-        p1, p2 = _samples(u.u1.half, size), _samples(u.u2.half, size)
-    acc = p1 * _samples(ik1 * th, size)
-    acc += p2 * _samples(ik2 * th, size)
+    own = () if size == grid.n else (u.u1.half, u.u2.half)
+    factors = iter(_term_samples((*own, (ik1, th), (ik2, th)), grid.n, size))
+    p1, p2 = (next(factors), next(factors)) if own else u.samples
+    acc = p1 * next(factors)
+    acc += p2 * next(factors)
     return _dealiased(grid, _lattice_half(acc, grid.n))
 
 
-def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams) -> SpectralField:
+def flux_divergence(
+    q: SpectralField,
+    theta: SpectralField,
+    params: ModelParams,
+    *,
+    velocity: VectorField | None = None,
+) -> SpectralField:
     """Divergence of the modified nonlinear flux built from q and theta.
 
     One-term branch: Div((perp_grad M q) theta) where M is the constitutive
@@ -635,26 +689,43 @@ def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams)
     Both terms are evaluated in advective form, Div((perp_grad a) b) =
     perp_grad a . grad b, exact for alias-free products since perp_grad a is
     divergence free; they share the samples of grad theta. Transforms: 4
-    inverse and 1 forward for one term, 6 and 2 for two.
+    inverse and 1 forward for one term, 6 and 2 for two, in one inverse and
+    one forward call on a small product grid.
+
+    velocity, if given, must be velocity_from_scalar(q, params). When the
+    products are formed on the n-grid, its `samples` are taken from the
+    samples of d1(M q) and d2(M q) made here, u = (d2(M q), -d1(M q)), so
+    reading them costs no transform.
     """
     grid = theta.grid
     if q.grid != grid:
         raise ValueError("flux_divergence requires a shared grid")
+    if velocity is not None and velocity.grid != grid:
+        raise ValueError("flux_divergence requires the velocity on the shared grid")
     if not (q.mean_zero and theta.mean_zero):
         raise ValueError("flux_divergence requires mean-zero q and theta")
+    n = grid.n
     mult = _structure_multiplier(grid, params)
     ik1, ik2 = _ik(grid)
     qh, th = q.half, theta.half
-    # every factor lies inside q's or theta's support
-    size = _grid_size(grid.n, (q,), (theta,), int(grid.dealias_radius))
-    d1t, d2t = _samples(ik1 * th, size), _samples(ik2 * th, size)
     mq = mult * qh
+    terms = [(ik1, th), (ik2, th), (ik1, mq), (ik2, mq)]
+    if params.two_term:
+        terms += [(ik2, qh), (ik1, qh)]
+    # every factor lies inside q's or theta's support
+    size = _grid_size(n, (q,), (theta,), int(grid.dealias_radius))
+    d1t, d2t, d1mq, d2mq, *dq = _term_samples(terms, n, size)
+    if velocity is not None and size == n and "samples" not in vars(velocity):
+        vars(velocity)["samples"] = _read_only(d2mq, -d1mq)   # the cached_property's slot
+    phys = np.empty((2 if params.two_term else 1, size, size))
     # perp_grad(M q) . grad(theta) = d1(M q) d2(theta) - d2(M q) d1(theta)
-    out = _lattice_half(
-        _samples(ik1 * mq, size) * d2t - _samples(ik2 * mq, size) * d1t, grid.n
-    )
+    np.multiply(d1mq, d2t, out=phys[0])
+    phys[0] -= d2mq * d1t
     if params.two_term:
         # perp_grad(theta) . grad(q)
-        second = d1t * _samples(ik2 * qh, size) - d2t * _samples(ik1 * qh, size)
-        out += mult * _lattice_half(second, grid.n)
+        d2q, d1q = dq
+        np.multiply(d1t, d2q, out=phys[1])
+        phys[1] -= d2t * d1q
+    halves = _lattice_half(phys, n) if _stacked(size) else [_lattice_half(p, n) for p in phys]
+    out = halves[0] if len(halves) == 1 else halves[0] + mult * halves[1]
     return _dealiased(grid, out)

@@ -989,6 +989,29 @@ def test_cli_missing_config_is_usage_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (None, "the following arguments are required: --config"),
+    ],
+    ids=["bad_seed", "no_config"],
+)
+def test_cli_argparse_errors_are_usage_errors(tmp_path, capsys, extra, message):
+    # argparse's own exit code 2 is the table's code for bad config values
+    argv = ["simulate"]
+    if extra is not None:
+        argv += ["--config", str(run_cfg(tmp_path, SIM_BODY)), "--out", str(tmp_path / "o"), *extra]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: gsqglab simulate ")
+    assert captured.err.endswith(f"gsqglab simulate: error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_subcommand_config_kind_clash(tmp_path, capsys):
     cfg = run_cfg(tmp_path, SIM_BODY)
     assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -1053,8 +1076,9 @@ def test_cli_resume_only_for_simulate(tmp_path, capsys):
 
 
 def test_cli_help_documents_exit_codes(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["--help"])
+    assert exc.value.code == 0
     out = capsys.readouterr().out
     assert [code for code, _, _ in EXIT_CODES] == list(range(9))
     for code, meaning, _ in EXIT_CODES:

@@ -610,10 +610,13 @@ def _one_step_transforms(run, transforms):
 
 def test_transforms_per_step(transforms):
     # simulate: 4 advect calls of 5 transforms, the Courant check reads the
-    # samples of the first; the flux solve: 4 two-term fluxes of 8 plus the
-    # 2 of the Courant check on q's velocity
+    # samples of the first; the flux solve: 4 two-term fluxes of 8. With q
+    # inside the dealias disc the first flux's products land on the n-grid
+    # and give the Courant check its samples; f reaches |m_i| = 15, so with
+    # q = -f they land on 3n/2 and the check transforms q's velocity itself
     grid = GridSpec(32)
     f = scaled(random_field(grid, seed=25, decay=2.0), 0.5)
+    in_disc = SpectralField(grid, f.coeffs * _dealias_mask(grid))
     dt = 1e-3
     params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
     assert params.two_term
@@ -621,11 +624,12 @@ def test_transforms_per_step(transforms):
     def sim(k):
         simulate(f, P, T=k * dt, dt=dt)
 
-    def flux_solve(k):
-        linear_flux_solve(f, lambda _t: -f, params, T=k * dt, dt=dt)
+    def flux_solve(q):
+        return lambda k: linear_flux_solve(f, lambda _t: q, params, T=k * dt, dt=dt)
 
     assert _one_step_transforms(sim, transforms) == 20
-    assert _one_step_transforms(flux_solve, transforms) == 34
+    assert _one_step_transforms(flux_solve(-in_disc), transforms) == 32
+    assert _one_step_transforms(flux_solve(-f), transforms) == 34
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)
@@ -636,14 +640,14 @@ def test_courant_reads_the_velocity_samples_once(fraction, monkeypatch):
     u = velocity_from_scalar(theta, P)
     halves = (u.u1.half, u.u2.half)
     n_grid = []
-    samples = spectral._samples
+    term_samples = spectral._term_samples
 
-    def spy(coeffs, size):
-        if size == grid.n and any(coeffs is h for h in halves):
-            n_grid.append(size)
-        return samples(coeffs, size)
+    def spy(terms, n, size):
+        if size == grid.n:
+            n_grid.extend(size for t in terms if any(t is h for h in halves))
+        return term_samples(terms, n, size)
 
-    monkeypatch.setattr(spectral, "_samples", spy)
+    monkeypatch.setattr(spectral, "_term_samples", spy)
     dt = 1e-3
     advect(u, theta)
     speed = _courant(u, dt)
@@ -696,6 +700,40 @@ def test_run_product_grids_match_exact_scans(fraction, product_sizes, monkeypatc
 
 
 # --- fixed-point iteration ------------------------------------------------------
+
+
+@pytest.mark.parametrize("beta", [1.2, 1.7], ids=["one_term", "two_term"])
+def test_picard_iterate_solves_with_the_negated_stages(beta):
+    # picard hands the solve the previous stages un-negated, with tendency
+    # +flux_divergence; the public solve on explicitly negated stages must
+    # give the same iterate bit for bit
+    grid = GridSpec(32)
+    params = ModelParams(beta=beta, kappa=0.5, gamma=0.3)
+    theta0 = solver._admissible_initial(scaled(random_field(grid, seed=29, decay=2.0), 0.5))
+    T, dt, stride = 5e-3, 1e-3, 2
+    _seed, stages = solver._heat_flow_seed(theta0, params, T, dt, stride)
+    negated = [[-f for f in rec] for rec in stages]
+    sink: list = []
+    ref = linear_flux_solve(theta0, negated, params, T, dt, stride, stage_sink=sink)
+    got = picard_solve(theta0, params, T, dt, tol=math.inf, snapshot_stride=stride)[1].trajectory
+    assert got.times == ref.times and got.rows == ref.rows
+    assert got.max_l2_step_increase == ref.max_l2_step_increase
+    assert all(np.array_equal(a.half, b.half) for a, b in zip(got.fields, ref.fields))
+
+
+def test_picard_makes_no_negated_copies(monkeypatch):
+    calls = []
+    neg = SpectralField.__neg__
+
+    def spy(f):
+        calls.append(f)
+        return neg(f)
+
+    monkeypatch.setattr(SpectralField, "__neg__", spy)
+    grid = GridSpec(16)
+    f = scaled(random_field(grid, seed=30, decay=2.0), 0.5)
+    its = picard_solve(f, ModelParams(beta=1.7, kappa=0.5, gamma=0.3), T=3e-3, dt=1e-3)
+    assert len(its) > 2 and calls == []
 
 
 def test_picard_zero_data_converges_immediately():

@@ -680,6 +680,98 @@ def test_transforms_per_product_call(op, inverse, forward, transforms):
     assert dict(transforms) == {"irfft2": inverse, "rfft2": forward}
 
 
+@pytest.mark.parametrize("n, inverse, forward", [(64, 1, 1), (256, 6, 2)])
+def test_flux_transform_calls_on_both_sides_of_the_stack_limit(n, inverse, forward, transforms):
+    # M = n: one stacked call per direction up to _STACK_MAX, one call per
+    # transform above it
+    g = GridSpec(n)
+    theta = _disc_field(g, seed=53)
+    q = _disc_field(g, seed=54)
+    flux_divergence(q, theta, ModelParams(beta=1.7, kappa=0.5))
+    assert dict(transforms) == {"irfft2": 6, "rfft2": 2}
+    assert dict(transforms.calls) == {"irfft2": inverse, "rfft2": forward}
+
+
+def _per_array(op, a, b, params):
+    """The product sites written with one _samples / _lattice_half call per array."""
+    grid = b.grid
+    n, r = grid.n, int(grid.dealias_radius)
+    samples, lattice_half = spectral._samples, spectral._lattice_half
+    ik1, ik2 = spectral._ik(grid)
+    if op == "multiply":
+        size = spectral._grid_size(n, (a,), (b,), n // 2 - 1)
+        prod = lattice_half(samples(a.half, size) * samples(b.half, size), n)
+        return _wrap_half(grid, spectral._canonical_half(prod))
+    if op == "advect":
+        u, th = velocity_from_scalar(a, params), b.half
+        size = spectral._grid_size(n, (u.u1, u.u2), (b,), r)
+        acc = samples(u.u1.half, size) * samples(ik1 * th, size)
+        acc += samples(u.u2.half, size) * samples(ik2 * th, size)
+        return spectral._dealiased(grid, lattice_half(acc, n))
+    mult = _structure_multiplier(grid, params)
+    qh, th = a.half, b.half
+    size = spectral._grid_size(n, (a,), (b,), r)
+    d1t, d2t = samples(ik1 * th, size), samples(ik2 * th, size)
+    mq = mult * qh
+    out = lattice_half(samples(ik1 * mq, size) * d2t - samples(ik2 * mq, size) * d1t, n)
+    if params.two_term:
+        second = d1t * samples(ik2 * qh, size) - d2t * samples(ik1 * qh, size)
+        out += mult * lattice_half(second, n)
+    return spectral._dealiased(grid, out)
+
+
+_STACK_OPS = {
+    "one_term": ModelParams(beta=1.2, kappa=0.5),
+    "two_term": ModelParams(beta=1.7, kappa=0.5),
+    "log_law": ModelParams(beta=2.0, kappa=0.5, velocity_law="log", mu=0.7),
+    "advect": ModelParams(beta=1.5, kappa=0.5),
+    "multiply": ModelParams(beta=1.5, kappa=0.5),
+}
+
+
+@pytest.mark.parametrize("stack_max", [None, 0, 1 << 20], ids=["limit", "single", "stacked"])
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("op", list(_STACK_OPS))
+def test_stacked_transforms_equal_per_array_bit_for_bit(op, n, fraction, stack_max, monkeypatch):
+    # at fraction 0.9 the disc fields' products move to M = 3n/2
+    if stack_max is not None:
+        monkeypatch.setattr(spectral, "_STACK_MAX", stack_max)
+    g = GridSpec(n, dealias_fraction=fraction)
+    params = _STACK_OPS[op]
+    a, b = _disc_field(g, seed=55), _disc_field(g, seed=56)
+    if op == "multiply":
+        got = multiply_fields(a, b)
+    elif op == "advect":
+        got = advect(velocity_from_scalar(a, params), b)
+    else:
+        got = flux_divergence(a, b, params)
+    assert got.half.tobytes() == _per_array(op, a, b, params).half.tobytes()
+    u = velocity_from_scalar(a, params)
+    assert all(
+        s.tobytes() == spectral._samples(c.half, n).tobytes()
+        for s, c in zip(u.samples, (u.u1, u.u2))
+    )
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
+@pytest.mark.parametrize("op", ["one_term", "two_term", "log_law"])
+def test_flux_fills_the_velocity_samples_on_the_n_grid(op, fraction):
+    g = GridSpec(32, dealias_fraction=fraction)
+    params = _STACK_OPS[op]
+    q, theta = _disc_field(g, seed=57), _disc_field(g, seed=58)
+    u = velocity_from_scalar(q, params)
+    got = flux_divergence(q, theta, params, velocity=u)
+    assert got.half.tobytes() == flux_divergence(q, theta, params).half.tobytes()
+    on_n_grid = spectral._grid_size(g.n, (q,), (theta,), int(g.dealias_radius)) == g.n
+    assert ("samples" in vars(u)) == on_n_grid == (fraction < 0.7)
+    ref = velocity_from_scalar(q, params)
+    for s, r in zip(u.samples, (to_physical(ref.u1), to_physical(ref.u2))):
+        assert np.array_equal(s, r) and not s.flags.writeable
+    with pytest.raises(ValueError):
+        flux_divergence(q, theta, params, velocity=velocity_from_scalar(_disc_field(GridSpec(16), 1), params))
+
+
 @pytest.mark.parametrize("fraction", FRACTIONS)
 def test_support_bound_never_changes_the_product_grid(fraction, product_sizes):
     # a bound is read only when it puts the product on the n-grid; a loose
