@@ -37,13 +37,16 @@ from .solver import (
     DecayReport,
     GevreyTrackReport,
     PicardIterate,
+    ReduceSink,
+    RunSummary,
     ScalingReport,
     SimState,
     Trajectory,
     _admissible_initial,
     decay_study,
     default_delta,
-    gevrey_tracking,
+    gevrey_report,
+    gevrey_term,
     linear_heat_propagator,
     picard_solve,
     scaling_equivariance_check,
@@ -581,30 +584,39 @@ class CheckRow:
     passed: bool
 
 
-def _csv_rows_for_trajectory(traj: Trajectory, gevrey: GevreyTrackSpec, t0: float):
+def _snapshot_cells(params: ModelParams, gevrey: GevreyTrackSpec):
+    """cells(t, field, row): the two simulate.csv cells of a snapshot that
+    its row does not hold, hs_crit_delta and the Gevrey term."""
+    alpha, eps_rate, delta = gevrey.resolved(params)
+    sigma_hi = params.sigma_c + delta
+
+    def cells(t, f, _row):
+        return sobolev_norm(f, sigma_hi), gevrey_term(t, f, params, alpha, eps_rate, delta)
+
+    return cells
+
+
+def _snapshot_table(times, rows, cells, t0: float):
     header = (
         "t,l2,hs_crit,hs_crit_delta,gevrey_tracked,energy_residual,max_u,courant"
     )
-    if not traj.times:
-        return [header]
-    params = traj.params
-    alpha, eps_rate, delta = gevrey.resolved(params)
-    tracked = gevrey_tracking(traj, alpha, eps_rate, delta).series
-    rows = [header]
-    sigma_hi = params.sigma_c + delta
-    for (t, f), row, g in zip(traj.snapshots(), traj.rows, tracked):
-        cells = (
-            t0 + t,
-            row.l2,
-            row.hs_crit,
-            sobolev_norm(f, sigma_hi),
-            g,
-            row.energy_residual,
-            row.max_u,
-            row.courant,
-        )
-        rows.append(",".join(_fmt(c) for c in cells))
-    return rows
+    lines = [header]
+    for t, row, (hs_delta, g) in zip(times, rows, cells, strict=True):
+        line = (t0 + t, row.l2, row.hs_crit, hs_delta, g, row.energy_residual, row.max_u,
+                row.courant)
+        lines.append(",".join(_fmt(c) for c in line))
+    return lines
+
+
+def _csv_rows_for_trajectory(traj: Trajectory, gevrey: GevreyTrackSpec, t0: float):
+    cells = _snapshot_cells(traj.params, gevrey)
+    made = [cells(t, f, row) for t, f, row in zip(traj.times, traj.fields, traj.rows)]
+    return _snapshot_table(traj.times, traj.rows, made, t0)
+
+
+def _csv_rows_for_summary(run: RunSummary, _gevrey, t0: float):
+    """The table of a run whose ReduceSink kept _snapshot_cells."""
+    return _snapshot_table(run.times, run.rows, run.cells, t0)
 
 
 def _csv_rows_for_picard(iterates, *_):
@@ -662,9 +674,11 @@ def _csv_rows_for_checks(checks, *_):
 
 
 # CSV layout per report type; a list or tuple is keyed by its element type.
-# Every layout takes (report, gevrey, t0); only the trajectory reads the two.
+# Every layout takes (report, gevrey, t0); only the trajectory reads gevrey,
+# and only it and the run summary read t0.
 _CSV_LAYOUTS = {
     Trajectory: _csv_rows_for_trajectory,
+    RunSummary: _csv_rows_for_summary,
     DecayReport: _csv_rows_for_decay,
     GevreyTrackReport: _csv_rows_for_gevrey,
     ScalingReport: _csv_rows_for_scaling,
@@ -689,7 +703,7 @@ def write_csv(obj, path: str, *, gevrey: GevreyTrackSpec | None = None, t0: floa
         raise TypeError(f"no CSV layout for {type(obj).__name__}")
     rows = _CSV_LAYOUTS[key](obj, gevrey or GevreyTrackSpec(), t0)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.writelines(f"{row}\n" for row in rows)
 
 
 def read_csv_columns(path: str) -> dict[str, list]:
@@ -1076,7 +1090,8 @@ def amplitude_threshold_sweep(
         theta0 = _wrap_half(base.grid, base.half * (amp / norm))
         try:
             its = picard_solve(
-                theta0, params, T, dt, tol=1e-12, max_iter=max_iter, c_cfl=c_cfl
+                theta0, params, T, dt, tol=1e-12, max_iter=max_iter, c_cfl=c_cfl,
+                sink=ReduceSink,
             )
         except (BlowUpError, CourantError, PicardConvergenceError) as exc:
             rows.append((amp, type(exc).__name__, math.nan))
@@ -1177,8 +1192,9 @@ def _initial_for(config: ScenarioConfig) -> _Start:
 # summary lines after "scenario: <kind>" and whether the run passed.
 
 
-def _trajectory(config: ScenarioConfig, start: _Start) -> Trajectory:
-    """The run from start to the absolute horizon config.T."""
+def _reduced_run(config: ScenarioConfig, start: _Start, cells) -> RunSummary:
+    """The run from start to the absolute horizon config.T, keeping its rows,
+    cells(t, field, row) of each snapshot and the final field."""
     return simulate(
         start.theta0,
         start.params,
@@ -1186,26 +1202,27 @@ def _trajectory(config: ScenarioConfig, start: _Start) -> Trajectory:
         config.dt,
         config.snapshot_stride,
         c_cfl=config.c_cfl,
+        sink=lambda: ReduceSink(cells),
     )
 
 
 def _run_simulate(config: ScenarioConfig, start: _Start, csv: str):
-    traj = _trajectory(config, start)
-    write_csv(traj, csv, gevrey=config.gevrey, t0=start.t0)
-    t_final = start.t0 + traj.times[-1]
+    run = _reduced_run(config, start, _snapshot_cells(start.params, config.gevrey))
+    write_csv(run, csv, t0=start.t0)
+    t_final = start.t0 + run.times[-1]
     if config.checkpoint_path is not None:
         n_final = int(round(t_final / config.dt))
-        state = SimState(traj.final, n_final * config.dt, n_final, start.params, config.dt)
+        state = SimState(run.final, n_final * config.dt, n_final, start.params, config.dt)
         write_checkpoint(state, config.checkpoint_path)
-    last = traj.rows[-1]
+    last = run.rows[-1]
     return [
         f"steps: {int(round((config.T - start.t0) / config.dt))}  dt: {_fmt(config.dt)}",
         f"final t: {_fmt(t_final)}",
         f"final l2: {_fmt(last.l2)}",
         f"final critical norm: {_fmt(last.hs_crit)}",
-        f"max l2 step increase: {_fmt(traj.max_l2_step_increase)}",
-        f"max energy residual: {_fmt(max(r.energy_residual for r in traj.rows))}",
-        f"max courant: {_fmt(max(r.courant for r in traj.rows))}",
+        f"max l2 step increase: {_fmt(run.max_l2_step_increase)}",
+        f"max energy residual: {_fmt(max(r.energy_residual for r in run.rows))}",
+        f"max courant: {_fmt(max(r.courant for r in run.rows))}",
     ], True
 
 
@@ -1221,6 +1238,7 @@ def _run_picard(config: ScenarioConfig, start: _Start, csv: str):
             max_iter=config.picard_max_iter,
             snapshot_stride=config.snapshot_stride,
             c_cfl=config.c_cfl,
+            sink=ReduceSink,
         )
     except PicardConvergenceError as exc:
         iterates, failed = exc.iterates, exc
@@ -1302,8 +1320,12 @@ def _run_decay_study(config: ScenarioConfig, start: _Start, csv: str):
 
 
 def _run_gevrey_track(config: ScenarioConfig, start: _Start, csv: str):
-    traj = _trajectory(config, start)
-    report = gevrey_tracking(traj, *config.gevrey.resolved(start.params))
+    params = start.params
+    alpha, eps_rate, delta = config.gevrey.resolved(params)
+    run = _reduced_run(
+        config, start, lambda t, f, _row: gevrey_term(t, f, params, alpha, eps_rate, delta)
+    )
+    report = gevrey_report(params, run.times, run.cells, alpha, eps_rate, delta)
     write_csv(report, csv)
     return [
         f"alpha: {_fmt(report.alpha)}  eps_rate: {_fmt(report.eps_rate)}  "

@@ -28,8 +28,8 @@ from .spectral import (
     _log_weight,
     _modes,
     _product_size,
-    _samples,
     _support,
+    _term_samples,
     _wavevectors,
     _wrap_half,
     gevrey_avg_operator,
@@ -185,7 +185,8 @@ def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: 
     f, g and H = |k|^sigma h are sampled on the spectral product grid M, with
     H's support as the kept band: the aliases of fg then miss every mode of H,
     so by Parseval the form is period^2 / M^2 times the sum of f g H over the
-    M x M samples, exactly and without a forward transform.
+    M x M samples, exactly and without a forward transform. The three are
+    sampled through one stacked transform call on a small grid.
     """
     grid = _shared_grid(f, g, h)
     if sigma < 0 and not h.mean_zero:
@@ -193,8 +194,8 @@ def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: 
     fh, gh = f.half, g.half
     hh = _half(_power_weight(grid, sigma)) * h.half
     size = _product_size(grid.n, _support(fh), _support(gh), _support(hh))
-    total = np.sum(_samples(fh, size) * _samples(gh, size) * _samples(hh, size))
-    return complex(grid.period**2 / size**2 * total)
+    fs, gs, hs = _term_samples((fh, gh, hh), grid.n, size)
+    return complex(grid.period**2 / size**2 * np.sum(fs * gs * hs))
 
 
 def trilinear_form_sym(f: SpectralField, g: SpectralField, h: SpectralField, sigma: float) -> complex:

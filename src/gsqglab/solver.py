@@ -20,6 +20,19 @@ own. On top of the direct solver sit the
 fixed-point machinery (a linear solve with frozen transport coefficients,
 iterated to convergence), exact self-similar rescaling, and the decay and
 analyticity-radius diagnostics.
+
+A run hands each snapshot (t, field, row) to a sink, chosen by the `sink`
+keyword of `simulate` and `picard_solve`:
+- `TrajectorySink`, the default, keeps every snapshot field and returns a
+  `Trajectory`;
+- `ReduceSink` keeps the rows, the scalar cells its `cells(t, field, row)`
+  makes of each snapshot, and the last field, and returns a `RunSummary`.
+  Beyond a row and its cells per snapshot, its memory does not grow with
+  the number of steps.
+`picard_solve` also drops each stage record of the previous iterate once the
+new iterate's step has read it, and reduces each step difference to its norms
+as the step's start value is formed; with `ReduceSink` an iterate holds one
+iterate's stage records at a time, plus the rows and the final fields.
 """
 
 from __future__ import annotations
@@ -51,11 +64,16 @@ __all__ = [
     "DiagnosticsRow",
     "GevreyTrackReport",
     "PicardIterate",
+    "ReduceSink",
+    "RunSummary",
     "ScalingReport",
     "SimState",
     "Trajectory",
+    "TrajectorySink",
     "decay_study",
     "default_delta",
+    "gevrey_report",
+    "gevrey_term",
     "gevrey_tracking",
     "linear_flux_solve",
     "linear_heat_propagator",
@@ -146,6 +164,88 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
+class RunSummary:
+    """What a run with ReduceSink keeps: the snapshot times and rows, the
+    cells made of each snapshot, and the final field.
+
+    fields holds the final field alone, the one field the run retains.
+    """
+
+    times: tuple
+    rows: tuple
+    cells: tuple
+    final: SpectralField
+    params: ModelParams
+    dt: float
+    max_l2_step_increase: float
+
+    @property
+    def fields(self) -> tuple:
+        return (self.final,)
+
+
+class TrajectorySink:
+    """In-memory sink: keeps every snapshot and builds the run's Trajectory."""
+
+    def __init__(self):
+        self.times, self.fields, self.rows = [], [], []
+
+    def add(self, t: float, field: SpectralField, row: DiagnosticsRow) -> None:
+        self.times.append(t)
+        self.fields.append(field)
+        self.rows.append(row)
+
+    def result(self, params: ModelParams, dt: float, max_increase: float) -> Trajectory:
+        return Trajectory(
+            times=tuple(self.times),
+            fields=tuple(self.fields),
+            rows=tuple(self.rows),
+            params=params,
+            dt=dt,
+            max_l2_step_increase=max_increase,
+        )
+
+
+class ReduceSink:
+    """Reduce-only sink: keeps the rows, cells(t, field, row) of each snapshot
+    when cells is given, and the last field; builds a RunSummary.
+
+    An exception from cells is held and raised when the run has ended, so a
+    failure of the run itself is reported first, as it would be if the cells
+    were computed from the finished trajectory; no cells are computed after it.
+    """
+
+    def __init__(self, cells=None):
+        self.times, self.rows, self.cells = [], [], []
+        self.last = None
+        self._make_cells = cells
+        self._error = None
+
+    def add(self, t: float, field: SpectralField, row: DiagnosticsRow) -> None:
+        self.times.append(t)
+        self.rows.append(row)
+        self.last = field
+        if self._make_cells is not None and self._error is None:
+            try:
+                self.cells.append(self._make_cells(t, field, row))
+            except Exception as exc:   # re-raised by result()
+                self._error = exc
+
+    def result(self, params: ModelParams, dt: float, max_increase: float) -> RunSummary:
+        if self._error is not None:
+            raise self._error
+        return RunSummary(
+            times=tuple(self.times),
+            rows=tuple(self.rows),
+            cells=tuple(self.cells),
+            final=self.last,
+            params=params,
+            dt=dt,
+            max_l2_step_increase=max_increase,
+        )
+
+
+@dataclass(frozen=True)
 class PicardIterate:
     """One fixed-point iterate with its distance to the previous one.
 
@@ -154,10 +254,11 @@ class PicardIterate:
     contraction norm (sup-in-time L2 when the modified flux carries two
     terms, a cubed-time-integrated Sobolev norm otherwise). Both are None
     for the seed iterate, and the ratio needs two consecutive differences.
+    trajectory is what the run's sink built: a Trajectory or a RunSummary.
     """
 
     index: int
-    trajectory: Trajectory
+    trajectory: Trajectory | RunSummary
     diff_sup_l2: float | None
     diff_contraction: float | None
     contraction_ratio: float | None
@@ -412,8 +513,9 @@ def _step_count(T: float, dt: float) -> int:
     return n
 
 
-def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factory):
-    """Drive the IF-RK4 core with a per-step tendency factory.
+def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factory, sink):
+    """Drive the IF-RK4 core with a per-step tendency factory; hand each
+    snapshot (t, field, row) to sink and return sink.result(...).
 
     nonlin_factory(i, theta) is called at every step index i = 0..n_steps
     with the state field at t = i dt. It returns the stage tendency function
@@ -433,7 +535,6 @@ def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factor
     kmax = _disc_bound(grid)
 
     theta = _admissible_initial(theta0)
-    times, fields, rows = [], [], []
     max_increase = 0.0
     # the state's one mirror per step, shared by its L2 norm and its row
     coeffs = theta.coeffs
@@ -444,14 +545,9 @@ def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factor
         nonlin, u, k1 = nonlin_factory(i, theta)
         speed = _courant(u, dt)
         if i % snapshot_stride == 0 or i == n_steps:
-            times.append(t)
-            fields.append(theta)
-            rows.append(
-                _diagnostics_row(
-                    t, coeffs, l2_now, params, u, speed,
-                    k1.coeffs if nonlinear else None,
-                )
-            )
+            sink.add(t, theta, _diagnostics_row(
+                t, coeffs, l2_now, params, u, speed, k1.coeffs if nonlinear else None
+            ))
         if i == n_steps:
             break
         theta = _advance(theta, i, t, dt, factors, nonlin, k1, speed, l2_now, guard, kmax)
@@ -461,14 +557,7 @@ def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factor
             max_increase = max(max_increase, (l2_new - l2_now) / l2_now)
         l2_now = l2_new
 
-    return Trajectory(
-        times=tuple(times),
-        fields=tuple(fields),
-        rows=tuple(rows),
-        params=params,
-        dt=dt,
-        max_l2_step_increase=max_increase,
-    )
+    return sink.result(params, dt, max_increase)
 
 
 def simulate(
@@ -480,16 +569,19 @@ def simulate(
     *,
     c_cfl: float = DEFAULT_CFL,
     nonlinear: bool = True,
-) -> Trajectory:
+    sink=TrajectorySink,
+) -> Trajectory | RunSummary:
     """Integrate the full equation to horizon T with snapshots every
-    snapshot_stride steps (the initial and final states are always kept).
+    snapshot_stride steps (the initial and final states are always taken).
 
     Initial data is restricted to the dealias disc and de-meaned. The run
     terminates with a blow-up signal if coefficients lose finiteness and
-    with a CFL signal if the advective Courant number passes c_cfl.
+    with a CFL signal if the advective Courant number passes c_cfl. sink()
+    makes the run's snapshot sink, whose result is returned: by default the
+    Trajectory of every snapshot.
     """
     factory = _advective_stages(theta0.grid, params, nonlinear)
-    return _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, factory)
+    return _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, factory, sink())
 
 
 # ---------------------------------------------------------------------------
@@ -552,26 +644,34 @@ def linear_flux_solve(
     reproduces the pure heat flow. When stage_sink is a list, the
     solution's own stage values (start of step, the two half-step stages,
     the end-of-step stage) are appended per step as 4-element lists, the
-    exact shape the next fixed-point iterate consumes as q.
+    exact shape the next fixed-point iterate consumes as q. A list passed
+    as q is read, never changed.
     """
+    provider = _as_stage_provider(q, theta0.grid, _step_count(T, dt), dt)
     return _frozen_solve(
-        theta0, q, params, T, dt, snapshot_stride, c_cfl, stage_sink, negate=True
+        theta0, provider, params, T, dt, snapshot_stride, c_cfl, stage_sink,
+        TrajectorySink(), negate=True,
     )
 
 
-def _frozen_solve(theta0, q, params, T, dt, snapshot_stride, c_cfl, stage_sink, negate):
-    """linear_flux_solve with the tendency -flux_divergence(q, theta) when
-    negate is true and +flux_divergence(q, theta) otherwise.
+def _frozen_solve(
+    theta0, provider, params, T, dt, snapshot_stride, c_cfl, stage_sink, sink, *,
+    negate, on_state=None,
+):
+    """linear_flux_solve with q read through provider(step, stage), the
+    tendency -flux_divergence(q, theta) when negate is true and
+    +flux_divergence(q, theta) otherwise, and snapshots handed to sink.
 
-    The Courant velocity is q's at the start of the step; when the first
-    stage's products fit the n-grid, its samples are the ones that stage's
-    flux transforms make.
+    on_state(i, theta), if given, sees the state at every step index
+    i = 0..n_steps before the step's q is read. The Courant velocity is q's
+    at the start of the step; when the first stage's products fit the
+    n-grid, its samples are the ones that stage's flux transforms make.
     """
-    grid = theta0.grid
     n_steps = _step_count(T, dt)
-    provider = _as_stage_provider(q, grid, n_steps, dt)
 
     def factory(i, theta):
+        if on_state is not None:
+            on_state(i, theta)
         # the final row, at t = T, reads q at the last step's end stage
         q0 = provider(i, 0) if i < n_steps else provider(n_steps - 1, 3)
         u = velocity_from_scalar(q0, params)
@@ -591,12 +691,13 @@ def _frozen_solve(theta0, q, params, T, dt, snapshot_stride, c_cfl, stage_sink, 
 
         return tendency, u, tendency(theta, 0)
 
-    return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory)
+    return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, sink)
 
 
-def _heat_flow_seed(theta0, params, T, dt, snapshot_stride):
-    """Exact closed-form heat flow, the seed of the iteration: its trajectory
-    on the snapshot schedule and its stage samples, each time evaluated once.
+def _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink):
+    """Exact closed-form heat flow, the seed of the iteration: its snapshots,
+    handed to sink, and its stage samples, each time evaluated once. Returns
+    sink's result and the stage records.
     """
 
     def prop(t):
@@ -610,7 +711,6 @@ def _heat_flow_seed(theta0, params, T, dt, snapshot_stride):
         t = i * dt
         mid = prop(t + 0.5 * dt)
         stages.append([prop(t), mid, mid, prop(t + dt)])
-    times, fields, rows = [], [], []
     for i in range(n_steps + 1):
         if i % snapshot_stride and i != n_steps:
             continue
@@ -618,27 +718,26 @@ def _heat_flow_seed(theta0, params, T, dt, snapshot_stride):
         f = stages[i][0] if i < n_steps else prop(t)
         u = velocity_from_scalar(f, params)
         coeffs = f.coeffs
-        times.append(t)
-        fields.append(f)
-        rows.append(
-            _diagnostics_row(
+        sink.add(
+            t, f, _diagnostics_row(
                 t, coeffs, _l2(coeffs, f.grid.period), params, u, _courant(u, dt)
             )
         )
-    traj = Trajectory(
-        times=tuple(times),
-        fields=tuple(fields),
-        rows=tuple(rows),
-        params=params,
-        dt=dt,
-        max_l2_step_increase=0.0,
-    )
-    return traj, stages
+    return sink.result(params, dt, 0.0), stages
 
 
-def _step_values(stages, final_field):
-    """Solution at every step time: stage-0 samples plus the final field."""
-    return [rec[0] for rec in stages] + [final_field]
+def _released_as_read(stages):
+    """Provider over an iterate's stage records that drops record i - 1 from
+    the list when step i reads its first stage. The last record stays: the
+    final row reads its end stage.
+    """
+
+    def provider(i, stage):
+        if stage == 0 and i > 0:
+            stages[i - 1] = None
+        return stages[i][stage]
+
+    return provider
 
 
 def picard_solve(
@@ -651,6 +750,7 @@ def picard_solve(
     *,
     snapshot_stride: int = 1,
     c_cfl: float = DEFAULT_CFL,
+    sink=TrajectorySink,
 ) -> list:
     """Fixed-point iteration: seed with the exact heat flow, then repeatedly
     solve the linear equation with transport coefficients frozen at the
@@ -661,9 +761,16 @@ def picard_solve(
     The previous iterate's stages go to the solve as they are, with the
     tendency +flux_divergence(f, theta): flux_divergence is linear in q and
     negation is exact, so that equals -flux_divergence(-f, theta) bit for bit.
+    Each of their records is dropped once the new iterate's step has read
+    it, and each step's difference to the previous iterate is reduced to its
+    norms as the step's start value is formed. sink() makes each iterate's
+    snapshot sink, the seed's included; its result is the iterate's
+    trajectory.
     """
     theta0 = _admissible_initial(theta0)
-    seed_traj, prev_stages = _heat_flow_seed(theta0, params, T, dt, snapshot_stride)
+    grid = theta0.grid
+    n_steps = _step_count(T, dt)
+    seed_traj, prev_stages = _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink())
     iterates = [
         PicardIterate(
             index=0,
@@ -674,26 +781,30 @@ def picard_solve(
             converged=False,
         )
     ]
-    prev_values = _step_values(prev_stages, seed_traj.final)
+    prev_final = seed_traj.final
     prev_contraction = None
     history = []
-    period = theta0.grid.period
+    period = grid.period
     # the two-term branch contracts in the sup-in-time L2 norm itself, the
     # one-term branch in the time-integrated cube of the 2 kappa / 3 Sobolev norm
-    w = None if params.two_term else _homog_weight(theta0.grid, 4.0 * params.kappa / 3.0)
+    w = None if params.two_term else _homog_weight(grid, 4.0 * params.kappa / 3.0)
+
+    def difference(i, theta):
+        # theta minus the previous iterate at t = i dt (its step-i start stage,
+        # or its final field at t = T), reduced to the current iterate's norms
+        b = prev_stages[i][0] if i < n_steps else prev_final
+        coeffs = _wrap_half(grid, theta.half - b.half).coeffs
+        l2s.append(_l2(coeffs, period))
+        if w is not None:
+            cubes.append(_l2(coeffs, period, w) ** 3)
 
     for n in range(1, max_iter + 1):
-        sink: list = []
-        traj = _frozen_solve(
-            theta0, prev_stages, params, T, dt, snapshot_stride, c_cfl, sink, negate=False
-        )
-        values = _step_values(sink, traj.final)
+        stages: list = []
         l2s, cubes = [], []
-        for a, b in zip(values, prev_values):
-            coeffs = _wrap_half(theta0.grid, a.half - b.half).coeffs
-            l2s.append(_l2(coeffs, period))
-            if w is not None:
-                cubes.append(_l2(coeffs, period, w) ** 3)
+        traj = _frozen_solve(
+            theta0, _released_as_read(prev_stages), params, T, dt, snapshot_stride,
+            c_cfl, stages, sink(), negate=False, on_state=difference,
+        )
         sup_l2 = contraction = max(l2s)
         if w is not None:
             contraction = float(np.trapezoid(cubes, dx=dt)) ** (1.0 / 3.0)
@@ -712,7 +823,7 @@ def picard_solve(
         )
         if converged:
             return iterates
-        prev_stages, prev_values, prev_contraction = sink, values, contraction
+        prev_stages, prev_final, prev_contraction = stages, traj.final, contraction
 
     err = PicardConvergenceError(max_iter, history[-1], tol, history=history)
     err.iterates = iterates
@@ -771,7 +882,9 @@ def scaling_equivariance_check(
         params, eps_visc=params.eps_visc * float(lam) ** (params.kappa - 2.0)
     )
 
-    run_a = simulate(theta0, params, T, dt, n_steps, c_cfl=c_cfl, nonlinear=nonlinear)
+    run_a = simulate(
+        theta0, params, T, dt, n_steps, c_cfl=c_cfl, nonlinear=nonlinear, sink=ReduceSink
+    )
     coarse = rescale_solution(run_a.final, lam, params)
 
     run_b = simulate(
@@ -782,6 +895,7 @@ def scaling_equivariance_check(
         n_steps,
         c_cfl=c_cfl,
         nonlinear=nonlinear,
+        sink=ReduceSink,
     )
     fine = run_b.final
 
@@ -830,19 +944,24 @@ def decay_study(
     t in [T/10, T]; the reference slope is -(k + delta) / kappa. Fewer
     than 10 usable snapshots in the window is an error.
     """
-    traj = simulate(
-        theta0, params, T, dt, snapshot_stride, c_cfl=c_cfl, nonlinear=nonlinear
+    grid = theta0.grid
+    weights = [_homog_weight(grid, 2.0 * (params.sigma_c + delta + k)) for k in k_list]
+
+    def norms(_t, f, _row):
+        c = f.coeffs   # one mirror per snapshot, measured in every weight
+        return [_l2(c, grid.period, w) for w in weights]
+
+    run = simulate(
+        theta0, params, T, dt, snapshot_stride, c_cfl=c_cfl, nonlinear=nonlinear,
+        sink=lambda: ReduceSink(norms),
     )
     t0 = T / 10.0
-    grid = theta0.grid
     slopes, expected, series = {}, {}, {}
-    times_all = np.array(traj.times)
+    times_all = np.array(run.times)
     keep = times_all >= t0 * (1.0 - 1e-12)
     n_points = None
-    weights = [_homog_weight(grid, 2.0 * (params.sigma_c + delta + k)) for k in k_list]
-    # one mirror per snapshot, measured in every weight: a column per k
-    mirrors = (f.coeffs for f in traj.fields)
-    table = np.array([[_l2(c, grid.period, w) for w in weights] for c in mirrors])
+    # a row per snapshot, a column per k
+    table = np.array(run.cells)
     for k, vals in zip(k_list, table.T):
         series[k] = tuple(vals)
         usable = keep & (vals > 0)
@@ -861,8 +980,56 @@ def decay_study(
         expected=expected,
         window=(t0, T),
         n_points=n_points or 0,
-        times=traj.times,
+        times=run.times,
         series=series,
+    )
+
+
+def _check_gevrey(params: ModelParams, alpha: float, eps_rate: float, delta: float):
+    if not (0 < alpha < params.kappa):
+        raise ValueError(f"alpha must lie in (0, kappa={params.kappa}), got {alpha}")
+    if eps_rate < 0:
+        raise ValueError(f"radius growth rate must be nonnegative, got {eps_rate}")
+    bound = default_delta(params)
+    if not (0 <= delta <= bound + 1e-12):
+        raise ValueError(f"delta must lie in [0, {bound:g}], got {delta}")
+
+
+def gevrey_term(
+    t: float, field: SpectralField, params: ModelParams, alpha: float, eps_rate: float,
+    delta: float,
+) -> float:
+    """The entry of gevrey_tracking's series for the snapshot (t, field),
+    which a sink can compute as the snapshot arrives. Refuses the parameters
+    gevrey_tracking refuses.
+    """
+    _check_gevrey(params, alpha, eps_rate, delta)
+    sigma = params.sigma_c + delta
+    if params.velocity_law == "log":
+        return gevrey_norm(field, alpha, eps_rate * t, sigma)
+    if t <= 0:
+        return 0.0 if delta > 0 else gevrey_norm(field, alpha, 0.0, sigma)
+    return _weighted_gevrey(
+        field, t, alpha, eps_rate, params.sigma_c, delta, params.gamma, params.kappa
+    )
+
+
+def gevrey_report(
+    params: ModelParams, times, series, alpha: float, eps_rate: float, delta: float
+) -> GevreyTrackReport:
+    """The report of a gevrey_term series over the snapshot times."""
+    if params.velocity_law == "log":
+        sup = max(series)
+    else:
+        positive = [v for t, v in zip(times, series) if t > 0]
+        sup = max(positive) if positive else (series[0] if series else 0.0)
+    return GevreyTrackReport(
+        times=tuple(times),
+        series=tuple(series),
+        sup=sup,
+        alpha=alpha,
+        eps_rate=eps_rate,
+        delta=delta,
     )
 
 
@@ -882,36 +1049,8 @@ def gevrey_tracking(
     resolvable range) and propagates as OverflowGuardError.
     """
     params = trajectory.params
-    if not (0 < alpha < params.kappa):
-        raise ValueError(f"alpha must lie in (0, kappa={params.kappa}), got {alpha}")
-    if eps_rate < 0:
-        raise ValueError(f"radius growth rate must be nonnegative, got {eps_rate}")
-    bound = default_delta(params)
-    if not (0 <= delta <= bound + 1e-12):
-        raise ValueError(f"delta must lie in [0, {bound:g}], got {delta}")
-    sigma = params.sigma_c + delta
-    series = []
-    for t, f in trajectory.snapshots():
-        if params.velocity_law == "log":
-            series.append(gevrey_norm(f, alpha, eps_rate * t, sigma))
-        elif t <= 0:
-            series.append(0.0 if delta > 0 else gevrey_norm(f, alpha, 0.0, sigma))
-        else:
-            series.append(
-                _weighted_gevrey(
-                    f, t, alpha, eps_rate, params.sigma_c, delta, params.gamma, params.kappa
-                )
-            )
-    if params.velocity_law == "log":
-        sup = max(series)
-    else:
-        positive = [v for t, v in zip(trajectory.times, series) if t > 0]
-        sup = max(positive) if positive else (series[0] if series else 0.0)
-    return GevreyTrackReport(
-        times=trajectory.times,
-        series=tuple(series),
-        sup=sup,
-        alpha=alpha,
-        eps_rate=eps_rate,
-        delta=delta,
-    )
+    _check_gevrey(params, alpha, eps_rate, delta)
+    series = [
+        gevrey_term(t, f, params, alpha, eps_rate, delta) for t, f in trajectory.snapshots()
+    ]
+    return gevrey_report(params, trajectory.times, series, alpha, eps_rate, delta)

@@ -714,18 +714,22 @@ def flux_divergence(
         terms += [(ik2, qh), (ik1, qh)]
     # every factor lies inside q's or theta's support
     size = _grid_size(n, (q,), (theta,), int(grid.dealias_radius))
-    d1t, d2t, d1mq, d2mq, *dq = _term_samples(terms, n, size)
-    if velocity is not None and size == n and "samples" not in vars(velocity):
-        vars(velocity)["samples"] = _read_only(d2mq, -d1mq)   # the cached_property's slot
+    # taken in turn, so that above the stack limit a sample is freed once used
+    factors = iter(_term_samples(terms, n, size))
+    d1t, d2t = next(factors), next(factors)
     phys = np.empty((2 if params.two_term else 1, size, size))
     # perp_grad(M q) . grad(theta) = d1(M q) d2(theta) - d2(M q) d1(theta)
+    d1mq = next(factors)
     np.multiply(d1mq, d2t, out=phys[0])
+    d2mq = next(factors)
     phys[0] -= d2mq * d1t
+    if velocity is not None and size == n and "samples" not in vars(velocity):
+        vars(velocity)["samples"] = _read_only(d2mq, -d1mq)   # the cached_property's slot
+    del d1mq, d2mq
     if params.two_term:
         # perp_grad(theta) . grad(q)
-        d2q, d1q = dq
-        np.multiply(d1t, d2q, out=phys[1])
-        phys[1] -= d2t * d1q
+        np.multiply(d1t, next(factors), out=phys[1])
+        phys[1] -= d2t * next(factors)
     halves = _lattice_half(phys, n) if _stacked(size) else [_lattice_half(p, n) for p in phys]
     out = halves[0] if len(halves) == 1 else halves[0] + mult * halves[1]
     return _dealiased(grid, out)

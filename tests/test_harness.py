@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from gsqglab import (
     GridSpec,
     InitialSpec,
     ModelParams,
+    ReduceSink,
     SimState,
     Trajectory,
     amplitude_threshold_sweep,
@@ -55,6 +57,7 @@ from gsqglab.harness import (
     SCENARIO_KINDS,
     SCENARIOS,
     _KEYS,
+    _snapshot_cells,
 )
 from util import l2_norm, random_field
 
@@ -672,6 +675,25 @@ def test_csv_empty_trajectory_is_header_only(tmp_path):
     ]
 
 
+def test_csv_of_a_reduce_run_equals_the_trajectory_table(tmp_path):
+    # the simulate handler writes the cells its ReduceSink kept as each
+    # snapshot arrived; the table must equal the one written from every field
+    f = random_field(GRID, seed=4, band=5, decay=3.0)
+    params = ModelParams(beta=1.5, kappa=0.5, gamma=0.3)
+    spec = GevreyTrackSpec(alpha=0.4, eps_rate=0.2, delta=0.1)
+    traj = simulate(f, params, 0.01, 1e-3, 3)
+    run = simulate(
+        f, params, 0.01, 1e-3, 3, sink=lambda: ReduceSink(_snapshot_cells(params, spec))
+    )
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(traj, str(a), gevrey=spec, t0=0.25)
+    write_csv(run, str(b), t0=0.25)
+    assert a.read_bytes() == b.read_bytes()
+    # a summary without those cells has no simulate table
+    with pytest.raises(ValueError):
+        write_csv(simulate(f, params, 0.01, 1e-3, 3, sink=ReduceSink), str(b))
+
+
 def test_csv_layout_follows_the_report_type(tmp_path):
     path = tmp_path / "x.csv"
     for obj in (GevreyTrackSpec(), [1, 2], object()):
@@ -932,6 +954,27 @@ def test_scenario_resume_reproduces_uninterrupted_run(tmp_path):
             got = np.array(rb[col])
             want = np.array(rc[col][-tail:])
             assert np.max(np.abs(got - want)) <= np.max(np.spacing(np.abs(want) + 1e-300))
+
+
+def test_cli_simulate_memory_does_not_grow_with_the_step_count(tmp_path):
+    # a stride-1 simulate keeps a row and two cells per snapshot (about
+    # 0.5 KiB) and the last field, not a field per step (8.5 KiB at n = 32)
+    body = SIM_BODY.replace("n = 16", "n = 32")
+    peaks = {}
+    for steps in (2, 100, 400):
+        cfg = dataclasses.replace(
+            parse_config(body.replace("T = 0.02", f"T = {steps * 1e-3:g}")),
+            out_dir=str(tmp_path / str(steps)),
+            checkpoint_path=str(tmp_path / f"{steps}.ck"),
+        )
+        tracemalloc.start()
+        try:
+            assert run_scenario(cfg) == EXIT_OK
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the 2-step run fills the per-grid caches; margin: 1 KiB per extra snapshot
+    assert peaks[400] - peaks[100] <= 300 * 1024
 
 
 def test_scenario_resume_grid_mismatch_exit_code(tmp_path):

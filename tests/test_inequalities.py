@@ -188,12 +188,13 @@ def test_trilinear_matches_convolve2d_oracle(n):
 
 @pytest.fixture
 def sample_sizes(monkeypatch):
-    """Record the grid size of every inverse transform to physical samples."""
+    """Record the grid size of every inverse transform to physical samples,
+    once per 2-D transform of a stacked call."""
     sizes = []
     irfft2 = scipy.fft.irfft2
 
     def spy(x, *args, **kwargs):
-        sizes.append(kwargs["s"][0])
+        sizes.extend([kwargs["s"][0]] * math.prod(np.shape(x)[:-2]))
         return irfft2(x, *args, **kwargs)
 
     monkeypatch.setattr(scipy.fft, "irfft2", spy)

@@ -4,6 +4,7 @@ and the long-time decay/analyticity diagnostics."""
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gsqglab import (
     ModelParams,
     OverflowGuardError,
     PicardConvergenceError,
+    ReduceSink,
     SimState,
     SpectralField,
     Trajectory,
@@ -711,7 +713,7 @@ def test_picard_iterate_solves_with_the_negated_stages(beta):
     params = ModelParams(beta=beta, kappa=0.5, gamma=0.3)
     theta0 = solver._admissible_initial(scaled(random_field(grid, seed=29, decay=2.0), 0.5))
     T, dt, stride = 5e-3, 1e-3, 2
-    _seed, stages = solver._heat_flow_seed(theta0, params, T, dt, stride)
+    _seed, stages = solver._heat_flow_seed(theta0, params, T, dt, stride, solver.TrajectorySink())
     negated = [[-f for f in rec] for rec in stages]
     sink: list = []
     ref = linear_flux_solve(theta0, negated, params, T, dt, stride, stage_sink=sink)
@@ -808,6 +810,124 @@ def test_picard_exhaustion_reports_history():
     assert err.iterations == 3 and err.tol == 1e-30
     assert len(err.history) == 3 and err.residual == err.history[-1]
     assert len(err.iterates) == 4  # seed plus the three attempts
+
+
+# --- snapshot sinks and released stages -------------------------------------------
+
+
+def _same_field(a, b):
+    return a.half.tobytes() == b.half.tobytes()
+
+
+def _iterate_scalars(iterates):
+    return [
+        (it.index, it.diff_sup_l2, it.diff_contraction, it.contraction_ratio, it.converged)
+        for it in iterates
+    ]
+
+
+def _assert_same_run(reduced, full):
+    assert reduced.times == full.times and reduced.rows == full.rows
+    assert reduced.max_l2_step_increase == full.max_l2_step_increase
+    assert len(reduced.fields) == 1 and _same_field(reduced.final, full.final)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_reduce_sink_simulate_equals_in_memory_bit_for_bit(stride):
+    grid = GridSpec(32)
+    f = scaled(random_field(grid, seed=40, decay=2.0), 0.5)
+
+    def cells(t, g, row):
+        return t, sobolev_norm(g, 0.3), row.l2
+
+    full = simulate(f, P, T=0.02, dt=1e-3, snapshot_stride=stride)
+    run = simulate(
+        f, P, T=0.02, dt=1e-3, snapshot_stride=stride, sink=lambda: ReduceSink(cells)
+    )
+    _assert_same_run(run, full)
+    assert run.cells == tuple(map(cells, full.times, full.fields, full.rows))
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("beta", [1.2, 1.7], ids=["one_term", "two_term"])
+def test_reduce_sink_picard_equals_in_memory_bit_for_bit(beta, stride):
+    grid = GridSpec(32)
+    params = ModelParams(beta=beta, kappa=0.5, gamma=0.3)
+    f = scaled(random_field(grid, seed=41, decay=2.0), 0.5)
+    kw = dict(T=0.01, dt=1e-3, tol=1e-13, snapshot_stride=stride)
+    full = picard_solve(f, params, **kw)
+    reduced = picard_solve(f, params, **kw, sink=ReduceSink)
+    assert len(full) > 3 and full[-1].converged
+    assert _iterate_scalars(reduced) == _iterate_scalars(full)
+    for a, b in zip(reduced, full):
+        _assert_same_run(a.trajectory, b.trajectory)
+
+
+def test_reduce_sink_picard_exhaustion_equals_in_memory():
+    grid = GridSpec(16)
+    f = scaled(random_field(grid, seed=19), 0.5)
+    kw = dict(T=0.01, dt=1e-3, tol=1e-30, max_iter=3, snapshot_stride=3)
+    with pytest.raises(PicardConvergenceError) as full:
+        picard_solve(f, P, **kw)
+    with pytest.raises(PicardConvergenceError) as reduced:
+        picard_solve(f, P, **kw, sink=ReduceSink)
+    assert reduced.value.history == full.value.history
+    assert _iterate_scalars(reduced.value.iterates) == _iterate_scalars(full.value.iterates)
+    for a, b in zip(reduced.value.iterates, full.value.iterates):
+        _assert_same_run(a.trajectory, b.trajectory)
+
+
+def test_reduce_sink_raises_a_cells_error_after_the_run():
+    grid = GridSpec(32)
+    f = scaled(random_field(grid, seed=42, decay=2.0), 0.5)
+    seen = []
+
+    def cells(t, _g, _row):
+        seen.append(t)
+        raise OverflowGuardError(1.0, 800.0)
+
+    with pytest.raises(OverflowGuardError):
+        simulate(f, P, T=5e-3, dt=1e-3, sink=lambda: ReduceSink(cells))
+    assert seen == [0.0]   # no cells after the first error
+    # a failure of the run itself is reported first
+    with pytest.raises(CourantError):
+        simulate(scaled(f, 1e4), P, T=5e-3, dt=1e-3, sink=lambda: ReduceSink(cells))
+
+
+def test_picard_frees_each_stage_record_once_read(monkeypatch):
+    grid = GridSpec(16)
+    params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
+    f = scaled(random_field(grid, seed=43, decay=2.0), 0.5)
+    refs = []
+    seed = solver._heat_flow_seed
+
+    def spy(*args):
+        traj, stages = seed(*args)
+        # the arrays behind the seed's step-0 record, read by iterate 1's first step
+        refs.extend(weakref.ref(g.half) for g in stages[0])
+        return traj, stages
+
+    monkeypatch.setattr(solver, "_heat_flow_seed", spy)
+    alive = []
+
+    def cells(t, _g, _row):
+        if refs:   # iterate 1: snapshots are taken after the step's q is read
+            alive.append(sum(r() is not None for r in refs))
+        return ()
+
+    its = picard_solve(f, params, T=5e-3, dt=1e-3, tol=math.inf, sink=lambda: ReduceSink(cells))
+    assert len(its) == 2
+    assert alive == [4, 0, 0, 0, 0, 0]
+
+
+def test_flux_solve_leaves_the_callers_stage_list_unchanged():
+    grid = GridSpec(16)
+    theta0 = solver._admissible_initial(scaled(random_field(grid, seed=44, decay=2.0), 0.5))
+    _seed, q = solver._heat_flow_seed(theta0, P, 5e-3, 1e-3, 1, solver.TrajectorySink())
+    before = [list(rec) for rec in q]
+    linear_flux_solve(theta0, q, P, T=5e-3, dt=1e-3)
+    assert len(q) == len(before)
+    assert all(a is b for ra, rb in zip(q, before) for a, b in zip(ra, rb, strict=True))
 
 
 # --- self-similar rescaling ------------------------------------------------------
