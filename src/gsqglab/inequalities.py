@@ -193,8 +193,9 @@ def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: 
         raise ValueError("negative output weight needs a mean-zero third slot")
     fh, gh = f.half, g.half
     hh = _half(_power_weight(grid, sigma)) * h.half
-    size = _product_size(grid.n, _support(fh), _support(gh), _support(hh))
-    fs, gs, hs = _term_samples((fh, gh, hh), grid.n, size)
+    supports = _support(fh), _support(gh), _support(hh)
+    size = _product_size(grid.n, *supports)
+    fs, gs, hs = _term_samples((fh, gh, hh), grid.n, size, max(supports))
     return complex(grid.period**2 / size**2 * np.sum(fs * gs * hs))
 
 

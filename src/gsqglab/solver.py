@@ -448,6 +448,12 @@ def _advance(theta, i, t, h, factors, nonlin, k1, speed, l2, c_cfl, kmax=None):
     return _wrap_half(grid, out, kmax)
 
 
+# The stepping core runs with overflow and invalid-value warnings off: a
+# state that loses finiteness is reported once, by BlowUpError.
+_quiet_blow_up = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_blow_up
 def step(
     state: SimState,
     dt: float | None = None,
@@ -513,6 +519,7 @@ def _step_count(T: float, dt: float) -> int:
     return n
 
 
+@_quiet_blow_up
 def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factory, sink):
     """Drive the IF-RK4 core with a per-step tendency factory; hand each
     snapshot (t, field, row) to sink and return sink.result(...).

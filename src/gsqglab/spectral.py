@@ -38,11 +38,16 @@ exactly for alias-free products because perp_grad a is divergence free, so
 both of its terms share the samples of grad theta. Transforms per call:
 `advect` 4 inverse and 1 forward (2 and 1 when it reads cached samples),
 `flux_divergence` 4 and 1, or 6 and 2 with the second term,
-`multiply_fields` 2 and 1, `VectorField.samples` 2 inverse. On a product
-grid of M <= _STACK_MAX = 64 a call site makes them as one stacked inverse
-scipy.fft call and one forward call, which saves the per-call dispatch;
-above it, where a stack runs slower per transform, one call per transform.
-The stacked and single calls agree bit for bit (`_term_samples`).
+`multiply_fields` 2 and 1, `VectorField.samples` 2 inverse. A 2-D transform
+is made as the two one-axis numpy.fft passes that pocketfft's irfft2 and
+rfft2 make (`_samples`, `_lattice_half`), so its output is bit for bit that
+of scipy.fft's 2-D transform. An inverse transform's first pass runs only
+over the columns m2 <= K, K the support bound that sized the product grid:
+the pass of a zero column is zero. On a product grid of M <= _STACK_MAX =
+64 a call site makes them as one stacked inverse call and one forward
+call, which saves the per-call dispatch; above it, where a stacked call
+site runs slower, one call per transform. The stacked and single calls
+agree bit for bit (`_term_samples`).
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .errors import OverflowGuardError
 
@@ -262,7 +266,8 @@ class VectorField:
     def samples(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (u1, u2) at the n x n sample points, transformed once."""
         n = self.grid.n
-        return _read_only(*_term_samples((self.u1.half, self.u2.half), n, n))
+        k = max(map(_support_bound, (self.u1, self.u2)))
+        return _read_only(*_term_samples((self.u1.half, self.u2.half), n, n, k))
 
     def divergence(self) -> SpectralField:
         ik1, ik2 = _ik(self.grid)
@@ -319,7 +324,7 @@ class ModelParams:
 
 def to_physical(field: SpectralField) -> np.ndarray:
     """Evaluate the field at the n x n physical sample points."""
-    return _samples(field.half, field.grid.n)
+    return _samples(field.half, field.grid.n, field._kmax)
 
 
 def _canonical_half(half: np.ndarray) -> np.ndarray:
@@ -565,45 +570,66 @@ def _support_bound(f: SpectralField) -> int:
     return f._kmax
 
 
-def _grid_size(n: int, a: tuple, b: tuple, k_out: int) -> int:
-    """M for a product of factors supported within the fields a and b."""
-    size = _product_size(n, max(map(_support_bound, a)), max(map(_support_bound, b)), k_out)
-    if size == n:
-        return n
-    # a bound above the true support may overstate M: the exact scan decides
-    return _product_size(
-        n, _support(*(f.half for f in a)), _support(*(f.half for f in b)), k_out
-    )
+def _grid_size(n: int, a: tuple, b: tuple, k_out: int) -> tuple[int, int]:
+    """M for a product of factors supported within the fields a and b, and
+    the bound on their supports that gave it."""
+    k_a, k_b = max(map(_support_bound, a)), max(map(_support_bound, b))
+    size = _product_size(n, k_a, k_b, k_out)
+    if size != n:
+        # a bound above the true support may overstate M: the exact scan decides
+        k_a, k_b = _support(*(f.half for f in a)), _support(*(f.half for f in b))
+        size = _product_size(n, k_a, k_b, k_out)
+    return size, max(k_a, k_b)
 
 
-def _samples(coeffs: np.ndarray, size: int) -> np.ndarray:
+def _samples(coeffs: np.ndarray, size: int, k: int | None = None) -> np.ndarray:
     """Samples on the size x size grid of a Hermitian full or half spectrum,
-    or of each spectrum in a stack of them, in one transform call."""
+    or of each spectrum in a stack of them.
+
+    The two one-axis passes irfft2 makes: a complex pass along m1, then a
+    real pass along m2. k, if given, bounds |m2| of every nonzero
+    coefficient; the first pass then runs over the columns m2 <= k only,
+    since the pass of a zero column is zero, and the real pass pads them
+    back. The samples are bit for bit those of the unpruned transform.
+    """
     n = coeffs.shape[-2]
     h = n // 2
-    half = coeffs[..., : h + 1]
+    half = coeffs[..., : (h if k is None else k) + 1]
     if size != n:   # rows m1 < 0 go to the end of the size-grid layout
-        half = np.zeros(coeffs.shape[:-2] + (size, size // 2 + 1), dtype=np.complex128)
-        half[..., np.r_[:h, size - h : size], : h + 1] = coeffs[..., : h + 1]
-    return scipy.fft.irfft2(half, s=(size, size), norm="forward")
+        padded = np.zeros(coeffs.shape[:-2] + (size, half.shape[-1]), dtype=np.complex128)
+        padded[..., np.r_[:h, size - h : size], :] = half
+        half = padded
+    cols = np.fft.ifftn(half, s=(size,), axes=(-2,), norm="forward")
+    return np.fft.irfftn(cols, s=(size,), axes=(-1,), norm="forward")
 
 
 def _lattice_half(phys: np.ndarray, n: int) -> np.ndarray:
     """Half spectrum, on the n-lattice, of samples on any product grid, or of
-    each array in a stack of them, in one transform call."""
-    half = scipy.fft.rfft2(phys, norm="forward")[..., : n // 2 + 1]
-    if half.shape[-2] == n:
+    each array in a stack of them.
+
+    The two one-axis passes rfft2(norm="forward") makes: a real pass along
+    x2, cut to the kept columns and scaled by 1 / size^2 per real and
+    imaginary part as that pass scales them, then a complex pass along x1.
+    """
+    size = phys.shape[-1]
+    half = np.fft.rfftn(phys, s=(size,), axes=(-1,))[..., : n // 2 + 1]
+    parts = half.view(np.float64)
+    parts *= 1.0 / (size * size)
+    half = np.fft.fftn(half, s=(size,), axes=(-2,))
+    if size == n:
         return half
     return np.concatenate((half[..., : n // 2, :], half[..., -(n // 2) :, :]), axis=-2)
 
 
-# Largest product grid M whose transforms go to scipy.fft as one stacked call
-# per product site. A call costs a fixed dispatch, about a third of one
-# transform at M = 64, but pocketfft runs a stack slower per transform on
-# larger grids. Per inverse transform, 6 stacked against 6 single calls
-# (median of 9 timeit runs, 2-CPU host, scipy 1.17.1): 39 against 59 us at
-# M = 64, 166 against 125 us at M = 96, 283 against 183 us at M = 128 and
-# 1200 against 774 us at M = 256. Stacked and single results agree bit for bit.
+# Largest product grid M whose transforms a call site makes as one stacked
+# call per direction. A call costs a fixed dispatch, about as much as one
+# transform at M = 64, but on larger grids a stacked call site runs slower.
+# A two-term flux_divergence on fields filling the dealias disc, stacked
+# against one call per transform (medians of 30 alternating runs in one
+# process, one thread, 2-CPU host, numpy 2.4.6): 0.36 against 0.46 ms at
+# M = 64, 1.37 against 1.01 ms at M = 96, 1.92 against 1.45 ms at M = 128
+# and 10.1 against 6.9 ms at M = 256. Stacked and single results agree bit
+# for bit.
 _STACK_MAX = 64
 
 
@@ -611,9 +637,10 @@ def _stacked(size: int) -> bool:
     return size <= _STACK_MAX
 
 
-def _term_samples(terms, n: int, size: int):
+def _term_samples(terms, n: int, size: int, k: int):
     """Samples on the size grid of each term: an n-lattice half spectrum, or
-    a pair (symbol, half) standing for their product.
+    a pair (symbol, half) standing for their product. k bounds the support
+    of every term (see _samples).
 
     On a small grid the terms are written into one stack, the products
     straight into their slots, and transformed in one call. Otherwise each is
@@ -621,14 +648,14 @@ def _term_samples(terms, n: int, size: int):
     the samples in turn holds no more of them at once than it needs.
     """
     if not _stacked(size):
-        return (_samples(np.multiply(*t) if isinstance(t, tuple) else t, size) for t in terms)
+        return (_samples(np.multiply(*t) if isinstance(t, tuple) else t, size, k) for t in terms)
     stack = np.empty((len(terms), n, n // 2 + 1), dtype=np.complex128)
     for dst, t in zip(stack, terms):
         if isinstance(t, tuple):
             np.multiply(*t, out=dst)
         else:
             dst[...] = t
-    return _samples(stack, size)
+    return _samples(stack, size, k)
 
 
 def _dealiased(grid: GridSpec, half: np.ndarray) -> SpectralField:
@@ -643,8 +670,8 @@ def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
     if f.grid != g.grid:
         raise ValueError("product requires a shared grid")
     n = f.grid.n
-    size = _grid_size(n, (f,), (g,), n // 2 - 1)
-    a, b = _term_samples((f.half, g.half), n, size)
+    size, k = _grid_size(n, (f,), (g,), n // 2 - 1)
+    a, b = _term_samples((f.half, g.half), n, size, k)
     prod = _lattice_half(a * b, n)
     return _wrap_half(f.grid, _canonical_half(prod))
 
@@ -663,9 +690,9 @@ def advect(u: VectorField, theta: SpectralField) -> SpectralField:
     ik1, ik2 = _ik(grid)
     th = theta.half
     # grad theta lies inside theta's support
-    size = _grid_size(grid.n, (u.u1, u.u2), (theta,), int(grid.dealias_radius))
+    size, k = _grid_size(grid.n, (u.u1, u.u2), (theta,), int(grid.dealias_radius))
     own = () if size == grid.n else (u.u1.half, u.u2.half)
-    factors = iter(_term_samples((*own, (ik1, th), (ik2, th)), grid.n, size))
+    factors = iter(_term_samples((*own, (ik1, th), (ik2, th)), grid.n, size, k))
     p1, p2 = (next(factors), next(factors)) if own else u.samples
     acc = p1 * next(factors)
     acc += p2 * next(factors)
@@ -713,9 +740,9 @@ def flux_divergence(
     if params.two_term:
         terms += [(ik2, qh), (ik1, qh)]
     # every factor lies inside q's or theta's support
-    size = _grid_size(n, (q,), (theta,), int(grid.dealias_radius))
+    size, k = _grid_size(n, (q,), (theta,), int(grid.dealias_radius))
     # taken in turn, so that above the stack limit a sample is freed once used
-    factors = iter(_term_samples(terms, n, size))
+    factors = iter(_term_samples(terms, n, size, k))
     d1t, d2t = next(factors), next(factors)
     phys = np.empty((2 if params.two_term else 1, size, size))
     # perp_grad(M q) . grad(theta) = d1(M q) d2(theta) - d2(M q) d1(theta)

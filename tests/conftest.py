@@ -1,7 +1,10 @@
-"""Fixtures that spy on the real transforms behind the product engine.
+"""Fixtures that spy on the transform engine behind the product engine.
 
-A transform call may take a stack of arrays; both fixtures count each 2-D
-transform in it, the product of the array's leading dimensions.
+The spies wrap `spectral._samples` (inverse, "irfft2") and
+`spectral._lattice_half` (forward, "rfft2"), each of which makes the 2-D
+real transforms of one array or of a stack of them in one call; both
+fixtures count each 2-D transform in it, the product of the array's leading
+dimensions.
 """
 
 import collections
@@ -9,7 +12,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
+
+from gsqglab import spectral
 
 
 def _stack_depth(x) -> int:
@@ -21,13 +25,13 @@ def _stack_depth(x) -> int:
 def product_sizes(monkeypatch):
     """Record the grid size of every forward product transform."""
     sizes = []
-    rfft2 = scipy.fft.rfft2
+    lattice_half = spectral._lattice_half
 
-    def spy(x, *args, **kwargs):
-        sizes.extend([np.shape(x)[-2]] * _stack_depth(x))
-        return rfft2(x, *args, **kwargs)
+    def spy(phys, *args, **kwargs):
+        sizes.extend([np.shape(phys)[-2]] * _stack_depth(phys))
+        return lattice_half(phys, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "rfft2", spy)
+    monkeypatch.setattr(spectral, "_lattice_half", spy)
     return sizes
 
 
@@ -49,9 +53,7 @@ def transforms(monkeypatch):
     """Count the inverse ("irfft2") and forward ("rfft2") real transforms."""
     counts = TransformCounts()
 
-    def counted(name):
-        fn = getattr(scipy.fft, name)
-
+    def counted(name, fn):
         def spy(x, *args, **kwargs):
             counts[name] += _stack_depth(x)
             counts.calls[name] += 1
@@ -59,6 +61,6 @@ def transforms(monkeypatch):
 
         return spy
 
-    for name in ("irfft2", "rfft2"):
-        monkeypatch.setattr(scipy.fft, name, counted(name))
+    for name, attr in (("irfft2", "_samples"), ("rfft2", "_lattice_half")):
+        monkeypatch.setattr(spectral, attr, counted(name, getattr(spectral, attr)))
     return counts

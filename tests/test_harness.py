@@ -1136,19 +1136,45 @@ def test_cli_help_documents_exit_codes(capsys):
     assert commands == [(kind, s.help) for kind, s in SCENARIOS.items()]
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal alone is most of a fresh process's import time
+def _fresh_python(*args, cwd=None):
+    """Run a fresh interpreter on this checkout's package; return the process."""
     import gsqglab
 
     src = str(Path(gsqglab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, gsqglab.cli; print('scipy.signal' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=120, cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy is a test dependency only, and its import (scipy.signal above
+    # all) is most of a fresh process's start-up
+    code = (
+        "import sys, gsqglab.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_blow_up_reports_one_line_on_stderr(tmp_path):
+    # the stepping core runs with numpy's overflow and invalid-value warnings
+    # off: the BlowUpError message is the run's only output on stderr
+    body = SIM_BODY.replace("T = 0.02\ndt = 1e-3", "T = 0.5\ndt = 0.05\ncfl = inf")
+    body = body.replace("n = 16", "n = 32").replace("amplitude = 0.05", "amplitude = 1e3")
+    cfg = run_cfg(tmp_path, body)
+    proc = _fresh_python(
+        "-m", "gsqglab.cli", "simulate", "--config", str(cfg), "--out", "o", "--seed", "5",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_BLOWUP
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("blow-up detected at t=0.15 (step 3): l2=")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy.signal import convolve2d
 
+from gsqglab import spectral
 from gsqglab import (
     EnsembleSpec,
     GridSpec,
@@ -191,13 +191,13 @@ def sample_sizes(monkeypatch):
     """Record the grid size of every inverse transform to physical samples,
     once per 2-D transform of a stacked call."""
     sizes = []
-    irfft2 = scipy.fft.irfft2
+    samples = spectral._samples
 
-    def spy(x, *args, **kwargs):
-        sizes.extend([kwargs["s"][0]] * math.prod(np.shape(x)[:-2]))
-        return irfft2(x, *args, **kwargs)
+    def spy(coeffs, size, *args, **kwargs):
+        sizes.extend([size] * math.prod(np.shape(coeffs)[:-2]))
+        return samples(coeffs, size, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "irfft2", spy)
+    monkeypatch.setattr(spectral, "_samples", spy)
     return sizes
 
 

@@ -644,10 +644,10 @@ def test_courant_reads_the_velocity_samples_once(fraction, monkeypatch):
     n_grid = []
     term_samples = spectral._term_samples
 
-    def spy(terms, n, size):
+    def spy(terms, n, size, k):
         if size == grid.n:
             n_grid.extend(size for t in terms if any(t is h for h in halves))
-        return term_samples(terms, n, size)
+        return term_samples(terms, n, size, k)
 
     monkeypatch.setattr(spectral, "_term_samples", spy)
     dt = 1e-3

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,6 +161,48 @@ def test_from_physical_output_is_exactly_hermitian():
     f = from_physical(rng.standard_normal((32, 32)), g)
     idx = (-np.arange(32)) % 32
     assert np.array_equal(f.coeffs, np.conj(f.coeffs[np.ix_(idx, idx)]))
+
+
+def _scipy_samples(half, size):
+    """The samples scipy.fft.irfft2 gives of half spectra zero-padded to size."""
+    h = half.shape[-2] // 2
+    padded = np.zeros(half.shape[:-2] + (size, size // 2 + 1), dtype=np.complex128)
+    padded[..., np.r_[:h, size - h : size], : h + 1] = half
+    return scipy.fft.irfft2(padded, s=(size, size), norm="forward")
+
+
+def _scipy_lattice_half(phys, n):
+    """The n-lattice half spectra scipy.fft.rfft2(norm="forward") gives."""
+    half = scipy.fft.rfft2(phys, norm="forward")[..., : n // 2 + 1]
+    return np.concatenate((half[..., : n // 2, :], half[..., phys.shape[-2] - n // 2 :, :]), axis=-2)
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("padded", [False, True], ids=["M=n", "M=3n/2"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_transform_engine_matches_scipy_byte_for_byte(n, padded, stack):
+    # scipy.fft is the engine the numpy.fft passes replaced; every output,
+    # pruned or not, must be the same bytes
+    g = GridSpec(n)
+    size = 3 * n // 2 if padded else n
+    k = n // 3
+    fields = [random_field(g, seed=60 + i, decay=1.0, band=k) for i in range(3 if stack else 1)]
+    assert all(_support(f.half) == k for f in fields)
+    half = np.stack([f.half for f in fields]) if stack else fields[0].half
+    ref = _scipy_samples(half, size)
+    assert ref.shape == half.shape[:-2] + (size, size)
+    # the true support, a bound above it, the largest bound, and no bound
+    for bound in (k, k + 3, n // 2, None):
+        assert spectral._samples(half, size, bound).tobytes() == ref.tobytes(), bound
+    rng = np.random.default_rng(n + size)
+    for phys in (ref, rng.standard_normal(ref.shape)):
+        got = spectral._lattice_half(phys, n)
+        assert got.tobytes() == _scipy_lattice_half(phys, n).tobytes()
+    zero = np.zeros_like(half)
+    for bound in (0, None):
+        assert spectral._samples(zero, size, bound).tobytes() == _scipy_samples(zero, size).tobytes()
+    phys = np.zeros(ref.shape)
+    assert spectral._lattice_half(phys, n).tobytes() == _scipy_lattice_half(phys, n).tobytes()
 
 
 # --- diagonal operators ------------------------------------------------------
@@ -699,18 +742,18 @@ def _per_array(op, a, b, params):
     samples, lattice_half = spectral._samples, spectral._lattice_half
     ik1, ik2 = spectral._ik(grid)
     if op == "multiply":
-        size = spectral._grid_size(n, (a,), (b,), n // 2 - 1)
+        size = spectral._grid_size(n, (a,), (b,), n // 2 - 1)[0]
         prod = lattice_half(samples(a.half, size) * samples(b.half, size), n)
         return _wrap_half(grid, spectral._canonical_half(prod))
     if op == "advect":
         u, th = velocity_from_scalar(a, params), b.half
-        size = spectral._grid_size(n, (u.u1, u.u2), (b,), r)
+        size = spectral._grid_size(n, (u.u1, u.u2), (b,), r)[0]
         acc = samples(u.u1.half, size) * samples(ik1 * th, size)
         acc += samples(u.u2.half, size) * samples(ik2 * th, size)
         return spectral._dealiased(grid, lattice_half(acc, n))
     mult = _structure_multiplier(grid, params)
     qh, th = a.half, b.half
-    size = spectral._grid_size(n, (a,), (b,), r)
+    size = spectral._grid_size(n, (a,), (b,), r)[0]
     d1t, d2t = samples(ik1 * th, size), samples(ik2 * th, size)
     mq = mult * qh
     out = lattice_half(samples(ik1 * mq, size) * d2t - samples(ik2 * mq, size) * d1t, n)
@@ -763,7 +806,7 @@ def test_flux_fills_the_velocity_samples_on_the_n_grid(op, fraction):
     u = velocity_from_scalar(q, params)
     got = flux_divergence(q, theta, params, velocity=u)
     assert got.half.tobytes() == flux_divergence(q, theta, params).half.tobytes()
-    on_n_grid = spectral._grid_size(g.n, (q,), (theta,), int(g.dealias_radius)) == g.n
+    on_n_grid = spectral._grid_size(g.n, (q,), (theta,), int(g.dealias_radius))[0] == g.n
     assert ("samples" in vars(u)) == on_n_grid == (fraction < 0.7)
     ref = velocity_from_scalar(q, params)
     for s, r in zip(u.samples, (to_physical(ref.u1), to_physical(ref.u2))):
