@@ -4,7 +4,8 @@ Everything the command-line tool does lives here as plain functions so the
 test suite can drive it without a subprocess: config parsing with exhaustive
 violation reporting, the named initial-data library, bit-exact checkpoints,
 full-precision CSV output, plot-data emission with fitted slopes, and the
-operator / inequality verification batteries.
+operator / inequality verification batteries. Each report's CSV layout hands
+write_csv a header and rows of plain values; write_csv alone formats cells.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import operator
 import os
 import struct
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -43,6 +44,8 @@ from .solver import (
     SimState,
     Trajectory,
     _admissible_initial,
+    _loglog_fit,
+    _slope,
     decay_study,
     default_delta,
     gevrey_report,
@@ -78,7 +81,12 @@ _LAW_NAMES = {v: k for k, v in _LAW_CODES.items()}
 
 
 def _fmt(x) -> str:
-    """Full-precision decimal for CSV cells: 17 significant digits round-trip."""
+    """Full-precision decimal for CSV cells: 17 significant digits round-trip.
+    A string passes through, and None, a value not measured, reads nan."""
+    if isinstance(x, str):
+        return x
+    if x is None:
+        return "nan"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -122,30 +130,31 @@ class InitialSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated description of one study run."""
+    """Fully validated description of one study run; parse_config fills
+    every field, with the defaults of the key table _KEYS."""
 
     kind: str
     grid: GridSpec | None
     params: ModelParams | None
     initial: InitialSpec | None
-    T: float = 1.0
-    dt: float = 1e-3
-    snapshot_stride: int = 1
-    seed: int = 0
-    out_dir: str = "gsqg-out"
-    checkpoint_path: str | None = None
-    resume_path: str | None = None
-    c_cfl: float = DEFAULT_CFL
-    gevrey: GevreyTrackSpec = dc_field(default_factory=GevreyTrackSpec)
-    scaling_lam: int = 2
-    scaling_tol: float = 1e-8
-    decay_delta: float | None = None
-    decay_k_list: tuple[int, ...] = (0,)
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 20
-    verify_triples: int = 100
-    verify_fields: int = 100
-    verify_draws: int = 500
+    T: float
+    dt: float
+    snapshot_stride: int
+    seed: int
+    out_dir: str
+    checkpoint_path: str | None
+    resume_path: str | None
+    c_cfl: float
+    gevrey: GevreyTrackSpec
+    scaling_lam: int
+    scaling_tol: float
+    decay_delta: float | None
+    decay_k_list: tuple[int, ...]
+    picard_tol: float
+    picard_max_iter: int
+    verify_triples: int
+    verify_fields: int
+    verify_draws: int
 
 
 def _int(text: str) -> int:
@@ -597,21 +606,17 @@ def _snapshot_cells(params: ModelParams, gevrey: GevreyTrackSpec):
 
 
 def _snapshot_table(times, rows, cells, t0: float):
-    header = (
-        "t,l2,hs_crit,hs_crit_delta,gevrey_tracked,energy_residual,max_u,courant"
+    header = ("t", "l2", "hs_crit", "hs_crit_delta", "gevrey_tracked", "energy_residual",
+              "max_u", "courant")
+    return header, (
+        (t0 + t, row.l2, row.hs_crit, hs_delta, g, row.energy_residual, row.max_u, row.courant)
+        for t, row, (hs_delta, g) in zip(times, rows, cells, strict=True)
     )
-    lines = [header]
-    for t, row, (hs_delta, g) in zip(times, rows, cells, strict=True):
-        line = (t0 + t, row.l2, row.hs_crit, hs_delta, g, row.energy_residual, row.max_u,
-                row.courant)
-        lines.append(",".join(_fmt(c) for c in line))
-    return lines
 
 
 def _csv_rows_for_trajectory(traj: Trajectory, gevrey: GevreyTrackSpec, t0: float):
-    cells = _snapshot_cells(traj.params, gevrey)
-    made = [cells(t, f, row) for t, f, row in zip(traj.times, traj.fields, traj.rows)]
-    return _snapshot_table(traj.times, traj.rows, made, t0)
+    cells = map(_snapshot_cells(traj.params, gevrey), traj.times, traj.fields, traj.rows)
+    return _snapshot_table(traj.times, traj.rows, cells, t0)
 
 
 def _csv_rows_for_summary(run: RunSummary, _gevrey, t0: float):
@@ -620,70 +625,41 @@ def _csv_rows_for_summary(run: RunSummary, _gevrey, t0: float):
 
 
 def _csv_rows_for_picard(iterates, *_):
-    rows = ["iterate,diff_sup_l2,diff_contraction,contraction_ratio,converged"]
-    for it in iterates:
-        cells = (
-            it.index,
-            it.diff_sup_l2 if it.diff_sup_l2 is not None else math.nan,
-            it.diff_contraction if it.diff_contraction is not None else math.nan,
-            it.contraction_ratio if it.contraction_ratio is not None else math.nan,
-            it.converged,
-        )
-        rows.append(",".join(_fmt(c) for c in cells))
-    return rows
+    header = ("iterate", "diff_sup_l2", "diff_contraction", "contraction_ratio", "converged")
+    return header, (
+        (it.index, it.diff_sup_l2, it.diff_contraction, it.contraction_ratio, it.converged)
+        for it in iterates
+    )
 
 
 def _csv_rows_for_decay(report, *_):
     ks = sorted(report.series)
-    rows = ["t," + ",".join(f"d{k}" for k in ks)]
-    for i, t in enumerate(report.times):
-        rows.append(",".join([_fmt(t)] + [_fmt(report.series[k][i]) for k in ks]))
-    return rows
+    return ("t", *(f"d{k}" for k in ks)), zip(report.times, *(report.series[k] for k in ks))
 
 
 def _csv_rows_for_gevrey(report, *_):
-    rows = ["t,gevrey_tracked"]
-    for t, v in zip(report.times, report.series):
-        rows.append(f"{_fmt(t)},{_fmt(v)}")
-    return rows
+    return ("t", "gevrey_tracked"), zip(report.times, report.series)
 
 
-def _csv_rows_for_scaling(report, *_):
-    rows = ["lam,gap,horizon,rescaled_horizon,norm_final_coarse,norm_final_fine"]
-    rows.append(
-        ",".join(
-            _fmt(c)
-            for c in (
-                report.lam,
-                report.gap,
-                report.horizon,
-                report.rescaled_horizon,
-                report.norm_final_coarse,
-                report.norm_final_fine,
-            )
-        )
-    )
-    return rows
-
-
-def _csv_rows_for_checks(checks, *_):
-    rows = ["name,measured,limit,passed"]
-    for c in checks:
-        rows.append(f"{c.name},{_fmt(c.measured)},{_fmt(c.limit)},{_fmt(c.passed)}")
-    return rows
+def _csv_rows_for_fields(cls, report, *_):
+    """A flat dataclass table: a column per field of cls, a row per record."""
+    names = tuple(f.name for f in fields(cls))
+    records = (report,) if isinstance(report, cls) else report
+    return names, (tuple(getattr(r, name) for name in names) for r in records)
 
 
 # CSV layout per report type; a list or tuple is keyed by its element type.
-# Every layout takes (report, gevrey, t0); only the trajectory reads gevrey,
-# and only it and the run summary read t0.
+# Every layout takes (report, gevrey, t0) and returns (header, rows): the column
+# names and rows of plain values, which write_csv alone formats, with _fmt.
+# Only the trajectory reads gevrey, and only it and the run summary read t0.
 _CSV_LAYOUTS = {
     Trajectory: _csv_rows_for_trajectory,
     RunSummary: _csv_rows_for_summary,
     DecayReport: _csv_rows_for_decay,
     GevreyTrackReport: _csv_rows_for_gevrey,
-    ScalingReport: _csv_rows_for_scaling,
+    ScalingReport: partial(_csv_rows_for_fields, ScalingReport),
     PicardIterate: _csv_rows_for_picard,
-    CheckRow: _csv_rows_for_checks,
+    CheckRow: partial(_csv_rows_for_fields, CheckRow),
 }
 
 
@@ -693,7 +669,8 @@ def write_csv(obj, path: str, *, gevrey: GevreyTrackSpec | None = None, t0: floa
     Numbers are printed with 17 significant digits, so re-parsing recovers
     the in-memory doubles exactly. Row order is deterministic. An empty
     sequence gives the header of the check table; any other type raises
-    TypeError.
+    TypeError. Every line is formed before the file is opened, so a table
+    that cannot be formed leaves no file.
     """
     if isinstance(obj, (list, tuple)):
         key = type(obj[0]) if obj else CheckRow
@@ -701,9 +678,10 @@ def write_csv(obj, path: str, *, gevrey: GevreyTrackSpec | None = None, t0: floa
         key = type(obj)
     if key not in _CSV_LAYOUTS:
         raise TypeError(f"no CSV layout for {type(obj).__name__}")
-    rows = _CSV_LAYOUTS[key](obj, gevrey or GevreyTrackSpec(), t0)
+    header, rows = _CSV_LAYOUTS[key](obj, gevrey or GevreyTrackSpec(), t0)
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
     with open(path, "w", newline="") as fh:
-        fh.writelines(f"{row}\n" for row in rows)
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def read_csv_columns(path: str) -> dict[str, list]:
@@ -764,16 +742,17 @@ def emit_plot_data(
             continue
         xs.append(math.log(xv) if transform == "loglog" else xv)
         ys.append(math.log(yv) if transform in ("loglog", "semilogy") else yv)
-    if len(xs) >= 2 and max(xs) > min(xs) and max(ys) > min(ys):
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = 0.0
+    slope = _slope(xs, ys)
+    _write_plot_data(path, x, y, transform, xs, ys, slope)
+    return slope
+
+
+def _write_plot_data(path: str, x: str, y: str, transform: str, xs, ys, slope: float):
     lines = [f"# x={x} y={y} transform={transform}"]
     lines += [f"{_fmt(a)} {_fmt(b)}" for a, b in zip(xs, ys)]
     lines.append(f"# slope={_fmt(slope)}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    return slope
 
 
 # ---------------------------------------------------------------------------
@@ -1310,9 +1289,10 @@ def _run_decay_study(config: ScenarioConfig, start: _Start, csv: str):
     write_csv(report, csv)
     lines = [f"delta: {_fmt(delta)}"]
     for k in sorted(report.slopes):
-        # the plot data reads back the table just written
+        # the points and slope decay_study fitted, by the same helper
+        xs, ys, slope = _loglog_fit(report.times, report.series[k], report.window[0])
         dat = os.path.join(config.out_dir, f"decay-k{k}.dat")
-        slope = emit_plot_data(csv, dat, "t", f"d{k}", transform="loglog", x_min=report.window[0])
+        _write_plot_data(dat, "t", f"d{k}", "loglog", xs, ys, slope)
         lines.append(
             f"k={k}: fitted slope {_fmt(slope)} expected {_fmt(report.expected[k])}"
         )

@@ -29,10 +29,12 @@ keyword of `simulate` and `picard_solve`:
   makes of each snapshot, and the last field, and returns a `RunSummary`.
   Beyond a row and its cells per snapshot, its memory does not grow with
   the number of steps.
-`picard_solve` also drops each stage record of the previous iterate once the
-new iterate's step has read it, and reduces each step difference to its norms
-as the step's start value is formed; with `ReduceSink` an iterate holds one
-iterate's stage records at a time, plus the rows and the final fields.
+`picard_solve` reads the previous iterate's stage records through the one
+stage provider, `_as_stage_provider`, which holds the only copy of the record
+list and drops each record once the new iterate's step has read it. Each
+step difference is reduced to its norms as the step's start value is formed.
+With `ReduceSink` an iterate holds one iterate's stage records at a time,
+plus the rows and the final fields.
 """
 
 from __future__ import annotations
@@ -601,7 +603,10 @@ def _as_stage_provider(q, grid, n_steps, dt):
     Callables are sampled at the stage times t, t+dt/2, t+dt/2, t+dt (the
     two middle stages share their time). Sequences must hold one 4-tuple of
     fields per step, one per stage slot: no temporal interpolation ever
-    happens.
+    happens. The provider reads a copy of the sequence and drops record
+    i - 1 from it when step i reads stage 0, so the records free as the run
+    passes them unless the caller holds the sequence. The last record stays:
+    the final row reads its end stage.
     """
     if callable(q):
         offsets = (0.0, 0.5 * dt, 0.5 * dt, dt)
@@ -621,6 +626,8 @@ def _as_stage_provider(q, grid, n_steps, dt):
         )
 
     def provider(i, stage):
+        if stage == 0 and i > 0:
+            samples[i - 1] = None
         rec = samples[i]
         if len(rec) != 4:
             raise ValueError("each step needs exactly four stage samples")
@@ -733,20 +740,6 @@ def _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink):
     return sink.result(params, dt, 0.0), stages
 
 
-def _released_as_read(stages):
-    """Provider over an iterate's stage records that drops record i - 1 from
-    the list when step i reads its first stage. The last record stays: the
-    final row reads its end stage.
-    """
-
-    def provider(i, stage):
-        if stage == 0 and i > 0:
-            stages[i - 1] = None
-        return stages[i][stage]
-
-    return provider
-
-
 def picard_solve(
     theta0: SpectralField,
     params: ModelParams,
@@ -768,16 +761,17 @@ def picard_solve(
     The previous iterate's stages go to the solve as they are, with the
     tendency +flux_divergence(f, theta): flux_divergence is linear in q and
     negation is exact, so that equals -flux_divergence(-f, theta) bit for bit.
-    Each of their records is dropped once the new iterate's step has read
-    it, and each step's difference to the previous iterate is reduced to its
-    norms as the step's start value is formed. sink() makes each iterate's
-    snapshot sink, the seed's included; its result is the iterate's
-    trajectory.
+    The solve and the step differences read them through one
+    _as_stage_provider, which holds the only reference to them and drops
+    each record once the new iterate's step has read it; each step's
+    difference to the previous iterate is reduced to its norms as the
+    step's start value is formed. sink() makes each iterate's snapshot
+    sink, the seed's included; its result is the iterate's trajectory.
     """
     theta0 = _admissible_initial(theta0)
     grid = theta0.grid
     n_steps = _step_count(T, dt)
-    seed_traj, prev_stages = _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink())
+    seed_traj, stages = _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink())
     iterates = [
         PicardIterate(
             index=0,
@@ -799,18 +793,20 @@ def picard_solve(
     def difference(i, theta):
         # theta minus the previous iterate at t = i dt (its step-i start stage,
         # or its final field at t = T), reduced to the current iterate's norms
-        b = prev_stages[i][0] if i < n_steps else prev_final
+        b = prev(i, 0) if i < n_steps else prev_final
         coeffs = _wrap_half(grid, theta.half - b.half).coeffs
         l2s.append(_l2(coeffs, period))
         if w is not None:
             cubes.append(_l2(coeffs, period, w) ** 3)
 
     for n in range(1, max_iter + 1):
-        stages: list = []
+        # the provider holds the only reference to the previous stage records
+        prev = _as_stage_provider(stages, grid, n_steps, dt)
+        stages = []
         l2s, cubes = [], []
         traj = _frozen_solve(
-            theta0, _released_as_read(prev_stages), params, T, dt, snapshot_stride,
-            c_cfl, stages, sink(), negate=False, on_state=difference,
+            theta0, prev, params, T, dt, snapshot_stride, c_cfl, stages, sink(),
+            negate=False, on_state=difference,
         )
         sup_l2 = contraction = max(l2s)
         if w is not None:
@@ -830,7 +826,7 @@ def picard_solve(
         )
         if converged:
             return iterates
-        prev_stages, prev_final, prev_contraction = stages, traj.final, contraction
+        prev_final, prev_contraction = traj.final, contraction
 
     err = PicardConvergenceError(max_iter, history[-1], tol, history=history)
     err.iterates = iterates
@@ -932,6 +928,21 @@ def default_delta(params: ModelParams) -> float:
     return (params.kappa + 1.0 - params.beta) / 2.0
 
 
+def _slope(xs, ys) -> float:
+    """Least-squares slope of ys on xs; 0.0 unless two or more points vary in both."""
+    varies = len(xs) >= 2 and max(xs) > min(xs) and max(ys) > min(ys)
+    return float(np.polyfit(xs, ys, 1)[0]) if varies else 0.0
+
+
+def _loglog_fit(times, values, t_min: float) -> tuple[list, list, float]:
+    """The points (log t, log v) of a series with t >= t_min, up to roundoff,
+    and v > 0, and their _slope: the one window and fit behind decay_study's
+    slopes and the decay-study plot data."""
+    kept = [(t, v) for t, v in zip(times, values) if t >= t_min * (1.0 - 1e-12) and v > 0]
+    xs, ys = [math.log(t) for t, _ in kept], [math.log(v) for _, v in kept]
+    return xs, ys, _slope(xs, ys)
+
+
 def decay_study(
     theta0: SpectralField,
     params: ModelParams,
@@ -948,8 +959,10 @@ def decay_study(
 
     For each k in k_list the series of the order-k derivative measured in
     the Sobolev index sigma_c + delta is fitted by least squares on
-    t in [T/10, T]; the reference slope is -(k + delta) / kappa. Fewer
-    than 10 usable snapshots in the window is an error.
+    t in [T/10, T], t = T/10 kept up to roundoff, by the same _loglog_fit
+    that gives the decay-study plot data; the reference slope is
+    -(k + delta) / kappa. Fewer than 10 usable snapshots in the window is
+    an error.
     """
     grid = theta0.grid
     weights = [_homog_weight(grid, 2.0 * (params.sigma_c + delta + k)) for k in k_list]
@@ -964,23 +977,19 @@ def decay_study(
     )
     t0 = T / 10.0
     slopes, expected, series = {}, {}, {}
-    times_all = np.array(run.times)
-    keep = times_all >= t0 * (1.0 - 1e-12)
     n_points = None
     # a row per snapshot, a column per k
     table = np.array(run.cells)
     for k, vals in zip(k_list, table.T):
         series[k] = tuple(vals)
-        usable = keep & (vals > 0)
-        count = int(np.sum(usable))
+        xs, _ys, slopes[k] = _loglog_fit(run.times, vals, t0)
+        count = len(xs)
         n_points = count if n_points is None else min(n_points, count)
         if count < 10:
             raise ValueError(
                 f"decay fit needs at least 10 usable snapshots in [{t0:g}, {T:g}], "
                 f"got {count}"
             )
-        coef = np.polyfit(np.log(times_all[usable]), np.log(vals[usable]), 1)
-        slopes[k] = float(coef[0])
         expected[k] = -(k + delta) / params.kappa
     return DecayReport(
         slopes=slopes,

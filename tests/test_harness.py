@@ -28,6 +28,8 @@ from gsqglab import (
     Trajectory,
     amplitude_threshold_sweep,
     build_initial_data,
+    decay_study,
+    default_delta,
     emit_plot_data,
     field_from_modes,
     parse_config,
@@ -57,6 +59,7 @@ from gsqglab.harness import (
     SCENARIO_KINDS,
     SCENARIOS,
     _KEYS,
+    _Required,
     _snapshot_cells,
 )
 from util import l2_norm, random_field
@@ -376,6 +379,20 @@ def test_parse_refuses_a_bad_value_of_every_key_once(label):
     assert err.value.violations == [expected]
 
 
+def test_spec_defaults_are_the_key_table_defaults():
+    # the specs keep defaults for direct construction; they must not drift
+    table = {(row.section, row.field or row.key): row.default for row in _KEYS.values()}
+    for m1, m2, name in (("m1", "m2", "mode"), ("m1_2", "m2_2", "mode2")):
+        table["initial", name] = (table.pop(("initial", m1)), table.pop(("initial", m2)))
+    for cls, section in ((InitialSpec, "initial"), (GevreyTrackSpec, "gevrey")):
+        for f in dataclasses.fields(cls):
+            default = table[section, f.name]
+            if f.default is dataclasses.MISSING:
+                assert isinstance(default, _Required), f.name
+            else:
+                assert f.default == default, f.name
+
+
 def without(body, *lines):
     return "".join(line for line in body.splitlines(keepends=True) if line.strip() not in lines)
 
@@ -689,9 +706,11 @@ def test_csv_of_a_reduce_run_equals_the_trajectory_table(tmp_path):
     write_csv(traj, str(a), gevrey=spec, t0=0.25)
     write_csv(run, str(b), t0=0.25)
     assert a.read_bytes() == b.read_bytes()
-    # a summary without those cells has no simulate table
+    # a summary without those cells has no simulate table, and leaves no file
+    c = tmp_path / "c.csv"
     with pytest.raises(ValueError):
-        write_csv(simulate(f, params, 0.01, 1e-3, 3, sink=ReduceSink), str(b))
+        write_csv(simulate(f, params, 0.01, 1e-3, 3, sink=ReduceSink), str(c))
+    assert not c.exists()
 
 
 def test_csv_layout_follows_the_report_type(tmp_path):
@@ -835,7 +854,6 @@ def test_scenario_seed_changes_ensemble_output(tmp_path):
     ).read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_scenario_blow_up_exit_code(tmp_path):
     body = """
 [scenario]
@@ -855,8 +873,7 @@ amplitude = 1e200
 amplitude2 = 1e180
 """
     cfg = dataclasses.replace(parse_config(body), out_dir=str(tmp_path))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_scenario(cfg) == EXIT_BLOWUP
+    assert run_scenario(cfg) == EXIT_BLOWUP
 
 
 def test_scenario_cfl_exit_code(tmp_path, capsys):
@@ -884,6 +901,8 @@ def test_scenario_picard_exhaustion_exit_code(tmp_path):
     cols = read_csv_columns(str(tmp_path / "picard.csv"))
     assert len(cols["iterate"]) == 2
     assert cols["converged"] == [0.0, 0.0]
+    # the seed iterate has no distance to a previous one
+    assert math.isnan(cols["diff_sup_l2"][0]) and math.isnan(cols["contraction_ratio"][1])
 
 
 def test_scenario_picard_converged(tmp_path):
@@ -920,6 +939,44 @@ def test_scenario_decay_study_emits_slope_files(tmp_path):
     assert "# slope=" in (tmp_path / "decay-k0.dat").read_text()
     summary = (tmp_path / "summary.txt").read_text()
     assert "k=0" in summary and "expected" in summary
+
+
+def test_decay_plot_data_holds_the_fitted_window(tmp_path):
+    # T/10 = 0.11000000000000001 lies just above the snapshot t = 0.11, which
+    # the fit's window keeps up to roundoff; the .dat files must keep it too
+    body = """
+[scenario]
+kind = decay-study
+T = 1.1
+dt = 0.01
+[grid]
+n = 16
+[model]
+beta = 1
+kappa = 0.5
+gamma = 0.5
+[initial]
+profile = ensemble
+amplitude = 0.5
+decay = 3
+[decay]
+k_list = 0,2
+"""
+    cfg = dataclasses.replace(parse_config(body), out_dir=str(tmp_path))
+    assert run_scenario(cfg) == EXIT_OK
+    theta0 = build_initial_data(cfg.initial, cfg.grid, cfg.params, cfg.seed)
+    report = decay_study(
+        theta0, cfg.params, default_delta(cfg.params), (0, 2), cfg.T, cfg.dt
+    )
+    assert report.n_points == 100
+    summary = (tmp_path / "summary.txt").read_text()
+    for k in (0, 2):
+        text = (tmp_path / f"decay-k{k}.dat").read_text()
+        points = [tuple(map(float, ln.split())) for ln in text.splitlines() if ln[0] != "#"]
+        assert len(points) == report.n_points
+        slope = float(re.search(rf"k={k}: fitted slope (\S+)", summary).group(1))
+        xs, ys = zip(*points)
+        assert slope == float(np.polyfit(xs, ys, 1)[0]) == report.slopes[k]
 
 
 def test_scenario_resume_reproduces_uninterrupted_run(tmp_path):
