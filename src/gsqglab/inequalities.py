@@ -179,6 +179,23 @@ def _power_weight(grid: GridSpec, sigma: float) -> np.ndarray:
     return _homog_weight(grid, sigma)
 
 
+def _weighted_third(h: SpectralField, sigma: float) -> tuple[np.ndarray, int]:
+    """H = |k|^sigma h as a half spectrum, with its support."""
+    if sigma < 0 and not h.mean_zero:
+        raise ValueError("negative output weight needs a mean-zero third slot")
+    hh = _half(_power_weight(h.grid, sigma)) * h.half
+    return hh, _support(hh)
+
+
+def _form(grid: GridSpec, fh: np.ndarray, gh: np.ndarray, third: tuple) -> complex:
+    """trilinear_form of the half spectra fh, gh and a _weighted_third."""
+    hh, k_h = third
+    supports = _support(fh), _support(gh), k_h
+    size = _product_size(grid.n, *supports)
+    fs, gs, hs = _term_samples((fh, gh, hh), grid.n, size, max(supports))
+    return complex(grid.period**2 / size**2 * np.sum(fs * gs * hs))
+
+
 def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: float) -> complex:
     """Exact double sum of |k|^sigma (f*g)(k) conj(h_hat(k)) over the lattice.
 
@@ -189,14 +206,7 @@ def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: 
     sampled through one stacked transform call on a small grid.
     """
     grid = _shared_grid(f, g, h)
-    if sigma < 0 and not h.mean_zero:
-        raise ValueError("negative output weight needs a mean-zero third slot")
-    fh, gh = f.half, g.half
-    hh = _half(_power_weight(grid, sigma)) * h.half
-    supports = _support(fh), _support(gh), _support(hh)
-    size = _product_size(grid.n, *supports)
-    fs, gs, hs = _term_samples((fh, gh, hh), grid.n, size, max(supports))
-    return complex(grid.period**2 / size**2 * np.sum(fs * gs * hs))
+    return _form(grid, f.half, g.half, _weighted_third(h, sigma))
 
 
 def trilinear_form_sym(f: SpectralField, g: SpectralField, h: SpectralField, sigma: float) -> complex:
@@ -230,6 +240,7 @@ def bony_split(
     is mean-zero (only the all-mean pair falls outside the split).
     """
     grid = _shared_grid(f, g, h)
+    third = _weighted_third(h, sigma)   # the same H in every block
     low = 0j
     high = 0j
     diag = 0j
@@ -242,9 +253,9 @@ def bony_split(
         phi_g = _apply_multiplier(g, phi)
         chi_g = _apply_multiplier(g, chi)
         fat_g = _apply_multiplier(g, fat)
-        low += trilinear_form(chi_f, phi_g, h, sigma)
-        high += trilinear_form(phi_f, chi_g, h, sigma)
-        diag += trilinear_form(phi_f, fat_g, h, sigma)
+        low += _form(grid, chi_f.half, phi_g.half, third)
+        high += _form(grid, phi_f.half, chi_g.half, third)
+        diag += _form(grid, phi_f.half, fat_g.half, third)
     return low, high, diag
 
 

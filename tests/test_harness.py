@@ -25,13 +25,17 @@ from gsqglab import (
     ModelParams,
     ReduceSink,
     SimState,
+    SpectralField,
     Trajectory,
+    VectorField,
+    advect,
     amplitude_threshold_sweep,
     build_initial_data,
     decay_study,
     default_delta,
     emit_plot_data,
     field_from_modes,
+    multiply_fields,
     parse_config,
     random_test_field,
     read_checkpoint,
@@ -39,11 +43,13 @@ from gsqglab import (
     run_scenario,
     simulate,
     sobolev_norm,
+    velocity_from_scalar,
     verify_inequalities,
     verify_operators,
     write_checkpoint,
     write_csv,
 )
+import gsqglab.harness as harness
 from gsqglab.cli import main
 from gsqglab.harness import (
     EXIT_BLOWUP,
@@ -62,7 +68,7 @@ from gsqglab.harness import (
     _Required,
     _snapshot_cells,
 )
-from util import l2_norm, random_field
+from util import l2_norm, lattice_k, random_field, scalar_direct_advect
 
 SIM_BODY = """
 [scenario]
@@ -510,8 +516,6 @@ def test_initial_vortex_pair_is_mean_zero_and_banded():
 
 
 def test_scenario_reads_checkpoint_profile_once(tmp_path, monkeypatch):
-    import gsqglab.harness as harness
-
     ck = tmp_path / "a.ck"
     grid = GridSpec(32)
     state = SimState(field=random_field(grid, seed=1, band=5), t=0.0, step_index=0,
@@ -1249,6 +1253,65 @@ def test_verify_operators_all_pass_quickly():
     assert all(r.passed for r in rows)
     names = {r.name.split()[0] for r in rows}
     assert "advect" in names
+
+
+@pytest.mark.parametrize("fraction", [2 / 3, 0.9, 1.0])
+def test_direct_advect_is_the_scalar_loop_bit_for_bit(fraction):
+    g = GridSpec(16, dealias_fraction=fraction)
+    theta = random_field(g, seed=51)
+    u = velocity_from_scalar(random_field(g, seed=52), ModelParams(beta=1.3, kappa=0.5))
+    got = harness._direct_advect(u, theta)
+    assert got.tobytes() == scalar_direct_advect(u, theta).tobytes()
+
+
+def test_direct_advect_skips_zero_modes_as_the_scalar_loop_does():
+    g = GridSpec(16)
+    theta = field_from_modes(g, {(1, 2): 0.5 - 0.25j, (-3, 1): 1.0, (0, 4): 0.7})
+    u = velocity_from_scalar(
+        field_from_modes(g, {(2, 0): 1.0, (1, -1): 0.3j}), ModelParams(beta=1.3, kappa=0.5)
+    )
+    got = harness._direct_advect(u, theta)
+    assert np.any(got)
+    assert got.tobytes() == scalar_direct_advect(u, theta).tobytes()
+
+
+def _without_u2_term(u, theta):
+    n = theta.grid.n
+    return advect(VectorField(u.u1, SpectralField(u.grid, np.zeros((n, n)))), theta)
+
+
+def _without_dealias(u, theta):
+    k1, k2 = lattice_k(theta.grid)
+    d1 = SpectralField(theta.grid, 1j * k1 * theta.coeffs)
+    d2 = SpectralField(theta.grid, 1j * k2 * theta.coeffs)
+    return SpectralField(
+        theta.grid,
+        multiply_fields(u.u1, d1).coeffs + multiply_fields(u.u2, d2).coeffs,
+    )
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [_without_u2_term, lambda u, theta: -advect(u, theta), _without_dealias],
+    ids=["drop-u2-term", "flip-sign", "skip-dealias"],
+)
+def test_advect_oracle_kills_mutants(monkeypatch, mutant):
+    monkeypatch.setattr(harness, "advect", mutant)
+    rows = {r.name: r.passed for r in verify_operators(seed=0)}
+    assert rows.pop("advect vs direct convolution") is False
+    assert all(rows.values())
+
+
+def test_cli_verify_operators_off_the_default_grid(tmp_path):
+    cfg = run_cfg(
+        tmp_path,
+        "[scenario]\nkind = verify-operators\n[grid]\nn = 32\ndealias_fraction = 0.9\n",
+    )
+    out = tmp_path / "o"
+    assert main(["verify-operators", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    cols = read_csv_columns(str(out / "verify-operators.csv"))
+    assert len(cols["passed"]) == 13
+    assert all(v == 1.0 for v in cols["passed"])
 
 
 def test_verify_inequalities_small_battery_clean():

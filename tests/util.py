@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from gsqglab import GridSpec, SpectralField
+from gsqglab import GridSpec, SpectralField, VectorField
+from gsqglab.spectral import _dealias_mask
 
 
 def random_field(grid: GridSpec, seed=0, decay=2.0, band=None, mean_zero=True) -> SpectralField:
@@ -69,4 +70,38 @@ def direct_convolution(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
                     q1, q2 = p1 + m[j1], p2 + m[j2]
                     if -half < q1 < half and -half < q2 < half:
                         out[q1 % n, q2 % n] += fc[i1, i2] * gc[j1, j2]
+    return out
+
+
+def scalar_direct_advect(u: VectorField, theta: SpectralField) -> np.ndarray:
+    """O(N^4) direct convolution reference for the advection term.
+
+    The scalar loop over mode pairs that harness._direct_advect must match
+    bit for bit.
+    """
+    grid = theta.grid
+    n = grid.n
+    half = n // 2
+    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    k0 = grid.k_fundamental
+    out = np.zeros((n, n), dtype=complex)
+    u1, u2, tc = u.u1.coeffs, u.u2.coeffs, theta.coeffs
+    for i1 in range(n):
+        for i2 in range(n):
+            if u1[i1, i2] == 0 and u2[i1, i2] == 0:
+                continue
+            for j1 in range(n):
+                for j2 in range(n):
+                    c = tc[j1, j2]
+                    if c == 0:
+                        continue
+                    q1, q2 = m[j1], m[j2]
+                    s1, s2 = m[i1] + q1, m[i2] + q2
+                    if -half < s1 < half and -half < s2 < half:
+                        out[s1 % n, s2 % n] += (
+                            u1[i1, i2] * (1j * k0 * q1)
+                            + u2[i1, i2] * (1j * k0 * q2)
+                        ) * c
+    out *= _dealias_mask(grid)
+    out[0, 0] = 0.0
     return out
