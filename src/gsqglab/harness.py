@@ -36,6 +36,7 @@ from .norms import check_gevrey_interpolation, sobolev_norm
 from .solver import (
     DEFAULT_CFL,
     DecayReport,
+    FinalSink,
     GevreyTrackReport,
     PicardIterate,
     ReduceSink,
@@ -1100,7 +1101,7 @@ def amplitude_threshold_sweep(
         try:
             its = picard_solve(
                 theta0, params, T, dt, tol=1e-12, max_iter=max_iter, c_cfl=c_cfl,
-                sink=ReduceSink,
+                sink=FinalSink,
             )
         except (BlowUpError, CourantError, PicardConvergenceError) as exc:
             rows.append((amp, type(exc).__name__, math.nan))
@@ -1247,7 +1248,7 @@ def _run_picard(config: ScenarioConfig, start: _Start, csv: str):
             max_iter=config.picard_max_iter,
             snapshot_stride=config.snapshot_stride,
             c_cfl=config.c_cfl,
-            sink=ReduceSink,
+            sink=FinalSink,
         )
     except PicardConvergenceError as exc:
         iterates, failed = exc.iterates, exc

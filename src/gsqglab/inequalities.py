@@ -130,23 +130,26 @@ def random_test_field(spec: EnsembleSpec, index: int) -> SpectralField:
     """Member `index` of the ensemble: |coeff| ~ |k|^(-decay) with hashed phases.
 
     Draws are keyed on the integer mode, not the array position, so a coarse
-    grid is the exact truncation of any finer one with the same seed.
+    grid is the exact truncation of any finer one with the same seed. Only
+    the m2 >= 0 half lattice is drawn: a mode m with m1 < 0 = m2 takes the
+    draws of -m and the conjugate phase, so column m2 = 0 is exactly
+    Hermitian by construction.
     """
     grid = spec.grid
     n = grid.n
-    m1, m2 = np.broadcast_arrays(*_modes(grid))
+    m1, m2 = np.broadcast_arrays(*map(_half, _modes(grid)))
     canon = (m1 > 0) | ((m1 == 0) & (m2 > 0))
     cm1 = np.where(canon, m1, -m1)
     cm2 = np.where(canon, m2, -m2)
     u_mod = _hash_uniform(spec.seed, index, cm1, cm2, 1)
     u_arg = _hash_uniform(spec.seed, index, cm1, cm2, 2)
-    amp = _homog_weight(grid, -spec.decay) * (0.5 + 0.5 * u_mod)
+    amp = _half(_homog_weight(grid, -spec.decay)) * (0.5 + 0.5 * u_mod)
     sign = np.where(canon, 1.0, -1.0)
-    coeffs = amp * np.exp(2j * np.pi * u_arg * sign)
-    coeffs[0, 0] = 0.0
-    coeffs[n // 2, :] = 0.0
-    coeffs[:, n // 2] = 0.0
-    return SpectralField(grid, coeffs)
+    half = amp * np.exp(2j * np.pi * u_arg * sign)
+    half[0, 0] = 0.0
+    half[n // 2, :] = 0.0
+    half[:, n // 2] = 0.0
+    return _wrap_half(grid, half)
 
 
 # ------------------------------------------------------------- trilinear forms

@@ -5,42 +5,54 @@ dissipation plus optional artificial viscosity) is applied exactly per mode
 between stages, so with the transport term disabled every output coincides
 with the closed-form propagator. The stepping core carries the m2 >= 0 half
 spectra of the state, the stage values and the slopes, and wraps them with
-spectral._wrap_half; the full coefficient array is mirrored once per step,
-for the per-step L2 norm and the snapshot diagnostics, so every printed
-number keeps the full-array summation order. Every L2 and Sobolev number
-here is norms._l2, the Parseval sum behind norms.sobolev_norm. The state
-and stage fields of a run carry the dealias disc's support bound, so the
-product engine sizes their products without scanning them. The Courant
-number is read from the step velocity's cached n-grid samples
-(`VectorField.samples`). When the first stage's products fit the n-grid,
-these are samples that stage's products were formed from: in `simulate` the
-ones `advect` reads, in the frozen-coefficient solve those of d1(M q) and
-d2(M q) that `flux_divergence` makes, so the check costs no transform of its
-own. On top of the direct solver sit the
-fixed-point machinery (a linear solve with frozen transport coefficients,
-iterated to convergence), exact self-similar rescaling, and the decay and
-analyticity-radius diagnostics.
+spectral._wrap_half; it forms the RK4 combine in place, in the stage and
+result buffers, bit for bit the written expression. The full coefficient
+array of the state is mirrored once per step, for the per-step L2 norm and
+the snapshot diagnostics, so every printed number keeps the full-array
+summation order. Every L2 and Sobolev number here is norms._l2, the
+Parseval sum behind norms.sobolev_norm. The state and stage fields of a run
+carry the dealias disc's support bound, so the product engine sizes their
+products without scanning them. The Courant number is read from n-grid
+samples of the step velocity. When the first stage's products fit the
+n-grid, these are samples that stage's products were formed from: in
+`simulate` the velocity's cached `VectorField.samples`, which `advect`
+reads, in the frozen-coefficient solve those of d1(M q) and d2(M q) that
+`flux_divergence` makes, so the check costs no transform of its own. On top
+of the direct solver sit the fixed-point machinery (a linear solve with
+frozen transport coefficients, iterated to convergence), exact self-similar
+rescaling, and the decay and analyticity-radius diagnostics.
 
 A run hands each snapshot (t, field, row) to a sink, chosen by the `sink`
-keyword of `simulate` and `picard_solve`:
-- `TrajectorySink`, the default, keeps every snapshot field and returns a
-  `Trajectory`;
+keyword of `simulate` and `picard_solve`. row is a zero-argument maker of
+the snapshot's `DiagnosticsRow`, which the sink calls, at most once, while
+it takes the snapshot:
+- `TrajectorySink`, the default, keeps every snapshot field and row and
+  returns a `Trajectory`;
 - `ReduceSink` keeps the rows, the scalar cells its `cells(t, field, row)`
   makes of each snapshot, and the last field, and returns a `RunSummary`.
   Beyond a row and its cells per snapshot, its memory does not grow with
-  the number of steps.
-`picard_solve` reads the previous iterate's stage records through the one
-stage provider, `_as_stage_provider`, which holds the only copy of the record
-list and drops each record once the new iterate's step has read it. Each
-step difference is reduced to its norms as the step's start value is formed.
-With `ReduceSink` an iterate holds one iterate's stage records at a time,
-plus the rows and the final fields.
+  the number of steps;
+- `FinalSink` keeps the last field alone and never makes a row; its
+  `RunSummary` has no times, rows or cells. The callers that read only the
+  iterate distances or the final field use it: the picard scenario, the
+  amplitude sweep and the scaling check.
+A row's velocity field and its mirrors are made only by the row maker: the
+heat-flow seed and the frozen-coefficient solve build a velocity field for
+a row alone, except where the Courant number needs its samples transformed
+(products on the 3n/2 grid). `picard_solve` reads the previous iterate's
+stage records through the one stage provider, `_as_stage_provider`, which
+holds the only copy of the record list and drops each record once the new
+iterate's step has read it. Each step difference is reduced to its norms as
+the step's start value is formed. With `ReduceSink` or `FinalSink` an
+iterate holds one iterate's stage records at a time, plus the final fields
+and, with `ReduceSink`, the rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -64,6 +76,7 @@ from .spectral import (
 __all__ = [
     "DecayReport",
     "DiagnosticsRow",
+    "FinalSink",
     "GevreyTrackReport",
     "PicardIterate",
     "ReduceSink",
@@ -168,7 +181,8 @@ class Trajectory:
 @dataclass(frozen=True)
 class RunSummary:
     """What a run with ReduceSink keeps: the snapshot times and rows, the
-    cells made of each snapshot, and the final field.
+    cells made of each snapshot, and the final field. A run with FinalSink
+    keeps the final field alone: its times, rows and cells are empty.
 
     fields holds the final field alone, the one field the run retains.
     """
@@ -192,10 +206,10 @@ class TrajectorySink:
     def __init__(self):
         self.times, self.fields, self.rows = [], [], []
 
-    def add(self, t: float, field: SpectralField, row: DiagnosticsRow) -> None:
+    def add(self, t: float, field: SpectralField, row) -> None:
         self.times.append(t)
         self.fields.append(field)
-        self.rows.append(row)
+        self.rows.append(row())
 
     def result(self, params: ModelParams, dt: float, max_increase: float) -> Trajectory:
         return Trajectory(
@@ -223,7 +237,8 @@ class ReduceSink:
         self._make_cells = cells
         self._error = None
 
-    def add(self, t: float, field: SpectralField, row: DiagnosticsRow) -> None:
+    def add(self, t: float, field: SpectralField, row) -> None:
+        row = row()
         self.times.append(t)
         self.rows.append(row)
         self.last = field
@@ -240,6 +255,28 @@ class ReduceSink:
             times=tuple(self.times),
             rows=tuple(self.rows),
             cells=tuple(self.cells),
+            final=self.last,
+            params=params,
+            dt=dt,
+            max_l2_step_increase=max_increase,
+        )
+
+
+class FinalSink:
+    """Final-field sink: keeps the last snapshot's field and never makes a
+    row; builds a RunSummary with no times, rows or cells."""
+
+    def __init__(self):
+        self.last = None
+
+    def add(self, t: float, field: SpectralField, row) -> None:
+        self.last = field
+
+    def result(self, params: ModelParams, dt: float, max_increase: float) -> RunSummary:
+        return RunSummary(
+            times=(),
+            rows=(),
+            cells=(),
             final=self.last,
             params=params,
             dt=dt,
@@ -307,10 +344,18 @@ class GevreyTrackReport:
 # linear propagator
 
 
+@lru_cache(maxsize=128)
+def _decay_rate(grid, gamma, kappa, eps_visc):
+    """Read-only gamma |k|^kappa + eps |k|^2 on the m2 >= 0 half lattice."""
+    kabs = _kabs(grid)
+    rate = np.ascontiguousarray(_half(gamma * kabs**kappa + eps_visc * kabs * kabs))
+    rate.flags.writeable = False
+    return rate
+
+
 def _decay_multiplier(grid, gamma, kappa, eps_visc, tau):
     """exp(-tau (gamma |k|^kappa + eps |k|^2)) on the m2 >= 0 half lattice."""
-    kabs = _kabs(grid)
-    return _half(np.exp(-tau * (gamma * kabs**kappa + eps_visc * kabs * kabs)))
+    return np.exp(-tau * _decay_rate(grid, gamma, kappa, eps_visc))
 
 
 def linear_heat_propagator(
@@ -363,21 +408,21 @@ def _advective_stages(grid: GridSpec, params: ModelParams, nonlinear: bool):
         u = velocity_from_scalar(theta, params)
         if not nonlinear:
             zero = _wrap_half(grid, np.zeros_like(theta.half))
-            return (lambda _f, _stage: zero), u, zero
-        return nonlin, u, _tendency(theta, params, u)
+            return (lambda _f, _stage: zero), (lambda: u), u.samples, zero
+        k1 = _tendency(theta, params, u)
+        return nonlin, (lambda: u), u.samples, k1
 
     return factory
 
 
-def _courant(u: VectorField, dt: float) -> tuple:
-    """Peak speed of u and the advective Courant number it gives at step dt.
-
-    The speed is read from u's cached n-grid samples, the arrays `advect`
-    reads when it forms its products on the n-grid.
-    """
-    p1, p2 = u.samples
-    max_u = float(np.sqrt(p1 * p1 + p2 * p2).max())
-    return max_u, dt * max_u / (u.grid.period / u.grid.n)
+def _courant(samples, grid: GridSpec, dt: float) -> tuple:
+    """Peak speed of a velocity and the advective Courant number it gives at
+    step dt, from its n-grid samples (u1, u2): one sqrt of the largest
+    u1^2 + u2^2, which is the largest |u| since sqrt is monotone and
+    correctly rounded. A non-finite sample gives a non-finite speed."""
+    p1, p2 = samples
+    max_u = float(np.sqrt((p1 * p1 + p2 * p2).max()))
+    return max_u, dt * max_u / (grid.period / grid.n)
 
 
 def _pairing(a: np.ndarray, b: np.ndarray, period: float) -> float:
@@ -408,6 +453,14 @@ def _diagnostics_row(t, coeffs, l2, params, u, speed, k1=None) -> DiagnosticsRow
     )
 
 
+def _row_maker(t, coeffs, l2, params, velocity, speed, k1):
+    """The zero-argument maker of a snapshot's row: velocity() gives the
+    velocity, k1 is the first slope as a field, or None without transport."""
+    return lambda: _diagnostics_row(
+        t, coeffs, l2, params, velocity(), speed, None if k1 is None else k1.coeffs
+    )
+
+
 def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float) -> tuple:
     """Exact linear flow over a full step and over half a step, as half spectra."""
     p = params
@@ -425,6 +478,16 @@ def _advance(theta, i, t, h, factors, nonlin, k1, speed, l2, c_cfl, kmax=None):
     and nonlin(stage_field, stage) gives each stage's tendency field. Refuses
     to start when the Courant number passes c_cfl (None: no guard) and
     signals a blow-up when the result loses finiteness.
+
+    The combine is formed in place in the buffers of the stages and the
+    result, with every operation of
+
+        s2 = eh2 (c + (h/2) k1),  s3 = eh2 c + (h/2) k2,  s4 = eh c + h (eh2 k3),
+        out = eh c + (h/6) (eh k1 + (2 eh2) (k2 + k3) + k4)
+
+    in its order and with its operands in their order (a complex product is
+    not bitwise commutative), so the result is bit for bit that expression's.
+    No other buffer is held while a slope is formed.
     """
     max_u, courant = speed
     if c_cfl is not None and courant > c_cfl:
@@ -436,13 +499,23 @@ def _advance(theta, i, t, h, factors, nonlin, k1, speed, l2, c_cfl, kmax=None):
 
     coeffs, k1 = theta.half, k1.half
     eh, eh2 = factors
-    s2 = eh2 * (coeffs + (0.5 * h) * k1)
+    s2 = np.multiply(0.5 * h, k1)
+    np.add(coeffs, s2, out=s2)
+    np.multiply(eh2, s2, out=s2)
     k2 = slope(s2, 1)
-    s3 = eh2 * coeffs + (0.5 * h) * k2
+    s3 = np.multiply(eh2, coeffs)
+    np.add(s3, np.multiply(0.5 * h, k2), out=s3)
     k3 = slope(s3, 2)
-    s4 = eh * coeffs + h * (eh2 * k3)
+    s4 = np.multiply(eh2, k3)
+    np.multiply(h, s4, out=s4)
+    np.add(np.multiply(eh, coeffs), s4, out=s4)
     k4 = slope(s4, 3)
-    out = eh * coeffs + (h / 6.0) * (eh * k1 + 2.0 * eh2 * (k2 + k3) + k4)
+    out = np.add(k2, k3)
+    np.multiply(2.0 * eh2, out, out=out)
+    np.add(np.multiply(eh, k1), out, out=out)
+    np.add(out, k4, out=out)
+    np.multiply(h / 6.0, out, out=out)
+    np.add(np.multiply(eh, coeffs), out, out=out)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(
             (i + 1) * h, i + 1, {"l2": l2, "max_u": max_u, "courant": courant}
@@ -474,7 +547,7 @@ def step(
     theta = state.field
     grid = theta.grid
     i = state.step_index
-    nonlin, u, k1 = _advective_stages(grid, state.params, nonlinear)(i, theta)
+    nonlin, _velocity, samples, k1 = _advective_stages(grid, state.params, nonlinear)(i, theta)
     out = _advance(
         theta,
         i,
@@ -483,7 +556,7 @@ def step(
         _integrating_factors(grid, state.params, h),
         nonlin,
         k1,
-        _courant(u, h),
+        _courant(samples, grid, h),
         _l2(theta.coeffs, grid.period),
         c_cfl if nonlinear else None,
     )
@@ -524,16 +597,19 @@ def _step_count(T: float, dt: float) -> int:
 @_quiet_blow_up
 def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factory, sink):
     """Drive the IF-RK4 core with a per-step tendency factory; hand each
-    snapshot (t, field, row) to sink and return sink.result(...).
+    snapshot (t, field, row) to sink and return sink.result(...). row is a
+    zero-argument maker of the snapshot's DiagnosticsRow, which the sink
+    calls, at most once, before add returns.
 
     nonlin_factory(i, theta) is called at every step index i = 0..n_steps
     with the state field at t = i dt. It returns the stage tendency function
     (mapping a stage field to its tendency field, called with stage indices
-    1..3, in order), the advecting velocity used for the CFL measurement and
-    the diagnostics, and the first slope k1 at theta, as a field. The call
-    at i = n_steps only feeds the final diagnostics row. The state and every
-    stage field lie in the dealias disc and carry its support bound, so the
-    product engine need not scan them.
+    1..3, in order), a zero-argument maker of the advecting velocity, read
+    only by the row, the n-grid samples (u1, u2) of that velocity, which
+    give the CFL measurement, and the first slope k1 at theta, as a field.
+    The call at i = n_steps only feeds the final snapshot. The state and
+    every stage field lie in the dealias disc and carry its support bound,
+    so the product engine need not scan them.
     """
     grid = theta0.grid
     n_steps = _step_count(T, dt)
@@ -551,11 +627,11 @@ def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factor
 
     for i in range(n_steps + 1):
         t = i * dt
-        nonlin, u, k1 = nonlin_factory(i, theta)
-        speed = _courant(u, dt)
+        nonlin, velocity, samples, k1 = nonlin_factory(i, theta)
+        speed = _courant(samples, grid, dt)
         if i % snapshot_stride == 0 or i == n_steps:
-            sink.add(t, theta, _diagnostics_row(
-                t, coeffs, l2_now, params, u, speed, k1.coeffs if nonlinear else None
+            sink.add(t, theta, _row_maker(
+                t, coeffs, l2_now, params, velocity, speed, k1 if nonlinear else None
             ))
         if i == n_steps:
             break
@@ -678,8 +754,10 @@ def _frozen_solve(
 
     on_state(i, theta), if given, sees the state at every step index
     i = 0..n_steps before the step's q is read. The Courant velocity is q's
-    at the start of the step; when the first stage's products fit the
-    n-grid, its samples are the ones that stage's flux transforms make.
+    at the start of the step. When the first stage's products fit the
+    n-grid, its samples are the ones that stage's flux transforms make, and
+    the velocity field itself is built only for a row; otherwise it is
+    built, and transformed, for the Courant number.
     """
     n_steps = _step_count(T, dt)
 
@@ -688,7 +766,7 @@ def _frozen_solve(
             on_state(i, theta)
         # the final row, at t = T, reads q at the last step's end stage
         q0 = provider(i, 0) if i < n_steps else provider(n_steps - 1, 3)
-        u = velocity_from_scalar(q0, params)
+        samples = []
         record = None
         if stage_sink is not None and i < n_steps and len(stage_sink) <= i:
             record = []
@@ -698,12 +776,16 @@ def _frozen_solve(
             if record is not None and len(record) < 4:
                 record.append(f)
             if stage == 0:
-                div = flux_divergence(q0, f, params, velocity=u)
+                div = flux_divergence(q0, f, params, velocity_samples=samples)
             else:
                 div = flux_divergence(provider(i, stage), f, params)
             return -div if negate else div
 
-        return tendency, u, tendency(theta, 0)
+        k1 = tendency(theta, 0)
+        if samples:
+            return tendency, partial(velocity_from_scalar, q0, params), samples, k1
+        u = velocity_from_scalar(q0, params)
+        return tendency, (lambda: u), u.samples, k1
 
     return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, sink)
 
@@ -711,13 +793,20 @@ def _frozen_solve(
 def _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink):
     """Exact closed-form heat flow, the seed of the iteration: its snapshots,
     handed to sink, and its stage samples, each time evaluated once. Returns
-    sink's result and the stage records.
+    sink's result and the stage records. A snapshot's velocity is built
+    only for its row.
     """
 
     def prop(t):
         return linear_heat_propagator(
             theta0, t, params.gamma, params.kappa, params.eps_visc
         )
+
+    def row(t, f):
+        u = velocity_from_scalar(f, params)
+        coeffs = f.coeffs
+        speed = _courant(u.samples, f.grid, dt)
+        return _diagnostics_row(t, coeffs, _l2(coeffs, f.grid.period), params, u, speed)
 
     n_steps = _step_count(T, dt)
     stages = []
@@ -730,13 +819,7 @@ def _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink):
             continue
         t = i * dt
         f = stages[i][0] if i < n_steps else prop(t)
-        u = velocity_from_scalar(f, params)
-        coeffs = f.coeffs
-        sink.add(
-            t, f, _diagnostics_row(
-                t, coeffs, _l2(coeffs, f.grid.period), params, u, _courant(u, dt)
-            )
-        )
+        sink.add(t, f, partial(row, t, f))
     return sink.result(params, dt, 0.0), stages
 
 
@@ -886,7 +969,7 @@ def scaling_equivariance_check(
     )
 
     run_a = simulate(
-        theta0, params, T, dt, n_steps, c_cfl=c_cfl, nonlinear=nonlinear, sink=ReduceSink
+        theta0, params, T, dt, n_steps, c_cfl=c_cfl, nonlinear=nonlinear, sink=FinalSink
     )
     coarse = rescale_solution(run_a.final, lam, params)
 
@@ -898,7 +981,7 @@ def scaling_equivariance_check(
         n_steps,
         c_cfl=c_cfl,
         nonlinear=nonlinear,
-        sink=ReduceSink,
+        sink=FinalSink,
     )
     fine = run_b.final
 

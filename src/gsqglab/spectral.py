@@ -31,8 +31,9 @@ so M is always the one their exact supports give.
 
 A velocity's n-grid samples, `VectorField.samples`, are transformed once and
 cached: `advect` reads them when M = n, and the solver's Courant number reads
-the same arrays; `flux_divergence`, given q's velocity, fills them from its
-own samples of d1(M q) and d2(M q) instead. The modified flux is evaluated
+the same arrays. `flux_divergence`, given a list, hands the n-grid samples
+of q's velocity out from its own samples of d1(M q) and d2(M q) instead, so
+no velocity field need be built for them. The modified flux is evaluated
 in advective form, Div((perp_grad a) b) = perp_grad a . grad b, which holds
 exactly for alias-free products because perp_grad a is divergence free, so
 both of its terms share the samples of grad theta. Transforms per call:
@@ -43,11 +44,17 @@ is made as the two one-axis numpy.fft passes that pocketfft's irfft2 and
 rfft2 make (`_samples`, `_lattice_half`), so its output is bit for bit that
 of scipy.fft's 2-D transform. An inverse transform's first pass runs only
 over the columns m2 <= K, K the support bound that sized the product grid:
-the pass of a zero column is zero. On a product grid of M <= _STACK_MAX =
-64 a call site makes them as one stacked inverse call and one forward
-call, which saves the per-call dispatch; above it, where a stacked call
-site runs slower, one call per transform. The stacked and single calls
-agree bit for bit (`_term_samples`).
+the pass of a zero column is zero. The terms of a product site are formed
+on those columns only, derivative pairs (d1 h, d2 h) included. On a product
+grid of M <= _STACK_MAX = 64 a call site makes its transforms as one
+stacked inverse call and one forward call, which saves the per-call
+dispatch: the stack holds only the columns m2 <= K of each term, and a
+site's derivative terms are written into it by one broadcast multiply with
+a cached stack of the symbols (i k1, i k2). Above the limit, where a
+stacked call site runs slower, it makes one call per transform, each into
+its slot of one samples array. The stacked and single calls agree bit for
+bit (`_term_samples`). A product site forms its physical products in the
+sample buffers it no longer reads, without a temporary per product.
 """
 
 from __future__ import annotations
@@ -582,15 +589,16 @@ def _grid_size(n: int, a: tuple, b: tuple, k_out: int) -> tuple[int, int]:
     return size, max(k_a, k_b)
 
 
-def _samples(coeffs: np.ndarray, size: int, k: int | None = None) -> np.ndarray:
+def _samples(coeffs: np.ndarray, size: int, k: int | None = None, out=None) -> np.ndarray:
     """Samples on the size x size grid of a Hermitian full or half spectrum,
-    or of each spectrum in a stack of them.
+    or of each spectrum in a stack of them, written to out if it is given.
 
     The two one-axis passes irfft2 makes: a complex pass along m1, then a
     real pass along m2. k, if given, bounds |m2| of every nonzero
     coefficient; the first pass then runs over the columns m2 <= k only,
     since the pass of a zero column is zero, and the real pass pads them
-    back. The samples are bit for bit those of the unpruned transform.
+    back. Given k, coeffs may hold just those columns. The samples are bit
+    for bit those of the unpruned transform.
     """
     n = coeffs.shape[-2]
     h = n // 2
@@ -600,7 +608,7 @@ def _samples(coeffs: np.ndarray, size: int, k: int | None = None) -> np.ndarray:
         padded[..., np.r_[:h, size - h : size], :] = half
         half = padded
     cols = np.fft.ifftn(half, s=(size,), axes=(-2,), norm="forward")
-    return np.fft.irfftn(cols, s=(size,), axes=(-1,), norm="forward")
+    return np.fft.irfftn(cols, s=(size,), axes=(-1,), norm="forward", out=out)
 
 
 def _lattice_half(phys: np.ndarray, n: int) -> np.ndarray:
@@ -637,24 +645,64 @@ def _stacked(size: int) -> bool:
     return size <= _STACK_MAX
 
 
-def _term_samples(terms, n: int, size: int, k: int):
-    """Samples on the size grid of each term: an n-lattice half spectrum, or
-    a pair (symbol, half) standing for their product. k bounds the support
-    of every term (see _samples).
+@lru_cache(maxsize=128)
+def _ik_stack(grid: GridSpec, k: int) -> np.ndarray:
+    """Read-only stack of the derivative symbols (i k1, i k2) on the columns
+    m2 <= k of the half lattice."""
+    ik1, ik2 = (a[:, : k + 1] for a in _ik(grid))
+    sym = np.stack(np.broadcast_arrays(ik1, ik2))
+    sym.flags.writeable = False
+    return sym
 
-    On a small grid the terms are written into one stack, the products
-    straight into their slots, and transformed in one call. Otherwise each is
-    transformed on its own as the caller takes it, so a caller that consumes
-    the samples in turn holds no more of them at once than it needs.
+
+def _grad_symbols(grid: GridSpec, size: int, k: int):
+    """The symbols (i k1, i k2) of a product on the size grid whose factors'
+    supports k bounds, for the derivative terms of _term_samples. On a
+    stacked grid they are one cached stack of their columns m2 <= k, so that
+    one broadcast multiply writes every derivative; otherwise the pair in
+    its broadcast shapes, which keeps no n x (k + 1) buffer for a large
+    grid."""
+    return _ik_stack(grid, k) if _stacked(size) else _ik(grid)
+
+
+def _term_samples(terms, n: int, size: int, k: int) -> np.ndarray:
+    """Samples on the size grid of each term, as one (terms, size, size)
+    array. A term is an n-lattice half spectrum, or a pair (symbols,
+    halves), with halves a stack of half spectra, standing for the product
+    of every symbol with every half, symbol by symbol: (_grad_symbols(...),
+    [a, b]) gives d1 a, d1 b, d2 a, d2 b. k bounds the support of every
+    term (see _samples), and only the columns m2 <= k of a term are read or
+    formed.
+
+    On a small grid the terms are written into one stack of the columns
+    m2 <= k, each pair's products with one broadcast multiply, and
+    transformed in one call. Otherwise each is transformed on its own,
+    straight into its slot of the result.
     """
+    cols = slice(None, k + 1)
+    depth = sum(len(t[0]) * len(t[1]) if isinstance(t, tuple) else 1 for t in terms)
     if not _stacked(size):
-        return (_samples(np.multiply(*t) if isinstance(t, tuple) else t, size, k) for t in terms)
-    stack = np.empty((len(terms), n, n // 2 + 1), dtype=np.complex128)
-    for dst, t in zip(stack, terms):
+        out = np.empty((depth, size, size))
+        slots = iter(out)
+        for t in terms:
+            if isinstance(t, tuple):
+                for s in t[0]:
+                    for h in t[1]:
+                        _samples(s[:, cols] * h[:, cols], size, k, out=next(slots))
+            else:
+                _samples(t, size, k, out=next(slots))
+        return out
+    stack = np.empty((depth, n, k + 1), dtype=np.complex128)
+    j = 0
+    for t in terms:
         if isinstance(t, tuple):
-            np.multiply(*t, out=dst)
+            sym, halves = t
+            block = stack[j : j + len(sym) * len(halves)]
+            np.multiply(sym[:, None], halves[:, :, cols], out=block.reshape(len(sym), -1, n, k + 1))
+            j += len(block)
         else:
-            dst[...] = t
+            stack[j] = t[:, cols]
+            j += 1
     return _samples(stack, size, k)
 
 
@@ -687,16 +735,18 @@ def advect(u: VectorField, theta: SpectralField) -> SpectralField:
     grid = theta.grid
     if u.grid != grid:
         raise ValueError("advect requires u and theta on one grid")
-    ik1, ik2 = _ik(grid)
-    th = theta.half
     # grad theta lies inside theta's support
     size, k = _grid_size(grid.n, (u.u1, u.u2), (theta,), int(grid.dealias_radius))
     own = () if size == grid.n else (u.u1.half, u.u2.half)
-    factors = iter(_term_samples((*own, (ik1, th), (ik2, th)), grid.n, size, k))
-    p1, p2 = (next(factors), next(factors)) if own else u.samples
-    acc = p1 * next(factors)
-    acc += p2 * next(factors)
-    return _dealiased(grid, _lattice_half(acc, grid.n))
+    grad = _grad_symbols(grid, size, k)
+    factors = _term_samples((*own, (grad, theta.half[None])), grid.n, size, k)
+    p1, p2 = factors[:2] if own else u.samples
+    # u1 d1(theta) + u2 d2(theta), in the samples of grad theta
+    d1t, d2t = factors[-2:]
+    np.multiply(p1, d1t, out=d1t)
+    np.multiply(p2, d2t, out=d2t)
+    d1t += d2t
+    return _dealiased(grid, _lattice_half(d1t, grid.n))
 
 
 def flux_divergence(
@@ -704,7 +754,7 @@ def flux_divergence(
     theta: SpectralField,
     params: ModelParams,
     *,
-    velocity: VectorField | None = None,
+    velocity_samples: list | None = None,
 ) -> SpectralField:
     """Divergence of the modified nonlinear flux built from q and theta.
 
@@ -719,44 +769,41 @@ def flux_divergence(
     inverse and 1 forward for one term, 6 and 2 for two, in one inverse and
     one forward call on a small product grid.
 
-    velocity, if given, must be velocity_from_scalar(q, params). When the
-    products are formed on the n-grid, its `samples` are taken from the
-    samples of d1(M q) and d2(M q) made here, u = (d2(M q), -d1(M q)), so
-    reading them costs no transform.
+    velocity_samples, if given, is a list. When the products are formed on
+    the n-grid, the n-grid samples (u1, u2) of velocity_from_scalar(q,
+    params) are appended to it, read-only: u = (d2(M q), -d1(M q)), taken
+    from the samples made here at no transform. Otherwise it stays as it is.
     """
     grid = theta.grid
     if q.grid != grid:
         raise ValueError("flux_divergence requires a shared grid")
-    if velocity is not None and velocity.grid != grid:
-        raise ValueError("flux_divergence requires the velocity on the shared grid")
     if not (q.mean_zero and theta.mean_zero):
         raise ValueError("flux_divergence requires mean-zero q and theta")
     n = grid.n
     mult = _structure_multiplier(grid, params)
-    ik1, ik2 = _ik(grid)
-    qh, th = q.half, theta.half
-    mq = mult * qh
-    terms = [(ik1, th), (ik2, th), (ik1, mq), (ik2, mq)]
-    if params.two_term:
-        terms += [(ik2, qh), (ik1, qh)]
     # every factor lies inside q's or theta's support
     size, k = _grid_size(n, (q,), (theta,), int(grid.dealias_radius))
-    # taken in turn, so that above the stack limit a sample is freed once used
-    factors = iter(_term_samples(terms, n, size, k))
-    d1t, d2t = next(factors), next(factors)
-    phys = np.empty((2 if params.two_term else 1, size, size))
-    # perp_grad(M q) . grad(theta) = d1(M q) d2(theta) - d2(M q) d1(theta)
-    d1mq = next(factors)
-    np.multiply(d1mq, d2t, out=phys[0])
-    d2mq = next(factors)
-    phys[0] -= d2mq * d1t
-    if velocity is not None and size == n and "samples" not in vars(velocity):
-        vars(velocity)["samples"] = _read_only(d2mq, -d1mq)   # the cached_property's slot
-    del d1mq, d2mq
+    # the factors' half spectra: M q, theta and, for the second term, q
+    m = 3 if params.two_term else 2
+    qh = q.half[:, : k + 1]
+    factors = np.empty((m, n, k + 1), dtype=np.complex128)
+    np.multiply(mult[:, : k + 1], qh, out=factors[0])
+    factors[1] = theta.half[:, : k + 1]
     if params.two_term:
-        # perp_grad(theta) . grad(q)
-        np.multiply(d1t, next(factors), out=phys[1])
-        phys[1] -= d2t * next(factors)
+        factors[2] = qh
+    # d1(M q), d1(theta), [d1(q),] d2(M q), d2(theta)[, d2(q)]
+    s = _term_samples([(_grad_symbols(grid, size, k), factors)], n, size, k)
+    # perp_grad(M q) . grad(theta) = d1(M q) d2(theta) - d2(M q) d1(theta), and
+    # perp_grad(theta) . grad(q) = d1(theta) d2(q) - d2(theta) d1(q): the
+    # first products, then the second ones in the d1 samples no longer read
+    phys = np.multiply(s[: m - 1], s[m + 1 :])
+    if velocity_samples is not None and size == n:
+        velocity_samples.extend(_read_only(s[m], -s[0]))
+    second = s[1:m]
+    np.multiply(s[m : 2 * m - 1], second, out=second)
+    phys -= second
     halves = _lattice_half(phys, n) if _stacked(size) else [_lattice_half(p, n) for p in phys]
-    out = halves[0] if len(halves) == 1 else halves[0] + mult * halves[1]
-    return _dealiased(grid, out)
+    if len(halves) == 1:
+        return _dealiased(grid, halves[0])
+    out = np.multiply(mult, halves[1])
+    return _dealiased(grid, np.add(halves[0], out, out=out))

@@ -1081,6 +1081,73 @@ def test_cli_simulate_round_trip(tmp_path):
     assert (tmp_path / "o" / "summary.txt").exists()
 
 
+def test_cli_picard_table_does_not_depend_on_the_snapshot_stride(tmp_path):
+    # the picard table has no per-snapshot column: every distance is taken
+    # at every step, whatever the stride
+    body = SIM_BODY.replace("kind = simulate", "kind = picard")
+    outs = []
+    for stride in (1, 7):
+        cfg = run_cfg(tmp_path, body.replace("dt = 1e-3", f"dt = 1e-3\nsnapshot_stride = {stride}"))
+        out = tmp_path / f"s{stride}"
+        assert main(["picard", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        outs.append(out)
+    for name in ("picard.csv", "summary.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_picard_iterates_hold_no_rows(tmp_path, monkeypatch):
+    runs = []
+    solve = harness.picard_solve
+
+    def spy(*args, **kwargs):
+        runs.append(solve(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(harness, "picard_solve", spy)
+    cfg = run_cfg(tmp_path, SIM_BODY.replace("kind = simulate", "kind = picard"))
+    assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    (iterates,) = runs
+    assert len(iterates) > 2
+    assert all(it.trajectory.rows == () and len(it.trajectory.fields) == 1 for it in iterates)
+
+
+PICARD_BLOW_UP = """
+[scenario]
+kind = picard
+T = 0.2
+dt = 1e-2
+cfl = inf
+[grid]
+n = 16
+[model]
+beta = 1.5
+kappa = 0.5
+gamma = 0.0
+[initial]
+profile = two_mode
+amplitude = 1e200
+amplitude2 = 1e180
+"""
+
+
+@pytest.mark.parametrize(
+    "body, code, line",
+    [
+        (PICARD_BLOW_UP, EXIT_BLOWUP,
+         "blow-up detected at t=0.01 (step 1): l2=inf, max_u=inf, courant=inf"),
+        (SIM_BODY.replace("kind = simulate", "kind = picard").replace(
+            "amplitude = 0.05", "amplitude = 1e3"), EXIT_CFL,
+         "CFL violation at t=0.004 (step 4): measured Courant number 0.50492 > limit 0.5"),
+    ],
+    ids=["blow-up", "courant"],
+)
+def test_cli_picard_failures_keep_their_exit_codes_and_lines(tmp_path, capsys, body, code, line):
+    cfg = run_cfg(tmp_path, body)
+    assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n" and captured.out == ""
+
+
 def test_cli_infinite_horizon_is_a_config_error(tmp_path, capsys):
     cfg = run_cfg(tmp_path, SIM_BODY.replace("T = 0.02", "T = inf"))
     out = tmp_path / "o"

@@ -27,7 +27,7 @@ from gsqglab import (
     trilinear_form_sym,
 )
 from gsqglab.spectral import _kabs
-from util import direct_convolution, lattice_k, random_field
+from util import direct_convolution, full_lattice_test_field, lattice_k, random_field
 
 
 def block_of(field, j):
@@ -81,6 +81,20 @@ def test_random_test_field_invariants():
     idx = (-np.arange(32)) % 32
     assert np.array_equal(f.coeffs, np.conj(f.coeffs[np.ix_(idx, idx)]))
     assert np.all(f.coeffs[16, :] == 0) and np.all(f.coeffs[:, 16] == 0)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+def test_random_test_field_bytes_match_the_full_lattice_construction(n):
+    # only the half lattice is hashed and wrapped as it is; the full-lattice
+    # draws through the validating constructor give the same bytes
+    for seed in (0, 3, -7, 2**63 + 5):
+        for decay in (1.5, 3.0, 3.7):
+            spec = EnsembleSpec(GridSpec(n), decay, 8, seed=seed)
+            for index in (0, 1, 7):
+                got = random_test_field(spec, index)
+                want = full_lattice_test_field(spec, index)
+                assert got.half.tobytes() == want.half.tobytes(), (seed, decay, index)
+                assert not got.half.flags.writeable
 
 
 def test_coarse_grid_is_exact_truncation_of_fine():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from gsqglab import (
     BlowUpError,
     CourantError,
+    FinalSink,
     GridSpec,
     ModelParams,
     OverflowGuardError,
@@ -22,6 +23,7 @@ from gsqglab import (
     SimState,
     SpectralField,
     Trajectory,
+    TrajectorySink,
     advect,
     decay_study,
     default_delta,
@@ -45,7 +47,7 @@ from gsqglab.inequalities import _hs
 from gsqglab.norms import xt_norm
 from gsqglab.solver import DiagnosticsRow, _courant, _diagnostics_row, _l2
 from gsqglab.spectral import _dealias_mask, _hermitian_defect
-from util import hs_norm, l2_norm, lattice_k, random_field
+from util import hs_norm, l2_norm, lattice_k, per_array, random_field
 
 P = ModelParams(beta=1.5, kappa=0.5, gamma=0.3)
 
@@ -501,7 +503,7 @@ def _full_array_reference(theta0, params, T, dt, stride, slope, velocity_at):
     fields, rows, max_increase = [], [], 0.0
     for i in range(n_steps + 1):
         u = velocity_at(i, SpectralField(grid, c))
-        speed = _courant(u, dt)
+        speed = _courant(u.samples, u.grid, dt)
         k1 = slope(i, 0, c)
         if i % stride == 0 or i == n_steps:
             fields.append(c)
@@ -650,13 +652,62 @@ def test_courant_reads_the_velocity_samples_once(fraction, monkeypatch):
     monkeypatch.setattr(spectral, "_term_samples", spy)
     dt = 1e-3
     advect(u, theta)
-    speed = _courant(u, dt)
-    assert _courant(u, dt) == speed
+    speed = _courant(u.samples, u.grid, dt)
+    assert _courant(u.samples, u.grid, dt) == speed
     assert u.samples is u.samples
     assert len(n_grid) == 2
     monkeypatch.undo()
     ref = float(np.sqrt(to_physical(u.u1) ** 2 + to_physical(u.u2) ** 2).max())
     assert speed == (ref, dt * ref / (grid.period / grid.n))
+
+
+def _old_courant(u_samples, grid, dt):
+    p1, p2 = u_samples
+    max_u = float(np.sqrt(p1 * p1 + p2 * p2).max())
+    return max_u, dt * max_u / (grid.period / grid.n)
+
+
+def test_courant_takes_one_sqrt_of_the_largest_square():
+    # sqrt is monotone and correctly rounded, and NaN propagates through max
+    grid = GridSpec(32)
+    rng = np.random.default_rng(7)
+    finite = tuple(rng.standard_normal((2, 32, 32)) * 3.0)
+    big, nan = finite[0].copy(), finite[1].copy()
+    big[3, 4] = 1e200       # its square overflows to inf
+    nan[5, 6] = np.nan
+    for samples in (finite, (big, finite[1]), (finite[0], nan)):
+        with np.errstate(over="ignore"):
+            got, want = _courant(samples, grid, 1e-3), _old_courant(samples, grid, 1e-3)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert math.isfinite(_courant(finite, grid, 1e-3)[0])
+    with np.errstate(over="ignore"):
+        assert _courant((big, finite[1]), grid, 1e-3)[0] == math.inf
+    assert math.isnan(_courant((finite[0], nan), grid, 1e-3)[0])
+
+
+def test_in_place_combine_is_the_rk4_expression_bit_for_bit():
+    grid = GridSpec(32)
+    rng = np.random.default_rng(8)
+
+    def half():
+        h = rng.standard_normal((32, 17)) + 1j * rng.standard_normal((32, 17))
+        h[rng.random((32, 17)) < 0.2] = 0.0    # exact zeros, as outside the disc
+        return h
+
+    c, k1, *slopes = (half() for _ in range(5))
+    h = 1e-2
+    eh, eh2 = solver._integrating_factors(grid, ModelParams(1.5, 0.5, gamma=0.3), h)
+
+    def nonlin(_f, stage):
+        return solver._wrap_half(grid, slopes[stage - 1])
+
+    got = solver._advance(
+        solver._wrap_half(grid, c), 0, 0.0, h, (eh, eh2), nonlin, solver._wrap_half(grid, k1),
+        (0.0, 0.0), 1.0, None,
+    )
+    k2, k3, k4 = slopes
+    want = eh * c + (h / 6.0) * (eh * k1 + 2.0 * eh2 * (k2 + k3) + k4)
+    assert got.half.tobytes() == want.tobytes()
 
 
 def test_run_fields_need_no_support_scan(monkeypatch):
@@ -890,6 +941,102 @@ def test_reduce_sink_raises_a_cells_error_after_the_run():
     # a failure of the run itself is reported first
     with pytest.raises(CourantError):
         simulate(scaled(f, 1e4), P, T=5e-3, dt=1e-3, sink=lambda: ReduceSink(cells))
+
+
+def _iterates_of(run):
+    """The iterates of a picard run, whether it converged or ran out of iterations."""
+    try:
+        return run()
+    except PicardConvergenceError as exc:
+        return exc.iterates
+
+
+def _rows_bytes(rows):
+    return np.array([dataclasses.astuple(r) for r in rows]).tobytes()
+
+
+_RUN_LAWS = {
+    "one_term": ModelParams(beta=1.2, kappa=0.5, gamma=0.3),
+    "two_term": ModelParams(beta=1.7, kappa=0.5, gamma=0.3),
+    "log_law": ModelParams(beta=2.0, kappa=0.5, gamma=0.3, velocity_law="log", mu=0.7),
+}
+
+
+@pytest.mark.parametrize("sink", [FinalSink, ReduceSink, TrajectorySink])
+@pytest.mark.parametrize("law", list(_RUN_LAWS))
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
+def test_picard_run_matches_per_array_products_bit_for_bit(fraction, law, sink, monkeypatch):
+    # the whole run against the product sites written one full-width array
+    # per transform; the stand-in makes no velocity samples, so the Courant
+    # number transforms q's velocity itself
+    grid = GridSpec(32, dealias_fraction=fraction)
+    params = _RUN_LAWS[law]
+    f = scaled(random_field(grid, seed=45, decay=2.0), 0.5)
+    kw = dict(T=5e-3, dt=1e-3, tol=1e-13, max_iter=4, snapshot_stride=2, sink=sink)
+    got = _iterates_of(lambda: picard_solve(f, params, **kw))
+    monkeypatch.setattr(
+        solver, "flux_divergence", lambda q, theta, p, **_: per_array("flux", q, theta, p)
+    )
+    want = _iterates_of(lambda: picard_solve(f, params, **kw))
+    assert len(got) == len(want) >= 3
+    assert _iterate_scalars(got) == _iterate_scalars(want)
+    for a, b in zip(got, want):
+        assert a.trajectory.final.half.tobytes() == b.trajectory.final.half.tobytes()
+        if sink is FinalSink:
+            assert a.trajectory.rows == b.trajectory.rows == ()
+        else:
+            assert _rows_bytes(a.trajectory.rows) == _rows_bytes(b.trajectory.rows)
+            assert len(a.trajectory.rows) == 4
+
+
+@pytest.mark.parametrize("beta", [1.2, 1.7], ids=["one_term", "two_term"])
+def test_final_sink_picard_keeps_the_final_fields_and_no_rows(beta):
+    grid = GridSpec(32)
+    params = ModelParams(beta=beta, kappa=0.5, gamma=0.3)
+    f = scaled(random_field(grid, seed=46, decay=2.0), 0.5)
+    kw = dict(T=0.01, dt=1e-3, tol=1e-13, snapshot_stride=3)
+    full = picard_solve(f, params, **kw)
+    final = picard_solve(f, params, **kw, sink=FinalSink)
+    assert _iterate_scalars(final) == _iterate_scalars(full)
+    for a, b in zip(final, full):
+        run = a.trajectory
+        assert run.times == run.rows == run.cells == ()
+        assert len(run.fields) == 1 and _same_field(run.final, b.trajectory.final)
+        assert run.max_l2_step_increase == b.trajectory.max_l2_step_increase
+
+
+def test_final_sink_simulate_never_makes_a_row(monkeypatch):
+    grid = GridSpec(32)
+    f = scaled(random_field(grid, seed=47, decay=2.0), 0.5)
+    full = simulate(f, P, T=0.01, dt=1e-3, snapshot_stride=3)
+    monkeypatch.setattr(solver, "_diagnostics_row", None)   # a row would fail
+    run = simulate(f, P, T=0.01, dt=1e-3, snapshot_stride=3, sink=FinalSink)
+    assert _same_field(run.final, full.final) and run.rows == ()
+    assert run.max_l2_step_increase == full.max_l2_step_increase
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
+def test_frozen_solve_builds_velocity_fields_only_for_rows(fraction, monkeypatch):
+    # on the n-grid the Courant number reads the first flux's samples, so
+    # without rows no velocity field is built; on 3n/2 the check builds it
+    grid = GridSpec(32, dealias_fraction=fraction)
+    params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
+    f = scaled(random_field(grid, seed=48, decay=2.0), 0.5)
+    calls = []
+    build = solver.velocity_from_scalar
+
+    def spy(theta, p):
+        calls.append(theta)
+        return build(theta, p)
+
+    monkeypatch.setattr(solver, "velocity_from_scalar", spy)
+    picard_solve(f, params, T=5e-3, dt=1e-3, tol=math.inf, sink=FinalSink)
+    # one iterate of 5 steps and the final snapshot
+    assert len(calls) == (0 if fraction < 0.7 else 6)
+    calls.clear()
+    picard_solve(f, params, T=5e-3, dt=1e-3, tol=math.inf, snapshot_stride=5)
+    # a row per snapshot (t = 0 and T) in the seed and the iterate
+    assert len(calls) == (4 if fraction < 0.7 else 8)
 
 
 def test_picard_frees_each_stage_record_once_read(monkeypatch):

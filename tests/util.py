@@ -2,8 +2,15 @@
 
 import numpy as np
 
-from gsqglab import GridSpec, SpectralField, VectorField
-from gsqglab.spectral import _dealias_mask
+from gsqglab import GridSpec, SpectralField, VectorField, spectral, velocity_from_scalar
+from gsqglab.inequalities import _hash_uniform
+from gsqglab.spectral import (
+    _dealias_mask,
+    _homog_weight,
+    _modes,
+    _structure_multiplier,
+    _wrap_half,
+)
 
 
 def random_field(grid: GridSpec, seed=0, decay=2.0, band=None, mean_zero=True) -> SpectralField:
@@ -105,3 +112,54 @@ def scalar_direct_advect(u: VectorField, theta: SpectralField) -> np.ndarray:
     out *= _dealias_mask(grid)
     out[0, 0] = 0.0
     return out
+
+
+def full_lattice_test_field(spec, index) -> SpectralField:
+    """inequalities.random_test_field built on the full lattice: every mode
+    hashed, then the validating constructor, the reference for the bytes of
+    the half-lattice construction."""
+    grid = spec.grid
+    n = grid.n
+    m1, m2 = np.broadcast_arrays(*_modes(grid))
+    canon = (m1 > 0) | ((m1 == 0) & (m2 > 0))
+    cm1 = np.where(canon, m1, -m1)
+    cm2 = np.where(canon, m2, -m2)
+    u_mod = _hash_uniform(spec.seed, index, cm1, cm2, 1)
+    u_arg = _hash_uniform(spec.seed, index, cm1, cm2, 2)
+    amp = _homog_weight(grid, -spec.decay) * (0.5 + 0.5 * u_mod)
+    sign = np.where(canon, 1.0, -1.0)
+    coeffs = amp * np.exp(2j * np.pi * u_arg * sign)
+    coeffs[0, 0] = 0.0
+    coeffs[n // 2, :] = 0.0
+    coeffs[:, n // 2] = 0.0
+    return SpectralField(grid, coeffs)
+
+
+def per_array(op, a, b, params):
+    """The product sites written with one _samples / _lattice_half call per
+    full-width array: multiply_fields(a, b) for op "multiply", the advection
+    of b by a's velocity for "advect", else flux_divergence(a, b, params)."""
+    grid = b.grid
+    n, r = grid.n, int(grid.dealias_radius)
+    samples, lattice_half = spectral._samples, spectral._lattice_half
+    ik1, ik2 = spectral._ik(grid)
+    if op == "multiply":
+        size = spectral._grid_size(n, (a,), (b,), n // 2 - 1)[0]
+        prod = lattice_half(samples(a.half, size) * samples(b.half, size), n)
+        return _wrap_half(grid, spectral._canonical_half(prod))
+    if op == "advect":
+        u, th = velocity_from_scalar(a, params), b.half
+        size = spectral._grid_size(n, (u.u1, u.u2), (b,), r)[0]
+        acc = samples(u.u1.half, size) * samples(ik1 * th, size)
+        acc += samples(u.u2.half, size) * samples(ik2 * th, size)
+        return spectral._dealiased(grid, lattice_half(acc, n))
+    mult = _structure_multiplier(grid, params)
+    qh, th = a.half, b.half
+    size = spectral._grid_size(n, (a,), (b,), r)[0]
+    d1t, d2t = samples(ik1 * th, size), samples(ik2 * th, size)
+    mq = mult * qh
+    out = lattice_half(samples(ik1 * mq, size) * d2t - samples(ik2 * mq, size) * d1t, n)
+    if params.two_term:
+        second = d1t * samples(ik2 * qh, size) - d2t * samples(ik1 * qh, size)
+        out += mult * lattice_half(second, n)
+    return spectral._dealiased(grid, out)
