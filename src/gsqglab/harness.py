@@ -500,11 +500,12 @@ def _checkpoint_field(ckpt: Checkpoint, grid: GridSpec) -> SpectralField:
 
 
 def write_checkpoint(state: SimState, path: str) -> None:
-    """Serialize a state: fixed little-endian header, half-spectrum payload."""
+    """Serialize a state: fixed little-endian header, half-spectrum payload
+    with each zero written as +0.0, so the bytes depend on values alone."""
     grid = state.field.grid
     p = state.params
     n = grid.n
-    half = np.ascontiguousarray(state.field.half).astype("<c16")
+    half = (state.field.half + 0.0).astype("<c16")
     header = CHECKPOINT_MAGIC + struct.pack(
         "<IId5dBd",
         CHECKPOINT_VERSION,
@@ -524,7 +525,7 @@ def write_checkpoint(state: SimState, path: str) -> None:
 
 
 def read_checkpoint(path: str) -> Checkpoint:
-    """Load and validate a checkpoint; the round trip is bit-exact."""
+    """Load and validate a checkpoint; the round trip is bit-exact, zeros as +0.0."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < len(CHECKPOINT_MAGIC):

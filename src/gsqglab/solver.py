@@ -12,15 +12,16 @@ the snapshot diagnostics, so every printed number keeps the full-array
 summation order. Every L2 and Sobolev number here is norms._l2, the
 Parseval sum behind norms.sobolev_norm. The state and stage fields of a run
 carry the dealias disc's support bound, so the product engine sizes their
-products without scanning them. The Courant number is read from n-grid
-samples of the step velocity. When the first stage's products fit the
-n-grid, these are samples that stage's products were formed from: in
-`simulate` the velocity's cached `VectorField.samples`, which `advect`
-reads, in the frozen-coefficient solve those of d1(M q) and d2(M q) that
-`flux_divergence` makes, so the check costs no transform of its own. On top
-of the direct solver sit the fixed-point machinery (a linear solve with
-frozen transport coefficients, iterated to convergence), exact self-similar
-rescaling, and the decay and analyticity-radius diagnostics.
+products without scanning them. Every run with transport steps the
+modified-flux solve: the full equation is its member q = theta, whose
+tendency flux_divergence(theta, theta) is -u . grad(theta). The Courant
+number is read from n-grid samples of q's velocity at the start of the
+step: when the first stage's products fit the n-grid, those of d1(M q) and
+d2(M q) that `flux_divergence` makes, so the check costs no transform of
+its own. On top of the direct solver sit the fixed-point machinery (a
+linear solve with frozen transport coefficients, iterated to convergence),
+exact self-similar rescaling, and the decay and analyticity-radius
+diagnostics.
 
 A run hands each snapshot (t, field, row) to a sink, chosen by the `sink`
 keyword of `simulate` and `picard_solve`. row is a zero-argument maker of
@@ -36,14 +37,14 @@ it takes the snapshot:
   `RunSummary` has no times, rows or cells. The callers that read only the
   iterate distances or the final field use it: the picard scenario, the
   amplitude sweep and the scaling check.
-A row's velocity field and its mirrors are made only by the row maker: the
-heat-flow seed and the frozen-coefficient solve build a velocity field for
-a row alone, except where the Courant number needs its samples transformed
-(products on the 3n/2 grid). `picard_solve` reads the previous iterate's
-stage records through the one stage provider, `_as_stage_provider`, which
-holds the only copy of the record list and drops each record once the new
-iterate's step has read it. Each step difference is reduced to its norms as
-the step's start value is formed. With `ReduceSink` or `FinalSink` an
+A row's velocity field and its mirrors are made only by the row maker, and
+so are the final snapshot's slope and Courant number: a velocity field is
+built for a row alone, except where the Courant number needs its samples
+transformed (products on the 3n/2 grid). `picard_solve` reads the previous
+iterate's stage records through the one stage provider, `_as_stage_provider`,
+which holds the only copy of the record list and drops each record once the
+new iterate's step has read it. Each step difference is reduced to its norms
+as the step's start value is formed. With `ReduceSink` or `FinalSink` an
 iterate holds one iterate's stage records at a time, plus the final fields
 and, with `ReduceSink`, the rows.
 """
@@ -62,16 +63,18 @@ from .spectral import (
     GridSpec,
     ModelParams,
     SpectralField,
-    VectorField,
     _dealias_mask,
     _half,
     _homog_weight,
     _kabs,
     _wrap_half,
-    advect,
     flux_divergence,
     velocity_from_scalar,
 )
+
+# Not called here: perfbench/test_perfbench.py reads solver.advect to check
+# that its tracer rebinds every module's binding of spectral.advect.
+from .spectral import advect  # noqa: F401, E402
 
 __all__ = [
     "DecayReport",
@@ -381,36 +384,24 @@ def linear_heat_propagator(
 # right-hand side and the stepping core
 
 
-def _tendency(theta: SpectralField, params: ModelParams, u: VectorField | None = None):
-    """-u . grad(theta) with u induced by theta, unless the caller has it already."""
-    if u is None:
-        u = velocity_from_scalar(theta, params)
-    return -advect(u, theta)
-
-
 def rhs(state: SimState) -> SpectralField:
-    """Nonlinear tendency -u . grad(theta); the stiff part lives in the
-    integrating factor, not here."""
-    return _tendency(state.field, state.params)
+    """Nonlinear tendency -u . grad(theta), the modified flux divergence at
+    q = theta; the stiff part lives in the integrating factor, not here."""
+    return flux_divergence(state.field, state.field, state.params)
 
 
-def _advective_stages(grid: GridSpec, params: ModelParams, nonlinear: bool):
-    """Stage-tendency factory of the full equation, in the shape _run takes.
-
-    The velocity of the step's start state is computed once: it gives the
-    CFL measurement and advects the first stage.
-    """
-
-    def nonlin(f, _stage):
-        return _tendency(f, params)
+def _equation_stages(grid: GridSpec, params: ModelParams, nonlinear: bool):
+    """Stage-tendency factory of the full equation: the modified-flux solve
+    with each stage field its own q, the final state's included, or with
+    transport off, zero tendencies and the state's velocity for the CFL
+    measurement."""
+    if nonlinear:
+        return _flux_stages(lambda _i, _stage, f: f, params, math.inf, None, negate=False)
 
     def factory(_i, theta):
         u = velocity_from_scalar(theta, params)
-        if not nonlinear:
-            zero = _wrap_half(grid, np.zeros_like(theta.half))
-            return (lambda _f, _stage: zero), (lambda: u), u.samples, zero
-        k1 = _tendency(theta, params, u)
-        return nonlin, (lambda: u), u.samples, k1
+        zero = _wrap_half(grid, np.zeros_like(theta.half))
+        return (lambda _f, _stage: zero), (lambda: u), u.samples, zero
 
     return factory
 
@@ -450,14 +441,6 @@ def _diagnostics_row(t, coeffs, l2, params, u, speed, k1=None) -> DiagnosticsRow
         energy_residual=residual,
         max_u=max_u,
         courant=courant,
-    )
-
-
-def _row_maker(t, coeffs, l2, params, velocity, speed, k1):
-    """The zero-argument maker of a snapshot's row: velocity() gives the
-    velocity, k1 is the first slope as a field, or None without transport."""
-    return lambda: _diagnostics_row(
-        t, coeffs, l2, params, velocity(), speed, None if k1 is None else k1.coeffs
     )
 
 
@@ -547,7 +530,7 @@ def step(
     theta = state.field
     grid = theta.grid
     i = state.step_index
-    nonlin, _velocity, samples, k1 = _advective_stages(grid, state.params, nonlinear)(i, theta)
+    nonlin, _velocity, samples, k1 = _equation_stages(grid, state.params, nonlinear)(i, theta)
     out = _advance(
         theta,
         i,
@@ -595,21 +578,25 @@ def _step_count(T: float, dt: float) -> int:
 
 
 @_quiet_blow_up
-def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factory, sink):
+def _run(
+    theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factory, sink,
+    on_state=None,
+):
     """Drive the IF-RK4 core with a per-step tendency factory; hand each
     snapshot (t, field, row) to sink and return sink.result(...). row is a
     zero-argument maker of the snapshot's DiagnosticsRow, which the sink
     calls, at most once, before add returns.
 
-    nonlin_factory(i, theta) is called at every step index i = 0..n_steps
-    with the state field at t = i dt. It returns the stage tendency function
-    (mapping a stage field to its tendency field, called with stage indices
-    1..3, in order), a zero-argument maker of the advecting velocity, read
-    only by the row, the n-grid samples (u1, u2) of that velocity, which
-    give the CFL measurement, and the first slope k1 at theta, as a field.
-    The call at i = n_steps only feeds the final snapshot. The state and
-    every stage field lie in the dealias disc and carry its support bound,
-    so the product engine need not scan them.
+    nonlin_factory(i, theta) is called with the state field at t = i dt at
+    every step index i = 0..n_steps - 1, and at i = n_steps by the final
+    row's maker alone. It returns the stage tendency function (mapping a
+    stage field to its tendency field, called with stage indices 1..3, in
+    order), a zero-argument maker of the advecting velocity, read only by
+    the row, the n-grid samples (u1, u2) of that velocity, which give the
+    CFL measurement, and the first slope k1 at theta, as a field.
+    on_state(i, theta), if given, sees the state at every i = 0..n_steps
+    first. The state and every stage field lie in the dealias disc and
+    carry its support bound, so the product engine need not scan them.
     """
     grid = theta0.grid
     n_steps = _step_count(T, dt)
@@ -625,16 +612,26 @@ def _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factor
     coeffs = theta.coeffs
     l2_now = _l2(coeffs, grid.period)
 
+    def row(t, coeffs, l2, velocity, speed, k1):
+        k1 = k1.coeffs if nonlinear else None
+        return _diagnostics_row(t, coeffs, l2, params, velocity(), speed, k1)
+
+    def final_row():
+        # at t = T the factory's slope and samples feed the row alone
+        _nonlin, velocity, samples, k1 = nonlin_factory(n_steps, theta)
+        return row(t, coeffs, l2_now, velocity, _courant(samples, grid, dt), k1)
+
     for i in range(n_steps + 1):
         t = i * dt
+        if on_state is not None:
+            on_state(i, theta)
+        if i == n_steps:
+            sink.add(t, theta, final_row)
+            break
         nonlin, velocity, samples, k1 = nonlin_factory(i, theta)
         speed = _courant(samples, grid, dt)
-        if i % snapshot_stride == 0 or i == n_steps:
-            sink.add(t, theta, _row_maker(
-                t, coeffs, l2_now, params, velocity, speed, k1 if nonlinear else None
-            ))
-        if i == n_steps:
-            break
+        if i % snapshot_stride == 0:
+            sink.add(t, theta, partial(row, t, coeffs, l2_now, velocity, speed, k1))
         theta = _advance(theta, i, t, dt, factors, nonlin, k1, speed, l2_now, guard, kmax)
         coeffs = theta.coeffs
         l2_new = _l2(coeffs, grid.period)
@@ -665,7 +662,7 @@ def simulate(
     makes the run's snapshot sink, whose result is returned: by default the
     Trajectory of every snapshot.
     """
-    factory = _advective_stages(theta0.grid, params, nonlinear)
+    factory = _equation_stages(theta0.grid, params, nonlinear)
     return _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, factory, sink())
 
 
@@ -674,7 +671,7 @@ def simulate(
 
 
 def _as_stage_provider(q, grid, n_steps, dt):
-    """Normalize q to a function (step, stage) -> SpectralField.
+    """Normalize q to a function (step, stage, f) -> SpectralField; f is ignored.
 
     Callables are sampled at the stage times t, t+dt/2, t+dt/2, t+dt (the
     two middle stages share their time). Sequences must hold one 4-tuple of
@@ -687,7 +684,7 @@ def _as_stage_provider(q, grid, n_steps, dt):
     if callable(q):
         offsets = (0.0, 0.5 * dt, 0.5 * dt, dt)
 
-        def provider(i, stage):
+        def provider(i, stage, _f=None):
             f = q(i * dt + offsets[stage])
             if f.grid != grid:
                 raise ValueError("coefficient trajectory lives on the wrong grid")
@@ -701,7 +698,7 @@ def _as_stage_provider(q, grid, n_steps, dt):
             f"coefficient trajectory has {len(samples)} steps, run needs {n_steps}"
         )
 
-    def provider(i, stage):
+    def provider(i, stage, _f=None):
         if stage == 0 and i > 0:
             samples[i - 1] = None
         rec = samples[i]
@@ -737,35 +734,26 @@ def linear_flux_solve(
     exact shape the next fixed-point iterate consumes as q. A list passed
     as q is read, never changed.
     """
-    provider = _as_stage_provider(q, theta0.grid, _step_count(T, dt), dt)
-    return _frozen_solve(
-        theta0, provider, params, T, dt, snapshot_stride, c_cfl, stage_sink,
-        TrajectorySink(), negate=True,
-    )
-
-
-def _frozen_solve(
-    theta0, provider, params, T, dt, snapshot_stride, c_cfl, stage_sink, sink, *,
-    negate, on_state=None,
-):
-    """linear_flux_solve with q read through provider(step, stage), the
-    tendency -flux_divergence(q, theta) when negate is true and
-    +flux_divergence(q, theta) otherwise, and snapshots handed to sink.
-
-    on_state(i, theta), if given, sees the state at every step index
-    i = 0..n_steps before the step's q is read. The Courant velocity is q's
-    at the start of the step. When the first stage's products fit the
-    n-grid, its samples are the ones that stage's flux transforms make, and
-    the velocity field itself is built only for a row; otherwise it is
-    built, and transformed, for the Courant number.
-    """
     n_steps = _step_count(T, dt)
+    provider = _as_stage_provider(q, theta0.grid, n_steps, dt)
+    factory = _flux_stages(provider, params, n_steps, stage_sink, negate=True)
+    return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, TrajectorySink())
+
+
+def _flux_stages(provider, params, n_steps, stage_sink, *, negate):
+    """Stage-tendency factory, in the shape _run takes, of the modified-flux
+    solve over n_steps steps: the tendency of the stage field f at stage s
+    of step i is flux_divergence(q, f), negated when negate is true, with
+    q = provider(i, s, f); the final row reads q at the last step's end
+    stage. When stage_sink is a list, each step's four stage fields are
+    appended to it as one list. The Courant velocity is q's at the start of
+    the step; when the first stage's products fit the n-grid, its samples
+    are the ones that stage's flux transforms make, and the velocity field
+    itself is built only for a row.
+    """
 
     def factory(i, theta):
-        if on_state is not None:
-            on_state(i, theta)
-        # the final row, at t = T, reads q at the last step's end stage
-        q0 = provider(i, 0) if i < n_steps else provider(n_steps - 1, 3)
+        q0 = provider(i, 0, theta) if i < n_steps else provider(n_steps - 1, 3, theta)
         samples = []
         record = None
         if stage_sink is not None and i < n_steps and len(stage_sink) <= i:
@@ -778,7 +766,7 @@ def _frozen_solve(
             if stage == 0:
                 div = flux_divergence(q0, f, params, velocity_samples=samples)
             else:
-                div = flux_divergence(provider(i, stage), f, params)
+                div = flux_divergence(provider(i, stage, f), f, params)
             return -div if negate else div
 
         k1 = tendency(theta, 0)
@@ -787,9 +775,10 @@ def _frozen_solve(
         u = velocity_from_scalar(q0, params)
         return tendency, (lambda: u), u.samples, k1
 
-    return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, sink)
+    return factory
 
 
+@_quiet_blow_up
 def _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink):
     """Exact closed-form heat flow, the seed of the iteration: its snapshots,
     handed to sink, and its stage samples, each time evaluated once. Returns
@@ -887,9 +876,9 @@ def picard_solve(
         prev = _as_stage_provider(stages, grid, n_steps, dt)
         stages = []
         l2s, cubes = [], []
-        traj = _frozen_solve(
-            theta0, prev, params, T, dt, snapshot_stride, c_cfl, stages, sink(),
-            negate=False, on_state=difference,
+        factory = _flux_stages(prev, params, n_steps, stages, negate=False)
+        traj = _run(
+            theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, sink(), difference
         )
         sup_l2 = contraction = max(l2s)
         if w is not None:

@@ -30,31 +30,31 @@ when it already gives M = n; otherwise the exact scan of the factors decides,
 so M is always the one their exact supports give.
 
 A velocity's n-grid samples, `VectorField.samples`, are transformed once and
-cached: `advect` reads them when M = n, and the solver's Courant number reads
-the same arrays. `flux_divergence`, given a list, hands the n-grid samples
-of q's velocity out from its own samples of d1(M q) and d2(M q) instead, so
-no velocity field need be built for them. The modified flux is evaluated
-in advective form, Div((perp_grad a) b) = perp_grad a . grad b, which holds
-exactly for alias-free products because perp_grad a is divergence free, so
-both of its terms share the samples of grad theta. Transforms per call:
-`advect` 4 inverse and 1 forward (2 and 1 when it reads cached samples),
-`flux_divergence` 4 and 1, or 6 and 2 with the second term,
-`multiply_fields` 2 and 1, `VectorField.samples` 2 inverse. A 2-D transform
-is made as the two one-axis numpy.fft passes that pocketfft's irfft2 and
-rfft2 make (`_samples`, `_lattice_half`), so its output is bit for bit that
-of scipy.fft's 2-D transform. An inverse transform's first pass runs only
-over the columns m2 <= K, K the support bound that sized the product grid:
-the pass of a zero column is zero. The terms of a product site are formed
-on those columns only, derivative pairs (d1 h, d2 h) included. On a product
-grid of M <= _STACK_MAX = 64 a call site makes its transforms as one
-stacked inverse call and one forward call, which saves the per-call
-dispatch: the stack holds only the columns m2 <= K of each term, and a
-site's derivative terms are written into it by one broadcast multiply with
-a cached stack of the symbols (i k1, i k2). Above the limit, where a
-stacked call site runs slower, it makes one call per transform, each into
-its slot of one samples array. The stacked and single calls agree bit for
-bit (`_term_samples`). A product site forms its physical products in the
-sample buffers it no longer reads, without a temporary per product.
+cached, for the solver's Courant number. `flux_divergence`, given a list,
+hands the n-grid samples of q's velocity out from its own samples of
+d1(M q) and d2(M q) instead, so no velocity field need be built for them.
+The modified flux is evaluated in advective form, Div((perp_grad a) b) =
+perp_grad a . grad b, which holds exactly for alias-free products because
+perp_grad a is divergence free, so both of its terms share the samples of
+grad theta. Transforms per call: `advect` 4 inverse and 1 forward,
+`flux_divergence` 4 and 1, or 6 and 2 with the second term, which is not
+formed for q = theta, `multiply_fields` 2 and 1, `VectorField.samples` 2
+inverse. A 2-D transform is made as the two one-axis numpy.fft passes that
+pocketfft's irfft2 and rfft2 make (`_samples`, `_lattice_half`), so its
+output is bit for bit that of scipy.fft's 2-D transform. An inverse
+transform's first pass runs only over the columns m2 <= K, K the support
+bound that sized the product grid: the pass of a zero column is zero. The
+terms of a product site are formed on those columns only, derivative pairs
+(d1 h, d2 h) included. On a product grid of M <= _STACK_MAX = 64 a call site
+makes its transforms as one stacked inverse call and one forward call, which
+saves the per-call dispatch: the stack holds only the columns m2 <= K of
+each term, and a site's derivative terms are written into it by one
+broadcast multiply with a cached stack of the symbols (i k1, i k2). Above
+the limit, where a stacked call site runs slower, it makes one call per
+transform, each into its slot of one samples array. The stacked and single
+calls agree bit for bit (`_term_samples`). A product site forms its physical
+products in the sample buffers it no longer reads, without a temporary per
+product.
 """
 
 from __future__ import annotations
@@ -729,20 +729,17 @@ def advect(u: VectorField, theta: SpectralField) -> SpectralField:
 
     Products are exact on the dealias disc, to which the result is then
     restricted. The output mean mode is zeroed: the advection of a scalar by
-    a divergence-free field integrates to zero exactly. On the n-grid the
-    velocity's cached `samples` are used.
+    a divergence-free field integrates to zero exactly.
     """
     grid = theta.grid
     if u.grid != grid:
         raise ValueError("advect requires u and theta on one grid")
     # grad theta lies inside theta's support
     size, k = _grid_size(grid.n, (u.u1, u.u2), (theta,), int(grid.dealias_radius))
-    own = () if size == grid.n else (u.u1.half, u.u2.half)
     grad = _grad_symbols(grid, size, k)
-    factors = _term_samples((*own, (grad, theta.half[None])), grid.n, size, k)
-    p1, p2 = factors[:2] if own else u.samples
+    terms = (u.u1.half, u.u2.half, (grad, theta.half[None]))
+    p1, p2, d1t, d2t = _term_samples(terms, grid.n, size, k)
     # u1 d1(theta) + u2 d2(theta), in the samples of grad theta
-    d1t, d2t = factors[-2:]
     np.multiply(p1, d1t, out=d1t)
     np.multiply(p2, d2t, out=d2t)
     d1t += d2t
@@ -760,8 +757,11 @@ def flux_divergence(
 
     One-term branch: Div((perp_grad M q) theta) where M is the constitutive
     symbol (|k|^(beta-2) or its log analog). Two-term branch (active when
-    params.two_term) adds M Div((perp_grad theta) q). For q = -theta both
-    branches collapse to u . grad(theta).
+    params.two_term) adds M Div((perp_grad theta) q). For q = theta both
+    branches give the full equation's tendency -u . grad(theta), u the
+    velocity of theta, and the second term is formed only when q is not
+    theta: its samples d1(theta) d2(theta) - d2(theta) d1(theta) are then
+    exactly zero.
 
     Both terms are evaluated in advective form, Div((perp_grad a) b) =
     perp_grad a . grad b, exact for alias-free products since perp_grad a is
@@ -784,12 +784,12 @@ def flux_divergence(
     # every factor lies inside q's or theta's support
     size, k = _grid_size(n, (q,), (theta,), int(grid.dealias_radius))
     # the factors' half spectra: M q, theta and, for the second term, q
-    m = 3 if params.two_term else 2
+    m = 3 if params.two_term and q is not theta else 2
     qh = q.half[:, : k + 1]
     factors = np.empty((m, n, k + 1), dtype=np.complex128)
     np.multiply(mult[:, : k + 1], qh, out=factors[0])
     factors[1] = theta.half[:, : k + 1]
-    if params.two_term:
+    if m == 3:
         factors[2] = qh
     # d1(M q), d1(theta), [d1(q),] d2(M q), d2(theta)[, d2(q)]
     s = _term_samples([(_grad_symbols(grid, size, k), factors)], n, size, k)

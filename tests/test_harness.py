@@ -584,6 +584,28 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_writes_each_zero_as_plus_zero(tmp_path):
+    state = make_state()
+    half = state.field.half.copy()
+    # negative zeros, as products can leave them: outside the band, in the
+    # mean mode, in the Nyquist row and column and in one imaginary part
+    half[4:13, 6:8] = complex(-0.0, -0.0)
+    half[0, 0] = complex(-0.0, 0.0)
+    half[8, :] = half[:, 8] = complex(-0.0, -0.0)
+    half[2, 3] = complex(0.25, -0.0)
+    assert np.signbit(half.view(np.float64)).any()
+    field = harness._wrap_half(state.field.grid, half)
+    path = tmp_path / "a.ck"
+    write_checkpoint(dataclasses.replace(state, field=field), str(path))
+    payload = np.frombuffer(path.read_bytes()[71:], "<f8")
+    assert payload.size == half.size * 2
+    assert not np.any((payload == 0.0) & np.signbit(payload))
+    assert payload.tobytes() == (half + 0.0).tobytes()
+    ck = read_checkpoint(str(path))
+    assert np.array_equal(ck.field.coeffs, field.coeffs)
+    assert ck.field.half.tobytes() == (half + 0.0).tobytes()
+
+
 def test_checkpoint_header_layout_is_pinned(tmp_path):
     params = ModelParams(beta=2.0, kappa=0.5, gamma=0.3, mu=1.5,
                          eps_visc=0.01, velocity_law="log")

@@ -27,6 +27,7 @@ from gsqglab import (
     advect,
     decay_study,
     default_delta,
+    field_from_modes,
     flux_divergence,
     gevrey_norm,
     gevrey_tracking,
@@ -47,7 +48,16 @@ from gsqglab.inequalities import _hs
 from gsqglab.norms import xt_norm
 from gsqglab.solver import DiagnosticsRow, _courant, _diagnostics_row, _l2
 from gsqglab.spectral import _dealias_mask, _hermitian_defect
-from util import hs_norm, l2_norm, lattice_k, per_array, random_field
+from util import (
+    advective_simulate,
+    advective_step,
+    advective_tendency,
+    hs_norm,
+    l2_norm,
+    lattice_k,
+    per_array,
+    random_field,
+)
 
 P = ModelParams(beta=1.5, kappa=0.5, gamma=0.3)
 
@@ -611,25 +621,29 @@ def _one_step_transforms(run, transforms):
 
 
 def test_transforms_per_step(transforms):
-    # simulate: 4 advect calls of 5 transforms, the Courant check reads the
-    # samples of the first; the flux solve: 4 two-term fluxes of 8. With q
-    # inside the dealias disc the first flux's products land on the n-grid
-    # and give the Courant check its samples; f reaches |m_i| = 15, so with
-    # q = -f they land on 3n/2 and the check transforms q's velocity itself
+    # simulate: 4 fluxes at q = theta of 5 transforms, one-term or two-term
+    # alike, since the second term is not formed for q = theta, and the
+    # Courant check reads the samples of the first; the flux solve: 4
+    # two-term fluxes of 8. With q inside the dealias disc the first flux's
+    # products land on the n-grid and give the Courant check its samples; f
+    # reaches |m_i| = 15, so with q = -f they land on 3n/2 and the check
+    # transforms q's velocity itself
     grid = GridSpec(32)
     f = scaled(random_field(grid, seed=25, decay=2.0), 0.5)
     in_disc = SpectralField(grid, f.coeffs * _dealias_mask(grid))
     dt = 1e-3
     params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
-    assert params.two_term
+    one_term = ModelParams(beta=1.2, kappa=0.5, gamma=0.3)
+    assert params.two_term and not one_term.two_term
 
-    def sim(k):
-        simulate(f, P, T=k * dt, dt=dt)
+    def sim(p):
+        return lambda k: simulate(f, p, T=k * dt, dt=dt)
 
     def flux_solve(q):
         return lambda k: linear_flux_solve(f, lambda _t: q, params, T=k * dt, dt=dt)
 
-    assert _one_step_transforms(sim, transforms) == 20
+    assert _one_step_transforms(sim(one_term), transforms) == 20
+    assert _one_step_transforms(sim(params), transforms) == 20
     assert _one_step_transforms(flux_solve(-in_disc), transforms) == 32
     assert _one_step_transforms(flux_solve(-f), transforms) == 34
 
@@ -651,7 +665,6 @@ def test_courant_reads_the_velocity_samples_once(fraction, monkeypatch):
 
     monkeypatch.setattr(spectral, "_term_samples", spy)
     dt = 1e-3
-    advect(u, theta)
     speed = _courant(u.samples, u.grid, dt)
     assert _courant(u.samples, u.grid, dt) == speed
     assert u.samples is u.samples
@@ -785,6 +798,18 @@ def test_picard_makes_no_negated_copies(monkeypatch):
     f = scaled(random_field(grid, seed=30, decay=2.0), 0.5)
     its = picard_solve(f, ModelParams(beta=1.7, kappa=0.5, gamma=0.3), T=3e-3, dt=1e-3)
     assert len(its) > 2 and calls == []
+
+
+@pytest.mark.parametrize("sink", [TrajectorySink, ReduceSink])
+def test_picard_blow_up_raises_blow_up_error_alone(sink):
+    # the seed's rows overflow in their norms and Courant number; under the
+    # suite's error::RuntimeWarning filter a warning from them would be
+    # raised in place of the BlowUpError
+    grid = GridSpec(16)
+    theta0 = field_from_modes(grid, {(1, 0): 1e200, (0, 2): 1e180})
+    params = ModelParams(beta=1.5, kappa=0.5, gamma=0.0)
+    with pytest.raises(BlowUpError):
+        picard_solve(theta0, params, T=0.2, dt=0.01, c_cfl=math.inf, sink=sink)
 
 
 def test_picard_zero_data_converges_immediately():
@@ -989,6 +1014,36 @@ def test_picard_run_matches_per_array_products_bit_for_bit(fraction, law, sink, 
             assert len(a.trajectory.rows) == 4
 
 
+def _plus_zero(half):
+    """The bytes of a half spectrum with each zero written as +0.0."""
+    return (half + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("law", list(_RUN_LAWS))
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_flux_stepping_matches_the_advective_reference(fraction, law):
+    # simulate, step and rhs step the modified flux at q = theta; the
+    # reference steps -advect(velocity_from_scalar(f), f). Every value
+    # agrees, and so does every byte once each zero is written as +0.0
+    grid = GridSpec(32, dealias_fraction=fraction)
+    params = _RUN_LAWS[law]
+    f = scaled(random_field(grid, seed=50, decay=2.0), 0.5)
+    dt, stride = 1e-3, 3
+    got = simulate(f, params, 8e-3, dt, stride)
+    want = advective_simulate(f, params, 8e-3, dt, stride)
+    assert got.times == want.times and _rows_bytes(got.rows) == _rows_bytes(want.rows)
+    assert got.max_l2_step_increase == want.max_l2_step_increase
+    assert np.any(advective_tendency(got.final, params).half)   # transport is live
+    for t, a, b in zip(got.times, got.fields, want.fields, strict=True):
+        assert np.array_equal(a.half, b.half) and _plus_zero(a.half) == _plus_zero(b.half)
+        i = round(t / dt)
+        state = SimState(field=a, t=i * dt, step_index=i, params=params, dt=dt)
+        for new, ref in ((step(state).field, advective_step(state)),
+                         (rhs(state), advective_tendency(a, params))):
+            assert np.array_equal(new.half, ref.half)
+            assert _plus_zero(new.half) == _plus_zero(ref.half)
+
+
 @pytest.mark.parametrize("beta", [1.2, 1.7], ids=["one_term", "two_term"])
 def test_final_sink_picard_keeps_the_final_fields_and_no_rows(beta):
     grid = GridSpec(32)
@@ -1031,8 +1086,8 @@ def test_frozen_solve_builds_velocity_fields_only_for_rows(fraction, monkeypatch
 
     monkeypatch.setattr(solver, "velocity_from_scalar", spy)
     picard_solve(f, params, T=5e-3, dt=1e-3, tol=math.inf, sink=FinalSink)
-    # one iterate of 5 steps and the final snapshot
-    assert len(calls) == (0 if fraction < 0.7 else 6)
+    # one iterate of 5 steps; the final snapshot makes no row, so no Courant number
+    assert len(calls) == (0 if fraction < 0.7 else 5)
     calls.clear()
     picard_solve(f, params, T=5e-3, dt=1e-3, tol=math.inf, snapshot_stride=5)
     # a row per snapshot (t = 0 and T) in the seed and the iterate

@@ -659,6 +659,11 @@ def test_flux_divergence_oracle_across_dealias_fractions(params, fraction):
     q = _disc_field(g, seed=46)
     assert params.two_term == (params.beta >= 1.5)
     _assert_close(flux_divergence(q, theta, params).coeffs, _direct_flux(q, theta, params))
+    # q and theta as one object: the full equation's tendency, formed
+    # without the second term
+    _assert_close(
+        flux_divergence(theta, theta, params).coeffs, _direct_flux(theta, theta, params)
+    )
 
 
 def _edge_field(grid, k, seed):

@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from gsqglab import GridSpec, SpectralField, VectorField, spectral, velocity_from_scalar
+from gsqglab import (
+    GridSpec,
+    SpectralField,
+    VectorField,
+    advect,
+    solver,
+    spectral,
+    velocity_from_scalar,
+)
 from gsqglab.inequalities import _hash_uniform
 from gsqglab.spectral import (
     _dealias_mask,
@@ -163,3 +171,47 @@ def per_array(op, a, b, params):
         second = d1t * samples(ik2 * qh, size) - d2t * samples(ik1 * qh, size)
         out += mult * lattice_half(second, n)
     return spectral._dealiased(grid, out)
+
+
+def advective_tendency(f: SpectralField, params) -> SpectralField:
+    """The full equation's tendency written with advect: -u . grad(f), u the
+    velocity of f."""
+    return -advect(velocity_from_scalar(f, params), f)
+
+
+def advective_stages(params):
+    """Stage-tendency factory of the full equation, in the shape solver._run
+    takes, with every stage tendency advective_tendency(f): the reference
+    stepper that simulate, step and rhs, which step the modified flux at
+    q = theta, must match."""
+
+    def factory(_i, theta):
+        u = velocity_from_scalar(theta, params)
+        return (
+            lambda f, _stage: advective_tendency(f, params),
+            lambda: u,
+            u.samples,
+            -advect(u, theta),
+        )
+
+    return factory
+
+
+def advective_simulate(theta0, params, T, dt, stride):
+    """simulate's Trajectory, stepped by advective_stages."""
+    return solver._run(
+        theta0, params, T, dt, stride, solver.DEFAULT_CFL, True, advective_stages(params),
+        solver.TrajectorySink(),
+    )
+
+
+def advective_step(state) -> SpectralField:
+    """The field step(state) gives, stepped by advective_stages."""
+    theta, i, h = state.field, state.step_index, state.dt
+    grid = theta.grid
+    nonlin, _velocity, samples, k1 = advective_stages(state.params)(i, theta)
+    factors = solver._integrating_factors(grid, state.params, h)
+    speed = solver._courant(samples, grid, h)
+    l2 = solver._l2(theta.coeffs, grid.period)
+    guard = solver.DEFAULT_CFL
+    return solver._advance(theta, i, state.t, h, factors, nonlin, k1, speed, l2, guard)
