@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .errors import ConfigError
@@ -36,7 +37,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first call."""
     parser = _Parser(
         prog="gsqglab",
         description="pseudo-spectral laboratory for dissipative active scalars",

@@ -731,9 +731,12 @@ def linear_flux_solve(
     reproduces the pure heat flow. When stage_sink is a list, the
     solution's own stage values (start of step, the two half-step stages,
     the end-of-step stage) are appended per step as 4-element lists, the
-    exact shape the next fixed-point iterate consumes as q. A list passed
-    as q is read, never changed.
+    exact shape the next fixed-point iterate consumes as q. stage_sink must
+    be empty: a list that already holds records raises ValueError before
+    any step. A list passed as q is read, never changed.
     """
+    if stage_sink:
+        raise ValueError("stage_sink must be an empty list")
     n_steps = _step_count(T, dt)
     provider = _as_stage_provider(q, theta0.grid, n_steps, dt)
     factory = _flux_stages(provider, params, n_steps, stage_sink, negate=True)
@@ -756,7 +759,7 @@ def _flux_stages(provider, params, n_steps, stage_sink, *, negate):
         q0 = provider(i, 0, theta) if i < n_steps else provider(n_steps - 1, 3, theta)
         samples = []
         record = None
-        if stage_sink is not None and i < n_steps and len(stage_sink) <= i:
+        if stage_sink is not None and i < n_steps:
             record = []
             stage_sink.append(record)
 

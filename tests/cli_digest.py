@@ -9,7 +9,7 @@ the signs of zeros can be told apart from ones whose values differ. The
 temporary root is written as `<tmp>` in stdout and stderr before they are
 digested, and every warning is shown each time it is raised.
 
-The cases: every scenario kind at dealias fractions 2/3 and 0.9; simulate
+The cases: every scenario kind at dealias fractions 2/3, 0.9 and 1; simulate
 and picard with the one-term, two-term and log-law fluxes; a `--checkpoint`
 / `--resume` pair; and each failure exit (1 usage, 2 config, 3 I/O,
 4 blow-up, 5 CFL, 6 overflow, 7 picard exhaustion, 8 checkpoint clash).
@@ -106,7 +106,7 @@ LAWS = {
     "log-law": "beta = 2\nkappa = 0.5\ngamma = 0.3\nvelocity_law = log\nmu = 0.7",
 }
 
-FRACTIONS = {"2/3": None, "0.9": "0.9"}
+FRACTIONS = {"2/3": None, "0.9": "0.9", "1": "1"}
 
 
 def _kind(body: str, kind: str) -> str:
@@ -116,7 +116,7 @@ def _kind(body: str, kind: str) -> str:
 def _fraction(body: str, fraction: str | None) -> str:
     if fraction is None:
         return body
-    return body.replace("[grid]\nn = 16\n", f"[grid]\nn = 16\ndealias_fraction = {fraction}\n")
+    return body.replace("[grid]\n", f"[grid]\ndealias_fraction = {fraction}\n")
 
 
 def _law(body: str, law: str, n: int = 16) -> str:

@@ -1286,6 +1286,18 @@ def test_cli_help_documents_exit_codes(capsys):
     assert commands == [(kind, s.help) for kind, s in SCENARIOS.items()]
 
 
+def test_cli_builds_one_parser_per_process(tmp_path, capsys):
+    from gsqglab.cli import build_parser
+
+    build_parser.cache_clear()
+    assert main([]) == EXIT_USAGE
+    first = capsys.readouterr().out
+    assert main([]) == EXIT_USAGE
+    assert capsys.readouterr().out == first
+    assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
+    assert build_parser.cache_info().misses == 1
+
+
 def _fresh_python(*args, cwd=None):
     """Run a fresh interpreter on this checkout's package; return the process."""
     import gsqglab

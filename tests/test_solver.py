@@ -429,6 +429,23 @@ def test_flux_solve_stage_sink_shape():
         assert np.array_equal(sink[i][0].coeffs, traj.fields[i].coeffs)
 
 
+def test_flux_solve_refuses_a_stage_sink_holding_records():
+    # a list that already holds records would keep them in place of the
+    # solve's own; it is refused before any step, and left as it was
+    grid = GridSpec(16)
+    f = scaled(random_field(grid, seed=15), 0.5)
+    q = scaled(random_field(grid, seed=16), 0.5)
+    sink = []
+    linear_flux_solve(f, lambda t: q, P, T=5e-3, dt=1e-3, stage_sink=sink)
+    first = [list(rec) for rec in sink]
+    assert len(first) == 5
+    calls = []
+    with pytest.raises(ValueError, match="stage_sink"):
+        linear_flux_solve(f, lambda t: calls.append(t) or q, P, T=5e-3, dt=1e-3, stage_sink=sink)
+    assert calls == []
+    assert len(sink) == 5 and all(a == b for a, b in zip(sink, first))
+
+
 def test_flux_solve_final_row_reads_q_at_horizon():
     # the row at t = T measures the transport field at T, not at T - dt
     grid = GridSpec(32)

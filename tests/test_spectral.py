@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -203,6 +205,119 @@ def test_transform_engine_matches_scipy_byte_for_byte(n, padded, stack):
         assert spectral._samples(zero, size, bound).tobytes() == _scipy_samples(zero, size).tobytes()
     phys = np.zeros(ref.shape)
     assert spectral._lattice_half(phys, n).tobytes() == _scipy_lattice_half(phys, n).tobytes()
+
+
+def _short_bin_samples(half, size, k):
+    """The inverse as two numpy.fft passes whose real pass gets only the
+    columns m2 <= k and pads the rest itself."""
+    n = half.shape[-2]
+    h = n // 2
+    cols = half[..., : k + 1]
+    if size != n:
+        padded = np.zeros(half.shape[:-2] + (size, k + 1), dtype=np.complex128)
+        padded[..., np.r_[:h, size - h : size], :] = cols
+        cols = padded
+    cols = np.fft.ifftn(cols, s=(size,), axes=(-2,), norm="forward")
+    return np.fft.irfftn(cols, s=(size,), axes=(-1,), norm="forward")
+
+
+def _mirrored_samples(half, size):
+    """np.fft.irfft2 of the full Hermitian spectrum zero-padded to size."""
+    n = half.shape[-2]
+    h = n // 2
+    full = np.zeros(half.shape[:-2] + (size, size), dtype=np.complex128)
+    rows, cols = np.r_[:h, size - h : size], np.r_[: h + 1, size - h + 1 : size]
+    mirror = np.stack([spectral._full_from_half(a, n) for a in half.reshape(-1, n, h + 1)])
+    full[..., rows[:, None], cols] = mirror.reshape(half.shape[:-2] + (n, n))
+    return np.fft.irfft2(full, s=(size, size), norm="forward")
+
+
+def _column_bounded(grid, k, depth, seed):
+    """The half spectra of depth random fields whose coefficients vanish
+    beyond |m2| = k, one array or a stack of them."""
+    kept = np.abs(np.fft.fftfreq(grid.n, 1.0 / grid.n))[None, :] <= k
+    fields = [random_field(grid, seed=seed + i, decay=1.0) for i in range(depth)]
+    halves = [SpectralField(grid, np.where(kept, f.coeffs, 0.0)).half for f in fields]
+    return np.stack(halves) if depth > 1 else halves[0]
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("padded", [False, True], ids=["M=n", "M=3n/2"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_samples_equal_short_bin_and_mirrored_transforms(n, padded, stack):
+    # the full-bin real pass gives the bytes of the real pass that pads the
+    # kept bins itself, and of irfft2 on the whole mirrored spectrum
+    g = GridSpec(n)
+    size = 3 * n // 2 if padded else n
+    for k in (0, int(g.dealias_radius), n // 2):
+        half = _column_bounded(g, k, 3 if stack else 1, seed=70 + k)
+        got = spectral._samples(half, size, k)
+        assert got.tobytes() == _short_bin_samples(half, size, k).tobytes(), k
+        assert got.tobytes() == _mirrored_samples(half, size).tobytes(), k
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["M=n", "M=3n/2"])
+@pytest.mark.parametrize("n", [16, 128])
+def test_samples_keep_no_trace_of_an_earlier_call(n, padded):
+    # a narrow call after a wide one on one shape, and a second call of one
+    # width, each give the transform a fresh buffer gives: no column or row
+    # the earlier pass wrote leaks into a later one
+    g = GridSpec(n)
+    size = 3 * n // 2 if padded else n
+    wide, narrow = n // 2, n // 8
+    calls = [(wide, 80), (narrow, 81), (narrow, 82), (wide, 83), (narrow, 84)]
+    for stack in (1, 2):
+        for k, seed in calls:
+            half = _column_bounded(g, k, stack, seed)
+            want = _mirrored_samples(half, size)
+            assert spectral._samples(half, size, k).tobytes() == want.tobytes(), (k, seed)
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("padded", [False, True], ids=["M=n", "M=3n/2"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_lattice_half_kept_columns_equal_the_unpruned_pass(n, padded, stack):
+    g = GridSpec(n)
+    size = 3 * n // 2 if padded else n
+    rng = np.random.default_rng(n + size)
+    phys = rng.standard_normal(((3,) if stack else ()) + (size, size))
+    full = spectral._lattice_half(phys, n)
+    for k in (0, int(g.dealias_radius), n // 2 - 1, n // 2):
+        got = spectral._lattice_half(phys, n, k)
+        assert got.shape == full.shape
+        assert got[..., : k + 1].tobytes() == full[..., : k + 1].tobytes(), k
+        rest = got[..., k + 1 :].view(np.float64)
+        assert not np.any(rest) and not np.any(np.signbit(rest)), k
+
+
+def test_samples_agree_across_threads():
+    # the column buffers are per thread: threads transforming different
+    # fields on one shape at once each get their own transform
+    g = GridSpec(64)
+    k = int(g.dealias_radius)
+    halves = [_column_bounded(g, k, 1, seed=90 + i) for i in range(6)]
+    wants = [spectral._samples(h, 64, k).tobytes() for h in halves]
+    wrong = []
+    start = threading.Barrier(len(halves), timeout=60)
+
+    def work(i):
+        start.wait()
+        for _ in range(200):
+            if spectral._samples(halves[i], 64, k).tobytes() != wants[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(halves))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 # --- diagonal operators ------------------------------------------------------

@@ -146,30 +146,31 @@ def full_lattice_test_field(spec, index) -> SpectralField:
 def per_array(op, a, b, params):
     """The product sites written with one _samples / _lattice_half call per
     full-width array: multiply_fields(a, b) for op "multiply", the advection
-    of b by a's velocity for "advect", else flux_divergence(a, b, params)."""
+    of b by a's velocity for "advect", else flux_divergence(a, b, params).
+    Each forward call keeps the columns the site keeps, as the engine's do."""
     grid = b.grid
     n, r = grid.n, int(grid.dealias_radius)
     samples, lattice_half = spectral._samples, spectral._lattice_half
     ik1, ik2 = spectral._ik(grid)
     if op == "multiply":
         size = spectral._grid_size(n, (a,), (b,), n // 2 - 1)[0]
-        prod = lattice_half(samples(a.half, size) * samples(b.half, size), n)
+        prod = lattice_half(samples(a.half, size) * samples(b.half, size), n, n // 2 - 1)
         return _wrap_half(grid, spectral._canonical_half(prod))
     if op == "advect":
         u, th = velocity_from_scalar(a, params), b.half
         size = spectral._grid_size(n, (u.u1, u.u2), (b,), r)[0]
         acc = samples(u.u1.half, size) * samples(ik1 * th, size)
         acc += samples(u.u2.half, size) * samples(ik2 * th, size)
-        return spectral._dealiased(grid, lattice_half(acc, n))
+        return spectral._dealiased(grid, lattice_half(acc, n, r))
     mult = _structure_multiplier(grid, params)
     qh, th = a.half, b.half
     size = spectral._grid_size(n, (a,), (b,), r)[0]
     d1t, d2t = samples(ik1 * th, size), samples(ik2 * th, size)
     mq = mult * qh
-    out = lattice_half(samples(ik1 * mq, size) * d2t - samples(ik2 * mq, size) * d1t, n)
+    out = lattice_half(samples(ik1 * mq, size) * d2t - samples(ik2 * mq, size) * d1t, n, r)
     if params.two_term:
         second = d1t * samples(ik2 * qh, size) - d2t * samples(ik1 * qh, size)
-        out += mult * lattice_half(second, n)
+        out += mult * lattice_half(second, n, r)
     return spectral._dealiased(grid, out)
 
 
