@@ -165,7 +165,7 @@ def _shared_grid(*fields: SpectralField) -> GridSpec:
 
 def _hs(f: SpectralField, s: float) -> float:
     """Homogeneous Sobolev seminorm: the mean carries weight zero."""
-    return _l2(f.coeffs, f.grid.period, _homog_weight(f.grid, 2.0 * s))
+    return _l2(f.half, f.grid.period, _half(_homog_weight(f.grid, 2.0 * s)))
 
 
 def _ghs(f: SpectralField, alpha: float, lam: float, s: float) -> float:

@@ -4,12 +4,20 @@ All norms follow the box Parseval convention ||f||_{L2}^2 = L^2 sum |f_hat|^2,
 so every value here is an exact finite lattice sum, and the interpolation
 checks report realized constants rather than asymptotic ones.
 
-`_l2` is the one weighted Parseval sum of the package: `sobolev_norm` and
-every L2 or Sobolev number the solver prints (diagnostics rows, Picard
-distances, scaling and decay reports) go through it, so each printed value
-is `sobolev_norm`'s bit for bit. The Besov norm and the Bernstein check keep
-BLAS sums (`np.linalg.norm`), and `inner_product` its `np.vdot`: both round
-differently, and switching them would change printed digits.
+`_parseval` is the one Parseval sum of the package. It sums over the
+m2 >= 0 half spectrum, or over the dealias box rows the solver carries,
+with column weights 1, 2, ..., 2, 1: each column m2 > 0 stands for itself
+and its mirror -m2, and a half's Nyquist column m2 = n/2 has none. It sums
+row by row and then column by column, in order, so zero rows and trailing
+zero columns leave the total as it is: the sum over a field's half and over
+its box rows agree bit for bit. `_l2` takes it of weight |c|^2;
+`sobolev_norm` and every L2 or Sobolev number the solver prints
+(diagnostics rows, Picard distances, scaling and decay reports) go through
+it, so each printed value is `sobolev_norm`'s bit for bit, and no full
+array is mirrored for one. The Besov norm and the Bernstein check keep BLAS
+sums over the full array (`np.linalg.norm`), and `inner_product` its
+`np.vdot`: both round differently, and switching them would change printed
+digits.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .dyadic import decompose
 from .spectral import (
     GridSpec,
     SpectralField,
+    _half,
     _homog_weight,
     _kabs,
     _wavevectors,
@@ -80,17 +89,29 @@ def _sobolev_weight(grid: GridSpec, s: float, homogeneous: bool) -> np.ndarray:
     return w
 
 
+def _parseval(terms: np.ndarray) -> float:
+    """The sum over the full lattice of a real per-mode quantity that is even
+    under m -> -m, given on a half spectrum (n rows) or box rows (odd)."""
+    cols = terms.sum(axis=0)   # row by row: a zero row adds exactly nothing
+    # a half's last column, its Nyquist column m2 = n/2, is its own mirror
+    cols[1 : len(cols) - (len(terms) % 2 == 0)] *= 2.0
+    return float(np.cumsum(cols)[-1])   # in column order, unlike np.sum
+
+
 def _l2(coeffs: np.ndarray, period: float, weight: np.ndarray | None = None) -> float:
-    """period * sqrt(sum weight |c|^2), the Parseval sum; no weight means 1."""
+    """period * sqrt(sum weight |c|^2) over the full lattice, the Parseval
+    sum of a half spectrum or box rows; weight comes in their rows, and no
+    weight means 1."""
     sq = coeffs.real**2 + coeffs.imag**2
-    return period * math.sqrt(float(np.sum(sq if weight is None else weight * sq)))
+    return period * math.sqrt(_parseval(sq if weight is None else weight * sq))
 
 
 def sobolev_norm(field: SpectralField, s: float, homogeneous: bool = True) -> float:
     """Sobolev norm of order s; weight |k|^s (homogeneous) or (1+|k|^2)^(s/2)."""
     if homogeneous and not field.mean_zero:
         raise ValueError("homogeneous Sobolev norm requires a mean-zero field")
-    return _l2(field.coeffs, field.grid.period, _sobolev_weight(field.grid, s, homogeneous))
+    weight = _half(_sobolev_weight(field.grid, s, homogeneous))
+    return _l2(field.half, field.grid.period, weight)
 
 
 def besov_norm(field: SpectralField, s: float) -> float:

@@ -3,17 +3,22 @@
 The stepper is an integrating-factor RK4: the stiff diagonal part (fractional
 dissipation plus optional artificial viscosity) is applied exactly per mode
 between stages, so with the transport term disabled every output coincides
-with the closed-form propagator. The stepping core carries the m2 >= 0 half
-spectra of the state, the stage values and the slopes, and wraps them with
-spectral._wrap_half; it forms the RK4 combine in place, in the stage and
-result buffers, bit for bit the written expression. The full coefficient
-array of the state is mirrored once per step, for the per-step L2 norm and
-the snapshot diagnostics, so every printed number keeps the full-array
-summation order. Every L2 and Sobolev number here is norms._l2, the
-Parseval sum behind norms.sobolev_norm. The state and stage fields of a run
-carry the dealias disc's support bound, so the product engine sizes their
-products without scanning them. Every run with transport steps the
-modified-flux solve: the full equation is its member q = theta, whose
+with the closed-form propagator. A run's state, stage values and slopes all
+lie in the dealias box |m1| <= K, 0 <= m2 <= K (spectral._box_bound), which
+holds the dealias disc, and the stepping core carries them, and the
+integrating factors, as (2K + 1) x (K + 1) box rows: 44 % of the half
+spectrum at fraction 2/3. It forms the RK4 combine on them in place, in the
+stage and result buffers, bit for bit the written expression, and the
+product engine takes them as they are and returns the tendency as box
+rows, so every value inside the box is the one a half-spectrum core gives.
+A field (a half spectrum) is made of the state only for a snapshot; `step`
+runs the same core on its state's whole half spectrum. Every L2 and
+Sobolev number here, the per-step L2 norm included, is norms._l2, the
+Parseval sum over box rows or a half spectrum behind norms.sobolev_norm,
+so no full array is mirrored for one. The box rows' K bounds their
+support, so the product engine sizes their products without scanning
+them. Every run with transport steps the modified-flux solve: the full
+equation is its member q = theta, whose
 tendency flux_divergence(theta, theta) is -u . grad(theta). The Courant
 number is read from n-grid samples of q's velocity at the start of the
 step: when the first stage's products fit the n-grid, those of d1(M q) and
@@ -37,16 +42,17 @@ it takes the snapshot:
   `RunSummary` has no times, rows or cells. The callers that read only the
   iterate distances or the final field use it: the picard scenario, the
   amplitude sweep and the scaling check.
-A row's velocity field and its mirrors are made only by the row maker, and
-so are the final snapshot's slope and Courant number: a velocity field is
-built for a row alone, except where the Courant number needs its samples
+A row's velocity components are made only by the row maker, and so are the
+final snapshot's slope and Courant number: velocity components are formed
+for a row alone, except where the Courant number needs their samples
 transformed (products on the 3n/2 grid). `picard_solve` reads the previous
-iterate's stage records through the one stage provider, `_as_stage_provider`,
-which holds the only copy of the record list and drops each record once the
-new iterate's step has read it. Each step difference is reduced to its norms
-as the step's start value is formed. With `ReduceSink` or `FinalSink` an
-iterate holds one iterate's stage records at a time, plus the final fields
-and, with `ReduceSink`, the rows.
+iterate's stage records, box rows (55 % less memory than half spectra at
+n = 64), through the one stage provider, `_as_stage_provider`, which holds
+the only copy of the record list and drops each record once the new
+iterate's step has read it. Each step difference is reduced to its norms,
+on the box rows, as the step's start value is formed. With `ReduceSink` or
+`FinalSink` an iterate holds one iterate's stage records at a time, plus the
+final fields and, with `ReduceSink`, the rows.
 """
 
 from __future__ import annotations
@@ -58,18 +64,26 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import BlowUpError, CourantError, PicardConvergenceError
-from .norms import _l2, _weighted_gevrey, gevrey_norm
+from .norms import _l2, _parseval, _weighted_gevrey, gevrey_norm
 from .spectral import (
     GridSpec,
     ModelParams,
     SpectralField,
+    _box,
+    _box_bound,
+    _boxed,
     _dealias_mask,
+    _flux_rows,
+    _from_box,
+    _grid_samples,
     _half,
     _homog_weight,
     _kabs,
+    _rows,
+    _support_bound,
+    _velocity_rows,
     _wrap_half,
     flux_divergence,
-    velocity_from_scalar,
 )
 
 # Not called here: perfbench/test_perfbench.py reads solver.advect to check
@@ -392,16 +406,16 @@ def rhs(state: SimState) -> SpectralField:
 
 def _equation_stages(grid: GridSpec, params: ModelParams, nonlinear: bool):
     """Stage-tendency factory of the full equation: the modified-flux solve
-    with each stage field its own q, the final state's included, or with
-    transport off, zero tendencies and the state's velocity for the CFL
-    measurement."""
+    with each stage its own q, the final state's included, or with transport
+    off, zero tendencies and the state's velocity for the CFL measurement."""
     if nonlinear:
-        return _flux_stages(lambda _i, _stage, f: f, params, math.inf, None, negate=False)
+        return _flux_stages(grid, lambda _i, _stage, c: c, params, math.inf, None, negate=False)
 
-    def factory(_i, theta):
-        u = velocity_from_scalar(theta, params)
-        zero = _wrap_half(grid, np.zeros_like(theta.half))
-        return (lambda _f, _stage: zero), (lambda: u), u.samples, zero
+    def factory(_i, c):
+        u = _velocity_rows(grid, c, params)
+        zero = np.zeros_like(c)
+        samples = _grid_samples(u, grid.n, _support_bound(c))
+        return (lambda _c, _stage: zero), (lambda: u), samples, zero
 
     return factory
 
@@ -417,19 +431,21 @@ def _courant(samples, grid: GridSpec, dt: float) -> tuple:
 
 
 def _pairing(a: np.ndarray, b: np.ndarray, period: float) -> float:
-    return period * period * float(np.real(np.sum(a * np.conj(b))))
+    """The L2 pairing Re <a, b> of two half spectra or two box rows."""
+    return period * period * _parseval(a.real * b.real + a.imag * b.imag)
 
 
-def _diagnostics_row(t, coeffs, l2, params, u, speed, k1=None) -> DiagnosticsRow:
-    """Snapshot diagnostics; without a transport tendency k1 the residual is 0."""
-    grid = u.grid
+def _diagnostics_row(t, c, l2, params, grid, u, speed, k1=None) -> DiagnosticsRow:
+    """Snapshot diagnostics of the state's box rows c, its L2 norm l2 and the
+    velocity components u = (u1, u2), half spectra or box rows; without a
+    transport tendency k1 (box rows) the residual is 0."""
     period = grid.period
     residual = 0.0
     if k1 is not None:
-        raw = abs(_pairing(k1, coeffs, period))
+        raw = abs(_pairing(k1, c, period))
         scale = (
-            math.hypot(_l2(u.u1.coeffs, period), _l2(u.u2.coeffs, period))
-            * _l2(coeffs, period, _homog_weight(grid, 2.0))
+            math.hypot(_l2(u[0], period), _l2(u[1], period))
+            * _l2(c, period, _boxed(grid, _homog_weight, 2.0))
             * l2
         )
         residual = raw / scale if scale > 0 else 0.0
@@ -437,30 +453,29 @@ def _diagnostics_row(t, coeffs, l2, params, u, speed, k1=None) -> DiagnosticsRow
     return DiagnosticsRow(
         t=t,
         l2=l2,
-        hs_crit=_l2(coeffs, period, _homog_weight(grid, 2.0 * params.sigma_c)),
+        hs_crit=_l2(c, period, _boxed(grid, _homog_weight, 2.0 * params.sigma_c)),
         energy_residual=residual,
         max_u=max_u,
         courant=courant,
     )
 
 
-def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float) -> tuple:
-    """Exact linear flow over a full step and over half a step, as half spectra."""
-    p = params
-    return (
-        _decay_multiplier(grid, p.gamma, p.kappa, p.eps_visc, dt),
-        _decay_multiplier(grid, p.gamma, p.kappa, p.eps_visc, 0.5 * dt),
-    )
+def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float, box=False):
+    """Exact linear flow over a full step and over half a step, as half
+    spectra or, given box, as dealias-box rows."""
+    args = (params.gamma, params.kappa, params.eps_visc)
+    rate = _boxed(grid, _decay_rate, *args) if box else _decay_rate(grid, *args)
+    return np.exp(-dt * rate), np.exp(-(0.5 * dt) * rate)
 
 
-def _advance(theta, i, t, h, factors, nonlin, k1, speed, l2, c_cfl, kmax=None):
-    """Step i of the integrating-factor RK4 from the field theta and its
-    first slope k1 (a field); returns the new state field.
+def _advance(c, i, t, h, factors, nonlin, k1, speed, l2, c_cfl):
+    """Step i of the integrating-factor RK4 from the state c and its first
+    slope k1, both half spectra or both box rows, with the integrating
+    factors in their rows; returns the new state, in them too.
 
-    The stages and the result are wrapped as fields with support bound kmax,
-    and nonlin(stage_field, stage) gives each stage's tendency field. Refuses
-    to start when the Courant number passes c_cfl (None: no guard) and
-    signals a blow-up when the result loses finiteness.
+    nonlin(value, s) gives the tendency of the value of stage s = 1, 2, 3,
+    in its rows. Refuses to start when the Courant number passes c_cfl (None:
+    no guard) and signals a blow-up when the result loses finiteness.
 
     The combine is formed in place in the buffers of the stages and the
     result, with every operation of
@@ -475,35 +490,29 @@ def _advance(theta, i, t, h, factors, nonlin, k1, speed, l2, c_cfl, kmax=None):
     max_u, courant = speed
     if c_cfl is not None and courant > c_cfl:
         raise CourantError(courant, c_cfl, t, i)
-    grid = theta.grid
-
-    def slope(c, stage):
-        return nonlin(_wrap_half(grid, c, kmax), stage).half
-
-    coeffs, k1 = theta.half, k1.half
     eh, eh2 = factors
     s2 = np.multiply(0.5 * h, k1)
-    np.add(coeffs, s2, out=s2)
+    np.add(c, s2, out=s2)
     np.multiply(eh2, s2, out=s2)
-    k2 = slope(s2, 1)
-    s3 = np.multiply(eh2, coeffs)
+    k2 = nonlin(s2, 1)
+    s3 = np.multiply(eh2, c)
     np.add(s3, np.multiply(0.5 * h, k2), out=s3)
-    k3 = slope(s3, 2)
+    k3 = nonlin(s3, 2)
     s4 = np.multiply(eh2, k3)
     np.multiply(h, s4, out=s4)
-    np.add(np.multiply(eh, coeffs), s4, out=s4)
-    k4 = slope(s4, 3)
+    np.add(np.multiply(eh, c), s4, out=s4)
+    k4 = nonlin(s4, 3)
     out = np.add(k2, k3)
     np.multiply(2.0 * eh2, out, out=out)
     np.add(np.multiply(eh, k1), out, out=out)
     np.add(out, k4, out=out)
     np.multiply(h / 6.0, out, out=out)
-    np.add(np.multiply(eh, coeffs), out, out=out)
+    np.add(np.multiply(eh, c), out, out=out)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(
             (i + 1) * h, i + 1, {"l2": l2, "max_u": max_u, "courant": courant}
         )
-    return _wrap_half(grid, out, kmax)
+    return out
 
 
 # The stepping core runs with overflow and invalid-value warnings off: a
@@ -527,12 +536,12 @@ def step(
     if dt is not None and dt != state.dt:
         raise ValueError("step size is fixed by the state; rebuild at t=0 to change dt")
     h = state.dt
-    theta = state.field
-    grid = theta.grid
+    grid = state.field.grid
+    c = state.field.half   # the whole half: a state may reach beyond the box
     i = state.step_index
-    nonlin, _velocity, samples, k1 = _equation_stages(grid, state.params, nonlinear)(i, theta)
+    nonlin, _velocity, samples, k1 = _equation_stages(grid, state.params, nonlinear)(i, c)
     out = _advance(
-        theta,
+        c,
         i,
         state.t,
         h,
@@ -540,11 +549,11 @@ def step(
         nonlin,
         k1,
         _courant(samples, grid, h),
-        _l2(theta.coeffs, grid.period),
+        _l2(c, grid.period),
         c_cfl if nonlinear else None,
     )
     return SimState(
-        field=out,
+        field=_wrap_half(grid, out),
         t=(i + 1) * h,
         step_index=i + 1,
         params=state.params,
@@ -556,16 +565,17 @@ def step(
 # shared run driver
 
 
-def _disc_bound(grid: GridSpec) -> int:
-    """Support bound of every field inside the dealias disc."""
-    return int(grid.dealias_radius)
+def _admissible_box(theta0: SpectralField) -> np.ndarray:
+    """Box rows of the initial data restricted to the dealias disc, mean removed."""
+    grid = theta0.grid
+    c = _box(theta0.half, _box_bound(grid)) * _boxed(grid, _dealias_mask)
+    c[0, 0] = 0.0
+    return c
 
 
 def _admissible_initial(theta0: SpectralField) -> SpectralField:
     """Restrict initial data to the dealias disc and remove its mean."""
-    half = theta0.half * _half(_dealias_mask(theta0.grid))
-    half[0, 0] = 0.0
-    return _wrap_half(theta0.grid, half, _disc_bound(theta0.grid))
+    return _from_box(theta0.grid, _admissible_box(theta0))
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -587,54 +597,51 @@ def _run(
     zero-argument maker of the snapshot's DiagnosticsRow, which the sink
     calls, at most once, before add returns.
 
-    nonlin_factory(i, theta) is called with the state field at t = i dt at
-    every step index i = 0..n_steps - 1, and at i = n_steps by the final
-    row's maker alone. It returns the stage tendency function (mapping a
-    stage field to its tendency field, called with stage indices 1..3, in
-    order), a zero-argument maker of the advecting velocity, read only by
-    the row, the n-grid samples (u1, u2) of that velocity, which give the
-    CFL measurement, and the first slope k1 at theta, as a field.
-    on_state(i, theta), if given, sees the state at every i = 0..n_steps
-    first. The state and every stage field lie in the dealias disc and
-    carry its support bound, so the product engine need not scan them.
+    The state, the stage values and the slopes are dealias-box rows (the
+    module docstring). nonlin_factory(i, c) is called with the state's box
+    rows c at t = i dt at every step index i = 0..n_steps - 1, and at
+    i = n_steps by the final row's maker alone. It returns the stage
+    tendency function (mapping a stage's box rows to its tendency's, called
+    with stage indices 1..3, in order), a zero-argument maker of the
+    advecting velocity's components, read only by the row, the n-grid
+    samples (u1, u2) of that velocity, which give the CFL measurement, and
+    the first slope k1 at c. on_state(i, c), if given, sees the state at
+    every i = 0..n_steps first. A field is made of the state for a snapshot
+    alone.
     """
     grid = theta0.grid
     n_steps = _step_count(T, dt)
     if snapshot_stride < 1:
         raise ValueError("snapshot stride must be a positive integer")
-    factors = _integrating_factors(grid, params, dt)
+    factors = _integrating_factors(grid, params, dt, box=True)
     guard = c_cfl if nonlinear else None
-    kmax = _disc_bound(grid)
 
-    theta = _admissible_initial(theta0)
+    c = _admissible_box(theta0)
     max_increase = 0.0
-    # the state's one mirror per step, shared by its L2 norm and its row
-    coeffs = theta.coeffs
-    l2_now = _l2(coeffs, grid.period)
+    l2_now = _l2(c, grid.period)
 
-    def row(t, coeffs, l2, velocity, speed, k1):
-        k1 = k1.coeffs if nonlinear else None
-        return _diagnostics_row(t, coeffs, l2, params, velocity(), speed, k1)
+    def row(t, c, l2, velocity, speed, k1):
+        k1 = k1 if nonlinear else None
+        return _diagnostics_row(t, c, l2, params, grid, velocity(), speed, k1)
 
     def final_row():
         # at t = T the factory's slope and samples feed the row alone
-        _nonlin, velocity, samples, k1 = nonlin_factory(n_steps, theta)
-        return row(t, coeffs, l2_now, velocity, _courant(samples, grid, dt), k1)
+        _nonlin, velocity, samples, k1 = nonlin_factory(n_steps, c)
+        return row(t, c, l2_now, velocity, _courant(samples, grid, dt), k1)
 
     for i in range(n_steps + 1):
         t = i * dt
         if on_state is not None:
-            on_state(i, theta)
+            on_state(i, c)
         if i == n_steps:
-            sink.add(t, theta, final_row)
+            sink.add(t, _from_box(grid, c), final_row)
             break
-        nonlin, velocity, samples, k1 = nonlin_factory(i, theta)
+        nonlin, velocity, samples, k1 = nonlin_factory(i, c)
         speed = _courant(samples, grid, dt)
         if i % snapshot_stride == 0:
-            sink.add(t, theta, partial(row, t, coeffs, l2_now, velocity, speed, k1))
-        theta = _advance(theta, i, t, dt, factors, nonlin, k1, speed, l2_now, guard, kmax)
-        coeffs = theta.coeffs
-        l2_new = _l2(coeffs, grid.period)
+            sink.add(t, _from_box(grid, c), partial(row, t, c, l2_now, velocity, speed, k1))
+        c = _advance(c, i, t, dt, factors, nonlin, k1, speed, l2_now, guard)
+        l2_new = _l2(c, grid.period)
         if l2_new > l2_now > 0:
             max_increase = max(max_increase, (l2_new - l2_now) / l2_now)
         l2_now = l2_new
@@ -671,15 +678,16 @@ def simulate(
 
 
 def _as_stage_provider(q, grid, n_steps, dt):
-    """Normalize q to a function (step, stage, f) -> SpectralField; f is ignored.
+    """Normalize q to a function (step, stage, f) -> q's stage value; f is ignored.
 
     Callables are sampled at the stage times t, t+dt/2, t+dt/2, t+dt (the
-    two middle stages share their time). Sequences must hold one 4-tuple of
-    fields per step, one per stage slot: no temporal interpolation ever
-    happens. The provider reads a copy of the sequence and drops record
-    i - 1 from it when step i reads stage 0, so the records free as the run
-    passes them unless the caller holds the sequence. The last record stays:
-    the final row reads its end stage.
+    two middle stages share their time). Sequences must hold one 4-tuple per
+    step, one per stage slot, of fields or, as picard_solve keeps them, of
+    dealias-box rows: no temporal interpolation ever happens. The provider
+    reads a copy of the sequence and drops record i - 1 from it when step i
+    reads stage 0, so the records free as the run passes them unless the
+    caller holds the sequence. The last record stays: the final row reads
+    its end stage.
     """
     if callable(q):
         offsets = (0.0, 0.5 * dt, 0.5 * dt, dt)
@@ -705,7 +713,7 @@ def _as_stage_provider(q, grid, n_steps, dt):
         if len(rec) != 4:
             raise ValueError("each step needs exactly four stage samples")
         f = rec[stage]
-        if f.grid != grid:
+        if isinstance(f, SpectralField) and f.grid != grid:
             raise ValueError("coefficient trajectory lives on the wrong grid")
         return f
 
@@ -730,33 +738,39 @@ def linear_flux_solve(
     tendency -flux_divergence(q(stage), theta_stage); q identically zero
     reproduces the pure heat flow. When stage_sink is a list, the
     solution's own stage values (start of step, the two half-step stages,
-    the end-of-step stage) are appended per step as 4-element lists, the
-    exact shape the next fixed-point iterate consumes as q. stage_sink must
+    the end-of-step stage) are appended to it as fields, per step as
+    4-element lists, once the run has ended: the exact shape the next
+    fixed-point iterate consumes as q. stage_sink must
     be empty: a list that already holds records raises ValueError before
     any step. A list passed as q is read, never changed.
     """
     if stage_sink:
         raise ValueError("stage_sink must be an empty list")
+    grid = theta0.grid
     n_steps = _step_count(T, dt)
-    provider = _as_stage_provider(q, theta0.grid, n_steps, dt)
-    factory = _flux_stages(provider, params, n_steps, stage_sink, negate=True)
-    return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, TrajectorySink())
+    provider = _as_stage_provider(q, grid, n_steps, dt)
+    records = None if stage_sink is None else []
+    factory = _flux_stages(grid, provider, params, n_steps, records, negate=True)
+    traj = _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, TrajectorySink())
+    if stage_sink is not None:
+        stage_sink.extend([_from_box(grid, c) for c in rec] for rec in records)
+    return traj
 
 
-def _flux_stages(provider, params, n_steps, stage_sink, *, negate):
+def _flux_stages(grid, provider, params, n_steps, stage_sink, *, negate):
     """Stage-tendency factory, in the shape _run takes, of the modified-flux
-    solve over n_steps steps: the tendency of the stage field f at stage s
-    of step i is flux_divergence(q, f), negated when negate is true, with
-    q = provider(i, s, f); the final row reads q at the last step's end
-    stage. When stage_sink is a list, each step's four stage fields are
-    appended to it as one list. The Courant velocity is q's at the start of
-    the step; when the first stage's products fit the n-grid, its samples
-    are the ones that stage's flux transforms make, and the velocity field
-    itself is built only for a row.
+    solve over n_steps steps: the tendency of the stage value c at stage s
+    of step i is flux_divergence(q, c), negated when negate is true, with
+    q = provider(i, s, c), a field or box rows; the final row reads q at the
+    last step's end stage. When stage_sink is a list, each step's four stage
+    values are appended to it as one list, in the rows they come in. The
+    Courant velocity is q's at the start of the step; when the first stage's
+    products fit the n-grid, its samples are the ones that stage's flux
+    transforms make, and its components are formed only for a row.
     """
 
-    def factory(i, theta):
-        q0 = provider(i, 0, theta) if i < n_steps else provider(n_steps - 1, 3, theta)
+    def factory(i, c):
+        q0 = provider(i, 0, c) if i < n_steps else provider(n_steps - 1, 3, c)
         samples = []
         record = None
         if stage_sink is not None and i < n_steps:
@@ -767,16 +781,16 @@ def _flux_stages(provider, params, n_steps, stage_sink, *, negate):
             if record is not None and len(record) < 4:
                 record.append(f)
             if stage == 0:
-                div = flux_divergence(q0, f, params, velocity_samples=samples)
+                div = _flux_rows(grid, q0, f, params, samples)
             else:
-                div = flux_divergence(provider(i, stage, f), f, params)
+                div = _flux_rows(grid, provider(i, stage, f), f, params)
             return -div if negate else div
 
-        k1 = tendency(theta, 0)
+        k1 = tendency(c, 0)
         if samples:
-            return tendency, partial(velocity_from_scalar, q0, params), samples, k1
-        u = velocity_from_scalar(q0, params)
-        return tendency, (lambda: u), u.samples, k1
+            return tendency, partial(_velocity_rows, grid, _rows(q0), params), samples, k1
+        u = _velocity_rows(grid, _rows(q0), params)
+        return tendency, (lambda: u), _grid_samples(u, grid.n, _support_bound(q0)), k1
 
     return factory
 
@@ -784,21 +798,21 @@ def _flux_stages(provider, params, n_steps, stage_sink, *, negate):
 @_quiet_blow_up
 def _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink):
     """Exact closed-form heat flow, the seed of the iteration: its snapshots,
-    handed to sink, and its stage samples, each time evaluated once. Returns
-    sink's result and the stage records. A snapshot's velocity is built
-    only for its row.
+    handed to sink, and its stage values as dealias-box rows, each time
+    evaluated once. Returns sink's result and the stage records. A
+    snapshot's velocity is formed only for its row.
     """
+    grid = theta0.grid
+    k = _box_bound(grid)
 
     def prop(t):
-        return linear_heat_propagator(
-            theta0, t, params.gamma, params.kappa, params.eps_visc
-        )
+        f = linear_heat_propagator(theta0, t, params.gamma, params.kappa, params.eps_visc)
+        return _box(f.half, k)
 
-    def row(t, f):
-        u = velocity_from_scalar(f, params)
-        coeffs = f.coeffs
-        speed = _courant(u.samples, f.grid, dt)
-        return _diagnostics_row(t, coeffs, _l2(coeffs, f.grid.period), params, u, speed)
+    def row(t, c):
+        u = _velocity_rows(grid, c, params)
+        speed = _courant(_grid_samples(u, grid.n, k), grid, dt)
+        return _diagnostics_row(t, c, _l2(c, grid.period), params, grid, u, speed)
 
     n_steps = _step_count(T, dt)
     stages = []
@@ -810,8 +824,8 @@ def _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink):
         if i % snapshot_stride and i != n_steps:
             continue
         t = i * dt
-        f = stages[i][0] if i < n_steps else prop(t)
-        sink.add(t, f, partial(row, t, f))
+        c = stages[i][0] if i < n_steps else prop(t)
+        sink.add(t, _from_box(grid, c), partial(row, t, c))
     return sink.result(params, dt, 0.0), stages
 
 
@@ -845,6 +859,7 @@ def picard_solve(
     """
     theta0 = _admissible_initial(theta0)
     grid = theta0.grid
+    k = _box_bound(grid)
     n_steps = _step_count(T, dt)
     seed_traj, stages = _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink())
     iterates = [
@@ -857,29 +872,30 @@ def picard_solve(
             converged=False,
         )
     ]
-    prev_final = seed_traj.final
+    prev_final = _box(seed_traj.final.half, k)
     prev_contraction = None
     history = []
     period = grid.period
     # the two-term branch contracts in the sup-in-time L2 norm itself, the
     # one-term branch in the time-integrated cube of the 2 kappa / 3 Sobolev norm
-    w = None if params.two_term else _homog_weight(grid, 4.0 * params.kappa / 3.0)
+    w = None if params.two_term else _boxed(grid, _homog_weight, 4.0 * params.kappa / 3.0)
 
-    def difference(i, theta):
-        # theta minus the previous iterate at t = i dt (its step-i start stage,
-        # or its final field at t = T), reduced to the current iterate's norms
+    def difference(i, c):
+        # the state minus the previous iterate at t = i dt (its step-i start
+        # stage, or its final state at t = T), reduced to the current
+        # iterate's norms
         b = prev(i, 0) if i < n_steps else prev_final
-        coeffs = _wrap_half(grid, theta.half - b.half).coeffs
-        l2s.append(_l2(coeffs, period))
+        d = c - b
+        l2s.append(_l2(d, period))
         if w is not None:
-            cubes.append(_l2(coeffs, period, w) ** 3)
+            cubes.append(_l2(d, period, w) ** 3)
 
     for n in range(1, max_iter + 1):
         # the provider holds the only reference to the previous stage records
         prev = _as_stage_provider(stages, grid, n_steps, dt)
         stages = []
         l2s, cubes = [], []
-        factory = _flux_stages(prev, params, n_steps, stages, negate=False)
+        factory = _flux_stages(grid, prev, params, n_steps, stages, negate=False)
         traj = _run(
             theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, sink(), difference
         )
@@ -901,7 +917,7 @@ def picard_solve(
         )
         if converged:
             return iterates
-        prev_final, prev_contraction = traj.final, contraction
+        prev_final, prev_contraction = _box(traj.final.half, k), contraction
 
     err = PicardConvergenceError(max_iter, history[-1], tol, history=history)
     err.iterates = iterates
@@ -948,7 +964,7 @@ def scaling_equivariance_check(
     if isinstance(lam, bool) or not isinstance(lam, int) or lam < 2:
         raise ValueError(f"scaling factor must be an integer >= 2, got {lam}")
     grid = theta0.grid
-    outside = theta0.coeffs[~_dealias_mask(grid)]
+    outside = theta0.half[~_half(_dealias_mask(grid))]
     if outside.size and float(np.max(np.abs(outside))) > 0:
         raise ValueError(
             "initial data carries modes beyond the dealias radius; "
@@ -978,10 +994,10 @@ def scaling_equivariance_check(
     fine = run_b.final
 
     period = fine.grid.period
-    coarse_c, fine_c = coarse.coeffs, fine.coeffs
+    coarse_c, fine_c = coarse.half, fine.half
     denom = _l2(fine_c, period)
     gap = _l2(coarse_c - fine_c, period) / denom if denom > 0 else 0.0
-    wc = _homog_weight(fine.grid, 2.0 * params.sigma_c)
+    wc = _half(_homog_weight(fine.grid, 2.0 * params.sigma_c))
     return ScalingReport(
         lam=lam,
         gap=gap,
@@ -1040,11 +1056,10 @@ def decay_study(
     an error.
     """
     grid = theta0.grid
-    weights = [_homog_weight(grid, 2.0 * (params.sigma_c + delta + k)) for k in k_list]
+    weights = [_half(_homog_weight(grid, 2.0 * (params.sigma_c + delta + k))) for k in k_list]
 
     def norms(_t, f, _row):
-        c = f.coeffs   # one mirror per snapshot, measured in every weight
-        return [_l2(c, grid.period, w) for w in weights]
+        return [_l2(f.half, grid.period, w) for w in weights]
 
     run = simulate(
         theta0, params, T, dt, snapshot_stride, c_cfl=c_cfl, nonlinear=nonlinear,

@@ -14,17 +14,28 @@ which is all a real field needs, and holds no other coefficient buffer. The
 full Hermitian array (`coeffs`) is a fresh read-only mirror of it, built on
 every read, so a caller that needs it more than once keeps a local. Every
 operator, diagonal multipliers included (`_apply_multiplier`), writes a half
-spectrum; norms, inequalities and diagnostics read `coeffs`. The private
-constructor `_wrap_half` takes ownership of the half it is given and freezes
-it in place instead of copying it.
+spectrum. Every L2 and Sobolev norm is a Parseval sum over the half
+(norms._parseval); the other norms, the inequality checks and the
+verification battery read `coeffs`.
+The private constructor `_wrap_half` takes ownership of the half it is given
+and freezes it in place instead of copying it.
+
+The dealias box is the part of the half lattice with |m1| <= K and
+m2 <= K, K = min(floor(dealias_radius), n/2 - 1) (`_box_bound`): it holds
+the dealias disc and never the zero Nyquist row or column. Box rows are a
+(2K + 1) x (K + 1) array of it in fft row order, m1 = 0, ..., K, -K, ...,
+-1 (`_box`, `_unbox`). The solver's stepping core carries its state, stage
+values and slopes as box rows, 44 % of the half at fraction 2/3, and the
+product engine takes them as factors (`_flux_rows`). Every forward
+transform returns box rows (`_lattice_half`), which the public operators
+write into a half.
 
 Products are formed by real FFTs on an M x M grid, M = n if n > K_a + K_b +
 K_out else 3n/2, with K_a, K_b the factors' largest nonzero |m_i| and K_out the
 largest |m_i| kept: every kept mode gets its exact, alias-free convolution sum
 (Orszag's 2/3 rule, J. Atmos. Sci. 1971). Solver state at fraction 2/3 has M = n.
-K_a and K_b come from a field's support bound: one it was built with (the
-solver's stepping core builds its state and stage fields with the dealias
-disc's floor(dealias_radius); the velocity and negation keep their source's),
+K_a and K_b come from a factor's support bound: box rows' K, or a field's
+bound it was built with (the velocity and negation keep their source's),
 else its nonzero scan, made once per field and cached. A bound is used only
 when it already gives M = n; otherwise the exact scan of the factors decides,
 so M is always the one their exact supports give.
@@ -48,13 +59,15 @@ writes them into a kept buffer whose other columns are zero, so that the
 real pass reads all M/2 + 1 bins: numpy's real pass is about 1.4x slower
 on the kept bins alone, which it pads itself (0.20 against 0.15 ms at
 M = 256, 1.50 against 1.12 ms at M = 512; one thread, 2-CPU host, numpy
-2.4.6). On the 3n/2 grid the rows go straight into that buffer. A forward
+2.4.6). On either grid the rows of a half spectrum or of box rows go
+straight into that buffer, in the grid's fft order, the rows between them
+zeroed, and the first pass runs in place there (`_put_rows`). A forward
 transform's second pass runs only over the columns m2 <= K_out, the
 largest m2 the site keeps (0.09 against 0.13 ms at n = 256, fraction
-2/3); the columns beyond them are +0, where the unpruned pass left values
-that the dealias mask zeroed with their signs. The terms of a product
-site are formed on the columns m2 <= K only, derivative pairs (d1 h,
-d2 h) included. On a product grid of M <= _STACK_MAX = 64 a call site
+2/3), and it returns the box rows of those columns alone: the modes
+beyond them, which the dealias mask would zero, are not formed. The
+terms of a product site are formed on the columns m2 <= K only,
+derivative pairs (d1 h, d2 h) included. On a product grid of M <= _STACK_MAX = 64 a call site
 makes its transforms as one stacked inverse call and one forward call, which
 saves the per-call dispatch: the stack holds only the columns m2 <= K of
 each term, and a site's derivative terms are written into it by one
@@ -282,9 +295,8 @@ class VectorField:
     @cached_property
     def samples(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (u1, u2) at the n x n sample points, transformed once."""
-        n = self.grid.n
         k = max(map(_support_bound, (self.u1, self.u2)))
-        return _read_only(*_term_samples((self.u1.half, self.u2.half), n, n, k))
+        return _grid_samples((self.u1.half, self.u2.half), self.grid.n, k)
 
     def divergence(self) -> SpectralField:
         ik1, ik2 = _ik(self.grid)
@@ -344,15 +356,12 @@ def to_physical(field: SpectralField) -> np.ndarray:
     return _samples(field.half, field.grid.n, field._kmax)
 
 
-def _canonical_half(half: np.ndarray) -> np.ndarray:
-    """Enforce, in place, the invariants _wrap_half relies on."""
-    n = len(half)
-    col = half[:, 0]
-    # column m2 = 0 pairs with itself; average out fft roundoff asymmetry
-    half[:, 0] = 0.5 * (col + np.conj(col[_flip_index(n)]))
-    half[n // 2, :] = 0.0
-    half[:, n // 2] = 0.0
-    return half
+def _canonical(box: np.ndarray) -> np.ndarray:
+    """Make column m2 = 0 of box rows exactly Hermitian, in place: it pairs
+    with itself, so this averages out the fft roundoff asymmetry."""
+    col = box[:, 0]
+    box[:, 0] = 0.5 * (col + np.conj(col[_flip_index(len(box))]))
+    return box
 
 
 def _full_from_half(half: np.ndarray, n: int) -> np.ndarray:
@@ -361,6 +370,67 @@ def _full_from_half(half: np.ndarray, n: int) -> np.ndarray:
     full[:, : n // 2 + 1] = half
     np.conjugate(half[_flip_index(n), n // 2 - 1 : 0 : -1], out=full[:, n // 2 + 1 :])
     return full
+
+
+# ---------------------------------------------------------------------------
+# the dealias box
+
+
+def _box_bound(grid: GridSpec) -> int:
+    """K of the dealias box, the modes |m1| <= K, 0 <= m2 <= K of the half
+    lattice: min(floor(dealias_radius), n/2 - 1). The box holds the dealias
+    disc, and at fraction 1 stops short of the zero Nyquist row and column,
+    which it would otherwise hold twice."""
+    return min(int(grid.dealias_radius), grid.n // 2 - 1)
+
+
+def _box(a: np.ndarray, k: int) -> np.ndarray:
+    """The modes |m1| <= k, 0 <= m2 <= k of a lattice array in fft row order
+    (full, half, box rows, or a broadcast (rows, 1) or (1, columns) shape),
+    as a new array of box rows: m1 = 0, ..., k, -k, ..., -1."""
+    cols = a[..., : k + 1]
+    rows = a.shape[-2]
+    if rows == 1:
+        return cols
+    return np.concatenate((cols[..., : k + 1, :], cols[..., rows - k :, :]), axis=-2)
+
+
+def _put_rows(dst: np.ndarray, src: np.ndarray) -> None:
+    """Write the rows of src, a half spectrum or box rows, into dst's in the
+    fft row order of dst's length, and zero dst's rows between them."""
+    p = (src.shape[-2] + 1) // 2   # the rows m1 >= 0
+    tail = dst.shape[-2] - (src.shape[-2] - p)
+    dst[..., :p, :] = src[..., :p, :]
+    dst[..., p:tail, :] = 0.0
+    dst[..., tail:, :] = src[..., p:, :]
+
+
+def _unbox(box: np.ndarray, n: int) -> np.ndarray:
+    """The n x (n/2 + 1) half spectrum of box rows, zero outside them."""
+    half = np.zeros(box.shape[:-2] + (n, n // 2 + 1), dtype=np.complex128)
+    _put_rows(half[..., : box.shape[-1]], box)
+    return half
+
+
+def _from_box(grid: GridSpec, box: np.ndarray) -> SpectralField:
+    """The field of canonical box rows, with their K as its support bound."""
+    return _wrap_half(grid, _unbox(box, grid.n), len(box) // 2)
+
+
+@lru_cache(maxsize=128)
+def _boxed(grid: GridSpec, fn, *args):
+    """Read-only dealias-box rows (_box_bound) of the lattice array
+    fn(grid, *args), or of each array in the tuple it returns."""
+    k = _box_bound(grid)
+    a = fn(grid, *args)
+    boxes = _read_only(*(_box(x, k) for x in (a if isinstance(a, tuple) else (a,))))
+    return boxes if isinstance(a, tuple) else boxes[0]
+
+
+def _layout(grid: GridSpec, rows: int, fn, *args):
+    """fn(grid, *args), a half-lattice array or a tuple of them, for arrays
+    of rows rows: as it is for half spectra (n rows), else its box rows."""
+    return fn(grid, *args) if rows == grid.n else _boxed(grid, fn, *args)
 
 
 def from_physical(samples: np.ndarray, grid: GridSpec) -> SpectralField:
@@ -376,7 +446,7 @@ def from_physical(samples: np.ndarray, grid: GridSpec) -> SpectralField:
         )
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite physical samples")
-    return _wrap_half(grid, _canonical_half(_lattice_half(samples, grid.n)))
+    return _from_box(grid, _canonical(_lattice_half(samples, grid.n)))
 
 
 def field_from_modes(grid: GridSpec, modes: dict) -> SpectralField:
@@ -542,12 +612,17 @@ def velocity_from_scalar(theta: SpectralField, params: ModelParams) -> VectorFie
     if params.velocity_law == "power" and params.beta < 2 and not theta.mean_zero:
         raise ValueError("velocity_from_scalar with beta < 2 requires a mean-zero scalar")
     grid = theta.grid
-    ik1, ik2 = _ik(grid)
-    source = _structure_multiplier(grid, params) * theta.half
     kmax = theta._kmax
-    return VectorField(
-        _wrap_half(grid, ik2 * source, kmax), _wrap_half(grid, -(ik1 * source), kmax)
-    )
+    u1, u2 = _velocity_rows(grid, theta.half, params)
+    return VectorField(_wrap_half(grid, u1, kmax), _wrap_half(grid, u2, kmax))
+
+
+def _velocity_rows(grid: GridSpec, h: np.ndarray, params: ModelParams) -> tuple:
+    """velocity_from_scalar's components (u1, u2) of the scalar whose half
+    spectrum or box rows are h, unchecked, in h's rows."""
+    ik1, ik2 = _layout(grid, len(h), _ik)
+    source = _layout(grid, len(h), _structure_multiplier, params) * h
+    return ik2 * source, -(ik1 * source)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +634,12 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def _grid_samples(rows: tuple, n: int, k: int) -> tuple:
+    """Read-only n-grid samples of half spectra or box rows, all of one
+    shape, supported within |m_i| <= k."""
+    return _read_only(*_term_samples(rows, len(rows[0]), n, k))
 
 
 def _half(a: np.ndarray) -> np.ndarray:
@@ -580,21 +661,30 @@ def _product_size(n: int, k_a: int, k_b: int, k_out: int) -> int:
     return n if n > k_a + k_b + k_out else 3 * n // 2
 
 
-def _support_bound(f: SpectralField) -> int:
-    """f's support bound: the one it was built with, else its scan, cached."""
+def _support_bound(f) -> int:
+    """f's support bound: for an array, len(f) // 2, which is K for box
+    rows and no bound beyond the lattice for a half spectrum; for a field,
+    the one it was built with, else its scan, cached."""
+    if isinstance(f, np.ndarray):
+        return len(f) // 2
     if f._kmax is None:
         object.__setattr__(f, "_kmax", _support(f.half))
     return f._kmax
 
 
+def _rows(f) -> np.ndarray:
+    """The rows a product factor comes in: box rows as they are, a field's half."""
+    return f if isinstance(f, np.ndarray) else f.half
+
+
 def _grid_size(n: int, a: tuple, b: tuple, k_out: int) -> tuple[int, int]:
-    """M for a product of factors supported within the fields a and b, and
-    the bound on their supports that gave it."""
+    """M for a product of factors supported within a and b, fields or box
+    rows, and the bound on their supports that gave it."""
     k_a, k_b = max(map(_support_bound, a)), max(map(_support_bound, b))
     size = _product_size(n, k_a, k_b, k_out)
     if size != n:
         # a bound above the true support may overstate M: the exact scan decides
-        k_a, k_b = _support(*(f.half for f in a)), _support(*(f.half for f in b))
+        k_a, k_b = _support(*map(_rows, a)), _support(*map(_rows, b))
         size = _product_size(n, k_a, k_b, k_out)
     return size, max(k_a, k_b)
 
@@ -610,60 +700,49 @@ def _column_buffer(thread: int, shape: tuple, width: int) -> np.ndarray:
 
 
 def _samples(coeffs: np.ndarray, size: int, k: int | None = None, out=None) -> np.ndarray:
-    """Samples on the size x size grid of a Hermitian full or half spectrum,
-    or of each spectrum in a stack of them, written to out if it is given.
+    """Samples on the size x size grid of a Hermitian half spectrum or box
+    rows, or of each in a stack of them, written to out if it is given.
 
     The two one-axis passes irfft2 makes: a complex pass along m1, then a
     real pass along m2. k, if given, bounds |m2| of every nonzero
     coefficient; the first pass then runs over the columns m2 <= k only,
     since the pass of a zero column is zero. Given k, coeffs may hold just
-    those columns. The first pass writes its columns into a kept buffer of
-    all size/2 + 1 columns, zero beyond them (_column_buffer), with the rows
-    in the size-grid's fft order, and the real pass reads every column:
-    numpy's real pass runs faster on the full bins than on the kept ones it
-    would pad itself. The samples are bit for bit those of the unpruned
-    transform.
+    those columns. The rows are written into a kept buffer of all size/2 + 1
+    columns, zero beyond them (_column_buffer), in the size-grid's fft order
+    with the rows between them zeroed (_put_rows), the first pass runs in
+    place there, and the real pass reads every column: numpy's real pass
+    runs faster on the full bins than on the kept ones it would pad itself.
+    The samples are bit for bit those of the unpruned transform.
     """
-    n = coeffs.shape[-2]
-    h = n // 2
-    width = (h if k is None else k) + 1
+    width = (coeffs.shape[-2] // 2 if k is None else k) + 1
     shape = coeffs.shape[:-2] + (size, size // 2 + 1)
     buf = _column_buffer(threading.get_ident(), shape, width)
     cols = buf[..., :width]
-    if size == n:
-        np.fft.ifftn(coeffs[..., :width], s=(size,), axes=(-2,), norm="forward", out=cols)
-    else:   # rows m1 < 0 go to the end of the size-grid layout
-        cols[..., :h, :] = coeffs[..., :h, :width]
-        cols[..., h : size - h, :] = 0.0
-        cols[..., size - h :, :] = coeffs[..., h:, :width]
-        np.fft.ifftn(cols, s=(size,), axes=(-2,), norm="forward", out=cols)
+    _put_rows(cols, coeffs[..., :width])
+    np.fft.ifftn(cols, s=(size,), axes=(-2,), norm="forward", out=cols)
     return np.fft.irfftn(buf, s=(size,), axes=(-1,), norm="forward", out=out)
 
 
 def _lattice_half(phys: np.ndarray, n: int, k_out: int | None = None) -> np.ndarray:
-    """Half spectrum, on the n-lattice, of samples on any product grid, or of
-    each array in a stack of them.
+    """Box rows, on the n-lattice, of samples on any product grid, or of
+    each array in a stack of them: the modes |m1|, m2 <= K, with K = k_out,
+    the largest |m_i| the caller keeps, or n/2 - 1 if it is None or larger,
+    so the zero Nyquist row and column are never formed.
 
     The two one-axis passes rfft2(norm="forward") makes: a real pass along
     x2, cut to the kept columns and scaled by 1 / size^2 per real and
-    imaginary part as that pass scales them, then a complex pass along x1.
-    k_out, if given, is the largest m2 the caller keeps: the complex pass
-    then runs over the columns m2 <= k_out only, and the columns beyond
-    them are +0. The kept columns are bit for bit those of the unpruned
-    transform.
+    imaginary part as that pass scales them, then a complex pass along x1
+    over the kept columns only. Every kept mode is bit for bit that of the
+    unpruned transform.
     """
     size = phys.shape[-1]
-    h = n // 2
-    width = (h if k_out is None else k_out) + 1
+    k = n // 2 - 1 if k_out is None else min(k_out, n // 2 - 1)
     spec = np.fft.rfftn(phys, s=(size,), axes=(-1,))
-    kept = spec[..., :width]
+    kept = spec[..., : k + 1]
     parts = kept.view(np.float64)
     parts *= 1.0 / (size * size)
     np.fft.fftn(kept, s=(size,), axes=(-2,), out=kept)
-    spec[..., width : h + 1] = 0.0
-    if size == n:
-        return spec
-    return np.concatenate((spec[..., :h, : h + 1], spec[..., size - h :, : h + 1]), axis=-2)
+    return np.concatenate((kept[..., : k + 1, :], kept[..., size - k :, :]), axis=-2)
 
 
 # Largest product grid M whose transforms a call site makes as one stacked
@@ -683,33 +762,33 @@ def _stacked(size: int) -> bool:
 
 
 @lru_cache(maxsize=128)
-def _ik_stack(grid: GridSpec, k: int) -> np.ndarray:
+def _ik_stack(grid: GridSpec, k: int, rows: int) -> np.ndarray:
     """Read-only stack of the derivative symbols (i k1, i k2) on the columns
-    m2 <= k of the half lattice."""
-    ik1, ik2 = (a[:, : k + 1] for a in _ik(grid))
+    m2 <= k of the half lattice (rows = n) or of the box rows."""
+    ik1, ik2 = (a[:, : k + 1] for a in _layout(grid, rows, _ik))
     sym = np.stack(np.broadcast_arrays(ik1, ik2))
     sym.flags.writeable = False
     return sym
 
 
-def _grad_symbols(grid: GridSpec, size: int, k: int):
+def _grad_symbols(grid: GridSpec, size: int, k: int, rows: int):
     """The symbols (i k1, i k2) of a product on the size grid whose factors'
-    supports k bounds, for the derivative terms of _term_samples. On a
-    stacked grid they are one cached stack of their columns m2 <= k, so that
-    one broadcast multiply writes every derivative; otherwise the pair in
-    its broadcast shapes, which keeps no n x (k + 1) buffer for a large
-    grid."""
-    return _ik_stack(grid, k) if _stacked(size) else _ik(grid)
+    supports k bounds and which come in rows rows, for the derivative terms
+    of _term_samples. On a stacked grid they are one cached stack of their
+    columns m2 <= k, so that one broadcast multiply writes every derivative;
+    otherwise the pair in its broadcast shapes, which keeps no rows x (k + 1)
+    buffer for a large grid."""
+    return _ik_stack(grid, k, rows) if _stacked(size) else _layout(grid, rows, _ik)
 
 
-def _term_samples(terms, n: int, size: int, k: int) -> np.ndarray:
+def _term_samples(terms, rows: int, size: int, k: int) -> np.ndarray:
     """Samples on the size grid of each term, as one (terms, size, size)
-    array. A term is an n-lattice half spectrum, or a pair (symbols,
-    halves), with halves a stack of half spectra, standing for the product
-    of every symbol with every half, symbol by symbol: (_grad_symbols(...),
-    [a, b]) gives d1 a, d1 b, d2 a, d2 b. k bounds the support of every
-    term (see _samples), and only the columns m2 <= k of a term are read or
-    formed.
+    array. A term is a half spectrum or box rows, with rows rows, or a pair
+    (symbols, halves), with halves a stack of them, standing for the
+    product of every symbol with every half, symbol by symbol:
+    (_grad_symbols(...), [a, b]) gives d1 a, d1 b, d2 a, d2 b. k bounds the
+    support of every term (see _samples), and only the columns m2 <= k of a
+    term are read or formed.
 
     On a small grid the terms are written into one stack of the columns
     m2 <= k, each pair's products with one broadcast multiply, and
@@ -729,13 +808,14 @@ def _term_samples(terms, n: int, size: int, k: int) -> np.ndarray:
             else:
                 _samples(t, size, k, out=next(slots))
         return out
-    stack = np.empty((depth, n, k + 1), dtype=np.complex128)
+    stack = np.empty((depth, rows, k + 1), dtype=np.complex128)
     j = 0
     for t in terms:
         if isinstance(t, tuple):
             sym, halves = t
             block = stack[j : j + len(sym) * len(halves)]
-            np.multiply(sym[:, None], halves[:, :, cols], out=block.reshape(len(sym), -1, n, k + 1))
+            out = block.reshape(len(sym), -1, rows, k + 1)
+            np.multiply(sym[:, None], halves[:, :, cols], out=out)
             j += len(block)
         else:
             stack[j] = t[:, cols]
@@ -743,11 +823,11 @@ def _term_samples(terms, n: int, size: int, k: int) -> np.ndarray:
     return _samples(stack, size, k)
 
 
-def _dealiased(grid: GridSpec, half: np.ndarray) -> SpectralField:
-    """Field from a half spectrum restricted to the dealias disc, mean zeroed."""
-    half *= _half(_dealias_mask(grid))
-    half[0, 0] = 0.0
-    return _wrap_half(grid, _canonical_half(half))
+def _dealiased(grid: GridSpec, box: np.ndarray) -> np.ndarray:
+    """Box rows restricted, in place, to the dealias disc, mean zeroed."""
+    box *= _boxed(grid, _dealias_mask)
+    box[0, 0] = 0.0
+    return _canonical(box)
 
 
 def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -758,8 +838,7 @@ def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
     k_out = n // 2 - 1
     size, k = _grid_size(n, (f,), (g,), k_out)
     a, b = _term_samples((f.half, g.half), n, size, k)
-    prod = _lattice_half(a * b, n, k_out)
-    return _wrap_half(f.grid, _canonical_half(prod))
+    return _from_box(f.grid, _canonical(_lattice_half(a * b, n, k_out)))
 
 
 def advect(u: VectorField, theta: SpectralField) -> SpectralField:
@@ -775,14 +854,14 @@ def advect(u: VectorField, theta: SpectralField) -> SpectralField:
     # grad theta lies inside theta's support
     k_out = int(grid.dealias_radius)
     size, k = _grid_size(grid.n, (u.u1, u.u2), (theta,), k_out)
-    grad = _grad_symbols(grid, size, k)
+    grad = _grad_symbols(grid, size, k, grid.n)
     terms = (u.u1.half, u.u2.half, (grad, theta.half[None]))
     p1, p2, d1t, d2t = _term_samples(terms, grid.n, size, k)
     # u1 d1(theta) + u2 d2(theta), in the samples of grad theta
     np.multiply(p1, d1t, out=d1t)
     np.multiply(p2, d2t, out=d2t)
     d1t += d2t
-    return _dealiased(grid, _lattice_half(d1t, grid.n, k_out))
+    return _from_box(grid, _dealiased(grid, _lattice_half(d1t, grid.n, k_out)))
 
 
 def flux_divergence(
@@ -818,21 +897,38 @@ def flux_divergence(
         raise ValueError("flux_divergence requires a shared grid")
     if not (q.mean_zero and theta.mean_zero):
         raise ValueError("flux_divergence requires mean-zero q and theta")
+    half = _flux_rows(grid, q, theta, params, velocity_samples)
+    return _wrap_half(grid, half, _box_bound(grid))
+
+
+def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, velocity_samples=None):
+    """flux_divergence of q and theta, unchecked. Each is a field, a half
+    spectrum or dealias-box rows (the solver's stepping core carries box
+    rows). Returns the dealiased divergence in theta's rows: box rows for
+    box rows, else a half spectrum.
+
+    The factors are formed on the rows they come in; box rows against a
+    half spectrum are first written into a half.
+    """
     n = grid.n
-    mult = _structure_multiplier(grid, params)
     # every factor lies inside q's or theta's support
     k_out = int(grid.dealias_radius)
     size, k = _grid_size(n, (q,), (theta,), k_out)
-    # the factors' half spectra: M q, theta and, for the second term, q
+    qh, th = _rows(q), _rows(theta)
+    if len(qh) != len(th):
+        qh, th = (a if len(a) == n else _unbox(a, n) for a in (qh, th))
+    rows = len(th)
+    mult = _layout(grid, rows, _structure_multiplier, params)
+    # the factors' rows: M q, theta and, for the second term, q
     m = 3 if params.two_term and q is not theta else 2
-    qh = q.half[:, : k + 1]
-    factors = np.empty((m, n, k + 1), dtype=np.complex128)
-    np.multiply(mult[:, : k + 1], qh, out=factors[0])
-    factors[1] = theta.half[:, : k + 1]
+    qk = qh[:, : k + 1]
+    factors = np.empty((m, rows, k + 1), dtype=np.complex128)
+    np.multiply(mult[:, : k + 1], qk, out=factors[0])
+    factors[1] = th[:, : k + 1]
     if m == 3:
-        factors[2] = qh
+        factors[2] = qk
     # d1(M q), d1(theta), [d1(q),] d2(M q), d2(theta)[, d2(q)]
-    s = _term_samples([(_grad_symbols(grid, size, k), factors)], n, size, k)
+    s = _term_samples([(_grad_symbols(grid, size, k, rows), factors)], rows, size, k)
     # perp_grad(M q) . grad(theta) = d1(M q) d2(theta) - d2(M q) d1(theta), and
     # perp_grad(theta) . grad(q) = d1(theta) d2(q) - d2(theta) d1(q): the
     # first products, then the second ones in the d1 samples no longer read
@@ -843,10 +939,12 @@ def flux_divergence(
     np.multiply(s[m : 2 * m - 1], second, out=second)
     phys -= second
     if _stacked(size):
-        halves = _lattice_half(phys, n, k_out)
+        boxes = _lattice_half(phys, n, k_out)
     else:
-        halves = [_lattice_half(p, n, k_out) for p in phys]
-    if len(halves) == 1:
-        return _dealiased(grid, halves[0])
-    out = np.multiply(mult, halves[1])
-    return _dealiased(grid, np.add(halves[0], out, out=out))
+        boxes = [_lattice_half(p, n, k_out) for p in phys]
+    out = boxes[0]
+    if len(boxes) == 2:
+        out = np.multiply(_boxed(grid, _structure_multiplier, params), boxes[1])
+        np.add(boxes[0], out, out=out)
+    out = _dealiased(grid, out)
+    return out if len(_rows(theta)) < n else _unbox(out, n)

@@ -22,7 +22,9 @@ from gsqglab import (
     weighted_l1_norm,
     xt_norm,
 )
+from gsqglab import norms, solver
 from gsqglab.norms import NormReport
+from gsqglab.spectral import _box, _box_bound, _dealias_mask, _homog_weight
 from util import hs_norm, l2_norm, random_field
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
@@ -457,3 +459,55 @@ def test_norm_report_validation():
         norm_report(f, "gevrey", s=0.0)
     with pytest.raises(ValueError):
         NormReport(kind="l2", s=0.0, value=-1.0, n=16, period=2.0 * np.pi)
+
+
+# ---------------------------------------------------------------- the Parseval sum
+
+FRACTIONS = [2.0 / 3.0, 0.9, 1.0]
+
+
+def _mirror_sum(coeffs, period, weight=None):
+    """period * sqrt(sum w |c|^2) over the full Hermitian array."""
+    w = 1.0 if weight is None else weight
+    return period * math.sqrt(float(np.sum(w * np.abs(coeffs) ** 2)))
+
+
+def _parseval_weights(grid):
+    """No weight, |k|^(2s) and the inhomogeneous (1 + |k|^2)^s, on the full lattice."""
+    return [None, _homog_weight(grid, 2.6), norms._sobolev_weight(grid, 0.7, False)]
+
+
+def _disc_field(grid, seed):
+    keep = _dealias_mask(grid)
+    return SpectralField(grid, random_field(grid, seed=seed, decay=1.0).coeffs * keep)
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_half_parseval_sum_matches_the_full_mirror_sum(fraction):
+    # _l2 sums the half with column weights 1, 2, ..., 2, 1, and box rows with
+    # 1, 2, ..., 2: against the full mirror's sum to 1e-14, and the half and
+    # box rows of one field give the same bits
+    g = GridSpec(32, dealias_fraction=fraction)
+    n, period, k = g.n, g.period, _box_bound(g)
+    wide = random_field(g, seed=81, decay=0.5)   # reaches every mode but the Nyquist ones
+    disc = _disc_field(g, seed=82)
+    for f in (wide, disc):
+        full = f.coeffs
+        for w in _parseval_weights(g):
+            want = _mirror_sum(full, period, w)
+            got = norms._l2(f.half, period, None if w is None else w[:, : n // 2 + 1])
+            assert abs(got - want) <= 1e-14 * want
+            if f is disc:
+                on_box = norms._l2(_box(f.half, k), period, None if w is None else _box(w, k))
+                assert on_box == got
+    # the energy pairing Re <a, b> of the diagnostics rows
+    for a, b in ((wide, disc), (disc, _disc_field(g, seed=83)), (disc, disc)):
+        want = period**2 * float(np.real(np.sum(a.coeffs * np.conj(b.coeffs))))
+        got = solver._pairing(a.half, b.half, period)
+        scale = _mirror_sum(a.coeffs, period) * _mirror_sum(b.coeffs, period)
+        assert abs(got - want) <= 1e-14 * scale
+        if a is not wide:
+            assert solver._pairing(_box(a.half, k), _box(b.half, k), period) == got
+    assert solver._pairing(disc.half, disc.half, period) == pytest.approx(
+        _mirror_sum(disc.coeffs, period) ** 2, rel=1e-14
+    )

@@ -47,7 +47,7 @@ from gsqglab import norms, solver, spectral
 from gsqglab.inequalities import _hs
 from gsqglab.norms import xt_norm
 from gsqglab.solver import DiagnosticsRow, _courant, _diagnostics_row, _l2
-from gsqglab.spectral import _dealias_mask, _hermitian_defect
+from gsqglab.spectral import _box, _box_bound, _dealias_mask, _hermitian_defect
 from util import (
     advective_simulate,
     advective_step,
@@ -511,7 +511,9 @@ def _full_array_reference(theta0, params, T, dt, stride, slope, velocity_at):
     slope(i, stage, coeffs) is the stage tendency as a full array and
     velocity_at(i, field) the velocity behind the CFL measurement and the
     diagnostics. Returns the snapshot arrays, the diagnostics rows and the
-    largest per-step relative L2 increase, as simulate computes them.
+    largest per-step relative L2 increase, as simulate computes them: the
+    L2 norms are the library's Parseval sum over the half spectrum, and the
+    rows are made of the dealias-box rows of the arrays.
     """
     grid = theta0.grid
     n_steps = int(round(T / dt))
@@ -526,7 +528,9 @@ def _full_array_reference(theta0, params, T, dt, stride, slope, velocity_at):
     disc = (m1 * m1 + m2 * m2) <= grid.dealias_radius**2
     c = np.where(disc, theta0.coeffs, 0.0)
     c[0, 0] = 0.0
-    l2 = _l2(c, grid.period)
+    half = slice(None, grid.n // 2 + 1)
+    k = _box_bound(grid)
+    l2 = _l2(c[:, half], grid.period)
     fields, rows, max_increase = [], [], 0.0
     for i in range(n_steps + 1):
         u = velocity_at(i, SpectralField(grid, c))
@@ -534,7 +538,9 @@ def _full_array_reference(theta0, params, T, dt, stride, slope, velocity_at):
         k1 = slope(i, 0, c)
         if i % stride == 0 or i == n_steps:
             fields.append(c)
-            rows.append(_diagnostics_row(i * dt, c, l2, params, u, speed, k1))
+            u_rows = (u.u1.half, u.u2.half)
+            box, k1_box = _box(c, k), _box(k1, k)
+            rows.append(_diagnostics_row(i * dt, box, l2, params, grid, u_rows, speed, k1_box))
         if i == n_steps:
             break
         h = dt
@@ -545,7 +551,7 @@ def _full_array_reference(theta0, params, T, dt, stride, slope, velocity_at):
         s4 = eh * c + h * (eh2 * k3)
         k4 = slope(i, 3, s4)
         c = eh * c + (h / 6.0) * (eh * k1 + 2.0 * eh2 * (k2 + k3) + k4)
-        l2_new = _l2(c, grid.period)
+        l2_new = _l2(c[:, half], grid.period)
         if l2_new > l2 > 0:
             max_increase = max(max_increase, (l2_new - l2) / l2)
         l2 = l2_new
@@ -728,16 +734,13 @@ def test_in_place_combine_is_the_rk4_expression_bit_for_bit():
     h = 1e-2
     eh, eh2 = solver._integrating_factors(grid, ModelParams(1.5, 0.5, gamma=0.3), h)
 
-    def nonlin(_f, stage):
-        return solver._wrap_half(grid, slopes[stage - 1])
+    def nonlin(_c, stage):
+        return slopes[stage - 1]
 
-    got = solver._advance(
-        solver._wrap_half(grid, c), 0, 0.0, h, (eh, eh2), nonlin, solver._wrap_half(grid, k1),
-        (0.0, 0.0), 1.0, None,
-    )
+    got = solver._advance(c, 0, 0.0, h, (eh, eh2), nonlin, k1, (0.0, 0.0), 1.0, None)
     k2, k3, k4 = slopes
     want = eh * c + (h / 6.0) * (eh * k1 + 2.0 * eh2 * (k2 + k3) + k4)
-    assert got.half.tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_run_fields_need_no_support_scan(monkeypatch):
@@ -773,7 +776,7 @@ def test_run_product_grids_match_exact_scans(fraction, product_sizes, monkeypatc
 
     bounded = runs()
     product_sizes.clear()
-    monkeypatch.setattr(spectral, "_support_bound", lambda f: spectral._support(f.half))
+    monkeypatch.setattr(spectral, "_support_bound", lambda f: spectral._support(spectral._rows(f)))
     assert runs() == bounded
     # at 0.9 the bound alone would give 3n/2; the single mode's first
     # products still land on the n-grid
@@ -1061,6 +1064,26 @@ def test_flux_stepping_matches_the_advective_reference(fraction, law):
             assert _plus_zero(new.half) == _plus_zero(ref.half)
 
 
+@pytest.mark.parametrize("law", list(_RUN_LAWS))
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_box_carried_simulate_matches_half_spectrum_steps(fraction, law):
+    # simulate carries dealias-box rows, step runs the same core on its
+    # state's whole half spectrum: every snapshot is the same, value for
+    # value and byte for byte once each zero is +0.0, and each row's L2 is
+    # the half-spectrum Parseval sum of the stepped field
+    grid = GridSpec(32, dealias_fraction=fraction)
+    params = _RUN_LAWS[law]
+    f = scaled(random_field(grid, seed=51, decay=2.0), 0.5)
+    dt = 1e-3
+    traj = simulate(f, params, 6 * dt, dt)
+    s = SimState(field=traj.fields[0], t=0.0, step_index=0, params=params, dt=dt)
+    for k in range(1, 7):
+        s = step(s)
+        got = traj.fields[k].half
+        assert np.array_equal(got, s.field.half) and _plus_zero(got) == _plus_zero(s.field.half)
+        assert traj.rows[k].l2 == _l2(s.field.half, grid.period) == sobolev_norm(s.field, 0.0)
+
+
 @pytest.mark.parametrize("beta", [1.2, 1.7], ids=["one_term", "two_term"])
 def test_final_sink_picard_keeps_the_final_fields_and_no_rows(beta):
     grid = GridSpec(32)
@@ -1095,13 +1118,13 @@ def test_frozen_solve_builds_velocity_fields_only_for_rows(fraction, monkeypatch
     params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
     f = scaled(random_field(grid, seed=48, decay=2.0), 0.5)
     calls = []
-    build = solver.velocity_from_scalar
+    build = solver._velocity_rows
 
-    def spy(theta, p):
+    def spy(g, theta, p):
         calls.append(theta)
-        return build(theta, p)
+        return build(g, theta, p)
 
-    monkeypatch.setattr(solver, "velocity_from_scalar", spy)
+    monkeypatch.setattr(solver, "_velocity_rows", spy)
     picard_solve(f, params, T=5e-3, dt=1e-3, tol=math.inf, sink=FinalSink)
     # one iterate of 5 steps; the final snapshot makes no row, so no Courant number
     assert len(calls) == (0 if fraction < 0.7 else 5)
@@ -1121,7 +1144,7 @@ def test_picard_frees_each_stage_record_once_read(monkeypatch):
     def spy(*args):
         traj, stages = seed(*args)
         # the arrays behind the seed's step-0 record, read by iterate 1's first step
-        refs.extend(weakref.ref(g.half) for g in stages[0])
+        refs.extend(weakref.ref(g) for g in stages[0])
         return traj, stages
 
     monkeypatch.setattr(solver, "_heat_flow_seed", spy)

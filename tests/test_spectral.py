@@ -174,9 +174,11 @@ def _scipy_samples(half, size):
 
 
 def _scipy_lattice_half(phys, n):
-    """The n-lattice half spectra scipy.fft.rfft2(norm="forward") gives."""
-    half = scipy.fft.rfft2(phys, norm="forward")[..., : n // 2 + 1]
-    return np.concatenate((half[..., : n // 2, :], half[..., phys.shape[-2] - n // 2 :, :]), axis=-2)
+    """The n-lattice box rows, |m1|, m2 <= n/2 - 1, that
+    scipy.fft.rfft2(norm="forward") gives."""
+    k = n // 2 - 1
+    half = scipy.fft.rfft2(phys, norm="forward")[..., : k + 1]
+    return np.concatenate((half[..., : k + 1, :], half[..., phys.shape[-2] - k :, :]), axis=-2)
 
 
 @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
@@ -282,12 +284,12 @@ def test_lattice_half_kept_columns_equal_the_unpruned_pass(n, padded, stack):
     rng = np.random.default_rng(n + size)
     phys = rng.standard_normal(((3,) if stack else ()) + (size, size))
     full = spectral._lattice_half(phys, n)
+    assert full.shape[-2:] == (n - 1, n // 2)
     for k in (0, int(g.dealias_radius), n // 2 - 1, n // 2):
         got = spectral._lattice_half(phys, n, k)
-        assert got.shape == full.shape
-        assert got[..., : k + 1].tobytes() == full[..., : k + 1].tobytes(), k
-        rest = got[..., k + 1 :].view(np.float64)
-        assert not np.any(rest) and not np.any(np.signbit(rest)), k
+        box = min(k, n // 2 - 1)   # the zero Nyquist row and column are never formed
+        assert got.shape[-2:] == (2 * box + 1, box + 1)
+        assert got.tobytes() == spectral._box(full, box).tobytes(), k
 
 
 def test_samples_agree_across_threads():
@@ -719,6 +721,57 @@ def _direct_advect(u, theta):
 def _assert_close(got, ref, rel=1e-12):
     scale = max(np.max(np.abs(ref)), 1e-30)
     assert np.max(np.abs(got - ref)) <= rel * scale
+
+
+def _parent_dealiased_half(grid, half):
+    """The half spectrum the half-spectrum engine's dealias step made of a
+    forward transform's half: the disc mask, the mean zeroed, column m2 = 0
+    made Hermitian, the Nyquist row and column zeroed."""
+    n = grid.n
+    half = half * _dealias_mask(grid)[:, : n // 2 + 1]
+    half[0, 0] = 0.0
+    col = half[:, 0]
+    half[:, 0] = 0.5 * (col + np.conj(col[(-np.arange(n)) % n]))
+    half[n // 2, :] = 0.0
+    half[:, n // 2] = 0.0
+    return half
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+@pytest.mark.parametrize("n", [16, 32])
+def test_dealias_box_round_trips_and_scatters_the_dealiased_half(n, fraction):
+    g = GridSpec(n, dealias_fraction=fraction)
+    k = spectral._box_bound(g)
+    # at fraction 1 the disc bound is n/2: the box stops at n/2 - 1, so it
+    # never holds the zero Nyquist row (it would hold it twice, as m1 = +-n/2)
+    assert k == min(int(g.dealias_radius), n // 2 - 1)
+    assert (int(g.dealias_radius) == n // 2 == k + 1) == (fraction == 1.0)
+    rng = np.random.default_rng(n)
+    box = rng.standard_normal((2 * k + 1, k + 1)) + 1j * rng.standard_normal((2 * k + 1, k + 1))
+    half = spectral._unbox(box, n)
+    assert half.shape == (n, n // 2 + 1)
+    assert spectral._box(half, k).tobytes() == box.tobytes()
+    # the half holds the box rows at their modes and +0 everywhere else
+    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    inside = (np.abs(m)[:, None] <= k) & (np.arange(n // 2 + 1)[None, :] <= k)
+    assert not np.any(half[~inside]) and not np.any(np.signbit(half[~inside].view(np.float64)))
+    for m1, m2 in ((k, k), (-k, 0), (-1, k), (0, 0)):
+        row = m1 if m1 >= 0 else 2 * k + 1 + m1
+        assert half[m1 % n, m2] == box[row, m2]
+    # half -> box -> half is exact for every field inside the disc
+    f = _disc_field(g, seed=n + 1)
+    assert spectral._unbox(spectral._box(f.half, k), n).tobytes() == (f.half + 0.0).tobytes()
+    # the forward transform's dealiased box rows, scattered into a half, are
+    # the half-spectrum engine's dealiased half: byte for byte inside the
+    # box, signs of zeros included, and +0 outside it, where the mask left
+    # zeros of either sign
+    phys = rng.standard_normal((n, n))
+    want = _parent_dealiased_half(g, scipy.fft.rfft2(phys, norm="forward"))
+    box = spectral._dealiased(g, spectral._lattice_half(phys, n, int(g.dealias_radius)))
+    assert box.tobytes() == spectral._box(want, k).tobytes()
+    got = spectral._unbox(box, n)
+    assert np.array_equal(got, want)
+    assert not np.any(np.signbit(got[~inside].view(np.float64)))
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)

@@ -147,7 +147,7 @@ def per_array(op, a, b, params):
     """The product sites written with one _samples / _lattice_half call per
     full-width array: multiply_fields(a, b) for op "multiply", the advection
     of b by a's velocity for "advect", else flux_divergence(a, b, params).
-    Each forward call keeps the columns the site keeps, as the engine's do."""
+    Each forward call keeps the box rows the site keeps, as the engine's do."""
     grid = b.grid
     n, r = grid.n, int(grid.dealias_radius)
     samples, lattice_half = spectral._samples, spectral._lattice_half
@@ -155,13 +155,13 @@ def per_array(op, a, b, params):
     if op == "multiply":
         size = spectral._grid_size(n, (a,), (b,), n // 2 - 1)[0]
         prod = lattice_half(samples(a.half, size) * samples(b.half, size), n, n // 2 - 1)
-        return _wrap_half(grid, spectral._canonical_half(prod))
+        return spectral._from_box(grid, spectral._canonical(prod))
     if op == "advect":
         u, th = velocity_from_scalar(a, params), b.half
         size = spectral._grid_size(n, (u.u1, u.u2), (b,), r)[0]
         acc = samples(u.u1.half, size) * samples(ik1 * th, size)
         acc += samples(u.u2.half, size) * samples(ik2 * th, size)
-        return spectral._dealiased(grid, lattice_half(acc, n, r))
+        return spectral._from_box(grid, spectral._dealiased(grid, lattice_half(acc, n, r)))
     mult = _structure_multiplier(grid, params)
     qh, th = a.half, b.half
     size = spectral._grid_size(n, (a,), (b,), r)[0]
@@ -170,8 +170,8 @@ def per_array(op, a, b, params):
     out = lattice_half(samples(ik1 * mq, size) * d2t - samples(ik2 * mq, size) * d1t, n, r)
     if params.two_term:
         second = d1t * samples(ik2 * qh, size) - d2t * samples(ik1 * qh, size)
-        out += mult * lattice_half(second, n, r)
-    return spectral._dealiased(grid, out)
+        out += spectral._boxed(grid, _structure_multiplier, params) * lattice_half(second, n, r)
+    return spectral._from_box(grid, spectral._dealiased(grid, out))
 
 
 def advective_tendency(f: SpectralField, params) -> SpectralField:
@@ -180,19 +180,28 @@ def advective_tendency(f: SpectralField, params) -> SpectralField:
     return -advect(velocity_from_scalar(f, params), f)
 
 
-def advective_stages(params):
+def advective_stages(grid, params):
     """Stage-tendency factory of the full equation, in the shape solver._run
-    takes, with every stage tendency advective_tendency(f): the reference
-    stepper that simulate, step and rhs, which step the modified flux at
-    q = theta, must match."""
+    takes, with every stage tendency advective_tendency(f), f the field of
+    the stage's box rows (or half spectrum, as step carries them): the
+    reference stepper that simulate, step and rhs, which step the modified
+    flux at q = theta, must match."""
+    k = spectral._box_bound(grid)
 
-    def factory(_i, theta):
+    def field(c):
+        return _wrap_half(grid, c.copy()) if len(c) == grid.n else spectral._from_box(grid, c)
+
+    def rows(f, like):
+        return f.half if len(like) == grid.n else spectral._box(f.half, k)
+
+    def factory(_i, c):
+        theta = field(c)
         u = velocity_from_scalar(theta, params)
         return (
-            lambda f, _stage: advective_tendency(f, params),
-            lambda: u,
+            lambda s, _stage: rows(advective_tendency(field(s), params), s),
+            lambda: (u.u1.half, u.u2.half),
             u.samples,
-            -advect(u, theta),
+            rows(-advect(u, theta), c),
         )
 
     return factory
@@ -201,18 +210,20 @@ def advective_stages(params):
 def advective_simulate(theta0, params, T, dt, stride):
     """simulate's Trajectory, stepped by advective_stages."""
     return solver._run(
-        theta0, params, T, dt, stride, solver.DEFAULT_CFL, True, advective_stages(params),
-        solver.TrajectorySink(),
+        theta0, params, T, dt, stride, solver.DEFAULT_CFL, True,
+        advective_stages(theta0.grid, params), solver.TrajectorySink(),
     )
 
 
 def advective_step(state) -> SpectralField:
-    """The field step(state) gives, stepped by advective_stages."""
-    theta, i, h = state.field, state.step_index, state.dt
-    grid = theta.grid
-    nonlin, _velocity, samples, k1 = advective_stages(state.params)(i, theta)
+    """The field step(state) gives, stepped by advective_stages on the
+    state's half spectrum."""
+    c, i, h = state.field.half, state.step_index, state.dt
+    grid = state.field.grid
+    nonlin, _velocity, samples, k1 = advective_stages(grid, state.params)(i, c)
     factors = solver._integrating_factors(grid, state.params, h)
     speed = solver._courant(samples, grid, h)
-    l2 = solver._l2(theta.coeffs, grid.period)
+    l2 = solver._l2(c, grid.period)
     guard = solver.DEFAULT_CFL
-    return solver._advance(theta, i, state.t, h, factors, nonlin, k1, speed, l2, guard)
+    out = solver._advance(c, i, state.t, h, factors, nonlin, k1, speed, l2, guard)
+    return _wrap_half(grid, out)
