@@ -32,7 +32,7 @@ from .errors import (
     PicardConvergenceError,
 )
 from .inequalities import EnsembleSpec, bony_split, random_test_field, trilinear_form
-from .norms import check_gevrey_interpolation, sobolev_norm
+from .norms import _sobolev_weight, check_gevrey_interpolation, sobolev_norm
 from .solver import (
     DEFAULT_CFL,
     DecayReport,
@@ -426,6 +426,21 @@ def _gaussian_pair(grid: GridSpec, amplitude: float, width: float, separation: f
     return amplitude * total
 
 
+def _profile_norm(f: SpectralField, s: float) -> float:
+    """The homogeneous H^s norm a profile is scaled by to reach its
+    amplitude, summed over the mirrored full lattice in one np.sum.
+
+    It is sobolev_norm's value up to rounding, but not its summation order:
+    an initial state's bits, which checkpoints store and every run starts
+    from, stay fixed however norms._parseval orders its sum.
+    """
+    if not f.mean_zero:
+        raise ValueError("homogeneous Sobolev norm requires a mean-zero field")
+    c = f.coeffs
+    sq = c.real**2 + c.imag**2
+    return f.grid.period * math.sqrt(float(np.sum(_sobolev_weight(f.grid, s, True) * sq)))
+
+
 def build_initial_data(
     spec: InitialSpec, grid: GridSpec, params: ModelParams, seed: int = 0
 ) -> SpectralField:
@@ -446,7 +461,7 @@ def build_initial_data(
             EnsembleSpec(grid, spec.decay, spec.member + 1, seed=seed), spec.member
         )
         f = _admissible_initial(member)
-        norm = sobolev_norm(f, params.sigma_c)
+        norm = _profile_norm(f, params.sigma_c)
         if norm == 0.0:
             raise ValueError("ensemble member vanished after masking")
         return _wrap_half(grid, f.half * (spec.amplitude / norm))
@@ -1091,7 +1106,7 @@ def amplitude_threshold_sweep(
     scaled to. Failure is any of: non-contraction, exhaustion of max_iter,
     CFL violation at the fixed dt, or blow-up.
     """
-    norm = sobolev_norm(base, params.sigma_c)
+    norm = _profile_norm(base, params.sigma_c)
     if norm == 0.0:
         raise ValueError("base field must be nonzero")
 

@@ -17,7 +17,10 @@ it, so each printed value is `sobolev_norm`'s bit for bit, and no full
 array is mirrored for one. The Besov norm and the Bernstein check keep BLAS
 sums over the full array (`np.linalg.norm`), and `inner_product` its
 `np.vdot`: both round differently, and switching them would change printed
-digits.
+digits. The one norm that scales an initial profile to its amplitude
+(`harness._profile_norm`) keeps a plain sum over the mirrored full lattice,
+so initial states, and the checkpoints made from them, do not depend on
+`_parseval`'s order.
 """
 
 from __future__ import annotations

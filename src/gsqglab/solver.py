@@ -11,8 +11,8 @@ spectrum at fraction 2/3. It forms the RK4 combine on them in place, in the
 stage and result buffers, bit for bit the written expression, and the
 product engine takes them as they are and returns the tendency as box
 rows, so every value inside the box is the one a half-spectrum core gives.
-A field (a half spectrum) is made of the state only for a snapshot; `step`
-runs the same core on its state's whole half spectrum. Every L2 and
+A field (a half spectrum) is made of the state only for a snapshot field
+a sink keeps; `step` runs the same core on its state's whole half spectrum. Every L2 and
 Sobolev number here, the per-step L2 norm included, is norms._l2, the
 Parseval sum over box rows or a half spectrum behind norms.sobolev_norm,
 so no full array is mirrored for one. The box rows' K bounds their
@@ -29,9 +29,10 @@ exact self-similar rescaling, and the decay and analyticity-radius
 diagnostics.
 
 A run hands each snapshot (t, field, row) to a sink, chosen by the `sink`
-keyword of `simulate` and `picard_solve`. row is a zero-argument maker of
-the snapshot's `DiagnosticsRow`, which the sink calls, at most once, while
-it takes the snapshot:
+keyword of `simulate` and `picard_solve`. field and row are zero-argument
+makers of the snapshot's field and `DiagnosticsRow`; the sink calls each at
+most once, the row maker while it takes the snapshot, and the field maker
+only for a field it keeps:
 - `TrajectorySink`, the default, keeps every snapshot field and row and
   returns a `Trajectory`;
 - `ReduceSink` keeps the rows, the scalar cells its `cells(t, field, row)`
@@ -79,6 +80,7 @@ from .spectral import (
     _half,
     _homog_weight,
     _kabs,
+    _layout,
     _rows,
     _support_bound,
     _velocity_rows,
@@ -223,9 +225,9 @@ class TrajectorySink:
     def __init__(self):
         self.times, self.fields, self.rows = [], [], []
 
-    def add(self, t: float, field: SpectralField, row) -> None:
+    def add(self, t: float, field, row) -> None:
         self.times.append(t)
-        self.fields.append(field)
+        self.fields.append(field())
         self.rows.append(row())
 
     def result(self, params: ModelParams, dt: float, max_increase: float) -> Trajectory:
@@ -241,7 +243,8 @@ class TrajectorySink:
 
 class ReduceSink:
     """Reduce-only sink: keeps the rows, cells(t, field, row) of each snapshot
-    when cells is given, and the last field; builds a RunSummary.
+    when cells is given, and the last field, made when the run has ended
+    unless cells made it; builds a RunSummary.
 
     An exception from cells is held and raised when the run has ended, so a
     failure of the run itself is reported first, as it would be if the cells
@@ -250,18 +253,20 @@ class ReduceSink:
 
     def __init__(self, cells=None):
         self.times, self.rows, self.cells = [], [], []
-        self.last = None
+        self._last = None   # the last snapshot's field maker
         self._make_cells = cells
         self._error = None
 
-    def add(self, t: float, field: SpectralField, row) -> None:
+    def add(self, t: float, field, row) -> None:
         row = row()
         self.times.append(t)
         self.rows.append(row)
-        self.last = field
+        self._last = field
         if self._make_cells is not None and self._error is None:
+            made = field()
+            self._last = lambda: made
             try:
-                self.cells.append(self._make_cells(t, field, row))
+                self.cells.append(self._make_cells(t, made, row))
             except Exception as exc:   # re-raised by result()
                 self._error = exc
 
@@ -272,7 +277,7 @@ class ReduceSink:
             times=tuple(self.times),
             rows=tuple(self.rows),
             cells=tuple(self.cells),
-            final=self.last,
+            final=self._last(),
             params=params,
             dt=dt,
             max_l2_step_increase=max_increase,
@@ -280,21 +285,22 @@ class ReduceSink:
 
 
 class FinalSink:
-    """Final-field sink: keeps the last snapshot's field and never makes a
-    row; builds a RunSummary with no times, rows or cells."""
+    """Final-field sink: keeps the last snapshot's field maker, called when
+    the run has ended, and never makes a row; builds a RunSummary with no
+    times, rows or cells."""
 
     def __init__(self):
-        self.last = None
+        self._last = None
 
-    def add(self, t: float, field: SpectralField, row) -> None:
-        self.last = field
+    def add(self, t: float, field, row) -> None:
+        self._last = field
 
     def result(self, params: ModelParams, dt: float, max_increase: float) -> RunSummary:
         return RunSummary(
             times=(),
             rows=(),
             cells=(),
-            final=self.last,
+            final=self._last(),
             params=params,
             dt=dt,
             max_l2_step_increase=max_increase,
@@ -460,11 +466,10 @@ def _diagnostics_row(t, c, l2, params, grid, u, speed, k1=None) -> DiagnosticsRo
     )
 
 
-def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float, box=False):
-    """Exact linear flow over a full step and over half a step, as half
-    spectra or, given box, as dealias-box rows."""
-    args = (params.gamma, params.kappa, params.eps_visc)
-    rate = _boxed(grid, _decay_rate, *args) if box else _decay_rate(grid, *args)
+def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float, rows: int):
+    """Exact linear flow over a full step and over half a step, for states
+    of rows rows: half spectra (n rows) or dealias-box rows."""
+    rate = _layout(grid, rows, _decay_rate, params.gamma, params.kappa, params.eps_visc)
     return np.exp(-dt * rate), np.exp(-(0.5 * dt) * rate)
 
 
@@ -545,7 +550,7 @@ def step(
         i,
         state.t,
         h,
-        _integrating_factors(grid, state.params, h),
+        _integrating_factors(grid, state.params, h, len(c)),
         nonlin,
         k1,
         _courant(samples, grid, h),
@@ -593,9 +598,9 @@ def _run(
     on_state=None,
 ):
     """Drive the IF-RK4 core with a per-step tendency factory; hand each
-    snapshot (t, field, row) to sink and return sink.result(...). row is a
-    zero-argument maker of the snapshot's DiagnosticsRow, which the sink
-    calls, at most once, before add returns.
+    snapshot (t, field, row) to sink and return sink.result(...). field and
+    row are zero-argument makers of the snapshot's field and DiagnosticsRow;
+    the sink calls each at most once, row before add returns.
 
     The state, the stage values and the slopes are dealias-box rows (the
     module docstring). nonlin_factory(i, c) is called with the state's box
@@ -606,17 +611,17 @@ def _run(
     advecting velocity's components, read only by the row, the n-grid
     samples (u1, u2) of that velocity, which give the CFL measurement, and
     the first slope k1 at c. on_state(i, c), if given, sees the state at
-    every i = 0..n_steps first. A field is made of the state for a snapshot
-    alone.
+    every i = 0..n_steps first. A field is made of the state only for a
+    snapshot field the sink keeps.
     """
     grid = theta0.grid
     n_steps = _step_count(T, dt)
     if snapshot_stride < 1:
         raise ValueError("snapshot stride must be a positive integer")
-    factors = _integrating_factors(grid, params, dt, box=True)
     guard = c_cfl if nonlinear else None
 
     c = _admissible_box(theta0)
+    factors = _integrating_factors(grid, params, dt, len(c))
     max_increase = 0.0
     l2_now = _l2(c, grid.period)
 
@@ -634,12 +639,12 @@ def _run(
         if on_state is not None:
             on_state(i, c)
         if i == n_steps:
-            sink.add(t, _from_box(grid, c), final_row)
+            sink.add(t, partial(_from_box, grid, c), final_row)
             break
         nonlin, velocity, samples, k1 = nonlin_factory(i, c)
         speed = _courant(samples, grid, dt)
         if i % snapshot_stride == 0:
-            sink.add(t, _from_box(grid, c), partial(row, t, c, l2_now, velocity, speed, k1))
+            sink.add(t, partial(_from_box, grid, c), partial(row, t, c, l2_now, velocity, speed, k1))
         c = _advance(c, i, t, dt, factors, nonlin, k1, speed, l2_now, guard)
         l2_new = _l2(c, grid.period)
         if l2_new > l2_now > 0:
@@ -740,9 +745,10 @@ def linear_flux_solve(
     solution's own stage values (start of step, the two half-step stages,
     the end-of-step stage) are appended to it as fields, per step as
     4-element lists, once the run has ended: the exact shape the next
-    fixed-point iterate consumes as q. stage_sink must
-    be empty: a list that already holds records raises ValueError before
-    any step. A list passed as q is read, never changed.
+    fixed-point iterate consumes as q. A run that raises still leaves the
+    records made before it stopped, the last one possibly short. stage_sink
+    must be empty: a list that already holds records raises ValueError
+    before any step. A list passed as q is read, never changed.
     """
     if stage_sink:
         raise ValueError("stage_sink must be an empty list")
@@ -751,10 +757,11 @@ def linear_flux_solve(
     provider = _as_stage_provider(q, grid, n_steps, dt)
     records = None if stage_sink is None else []
     factory = _flux_stages(grid, provider, params, n_steps, records, negate=True)
-    traj = _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, TrajectorySink())
-    if stage_sink is not None:
-        stage_sink.extend([_from_box(grid, c) for c in rec] for rec in records)
-    return traj
+    try:
+        return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, TrajectorySink())
+    finally:
+        if stage_sink is not None:
+            stage_sink.extend([_from_box(grid, c) for c in rec] for rec in records)
 
 
 def _flux_stages(grid, provider, params, n_steps, stage_sink, *, negate):
@@ -825,7 +832,7 @@ def _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink):
             continue
         t = i * dt
         c = stages[i][0] if i < n_steps else prop(t)
-        sink.add(t, _from_box(grid, c), partial(row, t, c))
+        sink.add(t, partial(_from_box, grid, c), partial(row, t, c))
     return sink.result(params, dt, 0.0), stages
 
 

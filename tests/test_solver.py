@@ -446,6 +446,28 @@ def test_flux_solve_refuses_a_stage_sink_holding_records():
     assert len(sink) == 5 and all(a == b for a, b in zip(sink, first))
 
 
+def test_flux_solve_stage_sink_keeps_the_records_of_a_failed_run():
+    # q jumps past the Courant limit at t = 3 dt: the run stops at the start
+    # of step 3, after its first stage, and the sink holds every record made
+    # so far, as fields, the same as a run whose q never jumps
+    grid = GridSpec(16)
+    f = scaled(random_field(grid, seed=15), 0.5)
+    q = scaled(random_field(grid, seed=16), 0.5)
+    big = scaled(q, 1e6)
+    clean = []
+    linear_flux_solve(f, lambda t: q, P, T=5e-3, dt=1e-3, stage_sink=clean)
+    sink = []
+    with pytest.raises(CourantError) as exc:
+        linear_flux_solve(
+            f, lambda t: big if t > 2.9e-3 else q, P, T=5e-3, dt=1e-3, stage_sink=sink
+        )
+    assert exc.value.step == 3
+    assert [len(rec) for rec in sink] == [4, 4, 4, 1]
+    assert all(isinstance(s, SpectralField) for rec in sink for s in rec)
+    for rec, ref in zip(sink[:3], clean):
+        assert all(np.array_equal(a.half, b.half) for a, b in zip(rec, ref))
+
+
 def test_flux_solve_final_row_reads_q_at_horizon():
     # the row at t = T measures the transport field at T, not at T - dt
     grid = GridSpec(32)
@@ -732,7 +754,7 @@ def test_in_place_combine_is_the_rk4_expression_bit_for_bit():
 
     c, k1, *slopes = (half() for _ in range(5))
     h = 1e-2
-    eh, eh2 = solver._integrating_factors(grid, ModelParams(1.5, 0.5, gamma=0.3), h)
+    eh, eh2 = solver._integrating_factors(grid, ModelParams(1.5, 0.5, gamma=0.3), h, grid.n)
 
     def nonlin(_c, stage):
         return slopes[stage - 1]
@@ -1108,6 +1130,24 @@ def test_final_sink_simulate_never_makes_a_row(monkeypatch):
     run = simulate(f, P, T=0.01, dt=1e-3, snapshot_stride=3, sink=FinalSink)
     assert _same_field(run.final, full.final) and run.rows == ()
     assert run.max_l2_step_increase == full.max_l2_step_increase
+
+
+@pytest.mark.parametrize(
+    "sink, fields",
+    [(FinalSink, 1), (ReduceSink, 1), (lambda: ReduceSink(lambda t, f, row: t), 5), (TrajectorySink, 5)],
+    ids=["final", "reduce", "reduce_cells", "trajectory"],
+)
+def test_sinks_make_only_the_fields_they_keep(monkeypatch, sink, fields):
+    # a snapshot's field is made from the box state only when the sink keeps
+    # it or its cells read it: stride 3 over 10 steps gives 5 snapshots
+    grid = GridSpec(32)
+    f = scaled(random_field(grid, seed=47, decay=2.0), 0.5)
+    made = []
+    from_box = solver._from_box
+    monkeypatch.setattr(solver, "_from_box", lambda *a: made.append(1) or from_box(*a))
+    run = simulate(f, P, T=0.01, dt=1e-3, snapshot_stride=3, sink=sink)
+    assert len(made) == fields
+    assert _same_field(run.final, simulate(f, P, T=0.01, dt=1e-3, snapshot_stride=3).final)
 
 
 @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])

@@ -221,7 +221,7 @@ def advective_step(state) -> SpectralField:
     c, i, h = state.field.half, state.step_index, state.dt
     grid = state.field.grid
     nonlin, _velocity, samples, k1 = advective_stages(grid, state.params)(i, c)
-    factors = solver._integrating_factors(grid, state.params, h)
+    factors = solver._integrating_factors(grid, state.params, h, grid.n)
     speed = solver._courant(samples, grid, h)
     l2 = solver._l2(c, grid.period)
     guard = solver.DEFAULT_CFL
