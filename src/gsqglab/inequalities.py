@@ -196,7 +196,9 @@ def _form(grid: GridSpec, fh: np.ndarray, gh: np.ndarray, third: tuple) -> compl
     supports = _support(fh), _support(gh), k_h
     size = _product_size(grid.n, *supports)
     fs, gs, hs = _term_samples((fh, gh, hh), grid.n, size, max(supports))
-    return complex(grid.period**2 / size**2 * np.sum(fs * gs * hs))
+    np.multiply(fs, gs, out=fs)
+    fs *= hs
+    return complex(grid.period**2 / size**2 * np.sum(fs))
 
 
 def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: float) -> complex:
@@ -206,7 +208,7 @@ def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: 
     H's support as the kept band: the aliases of fg then miss every mode of H,
     so by Parseval the form is period^2 / M^2 times the sum of f g H over the
     M x M samples, exactly and without a forward transform. The three are
-    sampled through one stacked transform call on a small grid.
+    sampled through one stacked transform call.
     """
     grid = _shared_grid(f, g, h)
     return _form(grid, f.half, g.half, _weighted_third(h, sigma))

@@ -50,33 +50,44 @@ perp_grad a is divergence free, so both of its terms share the samples of
 grad theta. Transforms per call: `advect` 4 inverse and 1 forward,
 `flux_divergence` 4 and 1, or 6 and 2 with the second term, which is not
 formed for q = theta, `multiply_fields` 2 and 1, `VectorField.samples` 2
-inverse. A 2-D transform is made as the two one-axis numpy.fft passes that
-pocketfft's irfft2 and rfft2 make (`_samples`, `_lattice_half`), so its
-output is bit for bit that of scipy.fft's 2-D transform. An inverse
-transform's first pass runs only over the columns m2 <= K, K the support
-bound that sized the product grid: the pass of a zero column is zero. It
-writes them into a kept buffer whose other columns are zero, so that the
-real pass reads all M/2 + 1 bins: numpy's real pass is about 1.4x slower
-on the kept bins alone, which it pads itself (0.20 against 0.15 ms at
-M = 256, 1.50 against 1.12 ms at M = 512; one thread, 2-CPU host, numpy
-2.4.6). On either grid the rows of a half spectrum or of box rows go
-straight into that buffer, in the grid's fft order, the rows between them
-zeroed, and the first pass runs in place there (`_put_rows`). A forward
-transform's second pass runs only over the columns m2 <= K_out, the
-largest m2 the site keeps (0.09 against 0.13 ms at n = 256, fraction
-2/3), and it returns the box rows of those columns alone: the modes
-beyond them, which the dealias mask would zero, are not formed. The
-terms of a product site are formed on the columns m2 <= K only,
-derivative pairs (d1 h, d2 h) included. On a product grid of M <= _STACK_MAX = 64 a call site
-makes its transforms as one stacked inverse call and one forward call, which
-saves the per-call dispatch: the stack holds only the columns m2 <= K of
-each term, and a site's derivative terms are written into it by one
-broadcast multiply with a cached stack of the symbols (i k1, i k2). Above
-the limit, where a stacked call site runs slower, it makes one call per
-transform, each into its slot of one samples array. The stacked and single
-calls agree bit for bit (`_term_samples`). A product site forms its physical
-products in the sample buffers it no longer reads, without a temporary per
-product.
+inverse.
+
+Every product site makes all its transforms in one stacked inverse call
+(`_samples`) and one stacked forward call (`_lattice_half`), on every grid.
+Each call site works in one workspace, kept per thread and per shape
+(terms, M, kept width) (`_workspace`): a complex column buffer of all
+M/2 + 1 columns and the real samples array. A 2-D transform is the two
+one-axis pocketfft passes that irfft2 and rfft2 make, called as numpy.fft's
+ufuncs through one helper (`_pass`) without numpy.fft's argument handling,
+so its output is bit for bit that of scipy.fft's 2-D transform.
+- Inverse. The terms, derivative products included, are written straight
+  into the buffer's rows in the grid's fft order, the rows between them
+  zeroed, and only their columns m2 <= K, K the support bound that sized
+  the product grid. The first pass runs in place over those columns: the
+  pass of a zero column is zero. The real pass reads all M/2 + 1 bins, the
+  columns beyond K being zero: numpy's real pass is about 1.4x slower on the
+  kept bins alone, which it pads itself (0.20 against 0.15 ms at M = 256,
+  1.50 against 1.12 ms at M = 512; one thread, 2-CPU host, numpy 2.4.6).
+- Products. A site forms its physical products in the workspace samples it
+  no longer reads, without a temporary per product.
+- Forward. The real pass writes into the spent buffer, scaled by 1/M^2
+  through pocketfft's own factor, and the columns beyond K are zeroed
+  again for the next inverse (`_product_box`). The second pass runs only
+  over the columns m2 <= K_out, the largest m2 the site keeps (0.09
+  against 0.13 ms at n = 256, fraction 2/3), and the call returns the box
+  rows of those columns alone: the modes beyond them, which the dealias
+  mask would zero, are not formed.
+- Hand-outs. The thread's next transform of a shape overwrites its
+  workspace, so the samples that leave the engine are copies:
+  `to_physical`, `VectorField.samples` and the velocity samples of
+  `flux_divergence`.
+A two-term flux on box rows filling the dealias disc takes, against the
+previous engine (numpy.fft's one-axis functions, a separate term stack,
+one call per transform above M = 64), about 0.86 of its time at M = 64,
+0.79 at 96, 0.88 at 128, 0.93 at 192, 0.90 at 256, 0.97 at 384 and 1.0 at
+512 (medians of interleaved runs in one process, three batches, one
+thread, 2-CPU host, numpy 2.4.6). At M = 768 the kept workspace raises a
+CLI simulate's peak RSS from 122 to 142 MB; at M = 512 it is unchanged.
 """
 
 from __future__ import annotations
@@ -87,6 +98,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pfu
 
 from .errors import OverflowGuardError
 
@@ -353,7 +365,7 @@ class ModelParams:
 
 def to_physical(field: SpectralField) -> np.ndarray:
     """Evaluate the field at the n x n physical sample points."""
-    return _samples(field.half, field.grid.n, field._kmax)
+    return _samples(field.half, field.grid.n, field._kmax).copy()
 
 
 def _canonical(box: np.ndarray) -> np.ndarray:
@@ -395,20 +407,11 @@ def _box(a: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate((cols[..., : k + 1, :], cols[..., rows - k :, :]), axis=-2)
 
 
-def _put_rows(dst: np.ndarray, src: np.ndarray) -> None:
-    """Write the rows of src, a half spectrum or box rows, into dst's in the
-    fft row order of dst's length, and zero dst's rows between them."""
-    p = (src.shape[-2] + 1) // 2   # the rows m1 >= 0
-    tail = dst.shape[-2] - (src.shape[-2] - p)
-    dst[..., :p, :] = src[..., :p, :]
-    dst[..., p:tail, :] = 0.0
-    dst[..., tail:, :] = src[..., p:, :]
-
-
 def _unbox(box: np.ndarray, n: int) -> np.ndarray:
     """The n x (n/2 + 1) half spectrum of box rows, zero outside them."""
     half = np.zeros(box.shape[:-2] + (n, n // 2 + 1), dtype=np.complex128)
-    _put_rows(half[..., : box.shape[-1]], box)
+    for src, dst in _row_slices(box.shape[-2], n):
+        half[..., dst, : box.shape[-1]] = box[..., src, :]
     return half
 
 
@@ -636,10 +639,16 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
+def _handed_out(samples: np.ndarray) -> np.ndarray:
+    """A read-only copy of workspace samples that leave the engine: the
+    workspace is overwritten by the thread's next transform of its shape."""
+    return _read_only(samples.copy())[0]
+
+
 def _grid_samples(rows: tuple, n: int, k: int) -> tuple:
     """Read-only n-grid samples of half spectra or box rows, all of one
     shape, supported within |m_i| <= k."""
-    return _read_only(*_term_samples(rows, len(rows[0]), n, k))
+    return tuple(_handed_out(_term_samples(rows, len(rows[0]), n, k)))
 
 
 def _half(a: np.ndarray) -> np.ndarray:
@@ -689,76 +698,100 @@ def _grid_size(n: int, a: tuple, b: tuple, k_out: int) -> tuple[int, int]:
     return size, max(k_a, k_b)
 
 
+def _pass(ufunc, a: np.ndarray, axis: int, out: np.ndarray, fct: float = 1) -> np.ndarray:
+    """One pocketfft pass of a or of each array in a stack along axis, into
+    out: the ufunc call (ifft, irfft, rfft_n_even or fft) and the scale fct
+    that numpy.fft's one-axis functions make, without their argument
+    handling. irfft's transform length is out's along axis, the others'
+    is a's; rfft_n_even needs it even."""
+    return ufunc(a, fct, axes=[(axis,), (), (axis,)], out=out)
+
+
 @lru_cache(maxsize=8)
-def _column_buffer(thread: int, shape: tuple, width: int) -> np.ndarray:
-    """A zeroed complex buffer of the given shape for _samples' column pass,
-    one per thread, so concurrent callers never share one. The pass writes
-    only its first width columns, so the rest stay zero. Kept, not remade,
-    because a fresh buffer's pages cost more than the full-bin real pass
-    saves on a large grid."""
-    return np.zeros(shape, dtype=np.complex128)
+def _workspace(thread: int, lead: tuple, size: int, width: int) -> tuple:
+    """The product engine's kept arrays for the transforms of a stack of
+    shape lead on the size grid whose column pass runs over width columns,
+    one pair per thread, so concurrent callers never share one: a complex
+    column buffer of all size/2 + 1 columns, zero from column width on, and
+    the real samples. Kept, not remade: a fresh array's pages cost more than
+    a small transform, and a kept buffer's zero tail is written only once."""
+    buf = np.zeros(lead + (size, size // 2 + 1), dtype=np.complex128)
+    return buf, np.empty(lead + (size, size))
 
 
-def _samples(coeffs: np.ndarray, size: int, k: int | None = None, out=None) -> np.ndarray:
+def _row_slices(rows: int, size: int) -> tuple:
+    """(source, destination) row slices that place the rows of an array of
+    rows rows in fft row order, a half spectrum or box rows, in the fft row
+    order of length size: first its rows m1 >= 0, then its rows m1 < 0."""
+    p = (rows + 1) // 2
+    return (slice(None, p), slice(None, p)), (slice(p, None), slice(size - (rows - p), None))
+
+
+def _clear_between(dst: np.ndarray, rows: int) -> None:
+    """Zero the rows of dst, in the fft row order of its length, between
+    the places _row_slices gives the rows of an array of rows rows."""
+    p = (rows + 1) // 2
+    dst[..., p : dst.shape[-2] - (rows - p), :] = 0.0
+
+
+def _samples(coeffs: np.ndarray, size: int, k: int | None = None) -> np.ndarray:
     """Samples on the size x size grid of a Hermitian half spectrum or box
-    rows, or of each in a stack of them, written to out if it is given.
+    rows, or of each in a stack of them: the thread's workspace samples
+    (_workspace), which its next transform of this shape overwrites.
 
     The two one-axis passes irfft2 makes: a complex pass along m1, then a
     real pass along m2. k, if given, bounds |m2| of every nonzero
     coefficient; the first pass then runs over the columns m2 <= k only,
     since the pass of a zero column is zero. Given k, coeffs may hold just
-    those columns. The rows are written into a kept buffer of all size/2 + 1
-    columns, zero beyond them (_column_buffer), in the size-grid's fft order
-    with the rows between them zeroed (_put_rows), the first pass runs in
-    place there, and the real pass reads every column: numpy's real pass
-    runs faster on the full bins than on the kept ones it would pad itself.
-    The samples are bit for bit those of the unpruned transform.
+    those columns. Their rows go into the workspace's column buffer in the
+    size-grid's fft order, the rows between them zeroed; coeffs may also be
+    that buffer itself, filled so by _term_samples. The first pass runs in
+    place there, and the real pass reads every column, zero beyond the kept
+    ones: numpy's real pass runs faster on full bins than on kept ones it
+    pads itself. The samples are bit for bit those of the unpruned transform.
     """
     width = (coeffs.shape[-2] // 2 if k is None else k) + 1
-    shape = coeffs.shape[:-2] + (size, size // 2 + 1)
-    buf = _column_buffer(threading.get_ident(), shape, width)
+    buf, samples = _workspace(threading.get_ident(), coeffs.shape[:-2], size, width)
     cols = buf[..., :width]
-    _put_rows(cols, coeffs[..., :width])
-    np.fft.ifftn(cols, s=(size,), axes=(-2,), norm="forward", out=cols)
-    return np.fft.irfftn(buf, s=(size,), axes=(-1,), norm="forward", out=out)
+    if coeffs is not buf:
+        _clear_between(cols, coeffs.shape[-2])
+        for src, dst in _row_slices(coeffs.shape[-2], size):
+            cols[..., dst, :] = coeffs[..., src, :width]
+    _pass(_pfu.ifft, cols, -2, cols)
+    return _pass(_pfu.irfft, buf, -1, samples)
 
 
-def _lattice_half(phys: np.ndarray, n: int, k_out: int | None = None) -> np.ndarray:
-    """Box rows, on the n-lattice, of samples on any product grid, or of
-    each array in a stack of them: the modes |m1|, m2 <= K, with K = k_out,
-    the largest |m_i| the caller keeps, or n/2 - 1 if it is None or larger,
-    so the zero Nyquist row and column are never formed.
+def _lattice_half(phys: np.ndarray, n: int, k_out: int | None = None, out=None) -> np.ndarray:
+    """Box rows, on the n-lattice, of samples on any even product grid, or
+    of each array in a stack of them: the modes |m1|, m2 <= K, with
+    K = k_out, the largest |m_i| the caller keeps, or n/2 - 1 if it is None
+    or larger, so the zero Nyquist row and column are never formed.
 
-    The two one-axis passes rfft2(norm="forward") makes: a real pass along
-    x2, cut to the kept columns and scaled by 1 / size^2 per real and
-    imaginary part as that pass scales them, then a complex pass along x1
-    over the kept columns only. Every kept mode is bit for bit that of the
-    unpruned transform.
+    The two one-axis passes that scipy.fft's rfft2(norm="forward") makes:
+    a real pass along x2, scaled by 1 / size^2 through pocketfft's own
+    factor, into out (a complex array of size/2 + 1 columns) if it is
+    given, then a complex pass along x1 over the kept columns only, in
+    place. Every kept mode is bit for bit that of the unpruned transform.
     """
     size = phys.shape[-1]
     k = n // 2 - 1 if k_out is None else min(k_out, n // 2 - 1)
-    spec = np.fft.rfftn(phys, s=(size,), axes=(-1,))
-    kept = spec[..., : k + 1]
-    parts = kept.view(np.float64)
-    parts *= 1.0 / (size * size)
-    np.fft.fftn(kept, s=(size,), axes=(-2,), out=kept)
+    if out is None:
+        out = np.empty(phys.shape[:-1] + (size // 2 + 1,), dtype=np.complex128)
+    kept = _pass(_pfu.rfft_n_even, phys, -1, out, 1.0 / (size * size))[..., : k + 1]
+    _pass(_pfu.fft, kept, -2, kept)
     return np.concatenate((kept[..., : k + 1, :], kept[..., size - k :, :]), axis=-2)
 
 
-# Largest product grid M whose transforms a call site makes as one stacked
-# call per direction. A call costs a fixed dispatch, about as much as one
-# transform at M = 64, but on larger grids a stacked call site runs slower.
-# A two-term flux_divergence on fields filling the dealias disc, stacked
-# against one call per transform (medians of 30 alternating runs in one
-# process, one thread, 2-CPU host, numpy 2.4.6): 0.36 against 0.46 ms at
-# M = 64, 1.37 against 1.01 ms at M = 96, 1.92 against 1.45 ms at M = 128
-# and 10.1 against 6.9 ms at M = 256. Stacked and single results agree bit
-# for bit.
-_STACK_MAX = 64
-
-
-def _stacked(size: int) -> bool:
-    return size <= _STACK_MAX
+def _product_box(samples: np.ndarray, slots, n: int, k_out: int, width: int) -> np.ndarray:
+    """_lattice_half of the product samples samples[slots], samples being
+    the thread's workspace samples whose column pass runs over width
+    columns, written into the spent column buffer. The real pass writes
+    every column there, so the columns from width on are zeroed again for
+    the next inverse transform, which reads them."""
+    buf = _workspace(threading.get_ident(), samples.shape[:-2], samples.shape[-1], width)[0]
+    box = _lattice_half(samples[slots], n, k_out, out=buf[slots])
+    buf[slots, :, width:] = 0.0
+    return box
 
 
 @lru_cache(maxsize=128)
@@ -771,56 +804,37 @@ def _ik_stack(grid: GridSpec, k: int, rows: int) -> np.ndarray:
     return sym
 
 
-def _grad_symbols(grid: GridSpec, size: int, k: int, rows: int):
-    """The symbols (i k1, i k2) of a product on the size grid whose factors'
-    supports k bounds and which come in rows rows, for the derivative terms
-    of _term_samples. On a stacked grid they are one cached stack of their
-    columns m2 <= k, so that one broadcast multiply writes every derivative;
-    otherwise the pair in its broadcast shapes, which keeps no rows x (k + 1)
-    buffer for a large grid."""
-    return _ik_stack(grid, k, rows) if _stacked(size) else _layout(grid, rows, _ik)
-
-
 def _term_samples(terms, rows: int, size: int, k: int) -> np.ndarray:
-    """Samples on the size grid of each term, as one (terms, size, size)
-    array. A term is a half spectrum or box rows, with rows rows, or a pair
-    (symbols, halves), with halves a stack of them, standing for the
-    product of every symbol with every half, symbol by symbol:
-    (_grad_symbols(...), [a, b]) gives d1 a, d1 b, d2 a, d2 b. k bounds the
-    support of every term (see _samples), and only the columns m2 <= k of a
-    term are read or formed.
-
-    On a small grid the terms are written into one stack of the columns
-    m2 <= k, each pair's products with one broadcast multiply, and
-    transformed in one call. Otherwise each is transformed on its own,
-    straight into its slot of the result.
+    """Samples on the size grid of each term, as the thread's (terms, size,
+    size) workspace samples, from one stacked inverse transform call. A term
+    is a half spectrum or box rows, with rows rows, or a pair (symbols,
+    factors), a stack of symbols on the columns m2 <= k (_ik_stack) and a
+    stack of such arrays, standing for the product of every symbol with
+    every factor, symbol by symbol: (_ik_stack(...), np.stack([a, b]))
+    gives d1 a, d1 b, d2 a, d2 b. k bounds the support of every term (see
+    _samples), and only the columns m2 <= k of a term are read or formed.
+    Each term is written straight into its rows of the workspace's column
+    buffer, a pair's products by one broadcast multiply per block of rows.
     """
-    cols = slice(None, k + 1)
+    width = k + 1
     depth = sum(len(t[0]) * len(t[1]) if isinstance(t, tuple) else 1 for t in terms)
-    if not _stacked(size):
-        out = np.empty((depth, size, size))
-        slots = iter(out)
-        for t in terms:
-            if isinstance(t, tuple):
-                for s in t[0]:
-                    for h in t[1]:
-                        _samples(s[:, cols] * h[:, cols], size, k, out=next(slots))
-            else:
-                _samples(t, size, k, out=next(slots))
-        return out
-    stack = np.empty((depth, rows, k + 1), dtype=np.complex128)
+    buf = _workspace(threading.get_ident(), (depth,), size, width)[0]
+    _clear_between(buf[..., :width], rows)
+    places = _row_slices(rows, size)
     j = 0
     for t in terms:
         if isinstance(t, tuple):
-            sym, halves = t
-            block = stack[j : j + len(sym) * len(halves)]
-            out = block.reshape(len(sym), -1, rows, k + 1)
-            np.multiply(sym[:, None], halves[:, :, cols], out=out)
-            j += len(block)
+            sym, factors = t
+            d = len(sym) * len(factors)
+            block = buf[j : j + d].reshape(len(sym), len(factors), size, -1)
+            for src, dst in places:
+                np.multiply(sym[:, None, src], factors[:, src, :width], out=block[:, :, dst, :width])
+            j += d
         else:
-            stack[j] = t[:, cols]
+            for src, dst in places:
+                buf[j, dst, :width] = t[src, :width]
             j += 1
-    return _samples(stack, size, k)
+    return _samples(buf, size, k)
 
 
 def _dealiased(grid: GridSpec, box: np.ndarray) -> np.ndarray:
@@ -837,8 +851,9 @@ def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
     n = f.grid.n
     k_out = n // 2 - 1
     size, k = _grid_size(n, (f,), (g,), k_out)
-    a, b = _term_samples((f.half, g.half), n, size, k)
-    return _from_box(f.grid, _canonical(_lattice_half(a * b, n, k_out)))
+    s = _term_samples((f.half, g.half), n, size, k)
+    np.multiply(s[0], s[1], out=s[0])
+    return _from_box(f.grid, _canonical(_product_box(s, 0, n, k_out, k + 1)))
 
 
 def advect(u: VectorField, theta: SpectralField) -> SpectralField:
@@ -854,14 +869,13 @@ def advect(u: VectorField, theta: SpectralField) -> SpectralField:
     # grad theta lies inside theta's support
     k_out = int(grid.dealias_radius)
     size, k = _grid_size(grid.n, (u.u1, u.u2), (theta,), k_out)
-    grad = _grad_symbols(grid, size, k, grid.n)
-    terms = (u.u1.half, u.u2.half, (grad, theta.half[None]))
-    p1, p2, d1t, d2t = _term_samples(terms, grid.n, size, k)
+    terms = (u.u1.half, u.u2.half, (_ik_stack(grid, k, grid.n), theta.half[None]))
+    s = _term_samples(terms, grid.n, size, k)
     # u1 d1(theta) + u2 d2(theta), in the samples of grad theta
-    np.multiply(p1, d1t, out=d1t)
-    np.multiply(p2, d2t, out=d2t)
-    d1t += d2t
-    return _from_box(grid, _dealiased(grid, _lattice_half(d1t, grid.n, k_out)))
+    np.multiply(s[0], s[2], out=s[2])
+    np.multiply(s[1], s[3], out=s[3])
+    s[2] += s[3]
+    return _from_box(grid, _dealiased(grid, _product_box(s, 2, grid.n, k_out, k + 1)))
 
 
 def flux_divergence(
@@ -885,7 +899,7 @@ def flux_divergence(
     perp_grad a . grad b, exact for alias-free products since perp_grad a is
     divergence free; they share the samples of grad theta. Transforms: 4
     inverse and 1 forward for one term, 6 and 2 for two, in one inverse and
-    one forward call on a small product grid.
+    one forward call.
 
     velocity_samples, if given, is a list. When the products are formed on
     the n-grid, the n-grid samples (u1, u2) of velocity_from_scalar(q,
@@ -927,23 +941,25 @@ def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, velocity_samples=N
     factors[1] = th[:, : k + 1]
     if m == 3:
         factors[2] = qk
-    # d1(M q), d1(theta), [d1(q),] d2(M q), d2(theta)[, d2(q)]
-    s = _term_samples([(_grad_symbols(grid, size, k, rows), factors)], rows, size, k)
-    # perp_grad(M q) . grad(theta) = d1(M q) d2(theta) - d2(M q) d1(theta), and
-    # perp_grad(theta) . grad(q) = d1(theta) d2(q) - d2(theta) d1(q): the
-    # first products, then the second ones in the d1 samples no longer read
-    phys = np.multiply(s[: m - 1], s[m + 1 :])
+    # d1(M q), d1(theta)[, d1(q)], d2(M q), d2(theta)[, d2(q)]
+    s = _term_samples([(_ik_stack(grid, k, rows), factors)], rows, size, k)
     if velocity_samples is not None and size == n:
-        velocity_samples.extend(_read_only(s[m], -s[0]))
-    second = s[1:m]
-    np.multiply(s[m : 2 * m - 1], second, out=second)
-    phys -= second
-    if _stacked(size):
-        boxes = _lattice_half(phys, n, k_out)
-    else:
-        boxes = [_lattice_half(p, n, k_out) for p in phys]
+        velocity_samples.extend((_handed_out(s[m]), *_read_only(-s[0])))
+    # the products in place, each slot read before it is written:
+    # perp_grad(theta) . grad(q) = d1(theta) d2(q) - d2(theta) d1(q) into
+    # slot 1, then perp_grad(M q) . grad(theta) = d1(M q) d2(theta) -
+    # d2(M q) d1(theta) into slot 0
+    if m == 3:
+        np.multiply(s[1], s[5], out=s[5])
+        np.multiply(s[4], s[2], out=s[2])
+    np.multiply(s[m], s[1], out=s[m])
+    if m == 3:
+        np.subtract(s[5], s[2], out=s[1])
+    np.multiply(s[0], s[m + 1], out=s[0])
+    s[0] -= s[m]
+    boxes = _product_box(s, slice(None, m - 1), n, k_out, k + 1)
     out = boxes[0]
-    if len(boxes) == 2:
+    if m == 3:
         out = np.multiply(_boxed(grid, _structure_multiplier, params), boxes[1])
         np.add(boxes[0], out, out=out)
     out = _dealiased(grid, out)

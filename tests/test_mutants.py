@@ -9,6 +9,7 @@ still passes has survived, and the oracle is too weak.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from gsqglab import (
     ModelParams,
     SpectralField,
     advect,
+    flux_divergence,
     norms,
     spectral,
     velocity_from_scalar,
 )
 from gsqglab.harness import _direct_advect
-from util import random_field
+from util import per_array, random_field
 
 FRACTIONS = [2.0 / 3.0, 0.9, 1.0]
 
@@ -43,11 +45,8 @@ def _parseval_column_zero_doubled(terms):
     return float(np.cumsum(cols)[-1])
 
 
-def _put_rows_dirty_middle(dst, src):
-    p = (src.shape[-2] + 1) // 2
-    tail = dst.shape[-2] - (src.shape[-2] - p)
-    dst[..., :p, :] = src[..., :p, :]
-    dst[..., tail:, :] = src[..., p:, :]
+def _rows_between_left_dirty(dst, rows):
+    pass
 
 
 def _box_without_row_minus_k(a, k, _box=spectral._box):
@@ -57,14 +56,35 @@ def _box_without_row_minus_k(a, k, _box=spectral._box):
     return out
 
 
-def _lattice_half_gather_off_by_one(phys, n, k_out=None):
+def _forward(phys, n, k_out, out, fct, shift):
+    """_lattice_half with the real pass scaled by fct and the rows m1 < 0
+    gathered shift rows early."""
     size = phys.shape[-1]
     k = n // 2 - 1 if k_out is None else min(k_out, n // 2 - 1)
-    spec = np.fft.rfftn(phys, s=(size,), axes=(-1,))
-    kept = spec[..., : k + 1]
-    kept.view(np.float64)[...] *= 1.0 / (size * size)
-    np.fft.fftn(kept, s=(size,), axes=(-2,), out=kept)
-    return np.concatenate((kept[..., : k + 1, :], kept[..., size - k - 1 : size - 1, :]), axis=-2)
+    if out is None:
+        out = np.empty(phys.shape[:-1] + (size // 2 + 1,), dtype=np.complex128)
+    kept = spectral._pass(spectral._pfu.rfft_n_even, phys, -1, out, fct)[..., : k + 1]
+    spectral._pass(spectral._pfu.fft, kept, -2, kept)
+    low = kept[..., size - k - shift : size - shift, :]
+    return np.concatenate((kept[..., : k + 1, :], low), axis=-2)
+
+
+def _lattice_half_gather_off_by_one(phys, n, k_out=None, out=None):
+    return _forward(phys, n, k_out, out, 1.0 / phys.shape[-1] ** 2, 1)
+
+
+def _lattice_half_scaled_by_one_over_m(phys, n, k_out=None, out=None):
+    return _forward(phys, n, k_out, out, 1.0 / phys.shape[-1], 0)
+
+
+def _product_box_tail_left_dirty(samples, slots, n, k_out, width):
+    lead, size = samples.shape[:-2], samples.shape[-1]
+    buf = spectral._workspace(threading.get_ident(), lead, size, width)[0]
+    return spectral._lattice_half(samples[slots], n, k_out, out=buf[slots])
+
+
+def _handed_out_as_a_view(samples):
+    return spectral._read_only(samples.view())[0]
 
 
 # --- the oracles ----------------------------------------------------------------
@@ -110,28 +130,70 @@ def advect_oracle():
         assert np.max(np.abs(advect(u, theta).coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def flux_oracle():
+    """flux_divergence, call after call on one grid: at q = theta against
+    the direct O(N^4) advection oracle, and two-term against the per-array
+    product site byte for byte."""
+    params = ModelParams(beta=1.7, kappa=0.5)
+    for fraction in FRACTIONS:
+        g = GridSpec(16, dealias_fraction=fraction)
+        for seed in (97, 99):
+            theta, q = _disc_field(g, seed), _disc_field(g, seed + 1)
+            ref = -_direct_advect(velocity_from_scalar(theta, params), theta)
+            got = flux_divergence(theta, theta, params).coeffs
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            want = per_array("two_term", q, theta, params).half
+            assert flux_divergence(q, theta, params).half.tobytes() == want.tobytes()
+
+
+def velocity_samples_oracle():
+    """The velocity samples flux_divergence hands out keep their bytes
+    through later calls on the same grid."""
+    params = ModelParams(beta=1.7, kappa=0.5)
+    g = GridSpec(16)
+    q, theta = _disc_field(g, seed=101), _disc_field(g, seed=102)
+    samples = []
+    flux_divergence(q, theta, params, velocity_samples=samples)
+    kept = [s.tobytes() for s in samples]
+    flux_divergence(theta, q, params)
+    assert [s.tobytes() for s in samples] == kept
+
+
 MUTANTS = {
     "parseval column 0 weighted 2": (
         norms, "_parseval", _parseval_column_zero_doubled, parseval_oracle,
     ),
     "scatter leaves the middle rows dirty": (
-        spectral, "_put_rows", _put_rows_dirty_middle, n_grid_samples_oracle,
+        spectral, "_clear_between", _rows_between_left_dirty, n_grid_samples_oracle,
     ),
     "box drops row -K": (spectral, "_box", _box_without_row_minus_k, box_round_trip_oracle),
     "forward gather off by one row": (
         spectral, "_lattice_half", _lattice_half_gather_off_by_one, advect_oracle,
     ),
+    "forward pass scaled by 1/M, not 1/M^2": (
+        spectral, "_lattice_half", _lattice_half_scaled_by_one_over_m, flux_oracle,
+    ),
+    "forward pass leaves the tail columns dirty": (
+        spectral, "_product_box", _product_box_tail_left_dirty, flux_oracle,
+    ),
+    "velocity samples handed out as workspace views": (
+        spectral, "_handed_out", _handed_out_as_a_view, velocity_samples_oracle,
+    ),
 }
+
+
+def _clear_caches():
+    spectral._boxed.cache_clear()
+    spectral._ik_stack.cache_clear()
+    spectral._workspace.cache_clear()
 
 
 @pytest.fixture
 def fresh_caches():
-    """Cached box arrays made under a mutant must not outlive it."""
-    spectral._boxed.cache_clear()
-    spectral._ik_stack.cache_clear()
+    """Cached arrays made or dirtied under a mutant must not outlive it."""
+    _clear_caches()
     yield
-    spectral._boxed.cache_clear()
-    spectral._ik_stack.cache_clear()
+    _clear_caches()
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
@@ -142,4 +204,5 @@ def test_mutant_is_caught_by_its_oracle(name, monkeypatch, fresh_caches):
         m.setattr(module, attr, mutant)
         with pytest.raises(AssertionError):
             oracle()
+    _clear_caches()
     oracle()

@@ -293,25 +293,39 @@ def test_lattice_half_kept_columns_equal_the_unpruned_pass(n, padded, stack):
 
 
 def test_samples_agree_across_threads():
-    # the column buffers are per thread: threads transforming different
-    # fields on one shape at once each get their own transform
+    # the workspaces are per thread: threads transforming different fields
+    # on one shape at once each get their own transforms, for bare samples
+    # and for the flux on box rows and on half spectra
     g = GridSpec(64)
     k = int(g.dealias_radius)
-    halves = [_column_bounded(g, k, 1, seed=90 + i) for i in range(6)]
-    wants = [spectral._samples(h, 64, k).tobytes() for h in halves]
+    box = spectral._box_bound(g)
+    params = ModelParams(beta=1.7, kappa=0.5)
+    fields = [_disc_field(g, seed=110 + i) for i in range(7)]
+    jobs = []
+    for i in range(6):
+        h = _column_bounded(g, k, 1, seed=90 + i)
+        q, theta = fields[i], fields[i + 1]
+        qb, tb = spectral._box(q.half, box), spectral._box(theta.half, box)
+        jobs.append((
+            lambda h=h: spectral._samples(h, 64, k),
+            lambda qb=qb, tb=tb: spectral._flux_rows(g, qb, tb, params),
+            lambda q=q, theta=theta: flux_divergence(q, theta, params).half,
+        ))
+    wants = [[f().tobytes() for f in job] for job in jobs]
     wrong = []
-    start = threading.Barrier(len(halves), timeout=60)
+    start = threading.Barrier(len(jobs), timeout=60)
 
     def work(i):
         start.wait()
-        for _ in range(200):
-            if spectral._samples(halves[i], 64, k).tobytes() != wants[i]:
-                wrong.append(i)
+        for _ in range(100):
+            for j, (f, want) in enumerate(zip(jobs[i], wants[i])):
+                if f().tobytes() != want:
+                    wrong.append((i, j))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(halves))]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
         for t in threads:
             t.start()
         for t in threads:
@@ -320,6 +334,70 @@ def test_samples_agree_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
+def test_samples_that_leave_the_engine_keep_their_bytes(fraction):
+    # the thread's next transform of a shape reuses its workspace, so what
+    # the engine hands out must be copies
+    g = GridSpec(32, dealias_fraction=fraction)
+    params = ModelParams(beta=1.7, kappa=0.5)
+    a, b, c, d = (_disc_field(g, seed=120 + i) for i in range(4))
+    k = _support(a.half, b.half, c.half, d.half)
+    velocity = []
+    handed = [
+        to_physical(a),
+        *velocity_from_scalar(a, params).samples,
+        *spectral._grid_samples((a.half, b.half), g.n, k),
+    ]
+    flux_divergence(a, b, params, velocity_samples=velocity)
+    assert len(velocity) == (2 if fraction < 0.7 else 0)
+    handed += velocity
+    kept = [x.tobytes() for x in handed]
+    # the same shapes again, on other fields
+    to_physical(c)
+    velocity_from_scalar(c, params).samples
+    spectral._grid_samples((c.half, d.half), g.n, k)
+    flux_divergence(c, d, params, velocity_samples=[])
+    flux_divergence(d, c, params)
+    assert [x.tobytes() for x in handed] == kept
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["M=n", "M=3n/2"])
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+def test_pocketfft_passes_equal_the_public_2d_transforms(n, padded):
+    # the engine calls numpy.fft's private pocketfft ufuncs through
+    # spectral._pass; a numpy release that changes them fails here, against
+    # the public irfft2 and rfft2, bit for bit
+    size = 3 * n // 2 if padded else n
+    h = n // 2
+    rng = np.random.default_rng(n + size)
+    half = rng.standard_normal((n, h + 1)) + 1j * rng.standard_normal((n, h + 1))
+    full = np.zeros((size, size // 2 + 1), dtype=np.complex128)
+    full[np.r_[:h, size - h : size], : h + 1] = half
+    want = np.fft.irfft2(full, s=(size, size), norm="forward")
+    cols = full.copy()
+    spectral._pass(spectral._pfu.ifft, cols, -2, cols)
+    got = spectral._pass(spectral._pfu.irfft, cols, -1, np.empty((size, size)))
+    assert got.tobytes() == want.tobytes()
+    assert spectral._samples(half, size).tobytes() == want.tobytes()
+
+    phys = rng.standard_normal((size, size))
+    want = np.fft.rfft2(phys)
+    spec = np.empty((size, size // 2 + 1), dtype=np.complex128)
+    spectral._pass(spectral._pfu.rfft_n_even, phys, -1, spec)
+    spectral._pass(spectral._pfu.fft, spec, -2, spec)
+    assert spec.tobytes() == want.tobytes()
+    # the forward scale 1/M^2 is pocketfft's factor on the real pass: the
+    # bytes of numpy.fft's one-axis passes with the scale between them and,
+    # where M is a power of two and each 1/M exact, of rfft2(norm="forward")
+    scaled = np.fft.rfft(phys)
+    scaled.view(np.float64)[...] *= 1.0 / (size * size)
+    want = spectral._box(np.fft.fft(scaled, axis=-2), h - 1)
+    assert spectral._lattice_half(phys, n).tobytes() == want.tobytes()
+    if not padded:
+        want = spectral._box(np.fft.rfft2(phys, norm="forward"), h - 1)
+        assert spectral._lattice_half(phys, n).tobytes() == want.tobytes()
 
 
 # --- diagonal operators ------------------------------------------------------
@@ -896,16 +974,16 @@ def test_transforms_per_product_call(op, inverse, forward, transforms):
     assert dict(transforms) == {"irfft2": inverse, "rfft2": forward}
 
 
-@pytest.mark.parametrize("n, inverse, forward", [(64, 1, 1), (256, 6, 2)])
-def test_flux_transform_calls_on_both_sides_of_the_stack_limit(n, inverse, forward, transforms):
-    # M = n: one stacked call per direction up to _STACK_MAX, one call per
-    # transform above it
+@pytest.mark.parametrize("n", [64, 256])
+def test_flux_makes_one_inverse_and_one_forward_call_at_every_size(n, transforms):
+    # M = n: every transform of a product site goes into one stacked call
+    # per direction, on small and large grids alike
     g = GridSpec(n)
     theta = _disc_field(g, seed=53)
     q = _disc_field(g, seed=54)
     flux_divergence(q, theta, ModelParams(beta=1.7, kappa=0.5))
     assert dict(transforms) == {"irfft2": 6, "rfft2": 2}
-    assert dict(transforms.calls) == {"irfft2": inverse, "rfft2": forward}
+    assert dict(transforms.calls) == {"irfft2": 1, "rfft2": 1}
 
 
 _STACK_OPS = {
@@ -917,23 +995,32 @@ _STACK_OPS = {
 }
 
 
-@pytest.mark.parametrize("stack_max", [None, 0, 1 << 20], ids=["limit", "single", "stacked"])
+def _stack_op(op, a, b, params):
+    if op == "multiply":
+        return multiply_fields(a, b)
+    if op == "advect":
+        return advect(velocity_from_scalar(a, params), b)
+    return flux_divergence(a, b, params)
+
+
+@pytest.mark.parametrize("before", ["none", "same_op", "wide_op"])
 @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 @pytest.mark.parametrize("op", list(_STACK_OPS))
-def test_stacked_transforms_equal_per_array_bit_for_bit(op, n, fraction, stack_max, monkeypatch):
-    # at fraction 0.9 the disc fields' products move to M = 3n/2
-    if stack_max is not None:
-        monkeypatch.setattr(spectral, "_STACK_MAX", stack_max)
+def test_stacked_transforms_equal_per_array_bit_for_bit(op, n, fraction, before):
+    # at fraction 0.9 the disc fields' products move to M = 3n/2; the call
+    # comes after nothing, after the same op on other fields (the same
+    # workspace, spent by its forward pass), or after fields filling the
+    # lattice on this grid, whose terms are wider than the disc's
     g = GridSpec(n, dealias_fraction=fraction)
     params = _STACK_OPS[op]
     a, b = _disc_field(g, seed=55), _disc_field(g, seed=56)
-    if op == "multiply":
-        got = multiply_fields(a, b)
-    elif op == "advect":
-        got = advect(velocity_from_scalar(a, params), b)
-    else:
-        got = flux_divergence(a, b, params)
+    if before == "same_op":
+        _stack_op(op, _disc_field(g, seed=57), _disc_field(g, seed=58), params)
+    elif before == "wide_op":
+        wide = random_field(g, seed=59, decay=1.0), random_field(g, seed=60, decay=1.0)
+        _stack_op(op, *wide, params)
+    got = _stack_op(op, a, b, params)
     assert got.half.tobytes() == per_array(op, a, b, params).half.tobytes()
     u = velocity_from_scalar(a, params)
     assert all(

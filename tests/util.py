@@ -150,7 +150,12 @@ def per_array(op, a, b, params):
     Each forward call keeps the box rows the site keeps, as the engine's do."""
     grid = b.grid
     n, r = grid.n, int(grid.dealias_radius)
-    samples, lattice_half = spectral._samples, spectral._lattice_half
+    lattice_half = spectral._lattice_half
+
+    def samples(coeffs, size):
+        # _samples returns the engine's workspace, which its next call reuses
+        return spectral._samples(coeffs, size).copy()
+
     ik1, ik2 = spectral._ik(grid)
     if op == "multiply":
         size = spectral._grid_size(n, (a,), (b,), n // 2 - 1)[0]
