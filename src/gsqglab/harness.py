@@ -3,9 +3,10 @@
 Everything the command-line tool does lives here as plain functions so the
 test suite can drive it without a subprocess: config parsing with exhaustive
 violation reporting, the named initial-data library, bit-exact checkpoints,
-full-precision CSV output, plot-data emission with fitted slopes, and the
-operator / inequality verification batteries. Each report's CSV layout hands
-write_csv a header and rows of plain values; write_csv alone formats cells.
+full-precision CSV output, decay-study's plot data with fitted slopes, and
+the operator / inequality verification batteries. Each report's CSV layout
+hands write_csv a header and rows of plain values; write_csv alone formats
+cells.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .solver import (
     Trajectory,
     _admissible_initial,
     _loglog_fit,
-    _slope,
     decay_study,
     default_delta,
     gevrey_report,
@@ -701,71 +701,10 @@ def write_csv(obj, path: str, *, gevrey: GevreyTrackSpec | None = None, t0: floa
         fh.writelines(f"{line}\n" for line in lines)
 
 
-def read_csv_columns(path: str) -> dict[str, list]:
-    """Read back a CSV written by write_csv, column by column.
-
-    Numeric cells parse to float (booleans to 1.0/0.0); anything else, like
-    the name column of a check table, stays a string.
-    """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    cols: dict[str, list] = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, cell in zip(header, line.split(",")):
-            if cell == "true":
-                value = 1.0
-            elif cell == "false":
-                value = 0.0
-            else:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = cell
-            cols[name].append(value)
-    return cols
-
-
-def emit_plot_data(
-    csv_path: str,
-    path: str,
-    x: str,
-    y: str,
-    transform: str = "loglog",
-    x_min: float | None = None,
-) -> float:
-    """Emit a whitespace-separated two-column series from a diagnostics CSV.
-
-    transform picks the axes: 'loglog' (log x, log y), 'semilogy'
-    (x, log y), or 'none'. A least-squares slope over the emitted points is
-    appended as a '# slope=' comment and returned. Points where a log is
-    undefined (and points left of x_min) are dropped.
-    """
-    if transform not in ("loglog", "semilogy", "none"):
-        raise ValueError(f"unknown transform {transform!r}")
-    cols = read_csv_columns(csv_path)
-    for name in (x, y):
-        if name not in cols:
-            raise ValueError(f"unknown column {name!r}; have {', '.join(cols)}")
-        if any(isinstance(v, str) for v in cols[name]):
-            raise ValueError(f"column {name!r} is not numeric")
-    xs, ys = [], []
-    for xv, yv in zip(cols[x], cols[y]):
-        if x_min is not None and xv < x_min:
-            continue
-        if transform == "loglog" and (xv <= 0 or yv <= 0):
-            continue
-        if transform == "semilogy" and yv <= 0:
-            continue
-        xs.append(math.log(xv) if transform == "loglog" else xv)
-        ys.append(math.log(yv) if transform in ("loglog", "semilogy") else yv)
-    slope = _slope(xs, ys)
-    _write_plot_data(path, x, y, transform, xs, ys, slope)
-    return slope
-
-
-def _write_plot_data(path: str, x: str, y: str, transform: str, xs, ys, slope: float):
-    lines = [f"# x={x} y={y} transform={transform}"]
+def _write_plot_data(path: str, y: str, xs, ys, slope: float):
+    """Write a fitted log-log series of column y against t: a header, one
+    "x y" line per point and a '# slope=' comment."""
+    lines = [f"# x=t y={y} transform=loglog"]
     lines += [f"{_fmt(a)} {_fmt(b)}" for a, b in zip(xs, ys)]
     lines.append(f"# slope={_fmt(slope)}")
     with open(path, "w", newline="") as fh:
@@ -1339,7 +1278,7 @@ def _run_decay_study(config: ScenarioConfig, start: _Start, csv: str):
         # the points and slope decay_study fitted, by the same helper
         xs, ys, slope = _loglog_fit(report.times, report.series[k], report.window[0])
         dat = os.path.join(config.out_dir, f"decay-k{k}.dat")
-        _write_plot_data(dat, "t", f"d{k}", "loglog", xs, ys, slope)
+        _write_plot_data(dat, f"d{k}", xs, ys, slope)
         lines.append(
             f"k={k}: fitted slope {_fmt(slope)} expected {_fmt(report.expected[k])}"
         )

@@ -40,8 +40,8 @@ else its nonzero scan, made once per field and cached. A bound is used only
 when it already gives M = n; otherwise the exact scan of the factors decides,
 so M is always the one their exact supports give.
 
-A velocity's n-grid samples, `VectorField.samples`, are transformed once and
-cached, for the solver's Courant number. `flux_divergence`, given a list,
+The solver's Courant number reads a velocity's n-grid samples
+(`_grid_samples`). The stepping core's product, `_flux_rows`, given a list,
 hands the n-grid samples of q's velocity out from its own samples of
 d1(M q) and d2(M q) instead, so no velocity field need be built for them.
 The modified flux is evaluated in advective form, Div((perp_grad a) b) =
@@ -49,8 +49,8 @@ perp_grad a . grad b, which holds exactly for alias-free products because
 perp_grad a is divergence free, so both of its terms share the samples of
 grad theta. Transforms per call: `advect` 4 inverse and 1 forward,
 `flux_divergence` 4 and 1, or 6 and 2 with the second term, which is not
-formed for q = theta, `multiply_fields` 2 and 1, `VectorField.samples` 2
-inverse.
+formed for q = theta, `multiply_fields` 2 and 1, `to_physical` 1 inverse,
+`_grid_samples` 1 inverse per spectrum.
 
 Every product site makes all its transforms in one stacked inverse call
 (`_samples`) and one stacked forward call (`_lattice_half`), on every grid.
@@ -79,15 +79,9 @@ so its output is bit for bit that of scipy.fft's 2-D transform.
   mask would zero, are not formed.
 - Hand-outs. The thread's next transform of a shape overwrites its
   workspace, so the samples that leave the engine are copies:
-  `to_physical`, `VectorField.samples` and the velocity samples of
-  `flux_divergence`.
-A two-term flux on box rows filling the dealias disc takes, against the
-previous engine (numpy.fft's one-axis functions, a separate term stack,
-one call per transform above M = 64), about 0.86 of its time at M = 64,
-0.79 at 96, 0.88 at 128, 0.93 at 192, 0.90 at 256, 0.97 at 384 and 1.0 at
-512 (medians of interleaved runs in one process, three batches, one
-thread, 2-CPU host, numpy 2.4.6). At M = 768 the kept workspace raises a
-CLI simulate's peak RSS from 122 to 142 MB; at M = 512 it is unchanged.
+  `to_physical`, `_grid_samples` and the velocity samples of `_flux_rows`.
+At M = 768 the kept workspace raises a CLI simulate's peak RSS from 122 to
+142 MB; at M = 512 it is unchanged (2-CPU host, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -95,7 +89,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pfu
@@ -304,12 +298,6 @@ class VectorField:
     def grid(self) -> GridSpec:
         return self.u1.grid
 
-    @cached_property
-    def samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (u1, u2) at the n x n sample points, transformed once."""
-        k = max(map(_support_bound, (self.u1, self.u2)))
-        return _grid_samples((self.u1.half, self.u2.half), self.grid.n, k)
-
     def divergence(self) -> SpectralField:
         ik1, ik2 = _ik(self.grid)
         return _wrap_half(self.grid, ik1 * self.u1.half + ik2 * self.u2.half)
@@ -365,7 +353,9 @@ class ModelParams:
 
 def to_physical(field: SpectralField) -> np.ndarray:
     """Evaluate the field at the n x n physical sample points."""
-    return _samples(field.half, field.grid.n, field._kmax).copy()
+    n = field.grid.n
+    k = n // 2 if field._kmax is None else field._kmax
+    return _term_samples((field.half,), n, n, k)[0].copy()
 
 
 def _canonical(box: np.ndarray) -> np.ndarray:
@@ -734,29 +724,22 @@ def _clear_between(dst: np.ndarray, rows: int) -> None:
     dst[..., p : dst.shape[-2] - (rows - p), :] = 0.0
 
 
-def _samples(coeffs: np.ndarray, size: int, k: int | None = None) -> np.ndarray:
-    """Samples on the size x size grid of a Hermitian half spectrum or box
-    rows, or of each in a stack of them: the thread's workspace samples
-    (_workspace), which its next transform of this shape overwrites.
+def _samples(buf: np.ndarray, size: int, k: int) -> np.ndarray:
+    """Samples on the size x size grid of each Hermitian spectrum in the
+    stack buf, the thread's workspace column buffer of that shape as
+    _term_samples fills it: the thread's workspace samples (_workspace),
+    which its next transform of this shape overwrites.
 
     The two one-axis passes irfft2 makes: a complex pass along m1, then a
-    real pass along m2. k, if given, bounds |m2| of every nonzero
-    coefficient; the first pass then runs over the columns m2 <= k only,
-    since the pass of a zero column is zero. Given k, coeffs may hold just
-    those columns. Their rows go into the workspace's column buffer in the
-    size-grid's fft order, the rows between them zeroed; coeffs may also be
-    that buffer itself, filled so by _term_samples. The first pass runs in
-    place there, and the real pass reads every column, zero beyond the kept
-    ones: numpy's real pass runs faster on full bins than on kept ones it
-    pads itself. The samples are bit for bit those of the unpruned transform.
+    real pass along m2. k bounds |m2| of every nonzero coefficient, so the
+    first pass runs in place over the columns m2 <= k only, since the pass
+    of a zero column is zero. The real pass reads every column, zero beyond
+    the kept ones: numpy's real pass runs faster on full bins than on kept
+    ones it pads itself. The samples are bit for bit those of the unpruned
+    transform.
     """
-    width = (coeffs.shape[-2] // 2 if k is None else k) + 1
-    buf, samples = _workspace(threading.get_ident(), coeffs.shape[:-2], size, width)
-    cols = buf[..., :width]
-    if coeffs is not buf:
-        _clear_between(cols, coeffs.shape[-2])
-        for src, dst in _row_slices(coeffs.shape[-2], size):
-            cols[..., dst, :] = coeffs[..., src, :width]
+    samples = _workspace(threading.get_ident(), buf.shape[:-2], size, k + 1)[1]
+    cols = buf[..., : k + 1]
     _pass(_pfu.ifft, cols, -2, cols)
     return _pass(_pfu.irfft, buf, -1, samples)
 
@@ -778,8 +761,7 @@ def _lattice_half(phys: np.ndarray, n: int, k_out: int | None = None, out=None) 
     if out is None:
         out = np.empty(phys.shape[:-1] + (size // 2 + 1,), dtype=np.complex128)
     kept = _pass(_pfu.rfft_n_even, phys, -1, out, 1.0 / (size * size))[..., : k + 1]
-    _pass(_pfu.fft, kept, -2, kept)
-    return np.concatenate((kept[..., : k + 1, :], kept[..., size - k :, :]), axis=-2)
+    return _box(_pass(_pfu.fft, kept, -2, kept), k)
 
 
 def _product_box(samples: np.ndarray, slots, n: int, k_out: int, width: int) -> np.ndarray:
@@ -811,8 +793,8 @@ def _term_samples(terms, rows: int, size: int, k: int) -> np.ndarray:
     factors), a stack of symbols on the columns m2 <= k (_ik_stack) and a
     stack of such arrays, standing for the product of every symbol with
     every factor, symbol by symbol: (_ik_stack(...), np.stack([a, b]))
-    gives d1 a, d1 b, d2 a, d2 b. k bounds the support of every term (see
-    _samples), and only the columns m2 <= k of a term are read or formed.
+    gives d1 a, d1 b, d2 a, d2 b. k bounds the support of every term, and
+    only the columns m2 <= k of a term are read or formed.
     Each term is written straight into its rows of the workspace's column
     buffer, a pair's products by one broadcast multiply per block of rows.
     """
@@ -878,13 +860,7 @@ def advect(u: VectorField, theta: SpectralField) -> SpectralField:
     return _from_box(grid, _dealiased(grid, _product_box(s, 2, grid.n, k_out, k + 1)))
 
 
-def flux_divergence(
-    q: SpectralField,
-    theta: SpectralField,
-    params: ModelParams,
-    *,
-    velocity_samples: list | None = None,
-) -> SpectralField:
+def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams) -> SpectralField:
     """Divergence of the modified nonlinear flux built from q and theta.
 
     One-term branch: Div((perp_grad M q) theta) where M is the constitutive
@@ -900,19 +876,13 @@ def flux_divergence(
     divergence free; they share the samples of grad theta. Transforms: 4
     inverse and 1 forward for one term, 6 and 2 for two, in one inverse and
     one forward call.
-
-    velocity_samples, if given, is a list. When the products are formed on
-    the n-grid, the n-grid samples (u1, u2) of velocity_from_scalar(q,
-    params) are appended to it, read-only: u = (d2(M q), -d1(M q)), taken
-    from the samples made here at no transform. Otherwise it stays as it is.
     """
     grid = theta.grid
     if q.grid != grid:
         raise ValueError("flux_divergence requires a shared grid")
     if not (q.mean_zero and theta.mean_zero):
         raise ValueError("flux_divergence requires mean-zero q and theta")
-    half = _flux_rows(grid, q, theta, params, velocity_samples)
-    return _wrap_half(grid, half, _box_bound(grid))
+    return _wrap_half(grid, _flux_rows(grid, q, theta, params), _box_bound(grid))
 
 
 def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, velocity_samples=None):
@@ -923,6 +893,11 @@ def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, velocity_samples=N
 
     The factors are formed on the rows they come in; box rows against a
     half spectrum are first written into a half.
+
+    velocity_samples, if given, is a list. When the products are formed on
+    the n-grid, the n-grid samples (u1, u2) of velocity_from_scalar(q,
+    params) are appended to it, read-only: u = (d2(M q), -d1(M q)), taken
+    from the samples made here at no transform. Otherwise it stays as it is.
     """
     n = grid.n
     # every factor lies inside q's or theta's support

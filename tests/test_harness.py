@@ -1,8 +1,9 @@
 """Config parsing, the initial-data library, checkpoint and CSV persistence,
-plot-data emission, scenario execution with its exit-code map, and the
+decay-study plot data, scenario execution with its exit-code map, and the
 operator / inequality verification batteries."""
 
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -33,13 +34,12 @@ from gsqglab import (
     build_initial_data,
     decay_study,
     default_delta,
-    emit_plot_data,
     field_from_modes,
+    flux_divergence,
     multiply_fields,
     parse_config,
     random_test_field,
     read_checkpoint,
-    read_csv_columns,
     run_scenario,
     simulate,
     sobolev_norm,
@@ -49,6 +49,7 @@ from gsqglab import (
     write_checkpoint,
     write_csv,
 )
+import gsqglab
 import gsqglab.harness as harness
 from gsqglab.cli import main
 from gsqglab.harness import (
@@ -68,7 +69,8 @@ from gsqglab.harness import (
     _Required,
     _snapshot_cells,
 )
-from util import l2_norm, lattice_k, random_field, scalar_direct_advect
+from gsqglab.solver import _slope
+from util import l2_norm, lattice_k, random_field, read_csv_columns, scalar_direct_advect
 
 SIM_BODY = """
 [scenario]
@@ -749,46 +751,20 @@ def test_csv_layout_follows_the_report_type(tmp_path):
     assert path.read_text() == "name,measured,limit,passed\n"
 
 
-def test_plot_data_constant_series_has_zero_slope(tmp_path):
-    csv = tmp_path / "c.csv"
-    csv.write_text("t,v\n1,5\n2,5\n3,5\n")
-    slope = emit_plot_data(str(csv), str(tmp_path / "c.dat"), "t", "v", "loglog")
-    assert slope == 0.0
-    assert "# slope=0" in (tmp_path / "c.dat").read_text()
+def test_slope_of_a_constant_series_is_zero():
+    assert _slope([0.0, 0.7, 1.1], [5.0, 5.0, 5.0]) == 0.0
 
 
-def test_plot_data_heat_flow_slope_matches_closed_form(tmp_path):
+def test_csv_heat_flow_l2_slope_matches_closed_form(tmp_path):
+    # a single mode's L2 norm decays as exp(-gamma |k|^kappa t) under the heat flow
     f = field_from_modes(GRID, {(2, 1): 1e-8})
     params = ModelParams(beta=1.5, kappa=0.5, gamma=0.4)
     traj = simulate(f, params, 1.0, 1e-2, 10)
     csv = tmp_path / "h.csv"
     write_csv(traj, str(csv))
-    slope = emit_plot_data(str(csv), str(tmp_path / "h.dat"), "t", "l2", "semilogy")
+    cols = read_csv_columns(str(csv))
+    slope = _slope(cols["t"], [math.log(v) for v in cols["l2"]])
     assert slope == pytest.approx(-0.4 * 5.0**0.25, abs=1e-3)
-
-
-def test_plot_data_unknown_column_and_transform(tmp_path):
-    csv = tmp_path / "c.csv"
-    csv.write_text("t,v\n1,5\n2,6\n")
-    with pytest.raises(ValueError, match="unknown column 'w'"):
-        emit_plot_data(str(csv), str(tmp_path / "o.dat"), "t", "w")
-    with pytest.raises(ValueError, match="unknown transform"):
-        emit_plot_data(str(csv), str(tmp_path / "o.dat"), "t", "v", "cubist")
-
-
-def test_plot_data_x_min_filters(tmp_path):
-    csv = tmp_path / "c.csv"
-    csv.write_text("t,v\n" + "".join(f"{t},{t**2}\n" for t in (0.5, 1, 2, 4, 8)))
-    slope = emit_plot_data(
-        str(csv), str(tmp_path / "o.dat"), "t", "v", "loglog", x_min=1.0
-    )
-    assert slope == pytest.approx(2.0, rel=1e-12)
-    data_rows = [
-        ln for ln in (tmp_path / "o.dat").read_text().splitlines()
-        if ln and not ln.startswith("#")
-    ]
-    assert len(data_rows) == 4
-    assert all(float(ln.split()[0]) >= 0.0 for ln in data_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1321,6 +1297,16 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     proc = _fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_exports_resolve_and_retired_entry_points_stay_gone():
+    names = gsqglab.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(gsqglab, name)] == []
+    for name in ("emit_plot_data", "read_csv_columns"):
+        assert name not in names and not hasattr(harness, name)
+    assert not hasattr(VectorField, "samples")
+    assert "velocity_samples" not in inspect.signature(flux_divergence).parameters
 
 
 def test_cli_blow_up_reports_one_line_on_stderr(tmp_path):

@@ -173,6 +173,13 @@ def _scipy_samples(half, size):
     return scipy.fft.irfft2(padded, s=(size, size), norm="forward")
 
 
+def _engine_samples(half, size, k):
+    """The product engine's samples of a half spectrum, or of each in a
+    stack of them, as one stacked inverse call."""
+    terms = tuple(half) if half.ndim == 3 else (half,)
+    return spectral._term_samples(terms, half.shape[-2], size, k)
+
+
 def _scipy_lattice_half(phys, n):
     """The n-lattice box rows, |m1|, m2 <= n/2 - 1, that
     scipy.fft.rfft2(norm="forward") gives."""
@@ -195,16 +202,16 @@ def test_transform_engine_matches_scipy_byte_for_byte(n, padded, stack):
     half = np.stack([f.half for f in fields]) if stack else fields[0].half
     ref = _scipy_samples(half, size)
     assert ref.shape == half.shape[:-2] + (size, size)
-    # the true support, a bound above it, the largest bound, and no bound
-    for bound in (k, k + 3, n // 2, None):
-        assert spectral._samples(half, size, bound).tobytes() == ref.tobytes(), bound
+    # the true support, a bound above it, and the largest bound
+    for bound in (k, k + 3, n // 2):
+        assert _engine_samples(half, size, bound).tobytes() == ref.tobytes(), bound
     rng = np.random.default_rng(n + size)
     for phys in (ref, rng.standard_normal(ref.shape)):
         got = spectral._lattice_half(phys, n)
         assert got.tobytes() == _scipy_lattice_half(phys, n).tobytes()
     zero = np.zeros_like(half)
-    for bound in (0, None):
-        assert spectral._samples(zero, size, bound).tobytes() == _scipy_samples(zero, size).tobytes()
+    for bound in (0, n // 2):
+        assert _engine_samples(zero, size, bound).tobytes() == _scipy_samples(zero, size).tobytes()
     phys = np.zeros(ref.shape)
     assert spectral._lattice_half(phys, n).tobytes() == _scipy_lattice_half(phys, n).tobytes()
 
@@ -253,7 +260,7 @@ def test_samples_equal_short_bin_and_mirrored_transforms(n, padded, stack):
     size = 3 * n // 2 if padded else n
     for k in (0, int(g.dealias_radius), n // 2):
         half = _column_bounded(g, k, 3 if stack else 1, seed=70 + k)
-        got = spectral._samples(half, size, k)
+        got = _engine_samples(half, size, k)
         assert got.tobytes() == _short_bin_samples(half, size, k).tobytes(), k
         assert got.tobytes() == _mirrored_samples(half, size).tobytes(), k
 
@@ -272,7 +279,7 @@ def test_samples_keep_no_trace_of_an_earlier_call(n, padded):
         for k, seed in calls:
             half = _column_bounded(g, k, stack, seed)
             want = _mirrored_samples(half, size)
-            assert spectral._samples(half, size, k).tobytes() == want.tobytes(), (k, seed)
+            assert _engine_samples(half, size, k).tobytes() == want.tobytes(), (k, seed)
 
 
 @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
@@ -307,7 +314,7 @@ def test_samples_agree_across_threads():
         q, theta = fields[i], fields[i + 1]
         qb, tb = spectral._box(q.half, box), spectral._box(theta.half, box)
         jobs.append((
-            lambda h=h: spectral._samples(h, 64, k),
+            lambda h=h: _engine_samples(h, 64, k),
             lambda qb=qb, tb=tb: spectral._flux_rows(g, qb, tb, params),
             lambda q=q, theta=theta: flux_divergence(q, theta, params).half,
         ))
@@ -345,20 +352,15 @@ def test_samples_that_leave_the_engine_keep_their_bytes(fraction):
     a, b, c, d = (_disc_field(g, seed=120 + i) for i in range(4))
     k = _support(a.half, b.half, c.half, d.half)
     velocity = []
-    handed = [
-        to_physical(a),
-        *velocity_from_scalar(a, params).samples,
-        *spectral._grid_samples((a.half, b.half), g.n, k),
-    ]
-    flux_divergence(a, b, params, velocity_samples=velocity)
+    handed = [to_physical(a), *spectral._grid_samples((a.half, b.half), g.n, k)]
+    spectral._flux_rows(g, a, b, params, velocity)
     assert len(velocity) == (2 if fraction < 0.7 else 0)
     handed += velocity
     kept = [x.tobytes() for x in handed]
     # the same shapes again, on other fields
     to_physical(c)
-    velocity_from_scalar(c, params).samples
     spectral._grid_samples((c.half, d.half), g.n, k)
-    flux_divergence(c, d, params, velocity_samples=[])
+    spectral._flux_rows(g, c, d, params, [])
     flux_divergence(d, c, params)
     assert [x.tobytes() for x in handed] == kept
 
@@ -380,7 +382,7 @@ def test_pocketfft_passes_equal_the_public_2d_transforms(n, padded):
     spectral._pass(spectral._pfu.ifft, cols, -2, cols)
     got = spectral._pass(spectral._pfu.irfft, cols, -1, np.empty((size, size)))
     assert got.tobytes() == want.tobytes()
-    assert spectral._samples(half, size).tobytes() == want.tobytes()
+    assert _engine_samples(half, size, h).tobytes() == want.tobytes()
 
     phys = rng.standard_normal((size, size))
     want = np.fft.rfft2(phys)
@@ -1023,9 +1025,10 @@ def test_stacked_transforms_equal_per_array_bit_for_bit(op, n, fraction, before)
     got = _stack_op(op, a, b, params)
     assert got.half.tobytes() == per_array(op, a, b, params).half.tobytes()
     u = velocity_from_scalar(a, params)
+    pruned = spectral._grid_samples((u.u1.half, u.u2.half), n, _support(a.half))
     assert all(
-        s.tobytes() == spectral._samples(c.half, n).tobytes()
-        for s, c in zip(u.samples, (u.u1, u.u2))
+        s.tobytes() == _engine_samples(c.half, n, n // 2).tobytes()
+        for s, c in zip(pruned, (u.u1, u.u2))
     )
 
 
@@ -1036,8 +1039,8 @@ def test_flux_fills_the_velocity_samples_on_the_n_grid(op, fraction):
     params = _STACK_OPS[op]
     q, theta = _disc_field(g, seed=57), _disc_field(g, seed=58)
     samples = []
-    got = flux_divergence(q, theta, params, velocity_samples=samples)
-    assert got.half.tobytes() == flux_divergence(q, theta, params).half.tobytes()
+    got = spectral._flux_rows(g, q, theta, params, samples)
+    assert got.tobytes() == spectral._flux_rows(g, q, theta, params).tobytes()
     on_n_grid = spectral._grid_size(g.n, (q,), (theta,), int(g.dealias_radius))[0] == g.n
     assert (len(samples) == 2) == on_n_grid == (fraction < 0.7)
     ref = velocity_from_scalar(q, params)

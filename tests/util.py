@@ -144,7 +144,7 @@ def full_lattice_test_field(spec, index) -> SpectralField:
 
 
 def per_array(op, a, b, params):
-    """The product sites written with one _samples / _lattice_half call per
+    """The product sites written with one inverse / forward transform call per
     full-width array: multiply_fields(a, b) for op "multiply", the advection
     of b by a's velocity for "advect", else flux_divergence(a, b, params).
     Each forward call keeps the box rows the site keeps, as the engine's do."""
@@ -153,8 +153,8 @@ def per_array(op, a, b, params):
     lattice_half = spectral._lattice_half
 
     def samples(coeffs, size):
-        # _samples returns the engine's workspace, which its next call reuses
-        return spectral._samples(coeffs, size).copy()
+        # the engine's samples are its workspace, which its next call reuses
+        return spectral._term_samples((coeffs,), n, size, n // 2)[0].copy()
 
     ik1, ik2 = spectral._ik(grid)
     if op == "multiply":
@@ -205,7 +205,7 @@ def advective_stages(grid, params):
         return (
             lambda s, _stage: rows(advective_tendency(field(s), params), s),
             lambda: (u.u1.half, u.u2.half),
-            u.samples,
+            spectral._grid_samples((u.u1.half, u.u2.half), grid.n, spectral._support_bound(theta)),
             rows(-advect(u, theta), c),
         )
 
@@ -232,3 +232,29 @@ def advective_step(state) -> SpectralField:
     guard = solver.DEFAULT_CFL
     out = solver._advance(c, i, state.t, h, factors, nonlin, k1, speed, l2, guard)
     return _wrap_half(grid, out)
+
+
+def read_csv_columns(path: str) -> dict[str, list]:
+    """Read back a CSV written by write_csv, column by column: the round-trip
+    oracle of the CSV artifacts.
+
+    Numeric cells parse to float (booleans to 1.0/0.0); anything else, like
+    the name column of a check table, stays a string.
+    """
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    header = lines[0].split(",")
+    cols: dict[str, list] = {name: [] for name in header}
+    for line in lines[1:]:
+        for name, cell in zip(header, line.split(",")):
+            if cell == "true":
+                value = 1.0
+            elif cell == "false":
+                value = 0.0
+            else:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = cell
+            cols[name].append(value)
+    return cols
