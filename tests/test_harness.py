@@ -69,7 +69,7 @@ from gsqglab.harness import (
     _Required,
     _snapshot_cells,
 )
-from gsqglab.solver import _slope
+from gsqglab.solver import _loglog_fit, _slope
 from util import l2_norm, lattice_k, random_field, read_csv_columns, scalar_direct_advect
 
 SIM_BODY = """
@@ -765,6 +765,33 @@ def test_csv_heat_flow_l2_slope_matches_closed_form(tmp_path):
     cols = read_csv_columns(str(csv))
     slope = _slope(cols["t"], [math.log(v) for v in cols["l2"]])
     assert slope == pytest.approx(-0.4 * 5.0**0.25, abs=1e-3)
+
+
+def test_plot_data_x_min_filters(tmp_path):
+    # decay-study's plot data: points left of the window and non-positive
+    # values are dropped before the fit and the .dat file
+    ts = (0.5, 1, 2, 4, 8)
+    vs = [t**2 for t in ts[:-1]] + [0.0]
+    xs, ys, slope = _loglog_fit(ts, vs, 1.0)
+    assert slope == pytest.approx(2.0, rel=1e-12)
+    assert xs == [math.log(t) for t in (1, 2, 4)]
+    dat = tmp_path / "o.dat"
+    harness._write_plot_data(str(dat), "v", xs, ys, slope)
+    lines = dat.read_text().splitlines()
+    assert lines[0] == "# x=t y=v transform=loglog"
+    data_rows = [ln for ln in lines if ln and not ln.startswith("#")]
+    assert len(data_rows) == 3
+    assert all(float(ln.split()[0]) >= 0.0 for ln in data_rows)
+    assert lines[-1].startswith("# slope=")
+    assert float(lines[-1].removeprefix("# slope=")) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_plot_data_window_keeps_its_left_end_up_to_roundoff():
+    # a time a hair under t_min stays in the window; one clearly under it does not
+    ts = [0.3 * (1.0 - 1e-9), 0.3, 0.6, 1.2]
+    xs, _, slope = _loglog_fit(ts, [9.0, 1.0, 0.5, 0.25], 0.3 * (1.0 + 1e-14))
+    assert xs == [math.log(t) for t in ts[1:]]
+    assert slope == pytest.approx(-1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
