@@ -37,7 +37,6 @@ from .norms import _sobolev_weight, check_gevrey_interpolation, sobolev_norm
 from .solver import (
     DEFAULT_CFL,
     DecayReport,
-    FinalSink,
     GevreyTrackReport,
     PicardIterate,
     ReduceSink,
@@ -239,7 +238,7 @@ _KEYS = {f"{row.section}.{row.key}": row for row in (
     _Key("initial", "amplitude2", float, 0.5),
     _Key("initial", "decay", float, 3.0),
     _Key("initial", "member", _int, 0, _nonnegative, "must be nonnegative"),
-    _Key("initial", "width"),
+    _Key("initial", "width", float, None, _positive, "must be positive"),
     _Key("initial", "separation"),
     _Key("initial", "path", str),
     _Key("gevrey", "alpha"),
@@ -611,34 +610,36 @@ class CheckRow:
 
 
 def _snapshot_cells(params: ModelParams, gevrey: GevreyTrackSpec):
-    """cells(t, field, row): the two simulate.csv cells of a snapshot that
-    its row does not hold, hs_crit_delta and the Gevrey term."""
+    """cells(t, field, row): a snapshot's simulate.csv cells, (row,
+    hs_crit_delta, gevrey_tracked), its row and the two cells it does not
+    hold, hs_crit_delta and the Gevrey term."""
     alpha, eps_rate, delta = gevrey.resolved(params)
     sigma_hi = params.sigma_c + delta
 
-    def cells(t, f, _row):
-        return sobolev_norm(f, sigma_hi), gevrey_term(t, f, params, alpha, eps_rate, delta)
+    def cells(t, f, row):
+        return row, sobolev_norm(f, sigma_hi), gevrey_term(t, f, params, alpha, eps_rate, delta)
 
     return cells
 
 
-def _snapshot_table(times, rows, cells, t0: float):
+def _snapshot_table(times, cells, t0: float):
     header = ("t", "l2", "hs_crit", "hs_crit_delta", "gevrey_tracked", "energy_residual",
               "max_u", "courant")
     return header, (
         (t0 + t, row.l2, row.hs_crit, hs_delta, g, row.energy_residual, row.max_u, row.courant)
-        for t, row, (hs_delta, g) in zip(times, rows, cells, strict=True)
+        for t, (row, hs_delta, g) in zip(times, cells, strict=True)
     )
 
 
 def _csv_rows_for_trajectory(traj: Trajectory, gevrey: GevreyTrackSpec, t0: float):
     cells = map(_snapshot_cells(traj.params, gevrey), traj.times, traj.fields, traj.rows)
-    return _snapshot_table(traj.times, traj.rows, cells, t0)
+    return _snapshot_table(traj.times, cells, t0)
 
 
 def _csv_rows_for_summary(run: RunSummary, _gevrey, t0: float):
-    """The table of a run whose ReduceSink kept _snapshot_cells."""
-    return _snapshot_table(run.times, run.rows, run.cells, t0)
+    """The table of a run whose ReduceSink kept _snapshot_cells: each cell
+    holds its snapshot's row, so the summary keeps no rows of its own."""
+    return _snapshot_table(run.times, run.cells, t0)
 
 
 def _csv_rows_for_picard(iterates, *_):
@@ -1056,7 +1057,7 @@ def amplitude_threshold_sweep(
         try:
             its = picard_solve(
                 theta0, params, T, dt, tol=1e-12, max_iter=max_iter, c_cfl=c_cfl,
-                sink=FinalSink,
+                sink=ReduceSink,
             )
         except (BlowUpError, CourantError, PicardConvergenceError) as exc:
             rows.append((amp, type(exc).__name__, math.nan))
@@ -1158,7 +1159,7 @@ def _initial_for(config: ScenarioConfig) -> _Start:
 
 
 def _reduced_run(config: ScenarioConfig, start: _Start, cells) -> RunSummary:
-    """The run from start to the absolute horizon config.T, keeping its rows,
+    """The run from start to the absolute horizon config.T, keeping
     cells(t, field, row) of each snapshot and the final field."""
     return simulate(
         start.theta0,
@@ -1179,15 +1180,16 @@ def _run_simulate(config: ScenarioConfig, start: _Start, csv: str):
         n_final = int(round(t_final / config.dt))
         state = SimState(run.final, n_final * config.dt, n_final, start.params, config.dt)
         write_checkpoint(state, config.checkpoint_path)
-    last = run.rows[-1]
+    rows = [row for row, _hs_delta, _g in run.cells]
+    last = rows[-1]
     return [
         f"steps: {int(round((config.T - start.t0) / config.dt))}  dt: {_fmt(config.dt)}",
         f"final t: {_fmt(t_final)}",
         f"final l2: {_fmt(last.l2)}",
         f"final critical norm: {_fmt(last.hs_crit)}",
         f"max l2 step increase: {_fmt(run.max_l2_step_increase)}",
-        f"max energy residual: {_fmt(max(r.energy_residual for r in run.rows))}",
-        f"max courant: {_fmt(max(r.courant for r in run.rows))}",
+        f"max energy residual: {_fmt(max(r.energy_residual for r in rows))}",
+        f"max courant: {_fmt(max(r.courant for r in rows))}",
     ], True
 
 
@@ -1203,7 +1205,7 @@ def _run_picard(config: ScenarioConfig, start: _Start, csv: str):
             max_iter=config.picard_max_iter,
             snapshot_stride=config.snapshot_stride,
             c_cfl=config.c_cfl,
-            sink=FinalSink,
+            sink=ReduceSink,
         )
     except PicardConvergenceError as exc:
         iterates, failed = exc.iterates, exc

@@ -12,21 +12,21 @@ stage and result buffers, bit for bit the written expression, and the
 product engine takes them as they are and returns the tendency as box
 rows, so every value inside the box is the one a half-spectrum core gives.
 A field (a half spectrum) is made of the state only for a snapshot field
-a sink keeps; `step` runs the same core on its state's whole half spectrum. Every L2 and
-Sobolev number here, the per-step L2 norm included, is norms._l2, the
-Parseval sum over box rows or a half spectrum behind norms.sobolev_norm,
-so no full array is mirrored for one. The box rows' K bounds their
-support, so the product engine sizes their products without scanning
-them. Every run with transport steps the modified-flux solve: the full
-equation is its member q = theta, whose
-tendency flux_divergence(theta, theta) is -u . grad(theta). The Courant
-number is read from n-grid samples of q's velocity at the start of the
-step: when the first stage's products fit the n-grid, those of d1(M q) and
-d2(M q) that `flux_divergence` makes, so the check costs no transform of
-its own. On top of the direct solver sit the fixed-point machinery (a
-linear solve with frozen transport coefficients, iterated to convergence),
-exact self-similar rescaling, and the decay and analyticity-radius
-diagnostics.
+a sink keeps; `step` runs the same core on its state's whole half
+spectrum. Every L2 and Sobolev number here, the per-step L2 norm included,
+is norms._l2, the Parseval sum over box rows or a half spectrum behind
+norms.sobolev_norm, so no full array is mirrored for one. The box rows' K
+bounds their support, so the product engine sizes their products without
+scanning them. Every run with transport steps the modified-flux solve:
+the full equation is its member q = theta, whose tendency
+flux_divergence(theta, theta) is -u . grad(theta). The Courant number
+(`_courant`) takes one float, the peak speed of q's velocity on the n-grid
+at the start of the step: when the first stage's products fit the n-grid,
+the product engine reads it from the samples of d1(M q) and d2(M q) it
+makes, so the check costs no transform of its own. On top of the direct
+solver sit the fixed-point machinery (a linear solve with frozen
+transport coefficients, iterated to convergence), exact self-similar
+rescaling, and the decay and analyticity-radius diagnostics.
 
 A run hands each snapshot (t, field, row) to a sink, chosen by the `sink`
 keyword of `simulate` and `picard_solve`. field and row are zero-argument
@@ -35,25 +35,24 @@ most once, the row maker while it takes the snapshot, and the field maker
 only for a field it keeps:
 - `TrajectorySink`, the default, keeps every snapshot field and row and
   returns a `Trajectory`;
-- `ReduceSink` keeps the rows, the scalar cells its `cells(t, field, row)`
-  makes of each snapshot, and the last field, and returns a `RunSummary`.
-  Beyond a row and its cells per snapshot, its memory does not grow with
-  the number of steps;
-- `FinalSink` keeps the last field alone and never makes a row; its
-  `RunSummary` has no times, rows or cells. The callers that read only the
-  iterate distances or the final field use it: the picard scenario, the
-  amplitude sweep and the scaling check.
+- `ReduceSink` keeps the snapshot times, the cells its `cells(t, field,
+  row)` makes of each snapshot, and the last field, and returns a
+  `RunSummary`. Beyond a time and its cells per snapshot, its memory does
+  not grow with the number of steps. Without `cells` it makes no row and
+  no field but the last: the callers that read only the iterate distances
+  or the final field run so, the picard scenario, the amplitude sweep and
+  the scaling check.
 A row's velocity components are made only by the row maker, and so are the
 final snapshot's slope and Courant number: velocity components are formed
-for a row alone, except where the Courant number needs their samples
+for a row alone, except where the Courant number's peak speed needs them
 transformed (products on the 3n/2 grid). `picard_solve` reads the previous
 iterate's stage records, box rows (55 % less memory than half spectra at
 n = 64), through the one stage provider, `_as_stage_provider`, which holds
 the only copy of the record list and drops each record once the new
 iterate's step has read it. Each step difference is reduced to its norms,
-on the box rows, as the step's start value is formed. With `ReduceSink` or
-`FinalSink` an iterate holds one iterate's stage records at a time, plus the
-final fields and, with `ReduceSink`, the rows.
+on the box rows, as the step's start value is formed. With `ReduceSink` an
+iterate holds one iterate's stage records at a time, plus the final fields
+and the cells.
 """
 
 from __future__ import annotations
@@ -74,13 +73,14 @@ from .spectral import (
     _box_bound,
     _boxed,
     _dealias_mask,
+    _dealias_ones,
     _flux_rows,
     _from_box,
-    _grid_samples,
     _half,
     _homog_weight,
     _kabs,
     _layout,
+    _peak_speed,
     _rows,
     _support_bound,
     _velocity_rows,
@@ -95,7 +95,6 @@ from .spectral import advect  # noqa: F401, E402
 __all__ = [
     "DecayReport",
     "DiagnosticsRow",
-    "FinalSink",
     "GevreyTrackReport",
     "PicardIterate",
     "ReduceSink",
@@ -199,15 +198,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """What a run with ReduceSink keeps: the snapshot times and rows, the
-    cells made of each snapshot, and the final field. A run with FinalSink
-    keeps the final field alone: its times, rows and cells are empty.
+    """What a run with ReduceSink keeps: the snapshot times, the cells made
+    of each snapshot (none without a cells function), and the final field.
 
     fields holds the final field alone, the one field the run retains.
     """
 
     times: tuple
-    rows: tuple
     cells: tuple
     final: SpectralField
     params: ModelParams
@@ -242,9 +239,10 @@ class TrajectorySink:
 
 
 class ReduceSink:
-    """Reduce-only sink: keeps the rows, cells(t, field, row) of each snapshot
-    when cells is given, and the last field, made when the run has ended
-    unless cells made it; builds a RunSummary.
+    """Reduce-only sink: keeps the snapshot times, cells(t, field, row) of
+    each snapshot when cells is given, and the last field, made when the run
+    has ended unless cells made it; builds a RunSummary. Without cells it
+    makes no row, and no field but the last.
 
     An exception from cells is held and raised when the run has ended, so a
     failure of the run itself is reported first, as it would be if the cells
@@ -252,54 +250,29 @@ class ReduceSink:
     """
 
     def __init__(self, cells=None):
-        self.times, self.rows, self.cells = [], [], []
+        self.times, self.cells = [], []
         self._last = None   # the last snapshot's field maker
         self._make_cells = cells
         self._error = None
 
     def add(self, t: float, field, row) -> None:
-        row = row()
         self.times.append(t)
-        self.rows.append(row)
         self._last = field
-        if self._make_cells is not None and self._error is None:
-            made = field()
-            self._last = lambda: made
-            try:
-                self.cells.append(self._make_cells(t, made, row))
-            except Exception as exc:   # re-raised by result()
-                self._error = exc
+        if self._make_cells is None or self._error is not None:
+            return
+        made, row = field(), row()
+        self._last = lambda: made
+        try:
+            self.cells.append(self._make_cells(t, made, row))
+        except Exception as exc:   # re-raised by result()
+            self._error = exc
 
     def result(self, params: ModelParams, dt: float, max_increase: float) -> RunSummary:
         if self._error is not None:
             raise self._error
         return RunSummary(
             times=tuple(self.times),
-            rows=tuple(self.rows),
             cells=tuple(self.cells),
-            final=self._last(),
-            params=params,
-            dt=dt,
-            max_l2_step_increase=max_increase,
-        )
-
-
-class FinalSink:
-    """Final-field sink: keeps the last snapshot's field maker, called when
-    the run has ended, and never makes a row; builds a RunSummary with no
-    times, rows or cells."""
-
-    def __init__(self):
-        self._last = None
-
-    def add(self, t: float, field, row) -> None:
-        self._last = field
-
-    def result(self, params: ModelParams, dt: float, max_increase: float) -> RunSummary:
-        return RunSummary(
-            times=(),
-            rows=(),
-            cells=(),
             final=self._last(),
             params=params,
             dt=dt,
@@ -376,11 +349,6 @@ def _decay_rate(grid, gamma, kappa, eps_visc):
     return rate
 
 
-def _decay_multiplier(grid, gamma, kappa, eps_visc, tau):
-    """exp(-tau (gamma |k|^kappa + eps |k|^2)) on the m2 >= 0 half lattice."""
-    return np.exp(-tau * _decay_rate(grid, gamma, kappa, eps_visc))
-
-
 def linear_heat_propagator(
     field: SpectralField, t: float, gamma: float, kappa: float, eps_visc: float = 0.0
 ) -> SpectralField:
@@ -396,7 +364,7 @@ def linear_heat_propagator(
         raise ValueError("dissipation strengths must be nonnegative")
     if not (0 < kappa <= 2):
         raise ValueError(f"kappa must lie in (0, 2], got {kappa}")
-    mult = _decay_multiplier(field.grid, gamma, kappa, eps_visc, t)
+    mult = np.exp(-t * _decay_rate(field.grid, gamma, kappa, eps_visc))
     return _wrap_half(field.grid, mult * field.half, field._kmax)
 
 
@@ -420,19 +388,15 @@ def _equation_stages(grid: GridSpec, params: ModelParams, nonlinear: bool):
     def factory(_i, c):
         u = _velocity_rows(grid, c, params)
         zero = np.zeros_like(c)
-        samples = _grid_samples(u, grid.n, _support_bound(c))
-        return (lambda _c, _stage: zero), (lambda: u), samples, zero
+        speed = _peak_speed(u, grid.n, _support_bound(c))
+        return (lambda _c, _stage: zero), (lambda: u), speed, zero
 
     return factory
 
 
-def _courant(samples, grid: GridSpec, dt: float) -> tuple:
-    """Peak speed of a velocity and the advective Courant number it gives at
-    step dt, from its n-grid samples (u1, u2): one sqrt of the largest
-    u1^2 + u2^2, which is the largest |u| since sqrt is monotone and
-    correctly rounded. A non-finite sample gives a non-finite speed."""
-    p1, p2 = samples
-    max_u = float(np.sqrt((p1 * p1 + p2 * p2).max()))
+def _courant(max_u: float, grid: GridSpec, dt: float) -> tuple:
+    """A velocity's peak speed max_u and the advective Courant number it
+    gives at step dt."""
     return max_u, dt * max_u / (grid.period / grid.n)
 
 
@@ -544,7 +508,7 @@ def step(
     grid = state.field.grid
     c = state.field.half   # the whole half: a state may reach beyond the box
     i = state.step_index
-    nonlin, _velocity, samples, k1 = _equation_stages(grid, state.params, nonlinear)(i, c)
+    nonlin, _velocity, max_u, k1 = _equation_stages(grid, state.params, nonlinear)(i, c)
     out = _advance(
         c,
         i,
@@ -553,7 +517,7 @@ def step(
         _integrating_factors(grid, state.params, h, len(c)),
         nonlin,
         k1,
-        _courant(samples, grid, h),
+        _courant(max_u, grid, h),
         _l2(c, grid.period),
         c_cfl if nonlinear else None,
     )
@@ -573,7 +537,7 @@ def step(
 def _admissible_box(theta0: SpectralField) -> np.ndarray:
     """Box rows of the initial data restricted to the dealias disc, mean removed."""
     grid = theta0.grid
-    c = _box(theta0.half, _box_bound(grid)) * _boxed(grid, _dealias_mask)
+    c = _box(theta0.half, _box_bound(grid)) * _boxed(grid, _dealias_ones)
     c[0, 0] = 0.0
     return c
 
@@ -608,9 +572,9 @@ def _run(
     i = n_steps by the final row's maker alone. It returns the stage
     tendency function (mapping a stage's box rows to its tendency's, called
     with stage indices 1..3, in order), a zero-argument maker of the
-    advecting velocity's components, read only by the row, the n-grid
-    samples (u1, u2) of that velocity, which give the CFL measurement, and
-    the first slope k1 at c. on_state(i, c), if given, sees the state at
+    advecting velocity's components, read only by the row, that velocity's
+    peak speed on the n-grid, which gives the CFL measurement, and the
+    first slope k1 at c. on_state(i, c), if given, sees the state at
     every i = 0..n_steps first. A field is made of the state only for a
     snapshot field the sink keeps.
     """
@@ -630,9 +594,9 @@ def _run(
         return _diagnostics_row(t, c, l2, params, grid, velocity(), speed, k1)
 
     def final_row():
-        # at t = T the factory's slope and samples feed the row alone
-        _nonlin, velocity, samples, k1 = nonlin_factory(n_steps, c)
-        return row(t, c, l2_now, velocity, _courant(samples, grid, dt), k1)
+        # at t = T the factory's slope and speed feed the row alone
+        _nonlin, velocity, max_u, k1 = nonlin_factory(n_steps, c)
+        return row(t, c, l2_now, velocity, _courant(max_u, grid, dt), k1)
 
     for i in range(n_steps + 1):
         t = i * dt
@@ -641,8 +605,8 @@ def _run(
         if i == n_steps:
             sink.add(t, partial(_from_box, grid, c), final_row)
             break
-        nonlin, velocity, samples, k1 = nonlin_factory(i, c)
-        speed = _courant(samples, grid, dt)
+        nonlin, velocity, max_u, k1 = nonlin_factory(i, c)
+        speed = _courant(max_u, grid, dt)
         if i % snapshot_stride == 0:
             sink.add(t, partial(_from_box, grid, c), partial(row, t, c, l2_now, velocity, speed, k1))
         c = _advance(c, i, t, dt, factors, nonlin, k1, speed, l2_now, guard)
@@ -772,13 +736,14 @@ def _flux_stages(grid, provider, params, n_steps, stage_sink, *, negate):
     last step's end stage. When stage_sink is a list, each step's four stage
     values are appended to it as one list, in the rows they come in. The
     Courant velocity is q's at the start of the step; when the first stage's
-    products fit the n-grid, its samples are the ones that stage's flux
-    transforms make, and its components are formed only for a row.
+    products fit the n-grid, its peak speed is read from the samples that
+    stage's flux transforms make, and its components are formed only for a
+    row.
     """
 
     def factory(i, c):
         q0 = provider(i, 0, c) if i < n_steps else provider(n_steps - 1, 3, c)
-        samples = []
+        speed = []
         record = None
         if stage_sink is not None and i < n_steps:
             record = []
@@ -788,16 +753,16 @@ def _flux_stages(grid, provider, params, n_steps, stage_sink, *, negate):
             if record is not None and len(record) < 4:
                 record.append(f)
             if stage == 0:
-                div = _flux_rows(grid, q0, f, params, samples)
+                div = _flux_rows(grid, q0, f, params, speed)
             else:
                 div = _flux_rows(grid, provider(i, stage, f), f, params)
             return -div if negate else div
 
         k1 = tendency(c, 0)
-        if samples:
-            return tendency, partial(_velocity_rows, grid, _rows(q0), params), samples, k1
+        if speed:
+            return tendency, partial(_velocity_rows, grid, _rows(q0), params), speed[0], k1
         u = _velocity_rows(grid, _rows(q0), params)
-        return tendency, (lambda: u), _grid_samples(u, grid.n, _support_bound(q0)), k1
+        return tendency, (lambda: u), _peak_speed(u, grid.n, _support_bound(q0)), k1
 
     return factory
 
@@ -818,7 +783,7 @@ def _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink):
 
     def row(t, c):
         u = _velocity_rows(grid, c, params)
-        speed = _courant(_grid_samples(u, grid.n, k), grid, dt)
+        speed = _courant(_peak_speed(u, grid.n, k), grid, dt)
         return _diagnostics_row(t, c, _l2(c, grid.period), params, grid, u, speed)
 
     n_steps = _step_count(T, dt)
@@ -984,7 +949,7 @@ def scaling_equivariance_check(
     )
 
     run_a = simulate(
-        theta0, params, T, dt, n_steps, c_cfl=c_cfl, nonlinear=nonlinear, sink=FinalSink
+        theta0, params, T, dt, n_steps, c_cfl=c_cfl, nonlinear=nonlinear, sink=ReduceSink
     )
     coarse = rescale_solution(run_a.final, lam, params)
 
@@ -996,7 +961,7 @@ def scaling_equivariance_check(
         n_steps,
         c_cfl=c_cfl,
         nonlinear=nonlinear,
-        sink=FinalSink,
+        sink=ReduceSink,
     )
     fine = run_b.final
 

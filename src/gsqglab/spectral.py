@@ -40,17 +40,17 @@ else its nonzero scan, made once per field and cached. A bound is used only
 when it already gives M = n; otherwise the exact scan of the factors decides,
 so M is always the one their exact supports give.
 
-The solver's Courant number reads a velocity's n-grid samples
-(`_grid_samples`). The stepping core's product, `_flux_rows`, given a list,
-hands the n-grid samples of q's velocity out from its own samples of
-d1(M q) and d2(M q) instead, so no velocity field need be built for them.
-The modified flux is evaluated in advective form, Div((perp_grad a) b) =
-perp_grad a . grad b, which holds exactly for alias-free products because
-perp_grad a is divergence free, so both of its terms share the samples of
-grad theta. Transforms per call: `advect` 4 inverse and 1 forward,
+The solver's Courant number reads a velocity's peak speed on the n-grid
+(`_peak_speed`). The stepping core's product, `_flux_rows`, given a list,
+appends the peak speed of q's velocity, read from its own samples of
+d1(M q) and d2(M q) before its products overwrite them, so no velocity
+field need be built for it. The modified flux is evaluated in advective
+form, Div((perp_grad a) b) = perp_grad a . grad b, which holds exactly for
+alias-free products because perp_grad a is divergence free, so both of its
+terms share the samples of grad theta. Transforms per call: `advect` 4 inverse and 1 forward,
 `flux_divergence` 4 and 1, or 6 and 2 with the second term, which is not
 formed for q = theta, `multiply_fields` 2 and 1, `to_physical` 1 inverse,
-`_grid_samples` 1 inverse per spectrum.
+`_peak_speed` 1 inverse per component.
 
 Every product site makes all its transforms in one stacked inverse call
 (`_samples`) and one stacked forward call (`_lattice_half`), on every grid.
@@ -78,8 +78,8 @@ so its output is bit for bit that of scipy.fft's 2-D transform.
   rows of those columns alone: the modes beyond them, which the dealias
   mask would zero, are not formed.
 - Hand-outs. The thread's next transform of a shape overwrites its
-  workspace, so the samples that leave the engine are copies:
-  `to_physical`, `_grid_samples` and the velocity samples of `_flux_rows`.
+  workspace, so the samples that leave the engine are copies: those of
+  `to_physical`.
 At M = 768 the kept workspace raises a CLI simulate's peak RSS from 122 to
 142 MB; at M = 512 it is unchanged (2-CPU host, numpy 2.4.6).
 """
@@ -197,6 +197,12 @@ def _dealias_mask(grid: GridSpec) -> np.ndarray:
     m1, m2 = _modes(grid)
     keep = (m1 * m1 + m2 * m2) <= grid.dealias_radius**2
     return keep & ~_nyquist_mask(grid)
+
+
+def _dealias_ones(grid: GridSpec) -> np.ndarray:
+    """_dealias_mask as complex ones and zeros, the factor that restricts
+    complex rows to the disc: a boolean factor is cast on every multiply."""
+    return _dealias_mask(grid).astype(np.complex128)
 
 
 @lru_cache(maxsize=None)
@@ -416,7 +422,9 @@ def _boxed(grid: GridSpec, fn, *args):
     fn(grid, *args), or of each array in the tuple it returns."""
     k = _box_bound(grid)
     a = fn(grid, *args)
-    boxes = _read_only(*(_box(x, k) for x in (a if isinstance(a, tuple) else (a,))))
+    boxes = tuple(_box(x, k) for x in (a if isinstance(a, tuple) else (a,)))
+    for b in boxes:
+        b.flags.writeable = False
     return boxes if isinstance(a, tuple) else boxes[0]
 
 
@@ -622,23 +630,17 @@ def _velocity_rows(grid: GridSpec, h: np.ndarray, params: ModelParams) -> tuple:
 # exact nonlinear products
 
 
-def _read_only(*arrays: np.ndarray) -> tuple:
-    """The arrays, frozen in place."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def _speed(u1: np.ndarray, u2: np.ndarray) -> float:
+    """Peak speed of a velocity from its samples (u1, u2): one sqrt of the
+    largest u1^2 + u2^2, which is the largest |u| since sqrt is monotone
+    and correctly rounded. A non-finite sample gives a non-finite speed."""
+    return float(np.sqrt((u1 * u1 + u2 * u2).max()))
 
 
-def _handed_out(samples: np.ndarray) -> np.ndarray:
-    """A read-only copy of workspace samples that leave the engine: the
-    workspace is overwritten by the thread's next transform of its shape."""
-    return _read_only(samples.copy())[0]
-
-
-def _grid_samples(rows: tuple, n: int, k: int) -> tuple:
-    """Read-only n-grid samples of half spectra or box rows, all of one
-    shape, supported within |m_i| <= k."""
-    return tuple(_handed_out(_term_samples(rows, len(rows[0]), n, k)))
+def _peak_speed(rows: tuple, n: int, k: int) -> float:
+    """_speed of the n-grid samples of velocity components (u1, u2), half
+    spectra or box rows of one shape, supported within |m_i| <= k."""
+    return _speed(*_term_samples(rows, len(rows[0]), n, k))
 
 
 def _half(a: np.ndarray) -> np.ndarray:
@@ -821,7 +823,7 @@ def _term_samples(terms, rows: int, size: int, k: int) -> np.ndarray:
 
 def _dealiased(grid: GridSpec, box: np.ndarray) -> np.ndarray:
     """Box rows restricted, in place, to the dealias disc, mean zeroed."""
-    box *= _boxed(grid, _dealias_mask)
+    box *= _boxed(grid, _dealias_ones)
     box[0, 0] = 0.0
     return _canonical(box)
 
@@ -885,7 +887,7 @@ def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams)
     return _wrap_half(grid, _flux_rows(grid, q, theta, params), _box_bound(grid))
 
 
-def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, velocity_samples=None):
+def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, speed=None):
     """flux_divergence of q and theta, unchecked. Each is a field, a half
     spectrum or dealias-box rows (the solver's stepping core carries box
     rows). Returns the dealiased divergence in theta's rows: box rows for
@@ -894,10 +896,11 @@ def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, velocity_samples=N
     The factors are formed on the rows they come in; box rows against a
     half spectrum are first written into a half.
 
-    velocity_samples, if given, is a list. When the products are formed on
-    the n-grid, the n-grid samples (u1, u2) of velocity_from_scalar(q,
-    params) are appended to it, read-only: u = (d2(M q), -d1(M q)), taken
-    from the samples made here at no transform. Otherwise it stays as it is.
+    speed, if given, is a list. When the products are formed on the n-grid,
+    the peak speed (_speed) of velocity_from_scalar(q, params) is appended
+    to it: u = (d2(M q), -d1(M q)), read from the samples made here, before
+    the products overwrite them, at no transform; (-x)(-x) = x x, so the
+    sign of u2 is not formed. Otherwise it stays as it is.
     """
     n = grid.n
     # every factor lies inside q's or theta's support
@@ -918,8 +921,8 @@ def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, velocity_samples=N
         factors[2] = qk
     # d1(M q), d1(theta)[, d1(q)], d2(M q), d2(theta)[, d2(q)]
     s = _term_samples([(_ik_stack(grid, k, rows), factors)], rows, size, k)
-    if velocity_samples is not None and size == n:
-        velocity_samples.extend((_handed_out(s[m]), *_read_only(-s[0])))
+    if speed is not None and size == n:
+        speed.append(_speed(s[m], s[0]))
     # the products in place, each slot read before it is written:
     # perp_grad(theta) . grad(q) = d1(theta) d2(q) - d2(theta) d1(q) into
     # slot 1, then perp_grad(M q) . grad(theta) = d1(M q) d2(theta) -

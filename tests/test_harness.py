@@ -425,6 +425,9 @@ REFUSED_ONCE = {
                   "scenario.seed: must be below 2**64"),
     "k_list-x": (SIM_BODY + "[decay]\nk_list = 1, x\n",
                  "decay.k_list: comma-separated nonnegative integers"),
+    "width-0": (with_key(SIM_BODY, "initial", "width", "0"), "initial.width: must be positive"),
+    "width-negative": (with_key(SIM_BODY, "initial", "width", "-0.5"),
+                       "initial.width: must be positive"),
     "no-kind": (without(SIM_BODY, "kind = simulate"),
                 "scenario.kind: required (or select a subcommand)"),
     "no-n": (without(SIM_BODY, "n = 16"), "grid.n: required when a [grid] section is present"),
@@ -1133,7 +1136,8 @@ def test_cli_picard_iterates_hold_no_rows(tmp_path, monkeypatch):
     assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
     (iterates,) = runs
     assert len(iterates) > 2
-    assert all(it.trajectory.rows == () and len(it.trajectory.fields) == 1 for it in iterates)
+    assert all(it.trajectory.cells == () and len(it.trajectory.fields) == 1 for it in iterates)
+    assert not any(hasattr(it.trajectory, "rows") for it in iterates)
 
 
 PICARD_BLOW_UP = """
@@ -1332,6 +1336,7 @@ def test_package_exports_resolve_and_retired_entry_points_stay_gone():
     assert [name for name in names if not hasattr(gsqglab, name)] == []
     for name in ("emit_plot_data", "read_csv_columns"):
         assert name not in names and not hasattr(harness, name)
+    assert "FinalSink" not in names and not hasattr(gsqglab.solver, "FinalSink")
     assert not hasattr(VectorField, "samples")
     assert "velocity_samples" not in inspect.signature(flux_divergence).parameters
 

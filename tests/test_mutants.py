@@ -22,11 +22,12 @@ from gsqglab import (
     advect,
     flux_divergence,
     norms,
+    simulate,
     spectral,
     velocity_from_scalar,
 )
 from gsqglab.harness import _direct_advect
-from util import per_array, random_field
+from util import peak_speed, per_array, random_field
 
 FRACTIONS = [2.0 / 3.0, 0.9, 1.0]
 
@@ -83,8 +84,8 @@ def _product_box_tail_left_dirty(samples, slots, n, k_out, width):
     return spectral._lattice_half(samples[slots], n, k_out, out=buf[slots])
 
 
-def _handed_out_as_a_view(samples):
-    return spectral._read_only(samples.view())[0]
+def _speed_without_u2(u1, u2):
+    return float(np.sqrt((u1 * u1).max()))
 
 
 # --- the oracles ----------------------------------------------------------------
@@ -147,17 +148,22 @@ def flux_oracle():
             assert flux_divergence(q, theta, params).half.tobytes() == want.tobytes()
 
 
-def velocity_samples_oracle():
-    """The velocity samples the stepping core's product hands out keep
-    their bytes through later calls on the same grid."""
+def courant_oracle():
+    """The peak speed the Courant number reads, from the stepping core's
+    product, from _peak_speed and in a run's first row, against the largest
+    |u| of to_physical's samples of velocity_from_scalar."""
     params = ModelParams(beta=1.7, kappa=0.5)
     g = GridSpec(16)
-    q, theta = _disc_field(g, seed=101), _disc_field(g, seed=102)
-    samples = []
-    spectral._flux_rows(g, q, theta, params, samples)
-    kept = [s.tobytes() for s in samples]
-    flux_divergence(theta, q, params)
-    assert [s.tobytes() for s in samples] == kept
+    for seed in (101, 103):
+        q, theta = _disc_field(g, seed), _disc_field(g, seed + 1)
+        u = velocity_from_scalar(q, params)
+        want = peak_speed(u)
+        speed = []
+        spectral._flux_rows(g, q, theta, params, speed)
+        assert speed == [want]
+        assert spectral._peak_speed((u.u1.half, u.u2.half), g.n, spectral._box_bound(g)) == want
+        row = simulate(q, params, 1e-3, 1e-3, c_cfl=math.inf).rows[0]
+        assert row.max_u == want
 
 
 MUTANTS = {
@@ -177,9 +183,7 @@ MUTANTS = {
     "forward pass leaves the tail columns dirty": (
         spectral, "_product_box", _product_box_tail_left_dirty, flux_oracle,
     ),
-    "velocity samples handed out as workspace views": (
-        spectral, "_handed_out", _handed_out_as_a_view, velocity_samples_oracle,
-    ),
+    "peak speed drops the u2 term": (spectral, "_speed", _speed_without_u2, courant_oracle),
 }
 
 

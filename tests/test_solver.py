@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from gsqglab import (
     BlowUpError,
     CourantError,
-    FinalSink,
     GridSpec,
     ModelParams,
     OverflowGuardError,
@@ -55,6 +54,7 @@ from util import (
     hs_norm,
     l2_norm,
     lattice_k,
+    peak_speed,
     per_array,
     random_field,
 )
@@ -556,8 +556,7 @@ def _full_array_reference(theta0, params, T, dt, stride, slope, velocity_at):
     fields, rows, max_increase = [], [], 0.0
     for i in range(n_steps + 1):
         u = velocity_at(i, SpectralField(grid, c))
-        samples = spectral._grid_samples((u.u1.half, u.u2.half), grid.n, grid.n // 2)
-        speed = _courant(samples, grid, dt)
+        speed = _courant(peak_speed(u), grid, dt)
         k1 = slope(i, 0, c)
         if i % stride == 0 or i == n_steps:
             fields.append(c)
@@ -711,11 +710,10 @@ def test_courant_reads_the_velocity_samples_once(fraction, monkeypatch):
 
     monkeypatch.setattr(spectral, "_term_samples", spy)
     dt = 1e-3
-    samples = spectral._grid_samples(halves, grid.n, spectral._support(theta.half))
-    speed = _courant(samples, grid, dt)
+    speed = _courant(spectral._peak_speed(halves, grid.n, spectral._support(theta.half)), grid, dt)
     assert len(n_grid) == 2
     monkeypatch.undo()
-    ref = float(np.sqrt(to_physical(u.u1) ** 2 + to_physical(u.u2) ** 2).max())
+    ref = peak_speed(u)
     assert speed == (ref, dt * ref / (grid.period / grid.n))
 
 
@@ -735,12 +733,13 @@ def test_courant_takes_one_sqrt_of_the_largest_square():
     nan[5, 6] = np.nan
     for samples in (finite, (big, finite[1]), (finite[0], nan)):
         with np.errstate(over="ignore"):
-            got, want = _courant(samples, grid, 1e-3), _old_courant(samples, grid, 1e-3)
+            got = _courant(spectral._speed(*samples), grid, 1e-3)
+            want = _old_courant(samples, grid, 1e-3)
         assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert math.isfinite(_courant(finite, grid, 1e-3)[0])
+    assert math.isfinite(spectral._speed(*finite))
     with np.errstate(over="ignore"):
-        assert _courant((big, finite[1]), grid, 1e-3)[0] == math.inf
-    assert math.isnan(_courant((finite[0], nan), grid, 1e-3)[0])
+        assert spectral._speed(big, finite[1]) == math.inf
+    assert math.isnan(spectral._speed(finite[0], nan))
 
 
 def test_in_place_combine_is_the_rk4_expression_bit_for_bit():
@@ -942,8 +941,18 @@ def _iterate_scalars(iterates):
     ]
 
 
+def _row_of(_t, _f, row):
+    return row
+
+
+def _row_sink():
+    """A ReduceSink whose cell of a snapshot is its row."""
+    return ReduceSink(_row_of)
+
+
 def _assert_same_run(reduced, full):
-    assert reduced.times == full.times and reduced.rows == full.rows
+    """reduced, a run of _row_sink, against the Trajectory full."""
+    assert reduced.times == full.times and reduced.cells == full.rows
     assert reduced.max_l2_step_increase == full.max_l2_step_increase
     assert len(reduced.fields) == 1 and _same_field(reduced.final, full.final)
 
@@ -954,13 +963,15 @@ def test_reduce_sink_simulate_equals_in_memory_bit_for_bit(stride):
     f = scaled(random_field(grid, seed=40, decay=2.0), 0.5)
 
     def cells(t, g, row):
-        return t, sobolev_norm(g, 0.3), row.l2
+        return t, sobolev_norm(g, 0.3), row
 
     full = simulate(f, P, T=0.02, dt=1e-3, snapshot_stride=stride)
     run = simulate(
         f, P, T=0.02, dt=1e-3, snapshot_stride=stride, sink=lambda: ReduceSink(cells)
     )
-    _assert_same_run(run, full)
+    assert run.times == full.times
+    assert run.max_l2_step_increase == full.max_l2_step_increase
+    assert len(run.fields) == 1 and _same_field(run.final, full.final)
     assert run.cells == tuple(map(cells, full.times, full.fields, full.rows))
 
 
@@ -972,7 +983,7 @@ def test_reduce_sink_picard_equals_in_memory_bit_for_bit(beta, stride):
     f = scaled(random_field(grid, seed=41, decay=2.0), 0.5)
     kw = dict(T=0.01, dt=1e-3, tol=1e-13, snapshot_stride=stride)
     full = picard_solve(f, params, **kw)
-    reduced = picard_solve(f, params, **kw, sink=ReduceSink)
+    reduced = picard_solve(f, params, **kw, sink=_row_sink)
     assert len(full) > 3 and full[-1].converged
     assert _iterate_scalars(reduced) == _iterate_scalars(full)
     for a, b in zip(reduced, full):
@@ -986,7 +997,7 @@ def test_reduce_sink_picard_exhaustion_equals_in_memory():
     with pytest.raises(PicardConvergenceError) as full:
         picard_solve(f, P, **kw)
     with pytest.raises(PicardConvergenceError) as reduced:
-        picard_solve(f, P, **kw, sink=ReduceSink)
+        picard_solve(f, P, **kw, sink=_row_sink)
     assert reduced.value.history == full.value.history
     assert _iterate_scalars(reduced.value.iterates) == _iterate_scalars(full.value.iterates)
     for a, b in zip(reduced.value.iterates, full.value.iterates):
@@ -1029,13 +1040,13 @@ _RUN_LAWS = {
 }
 
 
-@pytest.mark.parametrize("sink", [FinalSink, ReduceSink, TrajectorySink])
+@pytest.mark.parametrize("sink", [ReduceSink, _row_sink, TrajectorySink])
 @pytest.mark.parametrize("law", list(_RUN_LAWS))
 @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
 def test_picard_run_matches_per_array_products_bit_for_bit(fraction, law, sink, monkeypatch):
     # the whole run against the product sites written one full-width array
-    # per transform; the stand-in makes no velocity samples, so the Courant
-    # number transforms q's velocity itself
+    # per transform; the stand-in reads no peak speed, so the Courant number
+    # transforms q's velocity itself
     grid = GridSpec(32, dealias_fraction=fraction)
     params = _RUN_LAWS[law]
     f = scaled(random_field(grid, seed=45, decay=2.0), 0.5)
@@ -1049,11 +1060,13 @@ def test_picard_run_matches_per_array_products_bit_for_bit(fraction, law, sink, 
     assert _iterate_scalars(got) == _iterate_scalars(want)
     for a, b in zip(got, want):
         assert a.trajectory.final.half.tobytes() == b.trajectory.final.half.tobytes()
-        if sink is FinalSink:
-            assert a.trajectory.rows == b.trajectory.rows == ()
+        if sink is ReduceSink:
+            assert a.trajectory.cells == b.trajectory.cells == ()
         else:
-            assert _rows_bytes(a.trajectory.rows) == _rows_bytes(b.trajectory.rows)
-            assert len(a.trajectory.rows) == 4
+            kept = "rows" if sink is TrajectorySink else "cells"
+            rows_a, rows_b = (getattr(it.trajectory, kept) for it in (a, b))
+            assert _rows_bytes(rows_a) == _rows_bytes(rows_b)
+            assert len(rows_a) == 4
 
 
 def _plus_zero(half):
@@ -1113,11 +1126,12 @@ def test_final_sink_picard_keeps_the_final_fields_and_no_rows(beta):
     f = scaled(random_field(grid, seed=46, decay=2.0), 0.5)
     kw = dict(T=0.01, dt=1e-3, tol=1e-13, snapshot_stride=3)
     full = picard_solve(f, params, **kw)
-    final = picard_solve(f, params, **kw, sink=FinalSink)
+    # a ReduceSink without cells keeps the final field alone
+    final = picard_solve(f, params, **kw, sink=ReduceSink)
     assert _iterate_scalars(final) == _iterate_scalars(full)
     for a, b in zip(final, full):
         run = a.trajectory
-        assert run.times == run.rows == run.cells == ()
+        assert run.cells == () and run.times == b.trajectory.times
         assert len(run.fields) == 1 and _same_field(run.final, b.trajectory.final)
         assert run.max_l2_step_increase == b.trajectory.max_l2_step_increase
 
@@ -1127,15 +1141,15 @@ def test_final_sink_simulate_never_makes_a_row(monkeypatch):
     f = scaled(random_field(grid, seed=47, decay=2.0), 0.5)
     full = simulate(f, P, T=0.01, dt=1e-3, snapshot_stride=3)
     monkeypatch.setattr(solver, "_diagnostics_row", None)   # a row would fail
-    run = simulate(f, P, T=0.01, dt=1e-3, snapshot_stride=3, sink=FinalSink)
-    assert _same_field(run.final, full.final) and run.rows == ()
+    run = simulate(f, P, T=0.01, dt=1e-3, snapshot_stride=3, sink=ReduceSink)
+    assert _same_field(run.final, full.final) and run.cells == ()
     assert run.max_l2_step_increase == full.max_l2_step_increase
 
 
 @pytest.mark.parametrize(
     "sink, fields",
-    [(FinalSink, 1), (ReduceSink, 1), (lambda: ReduceSink(lambda t, f, row: t), 5), (TrajectorySink, 5)],
-    ids=["final", "reduce", "reduce_cells", "trajectory"],
+    [(ReduceSink, 1), (lambda: ReduceSink(lambda t, f, row: t), 5), (TrajectorySink, 5)],
+    ids=["reduce", "reduce_cells", "trajectory"],
 )
 def test_sinks_make_only_the_fields_they_keep(monkeypatch, sink, fields):
     # a snapshot's field is made from the box state only when the sink keeps
@@ -1165,7 +1179,7 @@ def test_frozen_solve_builds_velocity_fields_only_for_rows(fraction, monkeypatch
         return build(g, theta, p)
 
     monkeypatch.setattr(solver, "_velocity_rows", spy)
-    picard_solve(f, params, T=5e-3, dt=1e-3, tol=math.inf, sink=FinalSink)
+    picard_solve(f, params, T=5e-3, dt=1e-3, tol=math.inf, sink=ReduceSink)
     # one iterate of 5 steps; the final snapshot makes no row, so no Courant number
     assert len(calls) == (0 if fraction < 0.7 else 5)
     calls.clear()

@@ -45,7 +45,15 @@ from gsqglab.spectral import (
     _wavevectors,
     _wrap_half,
 )
-from util import direct_convolution, hs_norm, l2_norm, lattice_k, per_array, random_field
+from util import (
+    direct_convolution,
+    hs_norm,
+    l2_norm,
+    lattice_k,
+    peak_speed,
+    per_array,
+    random_field,
+)
 
 
 # --- grid and field construction -------------------------------------------
@@ -346,23 +354,25 @@ def test_samples_agree_across_threads():
 @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
 def test_samples_that_leave_the_engine_keep_their_bytes(fraction):
     # the thread's next transform of a shape reuses its workspace, so what
-    # the engine hands out must be copies
+    # the engine hands out must be copies; the speeds it reads are floats
     g = GridSpec(32, dealias_fraction=fraction)
     params = ModelParams(beta=1.7, kappa=0.5)
     a, b, c, d = (_disc_field(g, seed=120 + i) for i in range(4))
     k = _support(a.half, b.half, c.half, d.half)
-    velocity = []
-    handed = [to_physical(a), *spectral._grid_samples((a.half, b.half), g.n, k)]
-    spectral._flux_rows(g, a, b, params, velocity)
-    assert len(velocity) == (2 if fraction < 0.7 else 0)
-    handed += velocity
+    speed = []
+    handed = [to_physical(a), to_physical(b)]
+    spectral._flux_rows(g, a, b, params, speed)
+    assert len(speed) == (1 if fraction < 0.7 else 0)
+    speeds = [spectral._peak_speed((a.half, b.half), g.n, k), *speed]
+    assert all(type(x) is float for x in speeds)
     kept = [x.tobytes() for x in handed]
     # the same shapes again, on other fields
     to_physical(c)
-    spectral._grid_samples((c.half, d.half), g.n, k)
+    spectral._peak_speed((c.half, d.half), g.n, k)
     spectral._flux_rows(g, c, d, params, [])
     flux_divergence(d, c, params)
     assert [x.tobytes() for x in handed] == kept
+    assert speeds == [spectral._peak_speed((a.half, b.half), g.n, k), *speed]
 
 
 @pytest.mark.parametrize("padded", [False, True], ids=["M=n", "M=3n/2"])
@@ -1025,27 +1035,27 @@ def test_stacked_transforms_equal_per_array_bit_for_bit(op, n, fraction, before)
     got = _stack_op(op, a, b, params)
     assert got.half.tobytes() == per_array(op, a, b, params).half.tobytes()
     u = velocity_from_scalar(a, params)
-    pruned = spectral._grid_samples((u.u1.half, u.u2.half), n, _support(a.half))
+    pruned = spectral._term_samples((u.u1.half, u.u2.half), n, n, _support(a.half)).copy()
     assert all(
         s.tobytes() == _engine_samples(c.half, n, n // 2).tobytes()
         for s, c in zip(pruned, (u.u1, u.u2))
     )
+    assert spectral._peak_speed((u.u1.half, u.u2.half), n, _support(a.half)) == peak_speed(u)
 
 
 @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
 @pytest.mark.parametrize("op", ["one_term", "two_term", "log_law"])
-def test_flux_fills_the_velocity_samples_on_the_n_grid(op, fraction):
+def test_flux_reads_the_peak_speed_on_the_n_grid(op, fraction):
     g = GridSpec(32, dealias_fraction=fraction)
     params = _STACK_OPS[op]
     q, theta = _disc_field(g, seed=57), _disc_field(g, seed=58)
-    samples = []
-    got = spectral._flux_rows(g, q, theta, params, samples)
+    speed = []
+    got = spectral._flux_rows(g, q, theta, params, speed)
     assert got.tobytes() == spectral._flux_rows(g, q, theta, params).tobytes()
     on_n_grid = spectral._grid_size(g.n, (q,), (theta,), int(g.dealias_radius))[0] == g.n
-    assert (len(samples) == 2) == on_n_grid == (fraction < 0.7)
-    ref = velocity_from_scalar(q, params)
-    for s, r in zip(samples, (to_physical(ref.u1), to_physical(ref.u2))):
-        assert np.array_equal(s, r) and not s.flags.writeable
+    assert (len(speed) == 1) == on_n_grid == (fraction < 0.7)
+    want = peak_speed(velocity_from_scalar(q, params))
+    assert [np.float64(x).tobytes() for x in speed] == [np.float64(want).tobytes()] * len(speed)
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)

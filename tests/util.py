@@ -9,6 +9,7 @@ from gsqglab import (
     advect,
     solver,
     spectral,
+    to_physical,
     velocity_from_scalar,
 )
 from gsqglab.inequalities import _hash_uniform
@@ -185,6 +186,12 @@ def advective_tendency(f: SpectralField, params) -> SpectralField:
     return -advect(velocity_from_scalar(f, params), f)
 
 
+def peak_speed(u: VectorField) -> float:
+    """The largest |u| over the n-grid samples to_physical makes of a
+    velocity's components: the oracle of the Courant number's speed."""
+    return float(np.sqrt(to_physical(u.u1) ** 2 + to_physical(u.u2) ** 2).max())
+
+
 def advective_stages(grid, params):
     """Stage-tendency factory of the full equation, in the shape solver._run
     takes, with every stage tendency advective_tendency(f), f the field of
@@ -205,7 +212,7 @@ def advective_stages(grid, params):
         return (
             lambda s, _stage: rows(advective_tendency(field(s), params), s),
             lambda: (u.u1.half, u.u2.half),
-            spectral._grid_samples((u.u1.half, u.u2.half), grid.n, spectral._support_bound(theta)),
+            peak_speed(u),
             rows(-advect(u, theta), c),
         )
 
@@ -225,9 +232,9 @@ def advective_step(state) -> SpectralField:
     state's half spectrum."""
     c, i, h = state.field.half, state.step_index, state.dt
     grid = state.field.grid
-    nonlin, _velocity, samples, k1 = advective_stages(grid, state.params)(i, c)
+    nonlin, _velocity, max_u, k1 = advective_stages(grid, state.params)(i, c)
     factors = solver._integrating_factors(grid, state.params, h, grid.n)
-    speed = solver._courant(samples, grid, h)
+    speed = solver._courant(max_u, grid, h)
     l2 = solver._l2(c, grid.period)
     guard = solver.DEFAULT_CFL
     out = solver._advance(c, i, state.t, h, factors, nonlin, k1, speed, l2, guard)
