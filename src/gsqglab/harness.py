@@ -42,7 +42,6 @@ from .solver import (
     ReduceSink,
     RunSummary,
     ScalingReport,
-    SimState,
     Trajectory,
     _admissible_initial,
     _loglog_fit,
@@ -239,7 +238,7 @@ _KEYS = {f"{row.section}.{row.key}": row for row in (
     _Key("initial", "decay", float, 3.0),
     _Key("initial", "member", _int, 0, _nonnegative, "must be nonnegative"),
     _Key("initial", "width", float, None, _positive, "must be positive"),
-    _Key("initial", "separation"),
+    _Key("initial", "separation", float, None, _positive, "must be positive"),
     _Key("initial", "path", str),
     _Key("gevrey", "alpha"),
     _Key("gevrey", "eps_rate", float, 0.0, _nonnegative, "must be nonnegative"),
@@ -513,25 +512,28 @@ def _checkpoint_field(ckpt: Checkpoint, grid: GridSpec) -> SpectralField:
     return _wrap_half(grid, ckpt.field.half.copy())
 
 
-def write_checkpoint(state: SimState, path: str) -> None:
-    """Serialize a state: fixed little-endian header, half-spectrum payload
-    with each zero written as +0.0, so the bytes depend on values alone."""
-    grid = state.field.grid
-    p = state.params
-    n = grid.n
-    half = (state.field.half + 0.0).astype("<c16")
+def write_checkpoint(field: SpectralField, params: ModelParams, t: float, path: str) -> None:
+    """Serialize a state, the mean-zero field at time t >= 0: fixed
+    little-endian header, half-spectrum payload with each zero written as
+    +0.0, so the bytes depend on values alone."""
+    if not field.mean_zero:
+        raise ValueError("simulation states must be mean-zero")
+    if t < 0 or not math.isfinite(t):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    grid = field.grid
+    half = (field.half + 0.0).astype("<c16")
     header = CHECKPOINT_MAGIC + struct.pack(
         "<IId5dBd",
         CHECKPOINT_VERSION,
-        n,
+        grid.n,
         grid.period,
-        p.beta,
-        p.kappa,
-        p.gamma,
-        p.mu,
-        p.eps_visc,
-        _LAW_CODES[p.velocity_law],
-        state.t,
+        params.beta,
+        params.kappa,
+        params.gamma,
+        params.mu,
+        params.eps_visc,
+        _LAW_CODES[params.velocity_law],
+        t,
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -1178,8 +1180,7 @@ def _run_simulate(config: ScenarioConfig, start: _Start, csv: str):
     t_final = start.t0 + run.times[-1]
     if config.checkpoint_path is not None:
         n_final = int(round(t_final / config.dt))
-        state = SimState(run.final, n_final * config.dt, n_final, start.params, config.dt)
-        write_checkpoint(state, config.checkpoint_path)
+        write_checkpoint(run.final, start.params, n_final * config.dt, config.checkpoint_path)
     rows = [row for row, _hs_delta, _g in run.cells]
     last = rows[-1]
     return [

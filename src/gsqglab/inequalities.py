@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import _chi_lattice, _phi_lattice, build_partition
-from .norms import InequalityReport, _l2
+from .norms import _l2
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -35,7 +35,6 @@ from .spectral import (
     gevrey_avg_operator,
     gevrey_operator,
     inner_product,
-    log_multiplier,
     multiply_fields,
 )
 
@@ -212,15 +211,6 @@ def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: 
     """
     grid = _shared_grid(f, g, h)
     return _form(grid, f.half, g.half, _weighted_third(h, sigma))
-
-
-def trilinear_form_sym(f: SpectralField, g: SpectralField, h: SpectralField, sigma: float) -> complex:
-    """Variant weighted by |k - l|^sigma + |l|^sigma split across both inputs."""
-    grid = _shared_grid(f, g, h)
-    w = _power_weight(grid, sigma)
-    wf = _apply_multiplier(f, w)
-    wg = _apply_multiplier(g, w)
-    return trilinear_form(wf, g, h, 0.0) + trilinear_form(f, wg, h, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -409,22 +399,6 @@ def commutator_log(
         bound_terms=(bound,),
         ratio=abs(value) / bound if bound > 0 else math.inf,
         n=grid.n,
-    )
-
-
-def log_smoothing_check(f: SpectralField, mu: float, eps: float, de: float) -> InequalityReport:
-    """Realized constant for trading the log multiplier against de derivatives."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if not (0.0 < de < 2.0 * mu):
-        raise ValueError(f"de must lie in (0, 2 mu), got {de}")
-    lhs = _hs(log_multiplier(f, mu), eps)
-    rhs = _hs(f, eps + de)
-    return InequalityReport(
-        name="log_smoothing",
-        lhs=lhs,
-        bound=rhs,
-        params=(("mu", mu), ("eps", eps), ("de", de)),
     )
 
 

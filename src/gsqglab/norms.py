@@ -46,23 +46,6 @@ REL_SLACK = 1e-12   # float slack for sharp-constant assertions
 
 
 @dataclass(frozen=True)
-class NormReport:
-    """One evaluated norm with enough metadata to be logged standalone."""
-
-    kind: str
-    s: float
-    value: float
-    n: int
-    period: float
-    alpha: float | None = None
-    lam: float | None = None
-
-    def __post_init__(self):
-        if not (self.value >= 0 and math.isfinite(self.value)):
-            raise ValueError(f"norm value must be finite and nonnegative, got {self.value}")
-
-
-@dataclass(frozen=True)
 class InequalityReport:
     """Realized two sides of one inequality check."""
 
@@ -195,38 +178,6 @@ def check_interpolation(field: SpectralField, s: float, s1: float, s2: float) ->
     )
 
 
-def weighted_l1_norm(field: SpectralField, s: float) -> float:
-    """Lattice L1 spectral sum L^2 sum |k|^s |f_hat|, area-weighted."""
-    w = _homog_weight(field.grid, s)
-    return field.grid.period ** 2 * float(np.sum(w * np.abs(field.coeffs)))
-
-
-def check_l1_interpolation(field: SpectralField, s: float, s1: float, s2: float) -> InequalityReport:
-    """Realized constant for the weighted-L1 spectral interpolation bound.
-
-    Compares L^2 sum |k|^s |f_hat| against the product of the Ḣ^(s+s2) and
-    Ḣ^(s-s1) norms with exponents (s1+1)/(s1+s2) and (s2-1)/(s1+s2). Needs
-    s1 > -1 and s2 > 1; the realized constant is reported, no sharp value
-    is claimed.
-    """
-    if not (s1 > -1.0 and s2 > 1.0):
-        raise ValueError(f"need s1 > -1 and s2 > 1, got s1={s1}, s2={s2}")
-    if not field.mean_zero:
-        raise ValueError("interpolation check requires a mean-zero field")
-    lhs = weighted_l1_norm(field, s)
-    if lhs == 0.0:
-        raise ValueError("interpolation ratio undefined for the zero field")
-    e1 = (s1 + 1.0) / (s1 + s2)
-    e2 = (s2 - 1.0) / (s1 + s2)
-    bound = sobolev_norm(field, s + s2) ** e1 * sobolev_norm(field, s - s1) ** e2
-    return InequalityReport(
-        name="weighted_l1_interpolation",
-        lhs=lhs,
-        bound=bound,
-        params=(("s", s), ("s1", s1), ("s2", s2)),
-    )
-
-
 def check_gevrey_interpolation(
     field: SpectralField,
     alpha: float,
@@ -287,37 +238,4 @@ def derivative_bound_check(
         lhs=lhs,
         bound=bound,
         params=(("alpha", alpha), ("lam", lam), ("b", (b1, b2)), ("sigma", sigma)),
-    )
-
-
-def norm_report(
-    field: SpectralField,
-    kind: str,
-    s: float = 0.0,
-    alpha: float | None = None,
-    lam: float | None = None,
-) -> NormReport:
-    """Evaluate one named norm and wrap it with its grid metadata."""
-    if kind == "l2":
-        value = sobolev_norm(field, 0.0, homogeneous=field.mean_zero)
-    elif kind == "sobolev":
-        value = sobolev_norm(field, s)
-    elif kind == "sobolev_inhomogeneous":
-        value = sobolev_norm(field, s, homogeneous=False)
-    elif kind == "besov":
-        value = besov_norm(field, s)
-    elif kind == "gevrey":
-        if alpha is None or lam is None:
-            raise ValueError("gevrey report needs alpha and lam")
-        value = gevrey_norm(field, alpha, lam, s)
-    else:
-        raise ValueError(f"unknown norm kind {kind!r}")
-    return NormReport(
-        kind=kind,
-        s=s,
-        value=value,
-        n=field.grid.n,
-        period=field.grid.period,
-        alpha=alpha,
-        lam=lam,
     )

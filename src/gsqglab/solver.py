@@ -10,20 +10,20 @@ integrating factors, as (2K + 1) x (K + 1) box rows: 44 % of the half
 spectrum at fraction 2/3. It forms the RK4 combine on them in place, in the
 stage and result buffers, bit for bit the written expression, and the
 product engine takes them as they are and returns the tendency as box
-rows, so every value inside the box is the one a half-spectrum core gives.
-A field (a half spectrum) is made of the state only for a snapshot field
-a sink keeps; `step` runs the same core on its state's whole half
-spectrum. Every L2 and Sobolev number here, the per-step L2 norm included,
-is norms._l2, the Parseval sum over box rows or a half spectrum behind
-norms.sobolev_norm, so no full array is mirrored for one. The box rows' K
-bounds their support, so the product engine sizes their products without
-scanning them. Every run with transport steps the modified-flux solve:
-the full equation is its member q = theta, whose tendency
-flux_divergence(theta, theta) is -u . grad(theta). The Courant number
-(`_courant`) takes one float, the peak speed of q's velocity on the n-grid
-at the start of the step: when the first stage's products fit the n-grid,
-the product engine reads it from the samples of d1(M q) and d2(M q) it
-makes, so the check costs no transform of its own. On top of the direct
+rows, so every value inside the box is the one the public operators give on
+half spectra. The core takes no other rows. A field (a half spectrum) is
+made of the state only for a snapshot field a sink keeps. Every L2 and
+Sobolev number here, the per-step L2 norm included, is norms._l2, the
+Parseval sum over box rows or a half spectrum behind norms.sobolev_norm, so
+no full array is mirrored for one. The box rows' K bounds their support,
+so the product engine sizes their products without scanning them. Every
+run with transport steps the modified-flux solve: the full equation is its
+member q = theta, whose tendency flux_divergence(theta, theta) is
+-u . grad(theta). The Courant number (`_courant`) takes one float, the
+peak speed of q's velocity on the n-grid at the start of the step: when
+the first stage's products fit the n-grid, the product engine reads it
+from the samples of d1(M q) and d2(M q) it makes, so the check costs no
+transform of its own. On top of the direct
 solver sit the fixed-point machinery (a linear solve with frozen
 transport coefficients, iterated to convergence), exact self-similar
 rescaling, and the decay and analyticity-radius diagnostics.
@@ -79,13 +79,11 @@ from .spectral import (
     _half,
     _homog_weight,
     _kabs,
-    _layout,
     _peak_speed,
     _rows,
     _support_bound,
     _velocity_rows,
     _wrap_half,
-    flux_divergence,
 )
 
 # Not called here: perfbench/test_perfbench.py reads solver.advect to check
@@ -100,7 +98,6 @@ __all__ = [
     "ReduceSink",
     "RunSummary",
     "ScalingReport",
-    "SimState",
     "Trajectory",
     "TrajectorySink",
     "decay_study",
@@ -112,45 +109,15 @@ __all__ = [
     "linear_heat_propagator",
     "picard_solve",
     "rescale_solution",
-    "rhs",
     "scaling_equivariance_check",
     "simulate",
-    "step",
 ]
 
 DEFAULT_CFL = 0.5
 
-# relative slack for the t = step * dt bookkeeping invariant
-_TIME_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
-# state and trajectory containers
-
-
-@dataclass(frozen=True)
-class SimState:
-    """One instant of a simulation: the field plus its time bookkeeping."""
-
-    field: SpectralField
-    t: float
-    step_index: int
-    params: ModelParams
-    dt: float
-
-    def __post_init__(self):
-        if not self.field.mean_zero:
-            raise ValueError("simulation states must be mean-zero")
-        if self.t < 0 or not math.isfinite(self.t):
-            raise ValueError(f"time must be finite and nonnegative, got {self.t}")
-        if self.step_index < 0:
-            raise ValueError(f"step index must be nonnegative, got {self.step_index}")
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if abs(self.t - self.step_index * self.dt) > _TIME_TOL * max(1.0, self.t):
-            raise ValueError(
-                f"inconsistent clock: t={self.t!r} but step*dt={self.step_index * self.dt!r}"
-            )
+# trajectory containers
 
 
 @dataclass(frozen=True)
@@ -369,13 +336,7 @@ def linear_heat_propagator(
 
 
 # ---------------------------------------------------------------------------
-# right-hand side and the stepping core
-
-
-def rhs(state: SimState) -> SpectralField:
-    """Nonlinear tendency -u . grad(theta), the modified flux divergence at
-    q = theta; the stiff part lives in the integrating factor, not here."""
-    return flux_divergence(state.field, state.field, state.params)
+# the stepping core
 
 
 def _equation_stages(grid: GridSpec, params: ModelParams, nonlinear: bool):
@@ -401,14 +362,15 @@ def _courant(max_u: float, grid: GridSpec, dt: float) -> tuple:
 
 
 def _pairing(a: np.ndarray, b: np.ndarray, period: float) -> float:
-    """The L2 pairing Re <a, b> of two half spectra or two box rows."""
+    """The L2 pairing Re <a, b> of two arrays of box rows."""
     return period * period * _parseval(a.real * b.real + a.imag * b.imag)
 
 
 def _diagnostics_row(t, c, l2, params, grid, u, speed, k1=None) -> DiagnosticsRow:
     """Snapshot diagnostics of the state's box rows c, its L2 norm l2 and the
-    velocity components u = (u1, u2), half spectra or box rows; without a
-    transport tendency k1 (box rows) the residual is 0."""
+    velocity components u = (u1, u2), box rows, or half spectra where
+    linear_flux_solve's q is a field; without a transport tendency k1 (box
+    rows) the residual is 0."""
     period = grid.period
     residual = 0.0
     if k1 is not None:
@@ -430,20 +392,20 @@ def _diagnostics_row(t, c, l2, params, grid, u, speed, k1=None) -> DiagnosticsRo
     )
 
 
-def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float, rows: int):
-    """Exact linear flow over a full step and over half a step, for states
-    of rows rows: half spectra (n rows) or dealias-box rows."""
-    rate = _layout(grid, rows, _decay_rate, params.gamma, params.kappa, params.eps_visc)
+def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float):
+    """Exact linear flow over a full step and over half a step, as
+    dealias-box rows."""
+    rate = _boxed(grid, _decay_rate, params.gamma, params.kappa, params.eps_visc)
     return np.exp(-dt * rate), np.exp(-(0.5 * dt) * rate)
 
 
 def _advance(c, i, t, h, factors, nonlin, k1, speed, l2, c_cfl):
     """Step i of the integrating-factor RK4 from the state c and its first
-    slope k1, both half spectra or both box rows, with the integrating
-    factors in their rows; returns the new state, in them too.
+    slope k1, both box rows, with the integrating factors in box rows;
+    returns the new state's box rows.
 
     nonlin(value, s) gives the tendency of the value of stage s = 1, 2, 3,
-    in its rows. Refuses to start when the Courant number passes c_cfl (None:
+    in box rows. Refuses to start when the Courant number passes c_cfl (None:
     no guard) and signals a blow-up when the result loses finiteness.
 
     The combine is formed in place in the buffers of the stages and the
@@ -487,47 +449,6 @@ def _advance(c, i, t, h, factors, nonlin, k1, speed, l2, c_cfl):
 # The stepping core runs with overflow and invalid-value warnings off: a
 # state that loses finiteness is reported once, by BlowUpError.
 _quiet_blow_up = np.errstate(over="ignore", invalid="ignore")
-
-
-@_quiet_blow_up
-def step(
-    state: SimState,
-    dt: float | None = None,
-    *,
-    c_cfl: float = DEFAULT_CFL,
-    nonlinear: bool = True,
-) -> SimState:
-    """Advance one integrating-factor RK4 step.
-
-    The step size is fixed by the state; passing a different dt breaks the
-    t = step * dt bookkeeping and is rejected.
-    """
-    if dt is not None and dt != state.dt:
-        raise ValueError("step size is fixed by the state; rebuild at t=0 to change dt")
-    h = state.dt
-    grid = state.field.grid
-    c = state.field.half   # the whole half: a state may reach beyond the box
-    i = state.step_index
-    nonlin, _velocity, max_u, k1 = _equation_stages(grid, state.params, nonlinear)(i, c)
-    out = _advance(
-        c,
-        i,
-        state.t,
-        h,
-        _integrating_factors(grid, state.params, h, len(c)),
-        nonlin,
-        k1,
-        _courant(max_u, grid, h),
-        _l2(c, grid.period),
-        c_cfl if nonlinear else None,
-    )
-    return SimState(
-        field=_wrap_half(grid, out),
-        t=(i + 1) * h,
-        step_index=i + 1,
-        params=state.params,
-        dt=h,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +506,7 @@ def _run(
     guard = c_cfl if nonlinear else None
 
     c = _admissible_box(theta0)
-    factors = _integrating_factors(grid, params, dt, len(c))
+    factors = _integrating_factors(grid, params, dt)
     max_increase = 0.0
     l2_now = _l2(c, grid.period)
 

@@ -663,8 +663,7 @@ def _product_size(n: int, k_a: int, k_b: int, k_out: int) -> int:
 
 
 def _support_bound(f) -> int:
-    """f's support bound: for an array, len(f) // 2, which is K for box
-    rows and no bound beyond the lattice for a half spectrum; for a field,
+    """f's support bound: for box rows, their K, len(f) // 2; for a field,
     the one it was built with, else its scan, cached."""
     if isinstance(f, np.ndarray):
         return len(f) // 2
@@ -888,13 +887,13 @@ def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams)
 
 
 def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, speed=None):
-    """flux_divergence of q and theta, unchecked. Each is a field, a half
-    spectrum or dealias-box rows (the solver's stepping core carries box
-    rows). Returns the dealiased divergence in theta's rows: box rows for
-    box rows, else a half spectrum.
+    """flux_divergence of q and theta, unchecked. Each is a field or
+    dealias-box rows (the solver's stepping core carries box rows). Returns
+    the dealiased divergence in theta's rows: box rows for box rows, else a
+    half spectrum.
 
     The factors are formed on the rows they come in; box rows against a
-    half spectrum are first written into a half.
+    field's half spectrum are first written into a half.
 
     speed, if given, is a list. When the products are formed on the n-grid,
     the peak speed (_speed) of velocity_from_scalar(q, params) is appended

@@ -2,6 +2,7 @@
 decay-study plot data, scenario execution with its exit-code map, and the
 operator / inequality verification batteries."""
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -25,7 +26,6 @@ from gsqglab import (
     InitialSpec,
     ModelParams,
     ReduceSink,
-    SimState,
     SpectralField,
     Trajectory,
     VectorField,
@@ -428,6 +428,10 @@ REFUSED_ONCE = {
     "width-0": (with_key(SIM_BODY, "initial", "width", "0"), "initial.width: must be positive"),
     "width-negative": (with_key(SIM_BODY, "initial", "width", "-0.5"),
                        "initial.width: must be positive"),
+    "separation-0": (with_key(SIM_BODY, "initial", "separation", "0"),
+                     "initial.separation: must be positive"),
+    "separation-negative": (with_key(SIM_BODY, "initial", "separation", "-1"),
+                            "initial.separation: must be positive"),
     "no-kind": (without(SIM_BODY, "kind = simulate"),
                 "scenario.kind: required (or select a subcommand)"),
     "no-n": (without(SIM_BODY, "n = 16"), "grid.n: required when a [grid] section is present"),
@@ -523,9 +527,7 @@ def test_initial_vortex_pair_is_mean_zero_and_banded():
 def test_scenario_reads_checkpoint_profile_once(tmp_path, monkeypatch):
     ck = tmp_path / "a.ck"
     grid = GridSpec(32)
-    state = SimState(field=random_field(grid, seed=1, band=5), t=0.0, step_index=0,
-                     params=PARAMS, dt=1e-3)
-    write_checkpoint(state, str(ck))
+    write_checkpoint(random_field(grid, seed=1, band=5), PARAMS, 0.0, str(ck))
     body = SIM_BODY.replace("[grid]\nn = 16\n", "").replace(
         "profile = ensemble", f"profile = checkpoint\npath = {ck}"
     )
@@ -544,9 +546,8 @@ def test_scenario_reads_checkpoint_profile_once(tmp_path, monkeypatch):
 
 def test_initial_checkpoint_grid_mismatch_is_loud(tmp_path):
     f = random_field(GRID, seed=1, band=5)
-    state = SimState(field=f, t=0.0, step_index=0, params=PARAMS, dt=1e-3)
     path = tmp_path / "a.ck"
-    write_checkpoint(state, str(path))
+    write_checkpoint(f, PARAMS, 0.0, str(path))
     spec = InitialSpec(profile="checkpoint", path=str(path))
     with pytest.raises(CheckpointError, match="no silent resampling"):
         build_initial_data(spec, GridSpec(32), PARAMS)
@@ -554,9 +555,7 @@ def test_initial_checkpoint_grid_mismatch_is_loud(tmp_path):
     # outside that fraction's disc are refused, not dropped
     grid09 = GridSpec(16, dealias_fraction=0.9)
     assert build_initial_data(spec, grid09, PARAMS).grid == grid09
-    wide = SimState(field=random_field(GRID, seed=1, band=7), t=0.0, step_index=0,
-                    params=PARAMS, dt=1e-3)
-    write_checkpoint(wide, str(path))
+    write_checkpoint(random_field(GRID, seed=1, band=7), PARAMS, 0.0, str(path))
     assert build_initial_data(spec, grid09, PARAMS).grid == grid09
     with pytest.raises(CheckpointError, match="outside the dealias disc"):
         build_initial_data(spec, GRID, PARAMS)
@@ -566,32 +565,40 @@ def test_initial_checkpoint_grid_mismatch_is_loud(tmp_path):
 # checkpoints
 
 
-def make_state(n=16, t=0.25, dt=1e-3, params=PARAMS, seed=7):
-    grid = GridSpec(n)
-    f = random_field(grid, seed=seed, band=5)
-    return SimState(field=f, t=t, step_index=round(t / dt), params=params, dt=dt)
+def make_state(n=16, t=0.25, params=PARAMS, seed=7):
+    """write_checkpoint's (field, params, t)."""
+    return random_field(GridSpec(n), seed=seed, band=5), params, t
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    state = make_state()
+    field, params, t = make_state()
     p1, p2 = tmp_path / "a.ck", tmp_path / "b.ck"
-    write_checkpoint(state, str(p1))
+    write_checkpoint(field, params, t, str(p1))
     ck = read_checkpoint(str(p1))
-    assert np.array_equal(ck.field.coeffs, state.field.coeffs)
-    assert ck.t == state.t
-    assert ck.params == state.params
-    assert ck.grid == state.field.grid
-    write_checkpoint(
-        SimState(field=ck.field, t=ck.t, step_index=state.step_index,
-                 params=ck.params, dt=state.dt),
-        str(p2),
-    )
+    assert np.array_equal(ck.field.coeffs, field.coeffs)
+    assert ck.t == t
+    assert ck.params == params
+    assert ck.grid == field.grid
+    write_checkpoint(ck.field, ck.params, ck.t, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_writer_refuses_a_mean_mode_and_a_bad_time(tmp_path):
+    field, params, t = make_state()
+    path = tmp_path / "a.ck"
+    c = field.coeffs.copy()
+    c[0, 0] = 1.0
+    with pytest.raises(ValueError, match="mean-zero"):
+        write_checkpoint(SpectralField(field.grid, c), params, t, str(path))
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            write_checkpoint(field, params, bad, str(path))
+    assert not path.exists()
+
+
 def test_checkpoint_writes_each_zero_as_plus_zero(tmp_path):
-    state = make_state()
-    half = state.field.half.copy()
+    base, params, t = make_state()
+    half = base.half.copy()
     # negative zeros, as products can leave them: outside the band, in the
     # mean mode, in the Nyquist row and column and in one imaginary part
     half[4:13, 6:8] = complex(-0.0, -0.0)
@@ -599,9 +606,9 @@ def test_checkpoint_writes_each_zero_as_plus_zero(tmp_path):
     half[8, :] = half[:, 8] = complex(-0.0, -0.0)
     half[2, 3] = complex(0.25, -0.0)
     assert np.signbit(half.view(np.float64)).any()
-    field = harness._wrap_half(state.field.grid, half)
+    field = harness._wrap_half(base.grid, half)
     path = tmp_path / "a.ck"
-    write_checkpoint(dataclasses.replace(state, field=field), str(path))
+    write_checkpoint(field, params, t, str(path))
     payload = np.frombuffer(path.read_bytes()[71:], "<f8")
     assert payload.size == half.size * 2
     assert not np.any((payload == 0.0) & np.signbit(payload))
@@ -614,9 +621,8 @@ def test_checkpoint_writes_each_zero_as_plus_zero(tmp_path):
 def test_checkpoint_header_layout_is_pinned(tmp_path):
     params = ModelParams(beta=2.0, kappa=0.5, gamma=0.3, mu=1.5,
                          eps_visc=0.01, velocity_law="log")
-    state = make_state(params=params, t=0.125, dt=1e-3)
     path = tmp_path / "a.ck"
-    write_checkpoint(state, str(path))
+    write_checkpoint(*make_state(params=params, t=0.125), str(path))
     raw = path.read_bytes()
     assert raw[:6] == b"GSQG1\x00"
     version, n = struct.unpack_from("<II", raw, 6)
@@ -633,8 +639,7 @@ def test_checkpoint_header_layout_is_pinned(tmp_path):
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
     path = tmp_path / "a.ck"
-    state = make_state()
-    write_checkpoint(state, str(path))
+    write_checkpoint(*make_state(), str(path))
     raw = bytearray(path.read_bytes())
     raw[0] ^= 0xFF
     path.write_bytes(bytes(raw))
@@ -644,7 +649,7 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
 
 def test_checkpoint_version_mismatch_rejected(tmp_path):
     path = tmp_path / "a.ck"
-    write_checkpoint(make_state(), str(path))
+    write_checkpoint(*make_state(), str(path))
     raw = bytearray(path.read_bytes())
     raw[6:10] = struct.pack("<I", 99)
     path.write_bytes(bytes(raw))
@@ -654,7 +659,7 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
 
 def test_checkpoint_truncation_rejected(tmp_path):
     path = tmp_path / "a.ck"
-    write_checkpoint(make_state(), str(path))
+    write_checkpoint(*make_state(), str(path))
     raw = path.read_bytes()
     for cut in (3, 40, len(raw) - 8):
         path.write_bytes(raw[:cut])
@@ -667,7 +672,7 @@ def test_checkpoint_truncation_rejected(tmp_path):
 
 def test_checkpoint_hermitian_defect_rejected(tmp_path):
     path = tmp_path / "a.ck"
-    write_checkpoint(make_state(), str(path))
+    write_checkpoint(*make_state(), str(path))
     raw = bytearray(path.read_bytes())
     # corrupt the stored (3, 0) entry, which must conjugate-pair with (-3, 0)
     offset = 71 + (3 * 9 + 0) * 16
@@ -679,7 +684,7 @@ def test_checkpoint_hermitian_defect_rejected(tmp_path):
 
 def test_checkpoint_nonzero_nyquist_rejected(tmp_path):
     path = tmp_path / "a.ck"
-    write_checkpoint(make_state(), str(path))
+    write_checkpoint(*make_state(), str(path))
     raw = bytearray(path.read_bytes())
     # column index 8 of a 16-grid is the Nyquist line, stored but must be zero
     offset = 71 + (0 * 9 + 8) * 16
@@ -1337,8 +1342,46 @@ def test_package_exports_resolve_and_retired_entry_points_stay_gone():
     for name in ("emit_plot_data", "read_csv_columns"):
         assert name not in names and not hasattr(harness, name)
     assert "FinalSink" not in names and not hasattr(gsqglab.solver, "FinalSink")
+    retired = {
+        gsqglab.solver: ("step", "rhs", "SimState"),
+        gsqglab.norms: ("NormReport", "norm_report", "check_l1_interpolation",
+                        "weighted_l1_norm"),
+        gsqglab.inequalities: ("log_smoothing_check", "trilinear_form_sym"),
+    }
+    for module, gone in retired.items():
+        for name in gone:
+            assert name not in names and not hasattr(module, name), name
     assert not hasattr(VectorField, "samples")
     assert "velocity_samples" not in inspect.signature(flux_divergence).parameters
+    # the stepping core is box-only, and the benchmark's tracer binds path by name
+    assert list(inspect.signature(gsqglab.solver._integrating_factors).parameters) == [
+        "grid", "params", "dt"]
+    assert list(inspect.signature(write_checkpoint).parameters) == ["field", "params", "t", "path"]
+
+
+# a module binding it imports but never reads, and why it is kept
+UNREAD_IMPORTS = {
+    # solver.py's comment: perfbench/test_perfbench.py reads solver.advect
+    ("solver", "advect"),
+}
+
+
+def test_modules_read_every_name_they_import():
+    unread = []
+    for path in sorted(Path(gsqglab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":   # the package's exports
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and (path.stem, name) not in UNREAD_IMPORTS:
+                        unread.append(f"{path.name}:{node.lineno}: {name}")
+    assert unread == []
 
 
 def test_cli_blow_up_reports_one_line_on_stderr(tmp_path):

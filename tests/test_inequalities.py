@@ -20,11 +20,9 @@ from gsqglab import (
     estimate_best_constant,
     field_from_modes,
     inner_product,
-    log_smoothing_check,
     random_test_field,
     sobolev_norm,
     trilinear_form,
-    trilinear_form_sym,
 )
 from gsqglab.spectral import _kabs
 from util import direct_convolution, full_lattice_test_field, lattice_k, random_field
@@ -237,32 +235,6 @@ def test_trilinear_negative_weight_needs_mean_zero_pairing_slot():
     h = field_from_modes(g, {(0, 0): 1.0, (1, 0): 1j})
     with pytest.raises(ValueError):
         trilinear_form(f, f, h, -0.5)
-
-
-def test_symmetric_weight_doubles_at_sigma_zero():
-    spec = EnsembleSpec(GridSpec(16), 2.2, 3, seed=9)
-    f, q, h = (random_test_field(spec, i) for i in range(3))
-    assert trilinear_form_sym(f, q, h, 0.0) == 2.0 * trilinear_form(f, q, h, 0.0)
-
-
-def test_symmetric_weight_single_triad_closed_form():
-    g = GridSpec(16)
-    a, b, c = 0.3 - 0.2j, 0.1 + 0.4j, -0.25 + 0.15j
-    f = field_from_modes(g, {(1, 0): a})
-    q = field_from_modes(g, {(2, 1): b})
-    h = field_from_modes(g, {(3, 1): c})
-    sigma = 0.9
-    weight = 1.0 + 5.0 ** (sigma / 2.0)
-    expected = g.period**2 * weight * 2.0 * (a * b * np.conj(c)).real
-    assert trilinear_form_sym(f, q, h, sigma) == pytest.approx(expected, rel=1e-13)
-
-
-def test_symmetric_weight_swap_invariance():
-    spec = EnsembleSpec(GridSpec(16), 2.2, 3, seed=13)
-    f, q, h = (random_test_field(spec, i) for i in range(3))
-    one = trilinear_form_sym(f, q, h, 0.6)
-    two = trilinear_form_sym(q, f, h, 0.6)
-    assert abs(one - two) <= 1e-12 * abs(one)
 
 
 # ---------------------------------------------------------------- bony split
@@ -550,15 +522,6 @@ def test_commutator_log_validation():
     ]:
         with pytest.raises(ValueError):
             commutator_log(f, f, f, **bad)
-
-
-def test_log_smoothing_single_mode_value():
-    g = GridSpec(16)
-    f = field_from_modes(g, {(1, 0): 0.7j})
-    rep = log_smoothing_check(f, 1.4, 0.3, 0.5)
-    assert rep.ratio == pytest.approx(math.log(2.0) ** 1.4, rel=1e-12)
-    with pytest.raises(ValueError):
-        log_smoothing_check(f, 1.0, 0.3, 2.5)
 
 
 # ---------------------------------------------------------------- reports and surveys

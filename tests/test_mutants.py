@@ -9,6 +9,9 @@ still passes has survived, and the oracle is too weak.
 """
 
 import math
+import os
+import struct
+import tempfile
 import threading
 
 import numpy as np
@@ -16,13 +19,18 @@ import pytest
 import scipy.fft
 
 from gsqglab import (
+    CheckpointError,
     GridSpec,
     ModelParams,
     SpectralField,
     advect,
     flux_divergence,
+    harness,
+    linear_heat_propagator,
     norms,
+    read_checkpoint,
     simulate,
+    solver,
     spectral,
     velocity_from_scalar,
 )
@@ -86,6 +94,23 @@ def _product_box_tail_left_dirty(samples, slots, n, k_out, width):
 
 def _speed_without_u2(u1, u2):
     return float(np.sqrt((u1 * u1).max()))
+
+
+def _factors_off_by_half_a_step(grid, params, dt, _factors=solver._integrating_factors):
+    _eh, eh2 = _factors(grid, params, dt)
+    return eh2, eh2
+
+
+_HEADER = len(harness.CHECKPOINT_MAGIC) + struct.calcsize("<IId5dBd")
+
+
+def _checkpoint_big_endian(field, params, t, path, _write=harness.write_checkpoint):
+    _write(field, params, t, path)
+    with open(path, "r+b") as fh:
+        fh.seek(_HEADER)
+        payload = np.frombuffer(fh.read(), "<c16")
+        fh.seek(_HEADER)
+        fh.write(payload.astype(">c16").tobytes())
 
 
 # --- the oracles ----------------------------------------------------------------
@@ -166,6 +191,41 @@ def courant_oracle():
         assert row.max_u == want
 
 
+def heat_flow_oracle():
+    """One step without transport against the closed-form propagator of the
+    admissible initial data, bit for bit, at every fraction."""
+    params = ModelParams(beta=1.5, kappa=0.5, gamma=0.3, eps_visc=0.01)
+    for fraction in FRACTIONS:
+        g = GridSpec(16, dealias_fraction=fraction)
+        run = simulate(random_field(g, seed=105), params, 2e-2, 2e-2, nonlinear=False)
+        want = linear_heat_propagator(run.fields[0], 2e-2, params.gamma, params.kappa,
+                                      params.eps_visc)
+        assert np.array_equal(run.final.half, want.half)
+
+
+def checkpoint_oracle():
+    """A checkpoint's header fields at their pinned offsets, its payload the
+    little-endian half spectrum, and the round trip through read_checkpoint."""
+    params = ModelParams(beta=2.0, kappa=0.5, gamma=0.3, mu=1.5, eps_visc=0.01,
+                         velocity_law="log")
+    field = _disc_field(GridSpec(16), seed=106)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.ck")
+        harness.write_checkpoint(field, params, 0.125, path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            ck = read_checkpoint(path)
+        except CheckpointError as exc:
+            raise AssertionError(f"round trip refused: {exc}") from exc
+    assert raw[:6] == b"GSQG1\x00"
+    assert struct.unpack_from("<II", raw, 6) == (1, 16)
+    assert struct.unpack_from("<6dBd", raw, 14) == (
+        field.grid.period, 2.0, 0.5, 0.3, 1.5, 0.01, 1, 0.125)
+    assert np.array_equal(np.frombuffer(raw[71:], "<c16").reshape(16, 9), field.half)
+    assert ck.field.half.tobytes() == field.half.tobytes() and ck.t == 0.125
+
+
 MUTANTS = {
     "parseval column 0 weighted 2": (
         norms, "_parseval", _parseval_column_zero_doubled, parseval_oracle,
@@ -184,6 +244,12 @@ MUTANTS = {
         spectral, "_product_box", _product_box_tail_left_dirty, flux_oracle,
     ),
     "peak speed drops the u2 term": (spectral, "_speed", _speed_without_u2, courant_oracle),
+    "integrating factor off by half a step": (
+        solver, "_integrating_factors", _factors_off_by_half_a_step, heat_flow_oracle,
+    ),
+    "checkpoint payload written big-endian": (
+        harness, "write_checkpoint", _checkpoint_big_endian, checkpoint_oracle,
+    ),
 }
 
 

@@ -12,18 +12,13 @@ from gsqglab import (
     besov_norm,
     check_gevrey_interpolation,
     check_interpolation,
-    check_l1_interpolation,
     derivative_bound_check,
     field_from_modes,
-    from_physical,
     gevrey_norm,
-    norm_report,
     sobolev_norm,
-    weighted_l1_norm,
     xt_norm,
 )
 from gsqglab import norms, solver
-from gsqglab.norms import NormReport
 from gsqglab.spectral import _box, _box_bound, _dealias_mask, _homog_weight
 from util import hs_norm, l2_norm, random_field
 
@@ -293,51 +288,6 @@ def test_interpolation_property(seed, s1, ds, frac):
     assert rep.ratio <= 1.0 + 1e-12
 
 
-# ---------------------------------------------------------------- weighted L1
-
-
-def test_weighted_l1_single_shell_constant():
-    # 12 modes of equal modulus on |m| = 5 give C = L sqrt(12) / 5
-    g = GridSpec(32)
-    f = shell_field(g, [(5, 0), (0, 5), (3, 4), (4, 3), (-3, 4), (-4, 3)], seed=8)
-    rep = check_l1_interpolation(f, 0.3, -0.25, 1.75)
-    expected = g.period * math.sqrt(12.0) / 5.0
-    assert rep.ratio == pytest.approx(expected, rel=1e-12)
-
-
-def test_weighted_l1_norm_value():
-    g = GridSpec(16)
-    f = field_from_modes(g, {(1, 0): 1.0 / 2.0j})
-    # two modes, each |coeff| = 1/2 and |k| = 1
-    assert weighted_l1_norm(f, 2.0) == pytest.approx(g.period**2, rel=1e-13)
-
-
-def test_weighted_l1_constant_stable_under_refinement():
-    vals = []
-    for n in (32, 64):
-        g = GridSpec(n)
-        x1, x2 = g.sample_points()
-        phys = np.exp(np.sin(x1)) * np.cos(x2)
-        f = from_physical(phys, g)
-        c = f.coeffs.copy()
-        c[0, 0] = 0.0
-        rep = check_l1_interpolation(SpectralField(g, c), 0.0, -0.5, 1.5)
-        vals.append(rep.ratio)
-    assert vals[1] <= 2.0 * vals[0]
-    assert vals[0] <= 2.0 * vals[1]
-
-
-def test_weighted_l1_validation():
-    g = GridSpec(16)
-    f = random_field(g, seed=0)
-    with pytest.raises(ValueError):
-        check_l1_interpolation(f, 0.0, -1.0, 1.5)
-    with pytest.raises(ValueError):
-        check_l1_interpolation(f, 0.0, -0.5, 1.0)
-    with pytest.raises(ValueError):
-        check_l1_interpolation(field_from_modes(g, {}), 0.0, -0.5, 1.5)
-
-
 # ---------------------------------------------------------------- gevrey interpolation
 
 
@@ -430,35 +380,6 @@ def test_derivative_bound_validation():
         derivative_bound_check(f, 0.5, 0.0, (1, 0))
     with pytest.raises(ValueError):
         derivative_bound_check(f, 0.5, 0.1, (-1, 0))
-
-
-# ---------------------------------------------------------------- reports
-
-
-def test_norm_report_round_trip():
-    f = random_field(GridSpec(16), seed=4)
-    rep = norm_report(f, "gevrey", s=0.7, alpha=0.5, lam=0.1)
-    assert rep.value == gevrey_norm(f, 0.5, 0.1, 0.7)
-    assert (rep.n, rep.period) == (16, f.grid.period)
-    assert norm_report(f, "sobolev", s=1.2).value == sobolev_norm(f, 1.2)
-    assert norm_report(f, "besov", s=-0.3).value == besov_norm(f, -0.3)
-
-
-def test_norm_report_l2_accepts_nonzero_mean():
-    g = GridSpec(16)
-    f = field_from_modes(g, {(0, 0): 2.0, (1, 0): 1j})
-    rep = norm_report(f, "l2")
-    assert rep.value == sobolev_norm(f, 0.0, homogeneous=False)
-
-
-def test_norm_report_validation():
-    f = random_field(GridSpec(16), seed=0)
-    with pytest.raises(ValueError):
-        norm_report(f, "entropy")
-    with pytest.raises(ValueError):
-        norm_report(f, "gevrey", s=0.0)
-    with pytest.raises(ValueError):
-        NormReport(kind="l2", s=0.0, value=-1.0, n=16, period=2.0 * np.pi)
 
 
 # ---------------------------------------------------------------- the Parseval sum

@@ -19,7 +19,6 @@ from gsqglab import (
     OverflowGuardError,
     PicardConvergenceError,
     ReduceSink,
-    SimState,
     SpectralField,
     Trajectory,
     TrajectorySink,
@@ -34,11 +33,9 @@ from gsqglab import (
     linear_heat_propagator,
     picard_solve,
     rescale_solution,
-    rhs,
     scaling_equivariance_check,
     simulate,
     sobolev_norm,
-    step,
     to_physical,
     velocity_from_scalar,
 )
@@ -49,7 +46,6 @@ from gsqglab.solver import DiagnosticsRow, _courant, _diagnostics_row, _l2
 from gsqglab.spectral import _box, _box_bound, _dealias_mask, _hermitian_defect
 from util import (
     advective_simulate,
-    advective_step,
     advective_tendency,
     hs_norm,
     l2_norm,
@@ -73,34 +69,7 @@ def single_mode(grid, m, amp):
     return SpectralField(grid, c)
 
 
-def state_of(field, dt=1e-3, params=P):
-    return SimState(field=field, t=0.0, step_index=0, params=params, dt=dt)
-
-
-# --- state and trajectory containers ----------------------------------------
-
-
-def test_state_requires_mean_zero():
-    grid = GridSpec(16)
-    c = np.zeros((16, 16), dtype=complex)
-    c[0, 0] = 1.0
-    with pytest.raises(ValueError, match="mean-zero"):
-        state_of(SpectralField(grid, c))
-
-
-def test_state_time_bookkeeping():
-    f = single_mode(GridSpec(16), (1, 0), 0.5)
-    with pytest.raises(ValueError, match="time"):
-        SimState(field=f, t=-0.1, step_index=0, params=P, dt=1e-3)
-    with pytest.raises(ValueError, match="step index"):
-        SimState(field=f, t=0.0, step_index=-1, params=P, dt=1e-3)
-    with pytest.raises(ValueError, match="dt"):
-        SimState(field=f, t=0.0, step_index=0, params=P, dt=0.0)
-    # t must equal step_index * dt
-    with pytest.raises(ValueError):
-        SimState(field=f, t=0.5, step_index=3, params=P, dt=1e-3)
-    s = SimState(field=f, t=3e-3, step_index=3, params=P, dt=1e-3)
-    assert s.t == 3e-3
+# --- trajectory containers ----------------------------------------------------
 
 
 def test_trajectory_validation():
@@ -162,16 +131,16 @@ def test_propagator_identity_at_zero_time():
 # --- tendency ----------------------------------------------------------------
 
 
-def test_rhs_single_mode_is_steady():
+def test_tendency_single_mode_is_steady():
     # a single real mode self-advects along its own level lines, so the
     # tendency vanishes up to the roundoff of the pointwise cancellation
     grid = GridSpec(16)
     f = single_mode(grid, (3, 2), 0.8)
-    out = rhs(state_of(f))
+    out = flux_divergence(f, f, P)
     assert np.max(np.abs(out.coeffs)) <= 1e-14 * 0.8**2
 
 
-def test_rhs_two_mode_closed_form():
+def test_tendency_two_mode_closed_form():
     # modes (1,0) and (1,1) with radii 1 and sqrt(2); the transfer onto
     # (2,1) and (0,1) carries the multiplier difference 1 - r^(beta-2)
     grid = GridSpec(16)
@@ -182,63 +151,56 @@ def test_rhs_two_mode_closed_form():
     c[1, 1] = c[-1, -1] = b
     f = SpectralField(grid, c)
     s = math.sqrt(2.0) ** (beta - 2.0)
-    out = rhs(state_of(f, params=params)).coeffs
+    out = flux_divergence(f, f, params).coeffs
     expect = np.zeros((16, 16), dtype=complex)
     expect[2, 1] = expect[-2, -1] = a * b * (s - 1.0)
     expect[0, 1] = expect[0, -1] = a * b * (1.0 - s)
     assert np.max(np.abs(out - expect)) <= 1e-12 * a * b
 
 
-def test_rhs_is_mean_zero_and_dealiased():
+def test_tendency_is_mean_zero_and_dealiased():
     grid = GridSpec(32)
     f = scaled(random_field(grid, seed=4), 1.0)
-    out = rhs(state_of(f))
+    out = flux_divergence(f, f, P)
     assert out.coeffs[0, 0] == 0.0
     k1, k2 = lattice_k(grid)
     outside = np.sqrt(k1**2 + k2**2) > grid.dealias_radius
     assert np.max(np.abs(out.coeffs[outside])) == 0.0
 
 
-# --- single step --------------------------------------------------------------
+# --- the first steps of a run -------------------------------------------------
 
 
-def test_step_rejects_changing_dt():
-    s = state_of(single_mode(GridSpec(16), (1, 0), 0.1))
-    with pytest.raises(ValueError, match="fixed by the state"):
-        step(s, 2e-3)
-    assert step(s, 1e-3).step_index == 1
-    assert step(s).step_index == 1
-
-
-def test_step_single_mode_rides_the_heat_flow():
+def test_single_mode_rides_the_heat_flow():
     grid = GridSpec(16)
     f = single_mode(grid, (2, 1), 0.5)
-    s = state_of(f, dt=1e-2)
-    for _ in range(5):
-        s = step(s)
-    expect = linear_heat_propagator(f, s.t, P.gamma, P.kappa, P.eps_visc)
-    assert np.max(np.abs(s.field.coeffs - expect.coeffs)) <= 1e-13
+    traj = simulate(f, P, T=5e-2, dt=1e-2)
+    expect = linear_heat_propagator(f, traj.times[-1], P.gamma, P.kappa, P.eps_visc)
+    assert np.max(np.abs(traj.final.coeffs - expect.coeffs)) <= 1e-13
 
 
-def test_step_linear_branch_is_pure_multiplier():
+def test_linear_step_is_pure_multiplier():
+    # one step without transport is the closed-form propagator, bit for bit,
+    # of the admissible initial data (restricted to the dealias disc)
     grid = GridSpec(16)
     f = scaled(random_field(grid, seed=6), 1.0)
-    s = step(state_of(f, dt=2e-3), nonlinear=False)
-    expect = linear_heat_propagator(f, 2e-3, P.gamma, P.kappa, P.eps_visc)
-    assert np.array_equal(s.field.coeffs, expect.coeffs)
+    traj = simulate(f, P, T=2e-3, dt=2e-3, nonlinear=False)
+    expect = linear_heat_propagator(traj.fields[0], 2e-3, P.gamma, P.kappa, P.eps_visc)
+    assert np.array_equal(traj.final.coeffs, expect.coeffs)
 
 
-def test_step_courant_guard():
+def test_courant_guard_stops_the_first_step():
     grid = GridSpec(16)
     f = scaled(random_field(grid, seed=7), 500.0)
     with pytest.raises(CourantError) as exc:
-        step(state_of(f, dt=1e-2))
+        simulate(f, P, T=1e-2, dt=1e-2)
     assert exc.value.courant > exc.value.limit == 0.5
     # the guard is advisory for the linearized branch
-    step(state_of(f, dt=1e-2), nonlinear=False)
+    traj = simulate(f, P, T=1e-2, dt=1e-2, nonlinear=False)
+    assert traj.rows[0].courant == exc.value.courant
 
 
-def test_step_blowup_signal():
+def test_first_step_blowup_signal():
     grid = GridSpec(16)
     f = single_mode(grid, (1, 0), 1e200)
     params = ModelParams(beta=1.5, kappa=0.5, gamma=0.0)
@@ -246,28 +208,15 @@ def test_step_blowup_signal():
     c[2, 1] = c[-2, -1] = 1e180
     f = SpectralField(grid, c)
     with pytest.raises(BlowUpError) as exc:
-        step(state_of(f, params=params), c_cfl=math.inf)
+        simulate(f, params, T=1e-3, dt=1e-3, c_cfl=math.inf)
     assert exc.value.step == 1
     assert set(exc.value.diagnostics) == {"l2", "max_u", "courant"}
 
 
-def test_step_time_is_exact_multiple():
-    s = state_of(single_mode(GridSpec(16), (1, 0), 0.1), dt=0.1)
-    for _ in range(10):
-        s = step(s)
-    assert s.t == 10 * 0.1  # no drift from repeated addition
-    assert s.step_index == 10
-
-
-def test_step_reproduces_simulate_bit_for_bit():
-    grid = GridSpec(32)
-    f = scaled(random_field(grid, seed=16, band=10), 2.0)
-    traj = simulate(f, P, T=5e-3, dt=1e-3)
-    s = state_of(traj.fields[0])
-    for k in range(1, 6):
-        s = step(s)
-        assert s.t == traj.times[k]
-        assert np.array_equal(s.field.coeffs, traj.fields[k].coeffs), k
+def test_run_times_are_exact_multiples():
+    traj = simulate(single_mode(GridSpec(16), (1, 0), 0.1), P, T=1.0, dt=0.1)
+    assert traj.times == tuple(i * 0.1 for i in range(11))
+    assert traj.times[-1] == 10 * 0.1  # no drift from repeated addition
 
 
 # --- full runs -----------------------------------------------------------------
@@ -746,14 +695,16 @@ def test_in_place_combine_is_the_rk4_expression_bit_for_bit():
     grid = GridSpec(32)
     rng = np.random.default_rng(8)
 
-    def half():
-        h = rng.standard_normal((32, 17)) + 1j * rng.standard_normal((32, 17))
-        h[rng.random((32, 17)) < 0.2] = 0.0    # exact zeros, as outside the disc
-        return h
+    shape = (2 * _box_bound(grid) + 1, _box_bound(grid) + 1)
 
-    c, k1, *slopes = (half() for _ in range(5))
+    def rows():
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b[rng.random(shape) < 0.2] = 0.0    # exact zeros, as outside the disc
+        return b
+
+    c, k1, *slopes = (rows() for _ in range(5))
     h = 1e-2
-    eh, eh2 = solver._integrating_factors(grid, ModelParams(1.5, 0.5, gamma=0.3), h, grid.n)
+    eh, eh2 = solver._integrating_factors(grid, ModelParams(1.5, 0.5, gamma=0.3), h)
 
     def nonlin(_c, stage):
         return slopes[stage - 1]
@@ -1045,16 +996,21 @@ _RUN_LAWS = {
 @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
 def test_picard_run_matches_per_array_products_bit_for_bit(fraction, law, sink, monkeypatch):
     # the whole run against the product sites written one full-width array
-    # per transform; the stand-in reads no peak speed, so the Courant number
-    # transforms q's velocity itself
+    # per transform, in place of the stepping core's product on box rows;
+    # the stand-in reads no peak speed, so the Courant number transforms q's
+    # velocity itself
     grid = GridSpec(32, dealias_fraction=fraction)
     params = _RUN_LAWS[law]
     f = scaled(random_field(grid, seed=45, decay=2.0), 0.5)
     kw = dict(T=5e-3, dt=1e-3, tol=1e-13, max_iter=4, snapshot_stride=2, sink=sink)
     got = _iterates_of(lambda: picard_solve(f, params, **kw))
-    monkeypatch.setattr(
-        solver, "flux_divergence", lambda q, theta, p, **_: per_array("flux", q, theta, p)
-    )
+    k = _box_bound(grid)
+
+    def flux_rows(g, q, theta, p, speed=None):
+        q, theta = (spectral._from_box(g, x) for x in (q, theta))
+        return _box(per_array("flux", q, theta, p).half, k)
+
+    monkeypatch.setattr(solver, "_flux_rows", flux_rows)
     want = _iterates_of(lambda: picard_solve(f, params, **kw))
     assert len(got) == len(want) >= 3
     assert _iterate_scalars(got) == _iterate_scalars(want)
@@ -1077,9 +1033,10 @@ def _plus_zero(half):
 @pytest.mark.parametrize("law", list(_RUN_LAWS))
 @pytest.mark.parametrize("fraction", FRACTIONS)
 def test_flux_stepping_matches_the_advective_reference(fraction, law):
-    # simulate, step and rhs step the modified flux at q = theta; the
-    # reference steps -advect(velocity_from_scalar(f), f). Every value
-    # agrees, and so does every byte once each zero is written as +0.0
+    # simulate steps the modified flux at q = theta; the reference steps
+    # -advect(velocity_from_scalar(f), f). Every value agrees, and so does
+    # every byte once each zero is written as +0.0, in the runs and in the
+    # tendencies of their snapshots
     grid = GridSpec(32, dealias_fraction=fraction)
     params = _RUN_LAWS[law]
     f = scaled(random_field(grid, seed=50, decay=2.0), 0.5)
@@ -1089,34 +1046,11 @@ def test_flux_stepping_matches_the_advective_reference(fraction, law):
     assert got.times == want.times and _rows_bytes(got.rows) == _rows_bytes(want.rows)
     assert got.max_l2_step_increase == want.max_l2_step_increase
     assert np.any(advective_tendency(got.final, params).half)   # transport is live
-    for t, a, b in zip(got.times, got.fields, want.fields, strict=True):
+    for a, b in zip(got.fields, want.fields, strict=True):
         assert np.array_equal(a.half, b.half) and _plus_zero(a.half) == _plus_zero(b.half)
-        i = round(t / dt)
-        state = SimState(field=a, t=i * dt, step_index=i, params=params, dt=dt)
-        for new, ref in ((step(state).field, advective_step(state)),
-                         (rhs(state), advective_tendency(a, params))):
-            assert np.array_equal(new.half, ref.half)
-            assert _plus_zero(new.half) == _plus_zero(ref.half)
-
-
-@pytest.mark.parametrize("law", list(_RUN_LAWS))
-@pytest.mark.parametrize("fraction", FRACTIONS)
-def test_box_carried_simulate_matches_half_spectrum_steps(fraction, law):
-    # simulate carries dealias-box rows, step runs the same core on its
-    # state's whole half spectrum: every snapshot is the same, value for
-    # value and byte for byte once each zero is +0.0, and each row's L2 is
-    # the half-spectrum Parseval sum of the stepped field
-    grid = GridSpec(32, dealias_fraction=fraction)
-    params = _RUN_LAWS[law]
-    f = scaled(random_field(grid, seed=51, decay=2.0), 0.5)
-    dt = 1e-3
-    traj = simulate(f, params, 6 * dt, dt)
-    s = SimState(field=traj.fields[0], t=0.0, step_index=0, params=params, dt=dt)
-    for k in range(1, 7):
-        s = step(s)
-        got = traj.fields[k].half
-        assert np.array_equal(got, s.field.half) and _plus_zero(got) == _plus_zero(s.field.half)
-        assert traj.rows[k].l2 == _l2(s.field.half, grid.period) == sobolev_norm(s.field, 0.0)
+        new, ref = flux_divergence(a, a, params), advective_tendency(a, params)
+        assert np.array_equal(new.half, ref.half)
+        assert _plus_zero(new.half) == _plus_zero(ref.half)
 
 
 @pytest.mark.parametrize("beta", [1.2, 1.7], ids=["one_term", "two_term"])

@@ -18,7 +18,6 @@ from gsqglab.spectral import (
     _homog_weight,
     _modes,
     _structure_multiplier,
-    _wrap_half,
 )
 
 
@@ -195,25 +194,21 @@ def peak_speed(u: VectorField) -> float:
 def advective_stages(grid, params):
     """Stage-tendency factory of the full equation, in the shape solver._run
     takes, with every stage tendency advective_tendency(f), f the field of
-    the stage's box rows (or half spectrum, as step carries them): the
-    reference stepper that simulate, step and rhs, which step the modified
-    flux at q = theta, must match."""
+    the stage's box rows: the reference stepper that simulate, which steps
+    the modified flux at q = theta, must match."""
     k = spectral._box_bound(grid)
 
-    def field(c):
-        return _wrap_half(grid, c.copy()) if len(c) == grid.n else spectral._from_box(grid, c)
-
-    def rows(f, like):
-        return f.half if len(like) == grid.n else spectral._box(f.half, k)
+    def box(f):
+        return spectral._box(f.half, k)
 
     def factory(_i, c):
-        theta = field(c)
+        theta = spectral._from_box(grid, c)
         u = velocity_from_scalar(theta, params)
         return (
-            lambda s, _stage: rows(advective_tendency(field(s), params), s),
+            lambda s, _stage: box(advective_tendency(spectral._from_box(grid, s), params)),
             lambda: (u.u1.half, u.u2.half),
             peak_speed(u),
-            rows(-advect(u, theta), c),
+            box(-advect(u, theta)),
         )
 
     return factory
@@ -225,20 +220,6 @@ def advective_simulate(theta0, params, T, dt, stride):
         theta0, params, T, dt, stride, solver.DEFAULT_CFL, True,
         advective_stages(theta0.grid, params), solver.TrajectorySink(),
     )
-
-
-def advective_step(state) -> SpectralField:
-    """The field step(state) gives, stepped by advective_stages on the
-    state's half spectrum."""
-    c, i, h = state.field.half, state.step_index, state.dt
-    grid = state.field.grid
-    nonlin, _velocity, max_u, k1 = advective_stages(grid, state.params)(i, c)
-    factors = solver._integrating_factors(grid, state.params, h, grid.n)
-    speed = solver._courant(max_u, grid, h)
-    l2 = solver._l2(c, grid.period)
-    guard = solver.DEFAULT_CFL
-    out = solver._advance(c, i, state.t, h, factors, nonlin, k1, speed, l2, guard)
-    return _wrap_half(grid, out)
 
 
 def read_csv_columns(path: str) -> dict[str, list]:
