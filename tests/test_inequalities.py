@@ -151,6 +151,16 @@ def test_trilinear_single_triad_closed_form():
     assert trilinear_form(f, q, h, sigma) == pytest.approx(expected, rel=1e-13)
 
 
+def test_trilinear_swap_invariance():
+    # the product f g is symmetric, so the form is in its first two slots
+    spec = EnsembleSpec(GridSpec(16), 2.2, 3, seed=13)
+    f, q, h = (random_test_field(spec, i) for i in range(3))
+    for sigma in (-0.5, 0.0, 0.6):
+        one = trilinear_form(f, q, h, sigma)
+        two = trilinear_form(q, f, h, sigma)
+        assert abs(one - two) <= 1e-12 * abs(one)
+
+
 def _output_weight(grid, sigma):
     """|k|^sigma per mode; sigma = 0 weights the mean mode 1, otherwise 0."""
     k1, k2 = lattice_k(grid)

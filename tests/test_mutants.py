@@ -32,6 +32,7 @@ from gsqglab import (
     simulate,
     solver,
     spectral,
+    to_physical,
     velocity_from_scalar,
 )
 from gsqglab.harness import _direct_advect
@@ -101,6 +102,25 @@ def _factors_off_by_half_a_step(grid, params, dt, _factors=solver._integrating_f
     return eh2, eh2
 
 
+def _grid_size_always_n(n, a, b, k_out, _grid_size=spectral._grid_size):
+    return n, _grid_size(n, a, b, k_out)[1]
+
+
+def _mirror_without_conjugate(half, n):
+    full = np.empty((n, n), dtype=np.complex128)
+    full[:, : n // 2 + 1] = half
+    full[:, n // 2 + 1 :] = half[spectral._flip_index(n), n // 2 - 1 : 0 : -1]
+    return full
+
+
+def _support_bound_one_short(f, _support_bound=spectral._support_bound):
+    return max(_support_bound(f) - 1, 0)
+
+
+def _samples_pass_one_column_short(buf, size, k, _samples=spectral._samples):
+    return _samples(buf, size, k - 1)
+
+
 _HEADER = len(harness.CHECKPOINT_MAGIC) + struct.calcsize("<IId5dBd")
 
 
@@ -136,6 +156,16 @@ def n_grid_samples_oracle():
             want = scipy.fft.irfft2(spectral._unbox(box, g.n), s=(g.n, g.n), norm="forward")
             got = spectral._term_samples((box,), len(box), g.n, k)[0]
             assert got.tobytes() == want.tobytes()
+
+
+def full_mirror_oracle():
+    """A field's full coefficient array against numpy's forward transform of
+    its samples, which read the half spectrum alone."""
+    for fraction in FRACTIONS:
+        g = GridSpec(16, dealias_fraction=fraction)
+        f = random_field(g, seed=107, decay=1.0)
+        want = np.fft.fft2(to_physical(f), norm="forward")
+        assert np.max(np.abs(f.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def box_round_trip_oracle():
@@ -249,6 +279,16 @@ MUTANTS = {
     ),
     "checkpoint payload written big-endian": (
         harness, "write_checkpoint", _checkpoint_big_endian, checkpoint_oracle,
+    ),
+    "product grid always n": (spectral, "_grid_size", _grid_size_always_n, advect_oracle),
+    "full mirror drops the conjugate": (
+        spectral, "_full_from_half", _mirror_without_conjugate, full_mirror_oracle,
+    ),
+    "support bound one too small": (
+        spectral, "_support_bound", _support_bound_one_short, flux_oracle,
+    ),
+    "pruned column pass drops its last kept column": (
+        spectral, "_samples", _samples_pass_one_column_short, n_grid_samples_oracle,
     ),
 }
 

@@ -691,6 +691,20 @@ def test_courant_takes_one_sqrt_of_the_largest_square():
     assert math.isnan(spectral._speed(finite[0], nan))
 
 
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_integrating_factors_are_the_box_rows_of_the_heat_flow(fraction):
+    # the full- and half-step factors, box rows of the half-lattice
+    # exp(-t (gamma |k|^kappa + eps |k|^2)) that linear_heat_propagator applies
+    grid = GridSpec(32, dealias_fraction=fraction)
+    params = ModelParams(1.5, 0.5, gamma=0.3, eps_visc=0.01)
+    h, k = 1e-2, _box_bound(grid)
+    rate = solver._decay_rate(grid, params.gamma, params.kappa, params.eps_visc)
+    eh, eh2 = solver._integrating_factors(grid, params, h)
+    assert eh.shape == eh2.shape == (2 * k + 1, k + 1)
+    assert np.array_equal(eh, _box(np.exp(-h * rate), k))
+    assert np.array_equal(eh2, _box(np.exp(-(0.5 * h) * rate), k))
+
+
 def test_in_place_combine_is_the_rk4_expression_bit_for_bit():
     grid = GridSpec(32)
     rng = np.random.default_rng(8)
@@ -1051,6 +1065,62 @@ def test_flux_stepping_matches_the_advective_reference(fraction, law):
         new, ref = flux_divergence(a, a, params), advective_tendency(a, params)
         assert np.array_equal(new.half, ref.half)
         assert _plus_zero(new.half) == _plus_zero(ref.half)
+
+
+def _half_spectrum_step(field, params, h):
+    """One integrating-factor RK4 step of the whole half spectrum, the
+    tendency flux_divergence(f, f) of each stage's field, written as the
+    expression _advance's docstring gives, operation for operation."""
+    grid = field.grid
+    rate = solver._decay_rate(grid, params.gamma, params.kappa, params.eps_visc)
+    eh, eh2 = np.exp(-h * rate), np.exp(-(0.5 * h) * rate)
+
+    def slope(c):
+        f = spectral._wrap_half(grid, c)
+        return flux_divergence(f, f, params).half
+
+    c = field.half
+    k1 = slope(c)
+    k2 = slope(eh2 * (c + (0.5 * h) * k1))
+    k3 = slope(eh2 * c + (0.5 * h) * k2)
+    k4 = slope(eh * c + h * (eh2 * k3))
+    out = eh * c + (h / 6.0) * (eh * k1 + (2.0 * eh2) * (k2 + k3) + k4)
+    return spectral._wrap_half(grid, out)
+
+
+@pytest.mark.parametrize("law", list(_RUN_LAWS))
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_box_carried_simulate_matches_half_spectrum_steps(fraction, law):
+    # simulate carries dealias-box rows; the reference steps the whole half
+    # spectrum of each field: every snapshot is the same, value for value
+    # and byte for byte once each zero is +0.0, and each row's L2 is the
+    # half-spectrum Parseval sum of the stepped field
+    grid = GridSpec(32, dealias_fraction=fraction)
+    params = _RUN_LAWS[law]
+    f = scaled(random_field(grid, seed=51, decay=2.0), 0.5)
+    dt = 1e-3
+    traj = simulate(f, params, 6 * dt, dt)
+    s = traj.fields[0]
+    for k in range(1, 7):
+        s = _half_spectrum_step(s, params, dt)
+        got = traj.fields[k].half
+        assert np.array_equal(got, s.half) and _plus_zero(got) == _plus_zero(s.half)
+        assert traj.rows[k].l2 == _l2(s.half, grid.period) == sobolev_norm(s, 0.0)
+
+
+@pytest.mark.parametrize("law", list(_RUN_LAWS))
+def test_run_restarted_from_a_snapshot_continues_bit_for_bit(law):
+    # the stepping core keeps no state between steps but the field: a run
+    # started from a snapshot gives the later snapshots and their rows
+    grid = GridSpec(32)
+    params = _RUN_LAWS[law]
+    f = scaled(random_field(grid, seed=16, band=10), 2.0)
+    traj = simulate(f, params, T=5e-3, dt=1e-3)
+    rest = simulate(traj.fields[2], params, T=3e-3, dt=1e-3)
+    for a, b in zip(traj.fields[2:], rest.fields, strict=True):
+        assert np.array_equal(a.half, b.half) and _plus_zero(a.half) == _plus_zero(b.half)
+    strip = [dataclasses.replace(r, t=0.0) for r in traj.rows[2:]]
+    assert _rows_bytes(strip) == _rows_bytes([dataclasses.replace(r, t=0.0) for r in rest.rows])
 
 
 @pytest.mark.parametrize("beta", [1.2, 1.7], ids=["one_term", "two_term"])
