@@ -33,7 +33,7 @@ from .errors import (
     PicardConvergenceError,
 )
 from .inequalities import EnsembleSpec, bony_split, random_test_field, trilinear_form
-from .norms import _sobolev_weight, check_gevrey_interpolation, sobolev_norm
+from .norms import check_gevrey_interpolation, sobolev_norm
 from .solver import (
     DEFAULT_CFL,
     DecayReport,
@@ -69,7 +69,7 @@ from .spectral import (
     perp_gradient,
     velocity_from_scalar,
 )
-from .spectral import _dealias_mask, _flip_index, _full_from_half, _wrap_half
+from .spectral import _dealias_mask, _flip_index, _full_from_half, _homog_weight, _wrap_half
 
 INITIAL_PROFILES = ("single_mode", "two_mode", "ensemble", "vortex_pair", "checkpoint")
 
@@ -436,7 +436,7 @@ def _profile_norm(f: SpectralField, s: float) -> float:
         raise ValueError("homogeneous Sobolev norm requires a mean-zero field")
     c = f.coeffs
     sq = c.real**2 + c.imag**2
-    return f.grid.period * math.sqrt(float(np.sum(_sobolev_weight(f.grid, s, True) * sq)))
+    return f.grid.period * math.sqrt(float(np.sum(_homog_weight(f.grid, 2.0 * s) * sq)))
 
 
 def build_initial_data(
@@ -466,6 +466,10 @@ def build_initial_data(
     if spec.profile == "vortex_pair":
         width = spec.width if spec.width is not None else grid.period / 12.0
         sep = spec.separation if spec.separation is not None else grid.period / 4.0
+        for label, value in (("initial.width", width), ("initial.separation", sep)):
+            problem = _refusal(label, value)
+            if problem is not None:
+                raise ValueError(f"{label}: {problem}")
         samples = _gaussian_pair(grid, spec.amplitude, width, sep)
         return _admissible_initial(from_physical(samples, grid))
     if spec.profile == "checkpoint":
@@ -735,53 +739,80 @@ def _direct_multiplier(field: SpectralField, symbol) -> np.ndarray:
     return out
 
 
-def _direct_advect(u: VectorField, theta: SpectralField) -> np.ndarray:
-    """O(N^4) direct convolution reference for the advection term.
+def _direct_bilinear(fs: tuple, g: np.ndarray, symbol) -> np.ndarray:
+    """The direct O(N^4) bilinear sum behind every product check:
+    out(k) = sum over p + q = k of (sum_j sigma_j(k, q) f_j(p)) g(q), over
+    the open lattice |k_i| < n/2.
 
-    For each velocity mode p, in row-major order, one array update adds
-    (u1(p) i k0 q1 + u2(p) i k0 q2) theta(q) into out[p + q] for every q
-    with theta(q) != 0 and p + q inside the open lattice. q -> p + q is
-    injective, so each output mode receives its terms in the order of a
-    scalar loop over (p, q). Complex products are written in real
-    arithmetic, (ar br - ai bi, ar bi + ai br), the rounding of a scalar
-    complex multiply (numpy's array multiply rounds differently), so the
-    result is bit for bit that of the scalar loop.
+    fs is a tuple of full coefficient arrays and g one more. symbol(k1, k2,
+    q1, q2) takes integer lattice modes, as arrays, and returns one sigma_j
+    per f_j, each an array or a scalar; any wavevector scaling is its own
+    job. No dealias mask is applied: callers do that. The plain product is
+    sigma = 1, advection sigma_j = i k0 q_j, a commutator [T, g] f, paired
+    with h by np.vdot, sigma = tau(k) - tau(q).
+
+    The symbol is evaluated once per row p1, on all the row's pairs
+    (p, q) with some f_j(p) != 0, g(q) != 0 and p + q inside the lattice.
+    Then for each such mode p, in row-major order, one array update adds
+    the terms of its pairs into out[p + q]. q -> p + q is injective, so each
+    output mode receives its terms in the order of a scalar loop over
+    (p, q). Complex products are written in real arithmetic,
+    (ar br - ai bi, ar bi + ai br), the rounding of a scalar complex
+    multiply (numpy's array multiply rounds differently), so the result is
+    bit for bit that of the scalar loop evaluating the same symbol. It
+    makes no transform and shares no code with the product engine.
     """
-    grid = theta.grid
-    n = grid.n
+    n = g.shape[0]
     half = n // 2
     m = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    k0 = grid.k_fundamental
-    u1, u2, tc = u.u1.coeffs, u.u2.coeffs, theta.coeffs
-    j1, j2 = np.nonzero(tc)
-    # i k0 q per mode, formed as a scalar: Python complex times np.int64
-    sym = np.array([(1j * k0) * q for q in m])
-    c = tc[j1, j2]
-    # one gather per p: rows are (i k0 q1), (i k0 q2), theta(q), real then imag
-    table = np.stack(
-        [sym[j1].real, sym[j1].imag, sym[j2].real, sym[j2].imag, c.real, c.imag]
-    )
-    s1 = m[:, None] + m[j1]                         # p1 + q1 for every p1, q
-    s2 = m[:, None] + m[j2]
+    j1, j2 = np.nonzero(g)
+    q1, q2, c = m[j1], m[j2], g[j1, j2]
+    s1 = m[:, None] + q1                            # p1 + q1 for every p1, q
+    s2 = m[:, None] + q2
     inside1, inside2 = np.abs(s1) < half, np.abs(s2) < half
     row, col = (s1 % n) * n, s2 % n
+    live = np.any([f != 0 for f in fs], axis=0)     # the modes p of the f's
     out_re, out_im = np.zeros(n * n), np.zeros(n * n)
     for i1 in range(n):
-        for i2 in range(n):
-            a, b = u1[i1, i2], u2[i1, i2]
-            if a == 0 and b == 0:
-                continue
-            sel = np.flatnonzero(inside1[i1] & inside2[i2])
-            ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-            x1r, x1i, x2r, x2i, cr, ci = table[:, sel]
-            tr = (ar * x1r - ai * x1i) + (br * x2r - bi * x2i)
-            ti = (ar * x1i + ai * x1r) + (br * x2i + bi * x2r)
-            dst = row[i1, sel] + col[i2, sel]
-            out_re[dst] += tr * cr - ti * ci
-            out_im[dst] += tr * ci + ti * cr
+        pair = live[i1, :, None] & inside1[i1] & inside2
+        if not pair.any():
+            continue
+        # the row's pairs (p, q), ordered by p2, then by q
+        k1, kq1, kq2, cr, ci = (
+            np.broadcast_to(x, pair.shape)[pair] for x in (s1[i1], q1, q2, c.real, c.imag)
+        )
+        k2, dst = s2[pair], (row[i1] + col)[pair]
+        sigma = [np.broadcast_to(x, k1.shape) for x in symbol(k1, k2, kq1, kq2)]
+        ends = [0, *np.cumsum(pair.sum(axis=1)).tolist()]
+        for p2 in np.flatnonzero(live[i1]).tolist():
+            e = slice(ends[p2], ends[p2 + 1])
+            tr = ti = None
+            for f, x in zip(fs, sigma):
+                ar, ai, sr, si = f[i1, p2].real, f[i1, p2].imag, x.real[e], x.imag[e]
+                pr, pi = ar * sr - ai * si, ar * si + ai * sr
+                tr, ti = (pr, pi) if tr is None else (tr + pr, ti + pi)
+            d, gr, gi = dst[e], cr[e], ci[e]
+            out_re[d] += tr * gr - ti * gi
+            out_im[d] += tr * gi + ti * gr
     out = np.empty((n, n), dtype=complex)
     out.real = out_re.reshape(n, n)
     out.imag = out_im.reshape(n, n)
+    return out
+
+
+def _advect_symbol(k0: float):
+    """sigma_j(k, q) = i k0 q_j: _direct_bilinear((u1, u2), theta, .) is
+    u . grad(theta)."""
+    return lambda k1, k2, q1, q2: ((1j * k0) * q1, (1j * k0) * q2)
+
+
+def _direct_advect(u: VectorField, theta: SpectralField) -> np.ndarray:
+    """The advection term u . grad(theta) by _direct_bilinear,
+    dealias-masked and mean zeroed."""
+    grid = theta.grid
+    out = _direct_bilinear(
+        (u.u1.coeffs, u.u2.coeffs), theta.coeffs, _advect_symbol(grid.k_fundamental)
+    )
     out *= _dealias_mask(grid)
     out[0, 0] = 0.0
     return out
@@ -816,12 +847,14 @@ def verify_operators(seed: int = 0, grid: GridSpec | None = None) -> list[CheckR
     """Check every Fourier-multiplier operation against a per-mode loop, and
     the advection product against a direct O(N^4) convolution.
 
-    The convolution oracle (`_direct_advect`) shares no code with the
-    product engine: it makes no transform, and adds each velocity mode's
-    contribution to every output mode in one array update, bit for bit
-    what a scalar loop over mode pairs gives. On a 2-CPU host it takes
-    about 2 ms at n = 16, 13 ms at n = 32 and 0.12 s at n = 64 (the scalar
-    loop: 32 ms, 0.78 s and an estimated 12 s).
+    The convolution oracle (`_direct_advect`, the kernel `_direct_bilinear`
+    with the advection symbol) shares no code with the product engine: it
+    makes no transform, and adds each velocity mode's contribution to every
+    output mode in one array update, bit for bit what a scalar loop over
+    mode pairs gives. On a 2-CPU host, on this battery's dealias-disc field,
+    it takes about 2-3 ms at n = 16 (5-6 ms on a field that fills the
+    lattice), 13-20 ms at n = 32 and 0.13-0.15 s at n = 64; the scalar loop
+    takes 20-33 ms at n = 16. The whole battery takes 7-11 ms at n = 16.
     """
     grid = grid or GridSpec(16)
     rng = np.random.default_rng(seed)
@@ -1046,8 +1079,12 @@ def amplitude_threshold_sweep(
 
     Amplitude means the critical Sobolev norm the (normalized) base field is
     scaled to. Failure is any of: non-contraction, exhaustion of max_iter,
-    CFL violation at the fixed dt, or blow-up.
+    CFL violation at the fixed dt, or blow-up. start must be positive and
+    factor above 1, both finite: otherwise the doubling never reaches
+    amp_cap.
     """
+    if not (0.0 < start < math.inf and 1.0 < factor < math.inf):
+        raise ValueError(f"need 0 < start and 1 < factor, both finite; got {start}, {factor}")
     norm = _profile_norm(base, params.sigma_c)
     if norm == 0.0:
         raise ValueError("base field must be nonzero")

@@ -171,21 +171,12 @@ def _ghs(f: SpectralField, alpha: float, lam: float, s: float) -> float:
     return _hs(gevrey_operator(f, alpha, lam), s)
 
 
-@lru_cache(maxsize=128)
-def _power_weight(grid: GridSpec, sigma: float) -> np.ndarray:
-    """Read-only |k|^sigma, except that sigma = 0 gives the mean mode weight 1 too."""
-    if sigma == 0.0:
-        ones = np.ones((grid.n, grid.n))
-        ones.flags.writeable = False
-        return ones
-    return _homog_weight(grid, sigma)
-
-
 def _weighted_third(h: SpectralField, sigma: float) -> tuple[np.ndarray, int]:
-    """H = |k|^sigma h as a half spectrum, with its support."""
+    """H = |k|^sigma h as a half spectrum, with its support; sigma = 0 weighs
+    every mode 1, the mean included."""
     if sigma < 0 and not h.mean_zero:
         raise ValueError("negative output weight needs a mean-zero third slot")
-    hh = _half(_power_weight(h.grid, sigma)) * h.half
+    hh = h.half if sigma == 0.0 else _half(_homog_weight(h.grid, sigma)) * h.half
     return hh, _support(hh)
 
 

@@ -750,6 +750,8 @@ def picard_solve(
     step's start value is formed. sink() makes each iterate's snapshot
     sink, the seed's included; its result is the iterate's trajectory.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     theta0 = _admissible_initial(theta0)
     grid = theta0.grid
     k = _box_bound(grid)

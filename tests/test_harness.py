@@ -70,7 +70,21 @@ from gsqglab.harness import (
     _snapshot_cells,
 )
 from gsqglab.solver import _loglog_fit, _slope
-from util import l2_norm, lattice_k, random_field, read_csv_columns, scalar_direct_advect
+from gsqglab.spectral import _dealias_mask
+from util import (
+    block_tau,
+    bracket_symbol,
+    flux_second_symbol,
+    gevrey_tau,
+    l2_norm,
+    lattice_k,
+    log_tau,
+    random_field,
+    read_csv_columns,
+    scalar_direct_bilinear,
+    singular_tau,
+    unit_symbol,
+)
 
 SIM_BODY = """
 [scenario]
@@ -522,6 +536,22 @@ def test_initial_vortex_pair_is_mean_zero_and_banded():
     m1, m2 = m[:, None], m[None, :]
     outside = (m1 * m1 + m2 * m2) > GRID.dealias_radius**2
     assert np.all(f.coeffs[outside] == 0)
+
+
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("width", 0.0, "initial.width: must be positive"),
+        ("width", -0.5, "initial.width: must be positive"),
+        ("separation", 0.0, "initial.separation: must be positive"),
+        ("separation", -1.0, "initial.separation: must be positive"),
+        ("width", math.inf, "initial.width: must be finite"),
+    ],
+)
+def test_initial_vortex_pair_refuses_what_the_key_table_refuses(key, value, problem):
+    spec = InitialSpec(profile="vortex_pair", amplitude=0.5, **{key: value})
+    with pytest.raises(ValueError, match=problem):
+        build_initial_data(spec, GRID, PARAMS)
 
 
 def test_scenario_reads_checkpoint_profile_once(tmp_path, monkeypatch):
@@ -1368,7 +1398,8 @@ UNREAD_IMPORTS = {
 
 def test_modules_read_every_name_they_import():
     unread = []
-    for path in sorted(Path(gsqglab.__file__).parent.glob("*.py")):
+    sources = [*Path(gsqglab.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    for path in sorted(sources):
         if path.name == "__init__.py":   # the package's exports
             continue
         tree = ast.parse(path.read_text())
@@ -1417,13 +1448,25 @@ def test_verify_operators_all_pass_quickly():
     assert "advect" in names
 
 
+def _scalar_direct_advect(u, theta):
+    """The scalar loop with the advection symbol, dealias-masked and mean
+    zeroed: the bytes harness._direct_advect must give."""
+    g = theta.grid
+    out = scalar_direct_bilinear(
+        (u.u1.coeffs, u.u2.coeffs), theta.coeffs, harness._advect_symbol(g.k_fundamental)
+    )
+    out *= _dealias_mask(g)
+    out[0, 0] = 0.0
+    return out
+
+
 @pytest.mark.parametrize("fraction", [2 / 3, 0.9, 1.0])
 def test_direct_advect_is_the_scalar_loop_bit_for_bit(fraction):
     g = GridSpec(16, dealias_fraction=fraction)
     theta = random_field(g, seed=51)
     u = velocity_from_scalar(random_field(g, seed=52), ModelParams(beta=1.3, kappa=0.5))
     got = harness._direct_advect(u, theta)
-    assert got.tobytes() == scalar_direct_advect(u, theta).tobytes()
+    assert got.tobytes() == _scalar_direct_advect(u, theta).tobytes()
 
 
 def test_direct_advect_skips_zero_modes_as_the_scalar_loop_does():
@@ -1434,7 +1477,38 @@ def test_direct_advect_skips_zero_modes_as_the_scalar_loop_does():
     )
     got = harness._direct_advect(u, theta)
     assert np.any(got)
-    assert got.tobytes() == scalar_direct_advect(u, theta).tobytes()
+    assert got.tobytes() == _scalar_direct_advect(u, theta).tobytes()
+
+
+def _kernel_symbols(g):
+    """Each symbol the direct kernel serves, with the number of f's it takes.
+    The flux's first term is the advection symbol."""
+    return {
+        "advect": (2, harness._advect_symbol(g.k_fundamental)),
+        "product": (1, unit_symbol),
+        "flux_second": (2, flux_second_symbol(g, ModelParams(beta=1.7, kappa=0.5))),
+        "flux_second_log": (
+            2,
+            flux_second_symbol(g, ModelParams(beta=2.0, kappa=0.5, velocity_law="log", mu=0.7)),
+        ),
+        "block": (1, bracket_symbol(block_tau(g, 2))),
+        "singular": (1, bracket_symbol(singular_tau(g, 2, 1.3))),
+        "gevrey": (1, bracket_symbol(gevrey_tau(g, 0.4, 0.05, 0.5, 3))),
+        "log": (1, bracket_symbol(log_tau(g, 1.0, 2))),
+    }
+
+
+@pytest.mark.parametrize("fraction", [2 / 3, 0.9, 1.0])
+@pytest.mark.parametrize("name", list(_kernel_symbols(GridSpec(16))))
+def test_direct_bilinear_is_the_scalar_loop_bit_for_bit(name, fraction):
+    g = GridSpec(16, dealias_fraction=fraction)
+    count, symbol = _kernel_symbols(g)[name]
+    keep = _dealias_mask(g)
+    fs = tuple(random_field(g, seed=61 + i, decay=1.0).coeffs * keep for i in range(count))
+    gc = random_field(g, seed=60, decay=1.0).coeffs * keep
+    got = harness._direct_bilinear(fs, gc, symbol)
+    assert np.any(got)
+    assert got.tobytes() == scalar_direct_bilinear(fs, gc, symbol).tobytes()
 
 
 def _without_u2_term(u, theta):
@@ -1485,6 +1559,22 @@ def test_verify_inequalities_small_battery_clean():
 
 # ---------------------------------------------------------------------------
 # the amplitude sweep
+
+
+@pytest.mark.parametrize(
+    "start, factor",
+    [(0.0, 2.0), (-1.0, 2.0), (1.0, 1.0), (1.0, 0.5), (math.inf, 2.0), (1.0, math.nan)],
+)
+def test_amplitude_sweep_refuses_a_doubling_that_never_ends(start, factor, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("picard_solve ran")
+
+    monkeypatch.setattr(harness, "picard_solve", no_work)
+    base = random_test_field(EnsembleSpec(GridSpec(16), 3.0, 1, seed=101), 0)
+    with pytest.raises(ValueError, match="start"):
+        amplitude_threshold_sweep(
+            base, ModelParams(beta=1.7, kappa=0.5), T=0.01, dt=1e-3, start=start, factor=factor
+        )
 
 
 def test_amplitude_sweep_brackets_the_contraction_edge():

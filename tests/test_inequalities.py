@@ -24,41 +24,24 @@ from gsqglab import (
     sobolev_norm,
     trilinear_form,
 )
+from gsqglab.harness import _direct_bilinear
 from gsqglab.spectral import _kabs
-from util import direct_convolution, full_lattice_test_field, lattice_k, random_field
+from util import (
+    block_tau,
+    bracket_symbol,
+    full_lattice_test_field,
+    gevrey_tau,
+    lattice_k,
+    log_tau,
+    random_field,
+    singular_tau,
+    unit_symbol,
+)
 
 
 def block_of(field, j):
     part = build_partition(field.grid)
     return SpectralField(field.grid, part.phi(j, _kabs(field.grid)) * field.coeffs)
-
-
-def symbol_pairing(f, g, h, sym):
-    """Direct lattice sum of sym(xi, xi-eta) fhat(xi-eta) ghat(eta) conj(hhat(xi))."""
-    n = f.grid.n
-    half = n // 2
-    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    s = f.grid.k_fundamental
-    total = 0.0 + 0.0j
-    for i1 in range(n):
-        for i2 in range(n):
-            a = f.coeffs[i1, i2]
-            if a == 0:
-                continue
-            p1, p2 = m[i1], m[i2]
-            for j1 in range(n):
-                for j2 in range(n):
-                    b = g.coeffs[j1, j2]
-                    if b == 0:
-                        continue
-                    q1, q2 = p1 + m[j1], p2 + m[j2]
-                    if not (-half < q1 < half and -half < q2 < half):
-                        continue
-                    c = h.coeffs[q1 % n, q2 % n]
-                    if c == 0:
-                        continue
-                    total += sym((s * q1, s * q2), (s * p1, s * p2)) * a * b * np.conj(c)
-    return f.grid.period**2 * total
 
 
 # ---------------------------------------------------------------- ensembles
@@ -175,7 +158,13 @@ def _form_from_convolution(conv, h, sigma):
 
 def direct_form(f, g, h, sigma):
     """O(N^4) loop reference for the trilinear form."""
-    return _form_from_convolution(direct_convolution(f.coeffs, g.coeffs), h, sigma)
+    return _form_from_convolution(_direct_bilinear((f.coeffs,), g.coeffs, unit_symbol), h, sigma)
+
+
+def direct_pairing(f, g, h, tau):
+    """<[T, g] f, h> by the direct kernel, T the multiplier tau."""
+    out = _direct_bilinear((g.coeffs,), f.coeffs, bracket_symbol(tau))
+    return h.grid.period**2 * np.vdot(h.coeffs, out)
 
 
 def convolve2d_form(f, g, h, sigma):
@@ -194,7 +183,7 @@ def assert_form_close(got, ref, rel=1e-13):
 def test_trilinear_matches_direct_oracle_across_dealias_fractions(fraction):
     spec = EnsembleSpec(GridSpec(16, dealias_fraction=fraction), 2.2, 3, seed=21)
     f, q, h = (random_test_field(spec, i) for i in range(3))
-    conv = direct_convolution(f.coeffs, q.coeffs)
+    conv = _direct_bilinear((f.coeffs,), q.coeffs, unit_symbol)
     for sigma in (-0.5, 0.0, 0.3, 0.9):
         assert_form_close(trilinear_form(f, q, h, sigma), _form_from_convolution(conv, h, sigma))
 
@@ -316,13 +305,8 @@ def test_commutator_block_pairing_matches_symbol_sum():
     f = random_field(g, seed=21, band=5)
     q = random_field(g, seed=22, band=5)
     h = block_of(random_field(g, seed=23, band=7), 2)
-    part = build_partition(g)
     lhs = inner_product(commutator_block(f, q, 2), h)
-
-    def sym(xi, p):
-        return part.phi(2, math.hypot(*xi)) - part.phi(2, math.hypot(*p))
-
-    ref = symbol_pairing(f, q, h, sym)
+    ref = direct_pairing(f, q, h, block_tau(g, 2))
     assert abs(lhs - ref.real) <= 1e-11 * max(abs(ref), 1e-30)
     assert abs(ref.imag) <= 1e-11 * max(abs(ref), 1e-30)
 
@@ -372,15 +356,7 @@ def test_commutator_singular_matches_symbol_sum():
     h = random_field(g, seed=33, band=6)
     beta = 1.3
     lhs = inner_product(commutator_singular(f, q, 2, beta), h)
-
-    def sym(xi, p):
-        def a(k):
-            r = math.hypot(*k)
-            return 1j * k[1] * r ** (beta - 2.0) if r > 0 else 0.0
-
-        return a(xi) - a(p)
-
-    ref = symbol_pairing(f, q, h, sym)
+    ref = direct_pairing(f, q, h, singular_tau(g, 2, beta))
     assert abs(lhs - ref.real) <= 1e-11 * abs(ref)
 
 
@@ -435,23 +411,12 @@ def test_commutator_gevrey_single_triad_closed_form():
 
 def test_commutator_gevrey_matches_symbol_sum():
     g = GridSpec(16)
-    part = build_partition(g)
     f = random_field(g, seed=41, band=5)
     q = random_field(g, seed=42, band=5)
     h = block_of(random_field(g, seed=43, band=7), 3)
     alpha, lam, sigma, rho, j = 0.4, 0.05, 0.3, 0.2, 3
     rep = commutator_gevrey(f, q, h, alpha, lam, sigma, rho, j, 0.5, 0.3)
-
-    def sym(xi, p):
-        def w(k):
-            r = math.hypot(*k)
-            if r == 0:
-                return 0.0
-            return math.exp(lam * r**alpha) * r ** (sigma + rho) * 1j * k[0] * part.phi(j, r)
-
-        return w(xi) - w(p)
-
-    ref = symbol_pairing(f, q, h, sym)
+    ref = direct_pairing(f, q, h, gevrey_tau(g, alpha, lam, sigma + rho, j))
     assert abs(rep.value.real - ref.real) <= 1e-11 * abs(ref)
 
 
@@ -509,14 +474,7 @@ def test_commutator_log_matches_symbol_sum():
     h = random_field(g, seed=53, band=6)
     mu = 1.0
     rep = commutator_log(f, q, h, mu, 0.3, 0.5, 1.0, ell=2)
-
-    def sym(xi, p):
-        def w(k):
-            return math.log1p(k[0] * k[0] + k[1] * k[1]) ** mu * 1j * k[1]
-
-        return w(xi) - w(p)
-
-    ref = symbol_pairing(f, q, h, sym)
+    ref = direct_pairing(f, q, h, log_tau(g, mu, 2))
     assert abs(rep.value.real - ref.real) <= 1e-11 * abs(ref)
 
 

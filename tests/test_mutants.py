@@ -13,6 +13,7 @@ import os
 import struct
 import tempfile
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from gsqglab import (
     velocity_from_scalar,
 )
 from gsqglab.harness import _direct_advect
-from util import peak_speed, per_array, random_field
+from util import direct_flux, peak_speed, per_array, random_field
 
 FRACTIONS = [2.0 / 3.0, 0.9, 1.0]
 
@@ -124,6 +125,14 @@ def _samples_pass_one_column_short(buf, size, k, _samples=spectral._samples):
 _HEADER = len(harness.CHECKPOINT_MAGIC) + struct.calcsize("<IId5dBd")
 
 
+def _flux_rows_without_second_term(grid, q, theta, params, speed=None,
+                                   _flux_rows=spectral._flux_rows):
+    # kappa = 2 puts beta below 1 + kappa; the first term does not read kappa
+    if params.two_term:
+        params = replace(params, kappa=2.0)
+    return _flux_rows(grid, q, theta, params, speed)
+
+
 def _checkpoint_big_endian(field, params, t, path, _write=harness.write_checkpoint):
     _write(field, params, t, path)
     with open(path, "r+b") as fh:
@@ -201,6 +210,18 @@ def flux_oracle():
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             want = per_array("two_term", q, theta, params).half
             assert flux_divergence(q, theta, params).half.tobytes() == want.tobytes()
+
+
+def direct_flux_oracle():
+    """Two-term flux_divergence with q != theta against the direct kernel's
+    flux, term by term, at every fraction."""
+    params = ModelParams(beta=1.7, kappa=0.5)
+    for fraction in FRACTIONS:
+        g = GridSpec(16, dealias_fraction=fraction)
+        theta, q = _disc_field(g, 108), _disc_field(g, 109)
+        ref = direct_flux(q, theta, params)
+        got = flux_divergence(q, theta, params).coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def courant_oracle():
@@ -289,6 +310,9 @@ MUTANTS = {
     ),
     "pruned column pass drops its last kept column": (
         spectral, "_samples", _samples_pass_one_column_short, n_grid_samples_oracle,
+    ),
+    "flux drops its second term": (
+        spectral, "_flux_rows", _flux_rows_without_second_term, direct_flux_oracle,
     ),
 }
 

@@ -881,6 +881,12 @@ def test_picard_one_term_branch_converges():
     assert all(it.diff_contraction is not None for it in its[1:])
 
 
+def test_picard_refuses_zero_iterations():
+    f = scaled(random_field(GridSpec(16), seed=19), 0.5)
+    with pytest.raises(ValueError, match="max_iter"):
+        picard_solve(f, P, T=0.01, dt=1e-3, max_iter=0)
+
+
 def test_picard_exhaustion_reports_history():
     grid = GridSpec(16)
     f = scaled(random_field(grid, seed=19), 0.5)

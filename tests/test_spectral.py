@@ -33,6 +33,7 @@ from gsqglab import (
     velocity_from_scalar,
 )
 from gsqglab.dyadic import _chi_lattice, _phi_lattice
+from gsqglab.harness import _direct_advect, _direct_bilinear
 from gsqglab.spectral import (
     _apply_multiplier,
     _dealias_mask,
@@ -46,13 +47,14 @@ from gsqglab.spectral import (
     _wrap_half,
 )
 from util import (
-    direct_convolution,
+    direct_flux,
     hs_norm,
     l2_norm,
     lattice_k,
     peak_speed,
     per_array,
     random_field,
+    unit_symbol,
 )
 
 
@@ -678,7 +680,7 @@ def test_product_matches_direct_convolution():
     f = random_field(g, seed=21, band=5)
     h = random_field(g, seed=22, band=5)
     prod = multiply_fields(f, h)
-    ref = direct_convolution(f.coeffs, h.coeffs)
+    ref = _direct_bilinear((f.coeffs,), h.coeffs, unit_symbol)
     scale = max(np.max(np.abs(ref)), 1e-30)
     assert np.max(np.abs(prod.coeffs - ref)) <= 1e-12 * scale
 
@@ -687,13 +689,7 @@ def test_advect_matches_direct_convolution():
     g = GridSpec(16)
     theta = random_field(g, seed=31, band=5)
     u = perp_gradient(random_field(g, seed=32, band=5))
-    k1, k2 = lattice_k(g)
-    ref = direct_convolution(u.u1.coeffs, 1j * k1 * theta.coeffs)
-    ref += direct_convolution(u.u2.coeffs, 1j * k2 * theta.coeffs)
-    m = np.fft.fftfreq(16, 1.0 / 16).astype(int)
-    keep = (m[:, None] ** 2 + m[None, :] ** 2) <= (g.dealias_radius) ** 2
-    ref[~keep] = 0.0
-    ref[0, 0] = 0.0
+    ref = _direct_advect(u, theta)
     out = advect(u, theta)
     scale = max(np.max(np.abs(ref)), 1e-30)
     assert np.max(np.abs(out.coeffs - ref)) <= 1e-12 * scale
@@ -795,19 +791,6 @@ def _disc_field(grid, seed):
     return SpectralField(grid, random_field(grid, seed=seed, decay=1.0).coeffs * _disc(grid))
 
 
-def _disc_restrict(grid, coeffs):
-    out = np.where(_disc(grid), coeffs, 0.0)
-    out[0, 0] = 0.0
-    return out
-
-
-def _direct_advect(u, theta):
-    k1, k2 = lattice_k(theta.grid)
-    ref = direct_convolution(u.u1.coeffs, 1j * k1 * theta.coeffs)
-    ref += direct_convolution(u.u2.coeffs, 1j * k2 * theta.coeffs)
-    return _disc_restrict(theta.grid, ref)
-
-
 def _assert_close(got, ref, rel=1e-12):
     scale = max(np.max(np.abs(ref)), 1e-30)
     assert np.max(np.abs(got - ref)) <= rel * scale
@@ -877,28 +860,10 @@ def test_multiply_fields_full_support_oracle(fraction, product_sizes):
     g = GridSpec(16, dealias_fraction=fraction)
     f = random_field(g, seed=43, band=7, decay=1.0)
     h = random_field(g, seed=44, band=7, decay=1.0)
-    _assert_close(multiply_fields(f, h).coeffs, direct_convolution(f.coeffs, h.coeffs))
+    _assert_close(
+        multiply_fields(f, h).coeffs, _direct_bilinear((f.coeffs,), h.coeffs, unit_symbol)
+    )
     assert product_sizes == [24]
-
-
-def _direct_flux(q, theta, params):
-    """Direct-convolution modified flux divergence, spelled out per term."""
-    g = theta.grid
-    k1, k2 = lattice_k(g)
-    kk = k1 * k1 + k2 * k2
-    if params.velocity_law == "log":
-        sym = np.log1p(kk) ** params.mu
-    else:
-        with np.errstate(divide="ignore"):
-            sym = np.where(kk > 0, kk ** ((params.beta - 2.0) / 2.0), 0.0)
-    vq = sym * q.coeffs
-    out = 1j * k1 * direct_convolution(-1j * k2 * vq, theta.coeffs)
-    out += 1j * k2 * direct_convolution(1j * k1 * vq, theta.coeffs)
-    if params.two_term:
-        second = 1j * k1 * direct_convolution(-1j * k2 * theta.coeffs, q.coeffs)
-        second += 1j * k2 * direct_convolution(1j * k1 * theta.coeffs, q.coeffs)
-        out += sym * second
-    return _disc_restrict(g, out)
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)
@@ -916,11 +881,11 @@ def test_flux_divergence_oracle_across_dealias_fractions(params, fraction):
     theta = _disc_field(g, seed=45)
     q = _disc_field(g, seed=46)
     assert params.two_term == (params.beta >= 1.5)
-    _assert_close(flux_divergence(q, theta, params).coeffs, _direct_flux(q, theta, params))
+    _assert_close(flux_divergence(q, theta, params).coeffs, direct_flux(q, theta, params))
     # q and theta as one object: the full equation's tendency, formed
     # without the second term
     _assert_close(
-        flux_divergence(theta, theta, params).coeffs, _direct_flux(theta, theta, params)
+        flux_divergence(theta, theta, params).coeffs, direct_flux(theta, theta, params)
     )
 
 
@@ -951,7 +916,8 @@ def test_product_grid_rule_at_its_edge(op, k_out, product_sizes):
             u = perp_gradient(a)
             got, ref = advect(u, b).coeffs, _direct_advect(u, b)
         else:
-            got, ref = multiply_fields(a, b).coeffs, direct_convolution(a.coeffs, b.coeffs)
+            got = multiply_fields(a, b).coeffs
+            ref = _direct_bilinear((a.coeffs,), b.coeffs, unit_symbol)
         _assert_close(got, ref)
         assert product_sizes == [size]
 

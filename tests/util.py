@@ -7,11 +7,13 @@ from gsqglab import (
     SpectralField,
     VectorField,
     advect,
+    build_partition,
     solver,
     spectral,
     to_physical,
     velocity_from_scalar,
 )
+from gsqglab.harness import _advect_symbol, _direct_bilinear
 from gsqglab.inequalities import _hash_uniform
 from gsqglab.spectral import (
     _dealias_mask,
@@ -62,64 +64,143 @@ def hs_norm(f: SpectralField, s: float) -> float:
     return f.grid.period * float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
 
 
-def direct_convolution(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
-    """O(N^4) reference convolution on the fft-layout lattice.
+def _lattice_modes(n: int) -> np.ndarray:
+    return np.fft.fftfreq(n, 1.0 / n).astype(int)
 
-    Returns sum over p of f(p) g(m - p) for every m representable on the
-    lattice, with out-of-range p + q pairs dropped (no aliasing), matching
-    an exact padded product restricted to the lattice.
+
+def scalar_direct_bilinear(fs, g: np.ndarray, symbol) -> np.ndarray:
+    """The scalar loop over mode pairs that harness._direct_bilinear must
+    match bit for bit: out(k) = sum over p + q = k of
+    (sum_j sigma_j(k, q) f_j(p)) g(q), over the open lattice.
+
+    The symbol is evaluated once, on every pair the loop visits (flat
+    arrays, the array arithmetic the kernel runs, one pair per element);
+    the loop then adds each pair's term as scalar complex arithmetic.
     """
-    n = fc.shape[0]
+    n = g.shape[0]
     half = n // 2
-    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    out = np.zeros_like(fc)
-    for i1 in range(n):
-        for i2 in range(n):
-            if fc[i1, i2] == 0:
-                continue
-            p1, p2 = m[i1], m[i2]
-            for j1 in range(n):
-                for j2 in range(n):
-                    if gc[j1, j2] == 0:
-                        continue
-                    q1, q2 = p1 + m[j1], p2 + m[j2]
-                    if -half < q1 < half and -half < q2 < half:
-                        out[q1 % n, q2 % n] += fc[i1, i2] * gc[j1, j2]
+    m = _lattice_modes(n)
+    pairs = [
+        (i1, i2, j1, j2)
+        for i1 in range(n)
+        for i2 in range(n)
+        if any(f[i1, i2] for f in fs)
+        for j1 in range(n)
+        for j2 in range(n)
+        if g[j1, j2] != 0 and abs(m[i1] + m[j1]) < half and abs(m[i2] + m[j2]) < half
+    ]
+    i1, i2, j1, j2 = np.array(pairs, dtype=int).reshape(-1, 4).T
+    q1, q2 = m[j1], m[j2]
+    k1, k2 = m[i1] + q1, m[i2] + q2
+    sigma = [np.broadcast_to(s, q1.shape) for s in symbol(k1, k2, q1, q2)]
+    out = np.zeros((n, n), dtype=complex)
+    for e, (a1, a2, b1, b2) in enumerate(pairs):
+        t = fs[0][a1, a2] * sigma[0][e]
+        for f, s in zip(fs[1:], sigma[1:]):
+            t = t + f[a1, a2] * s[e]
+        out[k1[e] % n, k2[e] % n] += t * g[b1, b2]
     return out
 
 
-def scalar_direct_advect(u: VectorField, theta: SpectralField) -> np.ndarray:
-    """O(N^4) direct convolution reference for the advection term.
+def unit_symbol(k1, k2, q1, q2):
+    """sigma = 1: _direct_bilinear((f,), g, unit_symbol) is the plain product."""
+    return (1.0,)
 
-    The scalar loop over mode pairs that harness._direct_advect must match
-    bit for bit.
-    """
-    grid = theta.grid
-    n = grid.n
-    half = n // 2
-    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
+
+def _homog(r, s):
+    """r^s, zero where r = 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(r > 0, r**s, 0.0)
+
+
+def structure_symbol(grid: GridSpec, params):
+    """The structure multiplier M of integer modes, written here on its own:
+    |k|^(beta-2), zero at k = 0, or (ln(1 + |k|^2))^mu for the log law."""
     k0 = grid.k_fundamental
-    out = np.zeros((n, n), dtype=complex)
-    u1, u2, tc = u.u1.coeffs, u.u2.coeffs, theta.coeffs
-    for i1 in range(n):
-        for i2 in range(n):
-            if u1[i1, i2] == 0 and u2[i1, i2] == 0:
-                continue
-            for j1 in range(n):
-                for j2 in range(n):
-                    c = tc[j1, j2]
-                    if c == 0:
-                        continue
-                    q1, q2 = m[j1], m[j2]
-                    s1, s2 = m[i1] + q1, m[i2] + q2
-                    if -half < s1 < half and -half < s2 < half:
-                        out[s1 % n, s2 % n] += (
-                            u1[i1, i2] * (1j * k0 * q1)
-                            + u2[i1, i2] * (1j * k0 * q2)
-                        ) * c
+
+    def mult(m1, m2):
+        x1, x2 = k0 * m1, k0 * m2
+        kk = x1 * x1 + x2 * x2
+        if params.velocity_law == "log":
+            return np.log1p(kk) ** params.mu
+        return _homog(kk, (params.beta - 2.0) / 2.0)
+
+    return mult
+
+
+def flux_second_symbol(grid: GridSpec, params):
+    """sigma_j(k, q) = M(k) i k0 q_j: the modified flux's second term
+    M (perp_grad(theta) . grad(q)) is _direct_bilinear(perp_grad(theta), q, .)."""
+    mult, advect_symbol = structure_symbol(grid, params), _advect_symbol(grid.k_fundamental)
+
+    def symbol(k1, k2, q1, q2):
+        mk = mult(k1, k2)
+        return tuple(mk * s for s in advect_symbol(k1, k2, q1, q2))
+
+    return symbol
+
+
+def direct_flux(q: SpectralField, theta: SpectralField, params) -> np.ndarray:
+    """flux_divergence(q, theta, params) by the direct kernel, term by term:
+    perp_grad(M q) . grad(theta), plus, when params.two_term, M times
+    perp_grad(theta) . grad(q) (q = theta included); dealias-masked, mean
+    zeroed."""
+    grid = theta.grid
+    k1, k2 = lattice_k(grid)
+    m = _lattice_modes(grid.n)
+    mq = structure_symbol(grid, params)(m[:, None], m[None, :]) * q.coeffs
+    out = _direct_bilinear(
+        (-1j * k2 * mq, 1j * k1 * mq), theta.coeffs, _advect_symbol(grid.k_fundamental)
+    )
+    if params.two_term:
+        t = theta.coeffs
+        out += _direct_bilinear(
+            (-1j * k2 * t, 1j * k1 * t), q.coeffs, flux_second_symbol(grid, params)
+        )
     out *= _dealias_mask(grid)
     out[0, 0] = 0.0
     return out
+
+
+def bracket_symbol(tau):
+    """sigma(k, q) = tau(k) - tau(q), for T the multiplier tau of integer
+    modes: <[T, g] f, h> = period^2 vdot(h, _direct_bilinear((g,), f, .))."""
+    return lambda k1, k2, q1, q2: (tau(k1, k2) - tau(q1, q2),)
+
+
+def block_tau(grid: GridSpec, j: int):
+    """phi_j(|k|), the j-th dyadic block's multiplier."""
+    part, k0 = build_partition(grid), grid.k_fundamental
+    return lambda m1, m2: part.phi(j, k0 * np.hypot(m1, m2))
+
+
+def singular_tau(grid: GridSpec, ell: int, beta: float):
+    """i k_ell |k|^(beta-2), zero at k = 0: commutator_singular's multiplier."""
+    k0 = grid.k_fundamental
+    return lambda m1, m2: 1j * (k0 * (m1, m2)[ell - 1]) * _homog(k0 * np.hypot(m1, m2), beta - 2.0)
+
+
+def gevrey_tau(grid: GridSpec, alpha: float, lam: float, s: float, j: int):
+    """exp(lam |k|^alpha) |k|^s i k1 phi_j(|k|): commutator_gevrey's d1
+    multiplier, s = sigma + rho > 0."""
+    part, k0 = build_partition(grid), grid.k_fundamental
+
+    def tau(m1, m2):
+        r = k0 * np.hypot(m1, m2)
+        return np.exp(lam * r**alpha) * r**s * (1j * (k0 * m1)) * part.phi(j, r)
+
+    return tau
+
+
+def log_tau(grid: GridSpec, mu: float, ell: int):
+    """(ln(1 + |k|^2))^mu i k_ell: commutator_log's multiplier."""
+    k0 = grid.k_fundamental
+
+    def tau(m1, m2):
+        x1, x2 = k0 * m1, k0 * m2
+        return np.log1p(x1 * x1 + x2 * x2) ** mu * (1j * (x1, x2)[ell - 1])
+
+    return tau
 
 
 def full_lattice_test_field(spec, index) -> SpectralField:
