@@ -11,6 +11,7 @@ cells.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -751,7 +752,9 @@ def _direct_bilinear(fs: tuple, g: np.ndarray, symbol) -> np.ndarray:
     sigma = 1, advection sigma_j = i k0 q_j, a commutator [T, g] f, paired
     with h by np.vdot, sigma = tau(k) - tau(q).
 
-    The symbol is evaluated once per row p1, on all the row's pairs
+    The symbol is evaluated once per block of modes p (one row p1, 16
+    columns p2, so a block's arrays hold at most 16 n^2 pairs; n is a
+    power of two >= 16), on all the block's pairs
     (p, q) with some f_j(p) != 0, g(q) != 0 and p + q inside the lattice.
     Then for each such mode p, in row-major order, one array update adds
     the terms of its pairs into out[p + q]. q -> p + q is injective, so each
@@ -773,19 +776,22 @@ def _direct_bilinear(fs: tuple, g: np.ndarray, symbol) -> np.ndarray:
     row, col = (s1 % n) * n, s2 % n
     live = np.any([f != 0 for f in fs], axis=0)     # the modes p of the f's
     out_re, out_im = np.zeros(n * n), np.zeros(n * n)
-    for i1 in range(n):
-        pair = live[i1, :, None] & inside1[i1] & inside2
+    for i1, lo in itertools.product(range(n), range(0, n, 16)):
+        cols = slice(lo, lo + 16)
+        pair = live[i1, cols, None] & inside1[i1] & inside2[cols]
         if not pair.any():
             continue
-        # the row's pairs (p, q), ordered by p2, then by q
+        # the block's pairs (p, q), ordered by p2, then by q
         k1, kq1, kq2, cr, ci = (
             np.broadcast_to(x, pair.shape)[pair] for x in (s1[i1], q1, q2, c.real, c.imag)
         )
-        k2, dst = s2[pair], (row[i1] + col)[pair]
+        k2, dst = s2[cols][pair], (row[i1] + col[cols])[pair]
         sigma = [np.broadcast_to(x, k1.shape) for x in symbol(k1, k2, kq1, kq2)]
         ends = [0, *np.cumsum(pair.sum(axis=1)).tolist()]
-        for p2 in np.flatnonzero(live[i1]).tolist():
-            e = slice(ends[p2], ends[p2 + 1])
+        for i, p2 in enumerate(range(lo, lo + 16)):
+            if not live[i1, p2]:
+                continue
+            e = slice(ends[i], ends[i + 1])
             tr = ti = None
             for f, x in zip(fs, sigma):
                 ar, ai, sr, si = f[i1, p2].real, f[i1, p2].imag, x.real[e], x.imag[e]
@@ -853,8 +859,8 @@ def verify_operators(seed: int = 0, grid: GridSpec | None = None) -> list[CheckR
     output mode in one array update, bit for bit what a scalar loop over
     mode pairs gives. On a 2-CPU host, on this battery's dealias-disc field,
     it takes about 2-3 ms at n = 16 (5-6 ms on a field that fills the
-    lattice), 13-20 ms at n = 32 and 0.13-0.15 s at n = 64; the scalar loop
-    takes 20-33 ms at n = 16. The whole battery takes 7-11 ms at n = 16.
+    lattice), 11-20 ms at n = 32 and 0.12-0.15 s at n = 64; the scalar loop
+    takes 20-33 ms at n = 16. The whole battery takes 6-12 ms at n = 16.
     """
     grid = grid or GridSpec(16)
     rng = np.random.default_rng(seed)

@@ -1511,6 +1511,17 @@ def test_direct_bilinear_is_the_scalar_loop_bit_for_bit(name, fraction):
     assert got.tobytes() == scalar_direct_bilinear(fs, gc, symbol).tobytes()
 
 
+def test_direct_bilinear_blocks_of_modes_are_the_scalar_loop_bit_for_bit():
+    # n = 32: each row p1 of modes is two blocks of 16 columns p2
+    g = GridSpec(32)
+    fs = tuple(random_field(g, seed=71 + i, band=6).coeffs for i in range(2))
+    gc = random_field(g, seed=70, band=6).coeffs
+    symbol = harness._advect_symbol(g.k_fundamental)
+    got = harness._direct_bilinear(fs, gc, symbol)
+    assert np.any(got)
+    assert got.tobytes() == scalar_direct_bilinear(fs, gc, symbol).tobytes()
+
+
 def _without_u2_term(u, theta):
     n = theta.grid.n
     return advect(VectorField(u.u1, SpectralField(u.grid, np.zeros((n, n)))), theta)
