@@ -1087,10 +1087,13 @@ def amplitude_threshold_sweep(
     scaled to. Failure is any of: non-contraction, exhaustion of max_iter,
     CFL violation at the fixed dt, or blow-up. start must be positive and
     factor above 1, both finite: otherwise the doubling never reaches
-    amp_cap.
+    amp_cap. amp_cap must be finite and at least start: otherwise the
+    doubling stops only at a failure, or makes no attempt at all.
     """
     if not (0.0 < start < math.inf and 1.0 < factor < math.inf):
         raise ValueError(f"need 0 < start and 1 < factor, both finite; got {start}, {factor}")
+    if not (start <= amp_cap < math.inf):
+        raise ValueError(f"need start <= amp_cap < inf; got {start}, {amp_cap}")
     norm = _profile_norm(base, params.sigma_c)
     if norm == 0.0:
         raise ValueError("base field must be nonzero")

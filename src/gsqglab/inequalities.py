@@ -27,6 +27,7 @@ from .spectral import (
     _kabs,
     _log_weight,
     _modes,
+    _Plan,
     _product_size,
     _support,
     _term_samples,
@@ -185,7 +186,7 @@ def _form(grid: GridSpec, fh: np.ndarray, gh: np.ndarray, third: tuple) -> compl
     hh, k_h = third
     supports = _support(fh), _support(gh), k_h
     size = _product_size(grid.n, *supports)
-    fs, gs, hs = _term_samples((fh, gh, hh), grid.n, size, max(supports))
+    fs, gs, hs = _term_samples(_Plan(grid), (fh, gh, hh), size, max(supports))
     np.multiply(fs, gs, out=fs)
     fs *= hs
     return complex(grid.period**2 / size**2 * np.sum(fs))

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .dyadic import decompose
 from .spectral import (
-    GridSpec,
     SpectralField,
     _half,
     _homog_weight,
@@ -65,16 +63,6 @@ class InequalityReport:
         return self.lhs <= self.bound * (1.0 + REL_SLACK)
 
 
-@lru_cache(maxsize=None)
-def _sobolev_weight(grid: GridSpec, s: float, homogeneous: bool) -> np.ndarray:
-    if homogeneous:
-        return _homog_weight(grid, 2.0 * s)
-    kabs = _kabs(grid)
-    w = (1.0 + kabs * kabs) ** s
-    w.flags.writeable = False
-    return w
-
-
 def _parseval(terms: np.ndarray) -> float:
     """The sum over the full lattice of a real per-mode quantity that is even
     under m -> -m, given on a half spectrum (n rows) or box rows (odd)."""
@@ -96,7 +84,8 @@ def sobolev_norm(field: SpectralField, s: float, homogeneous: bool = True) -> fl
     """Sobolev norm of order s; weight |k|^s (homogeneous) or (1+|k|^2)^(s/2)."""
     if homogeneous and not field.mean_zero:
         raise ValueError("homogeneous Sobolev norm requires a mean-zero field")
-    weight = _half(_sobolev_weight(field.grid, s, homogeneous))
+    kabs = _half(_kabs(field.grid))
+    weight = _half(_homog_weight(field.grid, 2.0 * s)) if homogeneous else (1.0 + kabs * kabs) ** s
     return _l2(field.half, field.grid.period, weight)
 
 

@@ -3,28 +3,25 @@
 The stepper is an integrating-factor RK4: the stiff diagonal part (fractional
 dissipation plus optional artificial viscosity) is applied exactly per mode
 between stages, so with the transport term disabled every output coincides
-with the closed-form propagator. A run's state, stage values and slopes all
-lie in the dealias box |m1| <= K, 0 <= m2 <= K (spectral._box_bound), which
-holds the dealias disc, and the stepping core carries them, and the
-integrating factors, as (2K + 1) x (K + 1) box rows: 44 % of the half
-spectrum at fraction 2/3. It forms the RK4 combine on them in place, in the
-stage and result buffers, bit for bit the written expression, and the
-product engine takes them as they are and returns the tendency as box
-rows, so every value inside the box is the one the public operators give on
-half spectra. The core takes no other rows. A field (a half spectrum) is
-made of the state only for a snapshot field a sink keeps. Every L2 and
-Sobolev number here, the per-step L2 norm included, is norms._l2, the
-Parseval sum over box rows or a half spectrum behind norms.sobolev_norm, so
-no full array is mirrored for one. The box rows' K bounds their support,
-so the product engine sizes their products without scanning them. Every
-run with transport steps the modified-flux solve: the full equation is its
-member q = theta, whose tendency flux_divergence(theta, theta) is
--u . grad(theta). The Courant number (`_courant`) takes one float, the
-peak speed of q's velocity on the n-grid at the start of the step: when
-the first stage's products fit the n-grid, the product engine reads it
-from the samples of d1(M q) and d2(M q) it makes, so the check costs no
-transform of its own. On top of the direct
-solver sit the fixed-point machinery (a linear solve with frozen
+with the closed-form propagator. Each `simulate`, `picard_solve` (its seed
+and every iterate) and `linear_flux_solve` call makes one product plan
+(spectral._Plan), dropped when it returns: it holds the decay rate of the
+integrating factors, the diagnostics weights, the product engine's tables
+and its workspace, so a run leaves nothing behind. The state, stage values
+and slopes lie in the dealias box (spectral._box_bound), and the stepping
+core carries them as (2K + 1) x (K + 1) box rows, 44 % of the half spectrum
+at fraction 2/3; it forms the RK4 combine on them in place, bit for bit the
+written expression. The product engine returns the tendency as box rows, so
+every value inside the box is the one the public operators give on half
+spectra. A field is made of the state only for a snapshot field a sink
+keeps. Every L2 and Sobolev number here is norms._l2, the Parseval sum
+behind norms.sobolev_norm. Every run with transport steps the modified-flux
+solve: the full equation is its member q = theta, whose tendency
+flux_divergence(theta, theta) is -u . grad(theta). The Courant number
+(`_courant`) takes the peak speed of q's velocity on the n-grid at the start
+of the step, read, when the first stage's products fit the n-grid, from the
+samples of d1(M q) and d2(M q) the product engine makes. On top of the
+direct solver sit the fixed-point machinery (a linear solve with frozen
 transport coefficients, iterated to convergence), exact self-similar
 rescaling, and the decay and analyticity-radius diagnostics.
 
@@ -59,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -70,18 +67,16 @@ from .spectral import (
     ModelParams,
     SpectralField,
     _box,
-    _box_bound,
-    _boxed,
+    _box_field,
     _dealias_mask,
-    _dealias_ones,
+    _decay_rate,
     _flux_rows,
     _from_box,
     _half,
     _homog_weight,
     _kabs,
     _peak_speed,
-    _rows,
-    _support_bound,
+    _Plan,
     _velocity_rows,
     _wrap_half,
 )
@@ -307,15 +302,6 @@ class GevreyTrackReport:
 # linear propagator
 
 
-@lru_cache(maxsize=128)
-def _decay_rate(grid, gamma, kappa, eps_visc):
-    """Read-only gamma |k|^kappa + eps |k|^2 on the m2 >= 0 half lattice."""
-    kabs = _kabs(grid)
-    rate = np.ascontiguousarray(_half(gamma * kabs**kappa + eps_visc * kabs * kabs))
-    rate.flags.writeable = False
-    return rate
-
-
 def linear_heat_propagator(
     field: SpectralField, t: float, gamma: float, kappa: float, eps_visc: float = 0.0
 ) -> SpectralField:
@@ -331,26 +317,25 @@ def linear_heat_propagator(
         raise ValueError("dissipation strengths must be nonnegative")
     if not (0 < kappa <= 2):
         raise ValueError(f"kappa must lie in (0, 2], got {kappa}")
-    mult = np.exp(-t * _decay_rate(field.grid, gamma, kappa, eps_visc))
-    return _wrap_half(field.grid, mult * field.half, field._kmax)
+    mult = np.exp(-t * _decay_rate(_half(_kabs(field.grid)), gamma, kappa, eps_visc))
+    return _wrap_half(field.grid, mult * field.half)
 
 
 # ---------------------------------------------------------------------------
 # the stepping core
 
 
-def _equation_stages(grid: GridSpec, params: ModelParams, nonlinear: bool):
+def _equation_stages(plan: _Plan, nonlinear: bool):
     """Stage-tendency factory of the full equation: the modified-flux solve
     with each stage its own q, the final state's included, or with transport
     off, zero tendencies and the state's velocity for the CFL measurement."""
     if nonlinear:
-        return _flux_stages(grid, lambda _i, _stage, c: c, params, math.inf, None, negate=False)
+        return _flux_stages(plan, lambda _i, _stage, c: c, math.inf, None, negate=False)
 
     def factory(_i, c):
-        u = _velocity_rows(grid, c, params)
+        u = _velocity_rows(plan, c)
         zero = np.zeros_like(c)
-        speed = _peak_speed(u, grid.n, _support_bound(c))
-        return (lambda _c, _stage: zero), (lambda: u), speed, zero
+        return (lambda _c, _stage: zero), (lambda: u), _peak_speed(plan, u), zero
 
     return factory
 
@@ -366,18 +351,17 @@ def _pairing(a: np.ndarray, b: np.ndarray, period: float) -> float:
     return period * period * _parseval(a.real * b.real + a.imag * b.imag)
 
 
-def _diagnostics_row(t, c, l2, params, grid, u, speed, k1=None) -> DiagnosticsRow:
+def _diagnostics_row(plan, t, c, l2, u, speed, k1=None) -> DiagnosticsRow:
     """Snapshot diagnostics of the state's box rows c, its L2 norm l2 and the
-    velocity components u = (u1, u2), box rows, or half spectra where
-    linear_flux_solve's q is a field; without a transport tendency k1 (box
-    rows) the residual is 0."""
-    period = grid.period
+    velocity components u = (u1, u2), box rows; without a transport
+    tendency k1 (box rows) the residual is 0."""
+    period = plan.grid.period
     residual = 0.0
     if k1 is not None:
         raw = abs(_pairing(k1, c, period))
         scale = (
             math.hypot(_l2(u[0], period), _l2(u[1], period))
-            * _l2(c, period, _boxed(grid, _homog_weight, 2.0))
+            * _l2(c, period, plan.weight(2.0))
             * l2
         )
         residual = raw / scale if scale > 0 else 0.0
@@ -385,17 +369,17 @@ def _diagnostics_row(t, c, l2, params, grid, u, speed, k1=None) -> DiagnosticsRo
     return DiagnosticsRow(
         t=t,
         l2=l2,
-        hs_crit=_l2(c, period, _boxed(grid, _homog_weight, 2.0 * params.sigma_c)),
+        hs_crit=_l2(c, period, plan.weight(2.0 * plan.params.sigma_c)),
         energy_residual=residual,
         max_u=max_u,
         courant=courant,
     )
 
 
-def _integrating_factors(grid: GridSpec, params: ModelParams, dt: float):
+def _integrating_factors(plan: _Plan, dt: float):
     """Exact linear flow over a full step and over half a step, as
     dealias-box rows."""
-    rate = _boxed(grid, _decay_rate, params.gamma, params.kappa, params.eps_visc)
+    rate = plan.rate()
     return np.exp(-dt * rate), np.exp(-(0.5 * dt) * rate)
 
 
@@ -455,17 +439,16 @@ _quiet_blow_up = np.errstate(over="ignore", invalid="ignore")
 # shared run driver
 
 
-def _admissible_box(theta0: SpectralField) -> np.ndarray:
+def _admissible_box(plan: _Plan, theta0: SpectralField) -> np.ndarray:
     """Box rows of the initial data restricted to the dealias disc, mean removed."""
-    grid = theta0.grid
-    c = _box(theta0.half, _box_bound(grid)) * _boxed(grid, _dealias_ones)
+    c = _box(theta0.half, plan.k) * plan.mask()
     c[0, 0] = 0.0
     return c
 
 
 def _admissible_initial(theta0: SpectralField) -> SpectralField:
     """Restrict initial data to the dealias disc and remove its mean."""
-    return _from_box(theta0.grid, _admissible_box(theta0))
+    return _from_box(theta0.grid, _admissible_box(_Plan(theta0.grid), theta0))
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -479,7 +462,7 @@ def _step_count(T: float, dt: float) -> int:
 
 @_quiet_blow_up
 def _run(
-    theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factory, sink,
+    plan, theta0, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factory, sink,
     on_state=None,
 ):
     """Drive the IF-RK4 core with a per-step tendency factory; hand each
@@ -497,22 +480,22 @@ def _run(
     peak speed on the n-grid, which gives the CFL measurement, and the
     first slope k1 at c. on_state(i, c), if given, sees the state at
     every i = 0..n_steps first. A field is made of the state only for a
-    snapshot field the sink keeps.
+    snapshot field the sink keeps. The plan gives the model and the tables.
     """
-    grid = theta0.grid
+    grid, params = plan.grid, plan.params
     n_steps = _step_count(T, dt)
     if snapshot_stride < 1:
         raise ValueError("snapshot stride must be a positive integer")
     guard = c_cfl if nonlinear else None
 
-    c = _admissible_box(theta0)
-    factors = _integrating_factors(grid, params, dt)
+    c = _admissible_box(plan, theta0)
+    factors = _integrating_factors(plan, dt)
     max_increase = 0.0
     l2_now = _l2(c, grid.period)
 
     def row(t, c, l2, velocity, speed, k1):
         k1 = k1 if nonlinear else None
-        return _diagnostics_row(t, c, l2, params, grid, velocity(), speed, k1)
+        return _diagnostics_row(plan, t, c, l2, velocity(), speed, k1)
 
     def final_row():
         # at t = T the factory's slope and speed feed the row alone
@@ -559,8 +542,9 @@ def simulate(
     makes the run's snapshot sink, whose result is returned: by default the
     Trajectory of every snapshot.
     """
-    factory = _equation_stages(theta0.grid, params, nonlinear)
-    return _run(theta0, params, T, dt, snapshot_stride, c_cfl, nonlinear, factory, sink())
+    plan = _Plan(theta0.grid, params)
+    factory = _equation_stages(plan, nonlinear)
+    return _run(plan, theta0, T, dt, snapshot_stride, c_cfl, nonlinear, factory, sink())
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +552,8 @@ def simulate(
 
 
 def _as_stage_provider(q, grid, n_steps, dt):
-    """Normalize q to a function (step, stage, f) -> q's stage value; f is ignored.
+    """Normalize q to a function (step, stage, f) -> q's stage value as box
+    rows, a field's boxed by _box_field; f is ignored.
 
     Callables are sampled at the stage times t, t+dt/2, t+dt/2, t+dt (the
     two middle stages share their time). Sequences must hold one 4-tuple per
@@ -579,16 +564,16 @@ def _as_stage_provider(q, grid, n_steps, dt):
     caller holds the sequence. The last record stays: the final row reads
     its end stage.
     """
+    def rows(f):
+        if not isinstance(f, SpectralField):
+            return f
+        if f.grid != grid:
+            raise ValueError("coefficient trajectory lives on the wrong grid")
+        return _box_field(f)
+
     if callable(q):
         offsets = (0.0, 0.5 * dt, 0.5 * dt, dt)
-
-        def provider(i, stage, _f=None):
-            f = q(i * dt + offsets[stage])
-            if f.grid != grid:
-                raise ValueError("coefficient trajectory lives on the wrong grid")
-            return f
-
-        return provider
+        return lambda i, stage, _f=None: rows(q(i * dt + offsets[stage]))
 
     samples = list(q)
     if len(samples) < n_steps:
@@ -602,10 +587,7 @@ def _as_stage_provider(q, grid, n_steps, dt):
         rec = samples[i]
         if len(rec) != 4:
             raise ValueError("each step needs exactly four stage samples")
-        f = rec[stage]
-        if isinstance(f, SpectralField) and f.grid != grid:
-            raise ValueError("coefficient trajectory lives on the wrong grid")
-        return f
+        return rows(rec[stage])
 
     return provider
 
@@ -641,19 +623,20 @@ def linear_flux_solve(
     n_steps = _step_count(T, dt)
     provider = _as_stage_provider(q, grid, n_steps, dt)
     records = None if stage_sink is None else []
-    factory = _flux_stages(grid, provider, params, n_steps, records, negate=True)
+    plan = _Plan(grid, params)
+    factory = _flux_stages(plan, provider, n_steps, records, negate=True)
     try:
-        return _run(theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, TrajectorySink())
+        return _run(plan, theta0, T, dt, snapshot_stride, c_cfl, True, factory, TrajectorySink())
     finally:
         if stage_sink is not None:
             stage_sink.extend([_from_box(grid, c) for c in rec] for rec in records)
 
 
-def _flux_stages(grid, provider, params, n_steps, stage_sink, *, negate):
+def _flux_stages(plan, provider, n_steps, stage_sink, *, negate):
     """Stage-tendency factory, in the shape _run takes, of the modified-flux
     solve over n_steps steps: the tendency of the stage value c at stage s
     of step i is flux_divergence(q, c), negated when negate is true, with
-    q = provider(i, s, c), a field or box rows; the final row reads q at the
+    q = provider(i, s, c), box rows; the final row reads q at the
     last step's end stage. When stage_sink is a list, each step's four stage
     values are appended to it as one list, in the rows they come in. The
     Courant velocity is q's at the start of the step; when the first stage's
@@ -674,38 +657,39 @@ def _flux_stages(grid, provider, params, n_steps, stage_sink, *, negate):
             if record is not None and len(record) < 4:
                 record.append(f)
             if stage == 0:
-                div = _flux_rows(grid, q0, f, params, speed)
+                div = _flux_rows(plan, q0, f, speed)
             else:
-                div = _flux_rows(grid, provider(i, stage, f), f, params)
+                div = _flux_rows(plan, provider(i, stage, f), f)
             return -div if negate else div
 
         k1 = tendency(c, 0)
         if speed:
-            return tendency, partial(_velocity_rows, grid, _rows(q0), params), speed[0], k1
-        u = _velocity_rows(grid, _rows(q0), params)
-        return tendency, (lambda: u), _peak_speed(u, grid.n, _support_bound(q0)), k1
+            return tendency, partial(_velocity_rows, plan, q0), speed[0], k1
+        u = _velocity_rows(plan, q0)
+        return tendency, (lambda: u), _peak_speed(plan, u), k1
 
     return factory
 
 
+def _heat_flow_box(plan, c, t):
+    """linear_heat_propagator's flow over time t of the dealias-box rows c."""
+    return np.exp(-t * plan.rate()) * c
+
+
 @_quiet_blow_up
-def _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink):
+def _heat_flow_seed(plan, theta0, T, dt, snapshot_stride, sink):
     """Exact closed-form heat flow, the seed of the iteration: its snapshots,
     handed to sink, and its stage values as dealias-box rows, each time
     evaluated once. Returns sink's result and the stage records. A
     snapshot's velocity is formed only for its row.
     """
-    grid = theta0.grid
-    k = _box_bound(grid)
-
-    def prop(t):
-        f = linear_heat_propagator(theta0, t, params.gamma, params.kappa, params.eps_visc)
-        return _box(f.half, k)
+    grid = plan.grid
+    prop = partial(_heat_flow_box, plan, _box(theta0.half, plan.k))
 
     def row(t, c):
-        u = _velocity_rows(grid, c, params)
-        speed = _courant(_peak_speed(u, grid.n, k), grid, dt)
-        return _diagnostics_row(t, c, _l2(c, grid.period), params, grid, u, speed)
+        u = _velocity_rows(plan, c)
+        speed = _courant(_peak_speed(plan, u), grid, dt)
+        return _diagnostics_row(plan, t, c, _l2(c, grid.period), u, speed)
 
     n_steps = _step_count(T, dt)
     stages = []
@@ -719,7 +703,7 @@ def _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink):
         t = i * dt
         c = stages[i][0] if i < n_steps else prop(t)
         sink.add(t, partial(_from_box, grid, c), partial(row, t, c))
-    return sink.result(params, dt, 0.0), stages
+    return sink.result(plan.params, dt, 0.0), stages
 
 
 def picard_solve(
@@ -752,11 +736,12 @@ def picard_solve(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    theta0 = _admissible_initial(theta0)
     grid = theta0.grid
-    k = _box_bound(grid)
+    plan = _Plan(grid, params)
+    theta0 = _from_box(grid, _admissible_box(plan, theta0))
+    k = plan.k
     n_steps = _step_count(T, dt)
-    seed_traj, stages = _heat_flow_seed(theta0, params, T, dt, snapshot_stride, sink())
+    seed_traj, stages = _heat_flow_seed(plan, theta0, T, dt, snapshot_stride, sink())
     iterates = [
         PicardIterate(
             index=0,
@@ -773,7 +758,7 @@ def picard_solve(
     period = grid.period
     # the two-term branch contracts in the sup-in-time L2 norm itself, the
     # one-term branch in the time-integrated cube of the 2 kappa / 3 Sobolev norm
-    w = None if params.two_term else _boxed(grid, _homog_weight, 4.0 * params.kappa / 3.0)
+    w = None if params.two_term else plan.weight(4.0 * params.kappa / 3.0)
 
     def difference(i, c):
         # the state minus the previous iterate at t = i dt (its step-i start
@@ -790,9 +775,9 @@ def picard_solve(
         prev = _as_stage_provider(stages, grid, n_steps, dt)
         stages = []
         l2s, cubes = [], []
-        factory = _flux_stages(grid, prev, params, n_steps, stages, negate=False)
+        factory = _flux_stages(plan, prev, n_steps, stages, negate=False)
         traj = _run(
-            theta0, params, T, dt, snapshot_stride, c_cfl, True, factory, sink(), difference
+            plan, theta0, T, dt, snapshot_stride, c_cfl, True, factory, sink(), difference
         )
         sup_l2 = contraction = max(l2s)
         if w is not None:

@@ -24,39 +24,40 @@ The dealias box is the part of the half lattice with |m1| <= K and
 m2 <= K, K = min(floor(dealias_radius), n/2 - 1) (`_box_bound`): it holds
 the dealias disc and never the zero Nyquist row or column. Box rows are a
 (2K + 1) x (K + 1) array of it in fft row order, m1 = 0, ..., K, -K, ...,
--1 (`_box`, `_unbox`). The solver's stepping core carries its state, stage
-values and slopes as box rows, 44 % of the half at fraction 2/3, and the
-product engine takes them as factors (`_flux_rows`). Every forward
-transform returns box rows (`_lattice_half`), which the public operators
-write into a half.
+-1 (`_box`, `_unbox`). The product engine takes box rows only: the solver's
+stepping core carries its state, stage values and slopes as dealias-box
+rows, 44 % of the half at fraction 2/3, and a public product boxes each
+field's half at K = n/2 - 1 (`_box_field`), dropping only the zero Nyquist
+row and column. Every forward transform returns box rows (`_lattice_half`),
+which the public operators write into a half.
 
 Products are formed by real FFTs on an M x M grid, M = n if n > K_a + K_b +
 K_out else 3n/2, with K_a, K_b the factors' largest nonzero |m_i| and K_out the
 largest |m_i| kept: every kept mode gets its exact, alias-free convolution sum
 (Orszag's 2/3 rule, J. Atmos. Sci. 1971). Solver state at fraction 2/3 has M = n.
-K_a and K_b come from a factor's support bound: box rows' K, or a field's
-bound it was built with (the velocity and negation keep their source's),
-else its nonzero scan, made once per field and cached. A bound is used only
-when it already gives M = n; otherwise the exact scan of the factors decides,
-so M is always the one their exact supports give.
+K_a and K_b come from a factor's support bound, its box rows' K. A bound
+is used only when it already gives M = n; otherwise the exact scan of the
+factors decides, so M is always the one their exact supports give. A public
+product's bound, n/2 - 1, never gives M = n: it scans its factors.
 
 The solver's Courant number reads a velocity's peak speed on the n-grid
 (`_peak_speed`). The stepping core's product, `_flux_rows`, given a list,
 appends the peak speed of q's velocity, read from its own samples of
 d1(M q) and d2(M q) before its products overwrite them, so no velocity
 field need be built for it. The modified flux is evaluated in advective
-form, Div((perp_grad a) b) = perp_grad a . grad b, which holds exactly for
-alias-free products because perp_grad a is divergence free, so both of its
-terms share the samples of grad theta. Transforms per call: `advect` 4 inverse and 1 forward,
+form (`flux_divergence`). Transforms per call: `advect` 4 inverse and 1 forward,
 `flux_divergence` 4 and 1, or 6 and 2 with the second term, which is not
 formed for q = theta, `multiply_fields` 2 and 1, `to_physical` 1 inverse,
 `_peak_speed` 1 inverse per component.
 
-Every product site makes all its transforms in one stacked inverse call
-(`_samples`) and one stacked forward call (`_lattice_half`), on every grid.
-Each call site works in one workspace, kept per thread and per shape
-(terms, M, kept width) (`_workspace`): a complex column buffer of all
-M/2 + 1 columns and the real samples array. A 2-D transform is the two
+A product site works in a plan (`_Plan`) that each run and each public
+product call makes and drops when it returns, after FFTW's plans (Frigo &
+Johnson, Proc. IEEE 93(2), 2005): it builds the tables the site reads from
+the box's own modes and keeps the workspace per stack shape (terms, M), a
+complex column buffer of all M/2 + 1 columns and the real samples array, so
+no module cache holds either. Every product site makes all its transforms in
+one stacked inverse call (`_samples`) and one stacked forward call
+(`_lattice_half`), on every grid. A 2-D transform is the two
 one-axis pocketfft passes that irfft2 and rfft2 make, called as numpy.fft's
 ufuncs through one helper (`_pass`) without numpy.fft's argument handling,
 so its output is bit for bit that of scipy.fft's 2-D transform.
@@ -77,17 +78,11 @@ so its output is bit for bit that of scipy.fft's 2-D transform.
   against 0.13 ms at n = 256, fraction 2/3), and the call returns the box
   rows of those columns alone: the modes beyond them, which the dealias
   mask would zero, are not formed.
-- Hand-outs. The thread's next transform of a shape overwrites its
-  workspace, so the samples that leave the engine are copies: those of
-  `to_physical`.
-At M = 768 the kept workspace raises a CLI simulate's peak RSS from 122 to
-142 MB; at M = 512 it is unchanged (2-CPU host, numpy 2.4.6).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -147,12 +142,16 @@ def _kabs(grid: GridSpec) -> np.ndarray:
     return grid.k_fundamental * np.sqrt((m1 * m1 + m2 * m2).astype(np.float64))
 
 
+def _power(kabs: np.ndarray, s: float) -> np.ndarray:
+    """|k|^s of the |k| table kabs, the mean mode weighted zero."""
+    with np.errstate(divide="ignore"):
+        return np.where(kabs > 0, kabs**s, 0.0)
+
+
 @lru_cache(maxsize=128)
 def _homog_weight(grid: GridSpec, s: float) -> np.ndarray:
     """Read-only |k|^s per mode with the mean mode weighted zero."""
-    kabs = _kabs(grid)
-    with np.errstate(divide="ignore"):
-        w = np.where(kabs > 0, kabs**s, 0.0)
+    w = _power(_kabs(grid), s)
     w.flags.writeable = False
     return w
 
@@ -199,12 +198,6 @@ def _dealias_mask(grid: GridSpec) -> np.ndarray:
     return keep & ~_nyquist_mask(grid)
 
 
-def _dealias_ones(grid: GridSpec) -> np.ndarray:
-    """_dealias_mask as complex ones and zeros, the factor that restricts
-    complex rows to the disc: a boolean factor is cast on every multiply."""
-    return _dealias_mask(grid).astype(np.complex128)
-
-
 @lru_cache(maxsize=None)
 def _flip_index(n: int) -> np.ndarray:
     return (-np.arange(n)) % n
@@ -223,11 +216,10 @@ class SpectralField:
     downstream operators never have to re-check. The stored form is the
     read-only half spectrum `half`, a copy of the symmetrized array's m2 >= 0
     columns, and nothing else; `coeffs` is the full array, mirrored from it
-    afresh on every read (see the module docstring). `_kmax` is the support
-    bound the product engine reads (None until it is given or scanned).
+    afresh on every read (see the module docstring).
     """
 
-    __slots__ = ("grid", "half", "_kmax")
+    __slots__ = ("grid", "half")
 
     def __init__(self, grid: GridSpec, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -264,29 +256,27 @@ class SpectralField:
         return self.half[0, 0] == 0
 
     def __neg__(self) -> "SpectralField":
-        return _wrap_half(self.grid, -self.half, self._kmax)
+        return _wrap_half(self.grid, -self.half)
 
 
-def _store(f: SpectralField, grid: GridSpec, half: np.ndarray, kmax=None) -> SpectralField:
+def _store(f: SpectralField, grid: GridSpec, half: np.ndarray) -> SpectralField:
     half.flags.writeable = False
     object.__setattr__(f, "grid", grid)
     object.__setattr__(f, "half", half)
-    object.__setattr__(f, "_kmax", kmax)
     return f
 
 
-def _wrap_half(grid: GridSpec, half: np.ndarray, kmax: int | None = None) -> SpectralField:
+def _wrap_half(grid: GridSpec, half: np.ndarray) -> SpectralField:
     """Fast constructor from an m2 >= 0 half spectrum (n x (n/2 + 1)).
 
-    The caller guarantees four invariants, none of which is checked:
+    The caller guarantees three invariants, none of which is checked:
     - the array is owned: nothing else holds or writes it, because it is
       frozen in place and kept, not copied;
     - the Nyquist row m1 = -n/2 and column m2 = n/2 are zero;
-    - column m2 = 0 is exactly Hermitian, half[-m1, 0] == conj(half[m1, 0]);
-    - kmax, if given, bounds the largest |m_i| of a nonzero coefficient.
+    - column m2 = 0 is exactly Hermitian, half[-m1, 0] == conj(half[m1, 0]).
     Under them `coeffs` mirrors to the field's exact Hermitian array.
     """
-    return _store(object.__new__(SpectralField), grid, half, kmax)
+    return _store(object.__new__(SpectralField), grid, half)
 
 
 @dataclass(frozen=True)
@@ -359,9 +349,8 @@ class ModelParams:
 
 def to_physical(field: SpectralField) -> np.ndarray:
     """Evaluate the field at the n x n physical sample points."""
-    n = field.grid.n
-    k = n // 2 if field._kmax is None else field._kmax
-    return _term_samples((field.half,), n, n, k)[0].copy()
+    box = _box_field(field)
+    return _term_samples(_Plan(field.grid), (box,), field.grid.n, _support_bound(box))[0]
 
 
 def _canonical(box: np.ndarray) -> np.ndarray:
@@ -411,27 +400,14 @@ def _unbox(box: np.ndarray, n: int) -> np.ndarray:
     return half
 
 
+def _box_field(f: SpectralField) -> np.ndarray:
+    """A field's half as box rows of bound n/2 - 1, less its zero Nyquist row and column."""
+    return _box(f.half, f.grid.n // 2 - 1)
+
+
 def _from_box(grid: GridSpec, box: np.ndarray) -> SpectralField:
-    """The field of canonical box rows, with their K as its support bound."""
-    return _wrap_half(grid, _unbox(box, grid.n), len(box) // 2)
-
-
-@lru_cache(maxsize=128)
-def _boxed(grid: GridSpec, fn, *args):
-    """Read-only dealias-box rows (_box_bound) of the lattice array
-    fn(grid, *args), or of each array in the tuple it returns."""
-    k = _box_bound(grid)
-    a = fn(grid, *args)
-    boxes = tuple(_box(x, k) for x in (a if isinstance(a, tuple) else (a,)))
-    for b in boxes:
-        b.flags.writeable = False
-    return boxes if isinstance(a, tuple) else boxes[0]
-
-
-def _layout(grid: GridSpec, rows: int, fn, *args):
-    """fn(grid, *args), a half-lattice array or a tuple of them, for arrays
-    of rows rows: as it is for half spectra (n rows), else its box rows."""
-    return fn(grid, *args) if rows == grid.n else _boxed(grid, fn, *args)
+    """The field of canonical box rows."""
+    return _wrap_half(grid, _unbox(box, grid.n))
 
 
 def from_physical(samples: np.ndarray, grid: GridSpec) -> SpectralField:
@@ -486,10 +462,9 @@ def _apply_multiplier(field: SpectralField, symbol: np.ndarray) -> SpectralField
     """Multiply each mode by a full-lattice symbol, on the half spectrum.
 
     The symbol must satisfy symbol(-m) = conj(symbol(m)), as real even and
-    imaginary odd ones do, and be finite on the Nyquist modes. A diagonal
-    multiplier cannot widen the support, so the field's bound carries over.
+    imaginary odd ones do, and be finite on the Nyquist modes.
     """
-    return _wrap_half(field.grid, _half(symbol) * field.half, field._kmax)
+    return _wrap_half(field.grid, _half(symbol) * field.half)
 
 
 def fractional_laplacian(field: SpectralField, s: float) -> SpectralField:
@@ -593,14 +568,19 @@ def perp_gradient(field: SpectralField) -> VectorField:
     return VectorField(u1, u2)
 
 
-def _structure_multiplier(grid: GridSpec, params: ModelParams) -> np.ndarray:
-    """Scalar symbol linking the advected scalar to its streamfunction source,
-    on the m2 >= 0 half lattice."""
+def _structure_multiplier(kabs: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Scalar symbol linking the advected scalar to its streamfunction
+    source, of the |k| table kabs."""
     if params.velocity_law == "log":
-        return _half(_log_weight(grid, params.mu))
+        return np.log1p(kabs * kabs) ** params.mu
     if params.beta == 2:
-        return _half(np.ones_like(_kabs(grid)))
-    return _half(_homog_weight(grid, params.beta - 2.0))
+        return np.ones_like(kabs)
+    return _power(kabs, params.beta - 2.0)
+
+
+def _decay_rate(kabs: np.ndarray, gamma: float, kappa: float, eps_visc: float) -> np.ndarray:
+    """gamma |k|^kappa + eps |k|^2 of the |k| table kabs, the dissipative flow's rate."""
+    return gamma * kabs**kappa + eps_visc * kabs * kabs
 
 
 def velocity_from_scalar(theta: SpectralField, params: ModelParams) -> VectorField:
@@ -613,17 +593,88 @@ def velocity_from_scalar(theta: SpectralField, params: ModelParams) -> VectorFie
     if params.velocity_law == "power" and params.beta < 2 and not theta.mean_zero:
         raise ValueError("velocity_from_scalar with beta < 2 requires a mean-zero scalar")
     grid = theta.grid
-    kmax = theta._kmax
-    u1, u2 = _velocity_rows(grid, theta.half, params)
-    return VectorField(_wrap_half(grid, u1, kmax), _wrap_half(grid, u2, kmax))
+    ik1, ik2 = _ik(grid)
+    source = _structure_multiplier(_half(_kabs(grid)), params) * theta.half
+    return VectorField(_wrap_half(grid, ik2 * source), _wrap_half(grid, -(ik1 * source)))
 
 
-def _velocity_rows(grid: GridSpec, h: np.ndarray, params: ModelParams) -> tuple:
-    """velocity_from_scalar's components (u1, u2) of the scalar whose half
-    spectrum or box rows are h, unchecked, in h's rows."""
-    ik1, ik2 = _layout(grid, len(h), _ik)
-    source = _layout(grid, len(h), _structure_multiplier, params) * h
+def _velocity_rows(plan: "_Plan", c: np.ndarray) -> tuple:
+    """velocity_from_scalar's components (u1, u2) of the scalar whose box
+    rows are c, unchecked, in c's rows."""
+    ik1, ik2 = plan.ik(len(c) // 2)
+    source = plan.mult(len(c) // 2) * c
     return ik2 * source, -(ik1 * source)
+
+
+# ---------------------------------------------------------------------------
+# the product plan
+
+
+class _Plan:
+    """The product plan of one run or public product call (module docstring):
+    tables on box rows of a bound k, the dealias box's by default, each built
+    on first use from the box's modes by its lattice table's formula, so bit
+    for bit that table's box rows; and the transform workspace."""
+
+    def __init__(self, grid: GridSpec, params: ModelParams | None = None):
+        self.grid, self.params, self.k = grid, params, _box_bound(grid)
+        self._tables, self._work = {}, {}
+
+    def _table(self, name, k: int | None, make) -> np.ndarray:
+        """make(m1, m2), read-only, of the modes of box rows of bound k."""
+        key = (name, self.k if k is None else k)
+        if key not in self._tables:
+            k = key[1]
+            m1 = (np.arange(2 * k + 1) + k) % (2 * k + 1) - k
+            table = self._tables[key] = make(m1[:, None], np.arange(k + 1)[None, :])
+            table.flags.writeable = False
+        return self._tables[key]
+
+    def kabs(self, k: int | None = None) -> np.ndarray:
+        """|k|, by _kabs's formula."""
+        s = self.grid.k_fundamental
+        return self._table("kabs", k, lambda m1, m2: s * np.sqrt((m1 * m1 + m2 * m2).astype(float)))
+
+    def weight(self, s: float) -> np.ndarray:
+        """|k|^s, the mean mode weighted zero."""
+        return self._table(("weight", s), None, lambda *_: _power(self.kabs(), s))
+
+    def mult(self, k: int | None = None) -> np.ndarray:
+        """The structure multiplier."""
+        return self._table("mult", k, lambda *_: _structure_multiplier(self.kabs(k), self.params))
+
+    def rate(self) -> np.ndarray:
+        """The decay rate gamma |k|^kappa + eps |k|^2."""
+        p = self.params
+        rate = (p.gamma, p.kappa, p.eps_visc)
+        return self._table("rate", None, lambda *_: _decay_rate(self.kabs(), *rate))
+
+    def mask(self, k: int | None = None) -> np.ndarray:
+        """The dealias disc as complex ones and zeros (a boolean is cast per multiply)."""
+        r2 = self.grid.dealias_radius**2
+        return self._table("mask", k, lambda m1, m2: (m1 * m1 + m2 * m2 <= r2).astype(complex))
+
+    def ik(self, k: int | None = None) -> np.ndarray:
+        """The derivative symbols (i k1, i k2) as one stack."""
+        s = self.grid.k_fundamental
+
+        def make(*m):
+            return np.stack(np.broadcast_arrays(*(1j * (s * x.astype(float)) for x in m)))
+
+        return self._table("ik", k, make)
+
+    def workspace(self, lead: tuple, size: int, width: int) -> tuple:
+        """For a stack of shape lead on the size grid, column pass over width
+        columns: a complex buffer of all size/2 + 1 columns, zero from column
+        width on, and the real samples; kept, since fresh pages cost more."""
+        work = self._work.get((lead, size))
+        if work is None:
+            buf = np.zeros(lead + (size, size // 2 + 1), dtype=np.complex128)
+            work = self._work[lead, size] = [buf, np.empty(lead + (size, size)), width]
+        buf, samples, clean = work   # the buffer is zero from column clean on
+        buf[..., width:clean] = 0.0
+        work[2] = width
+        return buf, samples
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +688,10 @@ def _speed(u1: np.ndarray, u2: np.ndarray) -> float:
     return float(np.sqrt((u1 * u1 + u2 * u2).max()))
 
 
-def _peak_speed(rows: tuple, n: int, k: int) -> float:
-    """_speed of the n-grid samples of velocity components (u1, u2), half
-    spectra or box rows of one shape, supported within |m_i| <= k."""
-    return _speed(*_term_samples(rows, len(rows[0]), n, k))
+def _peak_speed(plan: _Plan, u: tuple) -> float:
+    """_speed of the n-grid samples of velocity components u = (u1, u2),
+    box rows of one bound."""
+    return _speed(*_term_samples(plan, u, plan.grid.n, _support_bound(u[0])))
 
 
 def _half(a: np.ndarray) -> np.ndarray:
@@ -649,7 +700,7 @@ def _half(a: np.ndarray) -> np.ndarray:
 
 
 def _support(*halves: np.ndarray) -> int:
-    """Largest |m_i| of a nonzero coefficient in the half spectra; 0 if none."""
+    """Largest |m_i| of a nonzero coefficient in half spectra or box rows; 0 if none."""
     nz = np.logical_or.reduce([h != 0 for h in halves])
     rows = np.flatnonzero(nz.any(axis=1))
     m1 = np.minimum(rows, len(nz) - rows)           # |m1| of an fft-order row
@@ -662,29 +713,19 @@ def _product_size(n: int, k_a: int, k_b: int, k_out: int) -> int:
     return n if n > k_a + k_b + k_out else 3 * n // 2
 
 
-def _support_bound(f) -> int:
-    """f's support bound: for box rows, their K, len(f) // 2; for a field,
-    the one it was built with, else its scan, cached."""
-    if isinstance(f, np.ndarray):
-        return len(f) // 2
-    if f._kmax is None:
-        object.__setattr__(f, "_kmax", _support(f.half))
-    return f._kmax
-
-
-def _rows(f) -> np.ndarray:
-    """The rows a product factor comes in: box rows as they are, a field's half."""
-    return f if isinstance(f, np.ndarray) else f.half
+def _support_bound(box: np.ndarray) -> int:
+    """The support bound of box rows: their K."""
+    return len(box) // 2
 
 
 def _grid_size(n: int, a: tuple, b: tuple, k_out: int) -> tuple[int, int]:
-    """M for a product of factors supported within a and b, fields or box
-    rows, and the bound on their supports that gave it."""
+    """M for a product of factors supported within the box rows a and b,
+    and the bound on their supports that gave it."""
     k_a, k_b = max(map(_support_bound, a)), max(map(_support_bound, b))
     size = _product_size(n, k_a, k_b, k_out)
     if size != n:
         # a bound above the true support may overstate M: the exact scan decides
-        k_a, k_b = _support(*map(_rows, a)), _support(*map(_rows, b))
+        k_a, k_b = _support(*a), _support(*b)
         size = _product_size(n, k_a, k_b, k_out)
     return size, max(k_a, k_b)
 
@@ -696,18 +737,6 @@ def _pass(ufunc, a: np.ndarray, axis: int, out: np.ndarray, fct: float = 1) -> n
     handling. irfft's transform length is out's along axis, the others'
     is a's; rfft_n_even needs it even."""
     return ufunc(a, fct, axes=[(axis,), (), (axis,)], out=out)
-
-
-@lru_cache(maxsize=8)
-def _workspace(thread: int, lead: tuple, size: int, width: int) -> tuple:
-    """The product engine's kept arrays for the transforms of a stack of
-    shape lead on the size grid whose column pass runs over width columns,
-    one pair per thread, so concurrent callers never share one: a complex
-    column buffer of all size/2 + 1 columns, zero from column width on, and
-    the real samples. Kept, not remade: a fresh array's pages cost more than
-    a small transform, and a kept buffer's zero tail is written only once."""
-    buf = np.zeros(lead + (size, size // 2 + 1), dtype=np.complex128)
-    return buf, np.empty(lead + (size, size))
 
 
 def _row_slices(rows: int, size: int) -> tuple:
@@ -725,11 +754,9 @@ def _clear_between(dst: np.ndarray, rows: int) -> None:
     dst[..., p : dst.shape[-2] - (rows - p), :] = 0.0
 
 
-def _samples(buf: np.ndarray, size: int, k: int) -> np.ndarray:
-    """Samples on the size x size grid of each Hermitian spectrum in the
-    stack buf, the thread's workspace column buffer of that shape as
-    _term_samples fills it: the thread's workspace samples (_workspace),
-    which its next transform of this shape overwrites.
+def _samples(buf: np.ndarray, samples: np.ndarray, k: int) -> np.ndarray:
+    """Samples, into the workspace samples, of each Hermitian spectrum in
+    the stack buf, the workspace column buffer as _term_samples fills it.
 
     The two one-axis passes irfft2 makes: a complex pass along m1, then a
     real pass along m2. k bounds |m2| of every nonzero coefficient, so the
@@ -739,7 +766,6 @@ def _samples(buf: np.ndarray, size: int, k: int) -> np.ndarray:
     ones it pads itself. The samples are bit for bit those of the unpruned
     transform.
     """
-    samples = _workspace(threading.get_ident(), buf.shape[:-2], size, k + 1)[1]
     cols = buf[..., : k + 1]
     _pass(_pfu.ifft, cols, -2, cols)
     return _pass(_pfu.irfft, buf, -1, samples)
@@ -765,43 +791,34 @@ def _lattice_half(phys: np.ndarray, n: int, k_out: int | None = None, out=None) 
     return _box(_pass(_pfu.fft, kept, -2, kept), k)
 
 
-def _product_box(samples: np.ndarray, slots, n: int, k_out: int, width: int) -> np.ndarray:
+def _product_box(plan: _Plan, samples: np.ndarray, slots, k_out: int, width: int) -> np.ndarray:
     """_lattice_half of the product samples samples[slots], samples being
-    the thread's workspace samples whose column pass runs over width
-    columns, written into the spent column buffer. The real pass writes
-    every column there, so the columns from width on are zeroed again for
-    the next inverse transform, which reads them."""
-    buf = _workspace(threading.get_ident(), samples.shape[:-2], samples.shape[-1], width)[0]
-    box = _lattice_half(samples[slots], n, k_out, out=buf[slots])
+    the plan's workspace samples whose column pass runs over width columns,
+    written into the spent column buffer. The real pass writes every column
+    there, so the columns from width on are zeroed again for the next
+    inverse transform, which reads them."""
+    buf = plan.workspace(samples.shape[:-2], samples.shape[-1], width)[0]
+    box = _lattice_half(samples[slots], plan.grid.n, k_out, out=buf[slots])
     buf[slots, :, width:] = 0.0
     return box
 
 
-@lru_cache(maxsize=128)
-def _ik_stack(grid: GridSpec, k: int, rows: int) -> np.ndarray:
-    """Read-only stack of the derivative symbols (i k1, i k2) on the columns
-    m2 <= k of the half lattice (rows = n) or of the box rows."""
-    ik1, ik2 = (a[:, : k + 1] for a in _layout(grid, rows, _ik))
-    sym = np.stack(np.broadcast_arrays(ik1, ik2))
-    sym.flags.writeable = False
-    return sym
-
-
-def _term_samples(terms, rows: int, size: int, k: int) -> np.ndarray:
-    """Samples on the size grid of each term, as the thread's (terms, size,
+def _term_samples(plan: _Plan, terms, size: int, k: int) -> np.ndarray:
+    """Samples on the size grid of each term, as the plan's (terms, size,
     size) workspace samples, from one stacked inverse transform call. A term
-    is a half spectrum or box rows, with rows rows, or a pair (symbols,
-    factors), a stack of symbols on the columns m2 <= k (_ik_stack) and a
+    is box rows or a half spectrum, all with as many rows, or a pair (symbols,
+    factors), a stack of symbols on the columns m2 <= k (plan.ik) and a
     stack of such arrays, standing for the product of every symbol with
-    every factor, symbol by symbol: (_ik_stack(...), np.stack([a, b]))
-    gives d1 a, d1 b, d2 a, d2 b. k bounds the support of every term, and
-    only the columns m2 <= k of a term are read or formed.
+    every factor, symbol by symbol: (plan.ik()[..., : k + 1], np.stack([a,
+    b])) gives d1 a, d1 b, d2 a, d2 b. k bounds the support of every term,
+    and only the columns m2 <= k of a term are read or formed.
     Each term is written straight into its rows of the workspace's column
     buffer, a pair's products by one broadcast multiply per block of rows.
     """
     width = k + 1
+    rows = (terms[0][1] if isinstance(terms[0], tuple) else terms[0]).shape[-2]
     depth = sum(len(t[0]) * len(t[1]) if isinstance(t, tuple) else 1 for t in terms)
-    buf = _workspace(threading.get_ident(), (depth,), size, width)[0]
+    buf, samples = plan.workspace((depth,), size, width)
     _clear_between(buf[..., :width], rows)
     places = _row_slices(rows, size)
     j = 0
@@ -817,12 +834,12 @@ def _term_samples(terms, rows: int, size: int, k: int) -> np.ndarray:
             for src, dst in places:
                 buf[j, dst, :width] = t[src, :width]
             j += 1
-    return _samples(buf, size, k)
+    return _samples(buf, samples, k)
 
 
-def _dealiased(grid: GridSpec, box: np.ndarray) -> np.ndarray:
+def _dealiased(plan: _Plan, box: np.ndarray) -> np.ndarray:
     """Box rows restricted, in place, to the dealias disc, mean zeroed."""
-    box *= _boxed(grid, _dealias_ones)
+    box *= plan.mask(len(box) // 2)
     box[0, 0] = 0.0
     return _canonical(box)
 
@@ -833,10 +850,12 @@ def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
         raise ValueError("product requires a shared grid")
     n = f.grid.n
     k_out = n // 2 - 1
-    size, k = _grid_size(n, (f,), (g,), k_out)
-    s = _term_samples((f.half, g.half), n, size, k)
+    a, b = _box_field(f), _box_field(g)
+    size, k = _grid_size(n, (a,), (b,), k_out)
+    plan = _Plan(f.grid)
+    s = _term_samples(plan, (a, b), size, k)
     np.multiply(s[0], s[1], out=s[0])
-    return _from_box(f.grid, _canonical(_product_box(s, 0, n, k_out, k + 1)))
+    return _from_box(f.grid, _canonical(_product_box(plan, s, 0, k_out, k + 1)))
 
 
 def advect(u: VectorField, theta: SpectralField) -> SpectralField:
@@ -851,14 +870,16 @@ def advect(u: VectorField, theta: SpectralField) -> SpectralField:
         raise ValueError("advect requires u and theta on one grid")
     # grad theta lies inside theta's support
     k_out = int(grid.dealias_radius)
-    size, k = _grid_size(grid.n, (u.u1, u.u2), (theta,), k_out)
-    terms = (u.u1.half, u.u2.half, (_ik_stack(grid, k, grid.n), theta.half[None]))
-    s = _term_samples(terms, grid.n, size, k)
+    u1, u2, th = _box_field(u.u1), _box_field(u.u2), _box_field(theta)
+    size, k = _grid_size(grid.n, (u1, u2), (th,), k_out)
+    plan = _Plan(grid)
+    terms = (u1, u2, (plan.ik(len(th) // 2)[..., : k + 1], th[None]))
+    s = _term_samples(plan, terms, size, k)
     # u1 d1(theta) + u2 d2(theta), in the samples of grad theta
     np.multiply(s[0], s[2], out=s[2])
     np.multiply(s[1], s[3], out=s[3])
     s[2] += s[3]
-    return _from_box(grid, _dealiased(grid, _product_box(s, 2, grid.n, k_out, k + 1)))
+    return _from_box(grid, _dealiased(plan, _product_box(plan, s, 2, k_out, k + 1)))
 
 
 def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams) -> SpectralField:
@@ -883,17 +904,15 @@ def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams)
         raise ValueError("flux_divergence requires a shared grid")
     if not (q.mean_zero and theta.mean_zero):
         raise ValueError("flux_divergence requires mean-zero q and theta")
-    return _wrap_half(grid, _flux_rows(grid, q, theta, params), _box_bound(grid))
+    th = _box_field(theta)
+    qb = th if q is theta else _box_field(q)
+    return _from_box(grid, _flux_rows(_Plan(grid, params), qb, th))
 
 
-def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, speed=None):
-    """flux_divergence of q and theta, unchecked. Each is a field or
-    dealias-box rows (the solver's stepping core carries box rows). Returns
-    the dealiased divergence in theta's rows: box rows for box rows, else a
-    half spectrum.
-
-    The factors are formed on the rows they come in; box rows against a
-    field's half spectrum are first written into a half.
+def _flux_rows(plan: _Plan, q: np.ndarray, theta: np.ndarray, speed=None) -> np.ndarray:
+    """flux_divergence under the plan's params of the box rows q and theta,
+    unchecked, as dealias-box rows. Rows of two bounds (linear_flux_solve's
+    field q against its state) are first both boxed at the larger.
 
     speed, if given, is a list. When the products are formed on the n-grid,
     the peak speed (_speed) of velocity_from_scalar(q, params) is appended
@@ -901,25 +920,23 @@ def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, speed=None):
     the products overwrite them, at no transform; (-x)(-x) = x x, so the
     sign of u2 is not formed. Otherwise it stays as it is.
     """
-    n = grid.n
+    n = plan.grid.n
     # every factor lies inside q's or theta's support
-    k_out = int(grid.dealias_radius)
+    k_out = int(plan.grid.dealias_radius)
+    if len(q) != len(theta):
+        q, theta = (_box(_unbox(a, n), max(len(q), len(theta)) // 2) for a in (q, theta))
     size, k = _grid_size(n, (q,), (theta,), k_out)
-    qh, th = _rows(q), _rows(theta)
-    if len(qh) != len(th):
-        qh, th = (a if len(a) == n else _unbox(a, n) for a in (qh, th))
-    rows = len(th)
-    mult = _layout(grid, rows, _structure_multiplier, params)
+    kb = len(theta) // 2
     # the factors' rows: M q, theta and, for the second term, q
-    m = 3 if params.two_term and q is not theta else 2
-    qk = qh[:, : k + 1]
-    factors = np.empty((m, rows, k + 1), dtype=np.complex128)
-    np.multiply(mult[:, : k + 1], qk, out=factors[0])
-    factors[1] = th[:, : k + 1]
+    m = 3 if plan.params.two_term and q is not theta else 2
+    qk = q[:, : k + 1]
+    factors = np.empty((m, len(theta), k + 1), dtype=np.complex128)
+    np.multiply(plan.mult(kb)[:, : k + 1], qk, out=factors[0])
+    factors[1] = theta[:, : k + 1]
     if m == 3:
         factors[2] = qk
     # d1(M q), d1(theta)[, d1(q)], d2(M q), d2(theta)[, d2(q)]
-    s = _term_samples([(_ik_stack(grid, k, rows), factors)], rows, size, k)
+    s = _term_samples(plan, [(plan.ik(kb)[..., : k + 1], factors)], size, k)
     if speed is not None and size == n:
         speed.append(_speed(s[m], s[0]))
     # the products in place, each slot read before it is written:
@@ -934,10 +951,9 @@ def _flux_rows(grid: GridSpec, q, theta, params: ModelParams, speed=None):
         np.subtract(s[5], s[2], out=s[1])
     np.multiply(s[0], s[m + 1], out=s[0])
     s[0] -= s[m]
-    boxes = _product_box(s, slice(None, m - 1), n, k_out, k + 1)
+    boxes = _product_box(plan, s, slice(None, m - 1), k_out, k + 1)
     out = boxes[0]
     if m == 3:
-        out = np.multiply(_boxed(grid, _structure_multiplier, params), boxes[1])
+        out = np.multiply(plan.mult(len(out) // 2), boxes[1])
         np.add(boxes[0], out, out=out)
-    out = _dealiased(grid, out)
-    return out if len(_rows(theta)) < n else _unbox(out, n)
+    return _dealiased(plan, out)

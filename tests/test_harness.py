@@ -1385,7 +1385,7 @@ def test_package_exports_resolve_and_retired_entry_points_stay_gone():
     assert "velocity_samples" not in inspect.signature(flux_divergence).parameters
     # the stepping core is box-only, and the benchmark's tracer binds path by name
     assert list(inspect.signature(gsqglab.solver._integrating_factors).parameters) == [
-        "grid", "params", "dt"]
+        "plan", "dt"]
     assert list(inspect.signature(write_checkpoint).parameters) == ["field", "params", "t", "path"]
 
 
@@ -1585,6 +1585,21 @@ def test_amplitude_sweep_refuses_a_doubling_that_never_ends(start, factor, monke
     with pytest.raises(ValueError, match="start"):
         amplitude_threshold_sweep(
             base, ModelParams(beta=1.7, kappa=0.5), T=0.01, dt=1e-3, start=start, factor=factor
+        )
+
+
+@pytest.mark.parametrize("amp_cap", [math.nan, 0.5, -1.0, math.inf])
+def test_amplitude_sweep_refuses_a_cap_it_cannot_sweep_to(amp_cap, monkeypatch):
+    # a cap below start, or NaN, would end the sweep with no attempt and no
+    # word; an infinite one would stop the doubling only at a failure
+    def no_work(*args, **kwargs):
+        raise AssertionError("picard_solve ran")
+
+    monkeypatch.setattr(harness, "picard_solve", no_work)
+    base = random_test_field(EnsembleSpec(GridSpec(16), 3.0, 1, seed=101), 0)
+    with pytest.raises(ValueError, match="amp_cap"):
+        amplitude_threshold_sweep(
+            base, ModelParams(beta=1.7, kappa=0.5), T=0.01, dt=1e-3, start=1.0, amp_cap=amp_cap
         )
 
 

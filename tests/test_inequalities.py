@@ -204,9 +204,9 @@ def sample_sizes(monkeypatch):
     sizes = []
     samples = spectral._samples
 
-    def spy(coeffs, size, *args, **kwargs):
-        sizes.extend([size] * math.prod(np.shape(coeffs)[:-2]))
-        return samples(coeffs, size, *args, **kwargs)
+    def spy(coeffs, out, *args, **kwargs):
+        sizes.extend([out.shape[-1]] * math.prod(np.shape(coeffs)[:-2]))
+        return samples(coeffs, out, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_samples", spy)
     return sizes

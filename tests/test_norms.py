@@ -19,7 +19,7 @@ from gsqglab import (
     xt_norm,
 )
 from gsqglab import norms, solver
-from gsqglab.spectral import _box, _box_bound, _dealias_mask, _homog_weight
+from gsqglab.spectral import _box, _box_bound, _dealias_mask, _homog_weight, _kabs
 from util import hs_norm, l2_norm, random_field
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
@@ -395,7 +395,8 @@ def _mirror_sum(coeffs, period, weight=None):
 
 def _parseval_weights(grid):
     """No weight, |k|^(2s) and the inhomogeneous (1 + |k|^2)^s, on the full lattice."""
-    return [None, _homog_weight(grid, 2.6), norms._sobolev_weight(grid, 0.7, False)]
+    kabs = _kabs(grid)
+    return [None, _homog_weight(grid, 2.6), (1.0 + kabs * kabs) ** 0.7]
 
 
 def _disc_field(grid, seed):

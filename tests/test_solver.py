@@ -511,7 +511,8 @@ def _full_array_reference(theta0, params, T, dt, stride, slope, velocity_at):
             fields.append(c)
             u_rows = (u.u1.half, u.u2.half)
             box, k1_box = _box(c, k), _box(k1, k)
-            rows.append(_diagnostics_row(i * dt, box, l2, params, grid, u_rows, speed, k1_box))
+            plan = spectral._Plan(grid, params)
+            rows.append(_diagnostics_row(plan, i * dt, box, l2, u_rows, speed, k1_box))
         if i == n_steps:
             break
         h = dt
@@ -652,14 +653,14 @@ def test_courant_reads_the_velocity_samples_once(fraction, monkeypatch):
     n_grid = []
     term_samples = spectral._term_samples
 
-    def spy(terms, n, size, k):
+    def spy(plan, terms, size, k):
         if size == grid.n:
             n_grid.extend(size for t in terms if any(t is h for h in halves))
-        return term_samples(terms, n, size, k)
+        return term_samples(plan, terms, size, k)
 
     monkeypatch.setattr(spectral, "_term_samples", spy)
     dt = 1e-3
-    speed = _courant(spectral._peak_speed(halves, grid.n, spectral._support(theta.half)), grid, dt)
+    speed = _courant(spectral._peak_speed(spectral._Plan(grid), halves), grid, dt)
     assert len(n_grid) == 2
     monkeypatch.undo()
     ref = peak_speed(u)
@@ -698,8 +699,8 @@ def test_integrating_factors_are_the_box_rows_of_the_heat_flow(fraction):
     grid = GridSpec(32, dealias_fraction=fraction)
     params = ModelParams(1.5, 0.5, gamma=0.3, eps_visc=0.01)
     h, k = 1e-2, _box_bound(grid)
-    rate = solver._decay_rate(grid, params.gamma, params.kappa, params.eps_visc)
-    eh, eh2 = solver._integrating_factors(grid, params, h)
+    rate = _half_decay_rate(grid, params)
+    eh, eh2 = solver._integrating_factors(spectral._Plan(grid, params), h)
     assert eh.shape == eh2.shape == (2 * k + 1, k + 1)
     assert np.array_equal(eh, _box(np.exp(-h * rate), k))
     assert np.array_equal(eh2, _box(np.exp(-(0.5 * h) * rate), k))
@@ -718,7 +719,7 @@ def test_in_place_combine_is_the_rk4_expression_bit_for_bit():
 
     c, k1, *slopes = (rows() for _ in range(5))
     h = 1e-2
-    eh, eh2 = solver._integrating_factors(grid, ModelParams(1.5, 0.5, gamma=0.3), h)
+    eh, eh2 = solver._integrating_factors(spectral._Plan(grid, ModelParams(1.5, 0.5, gamma=0.3)), h)
 
     def nonlin(_c, stage):
         return slopes[stage - 1]
@@ -762,7 +763,7 @@ def test_run_product_grids_match_exact_scans(fraction, product_sizes, monkeypatc
 
     bounded = runs()
     product_sizes.clear()
-    monkeypatch.setattr(spectral, "_support_bound", lambda f: spectral._support(spectral._rows(f)))
+    monkeypatch.setattr(spectral, "_support_bound", lambda box: spectral._support(box))
     assert runs() == bounded
     # at 0.9 the bound alone would give 3n/2; the single mode's first
     # products still land on the n-grid
@@ -781,7 +782,8 @@ def test_picard_iterate_solves_with_the_negated_stages(beta):
     params = ModelParams(beta=beta, kappa=0.5, gamma=0.3)
     theta0 = solver._admissible_initial(scaled(random_field(grid, seed=29, decay=2.0), 0.5))
     T, dt, stride = 5e-3, 1e-3, 2
-    _seed, stages = solver._heat_flow_seed(theta0, params, T, dt, stride, solver.TrajectorySink())
+    plan = spectral._Plan(grid, params)
+    _seed, stages = solver._heat_flow_seed(plan, theta0, T, dt, stride, solver.TrajectorySink())
     negated = [[-f for f in rec] for rec in stages]
     sink: list = []
     ref = linear_flux_solve(theta0, negated, params, T, dt, stride, stage_sink=sink)
@@ -831,11 +833,13 @@ def test_picard_seed_is_exact_heat_flow(monkeypatch):
 
     times = []
 
-    def counting(f, t, *args):
-        times.append(t)
-        return linear_heat_propagator(f, t, *args)
+    flow = solver._heat_flow_box
 
-    monkeypatch.setattr(solver, "linear_heat_propagator", counting)
+    def counting(plan, c, t):
+        times.append(t)
+        return flow(plan, c, t)
+
+    monkeypatch.setattr(solver, "_heat_flow_box", counting)
     grid = GridSpec(32)
     f = scaled(random_field(grid, seed=16, band=10), 0.5)
     its = picard_solve(f, P, T=0.02, dt=1e-3, snapshot_stride=4)
@@ -1026,9 +1030,9 @@ def test_picard_run_matches_per_array_products_bit_for_bit(fraction, law, sink, 
     got = _iterates_of(lambda: picard_solve(f, params, **kw))
     k = _box_bound(grid)
 
-    def flux_rows(g, q, theta, p, speed=None):
-        q, theta = (spectral._from_box(g, x) for x in (q, theta))
-        return _box(per_array("flux", q, theta, p).half, k)
+    def flux_rows(plan, q, theta, speed=None):
+        q, theta = (spectral._from_box(grid, x) for x in (q, theta))
+        return _box(per_array("flux", q, theta, plan.params).half, k)
 
     monkeypatch.setattr(solver, "_flux_rows", flux_rows)
     want = _iterates_of(lambda: picard_solve(f, params, **kw))
@@ -1073,12 +1077,18 @@ def test_flux_stepping_matches_the_advective_reference(fraction, law):
         assert _plus_zero(new.half) == _plus_zero(ref.half)
 
 
+def _half_decay_rate(grid, params):
+    """The decay rate linear_heat_propagator applies, on the half lattice."""
+    kabs = spectral._half(spectral._kabs(grid))
+    return spectral._decay_rate(kabs, params.gamma, params.kappa, params.eps_visc)
+
+
 def _half_spectrum_step(field, params, h):
     """One integrating-factor RK4 step of the whole half spectrum, the
     tendency flux_divergence(f, f) of each stage's field, written as the
     expression _advance's docstring gives, operation for operation."""
     grid = field.grid
-    rate = solver._decay_rate(grid, params.gamma, params.kappa, params.eps_visc)
+    rate = _half_decay_rate(grid, params)
     eh, eh2 = np.exp(-h * rate), np.exp(-(0.5 * h) * rate)
 
     def slope(c):
@@ -1184,9 +1194,9 @@ def test_frozen_solve_builds_velocity_fields_only_for_rows(fraction, monkeypatch
     calls = []
     build = solver._velocity_rows
 
-    def spy(g, theta, p):
+    def spy(plan, theta):
         calls.append(theta)
-        return build(g, theta, p)
+        return build(plan, theta)
 
     monkeypatch.setattr(solver, "_velocity_rows", spy)
     picard_solve(f, params, T=5e-3, dt=1e-3, tol=math.inf, sink=ReduceSink)
@@ -1227,7 +1237,8 @@ def test_picard_frees_each_stage_record_once_read(monkeypatch):
 def test_flux_solve_leaves_the_callers_stage_list_unchanged():
     grid = GridSpec(16)
     theta0 = solver._admissible_initial(scaled(random_field(grid, seed=44, decay=2.0), 0.5))
-    _seed, q = solver._heat_flow_seed(theta0, P, 5e-3, 1e-3, 1, solver.TrajectorySink())
+    plan = spectral._Plan(grid, P)
+    _seed, q = solver._heat_flow_seed(plan, theta0, 5e-3, 1e-3, 1, solver.TrajectorySink())
     before = [list(rec) for rec in q]
     linear_flux_solve(theta0, q, P, T=5e-3, dt=1e-3)
     assert len(q) == len(before)
@@ -1456,6 +1467,30 @@ def test_retained_snapshots_hold_only_their_half_spectra():
     assert len(traj.fields) == 51
     # one full mirror per snapshot would be about 1.96x
     assert retained / len(traj.fields) <= 1.25 * traj.fields[0].half.nbytes
+
+
+@pytest.mark.parametrize(
+    "grid, params, run",
+    [
+        (GridSpec(64, period=3.0, dealias_fraction=0.9), ModelParams(1.0, 0.5, gamma=0.3), simulate),
+        (GridSpec(64, period=5.0), ModelParams(1.7, 0.5, gamma=0.3), picard_solve),
+    ],
+    ids=["simulate", "picard"],
+)
+def test_a_run_leaves_nothing_behind(grid, params, run):
+    # the run's plan owns its tables and workspace and goes when it returns:
+    # on a grid no other test uses, so that no lattice table of it is cached
+    # yet, a run whose result is dropped leaves no memory held
+    f = scaled(random_field(grid, seed=37, decay=2.0), 0.5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run(f, params, 5e-3, 1e-3, sink=ReduceSink)
+        del result
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 64 * 1024
 
 
 def test_default_delta_branches():

@@ -44,7 +44,6 @@ from gsqglab.spectral import (
     _structure_multiplier,
     _support,
     _wavevectors,
-    _wrap_half,
 )
 from util import (
     direct_flux,
@@ -183,11 +182,13 @@ def _scipy_samples(half, size):
     return scipy.fft.irfft2(padded, s=(size, size), norm="forward")
 
 
-def _engine_samples(half, size, k):
+def _engine_samples(half, size, k, plan=None):
     """The product engine's samples of a half spectrum, or of each in a
-    stack of them, as one stacked inverse call."""
+    stack of them, as one stacked inverse call, in plan's workspace or in a
+    fresh plan's."""
     terms = tuple(half) if half.ndim == 3 else (half,)
-    return spectral._term_samples(terms, half.shape[-2], size, k)
+    plan = spectral._Plan(GridSpec(half.shape[-2])) if plan is None else plan
+    return spectral._term_samples(plan, terms, size, k)
 
 
 def _scipy_lattice_half(phys, n):
@@ -279,9 +280,10 @@ def test_samples_equal_short_bin_and_mirrored_transforms(n, padded, stack):
 @pytest.mark.parametrize("n", [16, 128])
 def test_samples_keep_no_trace_of_an_earlier_call(n, padded):
     # a narrow call after a wide one on one shape, and a second call of one
-    # width, each give the transform a fresh buffer gives: no column or row
-    # the earlier pass wrote leaks into a later one
+    # width, each in one plan's workspace, give the transform a fresh buffer
+    # gives: no column or row the earlier pass wrote leaks into a later one
     g = GridSpec(n)
+    plan = spectral._Plan(g)
     size = 3 * n // 2 if padded else n
     wide, narrow = n // 2, n // 8
     calls = [(wide, 80), (narrow, 81), (narrow, 82), (wide, 83), (narrow, 84)]
@@ -289,7 +291,8 @@ def test_samples_keep_no_trace_of_an_earlier_call(n, padded):
         for k, seed in calls:
             half = _column_bounded(g, k, stack, seed)
             want = _mirrored_samples(half, size)
-            assert _engine_samples(half, size, k).tobytes() == want.tobytes(), (k, seed)
+            got = _engine_samples(half, size, k, plan)
+            assert got.tobytes() == want.tobytes(), (k, seed)
 
 
 @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
@@ -325,7 +328,7 @@ def test_samples_agree_across_threads():
         qb, tb = spectral._box(q.half, box), spectral._box(theta.half, box)
         jobs.append((
             lambda h=h: _engine_samples(h, 64, k),
-            lambda qb=qb, tb=tb: spectral._flux_rows(g, qb, tb, params),
+            lambda qb=qb, tb=tb: spectral._flux_rows(spectral._Plan(g, params), qb, tb),
             lambda q=q, theta=theta: flux_divergence(q, theta, params).half,
         ))
     wants = [[f().tobytes() for f in job] for job in jobs]
@@ -355,26 +358,26 @@ def test_samples_agree_across_threads():
 
 @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
 def test_samples_that_leave_the_engine_keep_their_bytes(fraction):
-    # the thread's next transform of a shape reuses its workspace, so what
-    # the engine hands out must be copies; the speeds it reads are floats
+    # a plan's next transform of a shape reuses its workspace, so what the
+    # engine hands out must not be it; the speeds it reads are floats
     g = GridSpec(32, dealias_fraction=fraction)
     params = ModelParams(beta=1.7, kappa=0.5)
-    a, b, c, d = (_disc_field(g, seed=120 + i) for i in range(4))
-    k = _support(a.half, b.half, c.half, d.half)
+    plan = spectral._Plan(g, params)
+    a, b, c, d = (spectral._box(_disc_field(g, seed=120 + i).half, plan.k) for i in range(4))
     speed = []
-    handed = [to_physical(a), to_physical(b)]
-    spectral._flux_rows(g, a, b, params, speed)
+    handed = [to_physical(spectral._from_box(g, x)) for x in (a, b)]
+    spectral._flux_rows(plan, a, b, speed)
     assert len(speed) == (1 if fraction < 0.7 else 0)
-    speeds = [spectral._peak_speed((a.half, b.half), g.n, k), *speed]
+    speeds = [spectral._peak_speed(plan, (a, b)), *speed]
     assert all(type(x) is float for x in speeds)
     kept = [x.tobytes() for x in handed]
     # the same shapes again, on other fields
-    to_physical(c)
-    spectral._peak_speed((c.half, d.half), g.n, k)
-    spectral._flux_rows(g, c, d, params, [])
-    flux_divergence(d, c, params)
+    to_physical(spectral._from_box(g, c))
+    spectral._peak_speed(plan, (c, d))
+    spectral._flux_rows(plan, c, d, [])
+    flux_divergence(spectral._from_box(g, d), spectral._from_box(g, c), params)
     assert [x.tobytes() for x in handed] == kept
-    assert speeds == [spectral._peak_speed((a.half, b.half), g.n, k), *speed]
+    assert speeds == [spectral._peak_speed(plan, (a, b)), *speed]
 
 
 @pytest.mark.parametrize("padded", [False, True], ids=["M=n", "M=3n/2"])
@@ -544,7 +547,7 @@ def test_log_weight_is_cached_read_only_and_bit_identical():
             w[1, 0] = 0.0
         assert np.array_equal(log_multiplier(f, mu).coeffs, f.coeffs * formula)
         law = ModelParams(beta=2.0, kappa=0.5, mu=mu, velocity_law="log")
-        assert np.array_equal(_structure_multiplier(g, law), formula[:, : 32 // 2 + 1])
+        assert np.array_equal(_structure_multiplier(kabs[:, :17], law), formula[:, :17])
 
 
 def test_multipliers_preserve_symmetry_and_nyquist():
@@ -840,7 +843,7 @@ def test_dealias_box_round_trips_and_scatters_the_dealiased_half(n, fraction):
     # zeros of either sign
     phys = rng.standard_normal((n, n))
     want = _parent_dealiased_half(g, scipy.fft.rfft2(phys, norm="forward"))
-    box = spectral._dealiased(g, spectral._lattice_half(phys, n, int(g.dealias_radius)))
+    box = spectral._dealiased(spectral._Plan(g), spectral._lattice_half(phys, n, int(g.dealias_radius)))
     assert box.tobytes() == spectral._box(want, k).tobytes()
     got = spectral._unbox(box, n)
     assert np.array_equal(got, want)
@@ -1001,12 +1004,15 @@ def test_stacked_transforms_equal_per_array_bit_for_bit(op, n, fraction, before)
     got = _stack_op(op, a, b, params)
     assert got.half.tobytes() == per_array(op, a, b, params).half.tobytes()
     u = velocity_from_scalar(a, params)
-    pruned = spectral._term_samples((u.u1.half, u.u2.half), n, n, _support(a.half)).copy()
+    plan = spectral._Plan(g)
+    pruned = spectral._term_samples(plan, (u.u1.half, u.u2.half), n, _support(a.half)).copy()
     assert all(
         s.tobytes() == _engine_samples(c.half, n, n // 2).tobytes()
         for s, c in zip(pruned, (u.u1, u.u2))
     )
-    assert spectral._peak_speed((u.u1.half, u.u2.half), n, _support(a.half)) == peak_speed(u)
+    # box rows of the support's bound: the column pass pruned to it
+    u_box = tuple(spectral._box(c.half, _support(a.half)) for c in (u.u1, u.u2))
+    assert spectral._peak_speed(plan, u_box) == peak_speed(u)
 
 
 @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
@@ -1014,55 +1020,63 @@ def test_stacked_transforms_equal_per_array_bit_for_bit(op, n, fraction, before)
 def test_flux_reads_the_peak_speed_on_the_n_grid(op, fraction):
     g = GridSpec(32, dealias_fraction=fraction)
     params = _STACK_OPS[op]
-    q, theta = _disc_field(g, seed=57), _disc_field(g, seed=58)
+    plan = spectral._Plan(g, params)
+    q, theta = (spectral._box(_disc_field(g, seed=s).half, plan.k) for s in (57, 58))
     speed = []
-    got = spectral._flux_rows(g, q, theta, params, speed)
-    assert got.tobytes() == spectral._flux_rows(g, q, theta, params).tobytes()
+    got = spectral._flux_rows(plan, q, theta, speed)
+    assert got.tobytes() == spectral._flux_rows(plan, q, theta).tobytes()
     on_n_grid = spectral._grid_size(g.n, (q,), (theta,), int(g.dealias_radius))[0] == g.n
     assert (len(speed) == 1) == on_n_grid == (fraction < 0.7)
-    want = peak_speed(velocity_from_scalar(q, params))
+    want = peak_speed(velocity_from_scalar(spectral._from_box(g, q), params))
     assert [np.float64(x).tobytes() for x in speed] == [np.float64(want).tobytes()] * len(speed)
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)
 def test_support_bound_never_changes_the_product_grid(fraction, product_sizes):
     # a bound is read only when it puts the product on the n-grid; a loose
-    # one that would not is overruled by the exact scan
+    # one that would not is overruled by the exact scan: the stepping core's
+    # rows, bounded by the dealias box, and a public product's, by n/2 - 1,
+    # land on the grid of the exact supports, with the same bytes
     g = GridSpec(16, dealias_fraction=fraction)
     low = field_from_modes(g, {(2, 1): 0.5, (-1, 2): 0.25j})
     wide = _disc_field(g, seed=50)
     params = ModelParams(beta=1.7, kappa=0.5)
+    plan = spectral._Plan(g, params)
     k_out = int(g.dealias_radius)
     for a, b in ((low, low), (low, wide), (wide, wide)):
         product_sizes.clear()
-        loose_a = _wrap_half(g, a.half.copy(), k_out)
-        loose_b = _wrap_half(g, b.half.copy(), k_out)
-        flux_divergence(loose_a, loose_b, params)
-        advect(velocity_from_scalar(loose_a, params), loose_b)
+        qb = spectral._box(a.half, plan.k)
+        tb = qb if a is b else spectral._box(b.half, plan.k)
+        core = spectral._flux_rows(plan, qb, tb)
+        public = flux_divergence(a, b, params)
+        advect(velocity_from_scalar(a, params), b)
         ka, kb = _support(a.half), _support(b.half)
         size = 16 if 16 > ka + kb + k_out else 24
-        assert product_sizes == [size] * 3
-        assert loose_a._kmax == k_out and loose_b._kmax == k_out
+        # two forward transforms per two-term flux, one where q is theta
+        assert product_sizes == [size] * (3 if a is b else 5)
+        assert core.tobytes() == spectral._box(public.half, plan.k).tobytes()
 
 
-def test_support_scan_is_made_once_per_field(monkeypatch):
+def test_public_products_scan_their_factors(monkeypatch, product_sizes):
+    # a public product boxes its factors at n/2 - 1, a bound that never puts
+    # a product on the n-grid, so every call scans them, and the scan gives
+    # the grid of their exact supports and the same bytes call after call
     calls = []
     scan = _support
 
-    def spy(*halves):
-        calls.append(len(halves))
-        return scan(*halves)
+    def spy(*rows):
+        calls.append(len(rows))
+        return scan(*rows)
 
     monkeypatch.setattr(spectral, "_support", spy)
     g = GridSpec(32)
     theta = _disc_field(g, seed=51)
     q = _disc_field(g, seed=52)
     params = ModelParams(beta=1.7, kappa=0.5)
-    for _ in range(3):
-        flux_divergence(q, theta, params)
-        flux_divergence(-q, theta, params)
-    assert calls == [1, 1]
-    assert theta._kmax == scan(theta.half) and (-q)._kmax == q._kmax
+    outs = [flux_divergence(f, theta, params).half.tobytes() for _ in range(3) for f in (q, -q)]
+    assert calls == [1, 1] * 6
+    assert product_sizes == [32] * 12   # two forward transforms per flux
+    assert outs == outs[:2] * 3
 
 
 # --- storage contract: half spectra are the stored form ------------------------
@@ -1153,11 +1167,9 @@ def _multiplier_symbols(grid):
 @pytest.mark.parametrize("fraction", FRACTIONS)
 def test_apply_multiplier_on_the_half_matches_the_full_product(fraction):
     grid = GridSpec(32, dealias_fraction=fraction)
-    base = random_field(grid, seed=38)
-    bounded = _wrap_half(grid, base.half.copy(), grid.n // 2 - 1)
-    for f in (base, bounded):
-        kmax = f._kmax
-        for name, symbol in _multiplier_symbols(grid):
-            out = _apply_multiplier(f, symbol)
-            assert out._kmax == kmax, name
-            assert np.array_equal(out.coeffs, f.coeffs * symbol), name
+    # a diagonal multiplier never widens the support a product reads
+    f = random_field(grid, seed=38, band=9)
+    for name, symbol in _multiplier_symbols(grid):
+        out = _apply_multiplier(f, symbol)
+        assert _support(out.half) <= _support(f.half), name
+        assert np.array_equal(out.coeffs, f.coeffs * symbol), name

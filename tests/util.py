@@ -17,7 +17,9 @@ from gsqglab.harness import _advect_symbol, _direct_bilinear
 from gsqglab.inequalities import _hash_uniform
 from gsqglab.spectral import (
     _dealias_mask,
+    _half,
     _homog_weight,
+    _kabs,
     _modes,
     _structure_multiplier,
 )
@@ -232,32 +234,37 @@ def per_array(op, a, b, params):
     grid = b.grid
     n, r = grid.n, int(grid.dealias_radius)
     lattice_half = spectral._lattice_half
+    plan = spectral._Plan(grid, params)
 
     def samples(coeffs, size):
-        # the engine's samples are its workspace, which its next call reuses
-        return spectral._term_samples((coeffs,), n, size, n // 2)[0].copy()
+        # the engine's samples are the plan's workspace, which its next call reuses
+        return spectral._term_samples(plan, (coeffs,), size, n // 2)[0].copy()
+
+    def size_of(a, b, k_out):
+        boxed = [tuple(map(spectral._box_field, x)) for x in (a, b)]
+        return spectral._grid_size(n, *boxed, k_out)[0]
 
     ik1, ik2 = spectral._ik(grid)
     if op == "multiply":
-        size = spectral._grid_size(n, (a,), (b,), n // 2 - 1)[0]
+        size = size_of((a,), (b,), n // 2 - 1)
         prod = lattice_half(samples(a.half, size) * samples(b.half, size), n, n // 2 - 1)
         return spectral._from_box(grid, spectral._canonical(prod))
     if op == "advect":
         u, th = velocity_from_scalar(a, params), b.half
-        size = spectral._grid_size(n, (u.u1, u.u2), (b,), r)[0]
+        size = size_of((u.u1, u.u2), (b,), r)
         acc = samples(u.u1.half, size) * samples(ik1 * th, size)
         acc += samples(u.u2.half, size) * samples(ik2 * th, size)
-        return spectral._from_box(grid, spectral._dealiased(grid, lattice_half(acc, n, r)))
-    mult = _structure_multiplier(grid, params)
+        return spectral._from_box(grid, spectral._dealiased(plan, lattice_half(acc, n, r)))
+    mult = _structure_multiplier(_half(_kabs(grid)), params)
     qh, th = a.half, b.half
-    size = spectral._grid_size(n, (a,), (b,), r)[0]
+    size = size_of((a,), (b,), r)
     d1t, d2t = samples(ik1 * th, size), samples(ik2 * th, size)
     mq = mult * qh
     out = lattice_half(samples(ik1 * mq, size) * d2t - samples(ik2 * mq, size) * d1t, n, r)
     if params.two_term:
         second = d1t * samples(ik2 * qh, size) - d2t * samples(ik1 * qh, size)
-        out += spectral._boxed(grid, _structure_multiplier, params) * lattice_half(second, n, r)
-    return spectral._from_box(grid, spectral._dealiased(grid, out))
+        out += plan.mult() * lattice_half(second, n, r)
+    return spectral._from_box(grid, spectral._dealiased(plan, out))
 
 
 def advective_tendency(f: SpectralField, params) -> SpectralField:
@@ -298,7 +305,7 @@ def advective_stages(grid, params):
 def advective_simulate(theta0, params, T, dt, stride):
     """simulate's Trajectory, stepped by advective_stages."""
     return solver._run(
-        theta0, params, T, dt, stride, solver.DEFAULT_CFL, True,
+        spectral._Plan(theta0.grid, params), theta0, T, dt, stride, solver.DEFAULT_CFL, True,
         advective_stages(theta0.grid, params), solver.TrajectorySink(),
     )
 
