@@ -9,6 +9,10 @@ annuli (2^(j-1), 2^(j+1)), with the telescoping property
 
 Outside its annulus each phi_j is a difference of two identical branch values
 (both 0 or both 1), so block supports are exact, not just small.
+
+Only this module evaluates the profiles on the lattice, as cached tables
+(`_phi_lattice`, `_chi_lattice`, `_fat_diagonal`) that zero the Nyquist row
+and column, as every field does; `inequalities` multiplies by them too.
 """
 
 from __future__ import annotations
@@ -85,6 +89,14 @@ def _chi_lattice(grid: GridSpec, j: int) -> np.ndarray:
     mult[0, 0] = 1.0   # rho(0) = 1; keep the mean mode in every low pass
     mult.flags.writeable = False
     return mult
+
+
+@lru_cache(maxsize=None)
+def _fat_diagonal(grid: GridSpec, k: int) -> np.ndarray:
+    """Read-only sum of the lattice blocks k-3..k+3: the fattened diagonal."""
+    fat = sum(_phi_lattice(grid, i) for i in range(k - 3, k + 4))
+    fat.flags.writeable = False
+    return fat
 
 
 def dyadic_block(field: SpectralField, j: int) -> SpectralField:

@@ -384,6 +384,9 @@ def parse_config(text: str, default_kind: str | None = None) -> ScenarioConfig:
         for key in ("checkpoint", "resume"):
             if kind != "simulate" and key in scenario:
                 violations.append(f"scenario.{key}: applies to the simulate kind only")
+        if kind == "verify-operators" and usable("grid.n") and (values["grid"]["n"] or 0) > 128:
+            violations.append("grid.n: verify-operators' direct O(n^4) convolution oracle "
+                              "allows n <= 128")
         if SCENARIOS[kind].needs_inputs:
             if ("grid" not in sections and resume is None and usable("initial.profile")
                     and profile != "checkpoint"):

@@ -4,7 +4,9 @@ Everything here evaluates frequency sums exactly on the lattice: trilinear
 forms as alias-free sums of physical samples on the spectral product grid,
 commutators by operator composition with exact products. Bounds are never
 assumed; each check reports the realized ratio so ensembles can probe
-whether constants stay resolution independent.
+whether constants stay resolution independent. Blocks, low passes and the
+fattened diagonal are `dyadic`'s cached lattice tables, and every Sobolev
+seminorm is `norms._hs`: no profile or seminorm is computed here.
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import _chi_lattice, _phi_lattice, build_partition
-from .norms import _l2
+from .dyadic import _chi_lattice, _fat_diagonal, _phi_lattice, build_partition, dyadic_block
+from .norms import _hs
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -74,7 +75,6 @@ class TrilinearReport:
     ratio: float
     j: int | None = None
     c_weight: float | None = None
-    seed: int | None = None
     n: int | None = None
 
     def __post_init__(self):
@@ -163,11 +163,6 @@ def _shared_grid(*fields: SpectralField) -> GridSpec:
     return grid
 
 
-def _hs(f: SpectralField, s: float) -> float:
-    """Homogeneous Sobolev seminorm: the mean carries weight zero."""
-    return _l2(f.half, f.grid.period, _half(_homog_weight(f.grid, 2.0 * s)))
-
-
 def _ghs(f: SpectralField, alpha: float, lam: float, s: float) -> float:
     return _hs(gevrey_operator(f, alpha, lam), s)
 
@@ -203,14 +198,6 @@ def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: 
     """
     grid = _shared_grid(f, g, h)
     return _form(grid, f.half, g.half, _weighted_third(h, sigma))
-
-
-@lru_cache(maxsize=None)
-def _fat_diagonal(grid: GridSpec, k: int) -> np.ndarray:
-    """Read-only sum of the lattice blocks k-3..k+3: the fattened diagonal."""
-    fat = sum(_phi_lattice(grid, i) for i in range(k - 3, k + 4))
-    fat.flags.writeable = False
-    return fat
 
 
 def bony_split(
@@ -258,8 +245,7 @@ def _bracket(op, f: SpectralField, g: SpectralField) -> SpectralField:
 
 def commutator_block(f: SpectralField, g: SpectralField, j: int) -> SpectralField:
     """Bracket of the j-th dyadic projection with multiplication by g."""
-    grid = _shared_grid(f, g)
-    phi = build_partition(grid).phi(j, _kabs(grid))
+    phi = _phi_lattice(_shared_grid(f, g), j)
     return _bracket(lambda x: _apply_multiplier(x, phi), f, g)
 
 
@@ -313,13 +299,12 @@ def commutator_gevrey(
         raise ValueError("deriv must be 'd1', 'd2', or 'lambda'")
     _require_annulus_support(h, j)
 
-    part = build_partition(grid)
-    kabs = _kabs(grid)
     if deriv == "lambda":
-        d = kabs.astype(complex)
+        d = _kabs(grid).astype(complex)
     else:
         d = 1j * _wavevectors(grid)[0 if deriv == "d1" else 1]
-    base = part.phi(j, kabs) * _homog_weight(grid, sigma + rho) * d
+    phi = _phi_lattice(grid, j)
+    base = phi * _homog_weight(grid, sigma + rho) * d
 
     def op(x: SpectralField) -> SpectralField:
         return gevrey_operator(_apply_multiplier(x, base), alpha, lam)
@@ -333,9 +318,9 @@ def commutator_gevrey(
     )
     term1 = 2.0 ** (nu * j) * pair * h_rho
 
-    low_g = _apply_multiplier(g, part.chi(j - 3, kabs))
+    low_g = _apply_multiplier(g, _chi_lattice(grid, j - 3))
     smoothed = gevrey_avg_operator(low_g, alpha, lam)
-    block_f = gevrey_operator(_apply_multiplier(f, part.phi(j, kabs)), alpha, lam)
+    block_f = gevrey_operator(_apply_multiplier(f, phi), alpha, lam)
     term2 = (
         lam
         * 2.0 ** ((sigma + 1.0 + alpha - zeta) * j)
@@ -397,14 +382,26 @@ def commutator_log(
 # ------------------------------------------------------------- surveys
 
 
+def _block_ratios(h_src: SpectralField, c: float, pair: float, lhs):
+    """(max ratio, {j: ratio}) of lhs(j, h) / (2^(c j) pair ||h||) over the
+    blocks h of h_src, skipping the blocks where that denominator is zero."""
+    best, weights = 0.0, {}
+    for j in build_partition(h_src.grid).block_range:
+        h = dyadic_block(h_src, j)
+        denom = 2.0 ** (c * j) * pair * _hs(h, 0.0)
+        if denom == 0.0:
+            continue
+        ratio = lhs(j, h) / denom
+        weights[j] = ratio
+        best = max(best, ratio)
+    return best, weights
+
+
 def _member_ratios(form: str, params: dict, spec: EnsembleSpec, index: int):
     """Realized ratios for one ensemble member: (best ratio, {j: weight})."""
     f = random_test_field(spec, 3 * index)
     g = random_test_field(spec, 3 * index + 1)
     h_src = random_test_field(spec, 3 * index + 2)
-    grid = spec.grid
-    part = build_partition(grid)
-    kabs = _kabs(grid)
 
     if form == "trilinear":
         sigma, eps = params["sigma"], params["eps"]
@@ -414,17 +411,7 @@ def _member_ratios(form: str, params: dict, spec: EnsembleSpec, index: int):
             _hs(f, 1.0 - eps) * _hs(g, sigma),
             _hs(g, 1.0 - eps) * _hs(f, sigma),
         )
-        best, weights = 0.0, {}
-        for j in part.block_range:
-            h = _apply_multiplier(h_src, part.phi(j, kabs))
-            h_l2 = _hs(h, 0.0)
-            denom = 2.0 ** (eps * j) * pair * h_l2
-            if denom == 0.0:
-                continue
-            ratio = abs(trilinear_form(f, g, h, sigma)) / denom
-            weights[j] = ratio
-            best = max(best, ratio)
-        return best, weights
+        return _block_ratios(h_src, eps, pair, lambda j, h: abs(trilinear_form(f, g, h, sigma)))
 
     if form == "block_commutator":
         rho1, rho2 = params["rho1"], params["rho2"]
@@ -434,18 +421,8 @@ def _member_ratios(form: str, params: dict, spec: EnsembleSpec, index: int):
             _hs(f, 1.0 - rho1) * _hs(g, 1.0 + rho2),
             _hs(f, rho2) * _hs(g, 2.0 - rho1),
         )
-        best, weights = 0.0, {}
-        for j in part.block_range:
-            h = _apply_multiplier(h_src, part.phi(j, kabs))
-            h_l2 = _hs(h, 0.0)
-            denom = 2.0 ** ((rho1 - rho2 - 1.0) * j) * pair * h_l2
-            if denom == 0.0:
-                continue
-            lhs = abs(inner_product(commutator_block(f, g, j), h))
-            ratio = lhs / denom
-            weights[j] = ratio
-            best = max(best, ratio)
-        return best, weights
+        return _block_ratios(h_src, rho1 - rho2 - 1.0, pair,
+                             lambda j, h: abs(inner_product(commutator_block(f, g, j), h)))
 
     if form == "singular_commutator":
         beta, rho1, rho2 = params["beta"], params["rho1"], params["rho2"]
@@ -458,8 +435,8 @@ def _member_ratios(form: str, params: dict, spec: EnsembleSpec, index: int):
 
     if form == "gevrey_commutator":
         best, weights = 0.0, {}
-        for j in part.block_range:
-            h = _apply_multiplier(h_src, part.phi(j, kabs))
+        for j in build_partition(spec.grid).block_range:
+            h = dyadic_block(h_src, j)
             if not np.any(h.coeffs):
                 continue
             rep = commutator_gevrey(

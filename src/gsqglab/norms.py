@@ -10,8 +10,9 @@ with column weights 1, 2, ..., 2, 1: each column m2 > 0 stands for itself
 and its mirror -m2, and a half's Nyquist column m2 = n/2 has none. It sums
 row by row and then column by column, in order, so zero rows and trailing
 zero columns leave the total as it is: the sum over a field's half and over
-its box rows agree bit for bit. `_l2` takes it of weight |c|^2;
-`sobolev_norm` and every L2 or Sobolev number the solver prints
+its box rows agree bit for bit. `_l2` takes it of weight |c|^2, and `_hs`,
+the one homogeneous Sobolev seminorm (unchecked, the mean weighted zero), of
+|k|^(2s) |c|^2; `sobolev_norm` and every L2 or Sobolev number the solver prints
 (diagnostics rows, Picard distances, scaling and decay reports) go through
 it, so each printed value is `sobolev_norm`'s bit for bit, and no full
 array is mirrored for one. The Besov norm and the Bernstein check keep BLAS
@@ -80,13 +81,19 @@ def _l2(coeffs: np.ndarray, period: float, weight: np.ndarray | None = None) -> 
     return period * math.sqrt(_parseval(sq if weight is None else weight * sq))
 
 
+def _hs(field: SpectralField, s: float) -> float:
+    """Homogeneous Sobolev seminorm, unchecked: the mean carries weight zero."""
+    return _l2(field.half, field.grid.period, _half(_homog_weight(field.grid, 2.0 * s)))
+
+
 def sobolev_norm(field: SpectralField, s: float, homogeneous: bool = True) -> float:
     """Sobolev norm of order s; weight |k|^s (homogeneous) or (1+|k|^2)^(s/2)."""
     if homogeneous and not field.mean_zero:
         raise ValueError("homogeneous Sobolev norm requires a mean-zero field")
+    if homogeneous:
+        return _hs(field, s)
     kabs = _half(_kabs(field.grid))
-    weight = _half(_homog_weight(field.grid, 2.0 * s)) if homogeneous else (1.0 + kabs * kabs) ** s
-    return _l2(field.half, field.grid.period, weight)
+    return _l2(field.half, field.grid.period, (1.0 + kabs * kabs) ** s)
 
 
 def besov_norm(field: SpectralField, s: float) -> float:

@@ -61,7 +61,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BlowUpError, CourantError, PicardConvergenceError
-from .norms import _l2, _parseval, _weighted_gevrey, gevrey_norm
+from .norms import _hs, _l2, _parseval, _weighted_gevrey, gevrey_norm
 from .spectral import (
     GridSpec,
     ModelParams,
@@ -73,7 +73,6 @@ from .spectral import (
     _flux_rows,
     _from_box,
     _half,
-    _homog_weight,
     _kabs,
     _peak_speed,
     _Plan,
@@ -874,17 +873,15 @@ def scaling_equivariance_check(
     fine = run_b.final
 
     period = fine.grid.period
-    coarse_c, fine_c = coarse.half, fine.half
-    denom = _l2(fine_c, period)
-    gap = _l2(coarse_c - fine_c, period) / denom if denom > 0 else 0.0
-    wc = _half(_homog_weight(fine.grid, 2.0 * params.sigma_c))
+    denom = _l2(fine.half, period)
+    gap = _l2(coarse.half - fine.half, period) / denom if denom > 0 else 0.0
     return ScalingReport(
         lam=lam,
         gap=gap,
         horizon=T,
         rescaled_horizon=T / factor,
-        norm_final_coarse=_l2(coarse_c, period, wc),
-        norm_final_fine=_l2(fine_c, period, wc),
+        norm_final_coarse=_hs(coarse, params.sigma_c),
+        norm_final_fine=_hs(fine, params.sigma_c),
     )
 
 
@@ -935,11 +932,10 @@ def decay_study(
     -(k + delta) / kappa. Fewer than 10 usable snapshots in the window is
     an error.
     """
-    grid = theta0.grid
-    weights = [_half(_homog_weight(grid, 2.0 * (params.sigma_c + delta + k))) for k in k_list]
+    orders = [params.sigma_c + delta + k for k in k_list]
 
     def norms(_t, f, _row):
-        return [_l2(f.half, grid.period, w) for w in weights]
+        return [_hs(f, s) for s in orders]
 
     run = simulate(
         theta0, params, T, dt, snapshot_stride, c_cfl=c_cfl, nonlinear=nonlinear,

@@ -24,12 +24,14 @@ The dealias box is the part of the half lattice with |m1| <= K and
 m2 <= K, K = min(floor(dealias_radius), n/2 - 1) (`_box_bound`): it holds
 the dealias disc and never the zero Nyquist row or column. Box rows are a
 (2K + 1) x (K + 1) array of it in fft row order, m1 = 0, ..., K, -K, ...,
--1 (`_box`, `_unbox`). The product engine takes box rows only: the solver's
-stepping core carries its state, stage values and slopes as dealias-box
-rows, 44 % of the half at fraction 2/3, and a public product boxes each
-field's half at K = n/2 - 1 (`_box_field`), dropping only the zero Nyquist
-row and column. Every forward transform returns box rows (`_lattice_half`),
-which the public operators write into a half.
+-1 (`_box`, `_unbox`). The product engine's products take box rows: the
+solver's stepping core carries its state, stage values and slopes as
+dealias-box rows, 44 % of the half at fraction 2/3, and a public product
+boxes each field's half at K = n/2 - 1 (`_box_field`), dropping only the
+zero Nyquist row and column. Its sampler, `_term_samples`, also takes half
+spectra: `inequalities` samples its trilinear forms' factors from their
+halves, with no forward transform. Every forward transform returns box rows
+(`_lattice_half`), which the public operators write into a half.
 
 Products are formed by real FFTs on an M x M grid, M = n if n > K_a + K_b +
 K_out else 3n/2, with K_a, K_b the factors' largest nonzero |m_i| and K_out the
@@ -383,12 +385,10 @@ def _box_bound(grid: GridSpec) -> int:
 
 def _box(a: np.ndarray, k: int) -> np.ndarray:
     """The modes |m1| <= k, 0 <= m2 <= k of a lattice array in fft row order
-    (full, half, box rows, or a broadcast (rows, 1) or (1, columns) shape),
-    as a new array of box rows: m1 = 0, ..., k, -k, ..., -1."""
+    (full, half, box rows, or a broadcast (rows, 1) shape), as a new array
+    of box rows: m1 = 0, ..., k, -k, ..., -1."""
     cols = a[..., : k + 1]
     rows = a.shape[-2]
-    if rows == 1:
-        return cols
     return np.concatenate((cols[..., : k + 1, :], cols[..., rows - k :, :]), axis=-2)
 
 

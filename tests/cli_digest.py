@@ -22,6 +22,14 @@ diffing the outputs:
     diff parent.txt change.txt
 
 `--show` prints stdout and stderr in full after their digests.
+
+`--record` writes the output, headed by the numpy version, platform and
+numpy SIMD targets it was made on, to the manifest `cli_digest.txt` beside
+this script. `test_cli_digest.py` runs the cases again and compares them
+with the manifest byte for byte where those three match, and skips
+elsewhere. A change that moves artifacts on purpose re-records it:
+
+    PYTHONPATH=src python tests/cli_digest.py --record
 """
 
 from __future__ import annotations
@@ -30,18 +38,22 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import struct
 import sys
 import tempfile
 import warnings
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from gsqglab.cli import main
 from gsqglab.harness import CHECKPOINT_MAGIC
 
 # the checkpoint header after the magic bytes, as harness.write_checkpoint packs it
 _HEADER = len(CHECKPOINT_MAGIC) + struct.calcsize("<IId5dBd")
+
+MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_digest.txt")
 
 SIM = """
 [scenario]
@@ -223,6 +235,12 @@ def _zeros_as_plus(data: bytes) -> bytes:
     return data[:_HEADER] + payload.astype("<f8").tobytes()
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Python's default warning display, to sys.stderr as it is now, also
+    under a caller that records warnings instead (as pytest does)."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 def run_case(root: str, index: int, case, show: bool) -> list:
     name, body, extra, kind = case
     case_dir = os.path.join(root, _slug(name))
@@ -245,6 +263,7 @@ def run_case(root: str, index: int, case, show: bool) -> list:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
         try:
             code = main(argv + args)
         except SystemExit as exc:
@@ -268,14 +287,44 @@ def run_case(root: str, index: int, case, show: bool) -> list:
     return lines
 
 
-def main_digest(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    show = "--show" in argv
+def digest(show: bool = False) -> list:
+    """The output lines of every case, run under one temporary root."""
+    lines = []
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as root:
         with open(os.path.join(root, "blocker"), "w") as fh:
             fh.write("a file where the artifact directory should go\n")
         for i, case in enumerate(cases()):
-            print("\n".join(run_case(root, i, case, show)))
+            lines += run_case(root, i, case, show)
+    return lines
+
+
+def recorded_on() -> list:
+    """The manifest's header: what the digests' bytes depend on beyond the code."""
+    simd = " ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name))
+    return [
+        f"# numpy {np.__version__}",
+        f"# platform {platform.system()}-{platform.machine()} {' '.join(platform.libc_ver())}",
+        f"# simd {simd}",
+    ]
+
+
+def read_manifest(path: str = MANIFEST) -> tuple[list, list]:
+    """(header lines, digest lines) of a manifest."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = [ln for ln in lines if ln.startswith("# ")]
+    return header, lines[len(header):]
+
+
+def main_digest(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    record = "--record" in argv
+    lines = digest("--show" in argv and not record)
+    if record:
+        with open(MANIFEST, "w") as fh:
+            fh.write("\n".join(recorded_on() + lines) + "\n")
+    else:
+        print("\n".join(lines))
     return 0
 
 

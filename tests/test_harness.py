@@ -1220,6 +1220,16 @@ def test_cli_infinite_horizon_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_verify_operators_refuses_grids_beyond_the_direct_oracle(tmp_path, capsys):
+    body = "[scenario]\nkind = verify-operators\n[grid]\nn = {}\n"
+    cfg = run_cfg(tmp_path, body.format(256))
+    out = tmp_path / "o"
+    assert main(["verify-operators", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "direct O(n^4) convolution oracle" in capsys.readouterr().err
+    assert not out.exists()
+    assert parse_config(body.format(128)).grid == GridSpec(128)
+
+
 def test_cli_missing_config_is_usage_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 

@@ -24,8 +24,10 @@ from gsqglab import (
     sobolev_norm,
     trilinear_form,
 )
+from gsqglab.dyadic import _chi_lattice, dyadic_block
 from gsqglab.harness import _direct_bilinear
-from gsqglab.spectral import _kabs
+from gsqglab.inequalities import _bracket
+from gsqglab.spectral import _apply_multiplier, _kabs
 from util import (
     block_tau,
     bracket_symbol,
@@ -276,6 +278,27 @@ def test_bony_split_sums_to_direct_form_at_n64():
 
 
 # ---------------------------------------------------------------- block commutator
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9, 1.0])
+@pytest.mark.parametrize("n", [16, 32])
+def test_cached_lattice_tables_give_the_per_call_profiles_bytes(n, fraction):
+    """The cached tables zero the Nyquist row and column where the per-call
+    profile need not vanish; every field holds zeros there, so blocks, low
+    passes and block commutators keep the per-call spelling's bytes."""
+    grid = GridSpec(n, dealias_fraction=fraction)
+    spec = EnsembleSpec(grid, 2.0, 2, seed=7)
+    f, g = random_test_field(spec, 0), random_test_field(spec, 1)
+    part = build_partition(grid)
+    kabs = _kabs(grid)
+    for j in part.block_range:
+        phi, chi = part.phi(j, kabs), part.chi(j - 3, kabs)
+        block = _apply_multiplier(f, phi)
+        assert dyadic_block(f, j).half.tobytes() == block.half.tobytes()
+        low = _apply_multiplier(f, _chi_lattice(grid, j - 3))
+        assert low.half.tobytes() == _apply_multiplier(f, chi).half.tobytes()
+        expected = _bracket(lambda x: _apply_multiplier(x, phi), f, g)
+        assert commutator_block(f, g, j).half.tobytes() == expected.half.tobytes()
 
 
 def test_commutator_block_with_constant_multiplier():

@@ -40,8 +40,7 @@ from gsqglab import (
     velocity_from_scalar,
 )
 from gsqglab import norms, solver, spectral
-from gsqglab.inequalities import _hs
-from gsqglab.norms import xt_norm
+from gsqglab.norms import _hs, xt_norm
 from gsqglab.solver import DiagnosticsRow, _courant, _diagnostics_row, _l2
 from gsqglab.spectral import _box, _box_bound, _dealias_mask, _hermitian_defect
 from util import (
