@@ -7,6 +7,16 @@ assumed; each check reports the realized ratio so ensembles can probe
 whether constants stay resolution independent. Blocks, low passes and the
 fattened diagonal are `dyadic`'s cached lattice tables, and every Sobolev
 seminorm is `norms._hs`: no profile or seminorm is computed here.
+
+Every trilinear form goes through a sampler (`_Sampler`), which keeps one
+product plan and the samples of each factor on each product grid M it has
+met, so a factor shared by several forms is transformed once per M. The
+battery's split (`_split_forms`: the full form and Bony's three sums at
+several sigma) samples f, g and each sigma's H once, and each block's five
+pieces once for all sigma; the trilinear survey samples f and g once per
+member. A piece's samples do not depend on what is stacked with it or on a
+column width at or above its support, so every form keeps the bytes of
+sampling its three factors alone.
 """
 
 from __future__ import annotations
@@ -167,24 +177,50 @@ def _ghs(f: SpectralField, alpha: float, lam: float, s: float) -> float:
     return _hs(gevrey_operator(f, alpha, lam), s)
 
 
-def _weighted_third(h: SpectralField, sigma: float) -> tuple[np.ndarray, int]:
-    """H = |k|^sigma h as a half spectrum, with its support; sigma = 0 weighs
-    every mode 1, the mean included."""
+def _weighted_third(h: SpectralField, sigma: float) -> np.ndarray:
+    """H = |k|^sigma h as a half spectrum; sigma = 0 weighs every mode 1,
+    the mean included."""
     if sigma < 0 and not h.mean_zero:
         raise ValueError("negative output weight needs a mean-zero third slot")
-    hh = h.half if sigma == 0.0 else _half(_homog_weight(h.grid, sigma)) * h.half
-    return hh, _support(hh)
+    return h.half if sigma == 0.0 else _half(_homog_weight(h.grid, sigma)) * h.half
 
 
-def _form(grid: GridSpec, fh: np.ndarray, gh: np.ndarray, third: tuple) -> complex:
-    """trilinear_form of the half spectra fh, gh and a _weighted_third."""
-    hh, k_h = third
-    supports = _support(fh), _support(gh), k_h
-    size = _product_size(grid.n, *supports)
-    fs, gs, hs = _term_samples(_Plan(grid), (fh, gh, hh), size, max(supports))
-    np.multiply(fs, gs, out=fs)
-    fs *= hs
-    return complex(grid.period**2 / size**2 * np.sum(fs))
+class _Sampler:
+    """The samples of trilinear-form factors on one grid (module docstring).
+
+    A piece is a half spectrum held under a name, with its support. A form
+    of three named pieces reads each piece's samples on the form's product
+    grid M, made the first time that piece meets that M: the pieces not yet
+    held at M are sampled in one stacked call and copied out of the
+    workspace, which the next call overwrites. Putting a piece under a name
+    forgets the samples of the piece it replaces.
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.grid, self._plan, self._pieces = grid, _Plan(grid), {}
+
+    def put(self, name, half: np.ndarray) -> None:
+        """Hold the half spectrum half as piece name."""
+        self._pieces[name] = half, _support(half), {}
+
+    def _sample(self, names, size: int) -> None:
+        """Sample the pieces names, none yet held at M = size, in one call."""
+        pieces = [self._pieces[x] for x in names]
+        k = max(support for _, support, _ in pieces)
+        s = _term_samples(self._plan, [half for half, _, _ in pieces], size, k)
+        for (_, _, held), row in zip(pieces, s):
+            held[size] = row.copy()
+
+    def form(self, a, b, c) -> complex:
+        """trilinear_form of the pieces a, b and c, c being the weighted third."""
+        size = _product_size(self.grid.n, *(self._pieces[x][1] for x in (a, b, c)))
+        new = [x for x in dict.fromkeys((a, b, c)) if size not in self._pieces[x][2]]
+        if new:
+            self._sample(new, size)
+        fs, gs, hs = (self._pieces[x][2][size] for x in (a, b, c))
+        out = np.multiply(fs, gs)
+        out *= hs
+        return complex(self.grid.period**2 / size**2 * np.sum(out))
 
 
 def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: float) -> complex:
@@ -194,10 +230,41 @@ def trilinear_form(f: SpectralField, g: SpectralField, h: SpectralField, sigma: 
     H's support as the kept band: the aliases of fg then miss every mode of H,
     so by Parseval the form is period^2 / M^2 times the sum of f g H over the
     M x M samples, exactly and without a forward transform. The three are
-    sampled through one stacked transform call.
+    sampled through a fresh sampler, in one stacked transform call.
     """
+    sampler = _Sampler(_shared_grid(f, g, h))
+    sampler.put("f", f.half)
+    sampler.put("g", g.half)
+    sampler.put("h", _weighted_third(h, sigma))
+    return sampler.form("f", "g", "h")
+
+
+def _split_forms(f: SpectralField, g: SpectralField, h: SpectralField, sigmas) -> list:
+    """(trilinear_form, *bony_split) of f, g, h at each sigma, through one
+    sampler: f, g and each sigma's H are sampled once per product grid, and
+    each block's pieces once per grid for every sigma. The blocks run in
+    the outer loop, so the sampler holds one block's five pieces at a time,
+    and each sigma's sums add the blocks in bony_split's order."""
     grid = _shared_grid(f, g, h)
-    return _form(grid, f.half, g.half, _weighted_third(h, sigma))
+    sampler = _Sampler(grid)
+    sampler.put("f", f.half)
+    sampler.put("g", g.half)
+    for i, sigma in enumerate(sigmas):
+        sampler.put(i, _weighted_third(h, sigma))
+    sums = [[sampler.form("f", "g", i), 0j, 0j, 0j] for i in range(len(sigmas))]
+    for k in build_partition(grid).block_range:
+        chi = _half(_chi_lattice(grid, k - 3))
+        phi = _half(_phi_lattice(grid, k))
+        sampler.put("chi f", chi * f.half)
+        sampler.put("phi f", phi * f.half)
+        sampler.put("phi g", phi * g.half)
+        sampler.put("chi g", chi * g.half)
+        sampler.put("fat g", _half(_fat_diagonal(grid, k)) * g.half)
+        for i, row in enumerate(sums):
+            row[1] += sampler.form("chi f", "phi g", i)
+            row[2] += sampler.form("phi f", "chi g", i)
+            row[3] += sampler.form("phi f", "fat g", i)
+    return [tuple(row) for row in sums]
 
 
 def bony_split(
@@ -211,26 +278,11 @@ def bony_split(
     The three sums partition the (k - l, l) weight over dyadic blocks, with
     the low-pass cut three octaves below each block and a +-3 fattened
     diagonal. Their total equals trilinear_form exactly whenever any input
-    is mean-zero (only the all-mean pair falls outside the split).
+    is mean-zero (only the all-mean pair falls outside the split). It is
+    _split_forms at the one sigma: every factor is sampled once per product
+    grid, H once for all blocks.
     """
-    grid = _shared_grid(f, g, h)
-    third = _weighted_third(h, sigma)   # the same H in every block
-    low = 0j
-    high = 0j
-    diag = 0j
-    for k in build_partition(grid).block_range:
-        chi = _chi_lattice(grid, k - 3)
-        phi = _phi_lattice(grid, k)
-        fat = _fat_diagonal(grid, k)
-        chi_f = _apply_multiplier(f, chi)
-        phi_f = _apply_multiplier(f, phi)
-        phi_g = _apply_multiplier(g, phi)
-        chi_g = _apply_multiplier(g, chi)
-        fat_g = _apply_multiplier(g, fat)
-        low += _form(grid, chi_f.half, phi_g.half, third)
-        high += _form(grid, phi_f.half, chi_g.half, third)
-        diag += _form(grid, phi_f.half, fat_g.half, third)
-    return low, high, diag
+    return _split_forms(f, g, h, (sigma,))[0][1:]
 
 
 # ------------------------------------------------------------- commutators
@@ -411,7 +463,15 @@ def _member_ratios(form: str, params: dict, spec: EnsembleSpec, index: int):
             _hs(f, 1.0 - eps) * _hs(g, sigma),
             _hs(g, 1.0 - eps) * _hs(f, sigma),
         )
-        return _block_ratios(h_src, eps, pair, lambda j, h: abs(trilinear_form(f, g, h, sigma)))
+        sampler = _Sampler(spec.grid)   # f and g sampled once per product grid
+        sampler.put("f", f.half)
+        sampler.put("g", g.half)
+
+        def lhs(j, h):
+            sampler.put("h", _weighted_third(h, sigma))
+            return abs(sampler.form("f", "g", "h"))
+
+        return _block_ratios(h_src, eps, pair, lhs)
 
     if form == "block_commutator":
         rho1, rho2 = params["rho1"], params["rho2"]

@@ -67,6 +67,7 @@ from .spectral import (
     ModelParams,
     SpectralField,
     _box,
+    _box_bound,
     _box_field,
     _dealias_mask,
     _decay_rate,
@@ -76,6 +77,7 @@ from .spectral import (
     _kabs,
     _peak_speed,
     _Plan,
+    _support,
     _velocity_rows,
     _wrap_half,
 )
@@ -552,7 +554,9 @@ def simulate(
 
 def _as_stage_provider(q, grid, n_steps, dt):
     """Normalize q to a function (step, stage, f) -> q's stage value as box
-    rows, a field's boxed by _box_field; f is ignored.
+    rows; f is ignored. A field is boxed at the dealias box's bound, the
+    state's, when its support fits there, so the flux pairs it with the
+    state as it is; otherwise at n/2 - 1 (_box_field).
 
     Callables are sampled at the stage times t, t+dt/2, t+dt/2, t+dt (the
     two middle stages share their time). Sequences must hold one 4-tuple per
@@ -568,7 +572,8 @@ def _as_stage_provider(q, grid, n_steps, dt):
             return f
         if f.grid != grid:
             raise ValueError("coefficient trajectory lives on the wrong grid")
-        return _box_field(f)
+        k = _box_bound(grid)
+        return _box(f.half, k) if _support(f.half) <= k else _box_field(f)
 
     if callable(q):
         offsets = (0.0, 0.5 * dt, 0.5 * dt, dt)

@@ -30,8 +30,10 @@ dealias-box rows, 44 % of the half at fraction 2/3, and a public product
 boxes each field's half at K = n/2 - 1 (`_box_field`), dropping only the
 zero Nyquist row and column. Its sampler, `_term_samples`, also takes half
 spectra: `inequalities` samples its trilinear forms' factors from their
-halves, with no forward transform. Every forward transform returns box rows
-(`_lattice_half`), which the public operators write into a half.
+halves, with no forward transform, each factor once per product grid in
+one plan per form, split or survey member (`inequalities._Sampler`).
+Every forward transform returns box rows (`_lattice_half`), which the
+public operators write into a half.
 
 Products are formed by real FFTs on an M x M grid, M = n if n > K_a + K_b +
 K_out else 3n/2, with K_a, K_b the factors' largest nonzero |m_i| and K_out the

@@ -26,8 +26,8 @@ from gsqglab import (
 )
 from gsqglab.dyadic import _chi_lattice, dyadic_block
 from gsqglab.harness import _direct_bilinear
-from gsqglab.inequalities import _bracket
-from gsqglab.spectral import _apply_multiplier, _kabs
+from gsqglab.inequalities import _bracket, _split_forms
+from gsqglab.spectral import _apply_multiplier, _dealias_mask, _kabs
 from util import (
     block_tau,
     bracket_symbol,
@@ -37,6 +37,7 @@ from util import (
     log_tau,
     random_field,
     singular_tau,
+    split_forms_oracle,
     unit_symbol,
 )
 
@@ -275,6 +276,51 @@ def test_bony_split_sums_to_direct_form_at_n64():
     spec = EnsembleSpec(GridSpec(64), 2.2, 3, seed=4)
     f, q, h = (random_test_field(spec, i) for i in range(3))
     assert_form_close(sum(bony_split(f, q, h, 0.3)), convolve2d_form(f, q, h, 0.3))
+
+
+# ---------------------------------------------------------------- the sampler
+
+SPLIT_SIGMAS = (-0.5, 0.0, 0.3, 0.9)
+
+
+def _sampler_triples(grid):
+    # random_test_field fills the lattice, its support past the dealias disc
+    spec = EnsembleSpec(grid, 2.2, 4, seed=31)
+    wide = [random_test_field(spec, i) for i in range(3)]
+    disc = SpectralField(grid, random_test_field(spec, 3).coeffs * _dealias_mask(grid))
+    zero = field_from_modes(grid, {})
+    return [tuple(wide), (disc, wide[0], wide[1]), (zero, wide[1], disc), (wide[2], disc, zero)]
+
+
+def _bytes(*values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9, 1.0])
+@pytest.mark.parametrize("n", [16, 32])
+def test_sampled_forms_keep_the_bytes_of_one_stacked_call_per_form(n, fraction):
+    # the sampler transforms a factor once per product grid and reuses it;
+    # every form must still be the one its three factors sampled together give
+    grid = GridSpec(n, dealias_fraction=fraction)
+    for f, q, h in _sampler_triples(grid):
+        split = _split_forms(f, q, h, SPLIT_SIGMAS)
+        assert len(split) == len(SPLIT_SIGMAS)
+        for sigma, got in zip(SPLIT_SIGMAS, split):
+            want = split_forms_oracle(f, q, h, sigma)
+            assert _bytes(*got) == _bytes(*want), sigma
+            assert _bytes(trilinear_form(f, q, h, sigma)) == _bytes(want[0]), sigma
+            assert _bytes(*bony_split(f, q, h, sigma)) == _bytes(*want[1:]), sigma
+
+
+def test_split_forms_sample_each_piece_once_per_product_grid(transforms):
+    # one battery triple over its four sigma: a form per sigma of f, g and H,
+    # and three per block; a stacked call per form would make 228 inverse
+    # transforms, one per (piece, M) makes at most 44, and no forward one
+    spec = EnsembleSpec(GridSpec(32), 2.5, 3, seed=2026)
+    f, q, h = (random_test_field(spec, i) for i in range(3))
+    _split_forms(f, q, h, SPLIT_SIGMAS)
+    assert transforms["irfft2"] <= 44
+    assert transforms["rfft2"] == 0
 
 
 # ---------------------------------------------------------------- block commutator

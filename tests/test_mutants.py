@@ -26,6 +26,7 @@ from gsqglab import (
     advect,
     flux_divergence,
     harness,
+    inequalities,
     linear_heat_propagator,
     norms,
     read_checkpoint,
@@ -36,7 +37,7 @@ from gsqglab import (
     velocity_from_scalar,
 )
 from gsqglab.harness import _direct_advect
-from util import direct_flux, peak_speed, per_array, random_field
+from util import direct_flux, peak_speed, per_array, random_field, split_forms_oracle
 
 FRACTIONS = [2.0 / 3.0, 0.9, 1.0]
 
@@ -118,6 +119,14 @@ def _support_bound_one_short(box, _support_bound=spectral._support_bound):
 
 def _samples_pass_one_column_short(buf, samples, k, _samples=spectral._samples):
     return _samples(buf, samples, k - 1)
+
+
+def _sampler_keeps_workspace_views(sampler, names, size):
+    pieces = [sampler._pieces[x] for x in names]
+    k = max(support for _, support, _ in pieces)
+    s = spectral._term_samples(sampler._plan, [half for half, _, _ in pieces], size, k)
+    for (_, _, held), row in zip(pieces, s):
+        held[size] = row
 
 
 _HEADER = len(harness.CHECKPOINT_MAGIC) + struct.calcsize("<IId5dBd")
@@ -269,6 +278,18 @@ def heat_flow_oracle():
         assert np.array_equal(run.final.half, want.half)
 
 
+def sampler_oracle():
+    """The battery's split forms through one sampler against one stacked
+    call per form, byte for byte, at every fraction."""
+    sigmas = (-0.5, 0.0, 0.9)
+    for fraction in FRACTIONS:
+        g = GridSpec(16, dealias_fraction=fraction)
+        f, q, h = (random_field(g, seed=s, decay=1.0) for s in (110, 111, 112))
+        got = inequalities._split_forms(f, q, h, sigmas)
+        want = [split_forms_oracle(f, q, h, sigma) for sigma in sigmas]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def checkpoint_oracle():
     """A checkpoint's header fields at their pinned offsets, its payload the
     little-endian half spectrum, and the round trip through read_checkpoint."""
@@ -328,6 +349,10 @@ MUTANTS = {
     ),
     "flux drops its second term": (
         spectral, "_flux_rows", _flux_rows_without_second_term, direct_flux_oracle,
+    ),
+    "sampler keeps workspace views, not copies": (
+        inequalities._Sampler, "_sample", _sampler_keeps_workspace_views,
+        sampler_oracle,
     ),
 }
 

@@ -350,6 +350,36 @@ def test_flux_solve_sequence_validation():
         linear_flux_solve(f, lambda t: other, P, T=0.01, dt=1e-3)
 
 
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9, 1.0])
+@pytest.mark.parametrize("beta", [1.0, 1.7])
+def test_flux_solve_field_q_keeps_the_bytes_of_q_boxed_at_the_largest_bound(beta, fraction):
+    # a field q whose support fits the dealias box is boxed there, the
+    # state's rows, and one past it at n/2 - 1; either way every stage value
+    # and row equals the solve given q's box rows of bound n/2 - 1, byte for byte
+    grid = GridSpec(16, dealias_fraction=fraction)
+    params = dataclasses.replace(P, beta=beta)
+    k = _box_bound(grid)
+
+    def disc(seed):
+        return SpectralField(grid, random_field(grid, seed=seed).coeffs * _dealias_mask(grid))
+
+    f, inside, beyond = (scaled(x, 0.5) for x in (disc(17), disc(18), random_field(grid, seed=19)))
+    for q, bound in ((inside, k), (beyond, grid.n // 2 - 1)):
+        provider = solver._as_stage_provider(lambda t, q=q: q, grid, 5, 1e-3)
+        assert provider(0, 0).shape == (2 * bound + 1, bound + 1)
+        rows = spectral._box_field(q)
+        runs = []
+        for given in (lambda t, q=q: q, [[q] * 4] * 5, [[rows] * 4] * 5):
+            sink = []
+            traj = linear_flux_solve(f, given, params, T=5e-3, dt=1e-3, stage_sink=sink)
+            runs.append((
+                [x.half.tobytes() for x in traj.fields],
+                traj.rows,
+                [c.half.tobytes() for rec in sink for c in rec],
+            ))
+        assert runs[0] == runs[1] == runs[2]
+
+
 def test_flux_solve_samples_stage_times_only():
     grid = GridSpec(16)
     f = single_mode(grid, (1, 0), 0.1)

@@ -13,6 +13,7 @@ from gsqglab import (
     to_physical,
     velocity_from_scalar,
 )
+from gsqglab.dyadic import _chi_lattice, _fat_diagonal, _phi_lattice
 from gsqglab.harness import _advect_symbol, _direct_bilinear
 from gsqglab.inequalities import _hash_uniform
 from gsqglab.spectral import (
@@ -265,6 +266,33 @@ def per_array(op, a, b, params):
         second = d1t * samples(ik2 * qh, size) - d2t * samples(ik1 * qh, size)
         out += plan.mult() * lattice_half(second, n, r)
     return spectral._from_box(grid, spectral._dealiased(plan, out))
+
+
+def stacked_form(grid: GridSpec, fh, gh, hh) -> complex:
+    """The trilinear form of half spectra fh, gh and the weighted third hh,
+    its three factors sampled together in one stacked call of a fresh plan:
+    the form the sampler's must equal byte for byte."""
+    supports = spectral._support(fh), spectral._support(gh), spectral._support(hh)
+    size = spectral._product_size(grid.n, *supports)
+    fs, gs, hs = spectral._term_samples(spectral._Plan(grid), (fh, gh, hh), size, max(supports))
+    np.multiply(fs, gs, out=fs)
+    fs *= hs
+    return complex(grid.period**2 / size**2 * np.sum(fs))
+
+
+def split_forms_oracle(f: SpectralField, g: SpectralField, h: SpectralField, sigma: float):
+    """(trilinear_form, *bony_split) at sigma, one stacked_form per form."""
+    grid = f.grid
+    hh = h.half if sigma == 0.0 else _half(_homog_weight(grid, sigma)) * h.half
+    full = stacked_form(grid, f.half, g.half, hh)
+    low = high = diag = 0j
+    for k in build_partition(grid).block_range:
+        chi, phi = _half(_chi_lattice(grid, k - 3)), _half(_phi_lattice(grid, k))
+        fat = _half(_fat_diagonal(grid, k))
+        low += stacked_form(grid, chi * f.half, phi * g.half, hh)
+        high += stacked_form(grid, phi * f.half, chi * g.half, hh)
+        diag += stacked_form(grid, phi * f.half, fat * g.half, hh)
+    return full, low, high, diag
 
 
 def advective_tendency(f: SpectralField, params) -> SpectralField:
