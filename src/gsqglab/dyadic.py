@@ -99,6 +99,17 @@ def _fat_diagonal(grid: GridSpec, k: int) -> np.ndarray:
     return fat
 
 
+def _lattice_bound(grid: GridSpec, j: int) -> int:
+    """A support bound of chi_j's lattice table: the largest |m_i| of a mode
+    with |k| < 2^j, where chi_j can be nonzero, at most n/2 - 1. It bounds
+    phi_(j-1) = chi_j - chi_(j-1) and the fattened diagonal of block j - 4
+    too. A mode's |k| = kf sqrt(m1^2 + m2^2) is at least kf max|m_i| in
+    floating point as in exact arithmetic, so kf b < 2^j holds for every
+    |m_i| = b of the table's nonzero modes."""
+    b = np.arange(grid.n // 2)
+    return int(np.count_nonzero(grid.k_fundamental * b < 2.0**j)) - 1
+
+
 def dyadic_block(field: SpectralField, j: int) -> SpectralField:
     """Shell projection: coefficients multiplied by phi_j(|k|)."""
     part = build_partition(field.grid)

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import _chi_lattice, _fat_diagonal, _phi_lattice, build_partition, dyadic_block
+from .dyadic import (
+    _chi_lattice,
+    _fat_diagonal,
+    _lattice_bound,
+    _phi_lattice,
+    build_partition,
+    dyadic_block,
+)
 from .norms import _hs
 from .spectral import (
     GridSpec,
@@ -112,27 +119,31 @@ class ConstantSurvey:
 # ------------------------------------------------------------- ensembles
 
 _U64 = np.uint64
+_MASK64 = 2**64 - 1
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # 64-bit avalanche mix; wraparound is intentional
-    z = z + _U64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return z ^ (z >> _U64(31))
+def _mix64(z):
+    """64-bit avalanche mix of a Python int in [0, 2^64) or of a uint64
+    array; wraparound is intentional, by the mask for an int (an array's
+    arithmetic wraps by itself)."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
-def _hash_uniform(seed: int, index: int, m1: np.ndarray, m2: np.ndarray, salt: int) -> np.ndarray:
-    """Per-mode uniform in [0, 1), keyed only on integers (grid-size free).
+def _hash_uniform(seed: int, index: int, m1: np.ndarray, m2: np.ndarray, salts) -> np.ndarray:
+    """Per-mode uniforms in [0, 1), one array per salt, stacked, keyed only
+    on integers (grid-size free).
 
     The seed enters as its residue mod 2^64, which is the bit pattern the
-    int64 view gave every seed in [-2^63, 2^63)."""
-    with np.errstate(over="ignore"):
-        h = _mix64(np.asarray(int(seed) % 2**64, dtype=_U64))
-        h = _mix64(h ^ _U64(index))
-        h = _mix64(h ^ _U64(salt))
-        h = _mix64(h ^ m1.astype(np.int64).view(_U64))
-        h = _mix64(h ^ m2.astype(np.int64).view(_U64))
+    int64 view gave every seed in [-2^63, 2^63). The key's prefix (seed,
+    index, salt) is mixed in Python ints, the modes for every salt in one
+    stacked pass."""
+    head = _mix64(_mix64(int(seed) % 2**64) ^ index)
+    h = np.array([_mix64(head ^ salt) for salt in salts], dtype=_U64)[:, None, None]
+    h = _mix64(h ^ m1.astype(np.int64).view(_U64))
+    h = _mix64(h ^ m2.astype(np.int64).view(_U64))
     return (h >> _U64(11)) * 2.0**-53
 
 
@@ -151,8 +162,7 @@ def random_test_field(spec: EnsembleSpec, index: int) -> SpectralField:
     canon = (m1 > 0) | ((m1 == 0) & (m2 > 0))
     cm1 = np.where(canon, m1, -m1)
     cm2 = np.where(canon, m2, -m2)
-    u_mod = _hash_uniform(spec.seed, index, cm1, cm2, 1)
-    u_arg = _hash_uniform(spec.seed, index, cm1, cm2, 2)
+    u_mod, u_arg = _hash_uniform(spec.seed, index, cm1, cm2, (1, 2))
     amp = _half(_homog_weight(grid, -spec.decay)) * (0.5 + 0.5 * u_mod)
     sign = np.where(canon, 1.0, -1.0)
     half = amp * np.exp(2j * np.pi * u_arg * sign)
@@ -188,20 +198,43 @@ def _weighted_third(h: SpectralField, sigma: float) -> np.ndarray:
 class _Sampler:
     """The samples of trilinear-form factors on one grid (module docstring).
 
-    A piece is a half spectrum held under a name, with its support. A form
-    of three named pieces reads each piece's samples on the form's product
-    grid M, made the first time that piece meets that M: the pieces not yet
-    held at M are sampled in one stacked call and copied out of the
-    workspace, which the next call overwrites. Putting a piece under a name
-    forgets the samples of the piece it replaces.
+    A piece is a half spectrum held under a name, with its support or a
+    bound on it. A form of three named pieces reads each piece's samples on
+    the form's product grid M, made the first time that piece meets that M:
+    the pieces not yet held at M are sampled in one stacked call and copied
+    out of the workspace, which the next call overwrites. Putting a piece
+    under a name forgets the samples of the piece it replaces.
+
+    As spectral._grid_size does, a form reads its pieces' bounds only when
+    they put it on the n-grid; otherwise their supports are scanned, so M is
+    always the one the exact supports give.
     """
 
     def __init__(self, grid: GridSpec):
-        self.grid, self._plan, self._pieces = grid, _Plan(grid), {}
+        self.grid, self._plan, self._pieces, self._bounded = grid, _Plan(grid), {}, set()
 
-    def put(self, name, half: np.ndarray) -> None:
-        """Hold the half spectrum half as piece name."""
-        self._pieces[name] = half, _support(half), {}
+    def put(self, name, half: np.ndarray, bound: int | None = None) -> None:
+        """Hold the half spectrum half as piece name; bound, if given, bounds
+        its support and stands for it until a form needs the exact one."""
+        if bound is None:
+            self._pieces[name] = half, _support(half), {}
+            self._bounded.discard(name)
+        else:
+            self._pieces[name] = half, bound, {}
+            self._bounded.add(name)
+
+    def _size(self, names) -> int:
+        """The product grid M of a form of the pieces names."""
+        n = self.grid.n
+        size = _product_size(n, *(self._pieces[x][1] for x in names))
+        bounded = self._bounded.intersection(names)
+        if size != n and bounded:
+            for x in bounded:
+                half, _, held = self._pieces[x]
+                self._pieces[x] = half, _support(half), held
+            self._bounded -= bounded
+            size = _product_size(n, *(self._pieces[x][1] for x in names))
+        return size
 
     def _sample(self, names, size: int) -> None:
         """Sample the pieces names, none yet held at M = size, in one call."""
@@ -213,7 +246,7 @@ class _Sampler:
 
     def form(self, a, b, c) -> complex:
         """trilinear_form of the pieces a, b and c, c being the weighted third."""
-        size = _product_size(self.grid.n, *(self._pieces[x][1] for x in (a, b, c)))
+        size = self._size((a, b, c))
         new = [x for x in dict.fromkeys((a, b, c)) if size not in self._pieces[x][2]]
         if new:
             self._sample(new, size)
@@ -255,11 +288,12 @@ def _split_forms(f: SpectralField, g: SpectralField, h: SpectralField, sigmas) -
     for k in build_partition(grid).block_range:
         chi = _half(_chi_lattice(grid, k - 3))
         phi = _half(_phi_lattice(grid, k))
-        sampler.put("chi f", chi * f.half)
-        sampler.put("phi f", phi * f.half)
-        sampler.put("phi g", phi * g.half)
-        sampler.put("chi g", chi * g.half)
-        sampler.put("fat g", _half(_fat_diagonal(grid, k)) * g.half)
+        low, high = _lattice_bound(grid, k - 3), _lattice_bound(grid, k + 1)
+        sampler.put("chi f", chi * f.half, low)
+        sampler.put("phi f", phi * f.half, high)
+        sampler.put("phi g", phi * g.half, high)
+        sampler.put("chi g", chi * g.half, low)
+        sampler.put("fat g", _half(_fat_diagonal(grid, k)) * g.half, _lattice_bound(grid, k + 4))
         for i, row in enumerate(sums):
             row[1] += sampler.form("chi f", "phi g", i)
             row[2] += sampler.form("phi f", "chi g", i)

@@ -401,7 +401,8 @@ def _advance(c, i, t, h, factors, nonlin, k1, speed, l2, c_cfl):
 
     in its order and with its operands in their order (a complex product is
     not bitwise commutative), so the result is bit for bit that expression's.
-    No other buffer is held while a slope is formed.
+    eh c is formed once, for s4 and out; it is the one other buffer held
+    while a slope, k4, is formed.
     """
     max_u, courant = speed
     if c_cfl is not None and courant > c_cfl:
@@ -414,16 +415,17 @@ def _advance(c, i, t, h, factors, nonlin, k1, speed, l2, c_cfl):
     s3 = np.multiply(eh2, c)
     np.add(s3, np.multiply(0.5 * h, k2), out=s3)
     k3 = nonlin(s3, 2)
+    ehc = np.multiply(eh, c)
     s4 = np.multiply(eh2, k3)
     np.multiply(h, s4, out=s4)
-    np.add(np.multiply(eh, c), s4, out=s4)
+    np.add(ehc, s4, out=s4)
     k4 = nonlin(s4, 3)
     out = np.add(k2, k3)
     np.multiply(2.0 * eh2, out, out=out)
     np.add(np.multiply(eh, k1), out, out=out)
     np.add(out, k4, out=out)
     np.multiply(h / 6.0, out, out=out)
-    np.add(np.multiply(eh, c), out, out=out)
+    np.add(ehc, out, out=out)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(
             (i + 1) * h, i + 1, {"l2": l2, "max_u": max_u, "courant": courant}

@@ -47,12 +47,13 @@ product's bound, n/2 - 1, never gives M = n: it scans its factors.
 The solver's Courant number reads a velocity's peak speed on the n-grid
 (`_peak_speed`). The stepping core's product, `_flux_rows`, given a list,
 appends the peak speed of q's velocity, read from its own samples of
-d1(M q) and d2(M q) before its products overwrite them, so no velocity
-field need be built for it. The modified flux is evaluated in advective
-form (`flux_divergence`). Transforms per call: `advect` 4 inverse and 1 forward,
-`flux_divergence` 4 and 1, or 6 and 2 with the second term, which is not
-formed for q = theta, `multiply_fields` 2 and 1, `to_physical` 1 inverse,
-`_peak_speed` 1 inverse per component.
+d1(M q) and d2(M q), which its products read and do not write, so no
+velocity field need be built for it. The modified flux is evaluated in
+advective form (`flux_divergence`), every call of it by the plan's kernel
+of its layout (`_Plan.flux`, `_flux_kernel`). Transforms per call:
+`advect` 4 inverse and 1 forward, `flux_divergence` 4 and 1, or 6 and 2
+with the second term, which is not formed for q = theta, `multiply_fields`
+2 and 1, `to_physical` 1 inverse, `_peak_speed` 1 inverse per component.
 
 A product site works in a plan (`_Plan`) that each run and each public
 product call makes and drops when it returns, after FFTW's plans (Frigo &
@@ -74,14 +75,30 @@ so its output is bit for bit that of scipy.fft's 2-D transform.
   kept bins alone, which it pads itself (0.20 against 0.15 ms at M = 256,
   1.50 against 1.12 ms at M = 512; one thread, 2-CPU host, numpy 2.4.6).
 - Products. A site forms its physical products in the workspace samples it
-  no longer reads, without a temporary per product.
+  no longer reads, without a temporary per product. The flux, the one
+  site a run steps with, keeps its views of the workspace in a kernel the
+  plan builds once per layout (m factors, grid M, bound K, box rows): its
+  factors are written into the samples' memory, which the inverse
+  transform reads only after they are spent, and its four two-term
+  products are three ufunc calls on stacked slices, [a, c] [d, f] -
+  [b, d] [c, e] (`_flux_slots`), with [b, d] [c, e] written into the
+  spent buffer's slots of the forward transform. Real products commute exactly
+  and each difference keeps its order, so the samples are those of the
+  products formed one by one. The speed's squares are formed in the
+  samples of d1(M q) and d2(M q), which the forward transform does not
+  read.
 - Forward. The real pass writes into the spent buffer, scaled by 1/M^2
   through pocketfft's own factor, and the columns beyond K are zeroed
   again for the next inverse (`_product_box`). The second pass runs only
   over the columns m2 <= K_out, the largest m2 the site keeps (0.09
   against 0.13 ms at n = 256, fraction 2/3), and the call returns the box
-  rows of those columns alone: the modes beyond them, which the dealias
-  mask would zero, are not formed.
+  rows of those columns alone, gathered by one concatenate: the modes
+  beyond them, which the dealias mask would zero, are not formed. The
+  mask and the two terms' M-weighted sum are then applied to the box
+  rows, each as one contiguous ufunc call; applied to the two row blocks
+  of the transform's output instead, in place of the gather, they took
+  longer (11 against 8 us at n = 64, 28 against 25 us at n = 256; 2-CPU
+  host, numpy 2.4.6), the strided blocks costing more than the copy.
 """
 
 from __future__ import annotations
@@ -620,7 +637,7 @@ class _Plan:
 
     def __init__(self, grid: GridSpec, params: ModelParams | None = None):
         self.grid, self.params, self.k = grid, params, _box_bound(grid)
-        self._tables, self._work = {}, {}
+        self._tables, self._work, self._fluxes = {}, {}, {}
 
     def _table(self, name, k: int | None, make) -> np.ndarray:
         """make(m1, m2), read-only, of the modes of box rows of bound k."""
@@ -674,26 +691,40 @@ class _Plan:
             buf = np.zeros(lead + (size, size // 2 + 1), dtype=np.complex128)
             work = self._work[lead, size] = [buf, np.empty(lead + (size, size)), width]
         buf, samples, clean = work   # the buffer is zero from column clean on
-        buf[..., width:clean] = 0.0
+        if clean > width:
+            buf[..., width:clean] = 0.0
         work[2] = width
         return buf, samples
+
+    def flux(self, m: int, size: int, k: int, rows: int):
+        """The flux kernel (_flux_kernel) of one layout: m factors, grid
+        size, support bound k and box rows of rows rows; built on first use."""
+        key = (m, size, k, rows)
+        if key not in self._fluxes:
+            self._fluxes[key] = _flux_kernel(self, m, size, k, rows)
+        return self._fluxes[key]
 
 
 # ---------------------------------------------------------------------------
 # exact nonlinear products
 
 
-def _speed(u1: np.ndarray, u2: np.ndarray) -> float:
+def _speed(u1: np.ndarray, u2: np.ndarray, out=None) -> float:
     """Peak speed of a velocity from its samples (u1, u2): one sqrt of the
     largest u1^2 + u2^2, which is the largest |u| since sqrt is monotone
-    and correctly rounded. A non-finite sample gives a non-finite speed."""
-    return float(np.sqrt((u1 * u1 + u2 * u2).max()))
+    and correctly rounded. A non-finite sample gives a non-finite speed.
+    The squares are formed in out, a pair of arrays of the samples' shape
+    (u1 and u2 themselves may be its members), or else in fresh arrays."""
+    sq = np.multiply(u1, u1, out=None if out is None else out[0])
+    sq += np.multiply(u2, u2, out=None if out is None else out[1])
+    return float(np.sqrt(sq.max()))
 
 
 def _peak_speed(plan: _Plan, u: tuple) -> float:
     """_speed of the n-grid samples of velocity components u = (u1, u2),
-    box rows of one bound."""
-    return _speed(*_term_samples(plan, u, plan.grid.n, _support_bound(u[0])))
+    box rows of one bound, its squares formed in the workspace samples."""
+    s = _term_samples(plan, u, plan.grid.n, _support_bound(u[0]))
+    return _speed(s[0], s[1], out=s)
 
 
 def _half(a: np.ndarray) -> np.ndarray:
@@ -913,49 +944,93 @@ def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams)
 
 def _flux_rows(plan: _Plan, q: np.ndarray, theta: np.ndarray, speed=None) -> np.ndarray:
     """flux_divergence under the plan's params of the box rows q and theta,
-    unchecked, as dealias-box rows. Rows of two bounds (linear_flux_solve's
-    field q against its state) are first both boxed at the larger.
+    unchecked, as dealias-box rows, by the plan's kernel of their layout.
+    Rows of two bounds (linear_flux_solve's field q against its state) are
+    first both boxed at the larger.
 
     speed, if given, is a list. When the products are formed on the n-grid,
     the peak speed (_speed) of velocity_from_scalar(q, params) is appended
-    to it: u = (d2(M q), -d1(M q)), read from the samples made here, before
-    the products overwrite them, at no transform; (-x)(-x) = x x, so the
-    sign of u2 is not formed. Otherwise it stays as it is.
+    to it: u = (d2(M q), -d1(M q)), read from the samples made here at no
+    transform; (-x)(-x) = x x, so the sign of u2 is not formed. Otherwise
+    it stays as it is.
     """
     n = plan.grid.n
-    # every factor lies inside q's or theta's support
-    k_out = int(plan.grid.dealias_radius)
     if len(q) != len(theta):
         q, theta = (_box(_unbox(a, n), max(len(q), len(theta)) // 2) for a in (q, theta))
-    size, k = _grid_size(n, (q,), (theta,), k_out)
-    kb = len(theta) // 2
-    # the factors' rows: M q, theta and, for the second term, q
+    # every factor lies inside q's or theta's support
+    size, k = _grid_size(n, (q,), (theta,), int(plan.grid.dealias_radius))
     m = 3 if plan.params.two_term and q is not theta else 2
-    qk = q[:, : k + 1]
-    factors = np.empty((m, len(theta), k + 1), dtype=np.complex128)
-    np.multiply(plan.mult(kb)[:, : k + 1], qk, out=factors[0])
-    factors[1] = theta[:, : k + 1]
-    if m == 3:
-        factors[2] = qk
-    # d1(M q), d1(theta)[, d1(q)], d2(M q), d2(theta)[, d2(q)]
-    s = _term_samples(plan, [(plan.ik(kb)[..., : k + 1], factors)], size, k)
-    if speed is not None and size == n:
-        speed.append(_speed(s[m], s[0]))
-    # the products in place, each slot read before it is written:
-    # perp_grad(theta) . grad(q) = d1(theta) d2(q) - d2(theta) d1(q) into
-    # slot 1, then perp_grad(M q) . grad(theta) = d1(M q) d2(theta) -
-    # d2(M q) d1(theta) into slot 0
-    if m == 3:
-        np.multiply(s[1], s[5], out=s[5])
-        np.multiply(s[4], s[2], out=s[2])
-    np.multiply(s[m], s[1], out=s[m])
-    if m == 3:
-        np.subtract(s[5], s[2], out=s[1])
-    np.multiply(s[0], s[m + 1], out=s[0])
-    s[0] -= s[m]
-    boxes = _product_box(plan, s, slice(None, m - 1), k_out, k + 1)
-    out = boxes[0]
-    if m == 3:
-        out = np.multiply(plan.mult(len(out) // 2), boxes[1])
-        np.add(boxes[0], out, out=out)
-    return _dealiased(plan, out)
+    return plan.flux(m, size, k, len(theta))(plan, q, theta, speed)
+
+
+def _flux_slots(m: int) -> tuple:
+    """The slots of the flux's stacked products, for m factors. The samples
+    hold d1 of each factor, then d2 of each: a, c[, e], b, d[, f], with a, b
+    from M q, c, d from theta and e, f from q. The products are
+    [a, c] [d, f] - [b, d] [c, e], that is a d - b c, the first term,
+    perp_grad(M q) . grad(theta), and c f - d e, the second,
+    perp_grad(theta) . grad(q); one term keeps the first of each. Returns
+    the slices of [a, c], [d, f], [b, d] and [c, e]."""
+    t = m - 1
+    return slice(0, t), slice(m + 1, m + 1 + t), slice(m, m + t), slice(1, 1 + t)
+
+
+def _flux_kernel(plan: _Plan, m: int, size: int, k: int, rows: int):
+    """The flux of box rows q and theta of one layout (_Plan.flux), as a
+    function (plan, q, theta, speed) -> dealias-box rows, on fixed views
+    into the plan's workspace for 2m transforms on the size grid; it is
+    handed the plan at each call, so the plan that keeps it is not part of a
+    reference cycle and goes when its run drops it:
+    - the factors M q, theta[, q] are written into the samples' memory,
+      which the inverse transform writes only after reading them, and
+      scattered with their derivative symbols into the column buffer;
+    - the products are three ufunc calls on slices of the samples
+      (_flux_slots), [b, d] [c, e] written into the spent buffer's slots
+      of the forward transform, which overwrites them, and the difference
+      into the slots it reads; each product keeps its operands' values and
+      each difference its order, so every sample is that of the products
+      formed one by one;
+    - the speed's squares are formed in the samples of d1(M q) and
+      d2(M q), which the forward transform does not read.
+    Every transform goes through _samples and _lattice_half.
+    """
+    n, w, kb, t = plan.grid.n, k + 1, rows // 2, m - 1
+    lead, k_out = (2 * m,), int(plan.grid.dealias_radius)
+    buf, samples = plan.workspace(lead, size, w)
+    factors = samples.reshape(-1).view(np.complex128)[: m * rows * w].reshape(m, rows, w)
+    mq = plan.mult(kb)[:, :w]
+    ik = plan.ik(kb)[..., :w]
+    block = buf.reshape(2, m, size, -1)
+    scatter = [
+        (ik[:, None, src], factors[:, src], block[:, :, dst, :w])
+        for src, dst in _row_slices(rows, size)
+    ]
+    cols = buf[..., :w]
+    y1, y2, x1, x2 = (samples[sl] for sl in _flux_slots(m))
+    x = buf[m + 1 :].reshape(-1).view(np.float64)[: t * size * size].reshape(t, size, size)
+    speed_of = (samples[m], samples[0]) if size == n else None
+    mult, forward = plan.mult(), slice(m + 1, None)
+
+    def flux(plan: _Plan, q: np.ndarray, theta: np.ndarray, speed) -> np.ndarray:
+        plan.workspace(lead, size, w)
+        np.multiply(mq, q[:, :w], out=factors[0])
+        factors[1] = theta[:, :w]
+        if t == 2:
+            factors[2] = q[:, :w]
+        _clear_between(cols, rows)
+        for sym, src, dst in scatter:
+            np.multiply(sym, src, out=dst)
+        _samples(buf, samples, k)
+        np.multiply(x1, x2, out=x)
+        np.multiply(y1, y2, out=y2)
+        np.subtract(y2, x, out=y2)
+        if speed is not None and speed_of is not None:
+            speed.append(_speed(*speed_of, out=speed_of))
+        boxes = _product_box(plan, samples, forward, k_out, w)
+        out = boxes[0]
+        if t == 2:
+            out = np.multiply(mult, boxes[1])
+            np.add(boxes[0], out, out=out)
+        return _dealiased(plan, out)
+
+    return flux

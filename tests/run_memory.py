@@ -15,12 +15,20 @@ the start for `verify_inequalities(2, 4, 20)` and for one four-sigma
 the module's lattice caches are filled and the figures are the sampler's:
 nothing should stay held, and the peak is the samples it holds (f, g, the
 four H and one block's five pieces, on up to two product grids) plus its
-plan's workspace for each stack depth and grid. Each case comes from a
-fresh process:
+plan's workspace for each stack depth and grid.
+
+The `picard` case prints the same two figures for one `picard_solve` at
+n = 64 with the picard benchmark workload's setup (beta 1.7, kappa 0.5,
+gamma 0.3, ensemble decay 3.7 and critical norm 2.27, T = 0.1, dt = 1e-3,
+tol 1e-12, `ReduceSink`, as the command line runs it), after one untraced
+run. Nothing should stay held; the peak is one iterate's stage records
+and the one before's, with the plan's tables, workspace and flux kernels.
+Each case comes from a fresh process:
 
     PYTHONPATH=src python tests/run_memory.py one
     PYTHONPATH=src python tests/run_memory.py four
     PYTHONPATH=src python tests/run_memory.py battery
+    PYTHONPATH=src python tests/run_memory.py picard
 """
 
 from __future__ import annotations
@@ -29,7 +37,15 @@ import gc
 import sys
 import tracemalloc
 
-from gsqglab import GridSpec, ModelParams, ReduceSink, harness, inequalities, simulate
+from gsqglab import (
+    GridSpec,
+    ModelParams,
+    ReduceSink,
+    harness,
+    inequalities,
+    picard_solve,
+    simulate,
+)
 
 PARAMS = ModelParams(beta=1.5, kappa=0.5, gamma=0.3)
 CASES = {"one": [(512, 1.0)], "four": [(512, 1.0), (256, 1.0), (512, 2.0 / 3.0), (128, 0.9)]}
@@ -83,10 +99,26 @@ def battery() -> dict:
     return {label: traced_mib(run) for label, run in runs.items()}
 
 
+def picard() -> tuple[float, float]:
+    """(held, peak) MiB of one picard_solve at n = 64."""
+    params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
+    spec = harness.InitialSpec(profile="ensemble", decay=3.7, amplitude=2.27)
+    theta0 = harness.build_initial_data(spec, GridSpec(64), params, seed=3)
+
+    def run():
+        picard_solve(theta0, params, 0.1, 1e-3, tol=1e-12, sink=ReduceSink)
+
+    run()
+    return traced_mib(run)
+
+
 if __name__ == "__main__":
     case = sys.argv[1] if len(sys.argv) > 1 else "one"
     if case == "battery":
         for label, (held, peak) in battery().items():
             print(f"{label}: {held:.2f} MiB held, {peak:.2f} MiB peak")
+    elif case == "picard":
+        held, peak = picard()
+        print(f"picard_solve at n = 64: {held:.2f} MiB held, {peak:.2f} MiB peak")
     else:
         print(f"{case}: {held_mib(case):.2f} MiB held")

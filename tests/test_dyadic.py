@@ -3,12 +3,17 @@ import pytest
 
 from gsqglab import GridSpec, field_from_modes
 from gsqglab.dyadic import (
+    _chi_lattice,
+    _fat_diagonal,
+    _lattice_bound,
+    _phi_lattice,
     bernstein_check,
     build_partition,
     decompose,
     dyadic_block,
     low_pass,
 )
+from gsqglab.spectral import _half, _support
 from util import l2_norm, random_field
 
 
@@ -195,3 +200,21 @@ def test_bernstein_zero_block_is_error():
     f = field_from_modes(g, {(1, 0): 1.0j})   # energy only in shell j=0
     with pytest.raises(ValueError):
         bernstein_check(f, 3, 1.0)
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("period", [2 * np.pi, 3.0, 5.0])
+def test_lattice_bound_bounds_every_table_it_stands_for(n, period):
+    # chi_j, phi_(j-1) and the fattened diagonal of block j - 4 vanish
+    # beyond the bound; at a table that reaches it, the bound is its support
+    grid = GridSpec(n, period=period)
+    part = build_partition(grid)
+    tight = 0
+    for j in range(part.j_min - 3, part.j_max + 5):
+        bound = _lattice_bound(grid, j)
+        assert 0 <= bound <= n // 2 - 1
+        tables = (_chi_lattice(grid, j), _phi_lattice(grid, j - 1), _fat_diagonal(grid, j - 4))
+        supports = [_support(_half(t)) for t in tables]
+        assert max(supports) <= bound, j
+        tight += supports[0] == bound
+    assert tight >= 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import convolve2d
 
-from gsqglab import spectral
+from gsqglab import inequalities, spectral
 from gsqglab import (
     EnsembleSpec,
     GridSpec,
@@ -79,6 +79,48 @@ def test_random_test_field_bytes_match_the_full_lattice_construction(n):
                 want = full_lattice_test_field(spec, index)
                 assert got.half.tobytes() == want.half.tobytes(), (seed, decay, index)
                 assert not got.half.flags.writeable
+
+
+def _mix64_arrays(z):
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _random_test_field_in_arrays(spec, index):
+    """random_test_field as it was written with the key's prefix mixed in
+    0-d uint64 arrays and one hashing pass per salt."""
+    grid = spec.grid
+    n = grid.n
+    m1, m2 = np.broadcast_arrays(*map(spectral._half, spectral._modes(grid)))
+    canon = (m1 > 0) | ((m1 == 0) & (m2 > 0))
+    cm1, cm2 = np.where(canon, m1, -m1), np.where(canon, m2, -m2)
+
+    def uniform(salt):
+        with np.errstate(over="ignore"):
+            h = _mix64_arrays(np.asarray(int(spec.seed) % 2**64, dtype=np.uint64))
+            h = _mix64_arrays(h ^ np.uint64(index))
+            h = _mix64_arrays(h ^ np.uint64(salt))
+            h = _mix64_arrays(h ^ cm1.astype(np.int64).view(np.uint64))
+            h = _mix64_arrays(h ^ cm2.astype(np.int64).view(np.uint64))
+        return (h >> np.uint64(11)) * 2.0**-53
+
+    amp = spectral._half(spectral._homog_weight(grid, -spec.decay)) * (0.5 + 0.5 * uniform(1))
+    half = amp * np.exp(2j * np.pi * uniform(2) * np.where(canon, 1.0, -1.0))
+    half[0, 0] = 0.0
+    half[n // 2, :] = 0.0
+    half[:, n // 2] = 0.0
+    return half
+
+
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_random_test_field_keeps_the_bytes_of_the_array_mix(n):
+    for seed in (0, 11, -5, 2**63 + 5, 2**64 - 1):
+        spec = EnsembleSpec(GridSpec(n), 2.5, 8, seed=seed)
+        for index in (0, 1, 7, 2**40 + 3):
+            got = random_test_field(spec, index).half
+            assert got.tobytes() == _random_test_field_in_arrays(spec, index).tobytes()
 
 
 def test_coarse_grid_is_exact_truncation_of_fine():
@@ -321,6 +363,19 @@ def test_split_forms_sample_each_piece_once_per_product_grid(transforms):
     _split_forms(f, q, h, SPLIT_SIGMAS)
     assert transforms["irfft2"] <= 44
     assert transforms["rfft2"] == 0
+
+
+def test_split_forms_scan_a_block_piece_only_off_the_n_grid(monkeypatch):
+    # f, g and the four H are scanned; a block piece's dyadic bound stands
+    # for its support wherever it puts the form on the n-grid, which it does
+    # for the lower blocks of this triple (36 scans if every piece is scanned)
+    spec = EnsembleSpec(GridSpec(32), 2.5, 3, seed=2026)
+    f, q, h = (random_test_field(spec, i) for i in range(3))
+    scans = []
+    support = inequalities._support
+    monkeypatch.setattr(inequalities, "_support", lambda *a: scans.append(1) or support(*a))
+    _split_forms(f, q, h, SPLIT_SIGMAS)
+    assert 6 < len(scans) <= 19
 
 
 # ---------------------------------------------------------------- block commutator

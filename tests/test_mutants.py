@@ -93,7 +93,13 @@ def _product_box_tail_left_dirty(plan, samples, slots, k_out, width):
     return spectral._lattice_half(samples[slots], plan.grid.n, k_out, out=buf[slots])
 
 
-def _speed_without_u2(u1, u2):
+def _flux_slots_paired_wrong(m, _flux_slots=spectral._flux_slots):
+    # [b, d] [e, c] in place of [b, d] [c, e]: the one-term layout is unchanged
+    y1, y2, x1, x2 = _flux_slots(m)
+    return y1, y2, x1, slice(x2.stop - 1, x2.start - 1, -1)
+
+
+def _speed_without_u2(u1, u2, out=None):
     return float(np.sqrt((u1 * u1).max()))
 
 
@@ -221,8 +227,8 @@ def flux_oracle():
 
 def core_flux_oracle():
     """The stepping core's two-term flux on dealias-box rows, call after
-    call in one plan, against flux_divergence of their fields, byte for
-    byte, at every fraction."""
+    call in one plan, against the per-array product site of their fields
+    (util.per_array), byte for byte, at every fraction."""
     params = ModelParams(beta=1.7, kappa=0.5)
     for fraction in FRACTIONS:
         g = GridSpec(16, dealias_fraction=fraction)
@@ -230,7 +236,7 @@ def core_flux_oracle():
         for seed in (97, 99):
             theta, q = _disc_field(g, seed), _disc_field(g, seed + 1)
             qb, tb = (spectral._box(f.half, plan.k) for f in (q, theta))
-            want = spectral._box(flux_divergence(q, theta, params).half, plan.k)
+            want = spectral._box(per_array("two_term", q, theta, params).half, plan.k)
             assert spectral._flux_rows(plan, qb, tb).tobytes() == want.tobytes()
 
 
@@ -346,6 +352,9 @@ MUTANTS = {
     ),
     "pruned column pass drops its last kept column": (
         spectral, "_samples", _samples_pass_one_column_short, n_grid_samples_oracle,
+    ),
+    "stacked products pair the wrong slots": (
+        spectral, "_flux_slots", _flux_slots_paired_wrong, core_flux_oracle,
     ),
     "flux drops its second term": (
         spectral, "_flux_rows", _flux_rows_without_second_term, direct_flux_oracle,

@@ -1031,6 +1031,74 @@ def test_flux_reads_the_peak_speed_on_the_n_grid(op, fraction):
     assert [np.float64(x).tobytes() for x in speed] == [np.float64(want).tobytes()] * len(speed)
 
 
+def _flux_rows_one_by_one(plan, q, theta, speed=None):
+    """The flux on box rows as it was written before the per-layout kernel:
+    a fresh factor stack, a product per ufunc call, the speed's squares in
+    fresh arrays, and the two terms' boxes combined after the forward call."""
+    n = plan.grid.n
+    k_out = int(plan.grid.dealias_radius)
+    if len(q) != len(theta):
+        q, theta = (spectral._box(spectral._unbox(a, n), max(len(q), len(theta)) // 2)
+                    for a in (q, theta))
+    size, k = spectral._grid_size(n, (q,), (theta,), k_out)
+    kb = len(theta) // 2
+    m = 3 if plan.params.two_term and q is not theta else 2
+    qk = q[:, : k + 1]
+    factors = np.empty((m, len(theta), k + 1), dtype=np.complex128)
+    np.multiply(plan.mult(kb)[:, : k + 1], qk, out=factors[0])
+    factors[1] = theta[:, : k + 1]
+    if m == 3:
+        factors[2] = qk
+    s = spectral._term_samples(plan, [(plan.ik(kb)[..., : k + 1], factors)], size, k)
+    if speed is not None and size == n:
+        speed.append(float(np.sqrt((s[m] * s[m] + s[0] * s[0]).max())))
+    if m == 3:
+        np.multiply(s[1], s[5], out=s[5])
+        np.multiply(s[4], s[2], out=s[2])
+    np.multiply(s[m], s[1], out=s[m])
+    if m == 3:
+        np.subtract(s[5], s[2], out=s[1])
+    np.multiply(s[0], s[m + 1], out=s[0])
+    s[0] -= s[m]
+    boxes = spectral._product_box(plan, s, slice(None, m - 1), k_out, k + 1)
+    out = boxes[0]
+    if m == 3:
+        out = np.multiply(plan.mult(len(out) // 2), boxes[1])
+        np.add(boxes[0], out, out=out)
+    return spectral._dealiased(plan, out)
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+@pytest.mark.parametrize("op", ["one_term", "two_term", "log_law"])
+def test_flux_kernel_keeps_the_bytes_of_the_products_formed_one_by_one(op, fraction):
+    # call after call in one plan, across layouts: q = theta and q != theta,
+    # products on the n-grid and on 3n/2, rows of one bound and of two
+    g = GridSpec(32, dealias_fraction=fraction)
+    params = _STACK_OPS[op]
+    plan, ref_plan = spectral._Plan(g, params), spectral._Plan(g, params)
+    disc = [spectral._box(_disc_field(g, seed=s).half, plan.k) for s in (61, 62)]
+    full = [spectral._box_field(random_field(g, seed=s, decay=1.0)) for s in (63, 64)]
+    low = [spectral._box(random_field(g, seed=s, band=4).half, plan.k) for s in (65, 66)]
+    cases = [
+        (disc[0], disc[1]), (disc[0], disc[0]), (full[0], full[1]), (full[0], full[0]),
+        (full[0], disc[1]), (disc[0], full[1]), (-disc[1], disc[0]), (disc[1], disc[0]),
+        (low[0], low[1]), (low[0], low[0]), (low[1], disc[0]), (full[1], low[0]),
+    ]
+    sizes = set()
+    for q, theta in cases * 2:
+        got_speed, want_speed = [], []
+        got = spectral._flux_rows(plan, q, theta, got_speed)
+        want = _flux_rows_one_by_one(ref_plan, q, theta, want_speed)
+        assert got.tobytes() == want.tobytes()
+        assert np.array(got_speed).tobytes() == np.array(want_speed).tobytes()
+        assert got.tobytes() == spectral._flux_rows(plan, q, theta).tobytes()
+        rows = max(len(q), len(theta))
+        boxed = [spectral._box(spectral._unbox(a, g.n), rows // 2) for a in (q, theta)]
+        sizes.add(spectral._grid_size(g.n, *([a] for a in boxed), int(g.dealias_radius))[0])
+    assert sizes == {g.n, 3 * g.n // 2}
+    assert len(disc[0]) < len(full[0]) if fraction < 1 else len(disc[0]) == len(full[0])
+
+
 @pytest.mark.parametrize("fraction", FRACTIONS)
 def test_support_bound_never_changes_the_product_grid(fraction, product_sizes):
     # a bound is read only when it puts the product on the n-grid; a loose

@@ -216,8 +216,7 @@ def full_lattice_test_field(spec, index) -> SpectralField:
     canon = (m1 > 0) | ((m1 == 0) & (m2 > 0))
     cm1 = np.where(canon, m1, -m1)
     cm2 = np.where(canon, m2, -m2)
-    u_mod = _hash_uniform(spec.seed, index, cm1, cm2, 1)
-    u_arg = _hash_uniform(spec.seed, index, cm1, cm2, 2)
+    u_mod, u_arg = _hash_uniform(spec.seed, index, cm1, cm2, (1, 2))
     amp = _homog_weight(grid, -spec.decay) * (0.5 + 0.5 * u_mod)
     sign = np.where(canon, 1.0, -1.0)
     coeffs = amp * np.exp(2j * np.pi * u_arg * sign)
