@@ -45,6 +45,7 @@ from .solver import (
     ScalingReport,
     Trajectory,
     _admissible_initial,
+    _check_gevrey,
     _loglog_fit,
     decay_study,
     default_delta,
@@ -1357,18 +1358,21 @@ class Scenario(NamedTuple):
     help is its command-line help. needs_inputs marks a kind that integrates
     from initial data: its config needs [grid], [model] and [initial], and
     its handler gets a _Start instead of None. run is the handler.
+    tracks_gevrey marks a kind whose run computes gevrey_term: its [gevrey]
+    knobs are checked against the run's params before the run.
     """
 
     help: str
     needs_inputs: bool
     run: Callable[[ScenarioConfig, _Start | None, str], tuple[list[str], bool]]
+    tracks_gevrey: bool = False
 
 
 # The only definition of the scenario kinds: parse_config, run_scenario and
 # the command line take the kinds, their needs and their help from here.
 SCENARIOS = {
     "simulate": Scenario(
-        "integrate the full equation and write diagnostics", True, _run_simulate
+        "integrate the full equation and write diagnostics", True, _run_simulate, True
     ),
     "picard": Scenario(
         "run the fixed-point iteration and report contraction", True, _run_picard
@@ -1388,7 +1392,7 @@ SCENARIOS = {
         "fit long-time decay slopes of derivative norms", True, _run_decay_study
     ),
     "gevrey-track": Scenario(
-        "track the weighted analyticity-radius norm", True, _run_gevrey_track
+        "track the weighted analyticity-radius norm", True, _run_gevrey_track, True
     ),
 }
 SCENARIO_KINDS = tuple(SCENARIOS)
@@ -1408,6 +1412,8 @@ def run_scenario(config: ScenarioConfig) -> int:
         return EXIT_USAGE
     try:
         start = _initial_for(config) if scenario.needs_inputs else None
+        if scenario.tracks_gevrey:
+            _check_gevrey(start.params, *config.gevrey.resolved(start.params))
         # created only now, so a refused run leaves no empty directory
         try:
             os.makedirs(config.out_dir, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Sobolev, Besov, and Gevrey norms plus interpolation-inequality checks.
+"""Sobolev and Gevrey norms plus interpolation-inequality checks.
 
 All norms follow the box Parseval convention ||f||_{L2}^2 = L^2 sum |f_hat|^2,
 so every value here is an exact finite lattice sum, and the interpolation
@@ -15,10 +15,10 @@ the one homogeneous Sobolev seminorm (unchecked, the mean weighted zero), of
 |k|^(2s) |c|^2; `sobolev_norm` and every L2 or Sobolev number the solver prints
 (diagnostics rows, Picard distances, scaling and decay reports) go through
 it, so each printed value is `sobolev_norm`'s bit for bit, and no full
-array is mirrored for one. The Besov norm and the Bernstein check keep BLAS
-sums over the full array (`np.linalg.norm`), and `inner_product` its
-`np.vdot`: both round differently, and switching them would change printed
-digits. The one norm that scales an initial profile to its amplitude
+array is mirrored for one. The Bernstein check (`dyadic`) keeps BLAS sums
+over the full array (`np.linalg.norm`), and `inner_product` its `np.vdot`:
+both round differently, and switching them would change printed digits.
+The one norm that scales an initial profile to its amplitude
 (`harness._profile_norm`) keeps a plain sum over the mirrored full lattice,
 so initial states, and the checkpoints made from them, do not depend on
 `_parseval`'s order.
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import decompose
 from .spectral import (
     SpectralField,
     _half,
@@ -96,55 +95,19 @@ def sobolev_norm(field: SpectralField, s: float, homogeneous: bool = True) -> fl
     return _l2(field.half, field.grid.period, (1.0 + kabs * kabs) ** s)
 
 
-def besov_norm(field: SpectralField, s: float) -> float:
-    """l2-summed dyadic block norms, (sum_j (2^(js) ||block_j||)^2)^(1/2)."""
-    if not field.mean_zero:
-        raise ValueError("Besov norm requires a mean-zero field")
-    blocks = decompose(field)
-    total = 0.0
-    for j, b in blocks.items():
-        block_l2 = field.grid.period * float(np.linalg.norm(b.coeffs))
-        total += (2.0 ** (j * s) * block_l2) ** 2
-    return math.sqrt(total)
-
-
 def gevrey_norm(field: SpectralField, alpha: float, lam: float, s: float) -> float:
     """Sobolev norm of order s after the Gevrey weight exp(lam |k|^alpha)."""
     return sobolev_norm(gevrey_operator(field, alpha, lam), s, homogeneous=True)
 
 
 def _weighted_gevrey(field, t, alpha, eps, sigma_c, delta, gamma, kappa) -> float:
-    """The term snapshot (t, field) contributes to xt_norm."""
+    """The power-law term of the space-time Gevrey norm (solver.gevrey_term)
+    at the snapshot (t, field), t > 0: (gamma t)^(delta/kappa) times the
+    field's Gevrey norm of order alpha, radius
+    eps * gamma^(alpha/kappa) * t^(alpha/kappa), and regularity
+    sigma_c + delta."""
     lam = eps * gamma ** (alpha / kappa) * t ** (alpha / kappa)
     return (gamma * t) ** (delta / kappa) * gevrey_norm(field, alpha, lam, sigma_c + delta)
-
-
-def xt_norm(
-    snapshots,
-    alpha: float,
-    eps: float,
-    sigma_c: float,
-    delta: float,
-    gamma: float,
-    kappa: float,
-) -> float:
-    """Supremum over positive-time snapshots of the weighted Gevrey norm.
-
-    Each snapshot (t, field) with t > 0 contributes `_weighted_gevrey`:
-    (gamma t)^(delta/kappa) * ||field|| in the Gevrey class of order alpha,
-    radius eps * gamma^(alpha/kappa) * t^(alpha/kappa), and regularity
-    sigma_c + delta. t = 0 snapshots carry a zero prefactor by convention
-    and are skipped.
-    """
-    best = None
-    for t, field in snapshots:
-        if t <= 0.0:
-            continue
-        val = _weighted_gevrey(field, t, alpha, eps, sigma_c, delta, gamma, kappa)
-        best = val if best is None else max(best, val)
-    if best is None:
-        raise ValueError("trajectory has no positive-time snapshots")
-    return best
 
 
 def check_interpolation(field: SpectralField, s: float, s1: float, s2: float) -> InequalityReport:

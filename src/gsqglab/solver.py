@@ -3,11 +3,11 @@
 The stepper is an integrating-factor RK4: the stiff diagonal part (fractional
 dissipation plus optional artificial viscosity) is applied exactly per mode
 between stages, so with the transport term disabled every output coincides
-with the closed-form propagator. Each `simulate`, `picard_solve` (its seed
-and every iterate) and `linear_flux_solve` call makes one product plan
-(spectral._Plan), dropped when it returns: it holds the decay rate of the
-integrating factors, the diagnostics weights, the product engine's tables
-and its workspace, so a run leaves nothing behind. The state, stage values
+with the closed-form propagator. Each `simulate` and `picard_solve` (its
+seed and every iterate) call makes one product plan (spectral._Plan),
+dropped when it returns: it holds the decay rate of the integrating
+factors, the diagnostics weights, the product engine's tables and its
+workspace, so a run leaves nothing behind. The state, stage values
 and slopes lie in the dealias box (spectral._box_bound), and the stepping
 core carries them as (2K + 1) x (K + 1) box rows, 44 % of the half spectrum
 at fraction 2/3; it forms the RK4 combine on them in place, bit for bit the
@@ -21,9 +21,11 @@ flux_divergence(theta, theta) is -u . grad(theta). The Courant number
 (`_courant`) takes the peak speed of q's velocity on the n-grid at the start
 of the step, read, when the first stage's products fit the n-grid, from the
 samples of d1(M q) and d2(M q) the product engine makes. On top of the
-direct solver sit the fixed-point machinery (a linear solve with frozen
-transport coefficients, iterated to convergence), exact self-similar
-rescaling, and the decay and analyticity-radius diagnostics.
+direct solver sit the fixed-point machinery (`picard_solve`: the solve with
+transport coefficients frozen at the previous iterate, iterated to
+convergence), exact self-similar rescaling, and the decay and
+analyticity-radius diagnostics (`decay_study`, and `gevrey_term` with
+`gevrey_report`).
 
 A run hands each snapshot (t, field, row) to a sink, chosen by the `sink`
 keyword of `simulate` and `picard_solve`. field and row are zero-argument
@@ -44,8 +46,8 @@ final snapshot's slope and Courant number: velocity components are formed
 for a row alone, except where the Courant number's peak speed needs them
 transformed (products on the 3n/2 grid). `picard_solve` reads the previous
 iterate's stage records, box rows (55 % less memory than half spectra at
-n = 64), through the one stage provider, `_as_stage_provider`, which holds
-the only copy of the record list and drops each record once the new
+n = 64), through the one stage provider, `_stage_provider`, which holds
+the only reference to the record list and drops each record once the new
 iterate's step has read it. Each step difference is reduced to its norms,
 on the box rows, as the step's start value is formed. With `ReduceSink` an
 iterate holds one iterate's stage records at a time, plus the final fields
@@ -67,8 +69,6 @@ from .spectral import (
     ModelParams,
     SpectralField,
     _box,
-    _box_bound,
-    _box_field,
     _dealias_mask,
     _decay_rate,
     _flux_rows,
@@ -77,7 +77,6 @@ from .spectral import (
     _kabs,
     _peak_speed,
     _Plan,
-    _support,
     _velocity_rows,
     _wrap_half,
 )
@@ -100,8 +99,6 @@ __all__ = [
     "default_delta",
     "gevrey_report",
     "gevrey_term",
-    "gevrey_tracking",
-    "linear_flux_solve",
     "linear_heat_propagator",
     "picard_solve",
     "rescale_solution",
@@ -149,10 +146,6 @@ class Trajectory:
             raise ValueError("times, fields, and diagnostics rows must align")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("snapshot times must be strictly increasing")
-
-    def snapshots(self):
-        """(t, field) pairs, the shape the space-time norms consume."""
-        return tuple(zip(self.times, self.fields))
 
     @property
     def final(self) -> SpectralField:
@@ -331,7 +324,7 @@ def _equation_stages(plan: _Plan, nonlinear: bool):
     with each stage its own q, the final state's included, or with transport
     off, zero tendencies and the state's velocity for the CFL measurement."""
     if nonlinear:
-        return _flux_stages(plan, lambda _i, _stage, c: c, math.inf, None, negate=False)
+        return _flux_stages(plan, lambda _i, _stage, c: c, math.inf, None)
 
     def factory(_i, c):
         u = _velocity_rows(plan, c)
@@ -463,6 +456,11 @@ def _step_count(T: float, dt: float) -> int:
     return n
 
 
+def _check_stride(snapshot_stride: int) -> None:
+    if snapshot_stride < 1:
+        raise ValueError("snapshot stride must be a positive integer")
+
+
 @_quiet_blow_up
 def _run(
     plan, theta0, T, dt, snapshot_stride, c_cfl, nonlinear, nonlin_factory, sink,
@@ -487,8 +485,7 @@ def _run(
     """
     grid, params = plan.grid, plan.params
     n_steps = _step_count(T, dt)
-    if snapshot_stride < 1:
-        raise ValueError("snapshot stride must be a positive integer")
+    _check_stride(snapshot_stride)
     guard = c_cfl if nonlinear else None
 
     c = _admissible_box(plan, theta0)
@@ -551,100 +548,31 @@ def simulate(
 
 
 # ---------------------------------------------------------------------------
-# frozen-coefficient linear solve and the fixed-point iteration
+# the fixed-point iteration
 
 
-def _as_stage_provider(q, grid, n_steps, dt):
-    """Normalize q to a function (step, stage, f) -> q's stage value as box
-    rows; f is ignored. A field is boxed at the dealias box's bound, the
-    state's, when its support fits there, so the flux pairs it with the
-    state as it is; otherwise at n/2 - 1 (_box_field).
-
-    Callables are sampled at the stage times t, t+dt/2, t+dt/2, t+dt (the
-    two middle stages share their time). Sequences must hold one 4-tuple per
-    step, one per stage slot, of fields or, as picard_solve keeps them, of
-    dealias-box rows: no temporal interpolation ever happens. The provider
-    reads a copy of the sequence and drops record i - 1 from it when step i
-    reads stage 0, so the records free as the run passes them unless the
-    caller holds the sequence. The last record stays: the final row reads
-    its end stage.
+def _stage_provider(records: list):
+    """The previous iterate's stage records, one 4-list of dealias-box rows
+    per step, as a function (step, stage, f) -> q's stage value; f is
+    ignored. The provider owns the list and drops record i - 1 from it when
+    step i reads stage 0, so each record frees once the run has passed it.
+    The last record stays: the final row reads its end stage.
     """
-    def rows(f):
-        if not isinstance(f, SpectralField):
-            return f
-        if f.grid != grid:
-            raise ValueError("coefficient trajectory lives on the wrong grid")
-        k = _box_bound(grid)
-        return _box(f.half, k) if _support(f.half) <= k else _box_field(f)
-
-    if callable(q):
-        offsets = (0.0, 0.5 * dt, 0.5 * dt, dt)
-        return lambda i, stage, _f=None: rows(q(i * dt + offsets[stage]))
-
-    samples = list(q)
-    if len(samples) < n_steps:
-        raise ValueError(
-            f"coefficient trajectory has {len(samples)} steps, run needs {n_steps}"
-        )
-
     def provider(i, stage, _f=None):
         if stage == 0 and i > 0:
-            samples[i - 1] = None
-        rec = samples[i]
-        if len(rec) != 4:
-            raise ValueError("each step needs exactly four stage samples")
-        return rows(rec[stage])
+            records[i - 1] = None
+        return records[i][stage]
 
     return provider
 
 
-def linear_flux_solve(
-    theta0: SpectralField,
-    q,
-    params: ModelParams,
-    T: float,
-    dt: float,
-    snapshot_stride: int = 1,
-    *,
-    c_cfl: float = DEFAULT_CFL,
-    stage_sink: list | None = None,
-) -> Trajectory:
-    """Integrate the linear equation with frozen transport coefficients q.
-
-    q is either a callable t -> SpectralField or a per-step sequence of
-    4-tuples of stage samples. The stepper matches simulate's, with the
-    tendency -flux_divergence(q(stage), theta_stage); q identically zero
-    reproduces the pure heat flow. When stage_sink is a list, the
-    solution's own stage values (start of step, the two half-step stages,
-    the end-of-step stage) are appended to it as fields, per step as
-    4-element lists, once the run has ended: the exact shape the next
-    fixed-point iterate consumes as q. A run that raises still leaves the
-    records made before it stopped, the last one possibly short. stage_sink
-    must be empty: a list that already holds records raises ValueError
-    before any step. A list passed as q is read, never changed.
-    """
-    if stage_sink:
-        raise ValueError("stage_sink must be an empty list")
-    grid = theta0.grid
-    n_steps = _step_count(T, dt)
-    provider = _as_stage_provider(q, grid, n_steps, dt)
-    records = None if stage_sink is None else []
-    plan = _Plan(grid, params)
-    factory = _flux_stages(plan, provider, n_steps, records, negate=True)
-    try:
-        return _run(plan, theta0, T, dt, snapshot_stride, c_cfl, True, factory, TrajectorySink())
-    finally:
-        if stage_sink is not None:
-            stage_sink.extend([_from_box(grid, c) for c in rec] for rec in records)
-
-
-def _flux_stages(plan, provider, n_steps, stage_sink, *, negate):
+def _flux_stages(plan, provider, n_steps, stage_sink):
     """Stage-tendency factory, in the shape _run takes, of the modified-flux
     solve over n_steps steps: the tendency of the stage value c at stage s
-    of step i is flux_divergence(q, c), negated when negate is true, with
-    q = provider(i, s, c), box rows; the final row reads q at the
-    last step's end stage. When stage_sink is a list, each step's four stage
-    values are appended to it as one list, in the rows they come in. The
+    of step i is flux_divergence(q, c), with q = provider(i, s, c), box
+    rows; the final row reads q at the last step's end stage. When
+    stage_sink is a list, each step's four stage values are appended to it
+    as one list, in the rows they come in. The
     Courant velocity is q's at the start of the step; when the first stage's
     products fit the n-grid, its peak speed is read from the samples that
     stage's flux transforms make, and its components are formed only for a
@@ -660,13 +588,11 @@ def _flux_stages(plan, provider, n_steps, stage_sink, *, negate):
             stage_sink.append(record)
 
         def tendency(f, stage):
-            if record is not None and len(record) < 4:
+            if record is not None:
                 record.append(f)
             if stage == 0:
-                div = _flux_rows(plan, q0, f, speed)
-            else:
-                div = _flux_rows(plan, provider(i, stage, f), f)
-            return -div if negate else div
+                return _flux_rows(plan, q0, f, speed)
+            return _flux_rows(plan, provider(i, stage, f), f)
 
         k1 = tendency(c, 0)
         if speed:
@@ -732,9 +658,10 @@ def picard_solve(
 
     The previous iterate's stages go to the solve as they are, with the
     tendency +flux_divergence(f, theta): flux_divergence is linear in q and
-    negation is exact, so that equals -flux_divergence(-f, theta) bit for bit.
+    negation is exact, so that equals -flux_divergence(-f, theta) in every
+    value, and in every byte once each zero is written as +0.0.
     The solve and the step differences read them through one
-    _as_stage_provider, which holds the only reference to them and drops
+    _stage_provider, which holds the only reference to them and drops
     each record once the new iterate's step has read it; each step's
     difference to the previous iterate is reduced to its norms as the
     step's start value is formed. sink() makes each iterate's snapshot
@@ -742,6 +669,7 @@ def picard_solve(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _check_stride(snapshot_stride)
     grid = theta0.grid
     plan = _Plan(grid, params)
     theta0 = _from_box(grid, _admissible_box(plan, theta0))
@@ -778,10 +706,10 @@ def picard_solve(
 
     for n in range(1, max_iter + 1):
         # the provider holds the only reference to the previous stage records
-        prev = _as_stage_provider(stages, grid, n_steps, dt)
+        prev = _stage_provider(stages)
         stages = []
         l2s, cubes = [], []
-        factory = _flux_stages(plan, prev, n_steps, stages, negate=False)
+        factory = _flux_stages(plan, prev, n_steps, stages)
         traj = _run(
             plan, theta0, T, dt, snapshot_stride, c_cfl, True, factory, sink(), difference
         )
@@ -988,9 +916,17 @@ def gevrey_term(
     t: float, field: SpectralField, params: ModelParams, alpha: float, eps_rate: float,
     delta: float,
 ) -> float:
-    """The entry of gevrey_tracking's series for the snapshot (t, field),
-    which a sink can compute as the snapshot arrives. Refuses the parameters
-    gevrey_tracking refuses.
+    """The time-weighted analyticity-radius term of the snapshot (t, field),
+    which a sink computes as the snapshot arrives; gevrey_report reduces
+    the series.
+
+    Power law: norms._weighted_gevrey, one Gevrey norm per snapshot; at
+    t = 0 the weight (gamma t)^(delta/kappa) makes the term 0 for delta > 0.
+    Log law: the unweighted Gevrey norm with the linearly growing radius
+    eps_rate * t. Refuses alpha outside (0, kappa), a negative eps_rate and
+    delta outside [0, default_delta(params)]. An overflow of the Gevrey
+    weight is a meaningful diagnostic (the radius outgrew the resolvable
+    range) and propagates as OverflowGuardError.
     """
     _check_gevrey(params, alpha, eps_rate, delta)
     sigma = params.sigma_c + delta
@@ -1006,7 +942,10 @@ def gevrey_term(
 def gevrey_report(
     params: ModelParams, times, series, alpha: float, eps_rate: float, delta: float
 ) -> GevreyTrackReport:
-    """The report of a gevrey_term series over the snapshot times."""
+    """The report of a gevrey_term series over the snapshot times. Its sup
+    is, for the power law, the largest positive-time term, the space-time
+    norm of the run (the first term if no time is positive); for the log
+    law, the largest term."""
     if params.velocity_law == "log":
         sup = max(series)
     else:
@@ -1020,26 +959,3 @@ def gevrey_report(
         eps_rate=eps_rate,
         delta=delta,
     )
-
-
-def gevrey_tracking(
-    trajectory: Trajectory,
-    alpha: float,
-    eps_rate: float,
-    delta: float,
-) -> GevreyTrackReport:
-    """Time-weighted analyticity-radius norm along a trajectory.
-
-    Power law: the series holds each snapshot's term of norms.xt_norm (one
-    Gevrey norm per snapshot), and the sup, the largest positive-time term,
-    is xt_norm of the run, the space-time norm. Log law: the unweighted
-    Gevrey norm with the linearly growing radius eps_rate * t. An overflow
-    of the Gevrey weight is a meaningful diagnostic (the radius outgrew the
-    resolvable range) and propagates as OverflowGuardError.
-    """
-    params = trajectory.params
-    _check_gevrey(params, alpha, eps_rate, delta)
-    series = [
-        gevrey_term(t, f, params, alpha, eps_rate, delta) for t, f in trajectory.snapshots()
-    ]
-    return gevrey_report(params, trajectory.times, series, alpha, eps_rate, delta)

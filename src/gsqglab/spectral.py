@@ -369,7 +369,12 @@ class ModelParams:
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
-    """Evaluate the field at the n x n physical sample points."""
+    """Evaluate the field at the n x n physical sample points.
+
+    Public, though no scenario calls it: the tests read physical samples
+    through it (their peak-speed oracle among them). Oracle:
+    test_to_physical_matches_complex_inverse_transform.
+    """
     box = _box_field(field)
     return _term_samples(_Plan(field.grid), (box,), field.grid.n, _support_bound(box))[0]
 
@@ -467,7 +472,12 @@ def field_from_modes(grid: GridSpec, modes: dict) -> SpectralField:
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
-    """L2 inner product over the box, period^2 sum f_hat conj(g_hat)."""
+    """L2 inner product over the box, period^2 sum f_hat conj(g_hat).
+
+    Public, though no scenario calls it: the commutator checks pair their
+    brackets with h through it. Oracle:
+    test_trilinear_sigma_zero_is_plancherel_pairing.
+    """
     if f.grid != g.grid:
         raise ValueError("inner product requires a shared grid")
     return float(np.real(np.vdot(g.coeffs, f.coeffs))) * f.grid.period**2
@@ -878,7 +888,11 @@ def _dealiased(plan: _Plan, box: np.ndarray) -> np.ndarray:
 
 
 def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product fg, exact on the full retained lattice."""
+    """Pointwise product fg, exact on the full retained lattice.
+
+    Public, though no scenario calls it: the commutator brackets are built
+    of it. Oracle: test_product_matches_direct_convolution.
+    """
     if f.grid != g.grid:
         raise ValueError("product requires a shared grid")
     n = f.grid.n
@@ -931,6 +945,10 @@ def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams)
     divergence free; they share the samples of grad theta. Transforms: 4
     inverse and 1 forward for one term, 6 and 2 for two, in one inverse and
     one forward call.
+
+    Public, though no scenario calls it: the field form of the flux the
+    stepping core runs on box rows (_flux_rows), which the tests compare
+    with it. Oracle: test_flux_divergence_oracle_across_dealias_fractions.
     """
     grid = theta.grid
     if q.grid != grid:
@@ -945,8 +963,8 @@ def flux_divergence(q: SpectralField, theta: SpectralField, params: ModelParams)
 def _flux_rows(plan: _Plan, q: np.ndarray, theta: np.ndarray, speed=None) -> np.ndarray:
     """flux_divergence under the plan's params of the box rows q and theta,
     unchecked, as dealias-box rows, by the plan's kernel of their layout.
-    Rows of two bounds (linear_flux_solve's field q against its state) are
-    first both boxed at the larger.
+    q and theta are rows of one bound: the stepping core's are the dealias
+    box's, a public product's n/2 - 1.
 
     speed, if given, is a list. When the products are formed on the n-grid,
     the peak speed (_speed) of velocity_from_scalar(q, params) is appended
@@ -954,11 +972,8 @@ def _flux_rows(plan: _Plan, q: np.ndarray, theta: np.ndarray, speed=None) -> np.
     transform; (-x)(-x) = x x, so the sign of u2 is not formed. Otherwise
     it stays as it is.
     """
-    n = plan.grid.n
-    if len(q) != len(theta):
-        q, theta = (_box(_unbox(a, n), max(len(q), len(theta)) // 2) for a in (q, theta))
     # every factor lies inside q's or theta's support
-    size, k = _grid_size(n, (q,), (theta,), int(plan.grid.dealias_radius))
+    size, k = _grid_size(plan.grid.n, (q,), (theta,), int(plan.grid.dealias_radius))
     m = 3 if plan.params.two_term and q is not theta else 2
     return plan.flux(m, size, k, len(theta))(plan, q, theta, speed)
 

@@ -21,7 +21,6 @@ from gsqglab import (
     SpectralField,
     decay_study,
     estimate_best_constant,
-    gevrey_tracking,
     linear_heat_propagator,
     picard_solve,
     random_test_field,
@@ -33,7 +32,7 @@ from gsqglab import (
     verify_operators,
 )
 from gsqglab.spectral import _kabs
-from util import l2_norm, random_field
+from util import gevrey_track, l2_norm, random_field
 
 
 def scaled(field, target_l2):
@@ -290,12 +289,10 @@ def decay_and_tracking(params):
     )
     assert report.window == (0.1, 1.0)
     assert report.n_points >= 10
-    sups = {}
-    for n in (64, 128):
-        traj = simulate(
-            small_data(n, params, 0.1), params, T=1.0, dt=2e-3, snapshot_stride=10
-        )
-        sups[n] = gevrey_tracking(traj, **TRACK).sup
+    sups = {
+        n: gevrey_track(small_data(n, params, 0.1), params, 1.0, 2e-3, 10, **TRACK).sup
+        for n in (64, 128)
+    }
     return report, sups
 
 

@@ -1309,6 +1309,38 @@ def test_cli_refused_resume_leaves_no_directory(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["simulate", "gevrey-track"])
+def test_cli_refuses_an_out_of_range_gevrey_delta_before_the_run(kind, tmp_path, capsys,
+                                                                 monkeypatch):
+    # default_delta bounds delta by 0.25 at beta = 1, kappa = 0.5: the
+    # refusal comes before any step and before the output directory is made
+    body = SIM_BODY.replace("kind = simulate", f"kind = {kind}").replace("beta = 1.5", "beta = 1")
+    cfg = run_cfg(tmp_path, body + "\n[gevrey]\ndelta = 5\n")
+    monkeypatch.setattr(harness, "simulate", None)   # a run would fail
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "invalid scenario parameters: delta must lie in [0, 0.25], got 5.0\n"
+    assert not out.exists()
+
+
+def test_cli_checks_gevrey_delta_against_the_resumed_params(tmp_path, capsys):
+    # the checkpoint's beta = 1.5 bounds delta by kappa / 3, below the 0.25
+    # the config's own beta = 1 would allow
+    ck = tmp_path / "mid.ck"
+    first = run_cfg(tmp_path, SIM_BODY, "first")
+    assert main(["simulate", "--config", str(first), "--out", str(tmp_path / "a"),
+                 "--checkpoint", str(ck)]) == EXIT_OK
+    body = SIM_BODY.replace("T = 0.02", "T = 0.04").replace("beta = 1.5", "beta = 1")
+    cfg = run_cfg(tmp_path, body + "\n[gevrey]\ndelta = 0.2\n")
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out), "--resume", str(ck)])
+    assert code == EXIT_CONFIG
+    assert "delta must lie in [0, 0.166667], got 0.2" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+
 def test_cli_resume_only_for_simulate(tmp_path, capsys):
     body = SIM_BODY.replace("kind = simulate", "kind = picard")
     cfg = run_cfg(tmp_path, body)
@@ -1423,6 +1455,80 @@ def test_modules_read_every_name_they_import():
                     if name not in read and (path.stem, name) not in UNREAD_IMPORTS:
                         unread.append(f"{path.name}:{node.lineno}: {name}")
     assert unread == []
+
+
+_ITEM_3 = "ROADMAP item 3: the commutator estimates in verify-inequalities"
+_ITEM_15 = "ROADMAP item 15: sharp constants"
+_ITEM_17 = "ROADMAP item 17: the contraction threshold"
+
+
+def _field_api(test):
+    return f"public field API, oracle of {test}"
+
+
+# Every top-level function and class that no scenario reaches, with what
+# keeps it: a ROADMAP item that will give it a route, or its public role
+UNREACHED = {
+    "check_interpolation": _ITEM_3,
+    "derivative_bound_check": _ITEM_3,
+    "commutator_block": _ITEM_3,
+    "commutator_singular": _ITEM_3,
+    "commutator_gevrey": _ITEM_3,
+    "commutator_log": _ITEM_3,
+    "TrilinearReport": _ITEM_3,
+    "_bracket": _ITEM_3,
+    "_ghs": _ITEM_3,
+    "_require_annulus_support": _ITEM_3,
+    "trilinear_form": _ITEM_3,
+    "bony_split": _ITEM_3,
+    "estimate_best_constant": _ITEM_15,
+    "ConstantSurvey": _ITEM_15,
+    "_member_ratios": _ITEM_15,
+    "_block_ratios": _ITEM_15,
+    "amplitude_threshold_sweep": _ITEM_17,
+    "ThresholdSweep": _ITEM_17,
+    "flux_divergence": _field_api("test_flux_divergence_oracle_across_dealias_fractions"),
+    "multiply_fields": _field_api("test_product_matches_direct_convolution"),
+    "inner_product": _field_api("test_trilinear_sigma_zero_is_plancherel_pairing"),
+    "to_physical": _field_api("test_to_physical_matches_complex_inverse_transform"),
+}
+
+
+def _unreached_from_cli() -> set:
+    """The top-level functions and classes of the package that the static
+    name graph from cli.main does not reach. A top-level definition (def,
+    class or assignment) is reached when a reached body names it, as a
+    name or an attribute, in any module."""
+    defs: dict = {}
+    for path in sorted(Path(gsqglab.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+                if (path.stem, node.name) == ("cli", "main"):
+                    root = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    defs.setdefault(name, []).append(node)
+    reached, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) in reached:
+            continue
+        reached.add(id(node))
+        for n in ast.walk(node):
+            name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+            todo.extend(defs.get(name, ()))
+    return {
+        node.name for nodes in defs.values() for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and id(node) not in reached
+    }
+
+
+def test_unreached_definitions_are_the_ledger():
+    # a new unreached definition fails, and so does a ledger entry that a
+    # scenario now reaches or that is gone
+    assert _unreached_from_cli() == set(UNREACHED)
 
 
 def test_cli_blow_up_reports_one_line_on_stderr(tmp_path):

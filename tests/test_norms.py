@@ -9,14 +9,15 @@ from gsqglab import (
     GridSpec,
     OverflowGuardError,
     SpectralField,
-    besov_norm,
     check_gevrey_interpolation,
     check_interpolation,
     derivative_bound_check,
     field_from_modes,
     gevrey_norm,
+    ModelParams,
+    gevrey_report,
+    gevrey_term,
     sobolev_norm,
-    xt_norm,
 )
 from gsqglab import norms, solver
 from gsqglab.spectral import _box, _box_bound, _dealias_mask, _homog_weight, _kabs
@@ -104,36 +105,6 @@ def test_sobolev_triangle_inequality(s):
         assert sobolev_norm(both, s) <= sobolev_norm(f, s) + sobolev_norm(h, s) + 1e-12
 
 
-# ---------------------------------------------------------------- besov
-
-
-def test_besov_of_sine_matches_l2():
-    g = GridSpec(16)
-    f = field_from_modes(g, {(1, 0): 1.0 / 2.0j})
-    assert besov_norm(f, 0.0) == pytest.approx(SQRT2_PI, rel=1e-12)
-
-
-def test_besov_of_zero_field_is_zero():
-    g = GridSpec(16)
-    assert besov_norm(field_from_modes(g, {}), 1.3) == 0.0
-
-
-def test_besov_requires_mean_zero():
-    g = GridSpec(16)
-    with pytest.raises(ValueError):
-        besov_norm(field_from_modes(g, {(0, 0): 1.0}), 0.0)
-
-
-@pytest.mark.parametrize("s", [-1.5, -0.5, 0.0, 0.7, 1.5])
-def test_besov_sobolev_equivalence_bracket(s):
-    lo = 2.0 ** (-abs(s) - 0.5)
-    hi = 2.0 ** (abs(s) + 0.5)
-    for seed in range(8):
-        f = random_field(GridSpec(32), seed=seed, decay=1.5 + 0.25 * seed)
-        ratio = besov_norm(f, s) / sobolev_norm(f, s)
-        assert lo <= ratio <= hi
-
-
 # ---------------------------------------------------------------- gevrey
 
 
@@ -163,24 +134,32 @@ def test_gevrey_norm_overflow_guard():
         gevrey_norm(f, 1.0, 30.0, 0.0)
 
 
-# ---------------------------------------------------------------- xt norm
+# ---------------------------------------------------------------- space-time norm
 
 
-def test_xt_norm_heat_flow_matches_per_mode_oracle():
+def tracked_sup(params, snaps, alpha, eps, delta):
+    """gevrey_report's sup over the gevrey_term series of the snapshots
+    (t, field): the space-time Gevrey norm, as gevrey-track composes it."""
+    series = [gevrey_term(t, f, params, alpha, eps, delta) for t, f in snaps]
+    return gevrey_report(params, [t for t, _ in snaps], series, alpha, eps, delta).sup
+
+
+def test_space_time_norm_of_heat_flow_matches_per_mode_oracle():
     g = GridSpec(32)
     theta0 = random_field(g, seed=21, decay=2.5, band=8)
-    gamma, kappa, alpha, eps = 0.7, 0.5, 0.4, 0.2
-    sigma_c, delta = 1.8, 0.1
+    params = ModelParams(beta=1.3, kappa=0.5, gamma=0.7)
+    gamma, kappa, alpha, eps = params.gamma, params.kappa, 0.4, 0.2
+    delta = 0.1
     times = np.linspace(0.05, 1.0, 20)
     snaps = [
         (t, SpectralField(g, heat_multiplier(g, gamma, kappa, t) * theta0.coeffs))
         for t in times
     ]
-    got = xt_norm(snaps, alpha, eps, sigma_c, delta, gamma, kappa)
+    got = tracked_sup(params, snaps, alpha, eps, delta)
 
     m = np.fft.fftfreq(g.n, 1.0 / g.n)
     kabs = np.hypot(m[:, None], m[None, :])
-    w = np.where(kabs > 0, kabs ** (2.0 * (sigma_c + delta)), 0.0)
+    w = np.where(kabs > 0, kabs ** (2.0 * (params.sigma_c + delta)), 0.0)
     best = 0.0
     for t in times:
         lam = eps * gamma ** (alpha / kappa) * t ** (alpha / kappa)
@@ -192,45 +171,43 @@ def test_xt_norm_heat_flow_matches_per_mode_oracle():
     assert got == pytest.approx(best, rel=1e-10)
 
 
-def test_xt_norm_skips_time_zero_snapshot():
+def test_space_time_norm_skips_time_zero_snapshot():
     g = GridSpec(16)
     f = random_field(g, seed=2, band=4)
     snaps = [(0.5, f), (1.0, f)]
-    with_zero = [(0.0, f)] + snaps
-    args = (0.4, 0.1, 1.5, 0.2, 1.0, 0.5)
-    assert xt_norm(with_zero, *args) == xt_norm(snaps, *args)
-    with pytest.raises(ValueError):
-        xt_norm([(0.0, f)], *args)
+    params = ModelParams(beta=1.0, kappa=0.5, gamma=1.0)
+    args = (0.4, 0.1, 0.2)
+    assert tracked_sup(params, [(0.0, f)] + snaps, *args) == tracked_sup(params, snaps, *args)
 
 
-def test_xt_norm_single_snapshot_reduces_to_critical_sobolev():
-    g = GridSpec(16)
-    f = random_field(g, seed=7)
-    sigma_c = 2.0
-    got = xt_norm([(0.3, f)], 0.5, 0.0, sigma_c, 0.0, 1.4, 0.5)
-    assert got == sobolev_norm(f, sigma_c)
+def test_space_time_norm_single_snapshot_reduces_to_critical_sobolev():
+    f = random_field(GridSpec(16), seed=7)
+    params = ModelParams(beta=1.5, kappa=0.5, gamma=1.4)
+    got = tracked_sup(params, [(0.3, f)], 0.4, 0.0, 0.0)
+    assert got == sobolev_norm(f, params.sigma_c)
 
 
-def test_xt_norm_without_weights_is_sup_of_sobolev():
+def test_space_time_norm_without_weights_is_sup_of_sobolev():
     g = GridSpec(16)
     snaps = [(t, random_field(g, seed=i, decay=1.5 + i)) for i, t in enumerate([0.1, 0.4, 0.9])]
-    got = xt_norm(snaps, 0.5, 0.0, 1.2, 0.0, 1.0, 0.7)
-    assert got == max(sobolev_norm(f, 1.2) for _, f in snaps)
+    params = ModelParams(beta=0.9, kappa=0.7, gamma=1.0)
+    got = tracked_sup(params, snaps, 0.5, 0.0, 0.0)
+    assert got == max(sobolev_norm(f, params.sigma_c) for _, f in snaps)
 
 
-def test_xt_norm_of_heat_flow_stable_under_refinement():
+def test_space_time_norm_of_heat_flow_stable_under_refinement():
     modes = {(1, 0): 0.3, (2, 1): 0.1 - 0.05j, (5, 3): 0.02j, (0, 4): 0.07}
-    gamma, kappa = 1.0, 0.5
+    params = ModelParams(beta=1.3, kappa=0.5, gamma=1.0)
     times = np.linspace(0.1, 2.0, 15)
     vals = []
     for n in (32, 64):
         g = GridSpec(n)
         f0 = field_from_modes(g, modes)
         snaps = [
-            (t, SpectralField(g, heat_multiplier(g, gamma, kappa, t) * f0.coeffs))
+            (t, SpectralField(g, heat_multiplier(g, params.gamma, params.kappa, t) * f0.coeffs))
             for t in times
         ]
-        vals.append(xt_norm(snaps, 0.4, 0.3, 1.8, 0.15, gamma, kappa))
+        vals.append(tracked_sup(params, snaps, 0.4, 0.3, 0.1))
     assert abs(vals[1] - vals[0]) <= 0.05 * vals[0]
 
 

@@ -28,24 +28,22 @@ from gsqglab import (
     field_from_modes,
     flux_divergence,
     gevrey_norm,
-    gevrey_tracking,
-    linear_flux_solve,
     linear_heat_propagator,
     picard_solve,
     rescale_solution,
     scaling_equivariance_check,
     simulate,
     sobolev_norm,
-    to_physical,
     velocity_from_scalar,
 )
 from gsqglab import norms, solver, spectral
-from gsqglab.norms import _hs, xt_norm
+from gsqglab.norms import _hs
 from gsqglab.solver import DiagnosticsRow, _courant, _diagnostics_row, _l2
 from gsqglab.spectral import _box, _box_bound, _dealias_mask, _hermitian_defect
 from util import (
     advective_simulate,
     advective_tendency,
+    gevrey_track,
     hs_norm,
     l2_norm,
     lattice_k,
@@ -83,7 +81,6 @@ def test_trajectory_validation():
     traj = Trajectory(times=(0.0,), fields=(f,), rows=(row,), params=P, dt=1e-3,
                       max_l2_step_increase=0.0)
     assert traj.final is f
-    assert traj.snapshots() == ((0.0, f),)
 
 
 # --- exact dissipative propagator -------------------------------------------
@@ -318,186 +315,72 @@ def test_simulate_courant_abort_carries_position():
     assert exc.value.step == 0 and exc.value.t == 0.0
 
 
-# --- frozen-coefficient linear solve -----------------------------------------
+# --- picard iterate 1: the solve with frozen transport coefficients ------------
 
 
-def zero_q(grid):
-    z = SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex))
-    return lambda t: z
+def _iterate_one(theta0, params, T, dt, stride=1, sink=TrajectorySink):
+    """The run of picard iterate 1: the solve whose transport coefficient is
+    frozen at the seed heat flow of theta0, negated."""
+    its = picard_solve(theta0, params, T, dt, tol=math.inf, snapshot_stride=stride, sink=sink)
+    return its[1].trajectory
 
 
-def test_flux_solve_zero_coefficients_is_heat_flow():
+def _seed_flow(theta0, params):
+    """t -> the seed heat flow of theta0's admissible data at t: iterate 1's
+    frozen coefficient, up to its sign."""
+    f0 = solver._admissible_initial(theta0)
+    return lambda t: linear_heat_propagator(f0, t, params.gamma, params.kappa, params.eps_visc)
+
+
+def test_picard_iterate_final_row_reads_q_at_horizon():
+    # the row at t = T measures the transport field at T, not at T - dt:
+    # with gamma > 0 the seed heat flow, iterate 1's q, decays in time
     grid = GridSpec(32)
-    f = scaled(random_field(grid, seed=14, band=10), 1.0)
-    traj = linear_flux_solve(f, zero_q(grid), P, T=0.1, dt=1e-3)
-    expect = linear_heat_propagator(f, 0.1, P.gamma, P.kappa, P.eps_visc)
-    gap = l2_norm(SpectralField(grid, traj.final.coeffs - expect.coeffs))
-    assert gap <= 1e-12 * l2_norm(f)
-
-
-def test_flux_solve_sequence_validation():
-    grid = GridSpec(16)
-    f = single_mode(grid, (1, 0), 0.1)
-    with pytest.raises(ValueError, match="needs 10"):
-        linear_flux_solve(f, [], P, T=0.01, dt=1e-3)
-    bad = [[f, f, f] for _ in range(10)]
-    with pytest.raises(ValueError, match="four stage samples"):
-        linear_flux_solve(f, bad, P, T=0.01, dt=1e-3)
-    other = single_mode(GridSpec(32), (1, 0), 0.1)
-    with pytest.raises(ValueError, match="wrong grid"):
-        linear_flux_solve(f, [[other] * 4] * 10, P, T=0.01, dt=1e-3)
-    with pytest.raises(ValueError, match="wrong grid"):
-        linear_flux_solve(f, lambda t: other, P, T=0.01, dt=1e-3)
-
-
-@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9, 1.0])
-@pytest.mark.parametrize("beta", [1.0, 1.7])
-def test_flux_solve_field_q_keeps_the_bytes_of_q_boxed_at_the_largest_bound(beta, fraction):
-    # a field q whose support fits the dealias box is boxed there, the
-    # state's rows, and one past it at n/2 - 1; either way every stage value
-    # and row equals the solve given q's box rows of bound n/2 - 1, byte for byte
-    grid = GridSpec(16, dealias_fraction=fraction)
-    params = dataclasses.replace(P, beta=beta)
-    k = _box_bound(grid)
-
-    def disc(seed):
-        return SpectralField(grid, random_field(grid, seed=seed).coeffs * _dealias_mask(grid))
-
-    f, inside, beyond = (scaled(x, 0.5) for x in (disc(17), disc(18), random_field(grid, seed=19)))
-    for q, bound in ((inside, k), (beyond, grid.n // 2 - 1)):
-        provider = solver._as_stage_provider(lambda t, q=q: q, grid, 5, 1e-3)
-        assert provider(0, 0).shape == (2 * bound + 1, bound + 1)
-        rows = spectral._box_field(q)
-        runs = []
-        for given in (lambda t, q=q: q, [[q] * 4] * 5, [[rows] * 4] * 5):
-            sink = []
-            traj = linear_flux_solve(f, given, params, T=5e-3, dt=1e-3, stage_sink=sink)
-            runs.append((
-                [x.half.tobytes() for x in traj.fields],
-                traj.rows,
-                [c.half.tobytes() for rec in sink for c in rec],
-            ))
-        assert runs[0] == runs[1] == runs[2]
-
-
-def test_flux_solve_samples_stage_times_only():
-    grid = GridSpec(16)
-    f = single_mode(grid, (1, 0), 0.1)
-    seen = []
-
-    def q(t):
-        seen.append(t)
-        return f
-
-    dt = 1e-3
-    linear_flux_solve(f, q, P, T=5e-3, dt=dt)
-    allowed = {round(i * dt + off, 12) for i in range(5) for off in (0.0, dt / 2, dt)}
-    assert {round(t, 12) for t in seen} <= allowed
-
-
-def test_flux_solve_stage_sink_shape():
-    grid = GridSpec(16)
-    f = scaled(random_field(grid, seed=15), 0.5)
-    sink = []
-    traj = linear_flux_solve(f, zero_q(grid), P, T=0.01, dt=1e-3, stage_sink=sink)
-    assert len(sink) == 10
-    assert all(len(rec) == 4 for rec in sink)
-    # stage zero of step i is the solution at t = i dt
-    for i in range(10):
-        assert np.array_equal(sink[i][0].coeffs, traj.fields[i].coeffs)
-
-
-def test_flux_solve_refuses_a_stage_sink_holding_records():
-    # a list that already holds records would keep them in place of the
-    # solve's own; it is refused before any step, and left as it was
-    grid = GridSpec(16)
-    f = scaled(random_field(grid, seed=15), 0.5)
-    q = scaled(random_field(grid, seed=16), 0.5)
-    sink = []
-    linear_flux_solve(f, lambda t: q, P, T=5e-3, dt=1e-3, stage_sink=sink)
-    first = [list(rec) for rec in sink]
-    assert len(first) == 5
-    calls = []
-    with pytest.raises(ValueError, match="stage_sink"):
-        linear_flux_solve(f, lambda t: calls.append(t) or q, P, T=5e-3, dt=1e-3, stage_sink=sink)
-    assert calls == []
-    assert len(sink) == 5 and all(a == b for a, b in zip(sink, first))
-
-
-def test_flux_solve_stage_sink_keeps_the_records_of_a_failed_run():
-    # q jumps past the Courant limit at t = 3 dt: the run stops at the start
-    # of step 3, after its first stage, and the sink holds every record made
-    # so far, as fields, the same as a run whose q never jumps
-    grid = GridSpec(16)
-    f = scaled(random_field(grid, seed=15), 0.5)
-    q = scaled(random_field(grid, seed=16), 0.5)
-    big = scaled(q, 1e6)
-    clean = []
-    linear_flux_solve(f, lambda t: q, P, T=5e-3, dt=1e-3, stage_sink=clean)
-    sink = []
-    with pytest.raises(CourantError) as exc:
-        linear_flux_solve(
-            f, lambda t: big if t > 2.9e-3 else q, P, T=5e-3, dt=1e-3, stage_sink=sink
-        )
-    assert exc.value.step == 3
-    assert [len(rec) for rec in sink] == [4, 4, 4, 1]
-    assert all(isinstance(s, SpectralField) for rec in sink for s in rec)
-    for rec, ref in zip(sink[:3], clean):
-        assert all(np.array_equal(a.half, b.half) for a, b in zip(rec, ref))
-
-
-def test_flux_solve_final_row_reads_q_at_horizon():
-    # the row at t = T measures the transport field at T, not at T - dt
-    grid = GridSpec(32)
-    params = ModelParams(beta=1.3, kappa=0.5, gamma=0.0)
-    f = scaled(random_field(grid, seed=3, decay=2.5), 1.0)
-    qb = scaled(random_field(grid, seed=9, decay=2.5), 4.0)
-
-    def q(t):
-        return SpectralField(grid, qb.coeffs * (1.0 + 50.0 * t))
-
-    traj = linear_flux_solve(f, q, params, T=0.01, dt=1e-3)
-    u = velocity_from_scalar(q(0.01), params)
-    speed = float(np.sqrt(to_physical(u.u1) ** 2 + to_physical(u.u2) ** 2).max())
+    params = ModelParams(beta=1.3, kappa=0.5, gamma=0.3)
+    f = scaled(random_field(grid, seed=3, decay=2.5), 4.0)
+    traj = _iterate_one(f, params, T=0.01, dt=1e-3)
+    q = _seed_flow(f, params)
+    speed = peak_speed(velocity_from_scalar(q(0.01), params))
+    before = peak_speed(velocity_from_scalar(q(0.009), params))
     last = traj.rows[-1]
     assert last.max_u == pytest.approx(speed, rel=1e-12)
-    assert last.max_u == pytest.approx(1.7437, abs=1e-4)
+    assert last.max_u != pytest.approx(before, rel=1e-6)
     assert last.courant == pytest.approx(1e-3 * speed / (grid.period / grid.n), rel=1e-12)
 
 
-def test_flux_solve_one_term_branch_conserves_l2():
-    # the transport field is divergence-free, so the single-flux form is skew
+def test_picard_iterate_one_term_transport_conserves_l2():
+    # the transport field is divergence-free, so the single-flux form is
+    # skew: with gamma = 0 (q constant in time) the L2 norm stays; with
+    # gamma > 0 the transport's energy pairing is roundoff at every
+    # snapshot and the L2 norm never grows
     grid = GridSpec(32)
-    params = ModelParams(beta=1.3, kappa=0.5, gamma=0.0)
-    f = scaled(random_field(grid, seed=3, decay=2.5), 1.0)
-    qb = random_field(grid, seed=9, decay=2.5)
-    qb = SpectralField(grid, qb.coeffs * (4.0 / l2_norm(qb)))
-
-    def q(t):
-        return SpectralField(grid, qb.coeffs * (1.0 + 0.5 * math.cos(3.0 * t)))
-
-    traj = linear_flux_solve(f, q, params, T=0.2, dt=1e-3, snapshot_stride=10)
-    l2s = [r.l2 for r in traj.rows]
+    f = scaled(random_field(grid, seed=3, decay=2.5), 4.0)
+    still = _iterate_one(f, ModelParams(beta=1.3, kappa=0.5, gamma=0.0), 0.2, 1e-3, 10)
+    l2s = [r.l2 for r in still.rows]
     assert max(abs(v / l2s[0] - 1.0) for v in l2s) <= 1e-10
+    decaying = _iterate_one(f, ModelParams(beta=1.3, kappa=0.5, gamma=0.3), 0.2, 1e-3, 10)
+    assert max(r.energy_residual for r in decaying.rows) <= 1e-12
+    assert decaying.max_l2_step_increase == 0.0
+    assert decaying.rows[-1].l2 < decaying.rows[0].l2
 
 
-def test_flux_solve_two_term_energy_envelope():
-    # Gronwall envelope with a frozen constant well above the fitted one
+def test_picard_iterate_two_term_energy_envelope():
+    # Gronwall envelope with a frozen constant, 2.5 times the one fitted at
+    # gamma = 0 (4.1e-5); the dissipation, at most gamma |k|^kappa on the
+    # dealias disc, widens it below
     grid = GridSpec(32)
-    params = ModelParams(beta=1.7, kappa=0.5, gamma=0.0)
-    f = scaled(random_field(grid, seed=3, decay=2.5), 1.0)
-    qb = random_field(grid, seed=9, decay=2.5)
-    qb = SpectralField(grid, qb.coeffs * (4.0 / l2_norm(qb)))
-
-    def q(t):
-        return SpectralField(grid, qb.coeffs * (1.0 + 0.5 * math.cos(3.0 * t)))
-
-    traj = linear_flux_solve(f, q, params, T=0.2, dt=1e-3, snapshot_stride=5)
-    c_env = 0.01
+    params = ModelParams(beta=1.7, kappa=0.5, gamma=1e-3)
+    f = scaled(random_field(grid, seed=3, decay=2.5), 20.0)
+    traj = _iterate_one(f, params, T=0.2, dt=1e-3, stride=5)
+    q = _seed_flow(f, params)
+    c_env = 1e-4
+    k_max = grid.k_fundamental * grid.dealias_radius
     for t, row in zip(traj.times, traj.rows):
         ts = np.linspace(0.0, t, 101)
         integral = np.trapezoid([l2_norm(q(s)) ** 2 for s in ts], ts) if t > 0 else 0.0
-        assert abs(math.log(row.l2 / traj.rows[0].l2)) <= c_env * integral + 1e-12
+        drift = math.log(row.l2 / traj.rows[0].l2)
+        assert drift <= c_env * integral + 1e-12
+        assert drift >= -(c_env * integral + params.gamma * k_max**params.kappa * t) - 1e-12
 
 
 # --- half-spectrum stepping core against a full-array reference ---------------
@@ -600,16 +483,15 @@ def test_simulate_matches_full_array_reference(fraction):
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)
-def test_flux_solve_matches_full_array_reference(fraction):
+def test_picard_iterate_matches_full_array_reference(fraction):
+    # iterate 1 steps the tendency +flux_divergence(q, theta), q the seed
+    # heat flow at each stage time, which decays with gamma > 0
     grid = GridSpec(32, dealias_fraction=fraction)
     params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
     f = scaled(random_field(grid, seed=23, decay=2.0), 1.0)
-    qb = scaled(random_field(grid, seed=24, decay=2.0), 2.0)
     dt, n_steps = 1e-3, 10
     offsets = (0.0, 0.5 * dt, 0.5 * dt, dt)
-
-    def q(t):
-        return linear_heat_propagator(qb, t, 1.0, 0.5)
+    q = _seed_flow(f, params)
 
     def q_at(i, stage):
         # the final row reads q at the last step's end stage
@@ -618,17 +500,15 @@ def test_flux_solve_matches_full_array_reference(fraction):
         return q(i * dt + offsets[stage])
 
     def slope(i, stage, c):
-        return -flux_divergence(q_at(i, stage), SpectralField(grid, c), params).coeffs
+        return flux_divergence(q_at(i, stage), SpectralField(grid, c), params).coeffs
 
-    sink = []
-    traj = linear_flux_solve(f, q, params, T=0.01, dt=dt, snapshot_stride=3, stage_sink=sink)
+    traj = _iterate_one(f, params, T=0.01, dt=dt, stride=3)
     ref = _full_array_reference(
         f, params, 0.01, dt, 3, slope, lambda i, _theta: velocity_from_scalar(q_at(i, 0), params)
     )
     _assert_matches_reference(traj, ref)
-    for rec in sink:
-        for stage in rec:
-            _assert_canonical(stage)
+    for field in traj.fields:
+        _assert_canonical(field)
 
 
 # --- transforms, shared Courant samples and support bounds ----------------------
@@ -647,14 +527,12 @@ def _one_step_transforms(run, transforms):
 def test_transforms_per_step(transforms):
     # simulate: 4 fluxes at q = theta of 5 transforms, one-term or two-term
     # alike, since the second term is not formed for q = theta, and the
-    # Courant check reads the samples of the first; the flux solve: 4
-    # two-term fluxes of 8. With q inside the dealias disc the first flux's
-    # products land on the n-grid and give the Courant check its samples; f
-    # reaches |m_i| = 15, so with q = -f they land on 3n/2 and the check
-    # transforms q's velocity itself
+    # Courant check reads the samples of the first; picard iterate 1: 4
+    # two-term fluxes of 8, q the seed's stage, whose first flux's products
+    # land on the n-grid and give the Courant check its samples. The seed
+    # and a ReduceSink without cells make no row, so no other transform
     grid = GridSpec(32)
     f = scaled(random_field(grid, seed=25, decay=2.0), 0.5)
-    in_disc = SpectralField(grid, f.coeffs * _dealias_mask(grid))
     dt = 1e-3
     params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
     one_term = ModelParams(beta=1.2, kappa=0.5, gamma=0.3)
@@ -663,13 +541,12 @@ def test_transforms_per_step(transforms):
     def sim(p):
         return lambda k: simulate(f, p, T=k * dt, dt=dt)
 
-    def flux_solve(q):
-        return lambda k: linear_flux_solve(f, lambda _t: q, params, T=k * dt, dt=dt)
+    def iterate_one(k):
+        return _iterate_one(f, params, T=k * dt, dt=dt, sink=ReduceSink)
 
     assert _one_step_transforms(sim(one_term), transforms) == 20
     assert _one_step_transforms(sim(params), transforms) == 20
-    assert _one_step_transforms(flux_solve(-in_disc), transforms) == 32
-    assert _one_step_transforms(flux_solve(-f), transforms) == 34
+    assert _one_step_transforms(iterate_one, transforms) == 32
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)
@@ -803,23 +680,20 @@ def test_run_product_grids_match_exact_scans(fraction, product_sizes, monkeypatc
 
 
 @pytest.mark.parametrize("beta", [1.2, 1.7], ids=["one_term", "two_term"])
-def test_picard_iterate_solves_with_the_negated_stages(beta):
-    # picard hands the solve the previous stages un-negated, with tendency
-    # +flux_divergence; the public solve on explicitly negated stages must
-    # give the same iterate bit for bit
+def test_flux_of_the_negated_q_is_the_negated_flux_bit_for_bit(beta):
+    # picard hands its solve the previous stages f un-negated, with tendency
+    # +flux_divergence(f, theta): the flux is linear in q and negation is
+    # exact, so that is -flux_divergence(-f, theta), every byte the same once
+    # each zero is written as +0.0
     grid = GridSpec(32)
-    params = ModelParams(beta=beta, kappa=0.5, gamma=0.3)
-    theta0 = solver._admissible_initial(scaled(random_field(grid, seed=29, decay=2.0), 0.5))
-    T, dt, stride = 5e-3, 1e-3, 2
-    plan = spectral._Plan(grid, params)
-    _seed, stages = solver._heat_flow_seed(plan, theta0, T, dt, stride, solver.TrajectorySink())
-    negated = [[-f for f in rec] for rec in stages]
-    sink: list = []
-    ref = linear_flux_solve(theta0, negated, params, T, dt, stride, stage_sink=sink)
-    got = picard_solve(theta0, params, T, dt, tol=math.inf, snapshot_stride=stride)[1].trajectory
-    assert got.times == ref.times and got.rows == ref.rows
-    assert got.max_l2_step_increase == ref.max_l2_step_increase
-    assert all(np.array_equal(a.half, b.half) for a, b in zip(got.fields, ref.fields))
+    plan = spectral._Plan(grid, ModelParams(beta=beta, kappa=0.5, gamma=0.3))
+    q, th = (
+        _box(solver._admissible_initial(random_field(grid, seed=s, decay=2.0)).half, plan.k)
+        for s in (29, 30)
+    )
+    got = spectral._flux_rows(plan, q, th)
+    assert np.any(got)
+    assert _plus_zero(-spectral._flux_rows(plan, -q, th)) == _plus_zero(got)
 
 
 def test_picard_makes_no_negated_copies(monkeypatch):
@@ -877,7 +751,7 @@ def test_picard_seed_is_exact_heat_flow(monkeypatch):
     assert len(times) == 3 * 20 + 1
     seed = its[0].trajectory
     assert its[0].contraction_ratio is None
-    for t, g in seed.snapshots():
+    for t, g in zip(seed.times, seed.fields):
         expect = linear_heat_propagator(f, t, P.gamma, P.kappa, P.eps_visc)
         assert np.max(np.abs(g.coeffs - expect.coeffs)) <= 1e-15
     assert all(r.energy_residual == 0.0 for r in seed.rows)
@@ -918,6 +792,14 @@ def test_picard_refuses_zero_iterations():
     f = scaled(random_field(GridSpec(16), seed=19), 0.5)
     with pytest.raises(ValueError, match="max_iter"):
         picard_solve(f, P, T=0.01, dt=1e-3, max_iter=0)
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_picard_refuses_a_nonpositive_stride_before_the_seed(stride, monkeypatch):
+    f = scaled(random_field(GridSpec(16), seed=19), 0.5)
+    monkeypatch.setattr(solver, "_heat_flow_seed", None)   # a seed would fail
+    with pytest.raises(ValueError, match="snapshot stride must be a positive integer"):
+        picard_solve(f, P, T=0.01, dt=1e-3, snapshot_stride=stride)
 
 
 def test_picard_exhaustion_reports_history():
@@ -1263,17 +1145,6 @@ def test_picard_frees_each_stage_record_once_read(monkeypatch):
     assert alive == [4, 0, 0, 0, 0, 0]
 
 
-def test_flux_solve_leaves_the_callers_stage_list_unchanged():
-    grid = GridSpec(16)
-    theta0 = solver._admissible_initial(scaled(random_field(grid, seed=44, decay=2.0), 0.5))
-    plan = spectral._Plan(grid, P)
-    _seed, q = solver._heat_flow_seed(plan, theta0, 5e-3, 1e-3, 1, solver.TrajectorySink())
-    before = [list(rec) for rec in q]
-    linear_flux_solve(theta0, q, P, T=5e-3, dt=1e-3)
-    assert len(q) == len(before)
-    assert all(a is b for ra, rb in zip(q, before) for a, b in zip(ra, rb, strict=True))
-
-
 # --- self-similar rescaling ------------------------------------------------------
 
 
@@ -1375,22 +1246,22 @@ def test_decay_study_needs_enough_snapshots():
         decay_study(f, P, 0.2, [0], T=1.0, dt=0.125, nonlinear=False)
 
 
-def test_gevrey_tracking_plain_norm_at_zero_radius():
+def test_gevrey_track_plain_norm_at_zero_radius():
     grid = GridSpec(32)
     f = scaled(random_field(grid, seed=29), 1.0)
     traj = simulate(f, P, T=0.05, dt=1e-3, snapshot_stride=10)
-    rep = gevrey_tracking(traj, alpha=0.3, eps_rate=0.0, delta=0.0)
-    for (t, g), v in zip(traj.snapshots(), rep.series):
+    rep = gevrey_track(f, P, 0.05, 1e-3, 10, alpha=0.3, eps_rate=0.0, delta=0.0)
+    assert rep.times == traj.times
+    for (t, g), v in zip(zip(traj.times, traj.fields), rep.series):
         assert v == pytest.approx(sobolev_norm(g, P.sigma_c), rel=1e-12)
 
 
-def test_gevrey_tracking_single_mode_closed_form():
+def test_gevrey_track_single_mode_closed_form():
     grid = GridSpec(32)
     params = ModelParams(beta=1.7, kappa=0.5, gamma=0.4)
     f = single_mode(grid, (3, 4), 0.05)  # radius exactly 5
-    traj = simulate(f, params, T=0.5, dt=2e-3, snapshot_stride=25)
     alpha, eps_rate, delta = 0.3, 0.2, 0.1
-    rep = gevrey_tracking(traj, alpha, eps_rate, delta)
+    rep = gevrey_track(f, params, 0.5, 2e-3, 25, alpha, eps_rate, delta)
     r = 5.0
     sigma = params.sigma_c + delta
     for t, v in zip(rep.times, rep.series):
@@ -1405,46 +1276,48 @@ def test_gevrey_tracking_single_mode_closed_form():
     assert rep.sup == pytest.approx(max(rep.series), rel=1e-12)
 
 
-def test_gevrey_tracking_log_law_series():
+def test_gevrey_track_log_law_series():
     grid = GridSpec(32)
     params = ModelParams(beta=2.0, kappa=0.5, gamma=0.3, mu=1.0, velocity_law="log")
     f = scaled(random_field(grid, seed=30, decay=3.5), 0.2)
     traj = simulate(f, params, T=0.04, dt=1e-3, snapshot_stride=10)
     alpha, eps_rate = 0.3, 0.15
-    rep = gevrey_tracking(traj, alpha, eps_rate, delta=0.0)
-    for (t, g), v in zip(traj.snapshots(), rep.series):
+    rep = gevrey_track(f, params, 0.04, 1e-3, 10, alpha, eps_rate, delta=0.0)
+    for (t, g), v in zip(zip(traj.times, traj.fields), rep.series):
         expect = gevrey_norm(g, alpha, eps_rate * t, params.sigma_c)
         assert v == pytest.approx(expect, rel=1e-12)
     assert rep.sup == max(rep.series)
 
 
-def test_gevrey_tracking_validation():
+def test_gevrey_track_validation():
     grid = GridSpec(16)
     f = scaled(random_field(grid, seed=31), 0.2)
-    traj = simulate(f, P, T=0.01, dt=1e-3)
+
+    def track(alpha, eps_rate, delta):
+        return gevrey_track(f, P, 0.01, 1e-3, 1, alpha, eps_rate, delta)
+
     with pytest.raises(ValueError, match="alpha"):
-        gevrey_tracking(traj, alpha=0.5, eps_rate=0.1, delta=0.0)
+        track(alpha=0.5, eps_rate=0.1, delta=0.0)
     with pytest.raises(ValueError, match="alpha"):
-        gevrey_tracking(traj, alpha=0.0, eps_rate=0.1, delta=0.0)
+        track(alpha=0.0, eps_rate=0.1, delta=0.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        gevrey_tracking(traj, alpha=0.3, eps_rate=-0.1, delta=0.0)
+        track(alpha=0.3, eps_rate=-0.1, delta=0.0)
     with pytest.raises(ValueError, match="delta"):
-        gevrey_tracking(traj, alpha=0.3, eps_rate=0.1, delta=default_delta(P) + 0.05)
+        track(alpha=0.3, eps_rate=0.1, delta=default_delta(P) + 0.05)
 
 
-def test_gevrey_tracking_overflow_is_loud():
+def test_gevrey_track_overflow_is_loud():
     grid = GridSpec(32)
     f = scaled(random_field(grid, seed=32), 0.2)
-    traj = simulate(f, P, T=0.01, dt=1e-3)
     with pytest.raises(OverflowGuardError):
-        gevrey_tracking(traj, alpha=0.3, eps_rate=1e5, delta=0.0)
+        gevrey_track(f, P, 0.01, 1e-3, 1, alpha=0.3, eps_rate=1e5, delta=0.0)
 
 
-def test_gevrey_tracking_evaluates_one_gevrey_norm_per_snapshot(monkeypatch):
+def test_gevrey_track_evaluates_one_gevrey_norm_per_snapshot(monkeypatch):
     grid = GridSpec(32)
     f = scaled(random_field(grid, seed=33), 0.5)
     traj = simulate(f, P, T=0.04, dt=1e-3, snapshot_stride=5)
-    positive = [(t, g) for t, g in traj.snapshots() if t > 0]
+    positive = [(t, g) for t, g in zip(traj.times, traj.fields) if t > 0]
     alpha, eps_rate = 0.3, 0.2
     for delta, evaluated in ((0.1, len(positive)), (0.0, len(traj.times))):
         calls = []
@@ -1456,10 +1329,17 @@ def test_gevrey_tracking_evaluates_one_gevrey_norm_per_snapshot(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(norms, "gevrey_norm", counted)
             m.setattr(solver, "gevrey_norm", counted)
-            rep = gevrey_tracking(traj, alpha, eps_rate, delta)
+            rep = gevrey_track(f, P, 0.04, 1e-3, 5, alpha, eps_rate, delta)
         assert len(calls) == evaluated
-        # the sup is the space-time norm itself, bit for bit
-        assert rep.sup == xt_norm(positive, alpha, eps_rate, P.sigma_c, delta, P.gamma, P.kappa)
+        # the sup is the space-time norm itself, bit for bit: the largest
+        # positive-time weighted Gevrey norm
+        k = P.kappa
+        assert rep.sup == max(
+            (P.gamma * t) ** (delta / k)
+            * gevrey_norm(g, alpha, eps_rate * P.gamma ** (alpha / k) * t ** (alpha / k),
+                          P.sigma_c + delta)
+            for t, g in positive
+        )
 
 
 def test_printed_norms_are_sobolev_norms_bit_for_bit():

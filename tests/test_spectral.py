@@ -1037,9 +1037,6 @@ def _flux_rows_one_by_one(plan, q, theta, speed=None):
     fresh arrays, and the two terms' boxes combined after the forward call."""
     n = plan.grid.n
     k_out = int(plan.grid.dealias_radius)
-    if len(q) != len(theta):
-        q, theta = (spectral._box(spectral._unbox(a, n), max(len(q), len(theta)) // 2)
-                    for a in (q, theta))
     size, k = spectral._grid_size(n, (q,), (theta,), k_out)
     kb = len(theta) // 2
     m = 3 if plan.params.two_term and q is not theta else 2
@@ -1072,7 +1069,8 @@ def _flux_rows_one_by_one(plan, q, theta, speed=None):
 @pytest.mark.parametrize("op", ["one_term", "two_term", "log_law"])
 def test_flux_kernel_keeps_the_bytes_of_the_products_formed_one_by_one(op, fraction):
     # call after call in one plan, across layouts: q = theta and q != theta,
-    # products on the n-grid and on 3n/2, rows of one bound and of two
+    # products on the n-grid and on 3n/2, rows of the dealias box's bound
+    # and of n/2 - 1
     g = GridSpec(32, dealias_fraction=fraction)
     params = _STACK_OPS[op]
     plan, ref_plan = spectral._Plan(g, params), spectral._Plan(g, params)
@@ -1081,8 +1079,8 @@ def test_flux_kernel_keeps_the_bytes_of_the_products_formed_one_by_one(op, fract
     low = [spectral._box(random_field(g, seed=s, band=4).half, plan.k) for s in (65, 66)]
     cases = [
         (disc[0], disc[1]), (disc[0], disc[0]), (full[0], full[1]), (full[0], full[0]),
-        (full[0], disc[1]), (disc[0], full[1]), (-disc[1], disc[0]), (disc[1], disc[0]),
-        (low[0], low[1]), (low[0], low[0]), (low[1], disc[0]), (full[1], low[0]),
+        (-disc[1], disc[0]), (disc[1], disc[0]), (low[0], low[1]), (low[0], low[0]),
+        (low[1], disc[0]),
     ]
     sizes = set()
     for q, theta in cases * 2:
@@ -1092,9 +1090,7 @@ def test_flux_kernel_keeps_the_bytes_of_the_products_formed_one_by_one(op, fract
         assert got.tobytes() == want.tobytes()
         assert np.array(got_speed).tobytes() == np.array(want_speed).tobytes()
         assert got.tobytes() == spectral._flux_rows(plan, q, theta).tobytes()
-        rows = max(len(q), len(theta))
-        boxed = [spectral._box(spectral._unbox(a, g.n), rows // 2) for a in (q, theta)]
-        sizes.add(spectral._grid_size(g.n, *([a] for a in boxed), int(g.dealias_radius))[0])
+        sizes.add(spectral._grid_size(g.n, [q], [theta], int(g.dealias_radius))[0])
     assert sizes == {g.n, 3 * g.n // 2}
     assert len(disc[0]) < len(full[0]) if fraction < 1 else len(disc[0]) == len(full[0])
 

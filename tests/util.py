@@ -4,10 +4,14 @@ import numpy as np
 
 from gsqglab import (
     GridSpec,
+    ReduceSink,
     SpectralField,
     VectorField,
     advect,
     build_partition,
+    gevrey_report,
+    gevrey_term,
+    simulate,
     solver,
     spectral,
     to_physical,
@@ -335,6 +339,18 @@ def advective_simulate(theta0, params, T, dt, stride):
         spectral._Plan(theta0.grid, params), theta0, T, dt, stride, solver.DEFAULT_CFL, True,
         advective_stages(theta0.grid, params), solver.TrajectorySink(),
     )
+
+
+def gevrey_track(theta0, params, T, dt, stride, alpha, eps_rate, delta):
+    """The GevreyTrackReport of a simulate run, composed as the gevrey-track
+    scenario composes it: a ReduceSink whose cell of each snapshot is its
+    gevrey_term, reduced by gevrey_report."""
+
+    def term(t, f, _row):
+        return gevrey_term(t, f, params, alpha, eps_rate, delta)
+
+    run = simulate(theta0, params, T, dt, stride, sink=lambda: ReduceSink(term))
+    return gevrey_report(params, run.times, run.cells, alpha, eps_rate, delta)
 
 
 def read_csv_columns(path: str) -> dict[str, list]:
