@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsqglab import GridSpec, field_from_modes
+from gsqglab import GridSpec, field_from_modes, sobolev_norm
 from gsqglab.dyadic import (
     _chi_lattice,
     _fat_diagonal,
@@ -161,6 +161,19 @@ def test_block_energy_ratio(seed):
     total = sum(l2_norm(b) ** 2 for _, b in blocks.items())
     ratio = total / l2_norm(f) ** 2
     assert 0.5 <= ratio <= 1.0
+
+
+@pytest.mark.parametrize("s", [-1.5, -0.5, 0.0, 0.7, 1.5])
+def test_weighted_block_sum_brackets_the_sobolev_norm(s):
+    # Littlewood-Paley: block j lives on 2^(j-1) < |k| < 2^(j+1) and the
+    # squared blocks sum to between half and all of the energy, so
+    # (sum_j 4^(js) ||block_j||^2)^(1/2) lies within 2^(|s| + 1/2) of the
+    # homogeneous H^s norm of a mean-zero field
+    lo, hi = 2.0 ** (-abs(s) - 0.5), 2.0 ** (abs(s) + 0.5)
+    for seed in range(8):
+        f = random_field(GridSpec(32), seed=seed, decay=1.5 + 0.25 * seed)
+        weighted = np.sqrt(sum(4.0 ** (j * s) * l2_norm(b) ** 2 for j, b in decompose(f).items()))
+        assert lo <= weighted / sobolev_norm(f, s) <= hi
 
 
 def test_bernstein_identity_exponent():

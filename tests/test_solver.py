@@ -332,6 +332,50 @@ def _seed_flow(theta0, params):
     return lambda t: linear_heat_propagator(f0, t, params.gamma, params.kappa, params.eps_visc)
 
 
+@pytest.mark.parametrize("beta", [1.2, 1.7], ids=["one_term", "two_term"])
+def test_picard_iterate_of_a_single_mode_is_heat_flow(beta):
+    # the velocity of one Fourier mode is perpendicular to its wavevector, so
+    # in either branch the seed heat flow of the mode does not transport it:
+    # iterate 1 is the heat flow up to roundoff
+    grid = GridSpec(32)
+    params = ModelParams(beta=beta, kappa=0.5, gamma=0.3)
+    f = single_mode(grid, (3, 4), 0.05 - 0.02j)
+    traj = _iterate_one(f, params, T=0.01, dt=1e-3)
+    assert len(traj.fields) == 11
+    for t, g in zip(traj.times, traj.fields):
+        expect = linear_heat_propagator(f, t, params.gamma, params.kappa, params.eps_visc)
+        gap = l2_norm(SpectralField(grid, g.coeffs - expect.coeffs))
+        assert gap <= 1e-12 * l2_norm(f)
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9, 1.0])
+@pytest.mark.parametrize("beta", [1.0, 1.7])
+def test_picard_iterate_stage_records_are_box_rows(beta, fraction, monkeypatch):
+    # the records iterate 1 leaves for iterate 2 are one 4-list per step of
+    # rows boxed at the dealias bound K, and stage 0 of step i is iterate 1's
+    # state at t = i dt, byte for byte
+    grid = GridSpec(16, dealias_fraction=fraction)
+    params = dataclasses.replace(P, beta=beta)
+    f = scaled(random_field(grid, seed=17), 0.5)
+    k = _box_bound(grid)
+    handed = []
+    provider = solver._stage_provider
+
+    def spy(records):
+        handed.append(list(records))
+        return provider(records)
+
+    monkeypatch.setattr(solver, "_stage_provider", spy)
+    with pytest.raises(PicardConvergenceError) as exc:
+        picard_solve(f, params, T=5e-3, dt=1e-3, tol=0.0, max_iter=2)
+    one = exc.value.iterates[1].trajectory
+    records = handed[1]
+    assert len(records) == 5 and all(len(rec) == 4 for rec in records)
+    assert all(stage.shape == (2 * k + 1, k + 1) for rec in records for stage in rec)
+    for rec, field in zip(records, one.fields):
+        assert rec[0].tobytes() == _box(field.half, k).tobytes()
+
+
 def test_picard_iterate_final_row_reads_q_at_horizon():
     # the row at t = T measures the transport field at T, not at T - dt:
     # with gamma > 0 the seed heat flow, iterate 1's q, decays in time
@@ -482,12 +526,11 @@ def test_simulate_matches_full_array_reference(fraction):
         _assert_canonical(out)
 
 
-@pytest.mark.parametrize("fraction", FRACTIONS)
-def test_picard_iterate_matches_full_array_reference(fraction):
+def _check_iterate_one_against_reference(fraction, beta):
     # iterate 1 steps the tendency +flux_divergence(q, theta), q the seed
     # heat flow at each stage time, which decays with gamma > 0
     grid = GridSpec(32, dealias_fraction=fraction)
-    params = ModelParams(beta=1.7, kappa=0.5, gamma=0.3)
+    params = ModelParams(beta=beta, kappa=0.5, gamma=0.3)
     f = scaled(random_field(grid, seed=23, decay=2.0), 1.0)
     dt, n_steps = 1e-3, 10
     offsets = (0.0, 0.5 * dt, 0.5 * dt, dt)
@@ -509,6 +552,16 @@ def test_picard_iterate_matches_full_array_reference(fraction):
     _assert_matches_reference(traj, ref)
     for field in traj.fields:
         _assert_canonical(field)
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_picard_iterate_matches_full_array_reference(fraction):
+    _check_iterate_one_against_reference(fraction, beta=1.7)
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_picard_iterate_one_term_matches_full_array_reference(fraction):
+    _check_iterate_one_against_reference(fraction, beta=1.2)
 
 
 # --- transforms, shared Courant samples and support bounds ----------------------
